@@ -14,6 +14,7 @@
 #   ./ci.sh recover       # kill-and-recover soak against a hermetic
 #                         # target/ci store -> BENCH_recovery.json,
 #                         # gated vs the committed baseline
+#                         # (all three are runs of the one `soak` binary)
 #   ./ci.sh bench-gate    # regenerate benches into target/ci and compare
 #                         # against the committed BENCH_*.json baselines
 #   ./ci.sh bench-gate --update-baselines
@@ -94,13 +95,13 @@ run_soak() { # outdir
 }
 
 run_soak_mt() { # outdir
-    cargo run --release -q -p smdb-bench --bin soak_mt -- \
+    cargo run --release -q -p smdb-bench --bin soak -- \
         --shards 4 --tenants 1200 --zipf 1.1 \
         --json "$1/BENCH_multitenant.json" --trail "$1/TRAIL_mt.json"
 }
 
 run_recover() { # outdir -> BENCH_recovery.json (hermetic store in outdir)
-    cargo run --release -q -p smdb-bench --bin recover -- \
+    cargo run --release -q -p smdb-bench --bin soak -- \
         --dir "$1/recover_store" --json "$1/BENCH_recovery.json"
 }
 
@@ -155,12 +156,12 @@ soak)
     echo "Soak CI green."
     ;;
 soak-mt)
-    step "build (release, soak_mt)" cargo build --release -p smdb-bench --bin soak_mt
+    step "build (release, soak)" cargo build --release -p smdb-bench --bin soak
     step "soak-mt" run_soak_mt .
     echo "Multi-tenant soak CI green."
     ;;
 recover)
-    step "build (release, recover)" cargo build --release -p smdb-bench --bin recover --bin bench_gate
+    step "build (release, soak)" cargo build --release -p smdb-bench --bin soak --bin bench_gate
     mkdir -p "$CI_DIR"
     step "recover" run_recover "$CI_DIR"
     step "recover-gate" cargo run --release -q -p smdb-bench --bin bench_gate -- \
@@ -183,9 +184,8 @@ bench-gate)
     if [[ "${2:-}" == "--update-baselines" ]]; then
         step "update-baselines" cp "$CI_DIR/BENCH_runtime.json" \
             "$CI_DIR/BENCH_tuning.json" "$CI_DIR/BENCH_multitenant.json" \
-            "$CI_DIR/BENCH_recovery.json" \
-            "$CI_DIR/TRAIL_soak.json" "$CI_DIR/TRAIL_mt.json" .
-        echo "Baselines updated from $CI_DIR — commit BENCH_*.json + TRAIL_*.json."
+            "$CI_DIR/BENCH_recovery.json" .
+        echo "Baselines updated from $CI_DIR — commit BENCH_*.json."
     else
         step "bench-gate" run_gate "$CI_DIR"
         echo "Bench gate green."

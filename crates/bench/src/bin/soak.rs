@@ -1,254 +1,299 @@
-//! Online serving soak: the runtime benchmark.
+//! The serving soak: one binary, three runs of the one serving loop.
 //!
 //! ```text
-//! cargo run --release -p smdb-bench --bin soak                      # defaults
-//! cargo run --release -p smdb-bench --bin soak -- --workers 8
-//! cargo run --release -p smdb-bench --bin soak -- --json BENCH_runtime.json
-//! cargo run --release -p smdb-bench --bin soak -- --trail TRAIL_soak.json
+//! cargo run --release -p smdb-bench --bin soak                        # single engine
+//! cargo run --release -p smdb-bench --bin soak -- --scan-threads 4 --trail TRAIL_soak.json
+//! cargo run --release -p smdb-bench --bin soak -- --shards 4 --tenants 1200 --zipf 1.1
+//! cargo run --release -p smdb-bench --bin soak -- --kill-bucket 27 --dir target/ci/recover_store
 //! ```
 //!
-//! Serves a seeded phased query stream with a worker pool while the
-//! background tuning thread reconfigures the store online, with
-//! injected apply failures exercising the rollback path. Prints a
-//! summary and, with `--json PATH`, writes the machine-readable
-//! `BENCH_runtime.json` (sustained qps, p95 cold vs tuned, actions
-//! applied / rolled back, injected failures).
+//! * **single engine** (default): a seeded phased stream served by a
+//!   worker pool while the tuning thread reconfigures the store online,
+//!   with injected apply failures exercising the rollback path. Report
+//!   sections `soak` + `obs` (`BENCH_runtime.json`).
+//! * **sharded** (`--shards` / `--tenants` / `--zipf`): Zipf-skewed
+//!   traffic from thousands of tenants against a sharded engine — every
+//!   shard tunes itself, a global arbiter re-splits one index-memory
+//!   budget each bucket. Report section `multitenant`
+//!   (`BENCH_multitenant.json`); `--trail` writes the merged per-shard +
+//!   arbiter decision trail.
+//! * **kill-and-recover** (`--kill-bucket` / `--kill-after` /
+//!   `--snapshot-every` / `--dir`): the single-engine fixture run
+//!   durably twice — once uninterrupted (reference digest, write
+//!   amplification), once hard-stopped mid-bucket, recovered and
+//!   resumed. Report section `recover` (`BENCH_recovery.json`). With
+//!   `--dir PATH` the store is a real directory (fsynced appends, wiped
+//!   first so runs are hermetic); the default is in-memory. Exits 1
+//!   when the recovered digest differs from the reference.
+//!
+//! Every run prints the metrics of its report sections (`section.key =
+//! value`); `--json PATH` writes the same report, `--trail PATH` the
+//! decision trail.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use smdb_bench::report;
+use smdb_common::json::Json;
 use smdb_common::Cost;
-use smdb_runtime::{events_database, generate, FaultPlan, Runtime, RuntimeConfig, StreamConfig};
+use smdb_core::{DurabilityConfig, DurabilityManager};
+use smdb_durable::{DirPersistence, MemPersistence, Persistence};
+use smdb_query::{result_hash, Database};
+use smdb_runtime::{
+    events_database, generate, recover_and_resume, BucketPlan, FaultPlan, KillSpec, MtSoakConfig,
+    MtSoakOutcome, Runtime, RuntimeConfig, ShardedRuntime, StreamConfig,
+};
+use smdb_shard::{build_sharded, MultiTenantConfig, ShardSpec, TenantQuery};
+
+/// Tenants must clear this many queries before their p95 is aggregated.
+const P95_MIN_QUERIES: u64 = 20;
+/// Queries replayed against a 1-shard build for the digest-invariance
+/// witness.
+const DIGEST_CHECK_QUERIES: usize = 1_000;
+
+/// Flags every run takes, and the ones each run adds.
+const COMMON_FLAGS: &[&str] = &["--workers", "--seed", "--buckets", "--json"];
+const ENGINE_FLAGS: &[&str] = &["--scan-threads", "--morsel-chunks", "--no-kernels"];
+const SHARDED_FLAGS: &[&str] = &["--shards", "--tenants", "--zipf"];
+const RECOVER_FLAGS: &[&str] = &["--kill-bucket", "--kill-after", "--snapshot-every", "--dir"];
 
 struct Args {
-    workers: usize,
-    scan_threads: usize,
-    morsel_chunks: usize,
+    /// Flags given, in order.
+    seen: Vec<String>,
+    workers: Option<usize>,
     seed: u64,
-    buckets: usize,
-    kernels: bool,
+    buckets: Option<usize>,
     json_path: Option<String>,
     trail_path: Option<String>,
+    scan_threads: usize,
+    morsel_chunks: usize,
+    kernels: bool,
+    shards: usize,
+    tenants: usize,
+    zipf: f64,
+    kill_bucket: usize,
+    kill_after: usize,
+    snapshot_every: u64,
+    dir: Option<String>,
+}
+
+fn die(code: i32, message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code);
+}
+
+fn usage(problem: &str) -> ! {
+    die(
+        2,
+        &format!(
+            "{problem} (valid: {} --trail PATH; single engine and kill-and-recover: {}; \
+             sharded: {}; kill-and-recover: {})",
+            COMMON_FLAGS.join(" "),
+            ENGINE_FLAGS.join(" "),
+            SHARDED_FLAGS.join(" "),
+            RECOVER_FLAGS.join(" "),
+        ),
+    )
 }
 
 fn parse_args() -> Args {
     let mut parsed = Args {
-        workers: 4,
-        scan_threads: 1,
-        morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
+        seen: Vec::new(),
+        workers: None,
         seed: 42,
-        buckets: 40,
-        kernels: true,
+        buckets: None,
         json_path: None,
         trail_path: None,
+        scan_threads: 1,
+        morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
+        kernels: true,
+        shards: 4,
+        tenants: 1200,
+        zipf: 1.1,
+        kill_bucket: 27,
+        kill_after: 100,
+        snapshot_every: 8,
+        dir: None,
     };
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| match args.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            }
+    while let Some(flag) = args.next() {
+        let mut text = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
         };
-        match arg.as_str() {
-            "--workers" => parsed.workers = parse_num(&take("--workers"), "--workers"),
-            "--scan-threads" => {
-                parsed.scan_threads = parse_num(&take("--scan-threads"), "--scan-threads");
-            }
-            "--morsel-chunks" => {
-                parsed.morsel_chunks = parse_num(&take("--morsel-chunks"), "--morsel-chunks");
-            }
-            "--seed" => parsed.seed = parse_num(&take("--seed"), "--seed"),
-            "--buckets" => parsed.buckets = parse_num(&take("--buckets"), "--buckets"),
-            "--no-kernels" => parsed.kernels = false,
-            "--json" => parsed.json_path = Some(take("--json")),
-            "--trail" => parsed.trail_path = Some(take("--trail")),
-            other => {
-                eprintln!(
-                    "unknown argument {other} (valid: --workers N --scan-threads N \
-                     --morsel-chunks N --seed N --buckets N --no-kernels \
-                     --json PATH --trail PATH)"
-                );
-                std::process::exit(2);
-            }
+        fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+            value
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("{flag}: invalid number {value}")))
         }
+        match flag.as_str() {
+            "--workers" => parsed.workers = Some(num(&flag, text())),
+            "--seed" => parsed.seed = num(&flag, text()),
+            "--buckets" => parsed.buckets = Some(num(&flag, text())),
+            "--json" => parsed.json_path = Some(text()),
+            "--trail" => parsed.trail_path = Some(text()),
+            "--scan-threads" => parsed.scan_threads = num(&flag, text()),
+            "--morsel-chunks" => parsed.morsel_chunks = num(&flag, text()),
+            "--no-kernels" => parsed.kernels = false,
+            "--shards" => parsed.shards = num(&flag, text()),
+            "--tenants" => parsed.tenants = num(&flag, text()),
+            "--zipf" => parsed.zipf = num(&flag, text()),
+            "--kill-bucket" => parsed.kill_bucket = num(&flag, text()),
+            "--kill-after" => parsed.kill_after = num(&flag, text()),
+            "--snapshot-every" => parsed.snapshot_every = num(&flag, text()),
+            "--dir" => parsed.dir = Some(text()),
+            other => usage(&format!("unknown argument {other}")),
+        }
+        parsed.seen.push(flag);
     }
     parsed
 }
 
-fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> T {
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("{name}: invalid number {value}");
-            std::process::exit(2);
+impl Args {
+    fn gave(&self, flags: &[&str]) -> bool {
+        self.seen.iter().any(|f| flags.contains(&f.as_str()))
+    }
+
+    /// Rejects flags the selected run does not read.
+    fn allow_only(&self, run: &str, flags: &[&[&str]]) {
+        if let Some(stray) = self
+            .seen
+            .iter()
+            .find(|f| !flags.iter().any(|group| group.contains(&f.as_str())))
+        {
+            usage(&format!("{stray} does not apply to the {run} run"));
         }
+    }
+}
+
+fn write_doc(path: &str, doc: &Json, what: &str) {
+    if let Err(e) = std::fs::write(path, doc.to_string_pretty() + "\n") {
+        die(1, &format!("failed to write {path}: {e}"));
+    }
+    println!("wrote {what} to {path}");
+}
+
+/// Records `metrics` into a report section and prints them: stdout and
+/// the JSON report list the same numbers.
+fn record_all<K: AsRef<str>>(section: &str, metrics: impl IntoIterator<Item = (K, Json)>) {
+    for (key, value) in metrics {
+        let key = key.as_ref();
+        println!("{section}.{key} = {}", value.to_string_compact());
+        report::record(section, key, value);
     }
 }
 
 fn main() {
     let args = parse_args();
+    let trail = if args.gave(SHARDED_FLAGS) {
+        args.allow_only("sharded", &[COMMON_FLAGS, SHARDED_FLAGS, &["--trail"]]);
+        Some(sharded_soak(&args))
+    } else if args.gave(RECOVER_FLAGS) {
+        args.allow_only(
+            "kill-and-recover",
+            &[COMMON_FLAGS, ENGINE_FLAGS, RECOVER_FLAGS],
+        );
+        kill_and_recover(&args);
+        None
+    } else {
+        args.allow_only("single-engine", &[COMMON_FLAGS, ENGINE_FLAGS, &["--trail"]]);
+        Some(engine_soak(&args))
+    };
+    if let (Some(path), Some(trail)) = (&args.trail_path, &trail) {
+        write_doc(path, trail, "decision trail");
+    }
+    if let Some(path) = &args.json_path {
+        write_doc(path, &report::to_json(), "metrics");
+    }
+}
+
+/// The single-engine fixture: 24 event kinds × 1 000 rows and the seeded
+/// phased stream over them.
+fn events_fixture(args: &Args) -> (Arc<Database>, Vec<BucketPlan>) {
     let stream = StreamConfig {
         seed: args.seed,
-        buckets: args.buckets,
+        buckets: args.buckets.unwrap_or(40),
         ..StreamConfig::default()
     };
-    let (db, table) = match events_database(24, 1_000) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("fixture failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (db, table) =
+        events_database(24, 1_000).unwrap_or_else(|e| die(1, &format!("fixture failed: {e}")));
     if !args.kernels {
         db.engine_mut().set_kernels_enabled(false);
     }
-    let plan = generate(table, 24_000, &stream);
-    let planned: usize = plan.iter().map(|b| b.queries.len()).sum();
-    let runtime = Runtime::new(
-        Arc::clone(&db),
-        RuntimeConfig {
-            workers: args.workers,
-            bucket_capacity: Cost(800.0),
-            slice_budget: 6,
-            fault_plan: FaultPlan::failing_attempts([0, 1, 2]),
-            sla_p95: Some(Cost(1.0)),
-            scan_threads: args.scan_threads,
-            morsel_chunks: args.morsel_chunks,
-            ..RuntimeConfig::default()
-        },
-    );
+    (db, generate(table, 24_000, &stream))
+}
 
-    println!(
-        "soak: {} buckets / {} queries, {} workers, {} scan threads (morsels of {} chunks), seed {}",
-        plan.len(),
-        planned,
-        args.workers,
-        args.scan_threads,
-        args.morsel_chunks,
-        args.seed
-    );
+fn engine_config(args: &Args, fault_plan: FaultPlan) -> RuntimeConfig {
+    RuntimeConfig {
+        workers: args.workers.unwrap_or(4),
+        bucket_capacity: Cost(800.0),
+        slice_budget: 6,
+        fault_plan,
+        sla_p95: Some(Cost(1.0)),
+        scan_threads: args.scan_threads,
+        morsel_chunks: args.morsel_chunks,
+    }
+}
+
+/// The single-engine soak; returns the decision trail.
+fn engine_soak(args: &Args) -> Json {
+    let (db, plan) = events_fixture(args);
+    let config = engine_config(args, FaultPlan::failing_attempts([0, 1, 2]));
+    let workers = config.workers;
+    let runtime = Runtime::new(Arc::clone(&db), config);
     // Per-(target, name) span tallies: coarse spans only (bucket, tuning
     // tick, worker, drain), so the subscriber costs nothing per query.
     let spans = smdb_obs::CountingSubscriber::new();
     smdb_obs::trace::install(spans.clone());
     let start = Instant::now();
-    let outcome = match runtime.run(&plan) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("soak failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = runtime
+        .run(&plan)
+        .unwrap_or_else(|e| die(1, &format!("soak failed: {e}")));
     let wall = start.elapsed().as_secs_f64();
+    smdb_obs::trace::uninstall();
     let qps = outcome.stats.queries as f64 / wall.max(1e-9);
-
-    println!(
-        "served {} queries in {:.2}s ({:.0} q/s), {} errors, {} wrong results",
-        outcome.stats.queries, wall, qps, outcome.stats.errors, outcome.stats.wrong_results
-    );
-    println!(
-        "latency (sim): cold mean {} p95 {} -> tuned mean {} p95 {}",
-        outcome.cold_mean, outcome.cold_p95, outcome.tuned_mean, outcome.tuned_p95
-    );
-    println!(
-        "tuning: {} runs, {} actions applied ({} deferred along the way), {} apply attempts",
-        outcome.tuning.tunings_run,
-        outcome.tuning.actions_applied,
-        outcome.tuning.actions_deferred,
-        outcome.apply_attempts
-    );
-    println!(
-        "faults: {} injected, {} rollbacks, {} stored config instances, tuning paused: {}",
-        outcome.injected_failures,
-        outcome.tuning.rollbacks,
-        outcome.tuning.stored_instances,
-        outcome.tuning.paused
-    );
+    let (stats, tuning) = (&outcome.stats, &outcome.tuning);
 
     let scans = db.scan_stats();
-    println!(
-        "scans: {} parallel / {} inline, {} morsels dispatched",
-        scans.parallel_scans, scans.inline_scans, scans.morsels
-    );
-    println!(
-        "access paths: {} pruned / {} index / {} kernel / {} scalar chunks, {} kernel batches",
-        scans.chunks_pruned,
-        scans.chunks_index,
-        scans.chunks_kernel,
-        scans.chunks_scalar,
-        scans.kernel_batches
-    );
-
-    report::record("soak", "workers", (args.workers as u64).into());
-    report::record("soak", "scan_threads", (args.scan_threads as u64).into());
-    report::record("soak", "morsel_chunks", (args.morsel_chunks as u64).into());
-    report::record("soak", "parallel_scans", scans.parallel_scans.into());
-    report::record("soak", "inline_scans", scans.inline_scans.into());
-    report::record("soak", "morsels_dispatched", scans.morsels.into());
-    report::record("soak", "chunks_pruned", scans.chunks_pruned.into());
-    report::record("soak", "chunks_index", scans.chunks_index.into());
-    report::record("soak", "chunks_kernel", scans.chunks_kernel.into());
-    report::record("soak", "chunks_scalar", scans.chunks_scalar.into());
-    report::record("soak", "kernel_batches", scans.kernel_batches.into());
-    report::record("soak", "seed", args.seed.into());
-    report::record(
+    record_all(
         "soak",
-        "buckets_served",
-        (outcome.buckets_served as u64).into(),
-    );
-    report::record("soak", "queries", outcome.stats.queries.into());
-    report::record("soak", "errors", outcome.stats.errors.into());
-    report::record("soak", "wrong_results", outcome.stats.wrong_results.into());
-    report::record("soak", "result_digest", outcome.stats.result_digest.into());
-    report::record("soak", "wall_s", wall.into());
-    report::record("soak", "sustained_qps", qps.into());
-    report::record("soak", "cold_mean_ms", outcome.cold_mean.ms().into());
-    report::record("soak", "cold_p95_ms", outcome.cold_p95.ms().into());
-    report::record("soak", "tuned_mean_ms", outcome.tuned_mean.ms().into());
-    report::record("soak", "tuned_p95_ms", outcome.tuned_p95.ms().into());
-    report::record("soak", "tunings_run", outcome.tuning.tunings_run.into());
-    report::record(
-        "soak",
-        "actions_applied",
-        outcome.tuning.actions_applied.into(),
-    );
-    report::record(
-        "soak",
-        "actions_deferred",
-        outcome.tuning.actions_deferred.into(),
-    );
-    report::record(
-        "soak",
-        "apply_attempts",
-        (outcome.apply_attempts as u64).into(),
-    );
-    report::record(
-        "soak",
-        "apply_failures",
-        outcome.tuning.apply_failures.into(),
-    );
-    report::record(
-        "soak",
-        "injected_failures",
-        (outcome.injected_failures as u64).into(),
-    );
-    report::record(
-        "soak",
-        "rollbacks",
-        (outcome.tuning.rollbacks as u64).into(),
-    );
-    report::record(
-        "soak",
-        "stored_instances",
-        (outcome.tuning.stored_instances as u64).into(),
+        [
+            ("workers", workers.into()),
+            ("scan_threads", args.scan_threads.into()),
+            ("morsel_chunks", args.morsel_chunks.into()),
+            ("parallel_scans", scans.parallel_scans.into()),
+            ("inline_scans", scans.inline_scans.into()),
+            ("morsels_dispatched", scans.morsels.into()),
+            ("chunks_pruned", scans.chunks_pruned.into()),
+            ("chunks_index", scans.chunks_index.into()),
+            ("chunks_kernel", scans.chunks_kernel.into()),
+            ("chunks_scalar", scans.chunks_scalar.into()),
+            ("kernel_batches", scans.kernel_batches.into()),
+            ("seed", args.seed.into()),
+            ("buckets_served", outcome.buckets_served.into()),
+            ("queries", stats.queries.into()),
+            ("errors", stats.errors.into()),
+            ("wrong_results", stats.wrong_results.into()),
+            ("result_digest", stats.result_digest.into()),
+            ("wall_s", wall.into()),
+            ("sustained_qps", qps.into()),
+            ("cold_mean_ms", outcome.cold_mean.ms().into()),
+            ("cold_p95_ms", outcome.cold_p95.ms().into()),
+            ("tuned_mean_ms", outcome.tuned_mean.ms().into()),
+            ("tuned_p95_ms", outcome.tuned_p95.ms().into()),
+            ("tunings_run", tuning.tunings_run.into()),
+            ("actions_applied", tuning.actions_applied.into()),
+            ("actions_deferred", tuning.actions_deferred.into()),
+            ("apply_attempts", outcome.apply_attempts.into()),
+            ("apply_failures", tuning.apply_failures.into()),
+            ("injected_failures", outcome.injected_failures.into()),
+            ("rollbacks", tuning.rollbacks.into()),
+            ("stored_instances", tuning.stored_instances.into()),
+        ],
     );
 
     // Observability section: span tallies, what-if cache traffic and the
     // flight-recorder decision trail.
-    smdb_obs::trace::uninstall();
     let recorder = runtime.driver().flight_recorder();
     let events = recorder.events();
     let rollback_events = events
@@ -262,45 +307,287 @@ fn main() {
     } else {
         cache_hits as f64 / (cache_hits + cache_misses) as f64
     };
-    println!(
-        "obs: {} spans, what-if cache {:.1}% hit ({} / {}), trail {} events ({} rollbacks)",
-        spans.total(),
-        hit_rate * 100.0,
-        cache_hits,
-        cache_misses,
-        events.len(),
-        rollback_events
-    );
-    report::record("obs", "spans_total", spans.total().into());
-    for (name, count) in spans.snapshot() {
-        report::record("obs", &format!("spans.{name}"), count.into());
-    }
-    report::record("obs", "whatif_cache_hits", cache_hits.into());
-    report::record("obs", "whatif_cache_misses", cache_misses.into());
-    report::record("obs", "whatif_cache_hit_rate", hit_rate.into());
-    report::record("obs", "trail_events", (events.len() as u64).into());
-    report::record("obs", "trail_dropped", recorder.dropped().into());
-    report::record(
+    record_all("obs", [("spans_total", spans.total().into())]);
+    record_all(
         "obs",
-        "trail_rollback_events",
-        (rollback_events as u64).into(),
+        spans
+            .snapshot()
+            .into_iter()
+            .map(|(name, count)| (format!("spans.{name}"), count.into())),
     );
+    record_all(
+        "obs",
+        [
+            ("whatif_cache_hits", cache_hits.into()),
+            ("whatif_cache_misses", cache_misses.into()),
+            ("whatif_cache_hit_rate", hit_rate.into()),
+            ("trail_events", events.len().into()),
+            ("trail_dropped", recorder.dropped().into()),
+            ("trail_rollback_events", rollback_events.into()),
+        ],
+    );
+    recorder.to_json()
+}
 
-    if let Some(path) = args.trail_path {
-        let doc = recorder.to_json().to_string_pretty();
-        if let Err(e) = std::fs::write(&path, doc + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
+/// The noisy-neighbor probe: among *quiet* tenants (at or below the
+/// median query count), how much worse is p95 for those homed on the
+/// hottest tenant's shard than for those homed elsewhere? Positive
+/// means the hot shard's neighbors pay; ~0 means per-shard tuning and
+/// the budget split kept them whole. `None` when the hot tenant has no
+/// unique home shard (hash partitioning) or a side has no tenants.
+fn noisy_neighbor_delta_ms(runtime: &ShardedRuntime, outcome: &MtSoakOutcome) -> Option<f64> {
+    let hot = outcome
+        .tenant_stats
+        .iter()
+        .max_by_key(|&(&tenant, stats)| (stats.queries, std::cmp::Reverse(tenant)))
+        .map(|(&tenant, _)| tenant)?;
+    let router = runtime.database().router();
+    let hot_shard = router.unique_shard_for_tenant(hot)?;
+    let mut counts: Vec<u64> = outcome.tenant_stats.values().map(|s| s.queries).collect();
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    let (mut on, mut off): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+    for (&tenant, stats) in &outcome.tenant_stats {
+        if tenant == hot || stats.queries > median {
+            continue;
         }
-        println!("wrote decision trail to {path}");
+        match router.unique_shard_for_tenant(tenant) {
+            Some(s) if s == hot_shard => on.push(stats.p95_ms),
+            Some(_) => off.push(stats.p95_ms),
+            None => {}
+        }
+    }
+    if on.is_empty() || off.is_empty() {
+        return None;
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    Some(mean(&on) - mean(&off))
+}
+
+/// Replays a sample of the plan against a 1-shard build and the soaked
+/// N-shard database; equal digest sums are the shard-count-invariance
+/// witness the gate pins exactly.
+fn digest_invariant(
+    runtime: &ShardedRuntime,
+    cfg: &MultiTenantConfig,
+    sample: &[TenantQuery],
+) -> bool {
+    let Ok(single) = build_sharded(cfg, &ShardSpec::range(1)) else {
+        return false;
+    };
+    let mut a = 0u64;
+    let mut b = 0u64;
+    for tq in sample {
+        let (Ok(one), Ok(many)) = (
+            single.run_query(&tq.query),
+            runtime.database().run_query(&tq.query),
+        ) else {
+            return false;
+        };
+        a = a.wrapping_add(result_hash(&tq.query, &one.output));
+        b = b.wrapping_add(result_hash(&tq.query, &many.output));
+    }
+    a == b
+}
+
+/// The sharded multi-tenant soak; returns the merged decision trail.
+fn sharded_soak(args: &Args) -> Json {
+    if args.shards == 0 {
+        usage("--shards must be at least 1");
+    }
+    let tenants = MultiTenantConfig {
+        tenants: args.tenants,
+        zipf_s: args.zipf,
+        seed: args.seed,
+        ..MultiTenantConfig::default()
+    };
+    let defaults = MtSoakConfig::default();
+    let config = MtSoakConfig {
+        shards: args.shards,
+        tenants: tenants.clone(),
+        workers: args.workers.unwrap_or(defaults.workers),
+        buckets: args.buckets.unwrap_or(defaults.buckets),
+        ..defaults
+    };
+    let (workers, budget_bytes) = (config.workers, config.budget_bytes);
+    let runtime =
+        ShardedRuntime::new(config).unwrap_or_else(|e| die(1, &format!("fixture failed: {e}")));
+    let plan = runtime.plan();
+    let outcome = runtime
+        .run(&plan)
+        .unwrap_or_else(|e| die(1, &format!("soak-mt failed: {e}")));
+    let mean_p95 = outcome.mean_tenant_p95_ms(P95_MIN_QUERIES);
+    let neighbor_delta = noisy_neighbor_delta_ms(&runtime, &outcome);
+    let sample: Vec<TenantQuery> = plan
+        .iter()
+        .flatten()
+        .take(DIGEST_CHECK_QUERIES)
+        .cloned()
+        .collect();
+    let invariant = digest_invariant(&runtime, &tenants, &sample);
+    record_all(
+        "multitenant",
+        [
+            ("shards", args.shards.into()),
+            ("tenants", args.tenants.into()),
+            ("zipf_s", args.zipf.into()),
+            ("workers", workers.into()),
+            ("seed", args.seed.into()),
+            ("buckets", plan.len().into()),
+            ("queries", outcome.queries.into()),
+            ("errors", outcome.errors.into()),
+            ("wrong_results", outcome.wrong_results.into()),
+            ("result_digest", outcome.result_digest.into()),
+            ("digest_invariant", invariant.into()),
+            ("routed", outcome.routed.into()),
+            ("scattered", outcome.scattered.into()),
+            ("morsels", outcome.morsels.into()),
+            ("wall_s", outcome.wall_seconds.into()),
+            ("sustained_qps", outcome.sustained_qps.into()),
+            ("tenants_active", outcome.tenant_stats.len().into()),
+            ("mean_tenant_p95_ms", mean_p95.into()),
+            (
+                "noisy_neighbor_delta_ms",
+                neighbor_delta.unwrap_or(0.0).into(),
+            ),
+            ("shards_tuned", outcome.shards_tuned.into()),
+        ],
+    );
+    let shards = &outcome.shard_tuning;
+    for (s, tuning) in shards.iter().enumerate() {
+        record_all(
+            "multitenant",
+            [
+                (
+                    format!("shard{s}_actions_applied"),
+                    tuning.actions_applied.into(),
+                ),
+                (format!("shard{s}_tunings_run"), tuning.tunings_run.into()),
+            ],
+        );
+    }
+    let actions_total: u64 = shards.iter().map(|t| t.actions_applied).sum();
+    let rollbacks_total: usize = shards.iter().map(|t| t.rollbacks).sum();
+    record_all(
+        "multitenant",
+        [
+            ("actions_applied", actions_total.into()),
+            ("rollbacks", rollbacks_total.into()),
+            ("budget_bytes", budget_bytes.into()),
+            ("max_used_bytes", outcome.max_used_bytes.into()),
+            (
+                "budget_ok_every_bucket",
+                outcome.budget_ok_every_bucket.into(),
+            ),
+        ],
+    );
+    outcome.trail
+}
+
+/// The kill-and-recover run. No injected apply faults: the tuner's
+/// rollback cooldown is thread-local and not part of the boundary
+/// record (see `smdb_runtime::recover`), so the equality contract only
+/// holds on the fault-free path.
+fn kill_and_recover(args: &Args) {
+    let buckets = args.buckets.unwrap_or(40);
+    if args.kill_bucket >= buckets {
+        usage(&format!(
+            "--kill-bucket {} must lie inside the {buckets}-bucket plan",
+            args.kill_bucket
+        ));
+    }
+    let dconfig = DurabilityConfig {
+        snapshot_every_buckets: args.snapshot_every,
+    };
+    let durable_runtime = |db: Arc<Database>, store: Arc<dyn Persistence>| {
+        let runtime = Runtime::new_durable(
+            db,
+            engine_config(args, FaultPlan::none()),
+            Arc::new(DurabilityManager::new(store, dconfig.clone())),
+        );
+        runtime.driver().flight_recorder().set_auto_dump(false);
+        runtime
+    };
+
+    // Uninterrupted durable run: the reference digest and the
+    // write-amplification KPI of the chosen snapshot cadence.
+    let (db, plan) = events_fixture(args);
+    let expected = durable_runtime(db, Arc::new(MemPersistence::new()))
+        .run(&plan)
+        .unwrap_or_else(|e| die(1, &format!("reference soak failed: {e}")));
+    let Some(durability) = expected.durability else {
+        die(1, "durable reference run reported no durability stats");
+    };
+    // The dying run: hard-stopped mid-bucket.
+    let store: Arc<dyn Persistence> = match &args.dir {
+        None => Arc::new(MemPersistence::new()),
+        Some(dir) => {
+            // Hermetic: a stale store from a previous run must not leak
+            // into this one's recovery.
+            let _ = std::fs::remove_dir_all(dir);
+            match DirPersistence::open(dir) {
+                Ok(p) => Arc::new(p),
+                Err(e) => die(1, &format!("cannot open store dir {dir}: {e}")),
+            }
+        }
+    };
+    let kill = KillSpec {
+        bucket: args.kill_bucket,
+        after_queries: args.kill_after,
+    };
+    let (db, _) = events_fixture(args);
+    if let Err(e) = durable_runtime(db, Arc::clone(&store)).run_killed(&plan, kill) {
+        die(1, &format!("killed run failed: {e}"));
     }
 
-    if let Some(path) = args.json_path {
-        let doc = report::to_json().to_string_pretty();
-        if let Err(e) = std::fs::write(&path, doc + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
+    // Recover and resume.
+    let config = engine_config(args, FaultPlan::none());
+    let workers = config.workers;
+    let recovered = recover_and_resume(store, dconfig, config, &plan)
+        .unwrap_or_else(|e| die(1, &format!("recovery failed: {e}")));
+    let recovery_ms = recovered.recovery_micros as f64 / 1e3;
+    let resumed = &recovered.outcome.stats;
+    let digest_match = resumed.result_digest == expected.stats.result_digest;
+
+    record_all(
+        "recover",
+        [
+            ("seed", args.seed.into()),
+            ("workers", workers.into()),
+            ("buckets", buckets.into()),
+            ("kill_bucket", args.kill_bucket.into()),
+            ("kill_after_queries", args.kill_after.into()),
+            ("snapshot_every", args.snapshot_every.into()),
+            (
+                "store",
+                if args.dir.is_some() { "dir" } else { "mem" }.into(),
+            ),
+            ("resumed_at_bucket", recovered.resumed_at_bucket.into()),
+            ("recovery_ms", recovery_ms.into()),
+            ("replayed_records", recovered.replayed_records.into()),
+            ("dropped_records", recovered.dropped_records.into()),
+            ("digest_match", u64::from(digest_match).into()),
+            ("queries", resumed.queries.into()),
+            ("errors", resumed.errors.into()),
+            ("wrong_results", resumed.wrong_results.into()),
+            ("wal_records", durability.wal_records.into()),
+            ("wal_bytes", durability.wal_bytes.into()),
+            ("snapshots_taken", durability.snapshots_taken.into()),
+            ("snapshot_bytes", durability.snapshot_bytes.into()),
+            ("write_amplification", durability.write_amplification.into()),
+        ],
+    );
+    if !digest_match {
+        // The report is still written, then the run fails.
+        if let Some(path) = &args.json_path {
+            write_doc(path, &report::to_json(), "metrics");
         }
-        println!("wrote metrics to {path}");
+        die(
+            1,
+            &format!(
+                "recovered digest {:#018x} != reference {:#018x}",
+                resumed.result_digest, expected.stats.result_digest
+            ),
+        );
     }
 }

@@ -188,9 +188,8 @@ fn run_check_trail(path: &std::path::Path) -> ExitCode {
     match smdb_lint::validate_trail(&doc) {
         Ok(summary) => {
             println!(
-                "{}: valid {} trail, {} events ({} decisions)",
+                "{}: valid trail, {} events ({} decisions)",
                 path.display(),
-                summary.schema_label(),
                 summary.events,
                 summary.decisions
             );

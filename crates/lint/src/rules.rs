@@ -23,8 +23,8 @@
 //!   through `smdb_obs::span!` so the flight-recorder trail stays a
 //!   pure function of logical time.
 //! * **L6 `thread-discipline`** — no `thread::spawn`/`thread::Builder`/
-//!   `thread::scope` outside the two designated pools (the storage scan
-//!   pool and the runtime worker pool) and test code. Ad-hoc threads
+//!   `thread::scope` outside the two designated seams (the storage scan
+//!   pool and the one serving loop) and test code. Ad-hoc threads
 //!   bypass the morsel scheduler's determinism argument and the
 //!   bucket-barrier protocol that keeps the decision trail replayable.
 //! * **L7 `map-iteration`** — no `HashMap`/`HashSet` iteration on
@@ -172,15 +172,14 @@ pub fn registry() -> Vec<Rule> {
             id: "thread-discipline",
             severity: Severity::Error,
             description:
-                "no thread::spawn/Builder/scope outside the scan pool and the runtime worker pool",
+                "no thread::spawn/Builder/scope outside the scan pool and the serving loop",
             include: &["crates/", "src/"],
             // The designated thread seams: the morsel scheduler's
-            // helper pool and the serving runtimes' scoped worker pools
-            // (single-engine and sharded multi-tenant).
+            // helper pool and the one serving loop's tuning thread and
+            // scoped worker pool.
             exclude: &[
                 "crates/storage/src/parallel.rs",
-                "crates/runtime/src/runtime.rs",
-                "crates/runtime/src/sharded.rs",
+                "crates/runtime/src/serve.rs",
             ],
             skip_test_code: true,
             check: Check::Tokens(&["thread::spawn", "thread::Builder", "thread::scope"]),
@@ -193,16 +192,16 @@ pub fn registry() -> Vec<Rule> {
             // The paths whose output must be a pure function of input:
             // the decision trail and metrics export, cost fingerprints,
             // plan-cache snapshots, grouped aggregation, bench reports,
-            // the serving runtimes' trail emission, and the sharded
-            // scatter-gather merge (bit-identity across shard counts).
+            // the serving runtime's outcomes and trail emission, and the
+            // sharded scatter-gather merge (bit-identity across shard
+            // counts).
             include: &[
                 "crates/obs/",
                 "crates/cost/",
                 "crates/query/src/plan_cache.rs",
                 "crates/storage/src/engine.rs",
                 "crates/bench/src/report.rs",
-                "crates/runtime/src/runtime.rs",
-                "crates/runtime/src/sharded.rs",
+                "crates/runtime/",
                 "crates/shard/",
             ],
             exclude: &[],
@@ -819,8 +818,13 @@ mod tests {
             findings_for("thread-discipline", "crates/storage/src/parallel.rs", spawn).is_empty()
         );
         assert!(
-            findings_for("thread-discipline", "crates/runtime/src/runtime.rs", scoped).is_empty()
+            findings_for("thread-discipline", "crates/runtime/src/serve.rs", scoped).is_empty()
         );
+        // The runtime's entry points are not seams: they call the loop.
+        for entry in ["runtime.rs", "sharded.rs", "recover.rs"] {
+            let path = format!("crates/runtime/src/{entry}");
+            assert_eq!(findings_for("thread-discipline", &path, scoped).len(), 1);
+        }
         let in_test = "#[cfg(test)]\nmod t { fn f() { std::thread::spawn(|| {}); } }\n";
         assert!(findings_for("thread-discipline", "crates/core/src/driver.rs", in_test).is_empty());
     }

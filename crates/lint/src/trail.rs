@@ -92,9 +92,8 @@ const EVENT_KINDS: &[(&str, &[(&str, FieldType)])] = &[
     ),
 ];
 
-/// Kinds introduced by smdb-trail/v2.1; older documents must not
-/// contain them, so pre-durability consumers never see them unannounced.
-const V2_1_KINDS: &[&str] = &["snapshot_taken", "recovered"];
+/// The one schema tag a trail may declare.
+const SCHEMA: &str = "smdb-trail/v2.1";
 
 #[derive(Debug, Clone, Copy)]
 enum FieldType {
@@ -143,30 +142,18 @@ impl FieldType {
 }
 
 /// Validates a trail document produced by the flight recorder's JSON
-/// export: top-level `capacity` / `dropped` / `events`, per event a
-/// strictly increasing `seq`, a known `event` kind, a numeric `at`, and
-/// that kind's required fields with the right types.
-///
-/// Three schema versions coexist. A document with no top-level `schema`
-/// field (or `"smdb-trail/v1"`) is **v1** — the single-engine trail,
-/// byte-compatible with every trail committed before sharding.
-/// `"smdb-trail/v2"` additionally allows an optional per-event `shard`
-/// attribution (shard-stamped and merged multi-recorder trails); the
-/// `shard` field in a v1 document is an error, so old consumers never
-/// see it unannounced. `"smdb-trail/v2.1"` additionally allows the
-/// durability event kinds (`snapshot_taken` / `recovered`); those kinds
-/// in a lower-versioned document are an error for the same reason.
+/// export: the top-level `schema` tag (`"smdb-trail/v2.1"`, the only
+/// one), `capacity` / `dropped` / `events`, per event a strictly
+/// increasing `seq`, a known `event` kind, a numeric `at`, an optional
+/// `shard` attribution, and that kind's required fields with the right
+/// types.
 pub fn validate_trail(doc: &Json) -> Result<TrailSummary, String> {
-    let schema_version = match doc.get("schema") {
-        None => 1,
-        Some(s) => match s.as_str() {
-            Some("smdb-trail/v1") => 1,
-            Some("smdb-trail/v2") => 2,
-            Some("smdb-trail/v2.1") => 3,
-            Some(other) => return Err(format!("trail: unknown schema `{other}`")),
-            None => return Err("trail: `schema` must be a string".into()),
-        },
-    };
+    match doc.get("schema").map(Json::as_str) {
+        Some(Some(SCHEMA)) => {}
+        Some(Some(other)) => return Err(format!("trail: unknown schema `{other}`")),
+        Some(None) => return Err("trail: `schema` must be a string".into()),
+        None => return Err(format!("trail: missing `schema` (expected `{SCHEMA}`)")),
+    }
     let capacity = doc
         .get("capacity")
         .and_then(Json::as_u64)
@@ -212,29 +199,14 @@ pub fn validate_trail(doc: &Json) -> Result<TrailSummary, String> {
             .find(|(k, _)| *k == kind)
             .map(|(_, fields)| *fields)
             .ok_or_else(|| format!("trail: event #{i} (seq {seq}): unknown kind `{kind}`"))?;
-        if schema_version < 3 && V2_1_KINDS.contains(&kind) {
-            return Err(format!(
-                "trail: event #{i} (seq {seq}): `{kind}` requires smdb-trail/v2.1"
-            ));
-        }
         event
             .get("at")
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("trail: event #{i} (seq {seq}): missing or non-integer `at`"))?;
-        match event.get("shard") {
-            None => {}
-            Some(_) if schema_version < 2 => {
-                return Err(format!(
-                    "trail: event #{i} (seq {seq}): `shard` requires smdb-trail/v2"
-                ));
-            }
-            Some(shard) => {
-                if shard.as_u64().is_none() {
-                    return Err(format!(
-                        "trail: event #{i} (seq {seq}): `shard` must be a non-negative integer"
-                    ));
-                }
-            }
+        if event.get("shard").is_some_and(|s| s.as_u64().is_none()) {
+            return Err(format!(
+                "trail: event #{i} (seq {seq}): `shard` must be a non-negative integer"
+            ));
         }
         for (name, ty) in fields {
             let value = event.get(name).ok_or_else(|| {
@@ -254,7 +226,6 @@ pub fn validate_trail(doc: &Json) -> Result<TrailSummary, String> {
     Ok(TrailSummary {
         events: events.len(),
         decisions,
-        schema_version,
     })
 }
 
@@ -265,20 +236,6 @@ pub struct TrailSummary {
     pub events: usize,
     /// Events other than `bucket_closed` (the tuning decisions).
     pub decisions: usize,
-    /// Declared schema version (1 when the `schema` field is absent).
-    pub schema_version: u32,
-}
-
-impl TrailSummary {
-    /// The wire name of the declared schema (the internal version
-    /// counter is ordinal — v2.1 is version 3).
-    pub fn schema_label(&self) -> &'static str {
-        match self.schema_version {
-            1 => "smdb-trail/v1",
-            2 => "smdb-trail/v2",
-            _ => "smdb-trail/v2.1",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,8 +243,23 @@ mod tests {
     use super::*;
     use smdb_common::json::parse;
 
+    /// A document carrying the schema tag plus `rest` (top-level JSON
+    /// members, comma-separated).
+    fn tagged(rest: &str) -> Json {
+        parse(&format!(r#"{{"schema": "smdb-trail/v2.1", {rest}}}"#)).expect("parses")
+    }
+
+    /// A tagged, capacity-4 trail holding `events` (JSON objects,
+    /// comma-separated).
+    fn events_doc(events: &str) -> Json {
+        tagged(&format!(
+            r#""capacity": 4, "dropped": 0, "events": [{events}]"#
+        ))
+    }
+
     fn valid_doc() -> String {
         r#"{
+          "schema": "smdb-trail/v2.1",
           "capacity": 8,
           "dropped": 0,
           "events": [
@@ -318,59 +290,12 @@ mod tests {
             TrailSummary {
                 events: 7,
                 decisions: 6,
-                schema_version: 1,
             }
         );
     }
 
     #[test]
-    fn accepts_a_v2_trail_with_shard_attribution() {
-        let doc = parse(
-            r#"{
-              "schema": "smdb-trail/v2",
-              "capacity": 8,
-              "dropped": 0,
-              "events": [
-                {"seq": 0, "event": "tuning_triggered", "at": 1,
-                 "trigger": "SlaViolation", "shard": 2},
-                {"seq": 1, "event": "budget_rebalanced", "at": 2,
-                 "budget_bytes": 524288, "used_bytes": 131072,
-                 "shares": [262144, 262144]}
-              ]
-            }"#,
-        )
-        .expect("parses");
-        let summary = validate_trail(&doc).expect("valid v2");
-        assert_eq!(
-            summary,
-            TrailSummary {
-                events: 2,
-                decisions: 2,
-                schema_version: 2,
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_shard_attribution_outside_v2() {
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "actions_queued", "at": 1,
-                  "actions": 1, "shard": 0}]}"#,
-        )
-        .unwrap();
-        let err = validate_trail(&doc).unwrap_err();
-        assert!(err.contains("`shard` requires smdb-trail/v2"), "{err}");
-
-        let doc =
-            parse(r#"{"schema": "smdb-trail/v3", "capacity": 4, "dropped": 0, "events": []}"#)
-                .unwrap();
-        let err = validate_trail(&doc).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
-    }
-
-    #[test]
-    fn accepts_a_v2_1_trail_with_durability_events() {
+    fn accepts_shard_attribution_and_durability_events() {
         let doc = parse(
             r#"{
               "schema": "smdb-trail/v2.1",
@@ -382,131 +307,97 @@ mod tests {
                 {"seq": 1, "event": "recovered", "at": 7,
                  "bucket": 7, "replayed_records": 3, "dropped_records": 1},
                 {"seq": 2, "event": "tuning_triggered", "at": 8,
-                 "trigger": "SlaViolation", "shard": 0}
+                 "trigger": "SlaViolation", "shard": 0},
+                {"seq": 3, "event": "budget_rebalanced", "at": 9,
+                 "budget_bytes": 524288, "used_bytes": 131072,
+                 "shares": [262144, 262144]}
               ]
             }"#,
         )
         .expect("parses");
-        let summary = validate_trail(&doc).expect("valid v2.1");
+        let summary = validate_trail(&doc).expect("valid");
         assert_eq!(
             summary,
             TrailSummary {
-                events: 3,
-                decisions: 3,
-                schema_version: 3,
+                events: 4,
+                decisions: 4,
             }
         );
     }
 
     #[test]
-    fn rejects_durability_kinds_below_v2_1() {
-        // v1 (no schema tag) must not smuggle in recovery events …
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "recovered", "at": 1,
-                  "bucket": 1, "replayed_records": 0, "dropped_records": 0}]}"#,
-        )
-        .unwrap();
-        let err = validate_trail(&doc).unwrap_err();
+    fn rejects_every_other_schema_tag_and_bad_shards() {
+        for tag in ["smdb-trail/v1", "smdb-trail/v2", "smdb-trail/v3"] {
+            let doc = parse(&format!(
+                r#"{{"schema": "{tag}", "capacity": 4, "dropped": 0, "events": []}}"#
+            ))
+            .unwrap();
+            let err = validate_trail(&doc).unwrap_err();
+            assert!(err.contains("unknown schema"), "{tag}: {err}");
+        }
+        let untagged = parse(r#"{"capacity": 4, "dropped": 0, "events": []}"#).unwrap();
+        let err = validate_trail(&untagged).unwrap_err();
+        assert!(err.contains("missing `schema`"), "{err}");
+
+        let err = validate_trail(&events_doc(
+            r#"{"seq": 0, "event": "actions_queued", "at": 1, "actions": 1, "shard": -1}"#,
+        ))
+        .unwrap_err();
         assert!(
-            err.contains("`recovered` requires smdb-trail/v2.1"),
+            err.contains("`shard` must be a non-negative integer"),
             "{err}"
         );
-
-        // … and neither may an explicit v2 document.
-        let doc = parse(
-            r#"{"schema": "smdb-trail/v2", "capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "snapshot_taken", "at": 1,
-                  "bucket": 1, "wal_records": 2, "bytes": 64}]}"#,
-        )
-        .unwrap();
-        let err = validate_trail(&doc).unwrap_err();
-        assert!(
-            err.contains("`snapshot_taken` requires smdb-trail/v2.1"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn committed_v1_soak_trail_still_validates() {
-        // Backward compatibility: the baseline trail committed before
-        // the sharded engine existed must stay a valid (v1) document.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRAIL_soak.json");
-        let raw = std::fs::read_to_string(path).expect("committed TRAIL_soak.json exists");
-        let doc = parse(&raw).expect("parses");
-        let summary = validate_trail(&doc).expect("committed baseline validates");
-        assert_eq!(summary.schema_version, 1, "pre-sharding trail is v1");
-        assert!(summary.events > 0);
     }
 
     #[test]
     fn rejects_unknown_kind_and_missing_fields() {
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "coffee_break", "at": 1}]}"#,
-        )
-        .unwrap();
+        let doc = events_doc(r#"{"seq": 0, "event": "coffee_break", "at": 1}"#);
         let err = validate_trail(&doc).unwrap_err();
         assert!(err.contains("unknown kind `coffee_break`"), "{err}");
 
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "tuning_triggered", "at": 1}]}"#,
-        )
-        .unwrap();
+        let doc = events_doc(r#"{"seq": 0, "event": "tuning_triggered", "at": 1}"#);
         let err = validate_trail(&doc).unwrap_err();
         assert!(err.contains("missing field `trigger`"), "{err}");
     }
 
     #[test]
     fn rejects_wrong_field_types() {
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "slice_deferred", "at": 1, "deferred": -2}]}"#,
-        )
-        .unwrap();
+        let doc = events_doc(r#"{"seq": 0, "event": "slice_deferred", "at": 1, "deferred": -2}"#);
         let err = validate_trail(&doc).unwrap_err();
         assert!(
             err.contains("`deferred` must be a non-negative integer"),
             "{err}"
         );
 
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 0, "event": "ilp_order_chosen", "at": 1,
-                  "order": [1, 2], "objective": 0.0, "dependence": []}]}"#,
-        )
-        .unwrap();
+        let doc = events_doc(
+            r#"{"seq": 0, "event": "ilp_order_chosen", "at": 1,
+               "order": [1, 2], "objective": 0.0, "dependence": []}"#,
+        );
         let err = validate_trail(&doc).unwrap_err();
         assert!(err.contains("`order` must be an array of strings"), "{err}");
     }
 
     #[test]
     fn rejects_non_increasing_seq() {
-        let doc = parse(
-            r#"{"capacity": 4, "dropped": 0, "events": [
-                 {"seq": 3, "event": "actions_queued", "at": 1, "actions": 1},
-                 {"seq": 3, "event": "actions_queued", "at": 2, "actions": 1}]}"#,
-        )
-        .unwrap();
+        let doc = events_doc(
+            r#"{"seq": 3, "event": "actions_queued", "at": 1, "actions": 1},
+               {"seq": 3, "event": "actions_queued", "at": 2, "actions": 1}"#,
+        );
         let err = validate_trail(&doc).unwrap_err();
         assert!(err.contains("seq 3 not strictly after 3"), "{err}");
     }
 
     #[test]
     fn rejects_structural_problems() {
-        let err = validate_trail(&parse(r#"{"dropped": 0, "events": []}"#).unwrap()).unwrap_err();
+        let err = validate_trail(&tagged(r#""dropped": 0, "events": []"#)).unwrap_err();
         assert!(err.contains("capacity"), "{err}");
-        let err = validate_trail(&parse(r#"{"capacity": 4, "dropped": 0}"#).unwrap()).unwrap_err();
+        let err = validate_trail(&tagged(r#""capacity": 4, "dropped": 0"#)).unwrap_err();
         assert!(err.contains("events"), "{err}");
-        let err = validate_trail(
-            &parse(
-                r#"{"capacity": 1, "dropped": 0, "events": [
-                     {"seq": 0, "event": "actions_queued", "at": 1, "actions": 1},
-                     {"seq": 1, "event": "actions_queued", "at": 2, "actions": 1}]}"#,
-            )
-            .unwrap(),
-        )
+        let err = validate_trail(&tagged(
+            r#""capacity": 1, "dropped": 0, "events": [
+                 {"seq": 0, "event": "actions_queued", "at": 1, "actions": 1},
+                 {"seq": 1, "event": "actions_queued", "at": 2, "actions": 1}]"#,
+        ))
         .unwrap_err();
         assert!(err.contains("exceed the declared capacity"), "{err}");
     }

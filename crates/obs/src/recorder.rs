@@ -94,18 +94,18 @@ pub enum TrailEvent {
         used_bytes: u64,
         shares: Vec<u64>,
     },
-    /// A durability snapshot of the full serving state was taken
-    /// (smdb-trail/v2.1): the bucket it covers, how many WAL records it
-    /// supersedes, and the stored blob size.
+    /// A durability snapshot of the full serving state was taken: the
+    /// bucket it covers, how many WAL records it supersedes, and the
+    /// stored blob size.
     SnapshotTaken {
         at: u64,
         bucket: u64,
         wal_records: u64,
         bytes: u64,
     },
-    /// The driver recovered from durable state (smdb-trail/v2.1): the
-    /// bucket serving resumes after, WAL records replayed over the
-    /// snapshot, and records dropped to reach the last valid prefix.
+    /// The driver recovered from durable state: the bucket serving
+    /// resumes after, WAL records replayed over the snapshot, and
+    /// records dropped to reach the last valid prefix.
     Recovered {
         at: u64,
         bucket: u64,
@@ -132,15 +132,6 @@ impl TrailEvent {
             TrailEvent::SnapshotTaken { .. } => "snapshot_taken",
             TrailEvent::Recovered { .. } => "recovered",
         }
-    }
-
-    /// Whether this is a durability event, introduced by smdb-trail/v2.1
-    /// (earlier trail documents keep their original schema tags).
-    pub fn is_recovery(&self) -> bool {
-        matches!(
-            self,
-            TrailEvent::SnapshotTaken { .. } | TrailEvent::Recovered { .. }
-        )
     }
 
     /// Whether this is a tuning-thread *decision* (everything except
@@ -300,13 +291,8 @@ impl TrailEvent {
         }
     }
 
-    /// The event as a JSON object (with its sequence number).
-    pub fn to_json(&self, seq: u64) -> Json {
-        self.to_json_tagged(seq, None)
-    }
-
-    /// The event as a JSON object, optionally stamped with the shard it
-    /// came from (smdb-trail/v2; `None` keeps the v1 shape).
+    /// The event as a JSON object with its sequence number, optionally
+    /// stamped with the shard it came from.
     pub fn to_json_tagged(&self, seq: u64, shard: Option<u64>) -> Json {
         let mut fields = vec![
             ("seq", Json::Num(seq as f64)),
@@ -346,14 +332,26 @@ struct RecorderInner {
     dropped: u64,
 }
 
+/// The one schema tag every exported trail carries: `shard` is an
+/// optional per-event field and every event kind is legal.
+const TRAIL_SCHEMA: &str = "smdb-trail/v2.1";
+
+fn trail_document(capacity: usize, dropped: u64, events: Vec<Json>) -> Json {
+    Json::obj(vec![
+        ("schema", Json::Str(TRAIL_SCHEMA.to_string())),
+        ("capacity", Json::Num(capacity as f64)),
+        ("dropped", Json::Num(dropped as f64)),
+        ("events", Json::Arr(events)),
+    ])
+}
+
 /// A bounded ring buffer of the most recent decision events.
 #[derive(Debug)]
 pub struct FlightRecorder {
     inner: Mutex<RecorderInner>,
     capacity: usize,
-    /// Shard this recorder belongs to. `Some` stamps every exported
-    /// event with a `shard` field and tags the trail smdb-trail/v2;
-    /// `None` keeps the original (v1) export byte-identical.
+    /// Shard this recorder belongs to: `Some` stamps every exported
+    /// event with a `shard` field.
     shard: Option<u64>,
     /// Dump to stderr when a rollback is recorded (on by default; tests
     /// asserting on stderr-free output can switch it off).
@@ -378,7 +376,7 @@ impl FlightRecorder {
     }
 
     /// A recorder for one shard's driver: every exported event carries
-    /// `"shard": shard` and the trail is tagged smdb-trail/v2.
+    /// `"shard": shard`.
     pub fn with_shard(capacity: usize, shard: u64) -> FlightRecorder {
         let mut rec = FlightRecorder::new(capacity);
         rec.shard = Some(shard);
@@ -439,38 +437,20 @@ impl FlightRecorder {
         self.inner.lock().dropped
     }
 
-    /// The whole trail as JSON. Shard-stamped recorders export
-    /// smdb-trail/v2 (a top-level `schema` tag plus per-event `shard`);
-    /// plain recorders keep the original v1 shape. Trails containing
-    /// durability events (snapshot_taken / recovered) are tagged
-    /// smdb-trail/v2.1, which introduces those kinds — so pre-existing
-    /// v1/v2 documents stay byte-identical.
+    /// The whole trail as a `smdb-trail/v2.1` document; a shard-stamped
+    /// recorder's events each carry its `shard`.
     pub fn to_json(&self) -> Json {
         let inner = self.inner.lock();
-        let mut fields = Vec::new();
-        let has_recovery = inner.events.iter().any(|(_, e)| e.is_recovery());
-        if has_recovery {
-            fields.push(("schema", Json::Str("smdb-trail/v2.1".to_string())));
-        } else if self.shard.is_some() {
-            fields.push(("schema", Json::Str("smdb-trail/v2".to_string())));
-        }
-        fields.push(("capacity", Json::Num(self.capacity as f64)));
-        fields.push(("dropped", Json::Num(inner.dropped as f64)));
-        fields.push((
-            "events",
-            Json::Arr(
-                inner
-                    .events
-                    .iter()
-                    .map(|(seq, e)| e.to_json_tagged(*seq, self.shard))
-                    .collect(),
-            ),
-        ));
-        Json::obj(fields)
+        let events = inner
+            .events
+            .iter()
+            .map(|(seq, e)| e.to_json_tagged(*seq, self.shard))
+            .collect();
+        trail_document(self.capacity, inner.dropped, events)
     }
 
-    /// Merges several recorders' trails into one smdb-trail/v2 document:
-    /// events interleave by (logical time, recorder order, local seq),
+    /// Merges several recorders' trails into one document: events
+    /// interleave by (logical time, recorder order, local seq),
     /// are re-sequenced 0.., and keep each source recorder's shard stamp
     /// (events from unstamped recorders — the global Organizer — carry
     /// no `shard` field). Capacity and dropped counts sum.
@@ -486,27 +466,12 @@ impl FlightRecorder {
             }
         }
         all.sort_by_key(|(at, seq, order, _, _)| (*at, *order, *seq));
-        let schema = if all.iter().any(|(_, _, _, e, _)| e.is_recovery()) {
-            "smdb-trail/v2.1"
-        } else {
-            "smdb-trail/v2"
-        };
-        Json::obj(vec![
-            ("schema", Json::Str(schema.to_string())),
-            ("capacity", Json::Num(capacity as f64)),
-            ("dropped", Json::Num(dropped as f64)),
-            (
-                "events",
-                Json::Arr(
-                    all.iter()
-                        .enumerate()
-                        .map(|(seq, (_, _, _, event, shard))| {
-                            event.to_json_tagged(seq as u64, *shard)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let events = all
+            .iter()
+            .enumerate()
+            .map(|(seq, (_, _, _, event, shard))| event.to_json_tagged(seq as u64, *shard))
+            .collect();
+        trail_document(capacity, dropped, events)
     }
 
     /// Writes the trail to stderr, labelled with `why`.
@@ -575,21 +540,24 @@ mod tests {
     fn shard_stamp_and_schema_tag() {
         let plain = FlightRecorder::new(4);
         plain.record(closed(0));
-        let v1 = plain.to_json();
-        assert!(v1.get("schema").is_none(), "v1 trails carry no schema tag");
-        assert!(v1.get("events").and_then(Json::as_array).unwrap()[0]
+        let unstamped = plain.to_json();
+        assert_eq!(
+            unstamped.get("schema").and_then(Json::as_str),
+            Some(TRAIL_SCHEMA)
+        );
+        assert!(unstamped.get("events").and_then(Json::as_array).unwrap()[0]
             .get("shard")
             .is_none());
 
         let sharded = FlightRecorder::with_shard(4, 3);
         sharded.record(closed(0));
-        let v2 = sharded.to_json();
+        let stamped = sharded.to_json();
         assert_eq!(
-            v2.get("schema").and_then(Json::as_str),
-            Some("smdb-trail/v2")
+            stamped.get("schema").and_then(Json::as_str),
+            Some(TRAIL_SCHEMA)
         );
         assert_eq!(
-            v2.get("events").and_then(Json::as_array).unwrap()[0]
+            stamped.get("events").and_then(Json::as_array).unwrap()[0]
                 .get("shard")
                 .and_then(Json::as_u64),
             Some(3)
@@ -613,7 +581,7 @@ mod tests {
         let merged = FlightRecorder::merged_json(&[&global, &s0, &s1]);
         assert_eq!(
             merged.get("schema").and_then(Json::as_str),
-            Some("smdb-trail/v2")
+            Some(TRAIL_SCHEMA)
         );
         let events = merged.get("events").and_then(Json::as_array).unwrap();
         assert_eq!(events.len(), 4);
@@ -639,20 +607,15 @@ mod tests {
     }
 
     #[test]
-    fn recovery_events_bump_schema_to_v2_1() {
+    fn recovery_events_export_their_fields() {
         let rec = FlightRecorder::new(8);
         rec.record(closed(0));
-        assert!(rec.to_json().get("schema").is_none());
         rec.record(TrailEvent::SnapshotTaken {
             at: 1,
             bucket: 0,
             wal_records: 3,
             bytes: 128,
         });
-        assert_eq!(
-            rec.to_json().get("schema").and_then(Json::as_str),
-            Some("smdb-trail/v2.1")
-        );
         rec.record(TrailEvent::Recovered {
             at: 2,
             bucket: 1,

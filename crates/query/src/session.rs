@@ -91,15 +91,26 @@ impl ResultOracle {
         db: &Database,
         queries: impl IntoIterator<Item = &'a Query>,
     ) -> Result<ResultOracle> {
-        let mut expected = HashMap::new();
         let engine = db.engine();
+        Self::capture_with(queries, |q| {
+            engine.scan_grouped(q.table(), q.predicates(), q.aggregate(), q.group_by())
+        })
+    }
+
+    /// Records the answer `run` gives for every distinct query instance
+    /// — the sharded path captures through the scatter-gather surface
+    /// that will later serve the same queries.
+    pub fn capture_with<'a>(
+        queries: impl IntoIterator<Item = &'a Query>,
+        mut run: impl FnMut(&Query) -> Result<ScanOutput>,
+    ) -> Result<ResultOracle> {
+        let mut expected = HashMap::new();
         for q in queries {
-            if expected.contains_key(&q.instance_fingerprint()) {
-                continue;
+            if let std::collections::hash_map::Entry::Vacant(slot) =
+                expected.entry(q.instance_fingerprint())
+            {
+                slot.insert(ExpectedResult::of(&run(q)?));
             }
-            let output =
-                engine.scan_grouped(q.table(), q.predicates(), q.aggregate(), q.group_by())?;
-            expected.insert(q.instance_fingerprint(), ExpectedResult::of(&output));
         }
         Ok(ResultOracle { expected })
     }
@@ -149,6 +160,18 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
+    /// Folds one served answer in: counters, the order-independent
+    /// digest, and — given an oracle — the wrong-result verdict.
+    pub fn record(&mut self, query: &Query, output: &ScanOutput, oracle: Option<&ResultOracle>) {
+        self.queries += 1;
+        self.busy += output.sim_cost;
+        self.morsels += output.morsels;
+        self.result_digest = self.result_digest.wrapping_add(result_hash(query, output));
+        if oracle.and_then(|o| o.verify(query, output)) == Some(false) {
+            self.wrong_results += 1;
+        }
+    }
+
     /// Folds another session's statistics into this one (digests and
     /// counters add); the result is independent of fold order.
     pub fn merge(&mut self, other: &SessionStats) {
@@ -196,18 +219,8 @@ impl Session {
     pub fn run(&mut self, query: &Query) -> Result<QueryRunResult> {
         match self.db.run_query(query) {
             Ok(result) => {
-                self.stats.queries += 1;
-                self.stats.busy += result.output.sim_cost;
-                self.stats.morsels += result.output.morsels;
-                self.stats.result_digest = self
-                    .stats
-                    .result_digest
-                    .wrapping_add(result_hash(query, &result.output));
-                if let Some(oracle) = &self.oracle {
-                    if oracle.verify(query, &result.output) == Some(false) {
-                        self.stats.wrong_results += 1;
-                    }
-                }
+                self.stats
+                    .record(query, &result.output, self.oracle.as_deref());
                 Ok(result)
             }
             Err(e) => {

@@ -8,13 +8,18 @@
 //! * [`stream`] pre-generates a deterministic, phased query stream
 //!   (heavy bursts that saturate utilization, light valleys that open
 //!   low-utilization windows);
-//! * [`Runtime`] serves that stream with a pool of reader threads while
-//!   a background tuning thread reacts to live KPI signals
-//!   (utilization, tail latency, memory), drains deferred
-//!   reconfiguration actions in budgeted slices, and
-//! * [`fault`] injects apply failures mid-batch so the rollback path —
-//!   restore the last good [`smdb_core::ConfigStorage`] instance, pause
-//!   tuning, keep serving — is exercised, not just designed.
+//! * one serving loop (`serve.rs`, private) serves a plan with a pool of
+//!   reader threads while a background tuning thread reacts to live KPI
+//!   signals (utilization, tail latency, memory), drains deferred
+//!   reconfiguration actions in budgeted slices at bucket barriers, and
+//!   rolls a failed apply back to the last good
+//!   [`smdb_core::ConfigStorage`] instance — pause tuning, cool down,
+//!   keep serving;
+//! * [`Runtime`] (one engine, optionally durable, see [`recover`]) and
+//!   [`ShardedRuntime`] (N shard engines under one global index-memory
+//!   budget) are that loop's 1-unit and N-unit entry points;
+//! * [`fault`] injects apply failures mid-batch so the rollback path is
+//!   exercised, not just designed.
 //!
 //! The contract under all of it: reconfiguration must never change
 //! query results. Every served answer is checked against a
@@ -24,11 +29,13 @@
 pub mod fault;
 pub mod recover;
 pub mod runtime;
+mod serve;
 pub mod sharded;
 pub mod stream;
 
 pub use fault::{FaultInjectingExecutor, FaultPlan};
 pub use recover::{recover_and_resume, recover_runtime, RecoverOutcome};
-pub use runtime::{KillSpec, Runtime, RuntimeConfig, SoakOutcome, TunerReport};
+pub use runtime::{Runtime, RuntimeConfig, SoakOutcome};
+pub use serve::{KillSpec, TunerReport};
 pub use sharded::{MtSoakConfig, MtSoakOutcome, ShardedRuntime, TenantStats};
 pub use stream::{events_database, generate, BucketPlan, Phase, StreamConfig};

@@ -107,8 +107,8 @@ pub fn recover_and_resume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::KillSpec;
     use crate::stream::{events_database, generate, StreamConfig};
+    use crate::KillSpec;
     use smdb_common::Cost;
     use smdb_durable::MemPersistence;
 

@@ -1,45 +1,20 @@
-//! The online serving runtime.
+//! The single-engine serving runtime: one [`Database`], one [`Driver`].
 //!
-//! [`Runtime::run`] serves a pre-generated [`BucketPlan`] stream with a
-//! pool of reader threads while a background tuning thread drives the
-//! self-management loop:
-//!
-//! * **workers** partition each bucket's queries round-robin and serve
-//!   them through [`Session`]s that verify every answer against a
-//!   [`ResultOracle`] — reconfiguration must never change results;
-//! * the **control thread** closes a KPI bucket after each served
-//!   bucket, applies any actions the tuning thread queued (a budgeted
-//!   drain at the bucket *barrier*, never mid-bucket), and hands the
-//!   tuning thread a [`TuningTick`] — a consistent snapshot of the
-//!   boundary's KPIs;
-//! * the **tuning thread** only *decides*, concurrently with the next
-//!   bucket's serving: it evaluates the organizer against the tick and
-//!   queues chosen actions for the control thread's next barrier. The
-//!   control thread waits for the previous tick's acknowledgement
-//!   before closing the next bucket, so a decision never overlaps the
-//!   history/KPI mutation it reads from;
-//! * **failures** (e.g. injected by [`FaultInjectingExecutor`]) roll the
-//!   engine back to the last good stored configuration instance and
-//!   pause tuning for a cooldown — serving never stops.
-//!
-//! The workload is pre-generated from a seed, the per-query answer
-//! digest is order-independent, and every tuning decision reads a
-//! bucket-boundary snapshot, so the served results — and the driver's
-//! flight-recorder decision trail — are identical regardless of worker
-//! count and scheduling.
+//! [`Runtime`] is the 1-unit case of the serving loop in
+//! `crate::serve` — it wires the driver (low-utilization-gated,
+//! fault-injecting executor; optionally durable), captures the answer
+//! oracle, hands the plan to the loop and projects what comes back into
+//! a [`SoakOutcome`] (cold-vs-tuned latency of the heavy phase, tuning
+//! and fault counters, durability KPIs).
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use smdb_common::{Cost, Error, Result};
-use smdb_core::{
-    ConstraintSet, Driver, DurabilityManager, DurabilityStats, FeatureKind, OrganizerConfig,
-    TuningState, TuningTick,
-};
-use smdb_obs::span;
-use smdb_query::{Database, Query, ResultOracle, Session, SessionStats};
+use smdb_core::{ConstraintSet, Driver, DurabilityManager, DurabilityStats, TuningState};
+use smdb_query::{Database, ResultOracle, SessionStats};
 
 use crate::fault::{FaultInjectingExecutor, FaultPlan};
+use crate::serve::{self, Backend, KillSpec, Planned, RunControl, ServeLoop, Served, TunerReport};
 use crate::stream::{BucketPlan, Phase};
 
 /// Serving and tuning parameters.
@@ -51,18 +26,10 @@ pub struct RuntimeConfig {
     pub bucket_capacity: Cost,
     /// Maximum actions applied per low-utilization drain slice.
     pub slice_budget: usize,
-    /// Buckets tuning stays paused after a failed reconfiguration.
-    pub cooldown_buckets: u64,
-    /// Maximum idle buckets the post-workload drain may take.
-    pub drain_ticks: usize,
     /// Injected apply failures (attempt-indexed).
     pub fault_plan: FaultPlan,
     /// Optional tail-latency SLA handed to the organizer.
     pub sla_p95: Option<Cost>,
-    /// Organizer forecast-shift threshold.
-    pub cost_delta_threshold: f64,
-    /// Organizer rate limit (buckets between tunings).
-    pub min_tuning_interval: u64,
     /// Scan-pool threads for morsel-driven parallel scans. `1` (the
     /// default) serves every scan inline; `> 1` installs a shared
     /// [`smdb_storage::ScanPool`] on the database and workers submit
@@ -80,29 +47,12 @@ impl Default for RuntimeConfig {
             workers: 4,
             bucket_capacity: Cost(2_000.0),
             slice_budget: 4,
-            cooldown_buckets: 2,
-            drain_ticks: 64,
             fault_plan: FaultPlan::none(),
             sla_p95: None,
-            cost_delta_threshold: 0.25,
-            min_tuning_interval: 2,
             scan_threads: 1,
             morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
         }
     }
-}
-
-/// What the tuning thread did over a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TunerReport {
-    /// Ticks processed (one per closed bucket).
-    pub ticks: u64,
-    /// Tuning passes the organizer triggered.
-    pub tunings: u64,
-    /// Actions applied via slice-budgeted drains.
-    pub drained: u64,
-    /// Apply failures handled by rolling back.
-    pub failures_handled: u64,
 }
 
 /// Outcome of one soak run.
@@ -132,34 +82,6 @@ pub struct SoakOutcome {
     /// Durability write KPIs (WAL records/bytes, snapshots, write
     /// amplification); `None` for in-memory runs.
     pub durability: Option<DurabilityStats>,
-}
-
-/// Where a kill-and-recover run hard-stops: after serving the first
-/// `after_queries` queries of bucket `bucket`, before the bucket closes
-/// or any boundary is logged — a crash mid-bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillSpec {
-    /// Plan index of the bucket to die in.
-    pub bucket: usize,
-    /// Queries of that bucket served before the stop.
-    pub after_queries: usize,
-}
-
-/// How a run enters the serving loop: fresh from bucket 0, or resumed
-/// from a recovered boundary.
-#[derive(Debug, Clone, Default)]
-struct RunControl {
-    /// First plan index to serve.
-    start_bucket: usize,
-    /// Cumulative stats carried over from the recovered boundary.
-    initial_stats: SessionStats,
-    /// Re-send the restored boundary's tick before serving: the
-    /// decision that was in flight when the run died is re-made from the
-    /// identical restored state, so the resumed run's tuning sequence
-    /// matches the uninterrupted one.
-    resume_tick: bool,
-    /// Hard-stop point (kill-and-recover soak).
-    kill: Option<KillSpec>,
 }
 
 /// The serving runtime: a database, its driver, and the fault-injecting
@@ -194,14 +116,7 @@ impl Runtime {
         durability: Option<Arc<DurabilityManager>>,
     ) -> Runtime {
         let executor = FaultInjectingExecutor::during_low_utilization(config.fault_plan.clone());
-        let mut builder = Driver::builder(db.clone())
-            .features(vec![FeatureKind::Indexing, FeatureKind::Compression])
-            .executor(Box::new(executor.clone()))
-            .organizer(OrganizerConfig {
-                cost_delta_threshold: config.cost_delta_threshold,
-                min_interval: config.min_tuning_interval,
-                require_low_utilization: false,
-            })
+        let mut builder = serve::driver_builder(Arc::clone(&db), executor.clone())
             .constraints(ConstraintSet {
                 sla_p95_response: config.sla_p95,
                 ..ConstraintSet::none()
@@ -211,14 +126,7 @@ impl Runtime {
             builder = builder.durability(d);
         }
         let driver = Arc::new(builder.build());
-        if config.scan_threads > 1 {
-            db.set_scan_pool(
-                Some(smdb_storage::ScanPool::new(config.scan_threads)),
-                config.morsel_chunks,
-            );
-        } else {
-            db.set_scan_pool(None, config.morsel_chunks);
-        }
+        serve::set_scan_threads(&db, config.scan_threads, config.morsel_chunks);
         Runtime {
             db,
             driver,
@@ -281,130 +189,53 @@ impl Runtime {
             RunControl {
                 start_bucket: start_bucket as usize,
                 initial_stats: stats,
-                resume_tick: true,
                 kill: None,
             },
         )?
         .ok_or_else(|| Error::invalid("resumed run cannot be killed"))
     }
 
-    /// The serving loop. Returns `None` when the run died at its kill
-    /// point, `Some(outcome)` when the plan completed.
+    /// Runs the serving loop over this one unit. Returns `None` when the
+    /// run died at its kill point, `Some(outcome)` when the plan
+    /// completed.
     fn run_range(&self, plan: &[BucketPlan], control: RunControl) -> Result<Option<SoakOutcome>> {
-        let oracle = Arc::new(ResultOracle::capture(
-            &self.db,
-            plan.iter().flat_map(|b| b.queries.iter()),
-        )?);
+        let oracle = ResultOracle::capture(&self.db, plan.iter().flat_map(|b| b.queries.iter()))?;
+        let buckets: Vec<Vec<Planned<'_>>> = plan
+            .iter()
+            .map(|b| b.queries.iter().map(|q| (None, q)).collect())
+            .collect();
+        let start_bucket = control.start_bucket;
+        let served = serve::serve(
+            &ServeLoop {
+                drivers: std::slice::from_ref(&self.driver),
+                backend: Backend::Single(&self.db),
+                arbiter: None,
+                workers: self.config.workers,
+                slice_budget: self.config.slice_budget,
+            },
+            &oracle,
+            &buckets,
+            control,
+        )?;
+        Ok(served.map(|served| self.outcome(&plan[start_bucket.min(plan.len())..], served)))
+    }
 
-        let mut total = control.initial_stats.clone();
-        let mut bucket_latencies: Vec<(Phase, Vec<f64>)> = Vec::with_capacity(plan.len());
-        let mut buckets_served = 0usize;
-        let mut barrier = BarrierState::default();
-        let mut killed = false;
-
-        // A fresh durable run starts with a full snapshot (version 0), so
-        // recovery has a base whatever the crash point. A resumed run
-        // already has one.
-        if let Some(d) = self.driver.durability() {
-            if control.start_bucket == 0 && d.wal_records() == 0 {
-                self.driver.persist_snapshot(0, &total)?;
-            }
-        }
-
-        let mut tuner_report = std::thread::scope(|scope| -> Result<TunerReport> {
-            // Capacity 1: the control thread may serve at most one bucket
-            // while the tuning thread still decides on the previous tick.
-            let (tick_tx, tick_rx) = mpsc::sync_channel::<Option<TuningTick>>(1);
-            let (ack_tx, ack_rx) = mpsc::channel::<()>();
-            let tuner = {
-                let driver = Arc::clone(&self.driver);
-                let config = self.config.clone();
-                scope.spawn(move || tuner_loop(&driver, &config, &tick_rx, &ack_tx))
-            };
-            let mut in_flight = false;
-            if control.resume_tick && control.start_bucket > 0 {
-                // The boundary record is written from exactly the state
-                // its tick is built from, so this tick equals the one the
-                // dying run had in flight.
-                if tick_tx.send(Some(self.driver.tick())).is_ok() {
-                    in_flight = true;
-                }
-            }
-            for (idx, bucket) in plan.iter().enumerate().skip(control.start_bucket) {
-                let _span = span!("runtime", "bucket", { queries: bucket.queries.len() });
-                if let Some(kill) = control.kill.filter(|k| k.bucket == idx) {
-                    // Crash mid-bucket: serve a prefix, then stop dead —
-                    // no ack, no close, no boundary record.
-                    let n = kill.after_queries.min(bucket.queries.len());
-                    let _ = self.serve_bucket(&bucket.queries[..n], &oracle)?;
-                    killed = true;
-                    break;
-                }
-                let (stats, latencies) = self.serve_bucket(&bucket.queries, &oracle)?;
-                total.merge(&stats);
-                bucket_latencies.push((bucket.phase, latencies));
-                buckets_served += 1;
-                // Rendezvous: the decision on the previous tick must be in
-                // (queued actions and all) before this bucket closes — a
-                // decision never overlaps the history mutation it read.
-                if in_flight {
-                    if ack_rx.recv().is_err() {
-                        // The tuning thread exited early (it hit an
-                        // error); stop serving and surface it via join.
-                        break;
-                    }
-                    in_flight = false;
-                }
-                self.driver.close_bucket();
-                // Barrier: apply whatever the tuning thread queued, in
-                // budgeted slices, strictly between buckets.
-                self.barrier_drain(&mut barrier)?;
-                // Boundary record first, tick second, both from the same
-                // settled state: recovery restores the boundary and
-                // re-sends the identical tick.
-                self.driver.persist_boundary((idx + 1) as u64, &total)?;
-                // The drain may have reset the KPI window — build the tick
-                // the tuning thread sees only now.
-                if tick_tx.send(Some(self.driver.tick())).is_err() {
-                    break;
-                }
-                in_flight = true;
-            }
-            if in_flight {
-                let _ = ack_rx.recv();
-            }
-            let _ = tick_tx.send(None);
-            tuner
-                .join()
-                .map_err(|_| Error::invalid("tuning thread panicked"))?
-        })?;
-        tuner_report.drained = barrier.drained;
-        tuner_report.failures_handled = barrier.failures_handled;
-        if killed {
-            return Ok(None);
-        }
-
-        // Post-workload cooldown: idle buckets drain whatever is still
-        // queued so the run ends with a settled configuration.
-        let mut ticks = 0usize;
-        while self.driver.pending_actions() > 0 && ticks < self.config.drain_ticks {
-            self.driver.close_bucket();
-            if self.driver.organizer().is_paused() {
-                self.driver.organizer().resume();
-            }
-            self.barrier_drain(&mut barrier)?;
-            ticks += 1;
-        }
-        tuner_report.drained = barrier.drained;
-        tuner_report.failures_handled = barrier.failures_handled;
-
-        let (cold_mean, cold_p95) = heavy_metrics(&bucket_latencies, true);
-        let (tuned_mean, tuned_p95) = heavy_metrics(&bucket_latencies, false);
-        Ok(Some(SoakOutcome {
-            stats: total,
-            buckets_served,
+    /// Projects what the loop served over `plan` into the soak outcome.
+    fn outcome(&self, plan: &[BucketPlan], served: Served) -> SoakOutcome {
+        let mut heavy = plan
+            .iter()
+            .zip(&served.latencies)
+            .filter(|(bucket, _)| bucket.phase == Phase::Heavy)
+            .map(|(_, latencies)| latencies.as_slice());
+        let first = heavy.next();
+        let last = heavy.next_back().or(first);
+        let (cold_mean, cold_p95) = mean_and_p95(first);
+        let (tuned_mean, tuned_p95) = mean_and_p95(last);
+        SoakOutcome {
+            stats: served.stats,
+            buckets_served: served.latencies.len(),
             tuning: self.driver.tuning_state(),
-            tuner: tuner_report,
+            tuner: served.tuner,
             apply_attempts: self.executor.attempts(),
             injected_failures: self.executor.injected_failures(),
             cold_mean,
@@ -412,157 +243,18 @@ impl Runtime {
             tuned_mean,
             tuned_p95,
             durability: self.driver.durability().map(|d| d.stats()),
-        }))
-    }
-
-    /// One barrier drain step: applies a budgeted slice of queued
-    /// actions strictly between buckets, rolling back (and pausing
-    /// tuning) when an apply fails. Skipped while tuning is paused.
-    fn barrier_drain(&self, state: &mut BarrierState) -> Result<()> {
-        if self.driver.organizer().is_paused() || self.driver.pending_actions() == 0 {
-            return Ok(());
         }
-        let _span = span!("runtime", "barrier_drain");
-        let tick = self.driver.tick();
-        match self
-            .driver
-            .drain_pending_slice_at(&tick, self.config.slice_budget)
-        {
-            Ok(n) => state.drained += n as u64,
-            Err(cause) => {
-                // A failed apply left the engine mid-reconfiguration:
-                // restore the last good instance, then pause tuning for a
-                // cooldown. If even the rollback fails the run reports
-                // the broken state.
-                self.driver.rollback_to_last_good(&cause.to_string())?;
-                state.failures_handled += 1;
-                self.driver.organizer().pause();
-            }
-        }
-        Ok(())
-    }
-
-    /// Serves one bucket with the worker pool: queries are partitioned
-    /// round-robin, each worker verifies against the oracle and feeds
-    /// the driver's KPI window.
-    fn serve_bucket(
-        &self,
-        queries: &[Query],
-        oracle: &Arc<ResultOracle>,
-    ) -> Result<(SessionStats, Vec<f64>)> {
-        // Physical worker threads are capped at the host's parallelism:
-        // extra workers on an oversubscribed host only add spawn and
-        // context-switch overhead. Every statistic this function returns
-        // is partition-independent (the digest by construction, latency
-        // aggregates as multisets), so the clamp cannot change any
-        // deterministic output — `digest_is_worker_count_invariant`
-        // below is the witness.
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX);
-        let workers = self.config.workers.max(1).min(host);
-        let mut merged = SessionStats::default();
-        let mut latencies = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let db = Arc::clone(&self.db);
-                    let oracle = Arc::clone(oracle);
-                    let driver = Arc::clone(&self.driver);
-                    scope.spawn(move || {
-                        let _span = span!("runtime", "worker", { worker: w });
-                        let mut session = Session::with_oracle(db, w as u64, oracle);
-                        let mut lats = Vec::new();
-                        for q in queries.iter().skip(w).step_by(workers) {
-                            // Engine errors are counted in the session
-                            // stats; serving continues.
-                            if let Ok(r) = session.run(q) {
-                                // KPIs see the (possibly parallel)
-                                // simulated latency; sim_cost stays the
-                                // work the cost model is calibrated on.
-                                driver.record_scan(r.output.sim_latency, r.output.morsels);
-                                lats.push(r.output.sim_latency.ms());
-                            }
-                        }
-                        (session.into_stats(), lats)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (stats, lats) = handle
-                    .join()
-                    .map_err(|_| Error::invalid("worker thread panicked"))?;
-                merged.merge(&stats);
-                latencies.extend(lats);
-            }
-            Ok(())
-        })?;
-        Ok((merged, latencies))
     }
 }
 
-/// Counters the control thread accumulates at bucket barriers.
-#[derive(Debug, Default)]
-struct BarrierState {
-    drained: u64,
-    failures_handled: u64,
-}
-
-/// The tuning thread: one *decision* per closed bucket. It never touches
-/// the engine — chosen actions are queued for the control thread's next
-/// barrier drain — so faults and rollbacks happen at deterministic
-/// points regardless of how this thread is scheduled.
-fn tuner_loop(
-    driver: &Driver,
-    config: &RuntimeConfig,
-    ticks: &mpsc::Receiver<Option<TuningTick>>,
-    acks: &mpsc::Sender<()>,
-) -> Result<TunerReport> {
-    let mut report = TunerReport::default();
-    let mut cooldown: Option<u64> = None;
-    while let Ok(Some(tick)) = ticks.recv() {
-        let _span = span!("runtime", "tuning_tick");
-        report.ticks += 1;
-        if driver.organizer().is_paused() {
-            // Degraded mode after a rollback: serve-only until the
-            // cooldown elapses.
-            let left = cooldown.get_or_insert(config.cooldown_buckets.max(1));
-            *left = left.saturating_sub(1);
-            if *left == 0 {
-                driver.organizer().resume();
-                cooldown = None;
-            }
-        } else {
-            cooldown = None;
-            // Decide only: a triggered tuning queues its actions. On an
-            // analysis error the loop exits — the dropped ack channel
-            // stops the control loop, and join surfaces the error.
-            if driver.maybe_tune_deferred(&tick)?.is_some() {
-                report.tunings += 1;
-            }
-        }
-        if acks.send(()).is_err() {
-            break;
-        }
-    }
-    Ok(report)
-}
-
-/// Mean and p95 over the first (`first = true`) or last heavy bucket.
-fn heavy_metrics(buckets: &[(Phase, Vec<f64>)], first: bool) -> (Cost, Cost) {
-    let mut iter = buckets.iter().filter(|(p, _)| *p == Phase::Heavy);
-    let found = if first { iter.next() } else { iter.next_back() };
-    let Some((_, lats)) = found else {
-        return (Cost::ZERO, Cost::ZERO);
-    };
-    if lats.is_empty() {
+/// Mean and p95 of one bucket's latencies (zero without samples).
+fn mean_and_p95(latencies: Option<&[(Option<i64>, f64)]>) -> (Cost, Cost) {
+    let mut ms: Vec<f64> = latencies.into_iter().flatten().map(|&(_, ms)| ms).collect();
+    if ms.is_empty() {
         return (Cost::ZERO, Cost::ZERO);
     }
-    let mean = lats.iter().sum::<f64>() / lats.len() as f64;
-    let mut sorted = lats.clone();
-    sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() as f64 * 0.95).ceil() as usize).min(sorted.len()) - 1;
-    (Cost(mean), Cost(sorted[idx]))
+    let mean = ms.iter().sum::<f64>() / ms.len() as f64;
+    (Cost(mean), Cost(serve::p95(&mut ms)))
 }
 
 #[cfg(test)]

@@ -1,48 +1,42 @@
-//! The multi-tenant sharded serving runtime.
+//! The multi-tenant sharded serving runtime: N engines, N drivers, one
+//! global budget.
 //!
-//! Serves a Zipf-skewed multi-tenant stream against a
-//! [`ShardedDatabase`] while **every shard runs its own tuning loop**
-//! off shard-local KPI snapshots, and a **global budget arbiter** (the
-//! Organizer role of paper §II) re-splits one index-memory budget
-//! across the shard drivers at every bucket boundary:
-//!
-//! * workers partition each bucket's queries round-robin; answers are
-//!   verified against expectations captured before any tuning, and the
-//!   order-independent result digest is accumulated per worker;
-//! * at the bucket barrier the control thread closes every shard's KPI
-//!   bucket (draining that shard's scan counters atomically via
-//!   [`Database::take_scan_stats`]), lets each shard driver decide and
-//!   drain a budgeted action slice, then runs the arbiter — which
-//!   retargets per-shard `index_memory_bytes` constraints and records a
-//!   `budget_rebalanced` trail event on the global recorder;
-//! * per-tenant plan caches and latency buckets feed the per-tenant
-//!   p95 / noisy-neighbor metrics of the multi-tenant soak report.
-//!
-//! Per-shard decision trails (shard-stamped flight recorders) and the
-//! global arbiter trail merge into one smdb-trail/v2 document.
+//! [`ShardedRuntime`] is the N-unit case of the serving loop in
+//! `crate::serve`: it builds the sharded fixture, wires one driver per
+//! shard (immediate executor, shard-stamped flight recorder, an even
+//! initial split of the index-memory budget) under a
+//! [`BudgetArbiter`] — the Organizer role of paper §II — generates the
+//! Zipf-skewed tenant plan, hands it to the loop and projects what comes
+//! back into an [`MtSoakOutcome`]: per-tenant p95, routing counts,
+//! per-shard tuning state, budget compliance and the merged decision
+//! trail (per-shard trails plus the arbiter's `budget_rebalanced`
+//! events).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::Mutex;
 use smdb_common::json::Json;
 use smdb_common::{Cost, Error, Result};
-use smdb_core::{ConstraintSet, Driver, FeatureKind, OrganizerConfig, TuningState};
-use smdb_obs::{span, FlightRecorder};
-use smdb_query::{result_hash, ExpectedResult, PlanCache};
+use smdb_core::{ConstraintSet, Driver, TuningState};
+use smdb_obs::FlightRecorder;
+use smdb_query::ResultOracle;
 use smdb_shard::{
-    Assignment, BudgetArbiter, MultiTenantConfig, ShardSpec, ShardedDatabase, TenantQuery,
-    TenantStream,
+    BudgetArbiter, MultiTenantConfig, ShardSpec, ShardedDatabase, TenantQuery, TenantStream,
 };
+
+use crate::fault::{FaultInjectingExecutor, FaultPlan};
+use crate::serve::{self, Backend, Planned, RunControl, ServeLoop};
+
+/// Maximum actions a shard applies per bucket barrier.
+const SLICE_BUDGET: usize = 8;
+/// Per-recorder flight-recorder capacity.
+const TRAIL_CAPACITY: usize = 512;
 
 /// Multi-tenant soak parameters.
 #[derive(Debug, Clone)]
 pub struct MtSoakConfig {
     /// Shard count (each shard gets its own engine + driver).
     pub shards: usize,
-    /// Chunk→shard assignment (range keeps tenant locality).
-    pub assignment: Assignment,
     /// Fixture and traffic parameters (tenants, skew, seed, …).
     pub tenants: MultiTenantConfig,
     /// Reader threads serving each bucket.
@@ -61,23 +55,14 @@ pub struct MtSoakConfig {
     pub budget_floor_bytes: u64,
     /// Per-shard KPI bucket capacity (ms of work at 100 % utilization).
     pub bucket_capacity: Cost,
-    /// Maximum actions drained per shard per bucket barrier.
-    pub slice_budget: usize,
     /// Per-shard scan-pool threads (≤ 1 scans inline).
     pub scan_threads: usize,
-    /// Chunks per morsel for pool dispatch.
-    pub morsel_chunks: usize,
-    /// Per-recorder flight-recorder capacity.
-    pub trail_capacity: usize,
-    /// Per-tenant plan-cache capacity.
-    pub tenant_plan_cache: usize,
 }
 
 impl Default for MtSoakConfig {
     fn default() -> Self {
         MtSoakConfig {
             shards: 4,
-            assignment: Assignment::RangeChunks,
             tenants: MultiTenantConfig::default(),
             workers: 2,
             buckets: 10,
@@ -87,11 +72,7 @@ impl Default for MtSoakConfig {
             budget_bytes: 512 * 1024,
             budget_floor_bytes: 16 * 1024,
             bucket_capacity: Cost(2_000.0),
-            slice_budget: 8,
             scan_threads: 2,
-            morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
-            trail_capacity: 512,
-            tenant_plan_cache: 4,
         }
     }
 }
@@ -138,7 +119,7 @@ pub struct MtSoakOutcome {
     pub budget_bytes: u64,
     /// Morsels dispatched across all shards (scan-pool traffic).
     pub morsels: u64,
-    /// The merged smdb-trail/v2 document (global + per-shard trails).
+    /// The merged decision trail (global + per-shard trails).
     pub trail: Json,
 }
 
@@ -165,7 +146,7 @@ pub struct ShardedRuntime {
     db: Arc<ShardedDatabase>,
     drivers: Vec<Arc<Driver>>,
     arbiter: BudgetArbiter,
-    global_recorder: Arc<FlightRecorder>,
+    global_recorder: FlightRecorder,
     config: MtSoakConfig,
 }
 
@@ -174,52 +155,49 @@ impl ShardedRuntime {
     /// indexing/compression tuners, shard-stamped flight recorders, and
     /// an even initial budget split the arbiter will re-target.
     pub fn new(config: MtSoakConfig) -> Result<ShardedRuntime> {
-        let spec = ShardSpec {
-            shards: config.shards,
-            assignment: config.assignment,
-        };
+        Self::with_fault_plans(config, |_| FaultPlan::none())
+    }
+
+    /// Like [`ShardedRuntime::new`], with shard `s`'s executor failing
+    /// the apply attempts `fault_plan(s)` names.
+    pub(crate) fn with_fault_plans(
+        config: MtSoakConfig,
+        fault_plan: impl Fn(usize) -> FaultPlan,
+    ) -> Result<ShardedRuntime> {
+        let spec = ShardSpec::range(config.shards);
         let db = Arc::new(smdb_shard::build_sharded(&config.tenants, &spec)?);
-        if config.scan_threads > 1 {
-            for shard in db.shards() {
-                shard.set_scan_pool(
-                    Some(smdb_storage::ScanPool::new(config.scan_threads)),
-                    config.morsel_chunks,
-                );
-            }
-        }
         let initial_share = config.budget_bytes / config.shards.max(1) as u64;
-        let drivers: Vec<Arc<Driver>> = db
+        let drivers = db
             .shards()
             .iter()
             .enumerate()
             .map(|(s, shard)| {
+                serve::set_scan_threads(
+                    shard,
+                    config.scan_threads,
+                    smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
+                );
+                let executor = FaultInjectingExecutor::immediate(fault_plan(s));
                 Arc::new(
-                    Driver::builder(Arc::clone(shard))
-                        .features(vec![FeatureKind::Indexing, FeatureKind::Compression])
-                        .organizer(OrganizerConfig {
-                            cost_delta_threshold: 0.25,
-                            min_interval: 2,
-                            require_low_utilization: false,
-                        })
+                    serve::driver_builder(Arc::clone(shard), executor)
                         .constraints(ConstraintSet {
                             index_memory_bytes: Some(initial_share as i64),
                             ..ConstraintSet::none()
                         })
                         .kpi_bucket_capacity(config.bucket_capacity)
                         .flight_recorder(Arc::new(FlightRecorder::with_shard(
-                            config.trail_capacity,
+                            TRAIL_CAPACITY,
                             s as u64,
                         )))
                         .build(),
                 )
             })
             .collect();
-        let arbiter = BudgetArbiter::new(config.budget_bytes, config.budget_floor_bytes);
         Ok(ShardedRuntime {
             db,
             drivers,
-            arbiter,
-            global_recorder: Arc::new(FlightRecorder::new(config.trail_capacity)),
+            arbiter: BudgetArbiter::new(config.budget_bytes, config.budget_floor_bytes),
+            global_recorder: FlightRecorder::new(TRAIL_CAPACITY),
             config,
         })
     }
@@ -256,232 +234,86 @@ impl ShardedRuntime {
     pub fn run(&self, plan: &[Vec<TenantQuery>]) -> Result<MtSoakOutcome> {
         // Ground truth before any tuning: every unique query instance's
         // answer, captured through the same sharded path that serves it.
-        let mut expected: HashMap<u64, ExpectedResult> = HashMap::new();
-        for tq in plan.iter().flatten() {
-            let fp = tq.query.instance_fingerprint();
-            if !expected.contains_key(&fp) {
-                let out = self.db.run_query(&tq.query)?.output;
-                expected.insert(fp, ExpectedResult::of(&out));
-            }
-        }
-        let expected = Arc::new(expected);
-        // Capture warmed every shard's plan cache; reset the clocks so
-        // serving starts from a clean slate (capture is not traffic).
+        let oracle = ResultOracle::capture_with(plan.iter().flatten().map(|tq| &tq.query), |q| {
+            Ok(self.db.run_query(q)?.output)
+        })?;
+        // Capture warmed every shard's plan cache and scan counters;
+        // reset them so serving starts from a clean slate (capture is
+        // not traffic).
         for shard in self.db.shards() {
             shard.plan_cache().clear();
             shard.take_scan_stats();
         }
-        // Routed/scattered counts should describe the serving phase, not
-        // the capture pass that just warmed them.
-        let (routed_before, scattered_before) = self.db.routing_counts();
-
-        let tenant_caches: Vec<Mutex<PlanCache>> = (0..self.config.tenants.tenants)
-            .map(|_| Mutex::new(PlanCache::new(self.config.tenant_plan_cache)))
+        let buckets: Vec<Vec<Planned<'_>>> = plan
+            .iter()
+            .map(|b| b.iter().map(|tq| (tq.tenant, &tq.query)).collect())
             .collect();
-        let mut tenant_lats: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        let mut tenant_counts: BTreeMap<i64, u64> = BTreeMap::new();
+        let served = serve::serve(
+            &ServeLoop {
+                drivers: &self.drivers,
+                backend: Backend::Sharded(&self.db),
+                arbiter: Some((&self.arbiter, &self.global_recorder)),
+                workers: self.config.workers,
+                slice_budget: SLICE_BUDGET,
+            },
+            &oracle,
+            &buckets,
+            RunControl::default(),
+        )?
+        .ok_or_else(|| Error::invalid("run without a kill spec cannot be killed"))?;
 
-        let mut queries = 0u64;
-        let mut errors = 0u64;
-        let mut wrong_results = 0u64;
-        let mut digest = 0u64;
-        let mut morsels = 0u64;
-        let mut budget_ok = true;
-        let mut max_used = 0u64;
-
-        let started = Instant::now();
-        for (b, bucket) in plan.iter().enumerate() {
-            let _span = span!("sharded", "bucket", { bucket: b, queries: bucket.len() });
-            let worker_outputs = self.serve_bucket(bucket, &expected, &tenant_caches)?;
-            for wo in worker_outputs {
-                queries += wo.queries;
-                errors += wo.errors;
-                wrong_results += wo.wrong;
-                digest = digest.wrapping_add(wo.digest);
-                for (tenant, lat) in wo.tenant_lats {
-                    tenant_lats.entry(tenant).or_default().push(lat);
-                    *tenant_counts.entry(tenant).or_default() += 1;
-                }
-            }
-            // Bucket barrier: close every shard's bucket off its local
-            // KPI window, let its driver decide, drain a slice, then
-            // re-arbitrate the global budget.
-            let mut busy = Vec::with_capacity(self.drivers.len());
-            for (driver, shard) in self.drivers.iter().zip(self.db.shards()) {
-                let stats = shard.take_scan_stats();
-                morsels += stats.morsels;
-                let report = driver.close_bucket();
-                busy.push(report.bucket_cost.ms());
-                let tick = driver.tick();
-                driver.maybe_tune_deferred(&tick)?;
-                if !driver.organizer().is_paused() && driver.pending_actions() > 0 {
-                    if let Err(cause) =
-                        driver.drain_pending_slice_at(&tick, self.config.slice_budget)
-                    {
-                        driver.rollback_to_last_good(&cause.to_string())?;
-                        driver.organizer().pause();
-                    }
-                }
-            }
-            let outcome =
-                self.arbiter
-                    .rebalance(b as u64, &self.drivers, &busy, &self.global_recorder);
-            budget_ok &= outcome.within_budget;
-            max_used = max_used.max(outcome.used_bytes);
-        }
-        let wall_seconds = started.elapsed().as_secs_f64();
-
-        // Settle: drain anything still queued so the run ends stable.
-        for driver in &self.drivers {
-            let mut ticks = 0;
-            while driver.pending_actions() > 0 && ticks < 32 {
-                driver.close_bucket();
-                driver.organizer().resume();
-                let tick = driver.tick();
-                if driver
-                    .drain_pending_slice_at(&tick, self.config.slice_budget)
-                    .is_err()
-                {
-                    driver.rollback_to_last_good("settle drain failed")?;
-                    break;
-                }
-                ticks += 1;
+        let mut tenant_latencies: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        for &(tenant, ms) in served.latencies.iter().flatten() {
+            if let Some(tenant) = tenant {
+                tenant_latencies.entry(tenant).or_default().push(ms);
             }
         }
-
-        let tenant_stats: BTreeMap<i64, TenantStats> = tenant_lats
+        let tenant_stats = tenant_latencies
             .into_iter()
-            .map(|(tenant, mut lats)| {
-                lats.sort_by(f64::total_cmp);
-                let idx = ((lats.len() as f64 * 0.95).ceil() as usize).min(lats.len()) - 1;
-                let queries = tenant_counts.get(&tenant).copied().unwrap_or(0);
-                (
-                    tenant,
-                    TenantStats {
-                        queries,
-                        p95_ms: lats[idx],
-                    },
-                )
+            .map(|(tenant, mut latencies)| {
+                let stats = TenantStats {
+                    queries: latencies.len() as u64,
+                    p95_ms: serve::p95(&mut latencies),
+                };
+                (tenant, stats)
             })
             .collect();
-
         let shard_tuning: Vec<TuningState> =
             self.drivers.iter().map(|d| d.tuning_state()).collect();
-        let shards_tuned = shard_tuning
-            .iter()
-            .filter(|t| t.actions_applied > 0)
-            .count();
-        let (routed_now, scattered_now) = self.db.routing_counts();
-        let (routed, scattered) = (routed_now - routed_before, scattered_now - scattered_before);
-        let mut recorders: Vec<&FlightRecorder> = vec![self.global_recorder.as_ref()];
+        let mut recorders = vec![&self.global_recorder];
         recorders.extend(self.drivers.iter().map(|d| d.flight_recorder().as_ref()));
+        let stats = served.stats;
         Ok(MtSoakOutcome {
-            queries,
-            errors,
-            wrong_results,
-            result_digest: digest,
-            routed,
-            scattered,
-            wall_seconds,
-            sustained_qps: if wall_seconds > 0.0 {
-                queries as f64 / wall_seconds
+            queries: stats.queries,
+            errors: stats.errors,
+            wrong_results: stats.wrong_results,
+            result_digest: stats.result_digest,
+            routed: stats.queries - served.scattered,
+            scattered: served.scattered,
+            wall_seconds: served.wall_seconds,
+            sustained_qps: if served.wall_seconds > 0.0 {
+                stats.queries as f64 / served.wall_seconds
             } else {
                 0.0
             },
             tenant_stats,
+            shards_tuned: shard_tuning
+                .iter()
+                .filter(|t| t.actions_applied > 0)
+                .count(),
             shard_tuning,
-            shards_tuned,
-            budget_ok_every_bucket: budget_ok,
-            max_used_bytes: max_used,
+            budget_ok_every_bucket: served.budget_ok,
+            max_used_bytes: served.max_used_bytes,
             budget_bytes: self.arbiter.total_bytes(),
-            morsels,
+            morsels: self
+                .db
+                .shards()
+                .iter()
+                .map(|s| s.scan_stats().morsels)
+                .sum(),
             trail: FlightRecorder::merged_json(&recorders),
         })
     }
-
-    fn serve_bucket(
-        &self,
-        bucket: &[TenantQuery],
-        expected: &Arc<HashMap<u64, ExpectedResult>>,
-        tenant_caches: &[Mutex<PlanCache>],
-    ) -> Result<Vec<WorkerOutput>> {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX);
-        let workers = self.config.workers.max(1).min(host);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let db = Arc::clone(&self.db);
-                    let expected = Arc::clone(expected);
-                    scope.spawn(move || {
-                        let mut out = WorkerOutput::default();
-                        for tq in bucket.iter().skip(w).step_by(workers) {
-                            let shard = db.route(&tq.query);
-                            match db.run_query(&tq.query) {
-                                Ok(r) => {
-                                    out.queries += 1;
-                                    out.digest =
-                                        out.digest.wrapping_add(result_hash(&tq.query, &r.output));
-                                    if let Some(e) = expected.get(&tq.query.instance_fingerprint())
-                                    {
-                                        if !e.accepts(&r.output) {
-                                            out.wrong += 1;
-                                        }
-                                    }
-                                    let lat = r.output.sim_latency;
-                                    match shard {
-                                        Some(s) => {
-                                            self.drivers[s].record_scan(lat, r.output.morsels)
-                                        }
-                                        None => {
-                                            // A scatter touched every
-                                            // candidate shard; each
-                                            // shard's KPI window sees
-                                            // the query it served.
-                                            for d in &self.drivers {
-                                                d.record_scan(lat, r.output.morsels);
-                                            }
-                                        }
-                                    }
-                                    if let Some(t) = tq.tenant {
-                                        out.tenant_lats.push((t, lat.ms()));
-                                        if let Some(cache) = tenant_caches.get(t as usize) {
-                                            cache.lock().record(
-                                                &tq.query,
-                                                r.output.sim_cost,
-                                                self.db.shards()[shard.unwrap_or(0)].now(),
-                                            );
-                                        }
-                                    }
-                                }
-                                Err(_) => out.errors += 1,
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut outputs = Vec::with_capacity(workers);
-            for handle in handles {
-                outputs.push(
-                    handle
-                        .join()
-                        .map_err(|_| Error::invalid("sharded worker panicked"))?,
-                );
-            }
-            Ok(outputs)
-        })
-    }
-}
-
-#[derive(Debug, Default)]
-struct WorkerOutput {
-    queries: u64,
-    errors: u64,
-    wrong: u64,
-    digest: u64,
-    tenant_lats: Vec<(i64, f64)>,
 }
 
 #[cfg(test)]
@@ -530,8 +362,37 @@ mod tests {
         assert!(trail_events > 0, "trail recorded");
         assert_eq!(
             outcome.trail.get("schema").and_then(Json::as_str),
-            Some("smdb-trail/v2")
+            Some("smdb-trail/v2.1")
         );
+    }
+
+    #[test]
+    fn shard_apply_fault_rolls_back_cools_down_and_tunes_again() {
+        let config = MtSoakConfig {
+            buckets: 10,
+            ..small_config(4, 7)
+        };
+        let clean = ShardedRuntime::new(config.clone()).expect("builds");
+        let plan = clean.plan();
+        let expected = clean.run(&plan).expect("runs");
+
+        let faulty = ShardedRuntime::with_fault_plans(config, |shard| match shard {
+            1 => FaultPlan::failing_attempts([0]),
+            _ => FaultPlan::none(),
+        })
+        .expect("builds");
+        faulty.drivers()[1].flight_recorder().set_auto_dump(false);
+        let outcome = faulty.run(&plan).expect("serving survives the fault");
+
+        let rollbacks: Vec<usize> = outcome.shard_tuning.iter().map(|t| t.rollbacks).collect();
+        assert_eq!(rollbacks, [0, 1, 0, 0], "one rollback, on shard 1 only");
+        let shard1 = &outcome.shard_tuning[1];
+        assert_eq!(shard1.apply_failures, 1);
+        assert!(!shard1.paused, "the cooldown ended: {shard1:?}");
+        assert!(shard1.actions_applied > 0, "tuned again: {shard1:?}");
+        assert!(outcome.budget_ok_every_bucket);
+        assert_eq!(outcome.result_digest, expected.result_digest);
+        assert_eq!(outcome.errors + outcome.wrong_results, 0);
     }
 
     #[test]
