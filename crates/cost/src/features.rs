@@ -8,18 +8,17 @@
 //! in these features, so the calibrated regression model can learn the
 //! "hardware" coefficients from observations (Section II-A(d)).
 //!
-//! Morsel-parallel scans need no mirroring here: the engine computes
-//! per-chunk partials with the same access-path rules regardless of
-//! execution mode, and `sim_cost` is total work summed in chunk-index
-//! order — so the quantity this extractor predicts is independent of
-//! thread count and morsel size by construction (the estimator cannot
-//! drift from the parallel access-path choice the way it could if the
-//! parallel path re-decided access paths per morsel).
+//! Which work a chunk incurs is not re-derived here: the extractor
+//! prices the `smdb_storage::access_path` the executor would run, under
+//! the hypothetical configuration's indexes. Execution mode needs no
+//! modelling: `sim_cost` is total work summed in chunk-index order
+//! whatever the thread count or morsel size.
 
-use smdb_common::{ChunkColumnRef, Result};
+use smdb_common::{ChunkColumnRef, ColumnId, Result};
 use smdb_query::Query;
 use smdb_storage::{
-    ConfigAction, ConfigInstance, EncodingKind, ScanPredicate, StorageEngine, Tier,
+    access_path, AccessPath, ConfigAction, ConfigInstance, EncodingKind, ScanPredicate,
+    StorageEngine, Tier,
 };
 
 /// Number of features (keep in sync with [`extract_features`]).
@@ -74,7 +73,11 @@ impl ConfigContext {
                         column: col,
                         chunk: cid,
                     };
-                    let stats = chunk.stats(col).expect("stats exist for schema column");
+                    // A schema column always has statistics; a mismatch
+                    // contributes no bytes rather than a panic.
+                    let Ok(stats) = chunk.stats(col) else {
+                        continue;
+                    };
                     nonhot += crate::sizes::estimate_segment_bytes(
                         def.data_type,
                         stats.rows,
@@ -161,24 +164,14 @@ impl ConfigContext {
             nonhot_bytes: nonhot,
         })
     }
-
-    /// Estimated effective tier multiplier under `config` — mirrors the
-    /// engine's buffer-pool model structurally (raw tier penalties are
-    /// public hardware documentation; what the estimator does *not* know
-    /// are the per-operation millisecond coefficients, which the
-    /// calibrated model learns).
-    pub fn tier_multiplier(&self, tier: Tier, buffer_pool_mb: f64) -> f64 {
-        if tier == Tier::Hot || self.nonhot_bytes == 0 {
-            return 1.0;
-        }
-        let raw = tier.latency_multiplier();
-        let buffer = buffer_pool_mb.max(0.0) * 1024.0 * 1024.0;
-        let hit = (buffer / self.nonhot_bytes as f64).clamp(0.0, 1.0);
-        1.0 + (raw - 1.0) * (1.0 - hit)
-    }
 }
 
-/// Extracts the estimated execution profile of `query` under `config`.
+/// Extracts the estimated execution profile of `query` under `config`:
+/// every chunk is priced along the path [`access_path`] — the function
+/// the engine executes — decides for it under the *hypothetical*
+/// indexes. One deliberate divergence: a position-0 fallback probe
+/// ([`AccessPath::Probe`], `selective: false`) is priced as a scan
+/// although the engine probes it (DESIGN.md §3, open decision).
 pub fn extract_features(
     engine: &StorageEngine,
     ctx: &ConfigContext,
@@ -192,149 +185,72 @@ pub fn extract_features(
     let preds = query.predicates();
 
     for (cid, chunk) in table.chunks() {
-        // Pruning mirror: skip chunks no predicate can match.
-        let mut pruned = false;
-        for p in preds {
-            if !chunk.stats(p.column)?.can_match(p) {
-                pruned = true;
-                break;
-            }
-        }
-        if pruned {
+        let target = |column: ColumnId| ChunkColumnRef {
+            table: query.table(),
+            column,
+            chunk: cid,
+        };
+        let path = access_path(chunk, preds, |col| config.index_of(target(col)))?;
+        if path == AccessPath::Pruned {
             continue;
         }
         f[fi::CHUNKS_VISITED] += 1.0;
-        let tier = config.tier_of(query.table(), cid);
-        let mult = ctx.tier_multiplier(tier, config.knobs.buffer_pool_mb);
+        let mult = config
+            .tier_of(query.table(), cid)
+            .effective_multiplier(config.knobs.buffer_pool_mb, ctx.nonhot_bytes);
         let rows = chunk.rows() as f64;
 
         let selectivity = |p: &ScanPredicate| -> Result<f64> {
             Ok(chunk.stats(p.column)?.estimate_selectivity(p))
         };
-
-        // Composite-index fast path mirror: a pair of equality
-        // predicates answered by one multi-attribute probe.
-        let composite = preds.iter().enumerate().find_map(|(i, p)| {
-            if !matches!(p.op, smdb_storage::PredicateOp::Eq) {
-                return None;
-            }
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: p.column,
-                chunk: cid,
-            };
-            let Some(smdb_storage::IndexKind::CompositeHash { second }) = config.index_of(target)
-            else {
-                return None;
-            };
-            preds
-                .iter()
-                .enumerate()
-                .find(|(j, q)| {
-                    *j != i && q.column == second && matches!(q.op, smdb_storage::PredicateOp::Eq)
-                })
-                .map(|(j, _)| (i, j))
-        });
-        let composite = match composite {
-            Some((i, j)) => {
-                // Access-path rule mirror on the combined selectivity.
-                let sel = selectivity(&preds[i])? * selectivity(&preds[j])?;
-                (sel <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD).then_some((i, j))
-            }
-            None => None,
-        };
-        if let Some((i, j)) = composite {
-            let sel_i = selectivity(&preds[i])?;
-            let sel_j = selectivity(&preds[j])?;
-            let mut est_count = rows * sel_i * sel_j;
+        let probe = |f: &mut [f64; NUM_FEATURES], est_count: f64| {
             f[fi::INDEX_PROBES] += mult;
             f[fi::INDEX_MATCHES] += est_count * mult;
-            for (k, p) in preds.iter().enumerate() {
-                if k == i || k == j {
-                    continue;
-                }
-                f[fi::REFINE_ROWS] += est_count * mult;
-                est_count *= selectivity(p)?;
-            }
-            if query.aggregate().is_some() {
-                f[fi::AGG_ROWS] += est_count;
-                if query.group_by().is_some() {
-                    f[fi::GROUP_ROWS] += est_count;
-                }
-            }
-            continue;
-        }
-
-        let mut est_count: f64;
-        // Scan work units mirror the engine: rows for positional
+            est_count
+        };
+        // Scan work units follow the engine: rows for positional
         // encodings, measured runs for RLE.
-        let scan_units = |col: smdb_common::ColumnId, enc: EncodingKind| -> Result<f64> {
-            Ok(match enc {
+        let scan = |f: &mut [f64; NUM_FEATURES], col: ColumnId| -> Result<()> {
+            let enc = config.encoding_of(target(col));
+            let units = match enc {
                 EncodingKind::RunLength => chunk.stats(col)?.runs as f64,
                 _ => rows,
-            })
+            };
+            f[scan_slot(enc)] += units * mult;
+            Ok(())
         };
-        if preds.is_empty() {
-            // Full-chunk selection over column 0's encoding.
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: smdb_common::ColumnId(0),
-                chunk: cid,
-            };
-            let enc = config.encoding_of(target);
-            f[scan_slot(enc)] += scan_units(smdb_common::ColumnId(0), enc)? * mult;
-            est_count = rows;
-        } else {
-            // Driving predicate: first with a config-supported index that
-            // passes the engine's access-path selectivity rule.
-            let drive_pos = preds
-                .iter()
-                .position(|p| {
-                    let target = ChunkColumnRef {
-                        table: query.table(),
-                        column: p.column,
-                        chunk: cid,
-                    };
-                    config.index_of(target).is_some_and(|kind| {
-                        !matches!(kind, smdb_storage::IndexKind::CompositeHash { .. })
-                            && kind.supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = &preds[drive_pos];
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: driving.column,
-                chunk: cid,
-            };
-            let drive_sel = selectivity(driving)?;
-            let indexed = config.index_of(target).is_some_and(|kind| {
-                !matches!(kind, smdb_storage::IndexKind::CompositeHash { .. })
-                    && kind.supports(driving.op)
-                    && drive_sel <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD
-            });
-            est_count = rows * drive_sel;
-            if indexed {
-                f[fi::INDEX_PROBES] += mult;
-                f[fi::INDEX_MATCHES] += est_count * mult;
-            } else {
-                let enc = config.encoding_of(target);
-                f[scan_slot(enc)] += scan_units(driving.column, enc)? * mult;
+        let mut est_count = match path {
+            AccessPath::Pruned => continue,
+            AccessPath::Composite { first, second } => probe(
+                &mut f,
+                rows * selectivity(&preds[first])? * selectivity(&preds[second])?,
+            ),
+            AccessPath::FullChunk => {
+                // Full-chunk selection over column 0's encoding.
+                scan(&mut f, ColumnId(0))?;
+                rows
             }
-            for (i, p) in preds.iter().enumerate() {
-                if i == drive_pos {
-                    continue;
-                }
-                f[fi::REFINE_ROWS] += est_count * mult;
-                est_count *= selectivity(p)?;
+            AccessPath::Probe {
+                driving,
+                selective: true,
+            } => probe(&mut f, rows * selectivity(&preds[driving])?),
+            // The open decision: the engine probes the fallback, the
+            // estimate charges its segment scan.
+            AccessPath::Probe {
+                driving,
+                selective: false,
             }
+            | AccessPath::Scan { driving } => {
+                scan(&mut f, preds[driving].column)?;
+                rows * selectivity(&preds[driving])?
+            }
+        };
+        for (pos, p) in preds.iter().enumerate() {
+            if path.consumes(pos) {
+                continue;
+            }
+            f[fi::REFINE_ROWS] += est_count * mult;
+            est_count *= selectivity(p)?;
         }
         if query.aggregate().is_some() {
             f[fi::AGG_ROWS] += est_count;
@@ -501,6 +417,37 @@ mod tests {
         let ctx = ConfigContext::new(&engine, &config);
         let f = extract_features(&engine, &ctx, &q, &config).unwrap();
         assert!(f.0[fi::REFINE_ROWS] > 0.0);
+    }
+
+    /// OPEN DECISION (DESIGN.md §3), pinned as it stands: when no index
+    /// passes the selectivity rule, position 0 drives, and if its index
+    /// supports the operator the engine probes it however broad the
+    /// predicate — while the estimator (its one `selective` read) charges
+    /// a segment scan. Whichever side a follow-up moves, this is the
+    /// assertion to change.
+    #[test]
+    fn fallback_probe_is_executed_as_a_probe_and_priced_as_a_scan() {
+        let (mut engine, t) = setup();
+        for chunk in 0..4 {
+            let target = ChunkColumnRef::new(t.0, 1, chunk);
+            let kind = IndexKind::BTree;
+            engine
+                .apply_action(&ConfigAction::CreateIndex { target, kind })
+                .unwrap();
+        }
+        // Every row of every chunk: selectivity 1.0, far above 0.1.
+        let preds = vec![ScanPredicate::between(ColumnId(1), 0.0, 999.0)];
+        let q = Query::new(t, "t", preds, Some(Aggregate::count()), "broad");
+        let out = engine.scan(t, q.predicates(), q.aggregate()).unwrap();
+        assert_eq!((out.chunks_visited, out.index_probes), (4, 4));
+        assert_eq!(out.rows_scanned, 0);
+
+        let config = engine.current_config();
+        let ctx = ConfigContext::new(&engine, &config);
+        let f = extract_features(&engine, &ctx, &q, &config).unwrap();
+        assert_eq!(f.0[fi::CHUNKS_VISITED], 4.0);
+        assert_eq!((f.0[fi::INDEX_PROBES], f.0[fi::INDEX_MATCHES]), (0.0, 0.0));
+        assert_eq!(f.0[fi::SCAN_RAW], 1000.0);
     }
 
     #[test]

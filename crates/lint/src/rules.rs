@@ -199,7 +199,7 @@ pub fn registry() -> Vec<Rule> {
                 "crates/obs/",
                 "crates/cost/",
                 "crates/query/src/plan_cache.rs",
-                "crates/storage/src/engine.rs",
+                "crates/storage/src/exec.rs",
                 "crates/bench/src/report.rs",
                 "crates/runtime/",
                 "crates/shard/",
@@ -869,6 +869,12 @@ mod t {
             findings_for("map-iteration", "crates/cost/src/cache.rs", hot).len(),
             1
         );
+        // Grouped aggregation and the partial merge live in exec.rs.
+        assert_eq!(
+            findings_for("map-iteration", "crates/storage/src/exec.rs", hot).len(),
+            1
+        );
+        assert!(findings_for("map-iteration", "crates/storage/src/engine.rs", hot).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::placement::Tier;
 pub struct Knobs {
     /// Buffer pool capacity in megabytes. The buffer pool hides part of
     /// the latency penalty of warm/cold placements (see
-    /// [`crate::simcost::SimCostParams::effective_tier_multiplier`]).
+    /// [`crate::placement::Tier::effective_multiplier`]).
     pub buffer_pool_mb: f64,
 }
 

@@ -1,80 +1,15 @@
-//! The storage engine: catalog, scan execution with ground-truth costing,
-//! and configuration application.
+//! The storage engine: catalog and configuration apply/undo. Scan
+//! execution over the catalog lives in [`crate::exec`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use smdb_common::{ChunkColumnRef, Cost, Error, Result, TableId};
 
 use crate::config::{ConfigAction, ConfigInstance, Knobs};
 use crate::memory::MemoryReport;
 use crate::placement::Tier;
-use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
 use crate::simcost::SimCostParams;
 use crate::table::Table;
-use crate::value::Value;
-
-/// Result of one table scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScanOutput {
-    /// Rows satisfying all predicates.
-    pub rows_matched: u64,
-    /// Aggregate value, when an aggregate was requested and computable.
-    pub agg_value: Option<f64>,
-    /// Per-group aggregate values when a GROUP BY was requested, sorted
-    /// by group key.
-    pub groups: Option<Vec<(Value, f64)>>,
-    /// Ground-truth simulated cost of the scan: the total *work*
-    /// performed, summed over chunks in chunk-index order. Independent
-    /// of how (or whether) the scan was parallelised — cost estimators
-    /// learn from this figure.
-    pub sim_cost: Cost,
-    /// Ground-truth simulated *latency* of the scan: equal to
-    /// [`ScanOutput::sim_cost`] for an inline scan; for a morsel-driven
-    /// parallel scan, the deterministic critical-path latency of
-    /// [`crate::parallel::simulated_latency`] (max lane sum plus
-    /// per-morsel dispatch overhead). This is what serving KPIs record.
-    pub sim_latency: Cost,
-    /// Morsels dispatched to the scan pool (0 for an inline scan).
-    pub morsels: u64,
-    /// Rows actually touched by the driving filter (scan or probe output).
-    pub rows_scanned: u64,
-    /// Chunks skipped by min/max pruning.
-    pub chunks_pruned: u64,
-    /// Chunks actually processed.
-    pub chunks_visited: u64,
-    /// Chunks where an index answered the driving predicate.
-    pub index_probes: u64,
-    /// Visited chunks whose driving selection ran on a batch kernel.
-    /// Together with [`ScanOutput::index_probes`] and
-    /// [`ScanOutput::chunks_scalar`] this partitions the visited chunks:
-    /// `chunks_visited == index_probes + chunks_kernel + chunks_scalar`.
-    pub chunks_kernel: u64,
-    /// Visited chunks whose driving selection fell back to the scalar
-    /// per-value path.
-    pub chunks_scalar: u64,
-    /// Batch-kernel invocations (driving filters, refines, aggregate
-    /// folds) across all chunks of the scan.
-    pub kernel_batches: u64,
-}
-
-/// Per-chunk access-path partition of one scan, predicted or executed:
-/// every chunk of the table lands in exactly one bucket. The executed
-/// partition comes from [`ScanOutput`] (`chunks_pruned`, `index_probes`,
-/// `chunks_kernel`, `chunks_scalar`);
-/// [`StorageEngine::predict_access_paths`] produces the same partition
-/// from statistics alone, and the soak asserts the two agree on every
-/// query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictedPaths {
-    /// Chunks min/max pruning skips.
-    pub pruned: u64,
-    /// Chunks where an index probe answers the driving predicate(s).
-    pub index: u64,
-    /// Chunks whose driving selection runs on a batch kernel.
-    pub kernel: u64,
-    /// Chunks whose driving selection falls back to the scalar path.
-    pub scalar: u64,
-}
 
 /// The in-memory storage engine.
 ///
@@ -87,10 +22,10 @@ pub struct StorageEngine {
     tables: Vec<Table>,
     names: HashMap<String, TableId>,
     knobs: Knobs,
-    params: SimCostParams,
+    pub(crate) params: SimCostParams,
     /// Whether batch predicate/aggregation kernels drive covered scans
     /// (on by default; the scalar path remains the semantic reference).
-    kernels: bool,
+    pub(crate) kernels: bool,
     /// Cached bytes resident on non-hot tiers (drives buffer-pool hit rates).
     nonhot_bytes: usize,
     /// Process-unique catalog identity, refreshed whenever the table set
@@ -126,11 +61,6 @@ impl StorageEngine {
         }
     }
 
-    /// Whether the vectorized kernel layer is enabled.
-    pub fn kernels_enabled(&self) -> bool {
-        self.kernels
-    }
-
     /// Enables or disables the vectorized kernel layer. Results are
     /// bit-identical either way (see [`crate::kernels`]); only the
     /// execution strategy — and the kernel/scalar chunk counters —
@@ -142,80 +72,6 @@ impl StorageEngine {
     /// The engine's catalog identity token (see field docs).
     pub fn catalog_token(&self) -> u64 {
         self.catalog_token
-    }
-
-    /// Predicts, from chunk statistics and the catalog alone, which
-    /// access path [`StorageEngine::scan_chunk`] takes on every chunk of
-    /// `table` for `predicates` — without executing anything. The
-    /// decision sequence is mirrored exactly: min/max prune, composite
-    /// probe, driving-predicate probe, batch kernel
-    /// ([`crate::kernels::covers_filter`] gated on the kernel switch),
-    /// scalar fallback. `predicted == executed` is therefore a checkable
-    /// invariant, and the soak asserts it per query against the
-    /// [`ScanOutput`] counters.
-    pub fn predict_access_paths(
-        &self,
-        table: TableId,
-        predicates: &[ScanPredicate],
-    ) -> Result<PredictedPaths> {
-        let table = self.table(table)?;
-        let mut out = PredictedPaths::default();
-        'chunks: for (_, chunk) in table.chunks() {
-            for p in predicates {
-                if !chunk.stats(p.column)?.can_match(p) {
-                    out.pruned += 1;
-                    continue 'chunks;
-                }
-            }
-            let remaining: Vec<&ScanPredicate> = predicates.iter().collect();
-            if composite_pair(chunk, &remaining)
-                .and_then(|(i, _)| chunk.index(remaining[i].column))
-                .is_some()
-            {
-                out.index += 1;
-                continue;
-            }
-            if remaining.is_empty() {
-                // Full-chunk selection: one batch emit when kernels are on.
-                if self.kernels {
-                    out.kernel += 1;
-                } else {
-                    out.scalar += 1;
-                }
-                continue;
-            }
-            let drive_pos = remaining
-                .iter()
-                .position(|p| {
-                    chunk.index(p.column).is_some_and(|idx| {
-                        !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                            && idx.kind().supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= crate::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = remaining[drive_pos];
-            let probed = chunk.index(driving.column).is_some_and(|idx| {
-                !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                    && idx.kind().supports(driving.op)
-            });
-            if probed {
-                out.index += 1;
-            } else if self.kernels
-                && crate::kernels::covers_filter(chunk.segment(driving.column)?, driving)
-            {
-                out.kernel += 1;
-            } else {
-                out.scalar += 1;
-            }
-        }
-        Ok(out)
     }
 
     /// Registers a table; names must be unique.
@@ -255,17 +111,6 @@ impl StorageEngine {
             .iter()
             .enumerate()
             .map(|(i, t)| (TableId(i as u32), t))
-    }
-
-    /// The current knob settings.
-    pub fn knobs(&self) -> &Knobs {
-        &self.knobs
-    }
-
-    /// The simulated hardware parameters (for tests and the experiment
-    /// harness; cost *estimators* must not use this).
-    pub fn sim_params(&self) -> &SimCostParams {
-        &self.params
     }
 
     /// Snapshot of the configuration currently in effect, reconstructed
@@ -310,7 +155,8 @@ impl StorageEngine {
     pub fn apply_action(&mut self, action: &ConfigAction) -> Result<Cost> {
         let cost = match action {
             ConfigAction::CreateIndex { target, kind } => {
-                let tier_mult = self.chunk_tier_multiplier(target.table, target.chunk.0)?;
+                let tier = self.table(target.table)?.chunk(target.chunk)?.tier();
+                let tier_mult = self.tier_multiplier(tier);
                 let table = self.table_mut(target.table)?;
                 let chunk = table.chunk_mut(target.chunk)?;
                 let rows = chunk.rows();
@@ -324,7 +170,8 @@ impl StorageEngine {
                 Cost(0.1)
             }
             ConfigAction::SetEncoding { target, kind } => {
-                let tier_mult = self.chunk_tier_multiplier(target.table, target.chunk.0)?;
+                let tier = self.table(target.table)?.chunk(target.chunk)?.tier();
+                let tier_mult = self.tier_multiplier(tier);
                 let table = self.table_mut(target.table)?;
                 let chunk = table.chunk_mut(target.chunk)?;
                 let rows = chunk.rows();
@@ -480,592 +327,6 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Executes a predicate scan (+ optional aggregate) with ground-truth
-    /// costing.
-    pub fn scan(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-    ) -> Result<ScanOutput> {
-        self.scan_grouped(table_id, predicates, aggregate, None)
-    }
-
-    /// Like [`StorageEngine::scan`] with an optional GROUP BY column: the
-    /// aggregate is computed per distinct value of `group_by` (hash
-    /// aggregation, charged per matched row).
-    pub fn scan_grouped(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> Result<ScanOutput> {
-        self.scan_grouped_with(table_id, predicates, aggregate, group_by, None)
-    }
-
-    /// Like [`StorageEngine::scan_grouped`], executed morsel-parallel on
-    /// `pool`: the chunk list is split into morsels of `morsel_chunks`
-    /// chunks, dispatched to the pool, and the per-chunk partials are
-    /// merged in chunk-index order — so every result field except
-    /// [`ScanOutput::sim_latency`] and [`ScanOutput::morsels`] is
-    /// bit-identical to the sequential scan, for any thread count and
-    /// morsel size. Scans that produce fewer than two morsels run
-    /// inline (the pool cannot help them).
-    pub fn scan_grouped_parallel(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        pool: &crate::parallel::ScanPool,
-        morsel_chunks: usize,
-    ) -> Result<ScanOutput> {
-        self.scan_grouped_with(
-            table_id,
-            predicates,
-            aggregate,
-            group_by,
-            Some((pool, morsel_chunks)),
-        )
-    }
-
-    /// Validates a scan's shape against `table_id`'s schema.
-    fn validate_scan(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> Result<()> {
-        let table = self.table(table_id)?;
-        if let Some(g) = group_by {
-            table.schema().column(g)?;
-            if aggregate.is_none() {
-                return Err(Error::invalid("GROUP BY requires an aggregate"));
-            }
-        }
-        for p in predicates {
-            table.schema().column(p.column)?;
-        }
-        if let Some(agg) = aggregate {
-            if agg.op != AggregateOp::Count {
-                table.schema().column(agg.column)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes the per-chunk partials of a scan *without* merging them —
-    /// the scatter half of a sharded scatter-gather execution. Each
-    /// element is one chunk's contribution, in chunk-index order; a
-    /// sharded executor collects partials from every shard, orders them
-    /// by global chunk index and folds them once with
-    /// [`StorageEngine::merge_scan_partials`], which reproduces the exact
-    /// combine tree of an unsharded scan — so every result field except
-    /// the latency model is bit-identical for any shard count. With
-    /// `parallel`, morsels are dispatched to the pool exactly as in
-    /// [`StorageEngine::scan_grouped_parallel`]; partial *values* are
-    /// independent of the execution mode.
-    pub fn scan_partials(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        parallel: Option<(&crate::parallel::ScanPool, usize)>,
-    ) -> Result<Vec<ChunkPartial>> {
-        self.validate_scan(table_id, predicates, aggregate, group_by)?;
-        let table = self.table(table_id)?;
-        let chunks: Vec<&crate::chunk::Chunk> = table.chunks().map(|(_, c)| c).collect();
-        if let Some((pool, morsel_chunks)) = parallel {
-            let ranges = crate::parallel::morsel_ranges(chunks.len(), morsel_chunks);
-            if pool.threads() > 1 && ranges.len() > 1 {
-                let (partials, _) = self
-                    .partials_parallel(&chunks, predicates, aggregate, group_by, pool, &ranges)?;
-                return Ok(partials);
-            }
-        }
-        let mut positions: Vec<u32> = Vec::new();
-        let mut partials = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            partials.push(self.scan_chunk(
-                chunk,
-                predicates,
-                aggregate,
-                group_by,
-                &mut positions,
-            )?);
-        }
-        Ok(partials)
-    }
-
-    /// Folds partials — the caller's responsibility to order by global
-    /// chunk index — into one [`ScanOutput`], using the same combine tree
-    /// as every other execution mode. The returned latency equals the
-    /// summed work (the inline model); a sharded executor overrides
-    /// [`ScanOutput::sim_latency`] / [`ScanOutput::morsels`] with its own
-    /// lane model.
-    pub fn merge_scan_partials(
-        &self,
-        partials: Vec<ChunkPartial>,
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> ScanOutput {
-        let mut out = self.merge_partials(partials, aggregate, group_by);
-        out.sim_latency = out.sim_cost;
-        out.morsels = 0;
-        out
-    }
-
-    /// Validates the query, picks the execution mode and dispatches.
-    fn scan_grouped_with(
-        &self,
-        table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        parallel: Option<(&crate::parallel::ScanPool, usize)>,
-    ) -> Result<ScanOutput> {
-        self.validate_scan(table_id, predicates, aggregate, group_by)?;
-        let table = self.table(table_id)?;
-        let chunks: Vec<&crate::chunk::Chunk> = table.chunks().map(|(_, c)| c).collect();
-        if let Some((pool, morsel_chunks)) = parallel {
-            let ranges = crate::parallel::morsel_ranges(chunks.len(), morsel_chunks);
-            // A single morsel (or a helper-less pool) has no parallelism
-            // to exploit — run inline and skip the dispatch overhead.
-            if pool.threads() > 1 && ranges.len() > 1 {
-                return self
-                    .scan_chunks_parallel(&chunks, predicates, aggregate, group_by, pool, &ranges);
-            }
-        }
-        self.scan_chunks_sequential(&chunks, predicates, aggregate, group_by)
-    }
-
-    /// Inline execution: per-chunk partials computed on this thread,
-    /// merged in chunk order. Latency equals work.
-    fn scan_chunks_sequential(
-        &self,
-        chunks: &[&crate::chunk::Chunk],
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> Result<ScanOutput> {
-        let mut positions: Vec<u32> = Vec::new();
-        let mut partials = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            partials.push(self.scan_chunk(
-                chunk,
-                predicates,
-                aggregate,
-                group_by,
-                &mut positions,
-            )?);
-        }
-        let mut out = self.merge_partials(partials, aggregate, group_by);
-        out.sim_latency = out.sim_cost;
-        out.morsels = 0;
-        Ok(out)
-    }
-
-    /// Morsel-parallel execution: contiguous chunk ranges are dispatched
-    /// to the scan pool, each producing its chunks' partials; the
-    /// submitting thread merges them in chunk-index order, so the merge
-    /// tree — and therefore every float in the result — is identical to
-    /// the sequential path's.
-    fn scan_chunks_parallel(
-        &self,
-        chunks: &[&crate::chunk::Chunk],
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        pool: &crate::parallel::ScanPool,
-        ranges: &[(usize, usize)],
-    ) -> Result<ScanOutput> {
-        let (all, morsel_costs_ms) =
-            self.partials_parallel(chunks, predicates, aggregate, group_by, pool, ranges)?;
-        let mut out = self.merge_partials(all, aggregate, group_by);
-        let lanes = pool.threads().min(ranges.len());
-        out.sim_latency = crate::parallel::simulated_latency(
-            &morsel_costs_ms,
-            lanes,
-            self.params.morsel_dispatch_ms,
-        );
-        out.morsels = ranges.len() as u64;
-        Ok(out)
-    }
-
-    /// The dispatch half of a morsel-parallel scan: runs every morsel on
-    /// the pool and returns the per-chunk partials in chunk-index order
-    /// plus each morsel's summed cost (for the lane latency model).
-    fn partials_parallel(
-        &self,
-        chunks: &[&crate::chunk::Chunk],
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        pool: &crate::parallel::ScanPool,
-        ranges: &[(usize, usize)],
-    ) -> Result<(Vec<ChunkPartial>, Vec<f64>)> {
-        let slots: Vec<parking_lot::Mutex<Option<Result<Vec<ChunkPartial>>>>> = ranges
-            .iter()
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        let clean = pool.run(ranges.len(), |m| {
-            let (start, end) = ranges[m];
-            let mut positions: Vec<u32> = Vec::new();
-            let mut parts = Vec::with_capacity(end - start);
-            let mut failed = None;
-            for chunk in &chunks[start..end] {
-                match self.scan_chunk(chunk, predicates, aggregate, group_by, &mut positions) {
-                    Ok(p) => parts.push(p),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            *slots[m].lock() = Some(match failed {
-                None => Ok(parts),
-                Some(e) => Err(e),
-            });
-        });
-        if !clean {
-            return Err(Error::invalid("a parallel scan morsel panicked"));
-        }
-        let mut morsel_costs_ms = Vec::with_capacity(ranges.len());
-        let mut all = Vec::with_capacity(chunks.len());
-        for slot in &slots {
-            let morsel = slot
-                .lock()
-                .take()
-                .ok_or_else(|| Error::invalid("a parallel scan morsel produced no output"))??;
-            morsel_costs_ms.push(morsel.iter().map(|p| p.cost.ms()).sum::<f64>());
-            all.extend(morsel);
-        }
-        Ok((all, morsel_costs_ms))
-    }
-
-    /// Scans one chunk, returning its partial: counters, aggregate state
-    /// and the chunk's share of the simulated work. `positions` is
-    /// caller-provided scratch (cleared per call) so a morsel reuses one
-    /// allocation across its chunks. A partial is a pure function of
-    /// (chunk, query, configuration) — which execution mode computed it,
-    /// and in which order, cannot matter.
-    fn scan_chunk(
-        &self,
-        chunk: &crate::chunk::Chunk,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        positions: &mut Vec<u32>,
-    ) -> Result<ChunkPartial> {
-        let mut part = ChunkPartial::new(aggregate.map(|a| a.op));
-        // Min/max pruning over every predicate column.
-        for p in predicates {
-            if !chunk.stats(p.column)?.can_match(p) {
-                part.pruned = true;
-                part.cost += Cost(self.params.prune_check_ms);
-                return Ok(part);
-            }
-        }
-        let tier_mult = self.params.effective_tier_multiplier(
-            chunk.tier(),
-            self.knobs.buffer_pool_mb,
-            self.nonhot_bytes,
-        );
-        part.cost += Cost(self.params.chunk_visit_ms);
-
-        positions.clear();
-        let mut remaining: Vec<&ScanPredicate> = predicates.iter().collect();
-
-        // Composite-index fast path: a pair of equality predicates
-        // answered by one multi-attribute probe. If the index is gone
-        // by lookup time (cannot happen under the engine lock, but
-        // this path must never panic mid-serve) we fall through to
-        // the generic scan below.
-        let composite = composite_pair(chunk, &remaining)
-            .and_then(|(i, j)| chunk.index(remaining[i].column).map(|idx| (i, j, idx)));
-        if let Some((i, j, idx)) = composite {
-            let (first, second) = (remaining[i], remaining[j]);
-            idx.probe_composite(&first.value, &second.value, positions);
-            part.index_probes += 1;
-            part.cost += Cost(
-                self.params.index_probe_ms + positions.len() as f64 * self.params.index_match_ms,
-            ) * tier_mult;
-            // Drop both consumed predicates (higher index first).
-            let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-            remaining.remove(hi);
-            remaining.remove(lo);
-            for p in remaining {
-                if positions.is_empty() {
-                    break;
-                }
-                let before = positions.len();
-                let seg = chunk.segment(p.column)?;
-                if self.kernels && crate::kernels::refine(seg, p, positions) {
-                    part.kernel_batches += 1;
-                } else {
-                    seg.refine(p, positions);
-                }
-                part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
-            }
-            part.rows_matched += positions.len() as u64;
-            if let Some(agg) = aggregate {
-                let agg_cost =
-                    self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?;
-                part.cost += agg_cost;
-            }
-            return Ok(part);
-        }
-
-        if remaining.is_empty() {
-            // Full-chunk selection: one batch emit either way, so the
-            // chunk is classified with the kernel path when enabled.
-            part.kernel_chunk = self.kernels;
-            positions.extend(0..chunk.rows() as u32);
-            part.rows_scanned += chunk.rows() as u64;
-            let (units, enc) = chunk
-                .segment(smdb_common::ColumnId(0))
-                .map(|s| (s.scan_units(), s.encoding()))
-                .unwrap_or((chunk.rows(), crate::encoding::EncodingKind::Unencoded));
-            part.cost += Cost(
-                units as f64 * self.params.scan_ms_per_row * self.params.encoding_scan_factor(enc),
-            ) * tier_mult;
-        } else {
-            // Driving predicate: prefer one an index can answer.
-            let drive_pos = remaining
-                .iter()
-                .position(|p| {
-                    chunk.index(p.column).is_some_and(|idx| {
-                        // Composite indexes cannot drive alone; broad
-                        // predicates scan (access-path rule).
-                        !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                            && idx.kind().supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= crate::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = remaining.remove(drive_pos);
-
-            let seg = chunk.segment(driving.column)?;
-            match chunk.index(driving.column) {
-                // Composite indexes cannot answer a lone predicate
-                // (their fast path ran above when both were present).
-                Some(idx)
-                    if !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                        && idx.kind().supports(driving.op) =>
-                {
-                    let answered = idx.probe(driving, positions);
-                    debug_assert!(answered, "single-attribute probe must answer");
-                    part.index_probes += 1;
-                    part.cost += Cost(
-                        self.params.index_probe_ms
-                            + positions.len() as f64 * self.params.index_match_ms,
-                    ) * tier_mult;
-                }
-                _ => {
-                    if self.kernels && crate::kernels::filter(seg, driving, positions) {
-                        part.kernel_chunk = true;
-                        part.kernel_batches += 1;
-                    } else {
-                        seg.filter(driving, positions);
-                    }
-                    part.rows_scanned += chunk.rows() as u64;
-                    part.cost += Cost(
-                        seg.scan_units() as f64
-                            * self.params.scan_ms_per_row
-                            * self.params.encoding_scan_factor(seg.encoding()),
-                    ) * tier_mult;
-                }
-            }
-
-            // Residual predicates refine the position list.
-            for p in remaining {
-                if positions.is_empty() {
-                    break;
-                }
-                let before = positions.len();
-                let seg = chunk.segment(p.column)?;
-                if self.kernels && crate::kernels::refine(seg, p, positions) {
-                    part.kernel_batches += 1;
-                } else {
-                    seg.refine(p, positions);
-                }
-                part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
-            }
-        }
-
-        part.rows_matched += positions.len() as u64;
-        if let Some(agg) = aggregate {
-            let agg_cost = self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?;
-            part.cost += agg_cost;
-        }
-        Ok(part)
-    }
-
-    /// Folds per-chunk partials — in chunk-index order — into one
-    /// [`ScanOutput`]. This is the *only* combine tree either execution
-    /// mode uses, which is the determinism argument: float accumulation
-    /// order is fixed by chunk index, never by scheduling.
-    fn merge_partials(
-        &self,
-        partials: Vec<ChunkPartial>,
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> ScanOutput {
-        let mut out = ScanOutput {
-            rows_matched: 0,
-            agg_value: None,
-            groups: None,
-            sim_cost: Cost::ZERO,
-            sim_latency: Cost::ZERO,
-            morsels: 0,
-            rows_scanned: 0,
-            chunks_pruned: 0,
-            chunks_visited: 0,
-            index_probes: 0,
-            chunks_kernel: 0,
-            chunks_scalar: 0,
-            kernel_batches: 0,
-        };
-        let mut agg_state = AggState::new(aggregate.map(|a| a.op));
-        let mut group_state: BTreeMap<Value, AggState> = BTreeMap::new();
-        for part in partials {
-            out.sim_cost += part.cost;
-            if part.pruned {
-                out.chunks_pruned += 1;
-                continue;
-            }
-            out.chunks_visited += 1;
-            out.rows_matched += part.rows_matched;
-            out.rows_scanned += part.rows_scanned;
-            out.index_probes += part.index_probes;
-            out.kernel_batches += part.kernel_batches;
-            // Access-path partition of the visited chunks: probe, batch
-            // kernel or scalar selection (at most one probe per chunk).
-            if part.index_probes == 0 {
-                if part.kernel_chunk {
-                    out.chunks_kernel += 1;
-                } else {
-                    out.chunks_scalar += 1;
-                }
-            }
-            agg_state.merge(&part.agg);
-            for (key, state) in part.groups {
-                group_state
-                    .entry(key)
-                    .or_insert_with(|| AggState::new(aggregate.map(|a| a.op)))
-                    .merge(&state);
-            }
-        }
-
-        if group_by.is_some() {
-            let mut groups: Vec<(Value, f64)> = group_state
-                .into_iter()
-                .filter_map(|(k, state)| {
-                    let count = state.count;
-                    state.finish(count).map(|v| (k, v))
-                })
-                .collect();
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-            out.groups = Some(groups);
-        } else {
-            out.agg_value = agg_state.finish(out.rows_matched);
-        }
-        out
-    }
-
-    /// Accumulates aggregate state for the matched positions of one
-    /// chunk, grouped or global, into `part`, and returns the simulated
-    /// cost charged. The batched kernels produce bit-identical state to
-    /// the scalar loops (see [`crate::kernels`]); the charged cost is a
-    /// function of the positions alone, never of the execution strategy.
-    fn aggregate_positions(
-        &self,
-        chunk: &crate::chunk::Chunk,
-        agg: &Aggregate,
-        group_by: Option<smdb_common::ColumnId>,
-        positions: &[u32],
-        part: &mut ChunkPartial,
-    ) -> Result<Cost> {
-        match group_by {
-            None => {
-                let use_kernel = self.kernels
-                    && match part.agg.op {
-                        // COUNT touches no segment; the scalar path is
-                        // already one counter addition.
-                        None | Some(AggregateOp::Count) => false,
-                        Some(_) => crate::kernels::covers_accumulate(chunk.segment(agg.column)?),
-                    };
-                if use_kernel {
-                    let seg = chunk.segment(agg.column)?;
-                    let st = &mut part.agg;
-                    st.count += positions.len() as u64;
-                    crate::kernels::accumulate(
-                        seg,
-                        positions,
-                        &mut st.sum,
-                        &mut st.min,
-                        &mut st.max,
-                    );
-                    part.kernel_batches += 1;
-                } else {
-                    part.agg.consume(chunk, agg, positions)?;
-                }
-                Ok(Cost(positions.len() as f64 * self.params.agg_ms_per_row))
-            }
-            Some(g) => {
-                let group_seg = chunk.segment(g)?;
-                let agg_seg = if agg.op == AggregateOp::Count {
-                    None
-                } else {
-                    Some(chunk.segment(agg.column)?)
-                };
-                let mut batched = false;
-                if self.kernels {
-                    let mut accs: Vec<(Value, crate::kernels::GroupAcc)> = Vec::new();
-                    if crate::kernels::aggregate_grouped(group_seg, agg_seg, positions, &mut accs) {
-                        for (key, acc) in accs {
-                            part.groups.insert(
-                                key,
-                                AggState {
-                                    op: Some(agg.op),
-                                    sum: acc.sum,
-                                    count: acc.count,
-                                    min: acc.min,
-                                    max: acc.max,
-                                },
-                            );
-                        }
-                        part.kernel_batches += 1;
-                        batched = true;
-                    }
-                }
-                if !batched {
-                    for &p in positions {
-                        let key = group_seg.value_at(p as usize);
-                        let state = part
-                            .groups
-                            .entry(key)
-                            .or_insert_with(|| AggState::new(Some(agg.op)));
-                        state.consume(chunk, agg, &[p])?;
-                    }
-                }
-                Ok(Cost(
-                    positions.len() as f64
-                        * (self.params.agg_ms_per_row + self.params.group_ms_per_row),
-                ))
-            }
-        }
-    }
-
     /// Point-in-time memory report.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport::default();
@@ -1085,14 +346,9 @@ impl StorageEngine {
             .ok_or_else(|| Error::not_found("table", format!("{id}")))
     }
 
-    fn chunk_tier_multiplier(&self, table: TableId, chunk: u32) -> Result<f64> {
-        let t = self.table(table)?;
-        let c = t.chunk(smdb_common::ChunkId(chunk))?;
-        Ok(self.params.effective_tier_multiplier(
-            c.tier(),
-            self.knobs.buffer_pool_mb,
-            self.nonhot_bytes,
-        ))
+    /// The access-latency multiplier a chunk on `tier` pays right now.
+    pub(crate) fn tier_multiplier(&self, tier: Tier) -> f64 {
+        tier.effective_multiplier(self.knobs.buffer_pool_mb, self.nonhot_bytes as u64)
     }
 
     fn recompute_residency(&mut self) {
@@ -1106,194 +362,12 @@ impl StorageEngine {
     }
 }
 
-/// Finds a pair of equality predicates `(i, j)` in `remaining` answered
-/// by a composite index on predicate `i`'s column with second column
-/// equal to predicate `j`'s column.
-fn composite_pair(
-    chunk: &crate::chunk::Chunk,
-    remaining: &[&ScanPredicate],
-) -> Option<(usize, usize)> {
-    for (i, p) in remaining.iter().enumerate() {
-        if !matches!(p.op, crate::scan::PredicateOp::Eq) {
-            continue;
-        }
-        let Some(idx) = chunk.index(p.column) else {
-            continue;
-        };
-        let crate::index::IndexKind::CompositeHash { second } = idx.kind() else {
-            continue;
-        };
-        for (j, q) in remaining.iter().enumerate() {
-            if i != j && q.column == second && matches!(q.op, crate::scan::PredicateOp::Eq) {
-                // Access-path rule on the combined selectivity.
-                let sel = chunk
-                    .stats(p.column)
-                    .map(|s| s.estimate_selectivity(p))
-                    .unwrap_or(1.0)
-                    * chunk
-                        .stats(q.column)
-                        .map(|s| s.estimate_selectivity(q))
-                        .unwrap_or(1.0);
-                if sel <= crate::scan::INDEX_SELECTIVITY_THRESHOLD {
-                    return Some((i, j));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// One chunk's contribution to a scan. Partials are produced by
-/// `StorageEngine::scan_chunk` (on whichever thread ran the morsel) and
-/// folded by `StorageEngine::merge_partials` in chunk-index order. The
-/// type is opaque outside the engine: a sharded executor obtains
-/// partials via [`StorageEngine::scan_partials`], orders them by global
-/// chunk index and hands them back to
-/// [`StorageEngine::merge_scan_partials`] — it never looks inside, so
-/// the combine tree stays the engine's alone.
-pub struct ChunkPartial {
-    /// The chunk was eliminated by min/max statistics; only
-    /// `cost` (the prune check) is meaningful.
-    pruned: bool,
-    rows_matched: u64,
-    rows_scanned: u64,
-    index_probes: u64,
-    /// The driving selection ran on a batch kernel (never set when an
-    /// index probe answered the driving predicate).
-    kernel_chunk: bool,
-    /// Batch-kernel invocations while scanning this chunk.
-    kernel_batches: u64,
-    /// The chunk's share of the simulated work.
-    cost: Cost,
-    /// Ungrouped aggregate state over this chunk's matches.
-    agg: AggState,
-    /// Per-group aggregate state over this chunk's matches. Ordered so
-    /// every per-chunk merge and the final group output are independent
-    /// of hash-seed and worker interleaving.
-    groups: BTreeMap<Value, AggState>,
-}
-
-impl ChunkPartial {
-    /// The chunk's share of the simulated work (prune check only when
-    /// the chunk was eliminated by statistics). A sharded executor sums
-    /// these per shard to drive its lane latency model.
-    pub fn cost(&self) -> Cost {
-        self.cost
-    }
-
-    /// Whether min/max statistics eliminated the chunk.
-    pub fn pruned(&self) -> bool {
-        self.pruned
-    }
-
-    fn new(op: Option<AggregateOp>) -> Self {
-        ChunkPartial {
-            pruned: false,
-            rows_matched: 0,
-            rows_scanned: 0,
-            index_probes: 0,
-            kernel_chunk: false,
-            kernel_batches: 0,
-            cost: Cost::ZERO,
-            agg: AggState::new(op),
-            groups: BTreeMap::new(),
-        }
-    }
-}
-
-/// Streaming aggregate state across chunks.
-struct AggState {
-    op: Option<AggregateOp>,
-    sum: f64,
-    count: u64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl AggState {
-    fn new(op: Option<AggregateOp>) -> Self {
-        AggState {
-            op,
-            sum: 0.0,
-            count: 0,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn consume(
-        &mut self,
-        chunk: &crate::chunk::Chunk,
-        agg: &Aggregate,
-        positions: &[u32],
-    ) -> Result<()> {
-        let Some(op) = self.op else {
-            return Ok(());
-        };
-        self.count += positions.len() as u64;
-        if op == AggregateOp::Count {
-            return Ok(());
-        }
-        let seg = chunk.segment(agg.column)?;
-        for &p in positions {
-            let v = seg.value_at(p as usize);
-            let Some(x) = numeric(&v) else {
-                continue;
-            };
-            self.sum += x;
-            self.min = Some(self.min.map_or(x, |m| m.min(x)));
-            self.max = Some(self.max.map_or(x, |m| m.max(x)));
-        }
-        Ok(())
-    }
-
-    /// Folds another partial state into this one. Sum accumulation order
-    /// is the caller's responsibility — [`StorageEngine::merge_partials`]
-    /// always merges in chunk-index order, which is what keeps grouped
-    /// floats bit-identical across execution modes.
-    fn merge(&mut self, other: &AggState) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-    }
-
-    fn finish(&self, matched: u64) -> Option<f64> {
-        let op = self.op?;
-        match op {
-            AggregateOp::Count => Some(matched as f64),
-            AggregateOp::Sum => Some(self.sum),
-            AggregateOp::Avg => {
-                if self.count == 0 {
-                    None
-                } else {
-                    Some(self.sum / self.count as f64)
-                }
-            }
-            AggregateOp::Min => self.min,
-            AggregateOp::Max => self.max,
-        }
-    }
-}
-
-fn numeric(v: &Value) -> Option<f64> {
-    v.as_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::EncodingKind;
     use crate::index::IndexKind;
-    use crate::scan::PredicateOp;
+    use crate::scan::{Aggregate, AggregateOp, PredicateOp, ScanPredicate};
     use crate::schema::{ColumnDef, Schema};
     use crate::value::{ColumnValues, DataType};
     use smdb_common::{ChunkId, ColumnId};
@@ -1652,6 +726,7 @@ mod tests {
 mod composite_tests {
     use super::*;
     use crate::index::IndexKind;
+    use crate::scan::ScanPredicate;
     use crate::schema::{ColumnDef, Schema};
     use crate::value::{ColumnValues, DataType};
     use smdb_common::{ChunkColumnRef, ColumnId};
@@ -1771,96 +846,5 @@ mod composite_tests {
             },
         });
         assert!(err.is_err());
-    }
-}
-
-#[cfg(test)]
-mod group_by_tests {
-    use super::*;
-    use crate::schema::{ColumnDef, Schema};
-    use crate::value::{ColumnValues, DataType};
-    use smdb_common::ColumnId;
-
-    fn engine() -> (StorageEngine, TableId) {
-        let schema = Schema::new(vec![
-            ColumnDef::new("flag", DataType::Int),
-            ColumnDef::new("price", DataType::Float),
-        ])
-        .unwrap();
-        let table = Table::from_columns(
-            "t",
-            schema,
-            vec![
-                ColumnValues::Int((0..1200).map(|i| i % 3).collect()),
-                ColumnValues::Float((0..1200).map(|i| i as f64).collect()),
-            ],
-            400,
-        )
-        .unwrap();
-        let mut e = StorageEngine::default();
-        let t = e.create_table(table).unwrap();
-        (e, t)
-    }
-
-    #[test]
-    fn grouped_sum_partitions_the_global_sum() {
-        let (e, t) = engine();
-        let agg = Aggregate::new(AggregateOp::Sum, ColumnId(1));
-        let global = e.scan(t, &[], Some(&agg)).unwrap();
-        let grouped = e
-            .scan_grouped(t, &[], Some(&agg), Some(ColumnId(0)))
-            .unwrap();
-        let groups = grouped.groups.as_ref().unwrap();
-        assert_eq!(groups.len(), 3);
-        let total: f64 = groups.iter().map(|(_, v)| v).sum();
-        assert!((total - global.agg_value.unwrap()).abs() < 1e-6);
-        // Sorted by group key.
-        assert_eq!(groups[0].0, Value::Int(0));
-        assert_eq!(groups[2].0, Value::Int(2));
-        // Grouping costs more than the plain aggregate.
-        assert!(grouped.sim_cost > global.sim_cost);
-    }
-
-    #[test]
-    fn grouped_count_and_predicates() {
-        let (e, t) = engine();
-        let out = e
-            .scan_grouped(
-                t,
-                &[ScanPredicate::cmp(
-                    ColumnId(1),
-                    crate::scan::PredicateOp::Lt,
-                    600.0,
-                )],
-                Some(&Aggregate::count()),
-                Some(ColumnId(0)),
-            )
-            .unwrap();
-        let groups = out.groups.unwrap();
-        assert_eq!(groups.len(), 3);
-        assert!((groups.iter().map(|(_, v)| v).sum::<f64>() - 600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn group_by_without_aggregate_rejected() {
-        let (e, t) = engine();
-        assert!(e.scan_grouped(t, &[], None, Some(ColumnId(0))).is_err());
-        assert!(e
-            .scan_grouped(t, &[], Some(&Aggregate::count()), Some(ColumnId(9)))
-            .is_err());
-    }
-
-    #[test]
-    fn empty_match_produces_empty_groups() {
-        let (e, t) = engine();
-        let out = e
-            .scan_grouped(
-                t,
-                &[ScanPredicate::eq(ColumnId(0), 99i64)],
-                Some(&Aggregate::count()),
-                Some(ColumnId(0)),
-            )
-            .unwrap();
-        assert_eq!(out.groups.unwrap().len(), 0);
     }
 }

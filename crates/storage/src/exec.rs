@@ -1,0 +1,772 @@
+//! Scan execution: every chunk is scanned along the [`AccessPath`] that
+//! [`crate::access`] decides for it, yielding a [`ChunkPartial`]; one
+//! chunk-ordered combine tree ([`StorageEngine::merge_scan_partials`])
+//! folds the partials into a [`ScanOutput`] whatever the execution mode
+//! (inline, morsel-parallel, sharded scatter-gather).
+
+use std::collections::BTreeMap;
+
+use smdb_common::{ColumnId, Cost, Error, Result, TableId};
+
+use crate::access::{access_path, AccessPath};
+use crate::chunk::Chunk;
+use crate::encoding::EncodingKind;
+use crate::engine::StorageEngine;
+use crate::parallel::ScanPool;
+use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
+use crate::value::Value;
+
+/// Result of one table scan.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScanOutput {
+    /// Rows satisfying all predicates.
+    pub rows_matched: u64,
+    /// Aggregate value, when an aggregate was requested and computable.
+    pub agg_value: Option<f64>,
+    /// Per-group aggregate values when a GROUP BY was requested, sorted
+    /// by group key.
+    pub groups: Option<Vec<(Value, f64)>>,
+    /// Ground-truth simulated cost of the scan: the total *work*
+    /// performed, summed over chunks in chunk-index order. Independent
+    /// of how (or whether) the scan was parallelised — cost estimators
+    /// learn from this figure.
+    pub sim_cost: Cost,
+    /// Ground-truth simulated *latency* of the scan: equal to
+    /// [`ScanOutput::sim_cost`] for an inline scan; for a morsel-driven
+    /// parallel scan, the deterministic critical-path latency of
+    /// [`crate::parallel::simulated_latency`] (max lane sum plus
+    /// per-morsel dispatch overhead). This is what serving KPIs record.
+    pub sim_latency: Cost,
+    /// Morsels dispatched to the scan pool (0 for an inline scan).
+    pub morsels: u64,
+    /// Rows actually touched by the driving filter (scan or probe output).
+    pub rows_scanned: u64,
+    /// Chunks skipped by min/max pruning.
+    pub chunks_pruned: u64,
+    /// Chunks actually processed.
+    pub chunks_visited: u64,
+    /// Chunks where an index answered the driving predicate.
+    pub index_probes: u64,
+    /// Visited chunks whose driving selection ran on a batch kernel.
+    /// Together with [`ScanOutput::index_probes`] and
+    /// [`ScanOutput::chunks_scalar`] this partitions the visited chunks:
+    /// `chunks_visited == index_probes + chunks_kernel + chunks_scalar`.
+    pub chunks_kernel: u64,
+    /// Visited chunks whose driving selection fell back to the scalar
+    /// per-value path.
+    pub chunks_scalar: u64,
+    /// Batch-kernel invocations (driving filters, refines, aggregate
+    /// folds) across all chunks of the scan.
+    pub kernel_batches: u64,
+}
+
+/// Per-chunk access-path partition of one scan, predicted or executed:
+/// every chunk of the table lands in exactly one bucket. The executed
+/// partition comes from [`ScanOutput`] (`chunks_pruned`, `index_probes`,
+/// `chunks_kernel`, `chunks_scalar`);
+/// [`StorageEngine::predict_access_paths`] produces the same partition
+/// from statistics alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredictedPaths {
+    /// Chunks min/max pruning skips.
+    pub pruned: u64,
+    /// Chunks where an index probe answers the driving predicate(s).
+    pub index: u64,
+    /// Chunks whose driving selection runs on a batch kernel.
+    pub kernel: u64,
+    /// Chunks whose driving selection falls back to the scalar path.
+    pub scalar: u64,
+}
+
+/// The chunk's access path under the indexes it actually carries.
+fn live_path(chunk: &Chunk, predicates: &[ScanPredicate]) -> Result<AccessPath> {
+    let index_of = |col| chunk.index(col).map(|idx| idx.kind());
+    access_path(chunk, predicates, index_of)
+}
+
+impl StorageEngine {
+    /// Predicts, from chunk statistics and the catalog alone, which
+    /// access path [`StorageEngine::scan_chunk`] takes on every chunk of
+    /// `table` for `predicates` — without executing anything. Both read
+    /// the same [`access_path`] decision; a scanned chunk is a kernel
+    /// chunk when [`crate::kernels::covers_filter`] holds and the kernel
+    /// switch is on. `predicted == executed` is therefore a checkable
+    /// invariant against the [`ScanOutput`] counters.
+    pub fn predict_access_paths(
+        &self,
+        table: TableId,
+        predicates: &[ScanPredicate],
+    ) -> Result<PredictedPaths> {
+        let table = self.table(table)?;
+        let mut out = PredictedPaths::default();
+        for (_, chunk) in table.chunks() {
+            let kernel = match live_path(chunk, predicates)? {
+                AccessPath::Pruned => {
+                    out.pruned += 1;
+                    continue;
+                }
+                AccessPath::Composite { .. } | AccessPath::Probe { .. } => {
+                    out.index += 1;
+                    continue;
+                }
+                // Full-chunk selection: one batch emit when kernels are on.
+                AccessPath::FullChunk => self.kernels,
+                AccessPath::Scan { driving } => {
+                    let p = &predicates[driving];
+                    self.kernels && crate::kernels::covers_filter(chunk.segment(p.column)?, p)
+                }
+            };
+            if kernel {
+                out.kernel += 1;
+            } else {
+                out.scalar += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Executes a predicate scan (+ optional aggregate) with ground-truth
+    /// costing.
+    pub fn scan(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+    ) -> Result<ScanOutput> {
+        self.scan_grouped(table_id, predicates, aggregate, None)
+    }
+
+    /// Like [`StorageEngine::scan`] with an optional GROUP BY column: the
+    /// aggregate is computed per distinct value of `group_by` (hash
+    /// aggregation, charged per matched row).
+    pub fn scan_grouped(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+    ) -> Result<ScanOutput> {
+        self.scan_with(table_id, predicates, aggregate, group_by, None)
+    }
+
+    /// Like [`StorageEngine::scan_grouped`], executed morsel-parallel on
+    /// `pool`: the chunk list is split into morsels of `morsel_chunks`
+    /// chunks, dispatched to the pool, and the per-chunk partials are
+    /// merged in chunk-index order — so every result field except
+    /// [`ScanOutput::sim_latency`] and [`ScanOutput::morsels`] is
+    /// bit-identical to the sequential scan, for any thread count and
+    /// morsel size. Scans that produce fewer than two morsels run
+    /// inline (the pool cannot help them).
+    pub fn scan_grouped_parallel(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        pool: &ScanPool,
+        morsel_chunks: usize,
+    ) -> Result<ScanOutput> {
+        self.scan_with(
+            table_id,
+            predicates,
+            aggregate,
+            group_by,
+            Some((pool, morsel_chunks)),
+        )
+    }
+
+    /// Computes the per-chunk partials of a scan *without* merging them —
+    /// the scatter half of a sharded scatter-gather execution. Each
+    /// element is one chunk's contribution, in chunk-index order; a
+    /// sharded executor collects partials from every shard, orders them
+    /// by global chunk index and folds them once with
+    /// [`StorageEngine::merge_scan_partials`], which reproduces the exact
+    /// combine tree of an unsharded scan — so every result field except
+    /// the latency model is bit-identical for any shard count. With
+    /// `parallel`, morsels are dispatched to the pool exactly as in
+    /// [`StorageEngine::scan_grouped_parallel`]; partial *values* are
+    /// independent of the execution mode.
+    pub fn scan_partials(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        parallel: Option<(&ScanPool, usize)>,
+    ) -> Result<Vec<ChunkPartial>> {
+        let (partials, _) = self.partials(table_id, predicates, aggregate, group_by, parallel)?;
+        Ok(partials)
+    }
+
+    /// Partials, merged; a pool-dispatched scan reports the lane model's
+    /// critical-path latency instead of the summed work.
+    fn scan_with(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        parallel: Option<(&ScanPool, usize)>,
+    ) -> Result<ScanOutput> {
+        let (partials, morsel_costs_ms) =
+            self.partials(table_id, predicates, aggregate, group_by, parallel)?;
+        let mut out = self.merge_scan_partials(partials, aggregate, group_by);
+        if let Some((pool, _)) = parallel.filter(|_| !morsel_costs_ms.is_empty()) {
+            out.sim_latency = crate::parallel::simulated_latency(
+                &morsel_costs_ms,
+                pool.threads().min(morsel_costs_ms.len()),
+                self.params.morsel_dispatch_ms,
+            );
+            out.morsels = morsel_costs_ms.len() as u64;
+        }
+        Ok(out)
+    }
+
+    /// The one scan driver: validates the query shape, then computes
+    /// every chunk's partial in chunk-index order — inline, or as morsels
+    /// on the pool when it has helpers and there are at least two (one
+    /// morsel has no parallelism to pay the dispatch for). Also returns
+    /// each dispatched morsel's summed cost for the lane latency model;
+    /// empty for an inline scan.
+    fn partials(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        parallel: Option<(&ScanPool, usize)>,
+    ) -> Result<(Vec<ChunkPartial>, Vec<f64>)> {
+        let table = self.table(table_id)?;
+        if let Some(g) = group_by {
+            table.schema().column(g)?;
+            if aggregate.is_none() {
+                return Err(Error::invalid("GROUP BY requires an aggregate"));
+            }
+        }
+        for p in predicates {
+            table.schema().column(p.column)?;
+        }
+        if let Some(agg) = aggregate {
+            if agg.op != AggregateOp::Count {
+                table.schema().column(agg.column)?;
+            }
+        }
+
+        let chunks: Vec<&Chunk> = table.chunks().map(|(_, c)| c).collect();
+        // One position-list allocation per range, reused across its chunks.
+        let scan_range = |start: usize, end: usize| -> Result<Vec<ChunkPartial>> {
+            let mut positions: Vec<u32> = Vec::new();
+            let mut parts = Vec::with_capacity(end - start);
+            for chunk in &chunks[start..end] {
+                parts.push(self.scan_chunk(
+                    chunk,
+                    predicates,
+                    aggregate,
+                    group_by,
+                    &mut positions,
+                )?);
+            }
+            Ok(parts)
+        };
+        let ranges = parallel.map_or(Vec::new(), |(_, morsel_chunks)| {
+            crate::parallel::morsel_ranges(chunks.len(), morsel_chunks)
+        });
+        let pool = match parallel {
+            Some((pool, _)) if pool.threads() > 1 && ranges.len() > 1 => pool,
+            _ => return Ok((scan_range(0, chunks.len())?, Vec::new())),
+        };
+
+        // The submitting thread collects the morsels in chunk-index
+        // order, so the merge tree — and every float in the result — is
+        // the sequential path's.
+        let slots: Vec<parking_lot::Mutex<Option<Result<Vec<ChunkPartial>>>>> = ranges
+            .iter()
+            .map(|_| parking_lot::Mutex::new(None))
+            .collect();
+        let clean = pool.run(ranges.len(), |m| {
+            let (start, end) = ranges[m];
+            *slots[m].lock() = Some(scan_range(start, end));
+        });
+        if !clean {
+            return Err(Error::invalid("a parallel scan morsel panicked"));
+        }
+        let mut morsel_costs_ms = Vec::with_capacity(ranges.len());
+        let mut all = Vec::with_capacity(chunks.len());
+        for slot in &slots {
+            let morsel = slot
+                .lock()
+                .take()
+                .ok_or_else(|| Error::invalid("a parallel scan morsel produced no output"))??;
+            morsel_costs_ms.push(morsel.iter().map(|p| p.cost.ms()).sum::<f64>());
+            all.extend(morsel);
+        }
+        Ok((all, morsel_costs_ms))
+    }
+
+    /// Scans one chunk along its [`AccessPath`], returning its partial:
+    /// counters, aggregate state and the chunk's share of the simulated
+    /// work. `positions` is caller-provided scratch (cleared per call) so
+    /// a morsel reuses one allocation across its chunks. A partial is a
+    /// pure function of (chunk, query, configuration) — which execution
+    /// mode computed it, and in which order, cannot matter.
+    fn scan_chunk(
+        &self,
+        chunk: &Chunk,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        positions: &mut Vec<u32>,
+    ) -> Result<ChunkPartial> {
+        let mut part = ChunkPartial {
+            agg: AggState::new(aggregate.map(|a| a.op)),
+            ..ChunkPartial::default()
+        };
+        let path = live_path(chunk, predicates)?;
+        if path == AccessPath::Pruned {
+            part.pruned = true;
+            part.cost += Cost(self.params.prune_check_ms);
+            return Ok(part);
+        }
+        let tier_mult = self.tier_multiplier(chunk.tier());
+        part.cost += Cost(self.params.chunk_visit_ms);
+        positions.clear();
+
+        // The index the path names: the decision just saw it, but this
+        // path must never panic mid-serve.
+        let index_at = |pos: usize| {
+            chunk
+                .index(predicates[pos].column)
+                .ok_or_else(|| Error::invalid("access path names an index the chunk lacks"))
+        };
+        let probe_cost = |matches: usize| {
+            Cost(self.params.index_probe_ms + matches as f64 * self.params.index_match_ms)
+                * tier_mult
+        };
+        let scan_cost = |units: usize, enc: EncodingKind| {
+            Cost(units as f64 * self.params.scan_ms_per_row * self.params.encoding_scan_factor(enc))
+                * tier_mult
+        };
+        match path {
+            // Returned above.
+            AccessPath::Pruned => {}
+            AccessPath::Composite { first, second } => {
+                index_at(first)?.probe_composite(
+                    &predicates[first].value,
+                    &predicates[second].value,
+                    positions,
+                );
+                part.index_probes += 1;
+                part.cost += probe_cost(positions.len());
+            }
+            AccessPath::FullChunk => {
+                // One batch emit either way, so the chunk is classified
+                // with the kernel path when enabled.
+                part.kernel_chunk = self.kernels;
+                positions.extend(0..chunk.rows() as u32);
+                part.rows_scanned += chunk.rows() as u64;
+                let (units, enc) = chunk
+                    .segment(ColumnId(0))
+                    .map(|s| (s.scan_units(), s.encoding()))
+                    .unwrap_or((chunk.rows(), EncodingKind::Unencoded));
+                part.cost += scan_cost(units, enc);
+            }
+            // Probed whether or not the selectivity rule chose it (see
+            // `AccessPath::Probe::selective`).
+            AccessPath::Probe { driving, .. } => {
+                let answered = index_at(driving)?.probe(&predicates[driving], positions);
+                debug_assert!(answered, "single-attribute probe must answer");
+                part.index_probes += 1;
+                part.cost += probe_cost(positions.len());
+            }
+            AccessPath::Scan { driving } => {
+                let driving = &predicates[driving];
+                let seg = chunk.segment(driving.column)?;
+                if self.kernels && crate::kernels::filter(seg, driving, positions) {
+                    part.kernel_chunk = true;
+                    part.kernel_batches += 1;
+                } else {
+                    seg.filter(driving, positions);
+                }
+                part.rows_scanned += chunk.rows() as u64;
+                part.cost += scan_cost(seg.scan_units(), seg.encoding());
+            }
+        }
+
+        // Residual predicates refine the position list.
+        for (pos, p) in predicates.iter().enumerate() {
+            if path.consumes(pos) {
+                continue;
+            }
+            if positions.is_empty() {
+                break;
+            }
+            let before = positions.len();
+            let seg = chunk.segment(p.column)?;
+            if self.kernels && crate::kernels::refine(seg, p, positions) {
+                part.kernel_batches += 1;
+            } else {
+                seg.refine(p, positions);
+            }
+            part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
+        }
+
+        part.rows_matched += positions.len() as u64;
+        if let Some(agg) = aggregate {
+            let agg_cost = self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?;
+            part.cost += agg_cost;
+        }
+        Ok(part)
+    }
+
+    /// Folds partials — the caller's responsibility to order by global
+    /// chunk index — into one [`ScanOutput`]. This is the *only* combine
+    /// tree any execution mode uses, which is the determinism argument:
+    /// float accumulation order is fixed by chunk index, never by
+    /// scheduling. The returned latency equals the summed work (the
+    /// inline model); a pool-dispatched or sharded executor overrides
+    /// [`ScanOutput::sim_latency`] / [`ScanOutput::morsels`] with its own
+    /// lane model.
+    pub fn merge_scan_partials(
+        &self,
+        partials: Vec<ChunkPartial>,
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+    ) -> ScanOutput {
+        let mut out = ScanOutput::default();
+        let mut agg_state = AggState::new(aggregate.map(|a| a.op));
+        let mut group_state: BTreeMap<Value, AggState> = BTreeMap::new();
+        for part in partials {
+            out.sim_cost += part.cost;
+            if part.pruned {
+                out.chunks_pruned += 1;
+                continue;
+            }
+            out.chunks_visited += 1;
+            out.rows_matched += part.rows_matched;
+            out.rows_scanned += part.rows_scanned;
+            out.index_probes += part.index_probes;
+            out.kernel_batches += part.kernel_batches;
+            // Access-path partition of the visited chunks: probe, batch
+            // kernel or scalar selection (at most one probe per chunk).
+            if part.index_probes == 0 {
+                if part.kernel_chunk {
+                    out.chunks_kernel += 1;
+                } else {
+                    out.chunks_scalar += 1;
+                }
+            }
+            agg_state.merge(&part.agg);
+            for (key, state) in part.groups {
+                group_state
+                    .entry(key)
+                    .or_insert_with(|| AggState::new(aggregate.map(|a| a.op)))
+                    .merge(&state);
+            }
+        }
+
+        if group_by.is_some() {
+            // `group_state` iterates in key order: groups come out sorted.
+            out.groups = Some(
+                group_state
+                    .into_iter()
+                    .filter_map(|(k, state)| {
+                        let count = state.count;
+                        state.finish(count).map(|v| (k, v))
+                    })
+                    .collect(),
+            );
+        } else {
+            out.agg_value = agg_state.finish(out.rows_matched);
+        }
+        out.sim_latency = out.sim_cost;
+        out
+    }
+
+    /// Accumulates aggregate state for the matched positions of one
+    /// chunk, grouped or global, into `part`, and returns the simulated
+    /// cost charged. The batched kernels produce bit-identical state to
+    /// the scalar loops (see [`crate::kernels`]); the charged cost is a
+    /// function of the positions alone, never of the execution strategy.
+    fn aggregate_positions(
+        &self,
+        chunk: &Chunk,
+        agg: &Aggregate,
+        group_by: Option<ColumnId>,
+        positions: &[u32],
+        part: &mut ChunkPartial,
+    ) -> Result<Cost> {
+        match group_by {
+            None => {
+                let use_kernel = self.kernels
+                    && match part.agg.op {
+                        // COUNT touches no segment; the scalar path is
+                        // already one counter addition.
+                        None | Some(AggregateOp::Count) => false,
+                        Some(_) => crate::kernels::covers_accumulate(chunk.segment(agg.column)?),
+                    };
+                if use_kernel {
+                    let seg = chunk.segment(agg.column)?;
+                    let st = &mut part.agg;
+                    st.count += positions.len() as u64;
+                    crate::kernels::accumulate(
+                        seg,
+                        positions,
+                        &mut st.sum,
+                        &mut st.min,
+                        &mut st.max,
+                    );
+                    part.kernel_batches += 1;
+                } else {
+                    part.agg.consume(chunk, agg, positions)?;
+                }
+                Ok(Cost(positions.len() as f64 * self.params.agg_ms_per_row))
+            }
+            Some(g) => {
+                let group_seg = chunk.segment(g)?;
+                let agg_seg = if agg.op == AggregateOp::Count {
+                    None
+                } else {
+                    Some(chunk.segment(agg.column)?)
+                };
+                let mut accs: Vec<(Value, crate::kernels::GroupAcc)> = Vec::new();
+                if self.kernels
+                    && crate::kernels::aggregate_grouped(group_seg, agg_seg, positions, &mut accs)
+                {
+                    for (key, acc) in accs {
+                        part.groups.insert(
+                            key,
+                            AggState {
+                                op: Some(agg.op),
+                                sum: acc.sum,
+                                count: acc.count,
+                                min: acc.min,
+                                max: acc.max,
+                            },
+                        );
+                    }
+                    part.kernel_batches += 1;
+                } else {
+                    for &p in positions {
+                        let key = group_seg.value_at(p as usize);
+                        let state = part
+                            .groups
+                            .entry(key)
+                            .or_insert_with(|| AggState::new(Some(agg.op)));
+                        state.consume(chunk, agg, &[p])?;
+                    }
+                }
+                Ok(Cost(
+                    positions.len() as f64
+                        * (self.params.agg_ms_per_row + self.params.group_ms_per_row),
+                ))
+            }
+        }
+    }
+}
+
+/// One chunk's contribution to a scan. Partials are produced by
+/// `StorageEngine::scan_chunk` (on whichever thread ran the morsel) and
+/// folded by [`StorageEngine::merge_scan_partials`] in chunk-index order. The
+/// type is opaque outside the engine: a sharded executor obtains
+/// partials via [`StorageEngine::scan_partials`], orders them by global
+/// chunk index and hands them back to
+/// [`StorageEngine::merge_scan_partials`] — it never looks inside, so
+/// the combine tree stays the engine's alone.
+#[derive(Default)]
+pub struct ChunkPartial {
+    /// The chunk was eliminated by min/max statistics; only
+    /// `cost` (the prune check) is meaningful.
+    pruned: bool,
+    rows_matched: u64,
+    rows_scanned: u64,
+    index_probes: u64,
+    /// The driving selection ran on a batch kernel (never set when an
+    /// index probe answered the driving predicate).
+    kernel_chunk: bool,
+    /// Batch-kernel invocations while scanning this chunk.
+    kernel_batches: u64,
+    /// The chunk's share of the simulated work.
+    cost: Cost,
+    /// Ungrouped aggregate state over this chunk's matches.
+    agg: AggState,
+    /// Per-group aggregate state over this chunk's matches. Ordered so
+    /// every per-chunk merge and the final group output are independent
+    /// of hash-seed and worker interleaving.
+    groups: BTreeMap<Value, AggState>,
+}
+
+impl ChunkPartial {
+    /// The chunk's share of the simulated work (prune check only when
+    /// the chunk was eliminated by statistics). A sharded executor sums
+    /// these per shard to drive its lane latency model.
+    pub fn cost(&self) -> Cost {
+        self.cost
+    }
+}
+
+/// Streaming aggregate state across chunks.
+#[derive(Default)]
+struct AggState {
+    op: Option<AggregateOp>,
+    sum: f64,
+    count: u64,
+    min: Option<f64>,
+    max: Option<f64>,
+}
+
+impl AggState {
+    fn new(op: Option<AggregateOp>) -> Self {
+        AggState {
+            op,
+            ..AggState::default()
+        }
+    }
+
+    fn consume(&mut self, chunk: &Chunk, agg: &Aggregate, positions: &[u32]) -> Result<()> {
+        let Some(op) = self.op else {
+            return Ok(());
+        };
+        self.count += positions.len() as u64;
+        if op == AggregateOp::Count {
+            return Ok(());
+        }
+        let seg = chunk.segment(agg.column)?;
+        for &p in positions {
+            let v = seg.value_at(p as usize);
+            let Some(x) = v.as_f64() else {
+                continue;
+            };
+            self.sum += x;
+            self.min = Some(self.min.map_or(x, |m| m.min(x)));
+            self.max = Some(self.max.map_or(x, |m| m.max(x)));
+        }
+        Ok(())
+    }
+
+    /// Folds another partial state into this one. Sum accumulation order
+    /// is the caller's responsibility — [`StorageEngine::merge_scan_partials`]
+    /// always merges in chunk-index order, which is what keeps grouped
+    /// floats bit-identical across execution modes.
+    fn merge(&mut self, other: &AggState) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        };
+        self.max = match (self.max, other.max) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, None) => a,
+            (None, b) => b,
+        };
+    }
+
+    fn finish(&self, matched: u64) -> Option<f64> {
+        let op = self.op?;
+        match op {
+            AggregateOp::Count => Some(matched as f64),
+            AggregateOp::Sum => Some(self.sum),
+            AggregateOp::Avg => {
+                if self.count == 0 {
+                    None
+                } else {
+                    Some(self.sum / self.count as f64)
+                }
+            }
+            AggregateOp::Min => self.min,
+            AggregateOp::Max => self.max,
+        }
+    }
+}
+
+#[cfg(test)]
+mod group_by_tests {
+    use super::*;
+    use crate::schema::{ColumnDef, Schema};
+    use crate::table::Table;
+    use crate::value::{ColumnValues, DataType};
+
+    fn engine() -> (StorageEngine, TableId) {
+        let schema = Schema::new(vec![
+            ColumnDef::new("flag", DataType::Int),
+            ColumnDef::new("price", DataType::Float),
+        ])
+        .unwrap();
+        let table = Table::from_columns(
+            "t",
+            schema,
+            vec![
+                ColumnValues::Int((0..1200).map(|i| i % 3).collect()),
+                ColumnValues::Float((0..1200).map(|i| i as f64).collect()),
+            ],
+            400,
+        )
+        .unwrap();
+        let mut e = StorageEngine::default();
+        let t = e.create_table(table).unwrap();
+        (e, t)
+    }
+
+    #[test]
+    fn grouped_sum_partitions_the_global_sum() {
+        let (e, t) = engine();
+        let agg = Aggregate::new(AggregateOp::Sum, ColumnId(1));
+        let global = e.scan(t, &[], Some(&agg)).unwrap();
+        let grouped = e
+            .scan_grouped(t, &[], Some(&agg), Some(ColumnId(0)))
+            .unwrap();
+        let groups = grouped.groups.as_ref().unwrap();
+        assert_eq!(groups.len(), 3);
+        let total: f64 = groups.iter().map(|(_, v)| v).sum();
+        assert!((total - global.agg_value.unwrap()).abs() < 1e-6);
+        // Sorted by group key.
+        assert_eq!(groups[0].0, Value::Int(0));
+        assert_eq!(groups[2].0, Value::Int(2));
+        // Grouping costs more than the plain aggregate.
+        assert!(grouped.sim_cost > global.sim_cost);
+    }
+
+    #[test]
+    fn grouped_count_and_predicates() {
+        let (e, t) = engine();
+        let out = e
+            .scan_grouped(
+                t,
+                &[ScanPredicate::cmp(
+                    ColumnId(1),
+                    crate::scan::PredicateOp::Lt,
+                    600.0,
+                )],
+                Some(&Aggregate::count()),
+                Some(ColumnId(0)),
+            )
+            .unwrap();
+        let groups = out.groups.unwrap();
+        assert_eq!(groups.len(), 3);
+        assert!((groups.iter().map(|(_, v)| v).sum::<f64>() - 600.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn group_by_without_aggregate_rejected() {
+        let (e, t) = engine();
+        assert!(e.scan_grouped(t, &[], None, Some(ColumnId(0))).is_err());
+        assert!(e
+            .scan_grouped(t, &[], Some(&Aggregate::count()), Some(ColumnId(9)))
+            .is_err());
+    }
+
+    #[test]
+    fn empty_match_produces_empty_groups() {
+        let (e, t) = engine();
+        let out = e
+            .scan_grouped(
+                t,
+                &[ScanPredicate::eq(ColumnId(0), 99i64)],
+                Some(&Aggregate::count()),
+                Some(ColumnId(0)),
+            )
+            .unwrap();
+        assert_eq!(out.groups.unwrap().len(), 0);
+    }
+}

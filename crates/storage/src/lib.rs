@@ -43,10 +43,12 @@
 //! reconfiguration cost, which the framework's executor and the
 //! reconfiguration-cost experiments build on.
 
+pub mod access;
 pub mod chunk;
 pub mod config;
 pub mod encoding;
 pub mod engine;
+pub mod exec;
 pub mod index;
 pub mod kernels;
 pub mod memory;
@@ -60,9 +62,11 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
+pub use access::{access_path, AccessPath};
 pub use config::{ConfigAction, ConfigInstance, ConfigSnapshot, KnobKind, Knobs};
 pub use encoding::EncodingKind;
-pub use engine::{ChunkPartial, PredictedPaths, ScanOutput, StorageEngine};
+pub use engine::StorageEngine;
+pub use exec::{ChunkPartial, PredictedPaths, ScanOutput};
 pub use index::IndexKind;
 pub use parallel::ScanPool;
 pub use placement::Tier;

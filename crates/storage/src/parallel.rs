@@ -13,7 +13,7 @@
 //! * **Canonical combine order.** Workers only *compute* per-chunk
 //!   partials; the submitting thread merges them in chunk-index order
 //!   after the job completes. Results are therefore bit-identical for
-//!   every thread count and morsel size (see `engine::scan_grouped`).
+//!   every thread count and morsel size (see `StorageEngine::scan_grouped`).
 //! * **Simulated lane latency.** Wall-clock speedup depends on the host;
 //!   the engine's ground-truth *latency* model does not. Morsel costs
 //!   are assigned round-robin to `lanes` simulated lanes and the scan's

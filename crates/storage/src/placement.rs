@@ -2,7 +2,7 @@
 //!
 //! Chunks are placed on one of three tiers modelling a NUMA/tiered-memory
 //! hierarchy: accesses to non-hot tiers pay a latency multiplier, part of
-//! which the buffer pool hides (see [`crate::simcost`]). Moving a chunk
+//! which the buffer pool hides ([`Tier::effective_multiplier`]). Moving a chunk
 //! between tiers is a one-time reconfiguration cost proportional to its
 //! size. Placement frees *hot* capacity: the engine's memory report
 //! distinguishes per-tier residency so a memory constraint on the hot
@@ -34,6 +34,26 @@ impl Tier {
         }
     }
 
+    /// The multiplier actually paid, after the buffer pool hides the hit
+    /// fraction of non-hot accesses — the one formula the engine charges
+    /// and the what-if estimator predicts (tier penalties are public
+    /// hardware documentation; the per-operation coefficients of
+    /// [`crate::simcost::SimCostParams`] are what estimators do not see).
+    ///
+    /// `nonhot_bytes` is the total footprint placed on non-hot tiers; the
+    /// buffer pool caches up to its capacity of it, so the *miss* fraction
+    /// pays the raw tier penalty. This coupling is what makes the
+    /// buffer-pool knob and the placement feature mutually dependent.
+    pub fn effective_multiplier(self, buffer_pool_mb: f64, nonhot_bytes: u64) -> f64 {
+        if self == Tier::Hot || nonhot_bytes == 0 {
+            return 1.0;
+        }
+        let raw = self.latency_multiplier();
+        let buffer_bytes = buffer_pool_mb.max(0.0) * 1024.0 * 1024.0;
+        let hit = (buffer_bytes / nonhot_bytes as f64).clamp(0.0, 1.0);
+        1.0 + (raw - 1.0) * (1.0 - hit)
+    }
+
     /// Short label for tables and logs.
     pub fn label(self) -> &'static str {
         match self {
@@ -59,6 +79,25 @@ mod tests {
         assert!(Tier::Hot.latency_multiplier() < Tier::Warm.latency_multiplier());
         assert!(Tier::Warm.latency_multiplier() < Tier::Cold.latency_multiplier());
         assert_eq!(Tier::Hot.latency_multiplier(), 1.0);
+    }
+
+    #[test]
+    fn buffer_pool_hides_penalty() {
+        let nonhot = 100 * 1024 * 1024; // 100 MB placed cold
+        let none = Tier::Cold.effective_multiplier(0.0, nonhot);
+        let half = Tier::Cold.effective_multiplier(50.0, nonhot);
+        let full = Tier::Cold.effective_multiplier(100.0, nonhot);
+        let over = Tier::Cold.effective_multiplier(1000.0, nonhot);
+        assert_eq!(none, Tier::Cold.latency_multiplier());
+        assert!(half < none && half > 1.0);
+        assert_eq!(full, 1.0);
+        assert_eq!(over, 1.0);
+    }
+
+    #[test]
+    fn hot_tier_and_empty_nonhot_footprint_pay_no_penalty() {
+        assert_eq!(Tier::Hot.effective_multiplier(0.0, 1 << 30), 1.0);
+        assert_eq!(Tier::Warm.effective_multiplier(0.0, 0), 1.0);
     }
 
     #[test]

@@ -2,20 +2,12 @@
 //! storage engine.
 //!
 //! The query crate lowers its logical queries to these structures; the
-//! engine evaluates them per chunk with encoding- and index-specific
-//! paths.
+//! engine evaluates them per chunk along the access path
+//! [`crate::access`] chooses.
 
 use smdb_common::ColumnId;
 
 use crate::value::Value;
-
-/// Access-path rule: an index drives a scan only when the predicate's
-/// estimated selectivity is at or below this threshold; broader
-/// predicates scan (probing produces so many matches that per-match
-/// costs exceed the sequential scan). The rule is deliberately public
-/// and statistic-based so cost estimators can mirror the engine's
-/// access-path choice exactly.
-pub const INDEX_SELECTIVITY_THRESHOLD: f64 = 0.1;
 
 /// Comparison operator of a scan predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

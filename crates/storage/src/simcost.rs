@@ -11,7 +11,6 @@
 use smdb_common::Cost;
 
 use crate::encoding::EncodingKind;
-use crate::placement::Tier;
 
 /// Parameters of the simulated hardware.
 #[derive(Debug, Clone)]
@@ -99,32 +98,6 @@ impl SimCostParams {
         }
     }
 
-    /// The tier multiplier actually paid, after the buffer pool hides the
-    /// hit fraction of non-hot accesses.
-    ///
-    /// `nonhot_bytes` is the total footprint currently placed on non-hot
-    /// tiers; the buffer pool caches up to its capacity of that footprint,
-    /// so the *miss* fraction pays the raw tier penalty. This coupling is
-    /// what makes the buffer-pool knob and the placement feature mutually
-    /// dependent.
-    pub fn effective_tier_multiplier(
-        &self,
-        tier: Tier,
-        buffer_pool_mb: f64,
-        nonhot_bytes: usize,
-    ) -> f64 {
-        if tier == Tier::Hot {
-            return 1.0;
-        }
-        let raw = tier.latency_multiplier();
-        if nonhot_bytes == 0 {
-            return 1.0;
-        }
-        let buffer_bytes = (buffer_pool_mb.max(0.0)) * 1024.0 * 1024.0;
-        let hit = (buffer_bytes / nonhot_bytes as f64).clamp(0.0, 1.0);
-        1.0 + (raw - 1.0) * (1.0 - hit)
-    }
-
     /// One-time cost of building an index over `rows` rows stored with
     /// `enc` on `tier`.
     pub fn index_build_cost(&self, rows: usize, enc: EncodingKind, tier_mult: f64) -> Cost {
@@ -146,32 +119,6 @@ impl SimCostParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hot_tier_never_penalised() {
-        let p = SimCostParams::default();
-        assert_eq!(p.effective_tier_multiplier(Tier::Hot, 0.0, 1 << 30), 1.0);
-    }
-
-    #[test]
-    fn buffer_pool_hides_penalty() {
-        let p = SimCostParams::default();
-        let nonhot = 100 * 1024 * 1024; // 100 MB placed cold
-        let none = p.effective_tier_multiplier(Tier::Cold, 0.0, nonhot);
-        let half = p.effective_tier_multiplier(Tier::Cold, 50.0, nonhot);
-        let full = p.effective_tier_multiplier(Tier::Cold, 100.0, nonhot);
-        let over = p.effective_tier_multiplier(Tier::Cold, 1000.0, nonhot);
-        assert_eq!(none, Tier::Cold.latency_multiplier());
-        assert!(half < none && half > 1.0);
-        assert_eq!(full, 1.0);
-        assert_eq!(over, 1.0);
-    }
-
-    #[test]
-    fn empty_nonhot_means_no_penalty() {
-        let p = SimCostParams::default();
-        assert_eq!(p.effective_tier_multiplier(Tier::Warm, 0.0, 0), 1.0);
-    }
 
     #[test]
     fn dictionary_speeds_scans_and_builds() {

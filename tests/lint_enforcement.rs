@@ -65,7 +65,7 @@ fn legacy_rules_reproduce_pre_rewrite_counts() {
         }
     }
     let count = |id: &str| findings.iter().filter(|f| f.rule == id).count();
-    assert_eq!(count("no-panic"), 12, "grandfathered unwrap/expect tail");
+    assert_eq!(count("no-panic"), 11, "grandfathered unwrap/expect tail");
     assert_eq!(count("no-entropy"), 0);
     assert_eq!(count("no-float-eq"), 0);
     assert_eq!(count("no-wall-clock"), 0);
