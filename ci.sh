@@ -4,7 +4,8 @@
 # a non-zero exit code. Every run writes CI_SUMMARY.json with per-step
 # timings and pass/fail, even when a step fails.
 #
-#   ./ci.sh               # full gate (build, tests, lint, bench + gate)
+#   ./ci.sh               # full gate (build, tests, benchmark/ package
+#                         # build + tests, lint, bench + gate)
 #   ./ci.sh quick         # release build + tuning experiments + soak
 #                         # + concurrency audit -> target/ci/BENCH_*.json
 #                         # and AUDIT_concurrency.json, gated vs committed
@@ -118,6 +119,12 @@ check_audit() { # audit path
     cargo run -q -p smdb-lint -- --check-audit "$1"
 }
 
+check_benchmark_builds() { # the frozen yardstick still compiles against the crates
+    # `&&`: steps run under `||`, where `set -e` does not apply.
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
+        (cd benchmark && cargo test --offline)
+}
+
 run_gate() { # candidate dir
     cargo run --release -q -p smdb-bench --bin bench_gate -- \
         --runtime BENCH_runtime.json "$1/BENCH_runtime.json" \
@@ -195,6 +202,7 @@ full)
     step "cargo fmt --check" cargo fmt --all --check
     step "cargo build --release" cargo build --workspace --release
     step "cargo test" cargo test -q --workspace
+    step "benchmark builds + tests" check_benchmark_builds
     fresh_bench_and_gate
     step "smdb-lint" cargo run -q -p smdb-lint
     step "smdb-lint --audit-lp" cargo run -q -p smdb-lint -- --audit-lp

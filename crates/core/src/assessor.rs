@@ -4,10 +4,19 @@
 //! a confidence, a permanent (memory) cost and a one-time
 //! (reconfiguration) cost. The default implementation is what-if based:
 //! it evaluates the forecast workload cost with and without the candidate
-//! using an exchangeable cost estimator. Candidate assessment is
-//! embarrassingly parallel and fans out over the storage scan pool —
-//! the workspace's designated thread seam — rather than ad-hoc threads.
+//! using an exchangeable cost estimator.
+//!
+//! A pass prices the base configuration once (`PricedBase`), then per
+//! candidate patches the base [`ConfigContext`] in O(1) and looks up only
+//! the queries the action can affect; cache keys come from the patched
+//! context, so the hypothetical [`ConfigInstance`] is built only if a
+//! lookup misses. Candidates whose lookups all hit are finished on the
+//! calling thread — a converged pass wakes and waits for no other thread
+//! — and only those that need the estimator fan out, in contiguous
+//! blocks over the storage scan pool (the workspace's designated thread
+//! seam) rather than ad-hoc threads.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -15,7 +24,7 @@ use smdb_common::{Cost, Result, TableId};
 use smdb_cost::features::ConfigContext;
 use smdb_cost::footprint::{ActionDelta, QueryFootprint};
 use smdb_cost::what_if::estimate_action_cost;
-use smdb_cost::{sizes, WhatIf};
+use smdb_cost::{sizes, CacheStats, WhatIf};
 use smdb_forecast::ForecastSet;
 use smdb_query::Query;
 use smdb_storage::parallel::ScanPool;
@@ -69,6 +78,19 @@ pub trait Assessor: Send + Sync {
     }
 }
 
+/// Blocks the candidate fan-out cuts per lane: enough that a lane stuck
+/// on a block of cache misses does not leave the others idle.
+const BLOCKS_PER_LANE: usize = 8;
+
+/// What [`WhatIfAssessor::assess_one`] does when a lookup misses.
+#[derive(Clone, Copy)]
+enum OnMiss {
+    /// Run the estimator (and cache its answer).
+    Estimate,
+    /// Give the candidate up, uncounted, for the fan-out to assess whole.
+    Defer,
+}
+
 /// The what-if assessor: desirability = estimated workload cost without
 /// candidate − with candidate, per scenario.
 pub struct WhatIfAssessor {
@@ -101,54 +123,164 @@ impl WhatIfAssessor {
     /// cost is bit-identical under the hypothetical configuration (the
     /// estimator reads nothing the action changes), so it contributes
     /// exactly zero to the desirability and is skipped. The hypothetical
-    /// [`ConfigContext`] is derived incrementally instead of re-walking
-    /// the catalog per candidate.
+    /// [`ConfigContext`] — nonhot bytes and cache-key digest — is patched
+    /// from the base context in O(1), and the hypothetical
+    /// [`ConfigInstance`] itself is built at most once, only when a
+    /// lookup misses (or the what-if is uncached): a candidate whose
+    /// lookups all hit never clones the base configuration. Under
+    /// [`OnMiss::Defer`] the first miss returns `None` and leaves `tally`
+    /// as it was.
     fn assess_one(
         &self,
-        engine: &StorageEngine,
-        base: &ConfigInstance,
-        base_ctx: &ConfigContext,
-        scenarios: &[BaseScenario<'_>],
-        nonhot_tables: &BTreeSet<TableId>,
+        base: &PricedBase<'_>,
         index: usize,
         candidate: &Candidate,
-    ) -> Result<Assessment> {
-        let mut hypo = base.clone();
-        hypo.apply(&candidate.action);
-        let delta = ActionDelta::of(base, &candidate.action);
-        let hypo_ctx = base_ctx.apply_action(engine, base, &candidate.action)?;
+        on_miss: OnMiss,
+        tally: &mut CacheStats,
+    ) -> Result<Option<Assessment>> {
+        let (engine, config) = (base.engine, base.config);
+        let delta = ActionDelta::of(config, &candidate.action);
+        let hypo_ctx = base.ctx.apply_action(engine, config, &candidate.action)?;
+        let hypo = OnceCell::new();
+        let materialise = || {
+            hypo.get_or_init(|| {
+                #[cfg(test)]
+                HYPOTHETICALS_BUILT.with(|n| n.set(n.get() + 1));
+                let mut hypo = config.clone();
+                hypo.apply(&candidate.action);
+                hypo
+            })
+        };
 
-        let mut per_scenario = Vec::with_capacity(scenarios.len());
-        let mut probabilities = Vec::with_capacity(scenarios.len());
-        for s in scenarios {
+        let mut lookups = CacheStats::default();
+        let mut per_scenario = Vec::with_capacity(base.scenarios.len());
+        let mut probabilities = Vec::with_capacity(base.scenarios.len());
+        for s in &base.scenarios {
             let mut benefit = 0.0;
             for row in &s.rows {
-                if delta.affects(&row.footprint, |t| nonhot_tables.contains(&t)) {
-                    let cost = self.what_if.query_cost_fp(
-                        engine,
-                        &hypo_ctx,
-                        &row.footprint,
-                        row.query,
-                        &hypo,
-                    )?;
+                if delta.affects(&row.footprint, |t| base.nonhot_tables.contains(&t)) {
+                    let (ctx, fp) = (&hypo_ctx, &row.footprint);
+                    let cost = match on_miss {
+                        OnMiss::Estimate => self.what_if.query_cost_fp(
+                            engine,
+                            ctx,
+                            fp,
+                            row.query,
+                            materialise,
+                            &mut lookups,
+                        )?,
+                        OnMiss::Defer => {
+                            match self
+                                .what_if
+                                .cached_cost_fp(ctx, fp, row.query, &mut lookups)
+                            {
+                                Some(cost) => cost,
+                                None => return Ok(None),
+                            }
+                        }
+                    };
                     benefit += (row.base_cost.ms() - cost.ms()) * row.weight;
                 }
             }
             per_scenario.push(benefit);
             probabilities.push(s.probability);
         }
+        tally.hits += lookups.hits;
+        tally.misses += lookups.misses;
 
-        let permanent_bytes = estimate_permanent_bytes(engine, base, &candidate.action)?;
-        let one_time_cost = estimate_action_cost(engine, base, &candidate.action)?;
-        Ok(Assessment {
+        let permanent_bytes = estimate_permanent_bytes(engine, config, &candidate.action)?;
+        let one_time_cost = estimate_action_cost(engine, config, &candidate.action)?;
+        Ok(Some(Assessment {
             candidate: index,
             per_scenario,
             probabilities,
             confidence: self.confidence,
             permanent_bytes,
             one_time_cost,
-        })
+        }))
     }
+
+    /// Prices every scenario's queries under the base configuration.
+    fn price_scenarios<'a>(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        base_ctx: &ConfigContext,
+        scenarios: &'a ForecastSet,
+    ) -> Result<Vec<BaseScenario<'a>>> {
+        let mut tally = CacheStats::default();
+        let mut price_row = |wq: &'a smdb_query::WeightedQuery| -> Result<BaseRow<'a>> {
+            let footprint = QueryFootprint::of(&wq.query);
+            let base_cost = self.what_if.query_cost_fp(
+                engine,
+                base_ctx,
+                &footprint,
+                &wq.query,
+                || base,
+                &mut tally,
+            )?;
+            Ok(BaseRow {
+                query: &wq.query,
+                weight: wq.weight,
+                base_cost,
+                footprint,
+            })
+        };
+        let priced = scenarios
+            .iter()
+            .map(|s| {
+                Ok(BaseScenario {
+                    probability: s.probability,
+                    rows: s
+                        .workload
+                        .queries()
+                        .iter()
+                        .map(&mut price_row)
+                        .collect::<Result<_>>()?,
+                })
+            })
+            .collect();
+        self.what_if.record_lookups(tally);
+        priced
+    }
+
+    /// Assesses the candidates at `indices` into the matching `out`
+    /// slots, counting the block's cache lookups locally and recording
+    /// them once. A slot stays `None` only where `on_miss` deferred.
+    fn assess_block(
+        &self,
+        base: &PricedBase<'_>,
+        candidates: &[Candidate],
+        indices: &[usize],
+        on_miss: OnMiss,
+        out: &mut [Option<Result<Assessment>>],
+    ) {
+        let mut tally = CacheStats::default();
+        for (&index, slot) in indices.iter().zip(out) {
+            *slot = self
+                .assess_one(base, index, &candidates[index], on_miss, &mut tally)
+                .transpose();
+        }
+        self.what_if.record_lookups(tally);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hypothetical `ConfigInstance`s this thread's `assess_one` calls built.
+    static HYPOTHETICALS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The base configuration priced once per `assess` and shared,
+/// read-only, by every candidate worker.
+struct PricedBase<'a> {
+    engine: &'a StorageEngine,
+    config: &'a ConfigInstance,
+    ctx: ConfigContext,
+    scenarios: Vec<BaseScenario<'a>>,
+    /// Tables owning a non-hot chunk under `config`: the blast radius of
+    /// global (buffer-pressure) deltas.
+    nonhot_tables: BTreeSet<TableId>,
 }
 
 /// One scenario's workload priced under the base configuration.
@@ -200,74 +332,71 @@ impl Assessor for WhatIfAssessor {
         // Per-query base costs, footprints and the base context, computed
         // once and shared (read-only) by every candidate worker.
         let base_ctx = self.what_if.config_context(engine, base);
-        let mut scen = Vec::with_capacity(scenarios.len());
-        for s in scenarios.iter() {
-            let mut rows = Vec::with_capacity(s.workload.queries().len());
-            for wq in s.workload.queries() {
-                let footprint = QueryFootprint::of(&wq.query);
-                let base_cost = self
-                    .what_if
-                    .query_cost_fp(engine, &base_ctx, &footprint, &wq.query, base)?;
-                rows.push(BaseRow {
-                    query: &wq.query,
-                    weight: wq.weight,
-                    base_cost,
-                    footprint,
-                });
-            }
-            scen.push(BaseScenario {
-                probability: s.probability,
-                rows,
+        let priced = PricedBase {
+            engine,
+            config: base,
+            scenarios: self.price_scenarios(engine, base, &base_ctx, scenarios)?,
+            ctx: base_ctx,
+            nonhot_tables: base
+                .placements
+                .iter()
+                .filter(|&(_, &tier)| tier != Tier::Hot)
+                .map(|(&(t, _), _)| t)
+                .collect(),
+        };
+
+        // Warm candidates — every lookup a hit, a few microseconds each —
+        // are finished right here: a converged pass is nothing else, and
+        // handing a helper thread a share of it cost more in wake-up and
+        // waiting than it saved, by an amount that varied run to run.
+        let all: Vec<usize> = (0..candidates.len()).collect();
+        let mut slots: Vec<Option<Result<Assessment>>> = Vec::new();
+        slots.resize_with(candidates.len(), || None);
+        self.assess_block(&priced, candidates, &all, OnMiss::Defer, &mut slots);
+
+        // Cold candidates need the estimator, which is worth a thread.
+        let cold: Vec<usize> = all.into_iter().filter(|&i| slots[i].is_none()).collect();
+        let mut estimated: Vec<Option<Result<Assessment>>> = Vec::new();
+        estimated.resize_with(cold.len(), || None);
+        let threads = self.threads.max(1).min(cold.len().max(1));
+        if threads == 1 || cold.len() < 8 {
+            self.assess_block(&priced, candidates, &cold, OnMiss::Estimate, &mut estimated);
+        } else {
+            // Fan out contiguous blocks — a few per lane, so the
+            // dispatch cost is O(threads) however many candidates —
+            // over the shared scan pool, each written through its own
+            // disjoint slice of `estimated` (the lock is per block and
+            // never contended). Workers share one Sync cost cache
+            // through `self.what_if`; results are independent of the
+            // thread count and the block size because cached and
+            // freshly computed costs are bit-identical.
+            let pool = self.pool.get_or_init(|| ScanPool::new(threads));
+            let block = cold.len().div_ceil(threads * BLOCKS_PER_LANE);
+            let blocks: Vec<_> = cold
+                .chunks(block)
+                .zip(estimated.chunks_mut(block))
+                .map(Mutex::new)
+                .collect();
+            pool.run(blocks.len(), |b| {
+                let mut guard = blocks[b].lock().unwrap_or_else(|p| p.into_inner());
+                let (indices, out) = &mut *guard;
+                self.assess_block(&priced, candidates, indices, OnMiss::Estimate, out);
             });
         }
-        // Tables owning a non-hot chunk under `base`: the blast radius of
-        // global (buffer-pressure) deltas.
-        let nonhot_tables: BTreeSet<TableId> = base
-            .placements
-            .iter()
-            .filter(|&(_, &tier)| tier != Tier::Hot)
-            .map(|(&(t, _), _)| t)
-            .collect();
-
-        let threads = self.threads.max(1).min(candidates.len().max(1));
-        if threads == 1 || candidates.len() < 8 {
-            return candidates
-                .iter()
-                .enumerate()
-                .map(|(i, c)| self.assess_one(engine, base, &base_ctx, &scen, &nonhot_tables, i, c))
-                .collect();
+        for (index, slot) in cold.into_iter().zip(estimated) {
+            slots[index] = slot;
         }
-
-        // Fan out one morsel per candidate over the shared scan pool;
-        // results keep candidate order via indexed slots. Workers share
-        // one Sync cost cache through `self.what_if`; results are
-        // deterministic regardless of thread count because cached and
-        // freshly computed costs are bit-identical.
-        let pool = self.pool.get_or_init(|| ScanPool::new(threads));
-        let slots: Vec<Mutex<Option<Result<Assessment>>>> =
-            (0..candidates.len()).map(|_| Mutex::new(None)).collect();
-        pool.run(candidates.len(), |i| {
-            let out = self.assess_one(
-                engine,
-                base,
-                &base_ctx,
-                &scen,
-                &nonhot_tables,
-                i,
-                &candidates[i],
-            );
-            *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-        });
         slots
             .into_iter()
-            .map(|slot| match slot.into_inner() {
-                Ok(Some(result)) => result,
-                // A panicked morsel leaves its slot empty (or poisoned);
-                // surface that candidate as an error instead of taking
+            .map(|slot| {
+                // A panicked block leaves the rest of its slots empty;
+                // surface those candidates as errors instead of taking
                 // down the whole process.
-                _ => Err(smdb_common::Error::invalid(
-                    "candidate assessment worker failed",
-                )),
+                slot.unwrap_or_else(|| {
+                    Err(smdb_common::Error::invalid(
+                        "candidate assessment worker failed",
+                    ))
+                })
             })
             .collect()
     }
@@ -432,6 +561,68 @@ mod tests {
             assert_eq!(x.candidate, y.candidate);
             assert_eq!(x.per_scenario, y.per_scenario);
         }
+    }
+
+    /// The hypothetical configuration exists only to feed the estimator:
+    /// once every lookup hits, a pass over any number of candidates
+    /// builds none (and a cold pass builds at most one per candidate) and
+    /// hands nothing to another thread.
+    #[test]
+    fn warm_assess_materialises_no_hypothetical_config() {
+        let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
+        let values = ColumnValues::Int((0..3200).map(|i| i % 40).collect());
+        let table = Table::from_columns("t", schema, vec![values], 200).unwrap();
+        let mut engine = StorageEngine::default();
+        let t = engine.create_table(table).unwrap();
+        let mut candidates = Vec::new();
+        for chunk in 0..16u32 {
+            let target = ChunkColumnRef::new(t.0, 0, chunk);
+            for kind in [IndexKind::Hash, IndexKind::BTree] {
+                let action = ConfigAction::CreateIndex { target, kind };
+                candidates.push(Candidate::new(action, None));
+            }
+            for kind in [EncodingKind::Dictionary, EncodingKind::RunLength] {
+                let action = ConfigAction::SetEncoding { target, kind };
+                candidates.push(Candidate::new(action, None));
+            }
+        }
+        assert!(candidates.len() >= 64);
+        let base = ConfigInstance::default();
+        let mut assessor = assessor();
+        assessor.threads = 1; // every candidate on this thread's counter
+        let built = || HYPOTHETICALS_BUILT.with(|n| n.get());
+
+        let before = built();
+        let cold = assessor
+            .assess(&engine, &base, &forecast(t), &candidates)
+            .unwrap();
+        let cold_built = built() - before;
+        assert!(cold_built > 0 && cold_built <= candidates.len());
+        let cold_stats = assessor.what_if.cache_stats().unwrap();
+
+        let before = built();
+        let warm = assessor
+            .assess(&engine, &base, &forecast(t), &candidates)
+            .unwrap();
+        assert_eq!(built() - before, 0, "a warm pass reads keys, not configs");
+        assert_eq!(cold, warm);
+
+        // A candidate deferred to the estimator stage has each lookup
+        // counted once: the (sequential) cold pass missed exactly what
+        // it inserted, and the warm pass repeated its lookups as hits.
+        let warm_stats = assessor.what_if.cache_stats().unwrap().since(&cold_stats);
+        let entries = assessor.what_if.cache().unwrap().len();
+        assert_eq!(cold_stats.misses as usize, entries);
+        assert_eq!(warm_stats.misses, 0);
+        assert_eq!(warm_stats.hits, cold_stats.hits + cold_stats.misses);
+
+        // With helper lanes allowed, a warm pass still wakes none.
+        assessor.threads = 4;
+        let again = assessor
+            .assess(&engine, &base, &forecast(t), &candidates)
+            .unwrap();
+        assert!(assessor.pool.get().is_none(), "all hits: nothing fans out");
+        assert_eq!(again, warm);
     }
 
     #[test]

@@ -18,18 +18,14 @@ pub struct Candidate {
     /// the discretised values of one knob); a selector may pick at most
     /// one per group.
     pub exclusive_group: Option<u64>,
-    /// Human-readable label for logs and experiment tables.
-    pub label: String,
 }
 
 impl Candidate {
     /// Creates a candidate.
     pub fn new(action: ConfigAction, exclusive_group: Option<u64>) -> Self {
-        let label = action.to_string();
         Candidate {
             action,
             exclusive_group,
-            label,
         }
     }
 }

@@ -751,6 +751,11 @@ impl Driver {
         mode: TuningMode,
     ) -> Result<Option<TuningRunReport>> {
         let _span = span!("driver", "maybe_tune");
+        // A paused or rate-limited organizer fires on nothing: skip the
+        // forecast and its what-if pricing, which only feed the triggers.
+        if !self.organizer.gate_open(tick.now, &tick.kpis) {
+            return Ok(None);
+        }
         // Snapshot once, before any engine lock, so budget retargeting
         // never races a pass midway and no lock-order edge forms.
         let constraints = self.constraints();

@@ -114,6 +114,25 @@ impl Organizer {
         *self.last_tuning.lock() = Some(now);
     }
 
+    /// The cheap gate every trigger sits behind: whether a tuning
+    /// decision may be taken at `now` at all — not paused, past the
+    /// rate limit, and (when required) at low utilization. Callers ask
+    /// this before building the forecast [`Self::should_tune`] needs.
+    pub fn gate_open(&self, now: LogicalTime, kpis: &KpiSnapshot) -> bool {
+        // Degraded mode: a failed reconfiguration paused tuning.
+        if self.is_paused() {
+            return false;
+        }
+        // Rate limit.
+        if let Some(last) = self.last_tuning() {
+            if now.since(last) < self.config.min_interval {
+                return false;
+            }
+        }
+        // Utilization gate for the *decision* (the executor has its own).
+        !self.config.require_low_utilization || kpis.is_low_utilization()
+    }
+
     /// Decides whether to tune now.
     ///
     /// * `observed_cost` — recently observed per-horizon workload cost,
@@ -150,18 +169,7 @@ impl Organizer {
         kpis: &KpiSnapshot,
         constraints: &ConstraintSet,
     ) -> Option<TuningTrigger> {
-        // Degraded mode: a failed reconfiguration paused tuning.
-        if self.is_paused() {
-            return None;
-        }
-        // Rate limit.
-        if let Some(last) = self.last_tuning() {
-            if now.since(last) < self.config.min_interval {
-                return None;
-            }
-        }
-        // Utilization gate for the *decision* (the executor has its own).
-        if self.config.require_low_utilization && !kpis.is_low_utilization() {
+        if !self.gate_open(now, kpis) {
             return None;
         }
         // SLA violations always justify tuning.

@@ -1,6 +1,6 @@
 //! The shared what-if cost cache.
 //!
-//! Keys are `(query instance fingerprint, config footprint hash)` — see
+//! Keys are `(query instance fingerprint, footprint cache key)` — see
 //! [`crate::footprint`] — and values are the unweighted per-query cost in
 //! milliseconds. Because estimators are pure functions of
 //! `(catalog, footprint slice, query)`, concurrent duplicate computes
@@ -10,14 +10,43 @@
 //! Invalidation: entries are dropped when the estimator's
 //! [`crate::CostEstimator::version`] moves (learned models refit), via
 //! [`CostCache::sync_version`]; catalog changes need no flush because the
-//! engine's catalog token is mixed into every footprint hash.
+//! engine's catalog token is mixed into every footprint key.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
+use crate::features::ConfigContext;
+
 const SHARDS: usize = 16;
+
+/// Hasher for keys that are already hashes: both halves of a cost-cache
+/// key are well-mixed 64-bit values (a query fingerprint and a footprint
+/// key), and both maps' keys are produced in-process, so re-hashing them
+/// through SipHash buys nothing. Folds the words with a rotate so the
+/// two halves land on different bits.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(32) ^ word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<V> = HashMap<(u64, u64), V, BuildHasherDefault<KeyHasher>>;
 
 /// Hit/miss counters, for experiment reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,10 +78,10 @@ impl CacheStats {
 
 /// A sharded, `Sync` cost cache shared across assessor threads.
 pub struct CostCache {
-    shards: Vec<RwLock<HashMap<(u64, u64), f64>>>,
-    /// `(catalog token, config fingerprint) -> nonhot_bytes`, memoizing
-    /// the O(catalog) `ConfigContext` walk per configuration.
-    contexts: RwLock<HashMap<(u64, u64), u64>>,
+    shards: Vec<RwLock<KeyMap<f64>>>,
+    /// `(catalog token, config fingerprint) -> context`, memoizing the
+    /// O(catalog + configuration) `ConfigContext` build per configuration.
+    contexts: RwLock<KeyMap<ConfigContext>>,
     /// Estimator version the entries were computed under.
     version: AtomicU64,
     hits: AtomicU64,
@@ -63,18 +92,20 @@ impl CostCache {
     /// Creates an empty cache.
     pub fn new() -> CostCache {
         let mut shards = Vec::with_capacity(SHARDS);
-        shards.resize_with(SHARDS, || RwLock::new(HashMap::new()));
+        shards.resize_with(SHARDS, || RwLock::new(KeyMap::default()));
         CostCache {
             shards,
-            contexts: RwLock::new(HashMap::new()),
+            contexts: RwLock::new(KeyMap::default()),
             version: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: (u64, u64)) -> &RwLock<HashMap<(u64, u64), f64>> {
-        &self.shards[(key.0 ^ key.1) as usize % SHARDS]
+    fn shard(&self, key: (u64, u64)) -> &RwLock<KeyMap<f64>> {
+        // Bits 32.. pick the shard: the map inside indexes by the low
+        // bits and tags by the top ones of (nearly) the same value.
+        &self.shards[((key.0 ^ key.1) >> 32) as usize % SHARDS]
     }
 
     /// Flushes entries if the estimator's version moved since they were
@@ -93,15 +124,28 @@ impl CostCache {
         }
     }
 
-    /// Looks up a per-query cost (ms), counting the hit or miss.
-    pub fn lookup(&self, key: (u64, u64)) -> Option<f64> {
+    /// Looks up a per-query cost (ms), counting the hit or miss into the
+    /// caller's `tally`. Callers batch a run of lookups into one tally
+    /// and [`CostCache::record`] it once: two assessor threads counting
+    /// every lookup on the shared counters bounce their cache line per
+    /// lookup, which cost a converged pass about as much again as the
+    /// lookups themselves.
+    pub fn lookup(&self, key: (u64, u64), tally: &mut CacheStats) -> Option<f64> {
         let got = self.shard(key).read().get(&key).copied();
         if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            tally.hits += 1;
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            tally.misses += 1;
         }
         got
+    }
+
+    /// Adds a batch of counted lookups to the shared counters.
+    pub fn record(&self, tally: CacheStats) {
+        // ordering: independent statistic counters, read only for reports.
+        self.hits.fetch_add(tally.hits, Ordering::Relaxed);
+        // ordering: as above.
+        self.misses.fetch_add(tally.misses, Ordering::Relaxed);
     }
 
     /// Inserts a computed per-query cost (ms).
@@ -109,14 +153,15 @@ impl CostCache {
         self.shard(key).write().insert(key, value);
     }
 
-    /// Looks up a memoized `nonhot_bytes` for a configuration.
-    pub fn context_lookup(&self, key: (u64, u64)) -> Option<u64> {
-        self.contexts.read().get(&key).copied()
+    /// Looks up a memoized context for a configuration (a cheap clone:
+    /// the digest's sums are shared).
+    pub fn context_lookup(&self, key: (u64, u64)) -> Option<ConfigContext> {
+        self.contexts.read().get(&key).cloned()
     }
 
-    /// Memoizes a configuration's `nonhot_bytes`.
-    pub fn context_insert(&self, key: (u64, u64), nonhot_bytes: u64) {
-        self.contexts.write().insert(key, nonhot_bytes);
+    /// Memoizes a configuration's context.
+    pub fn context_insert(&self, key: (u64, u64), ctx: ConfigContext) {
+        self.contexts.write().insert(key, ctx);
     }
 
     /// Drops every entry (counters are kept — they describe workload
@@ -160,9 +205,12 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let cache = CostCache::new();
-        assert_eq!(cache.lookup((1, 2)), None);
+        let mut tally = CacheStats::default();
+        assert_eq!(cache.lookup((1, 2), &mut tally), None);
         cache.insert((1, 2), 4.5);
-        assert_eq!(cache.lookup((1, 2)), Some(4.5));
+        assert_eq!(cache.lookup((1, 2), &mut tally), Some(4.5));
+        assert_eq!(cache.stats(), CacheStats::default(), "not yet recorded");
+        cache.record(tally);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -174,12 +222,14 @@ mod tests {
     fn version_change_flushes_entries() {
         let cache = CostCache::new();
         cache.insert((1, 2), 4.5);
-        cache.context_insert((9, 9), 100);
+        let engine = smdb_storage::StorageEngine::default();
+        let ctx = ConfigContext::new(&engine, &smdb_storage::ConfigInstance::default());
+        cache.context_insert((9, 9), ctx);
         cache.sync_version(0);
         assert_eq!(cache.len(), 1, "same version keeps entries");
         cache.sync_version(1);
         assert!(cache.is_empty());
-        assert_eq!(cache.context_lookup((9, 9)), None);
+        assert!(cache.context_lookup((9, 9)).is_none());
     }
 
     #[test]

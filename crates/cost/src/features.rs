@@ -21,6 +21,8 @@ use smdb_storage::{
     StorageEngine, Tier,
 };
 
+use crate::footprint::ConfigDigest;
+
 /// Number of features (keep in sync with [`extract_features`]).
 pub const NUM_FEATURES: usize = 11;
 
@@ -52,10 +54,12 @@ impl QueryFeatures {
 
 /// Per-configuration context precomputed once and shared across the
 /// queries of a workload: the non-hot footprint that determines
-/// buffer-pool hit rates under the hypothetical configuration.
+/// buffer-pool hit rates under the hypothetical configuration, and the
+/// [`ConfigDigest`] every query's what-if cache key is derived from.
 #[derive(Debug, Clone)]
 pub struct ConfigContext {
     pub nonhot_bytes: u64,
+    pub(crate) digest: ConfigDigest,
 }
 
 impl ConfigContext {
@@ -90,6 +94,7 @@ impl ConfigContext {
         }
         ConfigContext {
             nonhot_bytes: nonhot,
+            digest: ConfigDigest::new(engine, config),
         }
     }
 
@@ -99,7 +104,8 @@ impl ConfigContext {
     /// Only encoding changes on non-hot chunks and placement moves
     /// across the hot boundary shift `nonhot_bytes`; the adjustments sum
     /// exactly the same `estimate_segment_bytes` terms the full walk
-    /// would, so the result is bit-identical to a fresh context.
+    /// would, so the result is bit-identical to a fresh context. The
+    /// digest is patched the same way ([`ConfigDigest::apply`]).
     pub fn apply_action(
         &self,
         engine: &StorageEngine,
@@ -162,6 +168,7 @@ impl ConfigContext {
         }
         Ok(ConfigContext {
             nonhot_bytes: nonhot,
+            digest: self.digest.apply(engine, base, action),
         })
     }
 }

@@ -4,41 +4,236 @@
 //! [`ConfigInstance`]: the indexes/encodings of the columns it touches,
 //! the tier of its table's chunks, and — only when any of those chunks
 //! is non-hot — the global buffer-pool pressure (`nonhot_bytes`,
-//! `buffer_pool_mb`). [`QueryFootprint::config_hash`] fingerprints
-//! exactly that slice, so two configurations that agree on the slice
-//! produce the same key and the cached cost can be reused bit-for-bit.
+//! `buffer_pool_mb`). Two configurations that agree on the slice must
+//! produce the same cache key, so the cached cost is reused bit-for-bit.
+//!
+//! The key is derived without reading the configuration: a
+//! [`ConfigDigest`] holds, per `(table, column)` slice (index entries,
+//! encodings) and per table (placements), the wrapping **sum** of one
+//! well-mixed hash per non-default entry. A sum
+//! is order-independent, so the digest of `base + action` is the base
+//! digest with the old entry's hash subtracted and the new one added —
+//! O(1) per candidate ([`ConfigDigest::apply`]) instead of a walk over
+//! the slice per lookup. Default values (no index, `Unencoded`, `Hot`)
+//! hash to zero, so an explicitly stored default equals an absent entry.
+//! [`QueryFootprint::cache_key`] is the one place a key is derived.
 //! [`ActionDelta`] is the dual: the slice a [`ConfigAction`] can change,
 //! with a conservative intersection test against query footprints.
 
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, Result, TableId};
+use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 use smdb_query::Query;
-use smdb_storage::{ConfigAction, ConfigInstance, KnobKind, StorageEngine, Tier};
+use smdb_storage::{
+    ConfigAction, ConfigInstance, EncodingKind, IndexKind, KnobKind, StorageEngine, Tier,
+};
 
-/// Deterministic FNV-1a hasher. Footprint hashes are computed on every
-/// cache lookup of the assessment hot path, where SipHash's per-call
-/// overhead is measurable; FNV-1a is a fraction of the cost and equally
-/// deterministic (keys never leave the process, and the cache tolerates
-/// collisions no worse than any 64-bit hash).
-struct Fnv(u64);
+use crate::features::ConfigContext;
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
+/// The SplitMix64 finaliser: a bijective, well-mixed `u64 -> u64`.
+/// Entry hashes are summed and key parts are chained through it, so
+/// every input bit must reach every output bit.
+fn mix(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl Hasher for Fnv {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// The digest of one slice: the wrapping sum of its entries' hashes and
+/// — for a placement slice — how many chunks are non-hot (zero = the
+/// table is immune to buffer pressure). Also one entry's contribution to
+/// that sum, and the *difference* of two sums; both fields wrap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SliceSum {
+    hash: u64,
+    nonhot: u32,
+}
+
+impl SliceSum {
+    /// One non-default entry: `domain` separates the three maps, `code`
+    /// is the entry's value.
+    fn entry(domain: u64, chunk: ChunkId, code: u64) -> SliceSum {
+        SliceSum {
+            hash: mix((domain << 60) | (code << 32) | u64::from(chunk.0)),
+            nonhot: u32::from(domain == TIER),
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    fn plus(self, other: SliceSum) -> SliceSum {
+        SliceSum {
+            hash: self.hash.wrapping_add(other.hash),
+            nonhot: self.nonhot.wrapping_add(other.nonhot),
+        }
+    }
+
+    fn minus(self, other: SliceSum) -> SliceSum {
+        SliceSum {
+            hash: self.hash.wrapping_sub(other.hash),
+            nonhot: self.nonhot.wrapping_sub(other.nonhot),
+        }
+    }
+}
+
+const INDEX: u64 = 1;
+const ENCODING: u64 = 2;
+const TIER: u64 = 3;
+
+// Default values (no index, `Unencoded`, `Hot`) contribute nothing.
+
+fn index_entry(chunk: ChunkId, kind: Option<IndexKind>) -> SliceSum {
+    match kind {
+        None => SliceSum::default(),
+        Some(IndexKind::Hash) => SliceSum::entry(INDEX, chunk, 1),
+        Some(IndexKind::BTree) => SliceSum::entry(INDEX, chunk, 2),
+        Some(IndexKind::CompositeHash { second }) => {
+            SliceSum::entry(INDEX, chunk, 3 | (u64::from(second.0) << 8))
+        }
+    }
+}
+
+fn encoding_entry(chunk: ChunkId, kind: EncodingKind) -> SliceSum {
+    match kind {
+        EncodingKind::Unencoded => SliceSum::default(),
+        EncodingKind::Dictionary => SliceSum::entry(ENCODING, chunk, 1),
+        EncodingKind::RunLength => SliceSum::entry(ENCODING, chunk, 2),
+        EncodingKind::FrameOfReference => SliceSum::entry(ENCODING, chunk, 3),
+    }
+}
+
+fn tier_entry(chunk: ChunkId, tier: Tier) -> SliceSum {
+    match tier {
+        Tier::Hot => SliceSum::default(),
+        Tier::Warm => SliceSum::entry(TIER, chunk, 1),
+        Tier::Cold => SliceSum::entry(TIER, chunk, 2),
+    }
+}
+
+/// Whether `chunk` exists in `table`. Entries naming a chunk (or table)
+/// the catalog does not have are inert — no estimator reads them — and
+/// stay out of the digest.
+fn chunk_exists(engine: &StorageEngine, table: TableId, chunk: ChunkId) -> bool {
+    engine
+        .table(table)
+        .is_ok_and(|t| (chunk.0 as usize) < t.chunk_count())
+}
+
+/// One slice of a configuration: a column of a table (`Some`), or the
+/// table's placements (`None`).
+type SliceKey = (TableId, Option<ColumnId>);
+
+/// A composable digest of a configuration, sufficient to derive every
+/// query's cache key (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ConfigDigest {
+    catalog_token: u64,
+    buffer_pool_bits: u64,
+    /// The slice sums of the base configuration, shared (immutably) by
+    /// every digest derived from it.
+    base: Arc<BTreeMap<SliceKey, SliceSum>>,
+    /// The one slice an applied [`ConfigAction`] moved and by how much,
+    /// kept beside the base so deriving a candidate's digest copies
+    /// nothing.
+    patch: Option<(SliceKey, SliceSum)>,
+}
+
+impl ConfigDigest {
+    /// Digests `config` from scratch: one pass over its entries.
+    pub fn new(engine: &StorageEngine, config: &ConfigInstance) -> ConfigDigest {
+        let mut sums: BTreeMap<SliceKey, SliceSum> = BTreeMap::new();
+        let mut add = |key: SliceKey, chunk: ChunkId, entry: SliceSum| {
+            if chunk_exists(engine, key.0, chunk) {
+                let sum = sums.entry(key).or_default();
+                *sum = sum.plus(entry);
+            }
+        };
+        for (t, &kind) in &config.indexes {
+            let entry = index_entry(t.chunk, Some(kind));
+            add((t.table, Some(t.column)), t.chunk, entry);
+        }
+        for (t, &kind) in &config.encodings {
+            let entry = encoding_entry(t.chunk, kind);
+            add((t.table, Some(t.column)), t.chunk, entry);
+        }
+        for (&(table, chunk), &tier) in &config.placements {
+            add((table, None), chunk, tier_entry(chunk, tier));
+        }
+        ConfigDigest {
+            catalog_token: engine.catalog_token(),
+            buffer_pool_bits: config.knobs.buffer_pool_mb.to_bits(),
+            base: Arc::new(sums),
+            patch: None,
+        }
+    }
+
+    /// The digest of `base` + `action`, from this digest (which must
+    /// describe `base`): the replaced entry's hash leaves its slice's
+    /// sum, the new entry's hash joins it. Equal to [`ConfigDigest::new`]
+    /// on the materialised configuration for every key it can produce.
+    pub fn apply(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        action: &ConfigAction,
+    ) -> ConfigDigest {
+        let mut next = self.folded();
+        let column = |t: &ChunkColumnRef| (t.table, Some(t.column));
+        let (key, chunk, new, old) = match action {
+            ConfigAction::CreateIndex { target: t, kind } => (
+                column(t),
+                t.chunk,
+                index_entry(t.chunk, Some(*kind)),
+                index_entry(t.chunk, base.index_of(*t)),
+            ),
+            ConfigAction::DropIndex { target: t } => (
+                column(t),
+                t.chunk,
+                SliceSum::default(),
+                index_entry(t.chunk, base.index_of(*t)),
+            ),
+            ConfigAction::SetEncoding { target: t, kind } => (
+                column(t),
+                t.chunk,
+                encoding_entry(t.chunk, *kind),
+                encoding_entry(t.chunk, base.encoding_of(*t)),
+            ),
+            ConfigAction::SetPlacement { table, chunk, tier } => (
+                (*table, None),
+                *chunk,
+                tier_entry(*chunk, *tier),
+                tier_entry(*chunk, base.tier_of(*table, *chunk)),
+            ),
+            ConfigAction::SetKnob {
+                knob: KnobKind::BufferPoolMb,
+                value,
+            } => {
+                next.buffer_pool_bits = value.to_bits();
+                return next;
+            }
+        };
+        if chunk_exists(engine, key.0, chunk) {
+            next.patch = Some((key, new.minus(old)));
+        }
+        next
+    }
+
+    /// This digest with its patch folded into (a private copy of) the
+    /// base sums — only chained `apply` calls pay for the copy.
+    fn folded(&self) -> ConfigDigest {
+        let mut folded = self.clone();
+        if let Some((key, _)) = folded.patch.take() {
+            Arc::make_mut(&mut folded.base).insert(key, self.slice(key));
+        }
+        folded
+    }
+
+    fn slice(&self, key: SliceKey) -> SliceSum {
+        let sum = self.base.get(&key).copied().unwrap_or_default();
+        match self.patch {
+            Some((patched, delta)) if patched == key => sum.plus(delta),
+            _ => sum,
+        }
     }
 }
 
@@ -67,69 +262,26 @@ impl QueryFootprint {
         }
     }
 
-    /// Hashes the slice of `config` this footprint covers. `nonhot_bytes`
-    /// is the precomputed [`crate::features::ConfigContext`] value for
-    /// `config`; it (and the buffer-pool knob) enter the hash only when
-    /// the query's table has a non-hot chunk, because all-hot tables have
-    /// a tier multiplier of exactly 1.0 regardless of buffer pressure.
-    ///
-    /// Only entries that *deviate from the defaults* (non-hot tiers,
-    /// present indexes, non-unencoded encodings) are hashed, as sorted
-    /// `(chunk, value)` pairs from BTreeMap range scans. Probing every
-    /// `chunk x column` slot instead costs a map lookup per slot, and
-    /// this hash runs once per what-if cache lookup — the hottest loop
-    /// of the assessment fan-out. Explicitly-stored default values hash
-    /// identically to absent entries either way, so two configurations
-    /// agreeing on the slice still produce the same key.
-    pub fn config_hash(
-        &self,
-        engine: &StorageEngine,
-        config: &ConfigInstance,
-        nonhot_bytes: u64,
-    ) -> Result<u64> {
-        let table = engine.table(self.table)?;
-        let chunks = table.chunk_count() as u32;
-        let mut h = Fnv::new();
-        engine.catalog_token().hash(&mut h);
-        self.table.hash(&mut h);
-        let mut any_nonhot = false;
-        let tier_range = (self.table, ChunkId(0))..=(self.table, ChunkId(chunks.saturating_sub(1)));
-        for (&(_, chunk), &tier) in config.placements.range(tier_range) {
-            if tier != Tier::Hot {
-                any_nonhot = true;
-                chunk.hash(&mut h);
-                tier.hash(&mut h);
-            }
-        }
+    /// The cache key of this footprint's slice of the configuration
+    /// `ctx` describes: the catalog token, the table and columns, their
+    /// digest sums, and — only when the table owns a non-hot chunk —
+    /// `nonhot_bytes` and the buffer-pool knob (all-hot tables have a
+    /// tier multiplier of exactly 1.0 whatever the buffer pressure).
+    /// Constant time in the size of the configuration.
+    pub fn cache_key(&self, ctx: &ConfigContext) -> u64 {
+        let digest = &ctx.digest;
+        let mut h = mix(digest.catalog_token ^ u64::from(self.table.0));
         for &column in &self.columns {
-            // Section separator: disambiguates per-column entry lists.
-            u64::MAX.hash(&mut h);
-            let span = ChunkColumnRef {
-                table: self.table,
-                column,
-                chunk: ChunkId(0),
-            }..=ChunkColumnRef {
-                table: self.table,
-                column,
-                chunk: ChunkId(chunks.saturating_sub(1)),
-            };
-            for (target, &kind) in config.indexes.range(span.clone()) {
-                target.chunk.hash(&mut h);
-                kind.hash(&mut h);
-            }
-            u64::MAX.hash(&mut h);
-            for (target, &kind) in config.encodings.range(span) {
-                if kind != smdb_storage::EncodingKind::Unencoded {
-                    target.chunk.hash(&mut h);
-                    kind.hash(&mut h);
-                }
-            }
+            h = mix(h ^ u64::from(column.0));
+            h = mix(h ^ digest.slice((self.table, Some(column))).hash);
         }
-        if any_nonhot {
-            nonhot_bytes.hash(&mut h);
-            config.knobs.buffer_pool_mb.to_bits().hash(&mut h);
+        let placement = digest.slice((self.table, None));
+        h = mix(h ^ placement.hash);
+        if placement.nonhot > 0 {
+            h = mix(h ^ ctx.nonhot_bytes);
+            h = mix(h ^ digest.buffer_pool_bits);
         }
-        Ok(h.finish())
+        h
     }
 }
 

@@ -64,6 +64,14 @@ impl WhatIf {
         self.cache.as_ref().map(|c| c.stats())
     }
 
+    /// Adds a tally of lookups counted by [`Self::query_cost_fp`] to the
+    /// shared cache's counters (no-op without a cache).
+    pub fn record_lookups(&self, tally: CacheStats) {
+        if let Some(cache) = &self.cache {
+            cache.record(tally);
+        }
+    }
+
     /// Drops all cached entries (counters are kept).
     pub fn clear_cache(&self) {
         if let Some(cache) = &self.cache {
@@ -73,17 +81,17 @@ impl WhatIf {
 
     /// The [`ConfigContext`] for `config`, memoized per configuration
     /// fingerprint when caching is enabled (the fresh walk and the memo
-    /// hold the same `nonhot_bytes`, so results never differ).
+    /// hold the same `nonhot_bytes` and digest, so results never differ).
     pub fn config_context(&self, engine: &StorageEngine, config: &ConfigInstance) -> ConfigContext {
         let Some(cache) = &self.cache else {
             return ConfigContext::new(engine, config);
         };
         let key = (engine.catalog_token(), config.fingerprint());
-        if let Some(nonhot_bytes) = cache.context_lookup(key) {
-            return ConfigContext { nonhot_bytes };
+        if let Some(ctx) = cache.context_lookup(key) {
+            return ctx;
         }
         let ctx = ConfigContext::new(engine, config);
-        cache.context_insert(key, ctx.nonhot_bytes);
+        cache.context_insert(key, ctx.clone());
         ctx
     }
 
@@ -100,33 +108,61 @@ impl WhatIf {
             return self.estimator.query_cost(engine, ctx, query, config);
         }
         let footprint = QueryFootprint::of(query);
-        self.query_cost_fp(engine, ctx, &footprint, query, config)
+        let mut tally = CacheStats::default();
+        let cost = self.query_cost_fp(engine, ctx, &footprint, query, || config, &mut tally);
+        self.record_lookups(tally);
+        cost
     }
 
     /// Like [`Self::query_cost`] with a caller-provided footprint
-    /// (assessors precompute footprints once per workload).
-    pub fn query_cost_fp(
+    /// (assessors precompute footprints once per workload) and a lazily
+    /// provided configuration: the cache key comes from `ctx` alone, so
+    /// `config` — which must be the configuration `ctx` describes — is
+    /// only asked for when the estimator has to run (a miss, or no
+    /// cache). A caller assessing a hypothetical configuration can
+    /// therefore leave it unmaterialised while every lookup hits. The
+    /// hit or miss is counted into `tally`, which the caller hands to
+    /// [`Self::record_lookups`] once per batch.
+    pub fn query_cost_fp<'c>(
         &self,
         engine: &StorageEngine,
         ctx: &ConfigContext,
         footprint: &QueryFootprint,
         query: &Query,
-        config: &ConfigInstance,
+        config: impl FnOnce() -> &'c ConfigInstance,
+        tally: &mut CacheStats,
     ) -> Result<Cost> {
-        let Some(cache) = &self.cache else {
-            return self.estimator.query_cost(engine, ctx, query, config);
-        };
-        cache.sync_version(self.estimator.version());
-        let key = (
-            query.instance_fingerprint(),
-            footprint.config_hash(engine, config, ctx.nonhot_bytes)?,
-        );
-        if let Some(ms) = cache.lookup(key) {
-            return Ok(Cost(ms));
+        if let Some(cost) = self.cached_cost_fp(ctx, footprint, query, tally) {
+            return Ok(cost);
         }
-        let cost = self.estimator.query_cost(engine, ctx, query, config)?;
-        cache.insert(key, cost.ms());
+        let cost = self.estimator.query_cost(engine, ctx, query, config())?;
+        if let Some(cache) = &self.cache {
+            cache.insert(Self::key(ctx, footprint, query), cost.ms());
+        }
         Ok(cost)
+    }
+
+    /// The lookup half of [`Self::query_cost_fp`]: the cached cost of
+    /// `query` under the configuration `ctx` describes, or `None` where
+    /// the estimator would have to run (a miss, or no cache). Counted
+    /// into `tally` like any lookup.
+    pub fn cached_cost_fp(
+        &self,
+        ctx: &ConfigContext,
+        footprint: &QueryFootprint,
+        query: &Query,
+        tally: &mut CacheStats,
+    ) -> Option<Cost> {
+        let cache = self.cache.as_ref()?;
+        cache.sync_version(self.estimator.version());
+        cache
+            .lookup(Self::key(ctx, footprint, query), tally)
+            .map(Cost)
+    }
+
+    /// The cache key of (query instance, configuration `ctx` describes).
+    fn key(ctx: &ConfigContext, footprint: &QueryFootprint, query: &Query) -> (u64, u64) {
+        (query.instance_fingerprint(), footprint.cache_key(ctx))
     }
 
     /// Estimated workload cost under `config`.
@@ -142,11 +178,15 @@ impl WhatIf {
         // Mirrors the estimator's default workload sum (same context,
         // same query order) with per-query cache lookups.
         let ctx = self.config_context(engine, config);
-        let mut total = Cost::ZERO;
-        for wq in workload.queries() {
-            total += self.query_cost(engine, &ctx, &wq.query, config)? * wq.weight;
-        }
-        Ok(total)
+        let mut tally = CacheStats::default();
+        let total = workload.queries().iter().try_fold(Cost::ZERO, |sum, wq| {
+            let footprint = QueryFootprint::of(&wq.query);
+            let cost =
+                self.query_cost_fp(engine, &ctx, &footprint, &wq.query, || config, &mut tally)?;
+            Ok(sum + cost * wq.weight)
+        });
+        self.record_lookups(tally);
+        total
     }
 
     /// Estimated benefit (cost reduction, possibly negative) of moving

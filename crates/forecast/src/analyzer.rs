@@ -20,13 +20,21 @@ pub trait WorkloadAnalyzer: Send + Sync {
     /// Used to estimate forecast uncertainty for worst-case scenarios.
     fn backtest_residuals(&self, series: &[f64], min_train: usize) -> Vec<f64> {
         let mut residuals = Vec::new();
-        for t in min_train..series.len() {
+        self.extend_backtest_residuals(series, min_train, &mut residuals);
+        residuals
+    }
+
+    /// Appends the backtest residuals of points `from..series.len()`.
+    /// The residual of point `t` reads only `series[..=t]`, so a caller
+    /// holding the residuals of a prefix extends them with the new
+    /// points alone and gets the from-scratch vector bit for bit.
+    fn extend_backtest_residuals(&self, series: &[f64], from: usize, residuals: &mut Vec<f64>) {
+        for t in from..series.len() {
             let pred = self.forecast(&series[..t], 1);
             if let Some(&p) = pred.first() {
                 residuals.push(series[t] - p);
             }
         }
-        residuals
     }
 }
 

@@ -5,6 +5,12 @@
 //! snapshot to the current time bucket. This keeps the query path free of
 //! forecasting hooks (Section II-C: "by relying on the query plan cache,
 //! no further overhead is added during query execution time").
+//!
+//! Beside each template's persisted sparse `buckets` map the history
+//! keeps its **dense** count series over the observed span, extended by
+//! the one new bucket per `observe`, so the predictor reads a slice
+//! instead of re-materialising the series per forecast. The dense series
+//! is derived state: never exported, rebuilt by `restore_state`.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,10 +39,18 @@ impl TemplateHistory {
     }
 }
 
+/// A template's history plus its derived dense series.
+#[derive(Debug)]
+struct Tracked {
+    history: TemplateHistory,
+    /// `history.series(lo, hi)` over the history's span, kept current.
+    dense: Vec<f64>,
+}
+
 /// Histories for all observed templates.
 #[derive(Debug, Default)]
 pub struct WorkloadHistory {
-    templates: HashMap<u64, TemplateHistory>,
+    templates: HashMap<u64, Tracked>,
     /// Cumulative (executions, cost) at the previous snapshot.
     last_totals: HashMap<u64, (u64, Cost)>,
     /// First and last observed bucket.
@@ -53,6 +67,12 @@ impl WorkloadHistory {
     /// executions since the previous snapshot to bucket `now`.
     pub fn observe(&mut self, now: LogicalTime, snapshot: &[PlanCacheEntry]) {
         let bucket = now.raw();
+        let (lo, hi) = match self.span {
+            None => (bucket, bucket + 1),
+            Some((lo, hi)) => (lo.min(bucket), hi.max(bucket + 1)),
+        };
+        let lo_moved = self.span.is_some_and(|(old_lo, _)| lo < old_lo);
+        self.span = Some((lo, hi));
         for entry in snapshot {
             let fp = entry.template.fingerprint();
             let (prev_exec, prev_cost) = self
@@ -65,12 +85,16 @@ impl WorkloadHistory {
             self.last_totals
                 .insert(fp, (entry.executions, entry.total_cost));
 
-            let hist = self.templates.entry(fp).or_insert_with(|| TemplateHistory {
-                example: entry.example.clone(),
-                buckets: BTreeMap::new(),
-                mean_cost: Cost::ZERO,
-                total: 0.0,
+            let tracked = self.templates.entry(fp).or_insert_with(|| Tracked {
+                history: TemplateHistory {
+                    example: entry.example.clone(),
+                    buckets: BTreeMap::new(),
+                    mean_cost: Cost::ZERO,
+                    total: 0.0,
+                },
+                dense: Vec::new(),
             });
+            let hist = &mut tracked.history;
             if delta_exec > 0 {
                 *hist.buckets.entry(bucket).or_insert(0.0) += delta_exec as f64;
                 let new_total = hist.total + delta_exec as f64;
@@ -79,10 +103,28 @@ impl WorkloadHistory {
                 hist.total = new_total;
             }
         }
-        self.span = Some(match self.span {
-            None => (bucket, bucket + 1),
-            Some((lo, hi)) => (lo.min(bucket), hi.max(bucket + 1)),
-        });
+        if lo_moved {
+            // A bucket before the span: every dense series shifts.
+            self.rebuild_dense();
+            return;
+        }
+        let (len, at) = ((hi - lo) as usize, (bucket - lo) as usize);
+        // det: each template is updated independently of visit order.
+        for tracked in self.templates.values_mut() {
+            tracked.dense.resize(len, 0.0);
+            if let Some(&count) = tracked.history.buckets.get(&bucket) {
+                tracked.dense[at] = count;
+            }
+        }
+    }
+
+    /// Re-derives every dense series from the sparse buckets.
+    fn rebuild_dense(&mut self) {
+        let (lo, hi) = self.span.unwrap_or((0, 0));
+        // det: each template is rebuilt independently of visit order.
+        for tracked in self.templates.values_mut() {
+            tracked.dense = tracked.history.series(lo, hi);
+        }
     }
 
     /// Number of observed templates.
@@ -102,14 +144,23 @@ impl WorkloadHistory {
 
     /// The history of one template.
     pub fn template(&self, fingerprint: u64) -> Option<&TemplateHistory> {
-        self.templates.get(&fingerprint)
+        self.templates.get(&fingerprint).map(|t| &t.history)
     }
 
     /// Iterates over `(fingerprint, history)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &TemplateHistory)> {
+        self.iter_dense().map(|(fp, history, _)| (fp, history))
+    }
+
+    /// Like [`Self::iter`], with each template's dense count series over
+    /// [`Self::span`] (equal to `history.series(lo, hi)`, not rebuilt).
+    pub fn iter_dense(&self) -> impl Iterator<Item = (u64, &TemplateHistory, &[f64])> {
         let mut keys: Vec<u64> = self.templates.keys().copied().collect();
         keys.sort_unstable();
-        keys.into_iter().map(move |k| (k, &self.templates[&k]))
+        keys.into_iter().map(move |k| {
+            let tracked = &self.templates[&k];
+            (k, &tracked.history, tracked.dense.as_slice())
+        })
     }
 
     /// The full history as a deterministic, serializable value (sorted by
@@ -118,7 +169,7 @@ impl WorkloadHistory {
         let mut templates: Vec<(u64, TemplateHistory)> = self
             .templates
             .iter()
-            .map(|(&fp, th)| (fp, th.clone()))
+            .map(|(&fp, tracked)| (fp, tracked.history.clone()))
             .collect();
         templates.sort_by_key(|(fp, _)| *fp);
         let mut last_totals: Vec<(u64, u64, Cost)> = self
@@ -134,17 +185,32 @@ impl WorkloadHistory {
         }
     }
 
-    /// Rebuilds a history from exported state.
+    /// Rebuilds a history from exported state (the dense series are
+    /// re-derived here; they are not part of the state).
     pub fn restore_state(state: WorkloadHistoryState) -> Self {
-        WorkloadHistory {
-            templates: state.templates.into_iter().collect(),
+        let mut history = WorkloadHistory {
+            templates: state
+                .templates
+                .into_iter()
+                .map(|(fp, history)| {
+                    (
+                        fp,
+                        Tracked {
+                            history,
+                            dense: Vec::new(),
+                        },
+                    )
+                })
+                .collect(),
             last_totals: state
                 .last_totals
                 .into_iter()
                 .map(|(fp, exec, cost)| (fp, (exec, cost)))
                 .collect(),
             span: state.span,
-        }
+        };
+        history.rebuild_dense();
+        history
     }
 }
 
@@ -233,6 +299,43 @@ mod tests {
             th.example.predicates()[0].value,
             smdb_storage::Value::Int(1)
         );
+    }
+
+    #[test]
+    fn dense_series_mirror_the_sparse_buckets() {
+        let check = |hist: &WorkloadHistory| {
+            let (lo, hi) = hist.span().unwrap();
+            for (_, th, dense) in hist.iter_dense() {
+                assert_eq!(dense, th.series(lo, hi));
+            }
+        };
+        let other = Query::new(TableId(1), "u", vec![], None, "late");
+        let mut cache = PlanCache::default();
+        let mut hist = WorkloadHistory::new();
+        // Buckets 5..9: one idle, a template first seen at 8, and bucket 8
+        // observed twice.
+        for (bucket, late) in [(5, false), (6, false), (7, false), (8, true), (8, true)] {
+            if bucket != 6 {
+                cache.record(&q(1), Cost(1.0), LogicalTime(bucket));
+            }
+            if late {
+                cache.record(&other, Cost(1.0), LogicalTime(bucket));
+            }
+            hist.observe(LogicalTime(bucket), &cache.snapshot());
+            check(&hist);
+        }
+        let dense_of = |q: &Query| {
+            let found = hist.iter_dense().find(|(fp, ..)| *fp == q.fingerprint());
+            found.unwrap().2.to_vec()
+        };
+        assert_eq!(dense_of(&q(1)), [1.0, 0.0, 1.0, 2.0]);
+        assert_eq!(dense_of(&other), [0.0, 0.0, 0.0, 2.0]);
+        // A bucket before the span shifts every series.
+        cache.record(&q(1), Cost(1.0), LogicalTime(3));
+        hist.observe(LogicalTime(3), &cache.snapshot());
+        assert_eq!(hist.span(), Some((3, 9)));
+        check(&hist);
+        check(&WorkloadHistory::restore_state(hist.export_state()));
     }
 
     #[test]

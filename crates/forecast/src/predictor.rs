@@ -1,9 +1,22 @@
 //! The workload predictor: history → (clustering) → analyzer →
 //! scenarios.
+//!
+//! `predict` is incremental on the unclustered path: it reads each
+//! template's dense series from the history and keeps the one-step
+//! backtest residuals behind the worst-case sigma across calls, so a
+//! call costs one forecast plus one residual per template and new
+//! bucket — not one per past bucket. The residuals are derived state:
+//! reused only while the series they were computed over is a prefix of
+//! the current one, rebuilt from scratch otherwise (a restored or
+//! different history), never persisted.
+
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 
 use rand::RngExt;
 use smdb_common::seeded_rng;
-use smdb_query::Workload;
+use smdb_query::{Query, Workload};
 
 use crate::analyzer::{residual_std, WorkloadAnalyzer};
 use crate::cluster::cluster_templates;
@@ -44,16 +57,61 @@ impl Default for PredictorConfig {
     }
 }
 
+/// One template's one-step backtest, kept across `predict` calls.
+#[derive(Default)]
+struct Backtest {
+    /// The series the residuals were computed over.
+    seen: Vec<f64>,
+    /// `analyzer.backtest_residuals(&seen, min_train)`.
+    residuals: Vec<f64>,
+}
+
+impl Backtest {
+    /// Brings the backtest up to `series` — by the new points alone when
+    /// `seen` is a prefix of it — and returns the residuals.
+    fn extend(
+        &mut self,
+        analyzer: &dyn WorkloadAnalyzer,
+        series: &[f64],
+        min_train: usize,
+    ) -> &[f64] {
+        if !series.starts_with(&self.seen) {
+            self.seen.clear();
+            self.residuals.clear();
+        }
+        let from = self.seen.len().max(min_train);
+        analyzer.extend_backtest_residuals(series, from, &mut self.residuals);
+        self.seen.extend_from_slice(&series[self.seen.len()..]);
+        &self.residuals
+    }
+}
+
 /// The workload predictor component.
 pub struct WorkloadPredictor {
     analyzer: Box<dyn WorkloadAnalyzer>,
     config: PredictorConfig,
+    /// Backtests by template fingerprint (unclustered path only).
+    backtests: Mutex<BTreeMap<u64, Backtest>>,
 }
 
 impl WorkloadPredictor {
     /// Creates a predictor around an exchangeable analyzer.
     pub fn new(analyzer: Box<dyn WorkloadAnalyzer>, config: PredictorConfig) -> Self {
-        WorkloadPredictor { analyzer, config }
+        WorkloadPredictor {
+            analyzer,
+            config,
+            backtests: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The backtest cache. A panic inside an analyzer may have left an
+    /// entry half-extended; the cache is derived, so drop it all.
+    fn backtests(&self) -> MutexGuard<'_, BTreeMap<u64, Backtest>> {
+        self.backtests.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            cache
+        })
     }
 
     /// The analyzer's name (for experiment tables).
@@ -76,17 +134,20 @@ impl WorkloadPredictor {
             return ForecastSet::default();
         };
 
-        // Unit of prediction: template or cluster.
-        struct Unit {
-            example: smdb_query::Query,
-            series: Vec<f64>,
+        // Unit of prediction: template (with the fingerprint its
+        // backtest is cached under) or cluster.
+        struct Unit<'a> {
+            example: &'a Query,
+            series: Cow<'a, [f64]>,
+            template: Option<u64>,
         }
         let units: Vec<Unit> = match self.config.clusters {
             None => history
-                .iter()
-                .map(|(_, th)| Unit {
-                    example: th.example.clone(),
-                    series: th.series(lo, hi),
+                .iter_dense()
+                .map(|(fp, th, series)| Unit {
+                    example: &th.example,
+                    series: Cow::Borrowed(series),
+                    template: Some(fp),
                 })
                 .collect(),
             Some(k) => cluster_templates(history, k, self.config.seed)
@@ -101,12 +162,15 @@ impl WorkloadPredictor {
                             *s += v;
                         }
                     }
-                    let example = history
+                    let example = &history
                         .template(cluster.representative)
                         .expect("representative exists")
-                        .example
-                        .clone();
-                    Unit { example, series }
+                        .example;
+                    Unit {
+                        example,
+                        series: Cow::Owned(series),
+                        template: None,
+                    }
                 })
                 .collect(),
         };
@@ -115,14 +179,20 @@ impl WorkloadPredictor {
         let mut expected = Workload::default();
         let mut worst = Workload::default();
         let mut sigmas: Vec<f64> = Vec::with_capacity(units.len());
+        let mut backtests = self.backtests();
+        let (analyzer, min_train) = (self.analyzer.as_ref(), self.config.min_train);
         for unit in &units {
             let forecast = self.analyzer.forecast(&unit.series, self.config.horizon);
             let weight: f64 = forecast.iter().sum();
-            let sigma = residual_std(
-                &self
-                    .analyzer
-                    .backtest_residuals(&unit.series, self.config.min_train),
-            ) * (self.config.horizon as f64).sqrt();
+            let residual_sigma = match unit.template {
+                Some(fp) => residual_std(backtests.entry(fp).or_default().extend(
+                    analyzer,
+                    &unit.series,
+                    min_train,
+                )),
+                None => residual_std(&analyzer.backtest_residuals(&unit.series, min_train)),
+            };
+            let sigma = residual_sigma * (self.config.horizon as f64).sqrt();
             sigmas.push(sigma);
             if weight > 0.0 || sigma > 0.0 {
                 expected.push(unit.example.clone(), weight);
@@ -132,6 +202,7 @@ impl WorkloadPredictor {
                 );
             }
         }
+        drop(backtests);
 
         if expected.is_empty() && worst.is_empty() {
             // Nothing observed (or nothing forecast to recur): an empty

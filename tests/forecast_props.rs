@@ -139,3 +139,161 @@ proptest! {
         prop_assert!(w >= e - 1e-9);
     }
 }
+
+// --- incremental predict == from-scratch predict ---------------------------
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use smdb::common::seeded_rng;
+use smdb::forecast::{EnsembleAnalyzer, ForecastSet, HoltSmoothing};
+
+fn template(col: u16) -> Query {
+    Query::new(
+        TableId(0),
+        "t",
+        vec![ScanPredicate::eq(ColumnId(col), 1i64)],
+        None,
+        format!("q{col}"),
+    )
+}
+
+/// One bucket of the seeded stream: template 0 is always busy, template
+/// 1 first appears at bucket 300, template 2 is sporadic, and every
+/// seventh bucket executes nothing at all.
+fn record_bucket(cache: &mut PlanCache, rng: &mut impl rand::Rng, bucket: u64) {
+    if bucket % 7 == 3 {
+        return;
+    }
+    let mut run = |col: u16, count: usize| {
+        for _ in 0..count {
+            cache.record(&template(col), Cost(1.0), LogicalTime(bucket));
+        }
+    };
+    run(0, 5 + rng.random_range(0..10usize) + (bucket % 12) as usize);
+    if bucket >= 300 {
+        run(1, 1 + rng.random_range(0..6usize));
+    }
+    if rng.random_range(0..3usize) == 0 {
+        run(2, rng.random_range(0..4usize));
+    }
+}
+
+/// `ForecastSet` as comparable bits: one line per scenario with its
+/// kind, name, probability and per-query weight.
+fn bits(set: &ForecastSet) -> Vec<String> {
+    set.iter()
+        .map(|s| {
+            let weights: Vec<(u64, u64)> = s
+                .workload
+                .queries()
+                .iter()
+                .map(|wq| (wq.query.fingerprint(), wq.weight.to_bits()))
+                .collect();
+            let (kind, p) = (s.kind, s.probability.to_bits());
+            format!("{kind:?}/{} p={p:x} {weights:x?}", s.name)
+        })
+        .collect()
+}
+
+/// Drives one long-lived predictor over a seeded `buckets`-bucket
+/// history — exporting and restoring the history half-way — and at each
+/// checkpoint compares its forecast with a from-scratch one: a fresh
+/// predictor (no backtests yet) over a history rebuilt from the exported
+/// sparse state (dense series re-derived from the bucket maps).
+fn incremental_matches_scratch(
+    make: &dyn Fn() -> Box<dyn WorkloadAnalyzer>,
+    buckets: u64,
+    every_bucket: bool,
+) {
+    let checkpoints = [1, 2, 3, 4, 5, 9, 40, 100];
+    let predictor = WorkloadPredictor::new(make(), PredictorConfig::default());
+    let mut rng = seeded_rng(0xF0CA57);
+    let mut cache = PlanCache::default();
+    let mut hist = WorkloadHistory::new();
+    for bucket in 0..buckets {
+        record_bucket(&mut cache, &mut rng, bucket);
+        hist.observe(LogicalTime(bucket), &cache.snapshot());
+        if bucket == buckets / 2 {
+            hist = WorkloadHistory::restore_state(hist.export_state());
+        }
+        let done = bucket + 1;
+        let near_event = |at: u64| done + 1 >= at && done <= at + 2;
+        let check = checkpoints.contains(&done)
+            || near_event(buckets / 2)
+            || near_event(300)
+            || done == buckets;
+        if !(check || every_bucket) {
+            continue;
+        }
+        let incremental = predictor.predict(&hist);
+        if check {
+            let scratch_hist = WorkloadHistory::restore_state(hist.export_state());
+            let scratch =
+                WorkloadPredictor::new(make(), PredictorConfig::default()).predict(&scratch_hist);
+            assert_eq!(
+                bits(&incremental),
+                bits(&scratch),
+                "{} after {done} buckets",
+                predictor.analyzer_name()
+            );
+        }
+    }
+}
+
+#[test]
+fn incremental_predict_equals_from_scratch_for_every_analyzer() {
+    let simple: Vec<Box<dyn Fn() -> Box<dyn WorkloadAnalyzer>>> = vec![
+        Box::new(|| Box::new(LastValue)),
+        Box::new(|| Box::new(MovingAverage::new(4))),
+        Box::new(|| Box::new(LinearTrend)),
+        Box::new(|| Box::new(Seasonal::new(12))),
+        Box::new(|| Box::new(AutoRegressive::new(2))),
+        Box::new(|| Box::new(HoltSmoothing::default())),
+    ];
+    for make in &simple {
+        incremental_matches_scratch(make.as_ref(), 500, true);
+    }
+    // One ensemble forecast backtests every member over the whole series
+    // (quadratic), so a from-scratch predict is cubic in the span: the
+    // ensemble gets a shorter history and predicts at checkpoints only —
+    // which also makes its backtests extend by many buckets at once.
+    incremental_matches_scratch(&|| Box::new(EnsembleAnalyzer::standard(12)), 160, false);
+}
+
+/// Forwards to a moving average, counting `forecast` calls.
+struct Counting(Arc<AtomicUsize>);
+
+impl WorkloadAnalyzer for Counting {
+    fn name(&self) -> &str {
+        "counting"
+    }
+    fn forecast(&self, series: &[f64], horizon: usize) -> Vec<f64> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        MovingAverage::new(4).forecast(series, horizon)
+    }
+}
+
+#[test]
+fn a_predict_costs_analyzer_calls_per_template_not_per_bucket() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let predictor = WorkloadPredictor::new(
+        Box::new(Counting(Arc::clone(&calls))),
+        PredictorConfig::default(),
+    );
+    let mut rng = seeded_rng(0xF0CA57);
+    let mut cache = PlanCache::default();
+    let mut hist = WorkloadHistory::new();
+    let mut last = 0;
+    for bucket in 0..500 {
+        record_bucket(&mut cache, &mut rng, bucket);
+        hist.observe(LogicalTime(bucket), &cache.snapshot());
+        let before = calls.load(Ordering::Relaxed);
+        predictor.predict(&hist);
+        last = calls.load(Ordering::Relaxed) - before;
+    }
+    // One forecast plus one new residual per template (from scratch it
+    // is one plus ~500 residuals per template).
+    assert_eq!(hist.len(), 3);
+    assert!(last <= 2 * hist.len(), "500th predict made {last} calls");
+}

@@ -1,7 +1,9 @@
 //! Property-based tests for the delta-aware what-if cost cache: under
 //! arbitrary configuration-action sequences, cached and uncached
-//! workload costs stay bit-identical, and re-assessing after a cache
-//! flush matches a fresh assessor exactly.
+//! workload costs stay bit-identical, re-assessing after a cache flush
+//! matches a fresh assessor exactly, a patched configuration digest
+//! equals one built from scratch, and two configurations share a cache
+//! key exactly when they agree on the footprint's slice.
 
 use std::sync::Arc;
 
@@ -10,7 +12,8 @@ use proptest::prelude::*;
 use smdb::common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 use smdb::core::assessor::{Assessor, WhatIfAssessor};
 use smdb::core::candidate::Candidate;
-use smdb::cost::{LogicalCostModel, WhatIf};
+use smdb::cost::features::ConfigContext;
+use smdb::cost::{LogicalCostModel, QueryFootprint, WhatIf};
 use smdb::forecast::{ForecastSet, ScenarioKind, WorkloadScenario};
 use smdb::query::{Query, WeightedQuery, Workload};
 use smdb::storage::value::ColumnValues;
@@ -102,6 +105,161 @@ fn action_strategy() -> impl Strategy<Value = ConfigAction> {
             }
         },
     )
+}
+
+/// A configuration edit: an action, or an explicitly stored default
+/// entry (which `ConfigInstance::apply` never produces but a hand-built
+/// or restored configuration may hold).
+#[derive(Debug, Clone)]
+enum Edit {
+    Action(ConfigAction),
+    DefaultEncoding(ChunkColumnRef),
+    DefaultPlacement(TableId, ChunkId),
+}
+
+impl Edit {
+    fn apply(&self, config: &mut ConfigInstance) {
+        match self {
+            Edit::Action(action) => config.apply(action),
+            Edit::DefaultEncoding(target) => {
+                config
+                    .encodings
+                    .entry(*target)
+                    .or_insert(EncodingKind::Unencoded);
+            }
+            Edit::DefaultPlacement(table, chunk) => {
+                config
+                    .placements
+                    .entry((*table, *chunk))
+                    .or_insert(Tier::Hot);
+            }
+        }
+    }
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    (0u32..6, action_strategy(), 0u32..2, 0u16..2, 0u32..4).prop_map(
+        |(pick, action, table, col, chunk)| match pick {
+            0 => Edit::DefaultEncoding(ChunkColumnRef::new(table, col, chunk)),
+            1 => Edit::DefaultPlacement(TableId(table), ChunkId(chunk)),
+            _ => Edit::Action(action),
+        },
+    )
+}
+
+fn config_of(edits: &[Edit]) -> ConfigInstance {
+    let mut config = ConfigInstance::default();
+    for edit in edits {
+        edit.apply(&mut config);
+    }
+    config
+}
+
+/// Every footprint a query over the two-table catalog can have.
+fn footprints(t: TableId, u: TableId) -> Vec<QueryFootprint> {
+    let fp = |table, cols: &[u16]| QueryFootprint {
+        table,
+        columns: cols.iter().map(|&c| ColumnId(c)).collect(),
+    };
+    vec![fp(t, &[0]), fp(t, &[1]), fp(t, &[0, 1]), fp(u, &[0])]
+}
+
+/// Per-segment `(index, encoding)`, per-chunk tier, and — only with a
+/// non-hot chunk — `(nonhot_bytes, buffer-pool bits)`.
+type Slice = (
+    Vec<(Option<IndexKind>, EncodingKind)>,
+    Vec<Tier>,
+    Option<(u64, u64)>,
+);
+
+/// What a query with `footprint` can read of `config`, entry by entry —
+/// the definition the cache key must agree with, computed without any
+/// hashing: per footprint column and existing chunk the effective index
+/// and encoding, per chunk the tier, and the buffer-pool state only when
+/// a chunk of the table is non-hot.
+fn slice_of(engine: &StorageEngine, config: &ConfigInstance, footprint: &QueryFootprint) -> Slice {
+    let chunks = engine.table(footprint.table).expect("table").chunk_count() as u32;
+    let mut segments = Vec::new();
+    for &column in &footprint.columns {
+        for chunk in 0..chunks {
+            let target = ChunkColumnRef {
+                table: footprint.table,
+                column,
+                chunk: ChunkId(chunk),
+            };
+            segments.push((config.index_of(target), config.encoding_of(target)));
+        }
+    }
+    let tiers: Vec<Tier> = (0..chunks)
+        .map(|c| config.tier_of(footprint.table, ChunkId(c)))
+        .collect();
+    let pressure = tiers.iter().any(|&t| t != Tier::Hot).then(|| {
+        (
+            ConfigContext::new(engine, config).nonhot_bytes,
+            config.knobs.buffer_pool_mb.to_bits(),
+        )
+    });
+    (segments, tiers, pressure)
+}
+
+proptest! {
+    // Cheap cases, and the interesting ones are collisions (a drop of an
+    // index that exists, a warm chunk turned cold): many cases.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Patching a context action by action gives, after every step, the
+    /// context built from scratch over the materialised configuration:
+    /// the same `nonhot_bytes` and the same key for every footprint.
+    #[test]
+    fn patched_digest_equals_digest_from_scratch(
+        base in proptest::collection::vec(edit_strategy(), 0..10),
+        actions in proptest::collection::vec(action_strategy(), 1..6),
+    ) {
+        let (engine, t, u) = engine();
+        let mut config = config_of(&base);
+        let mut patched = ConfigContext::new(&engine, &config);
+        for action in &actions {
+            // Re-encoding or moving a chunk the table does not have is
+            // an error for the context (it sizes the segment): stop.
+            let Ok(next) = patched.apply_action(&engine, &config, action) else {
+                break;
+            };
+            config.apply(action);
+            patched = next;
+            let scratch = ConfigContext::new(&engine, &config);
+            prop_assert_eq!(patched.nonhot_bytes, scratch.nonhot_bytes);
+            for footprint in footprints(t, u) {
+                prop_assert_eq!(
+                    footprint.cache_key(&patched),
+                    footprint.cache_key(&scratch),
+                    "after {} on {:?}", action, footprint
+                );
+            }
+        }
+    }
+
+    /// Two configurations get the same key for a footprint exactly when
+    /// they agree on the footprint's slice — compared entry by entry, not
+    /// through another hash. `second` extends `first`, so both outcomes
+    /// occur: edits outside a footprint's slice must keep its key.
+    #[test]
+    fn keys_are_equal_iff_slices_agree(
+        first in proptest::collection::vec(edit_strategy(), 0..10),
+        more in proptest::collection::vec(edit_strategy(), 0..4),
+    ) {
+        let (engine, t, u) = engine();
+        let a = config_of(&first);
+        let mut b = a.clone();
+        for edit in &more {
+            edit.apply(&mut b);
+        }
+        let (ctx_a, ctx_b) = (ConfigContext::new(&engine, &a), ConfigContext::new(&engine, &b));
+        for footprint in footprints(t, u) {
+            let same_slice = slice_of(&engine, &a, &footprint) == slice_of(&engine, &b, &footprint);
+            let same_key = footprint.cache_key(&ctx_a) == footprint.cache_key(&ctx_b);
+            prop_assert_eq!(same_key, same_slice, "{:?}: {:?} vs {:?}", footprint, a, b);
+        }
+    }
 }
 
 proptest! {
