@@ -7,8 +7,9 @@
 
 use parking_lot::Mutex;
 use smdb_common::json::Json;
-use smdb_common::{Cost, LogicalTime, Result};
-use smdb_storage::{ConfigAction, ConfigInstance, ConfigSnapshot};
+use smdb_common::{ChunkColumnRef, Cost, Error, LogicalTime, Result};
+use smdb_durable::{durable_struct, ByteReader, ByteWriter, Decode, Encode};
+use smdb_storage::{ConfigAction, ConfigInstance};
 
 use crate::feature::FeatureKind;
 
@@ -34,6 +35,50 @@ pub struct StoredInstance {
     pub observed_after: Option<Cost>,
 }
 
+/// Fields in declaration order, except that `feature` is one tag byte
+/// with 0 = `None` rather than a presence byte plus a tag: the layout
+/// predates the generic `Option` encoding and stays readable.
+impl Encode for StoredInstance {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.applied_at.encode(w);
+        w.u8(match self.feature {
+            None => 0,
+            Some(FeatureKind::Indexing) => 1,
+            Some(FeatureKind::Compression) => 2,
+            Some(FeatureKind::Placement) => 3,
+            Some(FeatureKind::BufferPool) => 4,
+        });
+        self.config.encode(w);
+        self.actions.encode(w);
+        self.predicted_cost.encode(w);
+        self.reconfiguration_cost.encode(w);
+        self.observed_before.encode(w);
+        self.observed_after.encode(w);
+    }
+}
+
+impl Decode for StoredInstance {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(StoredInstance {
+            applied_at: LogicalTime::decode(r)?,
+            feature: match r.u8()? {
+                0 => None,
+                1 => Some(FeatureKind::Indexing),
+                2 => Some(FeatureKind::Compression),
+                3 => Some(FeatureKind::Placement),
+                4 => Some(FeatureKind::BufferPool),
+                other => return Err(Error::invalid(format!("unknown feature tag {other}"))),
+            },
+            config: ConfigInstance::decode(r)?,
+            actions: Vec::decode(r)?,
+            predicted_cost: Cost::decode(r)?,
+            reconfiguration_cost: Cost::decode(r)?,
+            observed_before: Cost::decode(r)?,
+            observed_after: Option::decode(r)?,
+        })
+    }
+}
+
 /// Assessment of one past decision, produced by the feedback loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionFeedback {
@@ -56,6 +101,13 @@ pub struct RollbackRecord {
     /// Human-readable cause.
     pub cause: String,
 }
+
+durable_struct!(RollbackRecord {
+    at,
+    abandoned_actions,
+    restored_config,
+    cause
+});
 
 /// Thread-safe storage of applied configuration instances.
 #[derive(Debug, Default)]
@@ -159,7 +211,7 @@ impl ConfigStorage {
                         "feature",
                         Json::from(i.feature.map(|f| f.label().to_string())),
                     ),
-                    ("config", snapshot_json(&ConfigSnapshot::from(&i.config))),
+                    ("config", config_json(&i.config)),
                     ("actions", i.actions.iter().map(|a| a.to_string()).collect()),
                     ("predicted_cost_ms", Json::from(i.predicted_cost.ms())),
                     (
@@ -178,44 +230,41 @@ impl ConfigStorage {
     }
 }
 
-/// Flattens a [`ConfigSnapshot`] into JSON: map keys become explicit
-/// object fields (`{table, column, chunk, kind}`), which JSON can
-/// represent and downstream tooling can diff.
-fn snapshot_json(snap: &ConfigSnapshot) -> Json {
+/// Flattens a configuration into JSON: map keys become explicit object
+/// fields (`{table, column, chunk, kind}`), which JSON can represent and
+/// downstream tooling can diff.
+fn config_json(config: &ConfigInstance) -> Json {
+    fn segment(target: &ChunkColumnRef, kind: String) -> Json {
+        Json::obj([
+            ("table", Json::from(u64::from(target.table.0))),
+            ("column", Json::from(u64::from(target.column.0))),
+            ("chunk", Json::from(u64::from(target.chunk.0))),
+            ("kind", Json::from(kind)),
+        ])
+    }
     Json::obj([
         (
             "indexes",
-            snap.indexes
+            config
+                .indexes
                 .iter()
-                .map(|(target, kind)| {
-                    Json::obj([
-                        ("table", Json::from(u64::from(target.table.0))),
-                        ("column", Json::from(u64::from(target.column.0))),
-                        ("chunk", Json::from(u64::from(target.chunk.0))),
-                        ("kind", Json::from(format!("{kind:?}"))),
-                    ])
-                })
+                .map(|(target, kind)| segment(target, format!("{kind:?}")))
                 .collect(),
         ),
         (
             "encodings",
-            snap.encodings
+            config
+                .encodings
                 .iter()
-                .map(|(target, kind)| {
-                    Json::obj([
-                        ("table", Json::from(u64::from(target.table.0))),
-                        ("column", Json::from(u64::from(target.column.0))),
-                        ("chunk", Json::from(u64::from(target.chunk.0))),
-                        ("kind", Json::from(format!("{kind:?}"))),
-                    ])
-                })
+                .map(|(target, kind)| segment(target, format!("{kind:?}")))
                 .collect(),
         ),
         (
             "placements",
-            snap.placements
+            config
+                .placements
                 .iter()
-                .map(|(table, chunk, tier)| {
+                .map(|((table, chunk), tier)| {
                     Json::obj([
                         ("table", Json::from(u64::from(table.0))),
                         ("chunk", Json::from(u64::from(chunk.0))),
@@ -224,7 +273,7 @@ fn snapshot_json(snap: &ConfigSnapshot) -> Json {
                 })
                 .collect(),
         ),
-        ("buffer_pool_mb", Json::from(snap.buffer_pool_mb)),
+        ("buffer_pool_mb", Json::from(config.knobs.buffer_pool_mb)),
     ])
 }
 

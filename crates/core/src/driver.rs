@@ -22,7 +22,7 @@ use smdb_storage::ConfigInstance;
 
 use crate::config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 use crate::constraints::ConstraintSet;
-use crate::durability::{DurabilityManager, PendingReconfigState, RecoveredState, ServingState};
+use crate::durability::DurabilityManager;
 use crate::executor::{ExecutionReport, Executor, SequentialExecutor};
 use crate::feature::FeatureKind;
 use crate::kpi::{KpiCollector, KpiSnapshot};
@@ -128,34 +128,46 @@ pub struct TuningState {
 
 /// A tuning whose actions the executor deferred: the context needed to
 /// store the configuration instance once the drain completes.
-#[derive(Debug)]
-struct PendingReconfig {
-    final_config: ConfigInstance,
-    actions: Vec<smdb_storage::ConfigAction>,
-    predicted_cost: Cost,
-    observed_before: Cost,
+#[derive(Debug, Clone, PartialEq)]
+pub struct PendingReconfig {
+    /// The configuration once the drain completes.
+    pub final_config: ConfigInstance,
+    /// The full action list of the tuning.
+    pub actions: Vec<smdb_storage::ConfigAction>,
+    /// Predicted workload cost after the change.
+    pub predicted_cost: Cost,
+    /// Mean observed response before the change.
+    pub observed_before: Cost,
     /// Reconfiguration cost accrued over completed slices.
-    accrued_cost: Cost,
+    pub accrued_cost: Cost,
 }
 
+smdb_durable::durable_struct!(PendingReconfig {
+    final_config,
+    actions,
+    predicted_cost,
+    observed_before,
+    accrued_cost
+});
+
 #[derive(Debug, Default)]
-struct DriverCounters {
-    buckets_closed: AtomicU64,
-    tunings_run: AtomicU64,
-    actions_applied: AtomicU64,
-    actions_deferred: AtomicU64,
-    apply_failures: AtomicU64,
+pub(crate) struct DriverCounters {
+    pub(crate) buckets_closed: AtomicU64,
+    pub(crate) tunings_run: AtomicU64,
+    pub(crate) actions_applied: AtomicU64,
+    pub(crate) actions_deferred: AtomicU64,
+    pub(crate) apply_failures: AtomicU64,
 }
 
 /// The central self-management entity.
 pub struct Driver {
-    db: Arc<Database>,
-    history: Mutex<WorkloadHistory>,
+    pub(crate) db: Arc<Database>,
+    pub(crate) history: Mutex<WorkloadHistory>,
     predictor: WorkloadPredictor,
     multi: MultiFeatureTuner,
-    organizer: Organizer,
-    kpis: KpiCollector,
-    storage: ConfigStorage,
+    pub(crate) organizer: Organizer,
+    pub(crate) kpis: KpiCollector,
+    pub(crate) storage: ConfigStorage,
     /// Constraint set behind its own lock so an external arbiter (the
     /// sharded Organizer splitting one memory budget across shards) can
     /// retarget budgets between ticks. Tuning paths clone it up front
@@ -166,23 +178,23 @@ pub struct Driver {
     calibrated: Option<Arc<CalibratedCostModel>>,
     ordering_policy: OrderingPolicy,
     /// Rolling observed workload cost of the last closed bucket.
-    last_bucket_cost: Mutex<Cost>,
+    pub(crate) last_bucket_cost: Mutex<Cost>,
     /// Actions a utilization-gated executor deferred; retried each bucket
     /// ("the executor can access runtime KPIs to determine favorable
     /// points in time for applying the choices", Section II-D(d)).
-    pending_actions: Mutex<Vec<smdb_storage::ConfigAction>>,
+    pub(crate) pending_actions: Mutex<Vec<smdb_storage::ConfigAction>>,
     /// Context of the deferred tuning the pending actions realise.
-    pending_reconfig: Mutex<Option<PendingReconfig>>,
+    pub(crate) pending_reconfig: Mutex<Option<PendingReconfig>>,
     /// The configuration at build time — the rollback target before any
     /// instance has been stored.
     baseline_config: ConfigInstance,
-    counters: DriverCounters,
+    pub(crate) counters: DriverCounters,
     /// Flight recorder every tuning decision lands in (bounded ring;
     /// exportable as JSON, dumped on rollback when auto-dump is on).
-    recorder: Arc<FlightRecorder>,
+    pub(crate) recorder: Arc<FlightRecorder>,
     /// WAL + snapshot manager; `None` keeps the in-memory path free of
     /// durability overhead.
-    durability: Option<Arc<DurabilityManager>>,
+    pub(crate) durability: Option<Arc<DurabilityManager>>,
 }
 
 impl Driver {
@@ -255,7 +267,7 @@ impl Driver {
 
     /// Label of the configuration a rollback would restore right now:
     /// the latest stored instance, or the build-time baseline.
-    fn restore_label(&self) -> String {
+    fn rollback_target_label(&self) -> String {
         if self.storage.last_good_config().is_some() {
             format!("instance-{}", self.storage.len() - 1)
         } else {
@@ -474,7 +486,7 @@ impl Driver {
         let abandoned: Vec<smdb_storage::ConfigAction> =
             std::mem::take(&mut *self.pending_actions.lock());
         *self.pending_reconfig.lock() = None;
-        let restored_label = self.restore_label();
+        let restored_label = self.rollback_target_label();
         let target = self
             .storage
             .last_good_config()
@@ -530,199 +542,6 @@ impl Driver {
     /// Produces the current forecast from the observed history.
     pub fn forecast(&self) -> ForecastSet {
         self.predictor.predict(&self.history.lock())
-    }
-
-    /// Captures the complete serving state at a bucket boundary —
-    /// everything a boundary WAL record carries. `bucket` is the number
-    /// of buckets fully served and `stats` the cumulative session
-    /// statistics the serving runtime accumulated.
-    pub fn export_serving_state(
-        &self,
-        bucket: u64,
-        stats: &smdb_query::SessionStats,
-    ) -> ServingState {
-        let config = smdb_storage::ConfigSnapshot::from(&self.db.engine().current_config());
-        let plan_cache = self
-            .db
-            .plan_cache()
-            .snapshot()
-            .into_iter()
-            .map(|e| {
-                (
-                    e.example,
-                    e.executions,
-                    e.total_cost,
-                    e.first_seen,
-                    e.last_seen,
-                )
-            })
-            .collect();
-        // Locks are taken one at a time in the driver's canonical order
-        // (history, last_bucket_cost, pending_actions, pending_reconfig)
-        // so boundary export cannot deadlock against the tuning thread.
-        let history = self.history.lock().export_state();
-        let last_bucket_cost = *self.last_bucket_cost.lock();
-        let pending_actions = self.pending_actions.lock().clone();
-        let pending_reconfig =
-            self.pending_reconfig
-                .lock()
-                .as_ref()
-                .map(|pr| PendingReconfigState {
-                    final_config: smdb_storage::ConfigSnapshot::from(&pr.final_config),
-                    actions: pr.actions.clone(),
-                    predicted_cost: pr.predicted_cost,
-                    observed_before: pr.observed_before,
-                    accrued_cost: pr.accrued_cost,
-                });
-        let c = &self.counters;
-        let counters = [
-            &c.buckets_closed,
-            &c.tunings_run,
-            &c.actions_applied,
-            &c.actions_deferred,
-            &c.apply_failures,
-        ]
-        // ordering: relaxed snapshot of independent statistic counters.
-        .map(|counter| counter.load(Ordering::Relaxed));
-        ServingState {
-            bucket,
-            stats: stats.clone(),
-            clock: self.db.now().raw(),
-            config,
-            kpi: self.kpis.export_state(),
-            history,
-            plan_cache,
-            organizer_last_tuning: self.organizer.last_tuning().map(|t| t.raw()),
-            organizer_paused: self.organizer.is_paused(),
-            last_bucket_cost,
-            pending_actions,
-            pending_reconfig,
-            counters,
-        }
-    }
-
-    /// Logs a bucket boundary to the WAL and, when the snapshot cadence
-    /// fires, takes a full snapshot. No-op without a durability manager.
-    pub fn persist_boundary(&self, bucket: u64, stats: &smdb_query::SessionStats) -> Result<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let state = self.export_serving_state(bucket, stats);
-        d.log_boundary(&state)?;
-        if d.should_snapshot(bucket) {
-            self.persist_snapshot_inner(d, &state)?;
-        }
-        Ok(())
-    }
-
-    /// Takes a full snapshot right now (e.g. the run-start snapshot a
-    /// durable run writes before serving). No-op without a durability
-    /// manager.
-    pub fn persist_snapshot(&self, bucket: u64, stats: &smdb_query::SessionStats) -> Result<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let state = self.export_serving_state(bucket, stats);
-        self.persist_snapshot_inner(d, &state)
-    }
-
-    fn persist_snapshot_inner(
-        &self,
-        d: &Arc<DurabilityManager>,
-        state: &ServingState,
-    ) -> Result<()> {
-        let instances = self.storage.snapshot();
-        let rollbacks = self.storage.rollbacks();
-        let (wal_records, bytes) = {
-            let engine = self.db.engine();
-            d.take_snapshot(state, &engine, &instances, &rollbacks)?
-        };
-        self.recorder.record(TrailEvent::SnapshotTaken {
-            at: state.clock,
-            bucket: state.bucket,
-            wal_records,
-            bytes,
-        });
-        Ok(())
-    }
-
-    /// Restores this (freshly built) driver from recovered durable
-    /// state: re-applies the persisted configuration to the engine,
-    /// reinstates the stored instances and rollbacks, and restores the
-    /// whole serving state (clock, KPIs, history, plan cache, organizer,
-    /// pending tuning, counters). The engine must already hold the
-    /// recovered tables at the default configuration. Records a
-    /// `recovered` trail event.
-    pub fn restore_from_recovery(&self, rec: &RecoveredState) -> Result<()> {
-        let target = ConfigInstance::from(&rec.serving.config);
-        let redo = {
-            let engine = self.db.engine();
-            engine.current_config().diff(&target)
-        };
-        if !redo.is_empty() {
-            self.db.apply_config_atomic(&redo)?;
-        }
-        for inst in &rec.instances {
-            self.storage.store(inst.clone());
-        }
-        for rb in &rec.rollbacks {
-            self.storage.record_rollback(rb.clone());
-        }
-        self.restore_serving_state(&rec.serving);
-        smdb_obs::metrics::counter("driver.recoveries").inc();
-        self.recorder.record(TrailEvent::Recovered {
-            at: self.db.now().raw(),
-            bucket: rec.serving.bucket,
-            replayed_records: rec.replayed_records,
-            dropped_records: rec.dropped_records,
-        });
-        Ok(())
-    }
-
-    fn restore_serving_state(&self, state: &ServingState) {
-        self.db.restore_clock(LogicalTime(state.clock));
-        self.kpis.restore_state(state.kpi.clone());
-        *self.history.lock() = WorkloadHistory::restore_state(state.history.clone());
-        {
-            let mut cache = self.db.plan_cache();
-            cache.clear();
-            for (example, executions, total_cost, first_seen, last_seen) in &state.plan_cache {
-                cache.restore_entry(
-                    example.clone(),
-                    *executions,
-                    *total_cost,
-                    *first_seen,
-                    *last_seen,
-                );
-            }
-        }
-        if let Some(t) = state.organizer_last_tuning {
-            self.organizer.record_tuning(LogicalTime(t));
-        }
-        if state.organizer_paused {
-            self.organizer.pause();
-        }
-        *self.last_bucket_cost.lock() = state.last_bucket_cost;
-        *self.pending_actions.lock() = state.pending_actions.clone();
-        *self.pending_reconfig.lock() = state.pending_reconfig.as_ref().map(|p| PendingReconfig {
-            final_config: ConfigInstance::from(&p.final_config),
-            actions: p.actions.clone(),
-            predicted_cost: p.predicted_cost,
-            observed_before: p.observed_before,
-            accrued_cost: p.accrued_cost,
-        });
-        let [buckets, tunings, applied, deferred, failures] = state.counters;
-        let c = &self.counters;
-        for (counter, value) in [
-            (&c.buckets_closed, buckets),
-            (&c.tunings_run, tunings),
-            (&c.actions_applied, applied),
-            (&c.actions_deferred, deferred),
-            (&c.apply_failures, failures),
-        ] {
-            // ordering: relaxed counter restore; recovery is single-threaded.
-            counter.store(value, Ordering::Relaxed);
-        }
     }
 
     /// Checks the organizer and, when it fires, runs a full tuning pass

@@ -1,4 +1,6 @@
-//! The driver's durability layer: WAL + snapshots of the serving state.
+//! The driver's durability policy: *when* the serving state is logged
+//! and snapshotted, and *what* a record or a snapshot carries — never
+//! *how* a value becomes bytes.
 //!
 //! A durable run logs every tuning-state transition to an append-only
 //! WAL (`smdb_durable::Wal`) and periodically writes a full snapshot —
@@ -8,14 +10,18 @@
 //! the latest valid snapshot, so a restart resumes with the *tuned*
 //! physical design instead of re-tuning from cold.
 //!
-//! WAL record bodies are tagged:
+//! The byte layout of every type that travels is the `Encode` / `Decode`
+//! impl in the file that defines the type (containers are encoded once,
+//! in `smdb_durable::codec`). This module owns the framing around them:
+//! the snapshot payload (version byte, WAL position, serving state,
+//! tables, instances, rollbacks) and the tagged WAL record bodies:
 //!
-//! | tag | record              | written by                          |
-//! |-----|---------------------|-------------------------------------|
-//! | 1   | `Boundary`          | control thread, after each barrier  |
-//! | 2   | `InstanceStored`    | feedback loop (tune / drain)        |
-//! | 3   | `InstanceCompleted` | feedback loop (`complete_latest`)   |
-//! | 4   | `Rollback`          | failed-apply rollback               |
+//! | tag | record              | body               | written by                         |
+//! |-----|---------------------|--------------------|------------------------------------|
+//! | 1   | `Boundary`          | [`ServingState`]   | control thread, after each barrier |
+//! | 2   | `InstanceStored`    | [`StoredInstance`] | feedback loop (tune / drain)       |
+//! | 3   | `InstanceCompleted` | `Cost`             | feedback loop (`complete_latest`)  |
+//! | 4   | `Rollback`          | [`RollbackRecord`] | failed-apply rollback              |
 //!
 //! The serving runtime's ack rendezvous guarantees all tuner-thread
 //! records for tick *t* land before the control thread appends boundary
@@ -26,23 +32,25 @@
 //! snapshots shorten recovery (fewer records to replay — a lower RTO)
 //! but multiply write amplification, since each snapshot rewrites the
 //! full state the WAL describes incrementally. [`DurabilityStats`]
-//! surfaces both sides as KPIs.
+//! surfaces both sides as KPIs. The second `impl Driver` block at the
+//! end of this file is the glue: exporting the live driver into a
+//! [`ServingState`] and restoring one into a freshly built driver.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smdb_common::{ColumnId, Cost, Error, LogicalTime, Result, TableId};
-use smdb_durable::{ByteReader, ByteWriter, Persistence, SnapshotStore, Wal};
-use smdb_forecast::{TemplateHistory, WorkloadHistoryState};
-use smdb_query::{Query, SessionStats};
-use smdb_storage::persist as storage_persist;
-use smdb_storage::{
-    Aggregate, AggregateOp, ConfigAction, ConfigSnapshot, PredicateOp, ScanPredicate,
-    StorageEngine, Table, Value,
+use smdb_common::{Cost, Error, LogicalTime, Result};
+use smdb_durable::{
+    decode_all, durable_struct, encode_to_vec, ByteWriter, Encode, Persistence, SnapshotStore, Wal,
 };
+use smdb_forecast::{WorkloadHistory, WorkloadHistoryState};
+use smdb_obs::TrailEvent;
+use smdb_query::{PlanCacheEntry, SessionStats};
+use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine, Table};
 
 use crate::config_storage::{RollbackRecord, StoredInstance};
-use crate::feature::FeatureKind;
+use crate::driver::{Driver, PendingReconfig};
 use crate::kpi::KpiState;
 
 /// Blob name of the write-ahead log.
@@ -192,40 +200,36 @@ impl DurabilityManager {
         Ok(())
     }
 
+    /// Frames one WAL record body: the tag byte, then the value.
+    fn log(&self, tag: u8, body: &impl Encode) -> Result<()> {
+        let mut w = ByteWriter::new();
+        w.u8(tag);
+        body.encode(&mut w);
+        self.append(&w.into_bytes())
+    }
+
     /// Logs a bucket-boundary serving state.
     pub fn log_boundary(&self, state: &ServingState) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_BOUNDARY);
-        write_serving_state(&mut w, state);
-        self.append(&w.into_bytes())
+        self.log(TAG_BOUNDARY, state)
     }
 
     /// Logs a newly stored configuration instance.
     pub fn log_instance_stored(&self, instance: &StoredInstance) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_INSTANCE_STORED);
-        write_stored_instance(&mut w, instance);
-        self.append(&w.into_bytes())
+        self.log(TAG_INSTANCE_STORED, instance)
     }
 
     /// Logs the feedback loop completing the latest open instance.
     pub fn log_instance_completed(&self, observed_after: Cost) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_INSTANCE_COMPLETED);
-        w.f64(observed_after.0);
-        self.append(&w.into_bytes())
+        self.log(TAG_INSTANCE_COMPLETED, &observed_after)
     }
 
     /// Logs a rollback to the last good configuration.
     pub fn log_rollback(&self, record: &RollbackRecord) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_ROLLBACK);
-        write_rollback_record(&mut w, record);
-        self.append(&w.into_bytes())
+        self.log(TAG_ROLLBACK, record)
     }
 
-    /// Writes a full snapshot (version = `serving.bucket`) superseding
-    /// all WAL records so far. Returns `(wal_records_superseded, bytes)`.
+    /// Writes a full snapshot (version = `serving.bucket`) recording the
+    /// WAL position it covers. Returns `(wal_records_covered, bytes)`.
     pub fn take_snapshot(
         &self,
         serving: &ServingState,
@@ -237,20 +241,14 @@ impl DurabilityManager {
         let mut w = ByteWriter::new();
         w.u8(SNAPSHOT_VERSION);
         w.u64(wal_records);
-        write_serving_state(&mut w, serving);
-        let tables: Vec<&Table> = engine.tables().map(|(_, t)| t).collect();
-        w.usize(tables.len());
-        for table in tables {
-            storage_persist::write_table(&mut w, table)?;
+        serving.encode(&mut w);
+        // `Vec<Table>`'s layout by hand: a table's encoder is fallible.
+        w.usize(engine.tables().count());
+        for (_, table) in engine.tables() {
+            table.encode(&mut w)?;
         }
-        w.usize(instances.len());
-        for inst in instances {
-            write_stored_instance(&mut w, inst);
-        }
-        w.usize(rollbacks.len());
-        for rb in rollbacks {
-            write_rollback_record(&mut w, rb);
-        }
+        instances.encode(&mut w);
+        rollbacks.encode(&mut w);
         let bytes =
             self.snapshots
                 .write(self.persistence.as_ref(), serving.bucket, &w.into_bytes())?;
@@ -285,36 +283,25 @@ pub struct RecoveredState {
 /// WAL tail. Returns `Ok(None)` when no valid snapshot exists (nothing
 /// was ever persisted, or every snapshot is corrupt — there is no base
 /// state to replay onto). A corrupt WAL tail is truncated in place so
-/// subsequent appends extend the valid prefix.
+/// subsequent appends extend the valid prefix. `_config` is unused:
+/// nothing about reading a store back depends on the write cadence; the
+/// parameter stays because the frozen `benchmark/` package passes it.
 pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option<RecoveredState>> {
     let snapshots = SnapshotStore::new(SNAPSHOT_PREFIX);
     let Some((_, payload)) = snapshots.latest_valid(p)? else {
         return Ok(None);
     };
-    let mut r = ByteReader::new(&payload);
-    let version = r.u8()?;
+    let (&version, body) = payload
+        .split_first()
+        .ok_or_else(|| Error::invalid("empty snapshot"))?;
     if version != SNAPSHOT_VERSION {
         return Err(Error::invalid(format!(
             "unsupported snapshot version {version}"
         )));
     }
-    let wal_records_at_snapshot = r.u64()?;
-    let mut serving = read_serving_state(&mut r)?;
-    let n = r.usize()?;
-    let mut tables = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        tables.push(storage_persist::read_table(&mut r)?);
-    }
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        instances.push(read_stored_instance(&mut r)?);
-    }
-    let n = r.usize()?;
-    let mut rollbacks = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        rollbacks.push(read_rollback_record(&mut r)?);
-    }
+    // What `take_snapshot` wrote after the version byte, in its order.
+    let (wal_records_at_snapshot, mut serving, tables, mut instances, mut rollbacks) =
+        decode_all(body)?;
 
     // Replay the WAL tail over the snapshot: records the snapshot
     // already covers are skipped by sequence number.
@@ -350,12 +337,14 @@ fn replay_record(
     instances: &mut Vec<StoredInstance>,
     rollbacks: &mut Vec<RollbackRecord>,
 ) -> Result<()> {
-    let mut r = ByteReader::new(body);
-    match r.u8()? {
-        TAG_BOUNDARY => *serving = read_serving_state(&mut r)?,
-        TAG_INSTANCE_STORED => instances.push(read_stored_instance(&mut r)?),
+    let (&tag, value) = body
+        .split_first()
+        .ok_or_else(|| Error::invalid("empty WAL record"))?;
+    match tag {
+        TAG_BOUNDARY => *serving = decode_all(value)?,
+        TAG_INSTANCE_STORED => instances.push(decode_all(value)?),
         TAG_INSTANCE_COMPLETED => {
-            let after = Cost(r.f64()?);
+            let after: Cost = decode_all(value)?;
             // Mirror `ConfigStorage::complete_latest`.
             if let Some(inst) = instances
                 .iter_mut()
@@ -365,31 +354,15 @@ fn replay_record(
                 inst.observed_after = Some(after);
             }
         }
-        TAG_ROLLBACK => rollbacks.push(read_rollback_record(&mut r)?),
+        TAG_ROLLBACK => rollbacks.push(decode_all(value)?),
         other => return Err(Error::invalid(format!("unknown WAL record tag {other}"))),
     }
     Ok(())
 }
 
-/// A deferred tuning's context, flattened for serialization (the
-/// driver-internal form holds the same fields).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingReconfigState {
-    /// The configuration once the drain completes.
-    pub final_config: ConfigSnapshot,
-    /// The full action list of the tuning.
-    pub actions: Vec<ConfigAction>,
-    /// Predicted workload cost after the change.
-    pub predicted_cost: Cost,
-    /// Mean observed response before the change.
-    pub observed_before: Cost,
-    /// Reconfiguration cost accrued over completed slices.
-    pub accrued_cost: Cost,
-}
-
 /// The driver's complete serving state at one bucket boundary — what a
 /// boundary WAL record carries and recovery restores.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingState {
     /// Buckets fully served (serving resumes at this bucket index).
     pub bucket: u64,
@@ -398,16 +371,15 @@ pub struct ServingState {
     /// The database's logical clock.
     pub clock: u64,
     /// The applied configuration.
-    pub config: ConfigSnapshot,
+    pub config: ConfigInstance,
     /// KPI collector windows.
     pub kpi: KpiState,
     /// Workload history.
     pub history: WorkloadHistoryState,
-    /// Plan-cache entries: `(example, executions, total_cost, first_seen,
-    /// last_seen)` — templates and ranks are recomputed on restore.
-    pub plan_cache: Vec<(Query, u64, Cost, LogicalTime, LogicalTime)>,
+    /// Plan-cache entries, in snapshot order.
+    pub plan_cache: Vec<PlanCacheEntry>,
     /// Organizer: when the last tuning ran.
-    pub organizer_last_tuning: Option<u64>,
+    pub organizer_last_tuning: Option<LogicalTime>,
     /// Organizer: whether tuning is paused (cooldown).
     pub organizer_paused: bool,
     /// Observed cost of the last closed bucket.
@@ -415,535 +387,257 @@ pub struct ServingState {
     /// Actions still queued for barrier drains.
     pub pending_actions: Vec<ConfigAction>,
     /// In-flight deferred tuning, if any.
-    pub pending_reconfig: Option<PendingReconfigState>,
+    pub pending_reconfig: Option<PendingReconfig>,
     /// Driver counters: buckets_closed, tunings_run, actions_applied,
     /// actions_deferred, apply_failures.
     pub counters: [u64; 5],
 }
 
-// ---------------------------------------------------------------------
-// Codec
-// ---------------------------------------------------------------------
-
-fn write_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            w.u8(0);
-            w.i64(*x);
-        }
-        Value::Float(x) => {
-            w.u8(1);
-            w.f64(*x);
-        }
-        Value::Text(s) => {
-            w.u8(2);
-            w.str(s);
-        }
-    }
-}
-
-fn read_value(r: &mut ByteReader) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Int(r.i64()?),
-        1 => Value::Float(r.f64()?),
-        2 => Value::Text(r.str()?),
-        other => return Err(Error::invalid(format!("unknown value tag {other}"))),
-    })
-}
-
-fn write_predicate(w: &mut ByteWriter, p: &ScanPredicate) {
-    w.u32(u32::from(p.column.0));
-    w.u8(match p.op {
-        PredicateOp::Eq => 0,
-        PredicateOp::Lt => 1,
-        PredicateOp::Le => 2,
-        PredicateOp::Gt => 3,
-        PredicateOp::Ge => 4,
-        PredicateOp::Between => 5,
-    });
-    write_value(w, &p.value);
-    match &p.upper {
-        Some(upper) => {
-            w.bool(true);
-            write_value(w, upper);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn read_predicate(r: &mut ByteReader) -> Result<ScanPredicate> {
-    let column =
-        ColumnId(u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?);
-    let op = match r.u8()? {
-        0 => PredicateOp::Eq,
-        1 => PredicateOp::Lt,
-        2 => PredicateOp::Le,
-        3 => PredicateOp::Gt,
-        4 => PredicateOp::Ge,
-        5 => PredicateOp::Between,
-        other => return Err(Error::invalid(format!("unknown predicate op {other}"))),
-    };
-    let value = read_value(r)?;
-    let upper = if r.bool()? {
-        Some(read_value(r)?)
-    } else {
-        None
-    };
-    Ok(ScanPredicate {
-        column,
-        op,
-        value,
-        upper,
-    })
-}
-
-fn write_query(w: &mut ByteWriter, q: &Query) {
-    w.u32(q.table().0);
-    w.str(q.table_name());
-    w.usize(q.predicates().len());
-    for p in q.predicates() {
-        write_predicate(w, p);
-    }
-    match q.aggregate() {
-        Some(agg) => {
-            w.bool(true);
-            w.u8(match agg.op {
-                AggregateOp::Count => 0,
-                AggregateOp::Sum => 1,
-                AggregateOp::Avg => 2,
-                AggregateOp::Min => 3,
-                AggregateOp::Max => 4,
-            });
-            w.u32(u32::from(agg.column.0));
-        }
-        None => w.bool(false),
-    }
-    match q.group_by() {
-        Some(col) => {
-            w.bool(true);
-            w.u32(u32::from(col.0));
-        }
-        None => w.bool(false),
-    }
-    w.str(q.label());
-}
-
-fn read_query(r: &mut ByteReader) -> Result<Query> {
-    let table = TableId(r.u32()?);
-    let table_name = r.str()?;
-    let n = r.usize()?;
-    let mut predicates = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        predicates.push(read_predicate(r)?);
-    }
-    let aggregate = if r.bool()? {
-        let op = match r.u8()? {
-            0 => AggregateOp::Count,
-            1 => AggregateOp::Sum,
-            2 => AggregateOp::Avg,
-            3 => AggregateOp::Min,
-            4 => AggregateOp::Max,
-            other => return Err(Error::invalid(format!("unknown aggregate op {other}"))),
-        };
-        let column =
-            ColumnId(u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?);
-        Some(Aggregate { op, column })
-    } else {
-        None
-    };
-    let group_by = if r.bool()? {
-        Some(ColumnId(
-            u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?,
-        ))
-    } else {
-        None
-    };
-    let label = r.str()?;
-    let mut q = Query::new(table, table_name, predicates, aggregate, label);
-    if let Some(col) = group_by {
-        q = q.with_group_by(col);
-    }
-    Ok(q)
-}
-
-fn write_feature(w: &mut ByteWriter, f: Option<FeatureKind>) {
-    match f {
-        None => w.u8(0),
-        Some(FeatureKind::Indexing) => w.u8(1),
-        Some(FeatureKind::Compression) => w.u8(2),
-        Some(FeatureKind::Placement) => w.u8(3),
-        Some(FeatureKind::BufferPool) => w.u8(4),
-    }
-}
-
-fn read_feature(r: &mut ByteReader) -> Result<Option<FeatureKind>> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(FeatureKind::Indexing),
-        2 => Some(FeatureKind::Compression),
-        3 => Some(FeatureKind::Placement),
-        4 => Some(FeatureKind::BufferPool),
-        other => return Err(Error::invalid(format!("unknown feature tag {other}"))),
-    })
-}
-
-fn write_stored_instance(w: &mut ByteWriter, inst: &StoredInstance) {
-    w.u64(inst.applied_at.raw());
-    write_feature(w, inst.feature);
-    storage_persist::write_config_snapshot(w, &ConfigSnapshot::from(&inst.config));
-    storage_persist::write_actions(w, &inst.actions);
-    w.f64(inst.predicted_cost.0);
-    w.f64(inst.reconfiguration_cost.0);
-    w.f64(inst.observed_before.0);
-    w.opt_f64(inst.observed_after.map(|c| c.0));
-}
-
-fn read_stored_instance(r: &mut ByteReader) -> Result<StoredInstance> {
-    Ok(StoredInstance {
-        applied_at: LogicalTime(r.u64()?),
-        feature: read_feature(r)?,
-        config: (&storage_persist::read_config_snapshot(r)?).into(),
-        actions: storage_persist::read_actions(r)?,
-        predicted_cost: Cost(r.f64()?),
-        reconfiguration_cost: Cost(r.f64()?),
-        observed_before: Cost(r.f64()?),
-        observed_after: r.opt_f64()?.map(Cost),
-    })
-}
-
-fn write_rollback_record(w: &mut ByteWriter, rb: &RollbackRecord) {
-    w.u64(rb.at.raw());
-    storage_persist::write_actions(w, &rb.abandoned_actions);
-    storage_persist::write_config_snapshot(w, &ConfigSnapshot::from(&rb.restored_config));
-    w.str(&rb.cause);
-}
-
-fn read_rollback_record(r: &mut ByteReader) -> Result<RollbackRecord> {
-    Ok(RollbackRecord {
-        at: LogicalTime(r.u64()?),
-        abandoned_actions: storage_persist::read_actions(r)?,
-        restored_config: (&storage_persist::read_config_snapshot(r)?).into(),
-        cause: r.str()?,
-    })
-}
-
-fn write_session_stats(w: &mut ByteWriter, s: &SessionStats) {
-    w.u64(s.session_id);
-    w.u64(s.queries);
-    w.u64(s.errors);
-    w.u64(s.wrong_results);
-    w.f64(s.busy.0);
-    w.u64(s.morsels);
-    w.u64(s.result_digest);
-}
-
-fn read_session_stats(r: &mut ByteReader) -> Result<SessionStats> {
-    Ok(SessionStats {
-        session_id: r.u64()?,
-        queries: r.u64()?,
-        errors: r.u64()?,
-        wrong_results: r.u64()?,
-        busy: Cost(r.f64()?),
-        morsels: r.u64()?,
-        result_digest: r.u64()?,
-    })
-}
-
-fn write_kpi_state(w: &mut ByteWriter, k: &KpiState) {
-    w.usize(k.closed.len());
-    for bucket in &k.closed {
-        w.usize(bucket.len());
-        for &x in bucket {
-            w.f64(x);
-        }
-    }
-    w.usize(k.utilization.len());
-    for &x in &k.utilization {
-        w.f64(x);
-    }
-    w.usize(k.memory.len());
-    for &x in &k.memory {
-        w.usize(x);
-    }
-    w.usize(k.bucket_queries.len());
-    for &x in &k.bucket_queries {
-        w.u64(x);
-    }
-    w.u64(k.queries_total);
-    w.bool(k.utilization_stale);
-}
-
-fn read_kpi_state(r: &mut ByteReader) -> Result<KpiState> {
-    let n = r.usize()?;
-    let mut closed = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let m = r.usize()?;
-        let mut bucket = Vec::with_capacity(m.min(1 << 16));
-        for _ in 0..m {
-            bucket.push(r.f64()?);
-        }
-        closed.push(bucket);
-    }
-    let n = r.usize()?;
-    let mut utilization = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        utilization.push(r.f64()?);
-    }
-    let n = r.usize()?;
-    let mut memory = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        memory.push(r.usize()?);
-    }
-    let n = r.usize()?;
-    let mut bucket_queries = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        bucket_queries.push(r.u64()?);
-    }
-    Ok(KpiState {
-        closed,
-        utilization,
-        memory,
-        bucket_queries,
-        queries_total: r.u64()?,
-        utilization_stale: r.bool()?,
-    })
-}
-
-fn write_history_state(w: &mut ByteWriter, h: &WorkloadHistoryState) {
-    w.usize(h.templates.len());
-    for (fp, th) in &h.templates {
-        w.u64(*fp);
-        write_query(w, &th.example);
-        w.usize(th.buckets.len());
-        for (&bucket, &count) in &th.buckets {
-            w.u64(bucket);
-            w.f64(count);
-        }
-        w.f64(th.mean_cost.0);
-        w.f64(th.total);
-    }
-    w.usize(h.last_totals.len());
-    for &(fp, exec, cost) in &h.last_totals {
-        w.u64(fp);
-        w.u64(exec);
-        w.f64(cost.0);
-    }
-    match h.span {
-        Some((lo, hi)) => {
-            w.bool(true);
-            w.u64(lo);
-            w.u64(hi);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn read_history_state(r: &mut ByteReader) -> Result<WorkloadHistoryState> {
-    let n = r.usize()?;
-    let mut templates = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let fp = r.u64()?;
-        let example = read_query(r)?;
-        let m = r.usize()?;
-        let mut buckets = std::collections::BTreeMap::new();
-        for _ in 0..m {
-            let bucket = r.u64()?;
-            let count = r.f64()?;
-            buckets.insert(bucket, count);
-        }
-        let mean_cost = Cost(r.f64()?);
-        let total = r.f64()?;
-        templates.push((
-            fp,
-            TemplateHistory {
-                example,
-                buckets,
-                mean_cost,
-                total,
-            },
-        ));
-    }
-    let n = r.usize()?;
-    let mut last_totals = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let fp = r.u64()?;
-        let exec = r.u64()?;
-        let cost = Cost(r.f64()?);
-        last_totals.push((fp, exec, cost));
-    }
-    let span = if r.bool()? {
-        let lo = r.u64()?;
-        let hi = r.u64()?;
-        Some((lo, hi))
-    } else {
-        None
-    };
-    Ok(WorkloadHistoryState {
-        templates,
-        last_totals,
-        span,
-    })
-}
-
-fn write_pending_reconfig(w: &mut ByteWriter, p: &PendingReconfigState) {
-    storage_persist::write_config_snapshot(w, &p.final_config);
-    storage_persist::write_actions(w, &p.actions);
-    w.f64(p.predicted_cost.0);
-    w.f64(p.observed_before.0);
-    w.f64(p.accrued_cost.0);
-}
-
-fn read_pending_reconfig(r: &mut ByteReader) -> Result<PendingReconfigState> {
-    Ok(PendingReconfigState {
-        final_config: storage_persist::read_config_snapshot(r)?,
-        actions: storage_persist::read_actions(r)?,
-        predicted_cost: Cost(r.f64()?),
-        observed_before: Cost(r.f64()?),
-        accrued_cost: Cost(r.f64()?),
-    })
-}
-
-fn write_serving_state(w: &mut ByteWriter, s: &ServingState) {
-    w.u64(s.bucket);
-    write_session_stats(w, &s.stats);
-    w.u64(s.clock);
-    storage_persist::write_config_snapshot(w, &s.config);
-    write_kpi_state(w, &s.kpi);
-    write_history_state(w, &s.history);
-    w.usize(s.plan_cache.len());
-    for (example, executions, total_cost, first_seen, last_seen) in &s.plan_cache {
-        write_query(w, example);
-        w.u64(*executions);
-        w.f64(total_cost.0);
-        w.u64(first_seen.raw());
-        w.u64(last_seen.raw());
-    }
-    w.opt_u64(s.organizer_last_tuning);
-    w.bool(s.organizer_paused);
-    w.f64(s.last_bucket_cost.0);
-    storage_persist::write_actions(w, &s.pending_actions);
-    match &s.pending_reconfig {
-        Some(p) => {
-            w.bool(true);
-            write_pending_reconfig(w, p);
-        }
-        None => w.bool(false),
-    }
-    for &c in &s.counters {
-        w.u64(c);
-    }
-}
-
-fn read_serving_state(r: &mut ByteReader) -> Result<ServingState> {
-    let bucket = r.u64()?;
-    let stats = read_session_stats(r)?;
-    let clock = r.u64()?;
-    let config = storage_persist::read_config_snapshot(r)?;
-    let kpi = read_kpi_state(r)?;
-    let history = read_history_state(r)?;
-    let n = r.usize()?;
-    let mut plan_cache = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let example = read_query(r)?;
-        let executions = r.u64()?;
-        let total_cost = Cost(r.f64()?);
-        let first_seen = LogicalTime(r.u64()?);
-        let last_seen = LogicalTime(r.u64()?);
-        plan_cache.push((example, executions, total_cost, first_seen, last_seen));
-    }
-    let organizer_last_tuning = r.opt_u64()?;
-    let organizer_paused = r.bool()?;
-    let last_bucket_cost = Cost(r.f64()?);
-    let pending_actions = storage_persist::read_actions(r)?;
-    let pending_reconfig = if r.bool()? {
-        Some(read_pending_reconfig(r)?)
-    } else {
-        None
-    };
-    let mut counters = [0u64; 5];
-    for c in &mut counters {
-        *c = r.u64()?;
-    }
-    Ok(ServingState {
-        bucket,
-        stats,
-        clock,
-        config,
-        kpi,
-        history,
-        plan_cache,
-        organizer_last_tuning,
-        organizer_paused,
-        last_bucket_cost,
-        pending_actions,
-        pending_reconfig,
-        counters,
-    })
-}
+durable_struct!(ServingState {
+    bucket,
+    stats,
+    clock,
+    config,
+    kpi,
+    history,
+    plan_cache,
+    organizer_last_tuning,
+    organizer_paused,
+    last_bucket_cost,
+    pending_actions,
+    pending_reconfig,
+    counters
+});
 
 /// Encodes one serving state (test/bench helper; the manager frames it
 /// into WAL records internally).
 pub fn encode_serving_state(state: &ServingState) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_serving_state(&mut w, state);
-    w.into_bytes()
+    encode_to_vec(state)
 }
 
 /// Decodes a serving state encoded by [`encode_serving_state`].
 pub fn decode_serving_state(bytes: &[u8]) -> Result<ServingState> {
-    let mut r = ByteReader::new(bytes);
-    let state = read_serving_state(&mut r)?;
-    Ok(state)
+    decode_all(bytes)
+}
+
+impl Driver {
+    fn counter_cells(&self) -> [&AtomicU64; 5] {
+        let c = &self.counters;
+        [
+            &c.buckets_closed,
+            &c.tunings_run,
+            &c.actions_applied,
+            &c.actions_deferred,
+            &c.apply_failures,
+        ]
+    }
+
+    /// Captures the complete serving state at a bucket boundary —
+    /// everything a boundary WAL record carries. `bucket` is the number
+    /// of buckets fully served and `stats` the cumulative session
+    /// statistics the serving runtime accumulated.
+    pub fn export_serving_state(&self, bucket: u64, stats: &SessionStats) -> ServingState {
+        let config = self.db.engine().current_config();
+        let plan_cache = self.db.plan_cache().snapshot();
+        // Locks are taken one at a time in the driver's canonical order
+        // (history, last_bucket_cost, pending_actions, pending_reconfig)
+        // so boundary export cannot deadlock against the tuning thread.
+        let history = self.history.lock().export_state();
+        let last_bucket_cost = *self.last_bucket_cost.lock();
+        let pending_actions = self.pending_actions.lock().clone();
+        let pending_reconfig = self.pending_reconfig.lock().clone();
+        let counters = self
+            .counter_cells()
+            // ordering: relaxed snapshot of independent statistic counters.
+            .map(|counter| counter.load(Ordering::Relaxed));
+        ServingState {
+            bucket,
+            stats: stats.clone(),
+            clock: self.db.now().raw(),
+            config,
+            kpi: self.kpis.export_state(),
+            history,
+            plan_cache,
+            organizer_last_tuning: self.organizer.last_tuning(),
+            organizer_paused: self.organizer.is_paused(),
+            last_bucket_cost,
+            pending_actions,
+            pending_reconfig,
+            counters,
+        }
+    }
+
+    /// Logs a bucket boundary to the WAL and, when the snapshot cadence
+    /// fires, takes a full snapshot. No-op without a durability manager.
+    pub fn persist_boundary(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
+        let state = self.export_serving_state(bucket, stats);
+        d.log_boundary(&state)?;
+        if d.should_snapshot(bucket) {
+            self.persist_snapshot_inner(d, &state)?;
+        }
+        Ok(())
+    }
+
+    /// Takes a full snapshot right now (e.g. the run-start snapshot a
+    /// durable run writes before serving). No-op without a durability
+    /// manager.
+    pub fn persist_snapshot(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
+        let state = self.export_serving_state(bucket, stats);
+        self.persist_snapshot_inner(d, &state)
+    }
+
+    fn persist_snapshot_inner(&self, d: &DurabilityManager, state: &ServingState) -> Result<()> {
+        let instances = self.storage.snapshot();
+        let rollbacks = self.storage.rollbacks();
+        let (wal_records, bytes) = {
+            let engine = self.db.engine();
+            d.take_snapshot(state, &engine, &instances, &rollbacks)?
+        };
+        self.recorder.record(TrailEvent::SnapshotTaken {
+            at: state.clock,
+            bucket: state.bucket,
+            wal_records,
+            bytes,
+        });
+        Ok(())
+    }
+
+    /// Restores this (freshly built) driver from recovered durable
+    /// state: re-applies the persisted configuration to the engine,
+    /// reinstates the stored instances and rollbacks, and restores the
+    /// whole serving state (clock, KPIs, history, plan cache, organizer,
+    /// pending tuning, counters). The engine must already hold the
+    /// recovered tables at the default configuration. Records a
+    /// `recovered` trail event.
+    pub fn restore_from_recovery(&self, rec: &RecoveredState) -> Result<()> {
+        let redo = {
+            let engine = self.db.engine();
+            engine.current_config().diff(&rec.serving.config)
+        };
+        if !redo.is_empty() {
+            self.db.apply_config_atomic(&redo)?;
+        }
+        for inst in &rec.instances {
+            self.storage.store(inst.clone());
+        }
+        for rb in &rec.rollbacks {
+            self.storage.record_rollback(rb.clone());
+        }
+        self.restore_serving_state(&rec.serving);
+        smdb_obs::metrics::counter("driver.recoveries").inc();
+        self.recorder.record(TrailEvent::Recovered {
+            at: self.db.now().raw(),
+            bucket: rec.serving.bucket,
+            replayed_records: rec.replayed_records,
+            dropped_records: rec.dropped_records,
+        });
+        Ok(())
+    }
+
+    fn restore_serving_state(&self, state: &ServingState) {
+        self.db.restore_clock(LogicalTime(state.clock));
+        self.kpis.restore_state(state.kpi.clone());
+        *self.history.lock() = WorkloadHistory::restore_state(state.history.clone());
+        {
+            let mut cache = self.db.plan_cache();
+            cache.clear();
+            for entry in &state.plan_cache {
+                cache.restore_entry(entry.clone());
+            }
+        }
+        if let Some(t) = state.organizer_last_tuning {
+            self.organizer.record_tuning(t);
+        }
+        if state.organizer_paused {
+            self.organizer.pause();
+        }
+        *self.last_bucket_cost.lock() = state.last_bucket_cost;
+        *self.pending_actions.lock() = state.pending_actions.clone();
+        *self.pending_reconfig.lock() = state.pending_reconfig.clone();
+        for (counter, value) in self.counter_cells().into_iter().zip(state.counters) {
+            // ordering: relaxed counter restore; recovery is single-threaded.
+            counter.store(value, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smdb_common::ChunkColumnRef;
-    use smdb_durable::MemPersistence;
-    use smdb_storage::ConfigInstance;
+    use crate::feature::FeatureKind;
+    use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
+    use smdb_durable::{crc32, MemPersistence};
+    use smdb_forecast::TemplateHistory;
+    use smdb_query::Query;
+    use smdb_storage::value::ColumnValues;
+    use smdb_storage::{
+        Aggregate, AggregateOp, ColumnDef, DataType, EncodingKind, IndexKind, KnobKind,
+        ScanPredicate, Schema, Tier,
+    };
 
     fn sample_query() -> Query {
         Query::new(
             TableId(0),
             "events",
             vec![
-                ScanPredicate {
-                    column: ColumnId(0),
-                    op: PredicateOp::Between,
-                    value: Value::Int(4),
-                    upper: Some(Value::Int(9)),
-                },
-                ScanPredicate {
-                    column: ColumnId(2),
-                    op: PredicateOp::Eq,
-                    value: Value::Text("eu".into()),
-                    upper: None,
-                },
+                ScanPredicate::between(ColumnId(0), 4i64, 9i64),
+                ScanPredicate::eq(ColumnId(2), "eu".to_string()),
             ],
-            Some(Aggregate {
-                op: AggregateOp::Sum,
-                column: ColumnId(1),
-            }),
+            Some(Aggregate::new(AggregateOp::Sum, ColumnId(1))),
             "range",
         )
         .with_group_by(ColumnId(2))
     }
 
+    fn sample_config() -> ConfigInstance {
+        let mut c = ConfigInstance::default();
+        sample_actions().iter().for_each(|a| c.apply(a));
+        c.indexes
+            .insert(ChunkColumnRef::new(0, 0, 1), IndexKind::Hash);
+        c.indexes
+            .insert(ChunkColumnRef::new(1, 0, 0), IndexKind::BTree);
+        c
+    }
+
+    fn sample_actions() -> Vec<ConfigAction> {
+        vec![
+            ConfigAction::CreateIndex {
+                target: ChunkColumnRef::new(0, 1, 0),
+                kind: IndexKind::CompositeHash {
+                    second: ColumnId(2),
+                },
+            },
+            ConfigAction::DropIndex {
+                target: ChunkColumnRef::new(1, 0, 0),
+            },
+            ConfigAction::SetEncoding {
+                target: ChunkColumnRef::new(0, 2, 0),
+                kind: EncodingKind::FrameOfReference,
+            },
+            ConfigAction::SetPlacement {
+                table: TableId(0),
+                chunk: ChunkId(3),
+                tier: Tier::Cold,
+            },
+            ConfigAction::SetKnob {
+                knob: KnobKind::BufferPoolMb,
+                value: 96.0,
+            },
+        ]
+    }
+
     fn sample_instance() -> StoredInstance {
-        let mut config = ConfigInstance::default();
-        config
-            .indexes
-            .insert(ChunkColumnRef::new(0, 0, 1), smdb_storage::IndexKind::Hash);
-        config.knobs.buffer_pool_mb = 128.0;
         StoredInstance {
             applied_at: LogicalTime(7),
             feature: Some(FeatureKind::Indexing),
-            config,
-            actions: vec![ConfigAction::CreateIndex {
-                target: ChunkColumnRef::new(0, 0, 1),
-                kind: smdb_storage::IndexKind::Hash,
-            }],
+            config: sample_config(),
+            actions: sample_actions(),
             predicted_cost: Cost(10.5),
             reconfiguration_cost: Cost(2.25),
             observed_before: Cost(20.0),
@@ -951,9 +645,27 @@ mod tests {
         }
     }
 
-    fn sample_state() -> ServingState {
+    fn sample_rollback() -> RollbackRecord {
+        RollbackRecord {
+            at: LogicalTime(2),
+            abandoned_actions: sample_actions(),
+            restored_config: sample_config(),
+            cause: "test".into(),
+        }
+    }
+
+    fn sample_state(bucket: u64) -> ServingState {
+        // One entry: 7 executions costing 10.5, first seen at 3, last at 4.
+        let mut plan_cache = smdb_query::PlanCache::default();
+        for i in 0..7 {
+            plan_cache.record(
+                &sample_query(),
+                Cost(1.5),
+                LogicalTime(3 + u64::from(i > 0)),
+            );
+        }
         ServingState {
-            bucket: 9,
+            bucket,
             stats: SessionStats {
                 session_id: 0,
                 queries: 512,
@@ -964,7 +676,7 @@ mod tests {
                 result_digest: 0xDEAD_BEEF_CAFE_F00D,
             },
             clock: 9,
-            config: ConfigSnapshot::from(&ConfigInstance::default()),
+            config: sample_config(),
             kpi: KpiState {
                 closed: vec![vec![1.0, 2.0], vec![0.5]],
                 utilization: vec![0.4, 0.1],
@@ -986,23 +698,14 @@ mod tests {
                 last_totals: vec![(42, 7, Cost(10.5))],
                 span: Some((3, 5)),
             },
-            plan_cache: vec![(
-                sample_query(),
-                7,
-                Cost(10.5),
-                LogicalTime(3),
-                LogicalTime(4),
-            )],
-            organizer_last_tuning: Some(6),
+            plan_cache: plan_cache.snapshot(),
+            organizer_last_tuning: Some(LogicalTime(6)),
             organizer_paused: true,
             last_bucket_cost: Cost(55.0),
-            pending_actions: vec![ConfigAction::SetKnob {
-                knob: smdb_storage::KnobKind::BufferPoolMb,
-                value: 96.0,
-            }],
-            pending_reconfig: Some(PendingReconfigState {
-                final_config: ConfigSnapshot::from(&ConfigInstance::default()),
-                actions: vec![],
+            pending_actions: sample_actions(),
+            pending_reconfig: Some(PendingReconfig {
+                final_config: sample_config(),
+                actions: sample_actions(),
                 predicted_cost: Cost(9.0),
                 observed_before: Cost(11.0),
                 accrued_cost: Cost(0.5),
@@ -1011,60 +714,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serving_state_roundtrips_byte_identically() {
-        let state = sample_state();
-        let bytes = encode_serving_state(&state);
-        let back = decode_serving_state(&bytes).unwrap();
-        assert_eq!(encode_serving_state(&back), bytes);
-        assert_eq!(back.stats.result_digest, state.stats.result_digest);
-        assert_eq!(back.plan_cache.len(), 1);
-        assert_eq!(
-            back.plan_cache[0].0.instance_fingerprint(),
-            state.plan_cache[0].0.instance_fingerprint(),
-            "recomputed fingerprints must match"
-        );
-        assert_eq!(back.counters, state.counters);
+    fn sample_table(name: &str, rows: i64) -> Table {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("v", DataType::Float),
+            ColumnDef::new("tag", DataType::Text),
+        ])
+        .unwrap();
+        Table::from_columns(
+            name,
+            schema,
+            vec![
+                ColumnValues::Int((0..rows).collect()),
+                ColumnValues::Float((0..rows).map(|i| i as f64 * 0.5).collect()),
+                ColumnValues::Text((0..rows).map(|i| format!("t{i}")).collect()),
+            ],
+            4,
+        )
+        .unwrap()
     }
 
-    #[test]
-    fn manager_logs_and_recovers_boundary_tail() {
-        let p: Arc<dyn Persistence> = Arc::new(MemPersistence::new());
-        let config = DurabilityConfig::default();
-        let manager = DurabilityManager::new(Arc::clone(&p), config.clone());
-        let engine = StorageEngine::default();
-        let mut state = sample_state();
-        state.bucket = 0;
-        manager.take_snapshot(&state, &engine, &[], &[]).unwrap();
-        let inst = sample_instance();
-        manager.log_instance_stored(&inst).unwrap();
+    /// A store holding a two-table snapshot at bucket 0 and one WAL
+    /// record per tag, in tag order.
+    fn sample_store() -> Arc<MemPersistence> {
+        let mem = Arc::new(MemPersistence::new());
+        let manager = DurabilityManager::new(mem.clone(), DurabilityConfig::default());
+        let mut engine = StorageEngine::default();
+        engine.create_table(sample_table("events", 10)).unwrap();
+        engine.create_table(sample_table("dims", 3)).unwrap();
+        manager
+            .take_snapshot(
+                &sample_state(0),
+                &engine,
+                &[sample_instance()],
+                &[sample_rollback()],
+            )
+            .unwrap();
+        manager.log_boundary(&sample_state(1)).unwrap();
+        manager.log_instance_stored(&sample_instance()).unwrap();
         manager.log_instance_completed(Cost(12.5)).unwrap();
-        state.bucket = 1;
-        manager.log_boundary(&state).unwrap();
-        let rb = RollbackRecord {
-            at: LogicalTime(2),
-            abandoned_actions: vec![],
-            restored_config: ConfigInstance::default(),
-            cause: "test".into(),
-        };
-        manager.log_rollback(&rb).unwrap();
+        manager.log_rollback(&sample_rollback()).unwrap();
+        mem
+    }
 
-        let rec = recover(p.as_ref(), &config).unwrap().expect("recoverable");
-        assert_eq!(rec.serving.bucket, 1);
-        assert_eq!(rec.replayed_records, 4);
-        assert_eq!(rec.dropped_records, 0);
-        assert_eq!(rec.instances.len(), 1);
-        assert_eq!(rec.instances[0].observed_after, Some(Cost(12.5)));
-        assert_eq!(rec.rollbacks.len(), 1);
-        assert_eq!(rec.rollbacks[0].cause, "test");
-        // Instance round-trips byte-identically.
-        let mut w = ByteWriter::new();
-        write_stored_instance(&mut w, &rec.instances[0]);
-        let mut expected = sample_instance();
-        expected.observed_after = Some(Cost(12.5));
-        let mut w2 = ByteWriter::new();
-        write_stored_instance(&mut w2, &expected);
-        assert_eq!(w.into_bytes(), w2.into_bytes());
+    fn wal_bodies(p: &dyn Persistence) -> Vec<Vec<u8>> {
+        let raw = p.read(WAL_NAME).unwrap().unwrap();
+        let wal = smdb_durable::read_prefix(&raw);
+        wal.records.into_iter().map(|r| r.body).collect()
+    }
+
+    fn snapshot_payload(p: &dyn Persistence) -> Vec<u8> {
+        let store = SnapshotStore::new(SNAPSHOT_PREFIX);
+        store.latest_valid(p).unwrap().unwrap().1
+    }
+
+    /// `(crc32, length)` of every durable layout, computed at commit
+    /// 27ee10e with the free `write_*` functions these impls replaced:
+    /// the test that fails if a container impl changes a prefix width.
+    /// The store below is therefore byte-for-byte one the old code wrote,
+    /// and recovering it must reproduce the fixtures.
+    #[test]
+    fn durable_format_is_pinned() {
+        let pin = |bytes: &[u8]| (crc32(bytes), bytes.len());
+        let store = sample_store();
+        assert_eq!(
+            pin(&encode_serving_state(&sample_state(1))),
+            (0xe552_37e2, 935)
+        );
+        let bodies: Vec<_> = wal_bodies(store.as_ref()).iter().map(|b| pin(b)).collect();
+        assert_eq!(
+            bodies,
+            [
+                (0x0451_d6d9, 936),
+                (0xc3f9_a38e, 205),
+                (0xed1e_f610, 9),
+                (0x7a20_7270, 187)
+            ],
+            "one body per WAL tag"
+        );
+        assert_eq!(pin(&snapshot_payload(store.as_ref())), (0x3263_5c64, 1788));
+        let blob = |name: &str| pin(&store.read(name).unwrap().unwrap());
+        assert_eq!(blob(WAL_NAME), (0xfc9a_d04b, 1401));
+        assert_eq!(blob("snap-00000000000000000000"), (0x44fa_d484, 1792));
+
+        let rec = recover(store.as_ref(), &DurabilityConfig::default())
+            .unwrap()
+            .expect("recoverable");
+        assert_eq!(rec.serving, sample_state(1));
+        assert_eq!((rec.replayed_records, rec.dropped_records), (4, 0));
+        let mut completed = sample_instance();
+        completed.observed_after = Some(Cost(12.5));
+        assert_eq!(rec.instances, [sample_instance(), completed]);
+        assert_eq!(rec.rollbacks, [sample_rollback(), sample_rollback()]);
+        let tables: Vec<_> = rec.tables.iter().map(|t| (t.name(), t.rows())).collect();
+        assert_eq!(tables, [("events", 10), ("dims", 3)]);
+    }
+
+    /// Reader/writer layout skew is the one corruption a checksum cannot
+    /// see: every decode entry point rejects both a short and a long
+    /// value, cleanly.
+    #[test]
+    fn short_and_long_values_are_errors() {
+        let state = encode_serving_state(&sample_state(1));
+        for cut in 0..state.len() {
+            assert!(decode_serving_state(&state[..cut]).is_err(), "prefix {cut}");
+        }
+        let longer = |bytes: &[u8]| [bytes, &[0]].concat();
+        assert!(decode_serving_state(&longer(&state)).is_err());
+
+        let store = sample_store();
+        for body in wal_bodies(store.as_ref()) {
+            let mut serving = sample_state(0);
+            let (mut instances, mut rollbacks) = (vec![sample_instance()], vec![]);
+            let mut replay =
+                |b: &[u8]| replay_record(b, &mut serving, &mut instances, &mut rollbacks);
+            assert!(replay(&body).is_ok(), "tag {}", body[0]);
+            assert!(replay(&longer(&body)).is_err(), "tag {}", body[0]);
+        }
+        let payload = longer(&snapshot_payload(store.as_ref()));
+        SnapshotStore::new(SNAPSHOT_PREFIX)
+            .write(store.as_ref(), 1, &payload)
+            .unwrap();
+        assert!(recover(store.as_ref(), &DurabilityConfig::default()).is_err());
     }
 
     #[test]
@@ -1074,13 +845,11 @@ mod tests {
         let config = DurabilityConfig::default();
         let manager = DurabilityManager::new(Arc::clone(&p), config.clone());
         let engine = StorageEngine::default();
-        let mut state = sample_state();
-        state.bucket = 0;
-        manager.take_snapshot(&state, &engine, &[], &[]).unwrap();
-        state.bucket = 1;
-        manager.log_boundary(&state).unwrap();
-        state.bucket = 2;
-        manager.log_boundary(&state).unwrap();
+        manager
+            .take_snapshot(&sample_state(0), &engine, &[], &[])
+            .unwrap();
+        manager.log_boundary(&sample_state(1)).unwrap();
+        manager.log_boundary(&sample_state(2)).unwrap();
         // Tear the last record.
         mem.mutate(WAL_NAME, |b| {
             let cut = b.len() - 7;
@@ -1094,8 +863,7 @@ mod tests {
         // The corrupt tail was truncated: a resumed manager's appends
         // extend the valid prefix.
         let resumed = DurabilityManager::with_next_seq(Arc::clone(&p), config.clone(), 1);
-        state.bucket = 2;
-        resumed.log_boundary(&state).unwrap();
+        resumed.log_boundary(&sample_state(2)).unwrap();
         let rec = recover(p.as_ref(), &config).unwrap().expect("recoverable");
         assert_eq!(rec.serving.bucket, 2);
         assert_eq!(rec.dropped_records, 0);
@@ -1103,8 +871,11 @@ mod tests {
 
     #[test]
     fn no_snapshot_means_nothing_to_recover() {
-        let p = MemPersistence::new();
-        assert!(recover(&p, &DurabilityConfig::default()).unwrap().is_none());
+        assert!(
+            recover(&MemPersistence::new(), &DurabilityConfig::default())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -1112,7 +883,7 @@ mod tests {
         let p: Arc<dyn Persistence> = Arc::new(MemPersistence::new());
         let manager = DurabilityManager::new(Arc::clone(&p), DurabilityConfig::default());
         let engine = StorageEngine::default();
-        let state = sample_state();
+        let state = sample_state(9);
         manager.log_boundary(&state).unwrap();
         let wal_only = manager.stats();
         assert_eq!(wal_only.wal_records, 1);

@@ -403,6 +403,15 @@ pub struct KpiState {
     pub utilization_stale: bool,
 }
 
+smdb_durable::durable_struct!(KpiState {
+    closed,
+    utilization,
+    memory,
+    bucket_queries,
+    queries_total,
+    utilization_stale
+});
+
 /// The `ceil(n·p)`-th smallest element of a sorted slice (0.0 if empty)
 /// — the rank rule `smdb_obs::metrics::Histogram::quantile` mirrors.
 fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {

@@ -45,12 +45,11 @@ pub use candidate::{Assessment, Candidate, SelectionInput};
 pub use config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 pub use constraints::ConstraintSet;
 pub use driver::{
-    BucketReport, Driver, DriverBuilder, OrderingPolicy, RollbackReport, TuningRunReport,
-    TuningState, TuningTick,
+    BucketReport, Driver, DriverBuilder, OrderingPolicy, PendingReconfig, RollbackReport,
+    TuningRunReport, TuningState, TuningTick,
 };
 pub use durability::{
-    recover, DurabilityConfig, DurabilityManager, DurabilityStats, PendingReconfigState,
-    RecoveredState, ServingState,
+    recover, DurabilityConfig, DurabilityManager, DurabilityStats, RecoveredState, ServingState,
 };
 pub use enumerator::Enumerator;
 pub use executor::{ExecutionReport, ExecutionStrategy, Executor, SequentialExecutor};

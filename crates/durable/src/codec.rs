@@ -1,14 +1,24 @@
-//! A minimal binary codec for durable state.
+//! The durable byte format: primitives, containers and the
+//! [`Encode`] / [`Decode`] pair every durable type implements.
 //!
-//! Everything durable is encoded with these two types, by hand, in
-//! little-endian order. Floats travel as their IEEE-754 bit patterns
-//! ([`f64::to_bits`]) so round-trips are bit-exact — the recovery tests
-//! assert byte-identical re-encoding, which text formats cannot provide
-//! for `f64`. There is no reflection and no schema language: each layer
-//! writes and reads its own fields in a fixed order, and a version tag
-//! at the container level (WAL record tag, snapshot magic) gates layout
-//! evolution.
+//! **Ownership rule.** A type's durable layout is its `Encode`/`Decode`
+//! impl in the file that defines the type. This module owns only what
+//! no single type can: the primitives ([`ByteWriter`] / [`ByteReader`] —
+//! little-endian integers, floats as their IEEE-754 bit patterns so
+//! round-trips are bit-exact, `u32`-length-prefixed UTF-8), the
+//! containers (`Vec`, `Option`, tuples, arrays, `BTreeMap`), the
+//! `smdb-common` newtypes and the one-tag-byte layout of fieldless enums
+//! ([`durable_enum!`](crate::durable_enum)) and the fields-in-order layout
+//! of plain structs ([`durable_struct!`](crate::durable_struct)). A count or presence byte is
+//! therefore written in exactly one place, and so is the allocation
+//! guard for a decoded count. There is no reflection and no schema
+//! language: fields travel in declaration order, and a version tag at
+//! the container level (WAL record tag, snapshot version byte) gates
+//! layout evolution.
 
+use std::collections::BTreeMap;
+
+use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, Cost, LogicalTime, TableId};
 use smdb_common::{Error, Result};
 
 /// Appends primitive values to a growing byte buffer.
@@ -21,16 +31,6 @@ impl ByteWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
-    }
-
-    /// The bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -77,34 +77,6 @@ impl ByteWriter {
     pub fn str(&mut self, v: &str) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// Writes length-prefixed raw bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus payload.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Writes an `Option<f64>` as a presence byte plus payload.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
     }
 }
 
@@ -206,30 +178,260 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| Error::invalid("invalid UTF-8 in durable string"))
     }
+}
 
-    /// Reads length-prefixed raw bytes.
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
+/// Writes a value's durable layout.
+pub trait Encode {
+    /// Appends `self` to `w`.
+    fn encode(&self, w: &mut ByteWriter);
+}
 
-    /// Reads an `Option<u64>`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
+/// Reads a value back from its durable layout.
+pub trait Decode: Sized {
+    /// Consumes one value from `r`; corrupt input is an error, never a
+    /// panic.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self>;
+}
 
-    /// Reads an `Option<f64>`.
-    pub fn opt_f64(&mut self) -> Result<Option<f64>> {
-        Ok(if self.bool()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
+/// Encodes one value into a fresh buffer.
+pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    value.encode(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a buffer that must hold exactly one `T`. Bytes left over mean
+/// the writer and this reader disagree on the layout — the one
+/// corruption a checksum cannot see — so they are an error.
+pub fn decode_all<T: Decode>(bytes: &[u8]) -> Result<T> {
+    let mut r = ByteReader::new(bytes);
+    let value = T::decode(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(Error::invalid(format!(
+            "{} trailing bytes after a durable value",
+            r.remaining()
+        )));
     }
+    Ok(value)
+}
+
+macro_rules! primitive {
+    ($($ty:ident),*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, w: &mut ByteWriter) {
+                w.$ty(*self);
+            }
+        }
+        impl Decode for $ty {
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+                r.$ty()
+            }
+        }
+    )*};
+}
+primitive!(u8, u32, u64, i64, f64, bool, usize);
+
+impl Encode for String {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.str(self);
+    }
+}
+
+impl Decode for String {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        r.str()
+    }
+}
+
+/// A `u64` count, then the elements.
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|x| x.encode(w));
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.as_slice().encode(w);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let n = r.usize()?;
+        // The allocation guard for every decoded count: a corrupt count
+        // reserves at most as many bytes as the buffer still holds, and
+        // the loop then fails on the first truncated element.
+        let fit = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut v = Vec::with_capacity(n.min(fit));
+        for _ in 0..n {
+            v.push(T::decode(r)?);
+        }
+        Ok(v)
+    }
+}
+
+/// A presence byte, then the payload.
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(x) = self {
+            x.encode(w);
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+/// The elements in order, nothing between them.
+macro_rules! tuple {
+    ($($name:ident),+) => {
+        impl<$($name: Encode),+> Encode for ($($name,)+) {
+            fn encode(&self, w: &mut ByteWriter) {
+                #[allow(non_snake_case)]
+                let ($($name,)+) = self;
+                $($name.encode(w);)+
+            }
+        }
+        impl<$($name: Decode),+> Decode for ($($name,)+) {
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok(($($name::decode(r)?,)+))
+            }
+        }
+    };
+}
+tuple!(A, B);
+tuple!(A, B, C);
+tuple!(A, B, C, D, E);
+
+/// Fixed length, so no count prefix.
+impl<T: Encode, const N: usize> Encode for [T; N] {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|x| x.encode(w));
+    }
+}
+
+impl<T: Decode + Default + Copy, const N: usize> Decode for [T; N] {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::decode(r)?;
+        }
+        Ok(out)
+    }
+}
+
+/// A `u64` count, then `(key, value)` pairs in key order.
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.encode(w);
+            v.encode(w);
+        }
+    }
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let n = r.usize()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let key = K::decode(r)?;
+            map.insert(key, V::decode(r)?);
+        }
+        Ok(map)
+    }
+}
+
+macro_rules! newtype {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, w: &mut ByteWriter) {
+                self.0.encode(w);
+            }
+        }
+        impl Decode for $ty {
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok($ty(<$inner>::decode(r)?))
+            }
+        }
+    )*};
+}
+newtype!(TableId(u32), ChunkId(u32), Cost(f64), LogicalTime(u64));
+
+/// Column ids are `u16` in memory and `u32` on disk; this is the one
+/// place the width is narrowed back.
+impl Encode for ColumnId {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.u32(u32::from(self.0));
+    }
+}
+
+impl Decode for ColumnId {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        u16::try_from(r.u32()?)
+            .map(ColumnId)
+            .map_err(|_| Error::invalid("column id overflow"))
+    }
+}
+
+crate::durable_struct!(ChunkColumnRef {
+    table,
+    column,
+    chunk
+});
+
+/// Implements [`Encode`] / [`Decode`] for a struct whose layout is the
+/// listed fields in the listed order — every field of the struct, or the
+/// decoder's struct literal does not compile.
+#[macro_export]
+macro_rules! durable_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::ByteWriter) {
+                $($crate::Encode::encode(&self.$field, w);)+
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::ByteReader<'_>) -> ::smdb_common::Result<Self> {
+                Ok($ty {
+                    $($field: $crate::Decode::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`] / [`Decode`] for a fieldless enum as one tag
+/// byte; an unknown tag decodes to an error naming `$what`.
+#[macro_export]
+macro_rules! durable_enum {
+    ($ty:ty, $what:literal, { $($variant:path => $tag:literal),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::ByteWriter) {
+                w.u8(match self {
+                    $($variant => $tag,)+
+                });
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::ByteReader<'_>) -> ::smdb_common::Result<Self> {
+                match r.u8()? {
+                    $($tag => Ok($variant),)+
+                    other => Err(::smdb_common::Error::invalid(format!(
+                        "unknown {} tag {other}",
+                        $what
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -248,11 +450,6 @@ mod tests {
         w.bool(true);
         w.usize(12345);
         w.str("héllo");
-        w.bytes(&[1, 2, 3]);
-        w.opt_u64(Some(9));
-        w.opt_u64(None);
-        w.opt_f64(Some(2.5));
-        w.opt_f64(None);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -265,11 +462,6 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.usize().unwrap(), 12345);
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(2.5));
-        assert_eq!(r.opt_f64().unwrap(), None);
         assert!(r.is_exhausted());
     }
 
@@ -286,16 +478,50 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(r.str().is_err());
-        assert!(ByteReader::new(&bytes).bytes().is_err());
     }
 
     #[test]
     fn invalid_bool_and_utf8_are_errors() {
         let mut r = ByteReader::new(&[2]);
         assert!(r.bool().is_err());
-        let mut w = ByteWriter::new();
-        w.bytes(&[0xFF, 0xFE]);
-        let bytes = w.into_bytes();
-        assert!(ByteReader::new(&bytes).str().is_err());
+        assert!(decode_all::<String>(&[2, 0, 0, 0, 0xFF, 0xFE]).is_err());
+    }
+
+    /// The container layouts, byte for byte: what each prefix is and how
+    /// wide.
+    #[test]
+    fn container_layouts_are_fixed() {
+        assert_eq!(encode_to_vec(&vec![7u8, 9]), [2, 0, 0, 0, 0, 0, 0, 0, 7, 9]);
+        assert_eq!(encode_to_vec(&Some(7u8)), [1, 7]);
+        assert_eq!(encode_to_vec(&None::<u8>), [0]);
+        assert_eq!(encode_to_vec(&[7u8, 9]), [7, 9], "arrays carry no count");
+        assert_eq!(encode_to_vec(&(7u8, 9u8, 11u8)), [7, 9, 11]);
+        let map: BTreeMap<u8, u8> = [(9, 1), (7, 2)].into_iter().collect();
+        assert_eq!(encode_to_vec(&map), [2, 0, 0, 0, 0, 0, 0, 0, 7, 2, 9, 1]);
+        assert_eq!(
+            encode_to_vec(&ChunkColumnRef::new(1, 2, 3)),
+            [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]
+        );
+        assert_eq!(decode_all::<[u8; 2]>(&[7, 9]).unwrap(), [7, 9]);
+        assert_eq!(
+            decode_all::<BTreeMap<u8, u8>>(&encode_to_vec(&map)).unwrap(),
+            map
+        );
+        assert!(decode_all::<ColumnId>(&[0, 0, 1, 0]).is_err(), "id > u16");
+    }
+
+    #[test]
+    fn huge_declared_count_errors_without_allocating() {
+        let mut bytes = encode_to_vec(&u64::MAX);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert!(decode_all::<Vec<u64>>(&bytes).is_err());
+        assert!(decode_all::<Vec<String>>(&bytes).is_err());
+        assert!(decode_all::<BTreeMap<u64, u64>>(&bytes).is_err());
+    }
+
+    #[test]
+    fn decode_all_rejects_trailing_bytes() {
+        assert_eq!(decode_all::<u32>(&[1, 0, 0, 0]).unwrap(), 1);
+        assert!(decode_all::<u32>(&[1, 0, 0, 0, 0]).is_err());
     }
 }

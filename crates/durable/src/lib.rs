@@ -28,7 +28,7 @@ pub mod persist;
 pub mod snapshot;
 pub mod wal;
 
-pub use codec::{ByteReader, ByteWriter};
+pub use codec::{decode_all, encode_to_vec, ByteReader, ByteWriter, Decode, Encode};
 pub use fault::{TornWriteKind, TornWritePersistence, TornWritePlan};
 pub use persist::{DirPersistence, MemPersistence, Persistence};
 pub use snapshot::SnapshotStore;

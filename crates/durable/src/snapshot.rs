@@ -91,18 +91,6 @@ impl SnapshotStore {
         }
         Ok(None)
     }
-
-    /// Removes all snapshots older than `keep_from` (exclusive of it).
-    pub fn prune_below(&self, p: &dyn Persistence, keep_from: u64) -> Result<u64> {
-        let mut removed = 0;
-        for version in self.versions(p)? {
-            if version < keep_from {
-                p.remove(&self.blob_name(version))?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +134,6 @@ mod tests {
         let s = SnapshotStore::new("snap-");
         assert!(s.latest_valid(&p).unwrap().is_none());
         assert!(s.versions(&p).unwrap().is_empty());
-    }
-
-    #[test]
-    fn prune_keeps_recent() {
-        let p = MemPersistence::new();
-        let s = SnapshotStore::new("snap-");
-        for v in [0, 4, 8, 12] {
-            s.write(&p, v, b"x").unwrap();
-        }
-        assert_eq!(s.prune_below(&p, 8).unwrap(), 2);
-        assert_eq!(s.versions(&p).unwrap(), vec![8, 12]);
     }
 
     #[test]

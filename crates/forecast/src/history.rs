@@ -18,7 +18,7 @@ use smdb_common::{Cost, LogicalTime};
 use smdb_query::{PlanCacheEntry, Query};
 
 /// History of one template.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateHistory {
     /// A recent concrete instance, used to materialise forecast workloads.
     pub example: Query,
@@ -29,6 +29,13 @@ pub struct TemplateHistory {
     /// Total executions ever observed.
     pub total: f64,
 }
+
+smdb_durable::durable_struct!(TemplateHistory {
+    example,
+    buckets,
+    mean_cost,
+    total
+});
 
 impl TemplateHistory {
     /// Dense count series covering buckets `[from, to)` (zeros filled).
@@ -216,7 +223,7 @@ impl WorkloadHistory {
 
 /// A [`WorkloadHistory`] flattened for serialization: plain sorted
 /// vectors instead of hash maps, so encoding is deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadHistoryState {
     /// `(template fingerprint, history)`, sorted by fingerprint.
     pub templates: Vec<(u64, TemplateHistory)>,
@@ -226,6 +233,12 @@ pub struct WorkloadHistoryState {
     /// First and last observed bucket.
     pub span: Option<(u64, u64)>,
 }
+
+smdb_durable::durable_struct!(WorkloadHistoryState {
+    templates,
+    last_totals,
+    span
+});
 
 #[cfg(test)]
 mod tests {

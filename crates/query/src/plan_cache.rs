@@ -10,13 +10,14 @@
 
 use std::collections::BTreeMap;
 
-use smdb_common::{Cost, LogicalTime};
+use smdb_common::{Cost, LogicalTime, Result};
+use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 
 use crate::logical::LogicalTemplate;
 use crate::query::Query;
 
 /// One plan-cache entry (per template).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCacheEntry {
     pub template: LogicalTemplate,
     /// A concrete instance of the template (what-if cost estimation
@@ -75,6 +76,24 @@ fn example_rank(query: &Query) -> u64 {
 }
 
 impl PlanCacheEntry {
+    fn new(
+        example: Query,
+        executions: u64,
+        total_cost: Cost,
+        first_seen: LogicalTime,
+        last_seen: LogicalTime,
+    ) -> Self {
+        PlanCacheEntry {
+            template: example.template(),
+            example_rank: example_rank(&example),
+            example,
+            executions,
+            total_cost,
+            first_seen,
+            last_seen,
+        }
+    }
+
     /// Mean execution cost of this template.
     pub fn mean_cost(&self) -> Cost {
         if self.executions == 0 {
@@ -129,18 +148,8 @@ impl PlanCache {
                 if self.entries.len() >= self.max_entries {
                     self.evict_lru();
                 }
-                self.entries.insert(
-                    fp,
-                    PlanCacheEntry {
-                        template: query.template(),
-                        example: query.clone(),
-                        example_rank: example_rank(query),
-                        executions: 1,
-                        total_cost: cost,
-                        first_seen: now,
-                        last_seen: now,
-                    },
-                );
+                self.entries
+                    .insert(fp, PlanCacheEntry::new(query.clone(), 1, cost, now, now));
             }
         }
     }
@@ -165,35 +174,14 @@ impl PlanCache {
         self.entries.get(&fingerprint)
     }
 
-    /// Reinstates one entry from durable state: the template and the
-    /// representative's rank are recomputed from `example`, so a
-    /// restored cache is indistinguishable from one that only ever saw
-    /// the surviving instances.
-    pub fn restore_entry(
-        &mut self,
-        example: Query,
-        executions: u64,
-        total_cost: Cost,
-        first_seen: LogicalTime,
-        last_seen: LogicalTime,
-    ) {
-        let fp = example.fingerprint();
+    /// Reinstates one decoded entry, evicting as [`PlanCache::record`]
+    /// would when the cache is full.
+    pub fn restore_entry(&mut self, entry: PlanCacheEntry) {
+        let fp = entry.example.fingerprint();
         if self.entries.len() >= self.max_entries && !self.entries.contains_key(&fp) {
             self.evict_lru();
         }
-        let rank = example_rank(&example);
-        self.entries.insert(
-            fp,
-            PlanCacheEntry {
-                template: example.template(),
-                example_rank: rank,
-                example,
-                executions,
-                total_cost,
-                first_seen,
-                last_seen,
-            },
-        );
+        self.entries.insert(fp, entry);
     }
 
     /// A point-in-time snapshot of all entries (cloned, so the predictor
@@ -220,6 +208,31 @@ impl PlanCache {
             self.entries.remove(&fp);
             self.evictions += 1;
         }
+    }
+}
+
+/// The example and the counters. The template and the example's rank are
+/// derived and recomputed on decode, so a restored entry is
+/// indistinguishable from one that only ever saw the surviving instance.
+impl Encode for PlanCacheEntry {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.example.encode(w);
+        self.executions.encode(w);
+        self.total_cost.encode(w);
+        self.first_seen.encode(w);
+        self.last_seen.encode(w);
+    }
+}
+
+impl Decode for PlanCacheEntry {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(PlanCacheEntry::new(
+            Query::decode(r)?,
+            u64::decode(r)?,
+            Cost::decode(r)?,
+            LogicalTime::decode(r)?,
+            LogicalTime::decode(r)?,
+        ))
     }
 }
 

@@ -1,7 +1,8 @@
 //! The query model: parameterised predicate scans with optional
 //! aggregates.
 
-use smdb_common::{ColumnId, TableId};
+use smdb_common::{ColumnId, Result, TableId};
+use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 use smdb_storage::{Aggregate, ScanPredicate};
 
 use crate::logical::LogicalTemplate;
@@ -117,6 +118,36 @@ impl Query {
     /// The (precomputed) instance fingerprint: template plus literals.
     pub fn instance_fingerprint(&self) -> u64 {
         self.instance_fingerprint
+    }
+}
+
+/// The constructor's arguments in order; the fingerprints are derived
+/// and recomputed on decode.
+impl Encode for Query {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.table.encode(w);
+        self.table_name.encode(w);
+        self.predicates.encode(w);
+        self.aggregate.encode(w);
+        self.group_by.encode(w);
+        self.label.encode(w);
+    }
+}
+
+impl Decode for Query {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let mut query = Query {
+            table: TableId::decode(r)?,
+            table_name: String::decode(r)?,
+            predicates: Vec::decode(r)?,
+            aggregate: Option::decode(r)?,
+            group_by: Option::decode(r)?,
+            label: String::decode(r)?,
+            fingerprint: 0,
+            instance_fingerprint: 0,
+        };
+        query.refresh_fingerprints();
+        Ok(query)
     }
 }
 

@@ -159,6 +159,16 @@ pub struct SessionStats {
     pub result_digest: u64,
 }
 
+smdb_durable::durable_struct!(SessionStats {
+    session_id,
+    queries,
+    errors,
+    wrong_results,
+    busy,
+    morsels,
+    result_digest
+});
+
 impl SessionStats {
     /// Folds one served answer in: counters, the order-independent
     /// digest, and — given an oracle — the wrong-result verdict.

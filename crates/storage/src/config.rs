@@ -10,7 +10,8 @@
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use smdb_common::{ChunkColumnRef, ChunkId, TableId};
+use smdb_common::{ChunkColumnRef, ChunkId, Error, Result, TableId};
+use smdb_durable::{durable_enum, ByteReader, ByteWriter, Decode, Encode};
 
 use crate::encoding::EncodingKind;
 use crate::index::IndexKind;
@@ -38,6 +39,10 @@ impl Default for Knobs {
 pub enum KnobKind {
     BufferPoolMb,
 }
+
+durable_enum!(KnobKind, "knob", {
+    KnobKind::BufferPoolMb => 0,
+});
 
 impl std::fmt::Display for KnobKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -242,6 +247,98 @@ impl std::fmt::Display for ConfigAction {
     }
 }
 
+/// The three maps in key order, then the knobs.
+impl Encode for ConfigInstance {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.indexes.encode(w);
+        self.encodings.encode(w);
+        self.placements.encode(w);
+        self.knobs.buffer_pool_mb.encode(w);
+    }
+}
+
+/// Decoding normalises: an explicitly stored `Unencoded` / `Hot` entry
+/// means the same as an absent one and is dropped, as
+/// [`ConfigInstance::apply`] does.
+impl Decode for ConfigInstance {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let indexes = BTreeMap::decode(r)?;
+        let mut encodings: BTreeMap<ChunkColumnRef, EncodingKind> = BTreeMap::decode(r)?;
+        encodings.retain(|_, kind| *kind != EncodingKind::Unencoded);
+        let mut placements: BTreeMap<(TableId, ChunkId), Tier> = BTreeMap::decode(r)?;
+        placements.retain(|_, tier| *tier != Tier::Hot);
+        Ok(ConfigInstance {
+            indexes,
+            encodings,
+            placements,
+            knobs: Knobs {
+                buffer_pool_mb: f64::decode(r)?,
+            },
+        })
+    }
+}
+
+/// One tag byte, then the variant's fields in declaration order.
+impl Encode for ConfigAction {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            ConfigAction::CreateIndex { target, kind } => {
+                w.u8(0);
+                target.encode(w);
+                kind.encode(w);
+            }
+            ConfigAction::DropIndex { target } => {
+                w.u8(1);
+                target.encode(w);
+            }
+            ConfigAction::SetEncoding { target, kind } => {
+                w.u8(2);
+                target.encode(w);
+                kind.encode(w);
+            }
+            ConfigAction::SetPlacement { table, chunk, tier } => {
+                w.u8(3);
+                table.encode(w);
+                chunk.encode(w);
+                tier.encode(w);
+            }
+            ConfigAction::SetKnob { knob, value } => {
+                w.u8(4);
+                knob.encode(w);
+                value.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for ConfigAction {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match r.u8()? {
+            0 => ConfigAction::CreateIndex {
+                target: ChunkColumnRef::decode(r)?,
+                kind: IndexKind::decode(r)?,
+            },
+            1 => ConfigAction::DropIndex {
+                target: ChunkColumnRef::decode(r)?,
+            },
+            2 => ConfigAction::SetEncoding {
+                target: ChunkColumnRef::decode(r)?,
+                kind: EncodingKind::decode(r)?,
+            },
+            3 => ConfigAction::SetPlacement {
+                table: TableId::decode(r)?,
+                chunk: ChunkId::decode(r)?,
+                tier: Tier::decode(r)?,
+            },
+            4 => ConfigAction::SetKnob {
+                knob: KnobKind::decode(r)?,
+                value: f64::decode(r)?,
+            },
+            other => return Err(Error::invalid(format!("unknown action tag {other}"))),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,84 +437,16 @@ mod tests {
         other.knobs.buffer_pool_mb = 1.0;
         assert_ne!(base.fingerprint(), other.fingerprint());
     }
-}
-
-/// A serialization-friendly snapshot of a [`ConfigInstance`].
-///
-/// `ConfigInstance` itself keys its maps by struct types, which JSON
-/// cannot represent as object keys; the snapshot flattens them into
-/// arrays. Round-trips losslessly via `From` in both directions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigSnapshot {
-    pub indexes: Vec<(ChunkColumnRef, IndexKind)>,
-    pub encodings: Vec<(ChunkColumnRef, EncodingKind)>,
-    pub placements: Vec<(TableId, ChunkId, Tier)>,
-    pub buffer_pool_mb: f64,
-}
-
-impl From<&ConfigInstance> for ConfigSnapshot {
-    fn from(c: &ConfigInstance) -> Self {
-        ConfigSnapshot {
-            indexes: c.indexes.iter().map(|(&k, &v)| (k, v)).collect(),
-            encodings: c.encodings.iter().map(|(&k, &v)| (k, v)).collect(),
-            placements: c
-                .placements
-                .iter()
-                .map(|(&(t, k), &tier)| (t, k, tier))
-                .collect(),
-            buffer_pool_mb: c.knobs.buffer_pool_mb,
-        }
-    }
-}
-
-impl From<&ConfigSnapshot> for ConfigInstance {
-    fn from(s: &ConfigSnapshot) -> Self {
-        let mut c = ConfigInstance::default();
-        for &(target, kind) in &s.indexes {
-            c.indexes.insert(target, kind);
-        }
-        for &(target, kind) in &s.encodings {
-            if kind != EncodingKind::Unencoded {
-                c.encodings.insert(target, kind);
-            }
-        }
-        for &(table, chunk, tier) in &s.placements {
-            if tier != Tier::Hot {
-                c.placements.insert((table, chunk), tier);
-            }
-        }
-        c.knobs.buffer_pool_mb = s.buffer_pool_mb;
-        c
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
 
     #[test]
-    fn snapshot_roundtrips() {
-        let mut c = ConfigInstance::default();
-        c.indexes
-            .insert(ChunkColumnRef::new(0, 1, 2), IndexKind::BTree);
-        c.encodings
-            .insert(ChunkColumnRef::new(1, 0, 0), EncodingKind::RunLength);
-        c.placements.insert((TableId(0), ChunkId(3)), Tier::Warm);
-        c.knobs.buffer_pool_mb = 256.0;
-        let snap = ConfigSnapshot::from(&c);
-        let back = ConfigInstance::from(&snap);
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn snapshot_normalizes_defaults() {
-        let snap = ConfigSnapshot {
-            indexes: vec![],
-            encodings: vec![(ChunkColumnRef::new(0, 0, 0), EncodingKind::Unencoded)],
-            placements: vec![(TableId(0), ChunkId(0), Tier::Hot)],
-            buffer_pool_mb: 64.0,
-        };
-        let c = ConfigInstance::from(&snap);
-        assert_eq!(c, ConfigInstance::default());
+    fn corrupt_tags_error_cleanly() {
+        use crate::value::DataType;
+        use smdb_durable::decode_all;
+        assert!(decode_all::<DataType>(&[9]).is_err());
+        assert!(decode_all::<Tier>(&[9]).is_err());
+        assert!(decode_all::<EncodingKind>(&[9]).is_err());
+        assert!(decode_all::<IndexKind>(&[9]).is_err());
+        assert!(decode_all::<KnobKind>(&[9]).is_err());
+        assert!(decode_all::<ConfigAction>(&[9]).is_err());
     }
 }

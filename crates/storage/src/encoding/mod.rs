@@ -41,6 +41,13 @@ pub enum EncodingKind {
     FrameOfReference,
 }
 
+smdb_durable::durable_enum!(EncodingKind, "encoding", {
+    EncodingKind::Unencoded => 0,
+    EncodingKind::Dictionary => 1,
+    EncodingKind::RunLength => 2,
+    EncodingKind::FrameOfReference => 3,
+});
+
 impl EncodingKind {
     /// All encodings, for candidate enumeration.
     pub const ALL: [EncodingKind; 4] = [

@@ -13,7 +13,8 @@ pub mod btree;
 pub mod composite;
 pub mod hash;
 
-use smdb_common::ColumnId;
+use smdb_common::{ColumnId, Error, Result};
+use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 
 use crate::encoding::Segment;
 use crate::scan::{PredicateOp, ScanPredicate};
@@ -160,6 +161,33 @@ impl ChunkIndex {
                 true
             }
             _ => false,
+        }
+    }
+}
+
+/// One tag byte; the composite kind carries its second column.
+impl Encode for IndexKind {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            IndexKind::Hash => w.u8(0),
+            IndexKind::BTree => w.u8(1),
+            IndexKind::CompositeHash { second } => {
+                w.u8(2);
+                second.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for IndexKind {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        match r.u8()? {
+            0 => Ok(IndexKind::Hash),
+            1 => Ok(IndexKind::BTree),
+            2 => Ok(IndexKind::CompositeHash {
+                second: ColumnId::decode(r)?,
+            }),
+            other => Err(Error::invalid(format!("unknown index kind tag {other}"))),
         }
     }
 }

@@ -53,7 +53,6 @@ pub mod index;
 pub mod kernels;
 pub mod memory;
 pub mod parallel;
-pub mod persist;
 pub mod placement;
 pub mod scan;
 pub mod schema;
@@ -63,7 +62,7 @@ pub mod table;
 pub mod value;
 
 pub use access::{access_path, AccessPath};
-pub use config::{ConfigAction, ConfigInstance, ConfigSnapshot, KnobKind, Knobs};
+pub use config::{ConfigAction, ConfigInstance, KnobKind, Knobs};
 pub use encoding::EncodingKind;
 pub use engine::StorageEngine;
 pub use exec::{ChunkPartial, PredictedPaths, ScanOutput};

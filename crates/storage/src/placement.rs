@@ -20,6 +20,12 @@ pub enum Tier {
     Cold,
 }
 
+smdb_durable::durable_enum!(Tier, "tier", {
+    Tier::Hot => 0,
+    Tier::Warm => 1,
+    Tier::Cold => 2,
+});
+
 impl Tier {
     /// All tiers, for candidate enumeration.
     pub const ALL: [Tier; 3] = [Tier::Hot, Tier::Warm, Tier::Cold];

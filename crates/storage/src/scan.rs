@@ -6,6 +6,7 @@
 //! [`crate::access`] chooses.
 
 use smdb_common::ColumnId;
+use smdb_durable::{durable_enum, durable_struct};
 
 use crate::value::Value;
 
@@ -20,6 +21,15 @@ pub enum PredicateOp {
     /// Inclusive range `lo <= x <= hi`.
     Between,
 }
+
+durable_enum!(PredicateOp, "predicate op", {
+    PredicateOp::Eq => 0,
+    PredicateOp::Lt => 1,
+    PredicateOp::Le => 2,
+    PredicateOp::Gt => 3,
+    PredicateOp::Ge => 4,
+    PredicateOp::Between => 5,
+});
 
 impl PredicateOp {
     /// Whether the operator describes a range (benefits from ordered
@@ -39,6 +49,13 @@ pub struct ScanPredicate {
     /// Upper bound, only used by `Between`.
     pub upper: Option<Value>,
 }
+
+durable_struct!(ScanPredicate {
+    column,
+    op,
+    value,
+    upper
+});
 
 impl ScanPredicate {
     /// Point equality predicate.
@@ -115,6 +132,14 @@ pub enum AggregateOp {
     Max,
 }
 
+durable_enum!(AggregateOp, "aggregate op", {
+    AggregateOp::Count => 0,
+    AggregateOp::Sum => 1,
+    AggregateOp::Avg => 2,
+    AggregateOp::Min => 3,
+    AggregateOp::Max => 4,
+});
+
 /// An aggregate over the rows matching the predicates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aggregate {
@@ -122,6 +147,8 @@ pub struct Aggregate {
     /// Aggregated column; ignored for `Count`.
     pub column: ColumnId,
 }
+
+durable_struct!(Aggregate { op, column });
 
 impl Aggregate {
     /// Creates an aggregate specification.

@@ -1,6 +1,7 @@
 //! Table schemas.
 
 use smdb_common::{ColumnId, Error, Result};
+use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 
 use crate::value::DataType;
 
@@ -10,6 +11,8 @@ pub struct ColumnDef {
     pub name: String,
     pub data_type: DataType,
 }
+
+smdb_durable::durable_struct!(ColumnDef { name, data_type });
 
 impl ColumnDef {
     /// Creates a column definition.
@@ -74,6 +77,19 @@ impl Schema {
             .iter()
             .enumerate()
             .map(|(i, c)| (ColumnId(i as u16), c))
+    }
+}
+
+impl Encode for Schema {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.columns.encode(w);
+    }
+}
+
+/// Decoding re-validates through [`Schema::new`] (unique names).
+impl Decode for Schema {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Schema::new(Vec::decode(r)?)
     }
 }
 

@@ -9,6 +9,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use smdb_common::Result;
+use smdb_durable::{durable_enum, ByteReader, ByteWriter, Decode, Encode};
+
 /// The data type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
@@ -16,6 +19,12 @@ pub enum DataType {
     Float,
     Text,
 }
+
+durable_enum!(DataType, "data type", {
+    DataType::Int => 0,
+    DataType::Float => 1,
+    DataType::Text => 2,
+});
 
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -227,6 +236,50 @@ impl ColumnValues {
             ColumnValues::Float(v) => v.len() * 8,
             ColumnValues::Text(v) => v.iter().map(|s| 24 + s.len()).sum(),
         }
+    }
+}
+
+/// One tag byte, then the payload.
+impl Encode for Value {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.data_type().encode(w);
+        match self {
+            Value::Int(x) => x.encode(w),
+            Value::Float(x) => x.encode(w),
+            Value::Text(s) => s.encode(w),
+        }
+    }
+}
+
+impl Decode for Value {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match DataType::decode(r)? {
+            DataType::Int => Value::Int(i64::decode(r)?),
+            DataType::Float => Value::Float(f64::decode(r)?),
+            DataType::Text => Value::Text(String::decode(r)?),
+        })
+    }
+}
+
+/// The data-type tag, then the raw values as a counted list.
+impl Encode for ColumnValues {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.data_type().encode(w);
+        match self {
+            ColumnValues::Int(v) => v.encode(w),
+            ColumnValues::Float(v) => v.encode(w),
+            ColumnValues::Text(v) => v.encode(w),
+        }
+    }
+}
+
+impl Decode for ColumnValues {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match DataType::decode(r)? {
+            DataType::Int => ColumnValues::Int(Vec::decode(r)?),
+            DataType::Float => ColumnValues::Float(Vec::decode(r)?),
+            DataType::Text => ColumnValues::Text(Vec::decode(r)?),
+        })
     }
 }
 
