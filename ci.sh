@@ -5,7 +5,8 @@
 # timings and pass/fail, even when a step fails.
 #
 #   ./ci.sh               # full gate (build, tests, benchmark/ package
-#                         # build + tests, lint, bench + gate)
+#                         # build + tests + a 3 s shift_durable smoke run,
+#                         # lint, bench + gate)
 #   ./ci.sh quick         # release build + tuning experiments + soak
 #                         # + concurrency audit -> target/ci/BENCH_*.json
 #                         # and AUDIT_concurrency.json, gated vs committed
@@ -134,6 +135,13 @@ check_benchmark_builds() { # the frozen yardstick still compiles against the cra
         (cd benchmark && cargo test --offline)
 }
 
+smoke_benchmark_recovery() { # exit code only: the frozen harness's recovery check
+    # The one place CI recovers a store from flushed bytes and compares
+    # it with the live engine (configuration equal, 200 probe queries
+    # oracle-correct). 3 s is too short for its timings to mean anything.
+    benchmark/run.sh --workload shift_durable --seconds 3 >/dev/null
+}
+
 run_gate() { # candidate dir
     cargo run --release -q -p smdb-bench --bin bench_gate -- \
         --runtime BENCH_runtime.json "$1/BENCH_runtime.json" \
@@ -213,6 +221,7 @@ full)
     step "cargo build --release" cargo build --workspace --release
     step "cargo test" cargo test -q --workspace
     step "benchmark builds + tests" check_benchmark_builds
+    step "benchmark recovery smoke" smoke_benchmark_recovery
     fresh_bench_and_gate
     step "smdb-lint" cargo run -q -p smdb-lint
     step "smdb-lint --audit-lp" cargo run -q -p smdb-lint -- --audit-lp

@@ -3,18 +3,38 @@
 //! *how* a value becomes bytes.
 //!
 //! A durable run logs every tuning-state transition to an append-only
-//! WAL (`smdb_durable::Wal`) and periodically writes a full snapshot —
-//! raw table data, the applied configuration, the tuned `ConfigStorage`
-//! instances and the whole serving state (KPI windows, workload history,
-//! plan cache, organizer, counters). Recovery replays the WAL tail over
-//! the latest valid snapshot, so a restart resumes with the *tuned*
-//! physical design instead of re-tuning from cold.
+//! WAL (`smdb_durable::Wal`) and periodically snapshots. A snapshot is
+//! split along what changes:
+//!
+//! * the **base** blob (`base-<bucket>`) holds every table's raw columns.
+//!   The engine has no write path and [`Table::encode`] is independent
+//!   of the physical design, so these bytes only change when the catalog
+//!   does: a manager writes a base with its first snapshot and again
+//!   only after `StorageEngine::catalog_token` moved (`create_table`).
+//!   It never probes the store for one — a resumed manager writes its
+//!   own, once — so it never trusts bytes it did not write.
+//! * the **state** snapshot (`snap-<bucket>`, tens of KB) holds the WAL
+//!   position it covers, the `(version, crc32)` of the base it belongs
+//!   to, the whole serving state (applied configuration, KPI windows,
+//!   workload history, plan cache, organizer, counters), the tuned
+//!   `ConfigStorage` instances and the rollbacks.
+//!
+//! The base is written (and made durable) before the state that names
+//! it. [`recover`] walks state snapshots newest-first and takes the
+//! first whose checksum validates *and* whose base reads back with the
+//! recorded checksum, then replays the WAL tail over it — so a crash
+//! between the two writes, or a torn or missing base, degrades to the
+//! previous good pair exactly as a torn snapshot does, and a restart
+//! resumes with the *tuned* physical design instead of re-tuning from
+//! cold. Indexes and encodings are not stored: the recovered
+//! configuration is re-applied to the raw tables.
 //!
 //! The byte layout of every type that travels is the `Encode` / `Decode`
 //! impl in the file that defines the type (containers are encoded once,
 //! in `smdb_durable::codec`). This module owns the framing around them:
-//! the snapshot payload (version byte, WAL position, serving state,
-//! tables, instances, rollbacks) and the tagged WAL record bodies:
+//! the base payload (the tables, as a counted list), the state payload
+//! (version byte, WAL position, base reference, serving state,
+//! instances, rollbacks) and the tagged WAL record bodies:
 //!
 //! | tag | record              | body               | written by                         |
 //! |-----|---------------------|--------------------|------------------------------------|
@@ -30,11 +50,12 @@
 //!
 //! Snapshot cadence is the durability layer's tunable: frequent
 //! snapshots shorten recovery (fewer records to replay — a lower RTO)
-//! but multiply write amplification, since each snapshot rewrites the
-//! full state the WAL describes incrementally. [`DurabilityStats`]
-//! surfaces both sides as KPIs. The second `impl Driver` block at the
-//! end of this file is the glue: exporting the live driver into a
-//! [`ServingState`] and restoring one into a freshly built driver.
+//! at the price of one more state snapshot each, a boundary record's
+//! worth of bytes. [`DurabilityStats`] surfaces both sides as KPIs (the
+//! base counts: it is a durable byte the run wrote). The second
+//! `impl Driver` block at the end of this file is the glue: exporting
+//! the live driver into a [`ServingState`] and restoring one into a
+//! freshly built driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,10 +76,12 @@ use crate::kpi::KpiState;
 
 /// Blob name of the write-ahead log.
 pub const WAL_NAME: &str = "wal.log";
-/// Name prefix of snapshot blobs.
+/// Name prefix of state-snapshot blobs.
 pub const SNAPSHOT_PREFIX: &str = "snap-";
-/// Format version tag at the head of every snapshot payload.
-const SNAPSHOT_VERSION: u8 = 1;
+/// Name prefix of base blobs (raw table data).
+pub const BASE_PREFIX: &str = "base-";
+/// Format version tag at the head of every state-snapshot payload.
+const SNAPSHOT_VERSION: u8 = 2;
 
 const TAG_BOUNDARY: u8 = 1;
 const TAG_INSTANCE_STORED: u8 = 2;
@@ -68,9 +91,10 @@ const TAG_ROLLBACK: u8 = 4;
 /// Durability tunables.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Take a full snapshot every N buckets (0 disables periodic
+    /// Take a state snapshot every N buckets (0 disables periodic
     /// snapshots; the run-start snapshot is always written). Lower
-    /// values shorten recovery, higher values cut write amplification.
+    /// values shorten recovery (fewer WAL records to replay); each
+    /// snapshot costs tens of KB — table data is not rewritten.
     pub snapshot_every_buckets: u64,
 }
 
@@ -89,14 +113,26 @@ pub struct DurabilityStats {
     pub wal_records: u64,
     /// WAL bytes appended this run.
     pub wal_bytes: u64,
-    /// Snapshots taken this run.
+    /// State snapshots taken this run.
     pub snapshots_taken: u64,
-    /// Snapshot bytes written this run.
+    /// Snapshot bytes written this run: every state snapshot plus every
+    /// base blob.
     pub snapshot_bytes: u64,
     /// Write amplification: total durable bytes per WAL byte. 1.0 means
-    /// pure logging; each snapshot pushes it up — the cadence trade-off.
+    /// pure logging; the base and each snapshot push it up.
     pub write_amplification: f64,
 }
+
+/// The base blob a state snapshot's tables live in. The checksum tells
+/// the blob the state was written against from a later one under the
+/// same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BaseRef {
+    version: u64,
+    crc: u32,
+}
+
+durable_struct!(BaseRef { version, crc });
 
 #[derive(Debug, Default)]
 struct ManagerState {
@@ -107,13 +143,20 @@ struct ManagerState {
     snapshot_bytes: u64,
 }
 
-/// Owns the WAL and the snapshot store of one durable run.
+/// Owns the WAL, the base blobs and the state snapshots of one durable
+/// run.
 pub struct DurabilityManager {
     persistence: Arc<dyn Persistence>,
     wal: Wal,
     snapshots: SnapshotStore,
+    bases: SnapshotStore,
     config: DurabilityConfig,
     state: Mutex<ManagerState>,
+    /// The base this manager wrote, and the engine's catalog token it
+    /// was encoded from. Its own lock, held across the check and the
+    /// write so concurrent snapshots cannot both write a base, and apart
+    /// from `state` so WAL appends do not wait on a base encode.
+    base: Mutex<Option<(u64, BaseRef)>>,
 }
 
 impl std::fmt::Debug for DurabilityManager {
@@ -121,6 +164,7 @@ impl std::fmt::Debug for DurabilityManager {
         f.debug_struct("DurabilityManager")
             .field("config", &self.config)
             .field("state", &self.state.lock())
+            .field("base", &self.base.lock())
             .finish_non_exhaustive()
     }
 }
@@ -142,11 +186,13 @@ impl DurabilityManager {
             persistence,
             wal: Wal::new(WAL_NAME),
             snapshots: SnapshotStore::new(SNAPSHOT_PREFIX),
+            bases: SnapshotStore::new(BASE_PREFIX),
             config,
             state: Mutex::new(ManagerState {
                 next_seq,
                 ..ManagerState::default()
             }),
+            base: Mutex::new(None),
         }
     }
 
@@ -228,8 +274,44 @@ impl DurabilityManager {
         self.log(TAG_ROLLBACK, record)
     }
 
-    /// Writes a full snapshot (version = `serving.bucket`) recording the
-    /// WAL position it covers. Returns `(wal_records_covered, bytes)`.
+    /// The base holding `engine`'s tables, and the bytes written to get
+    /// it: none while the catalog is the one this manager last encoded,
+    /// otherwise a new base blob under `version`.
+    fn base_for(&self, engine: &StorageEngine, version: u64) -> Result<(BaseRef, u64)> {
+        let token = engine.catalog_token();
+        let mut held = self.base.lock();
+        if let Some((_, base)) = held.filter(|(t, _)| *t == token) {
+            return Ok((base, 0));
+        }
+        // A capacity hint, not a size: an untuned table's footprint is
+        // close to its raw encoding, and whatever the encoding every
+        // value takes at least 8 bytes on the wire.
+        let hint = engine
+            .tables()
+            .map(|(_, t)| {
+                t.data_bytes()
+                    .max(t.rows() * t.schema().columns().len() * 8)
+            })
+            .sum();
+        let stored = self
+            .bases
+            .write(self.persistence.as_ref(), version, hint, |w| {
+                // `Vec<Table>`'s layout by hand: a table's encoder is fallible.
+                w.usize(engine.tables().count());
+                engine.tables().try_for_each(|(_, table)| table.encode(w))
+            })?;
+        let base = BaseRef {
+            version,
+            crc: stored.crc,
+        };
+        *held = Some((token, base));
+        Ok((base, stored.bytes))
+    }
+
+    /// Writes a state snapshot (version = `serving.bucket`) recording the
+    /// WAL position it covers — after the base it names, when this
+    /// manager holds none for the engine's catalog. Returns
+    /// `(wal_records_covered, bytes_written)`.
     pub fn take_snapshot(
         &self,
         serving: &ServingState,
@@ -238,25 +320,25 @@ impl DurabilityManager {
         rollbacks: &[RollbackRecord],
     ) -> Result<(u64, u64)> {
         let wal_records = self.state.lock().next_seq;
-        let mut w = ByteWriter::new();
-        w.u8(SNAPSHOT_VERSION);
-        w.u64(wal_records);
-        serving.encode(&mut w);
-        // `Vec<Table>`'s layout by hand: a table's encoder is fallible.
-        w.usize(engine.tables().count());
-        for (_, table) in engine.tables() {
-            table.encode(&mut w)?;
-        }
-        instances.encode(&mut w);
-        rollbacks.encode(&mut w);
-        let bytes =
-            self.snapshots
-                .write(self.persistence.as_ref(), serving.bucket, &w.into_bytes())?;
+        // Base first: a state must never name a base that is not durable.
+        let (base, base_bytes) = self.base_for(engine, serving.bucket)?;
+        self.state.lock().snapshot_bytes += base_bytes;
+        let stored = self
+            .snapshots
+            .write(self.persistence.as_ref(), serving.bucket, 0, |w| {
+                w.u8(SNAPSHOT_VERSION);
+                w.u64(wal_records);
+                base.encode(w);
+                serving.encode(w);
+                instances.encode(w);
+                rollbacks.encode(w);
+                Ok(())
+            })?;
         let mut state = self.state.lock();
         state.snapshots_taken += 1;
-        state.snapshot_bytes += bytes;
+        state.snapshot_bytes += stored.bytes;
         smdb_obs::metrics::counter("durable.snapshots").inc();
-        Ok((wal_records, bytes))
+        Ok((wal_records, base_bytes + stored.bytes))
     }
 }
 
@@ -265,7 +347,8 @@ impl DurabilityManager {
 pub struct RecoveredState {
     /// The serving state at the last valid boundary.
     pub serving: ServingState,
-    /// Raw tables, in id order, ready for `StorageEngine::create_table`.
+    /// Raw tables from the base, in id order, ready for
+    /// `StorageEngine::create_table`.
     pub tables: Vec<Table>,
     /// Stored configuration instances, snapshot state plus WAL replay.
     pub instances: Vec<StoredInstance>,
@@ -279,29 +362,50 @@ pub struct RecoveredState {
     pub wal_records: u64,
 }
 
-/// Reads the durable store back: latest valid snapshot plus the valid
-/// WAL tail. Returns `Ok(None)` when no valid snapshot exists (nothing
-/// was ever persisted, or every snapshot is corrupt — there is no base
-/// state to replay onto). A corrupt WAL tail is truncated in place so
-/// subsequent appends extend the valid prefix. `_config` is unused:
-/// nothing about reading a store back depends on the write cadence; the
-/// parameter stays because the frozen `benchmark/` package passes it.
+/// Reads the durable store back: the newest state snapshot that
+/// validates and whose base reads back with the checksum it recorded,
+/// plus the valid WAL tail. Returns `Ok(None)` when no such pair exists
+/// (nothing was ever persisted, the run died between its first base and
+/// its first state, or every pair is torn — there is nothing to replay
+/// onto). A corrupt WAL tail is truncated in place so subsequent appends
+/// extend the valid prefix. `_config` is unused: nothing about reading a
+/// store back depends on the write cadence; the parameter stays because
+/// the frozen `benchmark/` package passes it.
 pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option<RecoveredState>> {
     let snapshots = SnapshotStore::new(SNAPSHOT_PREFIX);
-    let Some((_, payload)) = snapshots.latest_valid(p)? else {
+    let bases = SnapshotStore::new(BASE_PREFIX);
+    let mut newest_pair = None;
+    for version in snapshots.versions(p)?.into_iter().rev() {
+        let Some((_, payload)) = snapshots.read(p, version)? else {
+            continue;
+        };
+        let (&format, body) = payload
+            .split_first()
+            .ok_or_else(|| Error::invalid("empty snapshot"))?;
+        if format != SNAPSHOT_VERSION {
+            return Err(Error::invalid(format!(
+                "unsupported snapshot version {format}"
+            )));
+        }
+        // What `take_snapshot` wrote after the version byte, in its order.
+        let (wal_records, base, serving, instances, rollbacks): (u64, BaseRef, _, _, _) =
+            decode_all(body)?;
+        match bases.read(p, base.version)? {
+            Some((crc, tables)) if crc == base.crc => {
+                let tables: Vec<Table> = decode_all(&tables)?;
+                newest_pair = Some((wal_records, tables, serving, instances, rollbacks));
+                break;
+            }
+            // Missing, torn, or a later blob under the same name: this
+            // state has no tables, an older one may.
+            _ => continue,
+        }
+    }
+    let Some((wal_records_at_snapshot, tables, mut serving, mut instances, mut rollbacks)) =
+        newest_pair
+    else {
         return Ok(None);
     };
-    let (&version, body) = payload
-        .split_first()
-        .ok_or_else(|| Error::invalid("empty snapshot"))?;
-    if version != SNAPSHOT_VERSION {
-        return Err(Error::invalid(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
-    // What `take_snapshot` wrote after the version byte, in its order.
-    let (wal_records_at_snapshot, mut serving, tables, mut instances, mut rollbacks) =
-        decode_all(body)?;
 
     // Replay the WAL tail over the snapshot: records the snapshot
     // already covers are skipped by sequence number.
@@ -468,7 +572,7 @@ impl Driver {
     }
 
     /// Logs a bucket boundary to the WAL and, when the snapshot cadence
-    /// fires, takes a full snapshot. No-op without a durability manager.
+    /// fires, takes a snapshot. No-op without a durability manager.
     pub fn persist_boundary(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
         let Some(d) = &self.durability else {
             return Ok(());
@@ -481,7 +585,7 @@ impl Driver {
         Ok(())
     }
 
-    /// Takes a full snapshot right now (e.g. the run-start snapshot a
+    /// Takes a snapshot right now (e.g. the run-start snapshot a
     /// durable run writes before serving). No-op without a durability
     /// manager.
     pub fn persist_snapshot(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
@@ -763,16 +867,37 @@ mod tests {
         wal.records.into_iter().map(|r| r.body).collect()
     }
 
-    fn snapshot_payload(p: &dyn Persistence) -> Vec<u8> {
-        let store = SnapshotStore::new(SNAPSHOT_PREFIX);
-        store.latest_valid(p).unwrap().unwrap().1
+    /// Payload of the newest valid blob under `prefix`.
+    fn newest_payload(p: &dyn Persistence, prefix: &str) -> Vec<u8> {
+        let store = SnapshotStore::new(prefix);
+        let versions = store.versions(p).unwrap();
+        let newest = versions
+            .iter()
+            .rev()
+            .find_map(|&v| store.read(p, v).unwrap());
+        newest.expect("a valid blob").1
     }
 
-    /// `(crc32, length)` of every durable layout, computed at commit
-    /// 27ee10e with the free `write_*` functions these impls replaced:
-    /// the test that fails if a container impl changes a prefix width.
-    /// The store below is therefore byte-for-byte one the old code wrote,
-    /// and recovering it must reproduce the fixtures.
+    fn blob_name(prefix: &str, version: u64) -> String {
+        SnapshotStore::new(prefix).blob_name(version)
+    }
+
+    /// Stores `payload` as state snapshot `version` in the blob layout:
+    /// the payload's checksum, then the payload.
+    fn write_state(p: &dyn Persistence, version: u64, payload: &[u8]) {
+        let blob = [&crc32(payload).to_le_bytes()[..], payload].concat();
+        p.write_atomic(&blob_name(SNAPSHOT_PREFIX, version), &blob)
+            .unwrap();
+    }
+
+    /// `(crc32, length)` of every durable layout: the test that fails if
+    /// a container impl changes a prefix width. The serving state, the
+    /// WAL bodies and the WAL blob were computed at commit 27ee10e with
+    /// the free `write_*` functions the `Encode` impls replaced; the base
+    /// payload is the tables' slice of the version-1 snapshot pinned
+    /// there, and the state payload is that snapshot without it, under
+    /// version 2, with the 12-byte base reference after the WAL
+    /// position. Recovering the store must reproduce the fixtures.
     #[test]
     fn durable_format_is_pinned() {
         let pin = |bytes: &[u8]| (crc32(bytes), bytes.len());
@@ -792,10 +917,19 @@ mod tests {
             ],
             "one body per WAL tag"
         );
-        assert_eq!(pin(&snapshot_payload(store.as_ref())), (0x3263_5c64, 1788));
+        let base = newest_payload(store.as_ref(), BASE_PREFIX);
+        let state = newest_payload(store.as_ref(), SNAPSHOT_PREFIX);
+        assert_eq!(pin(&base), (0x2c23_15cf, 438));
+        assert_eq!(pin(&state), (0xa270_b552, 1362));
         let blob = |name: &str| pin(&store.read(name).unwrap().unwrap());
         assert_eq!(blob(WAL_NAME), (0xfc9a_d04b, 1401));
-        assert_eq!(blob("snap-00000000000000000000"), (0x44fa_d484, 1792));
+        assert_eq!(blob(&blob_name(BASE_PREFIX, 0)), (0x5874_56e2, 442));
+        assert_eq!(blob(&blob_name(SNAPSHOT_PREFIX, 0)), (0xaa25_34fc, 1366));
+        // The state names its base: version 0 and the base payload's
+        // checksum, right after the version byte and the WAL position.
+        assert_eq!(state[..9], [SNAPSHOT_VERSION, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(state[9..17], 0u64.to_le_bytes());
+        assert_eq!(state[17..21], crc32(&base).to_le_bytes());
 
         let rec = recover(store.as_ref(), &DurabilityConfig::default())
             .unwrap()
@@ -831,11 +965,116 @@ mod tests {
             assert!(replay(&body).is_ok(), "tag {}", body[0]);
             assert!(replay(&longer(&body)).is_err(), "tag {}", body[0]);
         }
-        let payload = longer(&snapshot_payload(store.as_ref()));
-        SnapshotStore::new(SNAPSHOT_PREFIX)
-            .write(store.as_ref(), 1, &payload)
-            .unwrap();
+        let state = newest_payload(store.as_ref(), SNAPSHOT_PREFIX);
+        write_state(store.as_ref(), 1, &longer(&state));
         assert!(recover(store.as_ref(), &DurabilityConfig::default()).is_err());
+    }
+
+    /// Stores are per-run scratch: nothing reads the version-1 layout
+    /// (tables inline, no base reference), and finding one is a clean
+    /// error rather than a misparse.
+    #[test]
+    fn version_1_snapshot_is_a_clean_error() {
+        let store = sample_store();
+        let mut v1 = newest_payload(store.as_ref(), SNAPSHOT_PREFIX);
+        v1[0] = 1;
+        write_state(store.as_ref(), 1, &v1);
+        let err = recover(store.as_ref(), &DurabilityConfig::default()).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported snapshot version 1"),
+            "{err}"
+        );
+    }
+
+    /// A store with two state+base pairs: bucket 0 over two tables,
+    /// then — the catalog changed — bucket 1 over three.
+    fn two_pair_store() -> Arc<MemPersistence> {
+        let mem = Arc::new(MemPersistence::new());
+        let manager = DurabilityManager::new(mem.clone(), DurabilityConfig::default());
+        let mut engine = StorageEngine::default();
+        engine.create_table(sample_table("events", 10)).unwrap();
+        engine.create_table(sample_table("dims", 3)).unwrap();
+        let snap = |bucket, engine: &StorageEngine| {
+            manager
+                .take_snapshot(&sample_state(bucket), engine, &[], &[])
+                .unwrap()
+        };
+        snap(0, &engine);
+        engine.create_table(sample_table("late", 5)).unwrap();
+        snap(1, &engine);
+        mem
+    }
+
+    fn recovered_shape(p: &dyn Persistence) -> Option<(u64, usize)> {
+        recover(p, &DurabilityConfig::default())
+            .expect("a bad base is a fallback, never an error")
+            .map(|rec| (rec.serving.bucket, rec.tables.len()))
+    }
+
+    #[test]
+    fn state_without_its_base_falls_back_to_the_previous_pair() {
+        assert_eq!(recovered_shape(two_pair_store().as_ref()), Some((1, 3)));
+
+        // The newest state is valid, its base is gone.
+        let store = two_pair_store();
+        store.remove(&blob_name(BASE_PREFIX, 1)).unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), Some((0, 2)));
+
+        // ... or torn.
+        let store = two_pair_store();
+        store
+            .mutate(&blob_name(BASE_PREFIX, 1), |b| b[40] ^= 0x10)
+            .unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), Some((0, 2)));
+
+        // ... or intact but not the blob the state was written against.
+        let store = two_pair_store();
+        let other = store.read(&blob_name(BASE_PREFIX, 0)).unwrap().unwrap();
+        store
+            .write_atomic(&blob_name(BASE_PREFIX, 1), &other)
+            .unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), Some((0, 2)));
+
+        // No pair left: nothing to recover, still not an error.
+        store.remove(&blob_name(BASE_PREFIX, 0)).unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), None);
+    }
+
+    /// The newest-first walk skips a state snapshot that does not
+    /// validate — bit-flipped, cut short, or empty — and takes the one
+    /// before it.
+    #[test]
+    fn torn_newest_state_falls_back_to_the_previous_pair() {
+        let newest = blob_name(SNAPSHOT_PREFIX, 1);
+        let tears: [(&str, fn(&mut Vec<u8>)); 4] = [
+            ("bit flip", |b| b[10] ^= 1),
+            ("cut mid-payload", |b| b.truncate(b.len() / 2)),
+            ("shorter than its header", |b| b.truncate(3)),
+            ("empty", Vec::clear),
+        ];
+        for (what, tear) in tears {
+            let store = two_pair_store();
+            store.mutate(&newest, tear).unwrap();
+            assert_eq!(recovered_shape(store.as_ref()), Some((0, 2)), "{what}");
+        }
+
+        // Every state torn: nothing to recover, still not an error.
+        let store = two_pair_store();
+        store.mutate(&newest, |b| b[10] ^= 1).unwrap();
+        store
+            .mutate(&blob_name(SNAPSHOT_PREFIX, 0), |b| b[10] ^= 1)
+            .unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), None);
+    }
+
+    /// A crash between the two writes of the first snapshot leaves a
+    /// base and no state.
+    #[test]
+    fn base_without_a_state_is_nothing_to_recover() {
+        let store = two_pair_store();
+        store.remove(&blob_name(SNAPSHOT_PREFIX, 0)).unwrap();
+        store.remove(&blob_name(SNAPSHOT_PREFIX, 1)).unwrap();
+        assert_eq!(recovered_shape(store.as_ref()), None);
     }
 
     #[test]
@@ -888,10 +1127,15 @@ mod tests {
         let wal_only = manager.stats();
         assert_eq!(wal_only.wal_records, 1);
         assert!((wal_only.write_amplification - 1.0).abs() < 1e-12);
-        manager.take_snapshot(&state, &engine, &[], &[]).unwrap();
+        let (_, first) = manager.take_snapshot(&state, &engine, &[], &[]).unwrap();
         let with_snap = manager.stats();
         assert_eq!(with_snap.snapshots_taken, 1);
+        assert_eq!(with_snap.snapshot_bytes, first, "base plus state");
         assert!(with_snap.write_amplification > 1.0);
+        // The second snapshot of an unchanged catalog writes no base.
+        let (_, second) = manager.take_snapshot(&state, &engine, &[], &[]).unwrap();
+        assert!(second < first);
+        assert_eq!(manager.stats().snapshot_bytes, first + second);
     }
 
     #[test]

@@ -33,6 +33,14 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// Creates an empty writer with room for `bytes`, for a caller that
+    /// knows roughly how much it is about to encode.
+    pub fn with_capacity(bytes: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

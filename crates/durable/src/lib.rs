@@ -14,9 +14,10 @@
 //!   The reader stops at the first structurally or checksum-invalid
 //!   frame *or* sequence break and reports the surviving prefix plus a
 //!   dropped-record count, so recovery degrades instead of panicking.
-//! * [`snapshot`] — checksummed, versioned full-state blobs; recovery
-//!   picks the newest snapshot whose checksum validates and replays the
-//!   WAL tail over it.
+//! * [`snapshot`] — checksummed, versioned blobs under a name prefix;
+//!   one whose checksum fails reads as absent, so recovery walks them
+//!   newest-first, takes the first good one and replays the WAL tail
+//!   over it.
 //! * [`fault`] — [`fault::TornWritePersistence`], a fault-injecting
 //!   `Persistence` wrapper that truncates, corrupts or duplicates an
 //!   append at an attempt-indexed offset and then fails the write — the
@@ -31,5 +32,5 @@ pub mod wal;
 pub use codec::{decode_all, encode_to_vec, ByteReader, ByteWriter, Decode, Encode};
 pub use fault::{TornWriteKind, TornWritePersistence, TornWritePlan};
 pub use persist::{DirPersistence, MemPersistence, Persistence};
-pub use snapshot::SnapshotStore;
+pub use snapshot::{SnapshotStore, Stored};
 pub use wal::{crc32, read_prefix, Wal, WalReadResult, WalRecord};

@@ -66,11 +66,21 @@ impl DirPersistence {
         check_name(name)?;
         Ok(self.root.join(name))
     }
+
+    /// Makes a name just created or renamed under the root survive a
+    /// crash: the file's own sync covers its bytes, not its directory
+    /// entry.
+    fn sync_root(&self) -> Result<()> {
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io_err("sync root", &self.root.display().to_string(), e))
+    }
 }
 
 impl Persistence for DirPersistence {
     fn append(&self, name: &str, data: &[u8]) -> Result<()> {
         let path = self.path(name)?;
+        let created = !path.exists();
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -80,7 +90,11 @@ impl Persistence for DirPersistence {
             .map_err(|e| io_err("append", name, e))?;
         // Durability of the *data* matters for the WAL contract; fsync
         // cost is irrelevant at the simulation's scale.
-        file.sync_data().map_err(|e| io_err("sync", name, e))
+        file.sync_data().map_err(|e| io_err("sync", name, e))?;
+        if created {
+            self.sync_root()?;
+        }
+        Ok(())
     }
 
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
@@ -102,7 +116,10 @@ impl Persistence for DirPersistence {
                 .map_err(|e| io_err("write tmp", name, e))?;
             file.sync_data().map_err(|e| io_err("sync tmp", name, e))?;
         }
-        std::fs::rename(&tmp, &path).map_err(|e| io_err("rename", name, e))
+        std::fs::rename(&tmp, &path).map_err(|e| io_err("rename", name, e))?;
+        // A caller that writes blob B after blob A returned relies on A's
+        // name being durable first (a state snapshot names its base).
+        self.sync_root()
     }
 
     fn list(&self) -> Result<Vec<String>> {
@@ -220,16 +237,39 @@ mod tests {
         exercise(&MemPersistence::new());
     }
 
-    #[test]
-    fn dir_persistence_contract() {
+    fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "smdb-durable-test-{}-{:?}",
+            "smdb-durable-test-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn dir_persistence_contract() {
+        let dir = temp_dir("contract");
         let p = DirPersistence::open(&dir).unwrap();
         exercise(&p);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dir_writes_are_visible_to_a_fresh_handle() {
+        let dir = temp_dir("reopen");
+        let p = DirPersistence::open(&dir).unwrap();
+        p.write_atomic("base-1", b"tables").unwrap();
+        p.write_atomic("base-1", b"tables2").unwrap();
+        p.append("wal", b"ab").unwrap();
+        p.append("wal", b"cd").unwrap();
+        // A temp file a crashed write left behind is not a blob.
+        std::fs::write(dir.join("snap-1.tmp"), b"half").unwrap();
+        drop(p);
+        let reopened = DirPersistence::open(&dir).unwrap();
+        assert_eq!(reopened.list().unwrap(), ["base-1", "wal"]);
+        assert_eq!(reopened.read("base-1").unwrap().unwrap(), b"tables2");
+        assert_eq!(reopened.read("wal").unwrap().unwrap(), b"abcd");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

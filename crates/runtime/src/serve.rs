@@ -175,9 +175,9 @@ pub(crate) fn serve(
     };
     let mut killed = false;
 
-    // A fresh durable run starts with a full snapshot (version 0), so
-    // recovery has a base whatever the crash point. A resumed run
-    // already has one.
+    // A fresh durable run starts with a snapshot (version 0: the base
+    // blob and the first state), so recovery has something to replay
+    // onto whatever the crash point. A resumed run already has one.
     if control.start_bucket == 0 {
         for driver in drivers {
             if driver.durability().is_some_and(|d| d.wal_records() == 0) {

@@ -164,34 +164,29 @@ fn slice_column(col: &ColumnValues, start: usize, end: usize) -> ColumnValues {
     }
 }
 
-fn extend_column(dst: &mut ColumnValues, src: ColumnValues) -> Result<()> {
-    match (dst, src) {
-        (ColumnValues::Int(d), ColumnValues::Int(s)) => d.extend(s),
-        (ColumnValues::Float(d), ColumnValues::Float(s)) => d.extend(s),
-        (ColumnValues::Text(d), ColumnValues::Text(s)) => d.extend(s),
-        _ => return Err(Error::invalid("chunk segment type mismatch")),
-    }
-    Ok(())
-}
-
 impl Table {
     /// Writes the table's durable layout: name, schema, chunking target,
-    /// then every column's raw values (chunk segments decoded and
-    /// concatenated). The on-disk form is therefore independent of the
-    /// physical design — recovery re-applies the recovered configuration
-    /// to rebuild encodings and indexes from raw values. Not an
-    /// [`Encode`] impl because it is the one encoder that can fail: a
-    /// segment lookup returns `Result`.
+    /// then every column's raw values — byte for byte
+    /// [`ColumnValues::encode`] of the whole column, streamed one decoded
+    /// chunk segment at a time under a single row count. The on-disk
+    /// form is therefore independent of the physical design — recovery
+    /// re-applies the recovered configuration to rebuild encodings and
+    /// indexes from raw values. Not an [`Encode`] impl because it is the
+    /// one encoder that can fail: a segment lookup returns `Result`.
     pub fn encode(&self, w: &mut ByteWriter) -> Result<()> {
         self.name.encode(w);
         self.schema.encode(w);
         self.target_chunk_rows.encode(w);
+        let rows = self.rows();
         for (col_id, def) in self.schema.iter() {
-            let mut full = ColumnValues::empty(def.data_type);
+            ColumnValues::encode_head(def.data_type, rows, w);
             for chunk in &self.chunks {
-                extend_column(&mut full, chunk.segment(col_id)?.decode())?;
+                let values = chunk.segment(col_id)?.decode();
+                if values.data_type() != def.data_type {
+                    return Err(Error::invalid("chunk segment type mismatch"));
+                }
+                values.encode_elements(w);
             }
-            full.encode(w);
         }
         Ok(())
     }
@@ -351,6 +346,17 @@ mod tests {
 
     #[test]
     fn encoded_table_serializes_to_same_raw_bytes() {
+        // Streaming chunk by chunk writes what encoding each whole column
+        // would.
+        let mut whole = ByteWriter::new();
+        "events".to_string().encode(&mut whole);
+        text_table().schema().encode(&mut whole);
+        4usize.encode(&mut whole);
+        ColumnValues::Int((0..10).collect()).encode(&mut whole);
+        ColumnValues::Float((0..10).map(|i| i as f64 * 0.5).collect()).encode(&mut whole);
+        ColumnValues::Text((0..10).map(|i| format!("t{i}")).collect()).encode(&mut whole);
+        assert_eq!(encoded(&text_table()), whole.into_bytes());
+
         let mut table = text_table();
         table
             .chunk_mut(ChunkId(0))

@@ -261,15 +261,30 @@ impl Decode for Value {
     }
 }
 
+impl ColumnValues {
+    /// Writes what precedes the values: the data-type tag and the count.
+    /// With [`ColumnValues::encode_elements`] it lets a column held as
+    /// several segments be streamed into the layout of one.
+    pub fn encode_head(data_type: DataType, len: usize, w: &mut ByteWriter) {
+        data_type.encode(w);
+        len.encode(w);
+    }
+
+    /// Writes the values alone, in order.
+    pub fn encode_elements(&self, w: &mut ByteWriter) {
+        match self {
+            ColumnValues::Int(v) => v.iter().for_each(|x| x.encode(w)),
+            ColumnValues::Float(v) => v.iter().for_each(|x| x.encode(w)),
+            ColumnValues::Text(v) => v.iter().for_each(|x| x.encode(w)),
+        }
+    }
+}
+
 /// The data-type tag, then the raw values as a counted list.
 impl Encode for ColumnValues {
     fn encode(&self, w: &mut ByteWriter) {
-        self.data_type().encode(w);
-        match self {
-            ColumnValues::Int(v) => v.encode(w),
-            ColumnValues::Float(v) => v.encode(w),
-            ColumnValues::Text(v) => v.encode(w),
-        }
+        Self::encode_head(self.data_type(), self.len(), w);
+        self.encode_elements(w);
     }
 }
 
