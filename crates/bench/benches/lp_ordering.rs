@@ -1,4 +1,5 @@
-//! Criterion bench for E4: the ordering ILP vs exhaustive permutations.
+//! Criterion bench for E4: the ordering ILP reference vs the exact
+//! permutation search production orders by.
 
 #![allow(clippy::needless_range_loop)] // matrix fixtures use explicit indices
 
@@ -7,9 +8,8 @@ use std::hint::black_box;
 
 use rand::RngExt;
 use smdb_common::seeded_rng;
-use smdb_lp::branch_bound::IlpOptions;
+use smdb_lp::audit::solve_reference;
 use smdb_lp::ordering::OrderingProblem;
-use smdb_lp::permutation::brute_force_order;
 
 fn problem(n: usize, seed: u64) -> OrderingProblem {
     let mut rng = seeded_rng(seed);
@@ -36,14 +36,11 @@ fn bench_ordering(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_ordering");
     for n in [3usize, 4, 5] {
         let p = problem(n, n as u64);
-        group.bench_with_input(BenchmarkId::new("ilp_solve", n), &p, |b, p| {
-            b.iter(|| black_box(p.solve(&IlpOptions::default()).unwrap()));
+        group.bench_with_input(BenchmarkId::new("ilp_reference", n), &p, |b, p| {
+            b.iter(|| black_box(solve_reference(p).unwrap()));
         });
-        group.bench_with_input(BenchmarkId::new("brute_force", n), &p, |b, p| {
-            b.iter(|| black_box(brute_force_order(p).unwrap()));
-        });
-        group.bench_with_input(BenchmarkId::new("heuristic", n), &p, |b, p| {
-            b.iter(|| black_box(p.heuristic_order()));
+        group.bench_with_input(BenchmarkId::new("exhaustive", n), &p, |b, p| {
+            b.iter(|| black_box(p.solve().unwrap()));
         });
     }
     // Model construction scales quadratically; measure it separately.

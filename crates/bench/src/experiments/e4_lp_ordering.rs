@@ -1,7 +1,7 @@
 //! E4 — LP-based order optimization (Section III-B): model sizes match
-//! the paper's `2|S|²−|S|` / `2|S|²` formulas, the ILP solves in
-//! interactive time ("viable"), attains the brute-force optimum, and the
-//! optimized order beats naive orders on realized workload cost.
+//! the paper's `2|S|²−|S|` / `2|S|²` formulas, the paper's ILP and the
+//! exact permutation search production orders by reach the same optimum,
+//! and the optimized order beats naive orders on realized workload cost.
 
 use std::time::Instant;
 
@@ -10,9 +10,8 @@ use smdb_common::seeded_rng;
 use smdb_core::tuner::standard_tuner;
 use smdb_core::{ConstraintSet, FeatureKind, MultiFeatureTuner};
 use smdb_cost::WhatIf;
-use smdb_lp::branch_bound::{solve_ilp, IlpOptions};
+use smdb_lp::audit::solve_reference;
 use smdb_lp::ordering::OrderingProblem;
-use smdb_lp::permutation::brute_force_order;
 
 use crate::report;
 
@@ -21,17 +20,32 @@ use crate::setup::{
 };
 use crate::table::{f2, f3, TableBuilder};
 
+/// Sizes whose model is built and counted against the paper's formulas.
+const SIZE_ROWS: std::ops::RangeInclusive<usize> = 2..=9;
+/// Sizes the ILP reference is also solved at: branch-and-bound grows
+/// from milliseconds at |S| = 5 to seconds beyond it.
+const SOLVE_ROWS: std::ops::RangeInclusive<usize> = 2..=5;
+
 pub fn run() {
     println!("\n=== E4: LP-based feature-order optimization (Section III-B) ===\n");
-    sizes_and_scaling();
-    real_feature_ordering();
+    let synthetic_equal = sizes_and_solves();
+    let real_equal = real_feature_ordering();
+    report::record(
+        "e4",
+        "ilp_matches_exhaustive",
+        (synthetic_equal && real_equal).into(),
+    );
 }
 
-/// Part 1: model sizes vs the paper's formulas + solve-time scaling on
-/// synthetic dependence matrices, with brute-force verification. The
-/// "nodes" columns contrast a cold branch-and-bound start with the
-/// greedy-permutation warm start `OrderingProblem::solve` installs.
-fn sizes_and_scaling() {
+/// Objectives the ILP and the exhaustive search agree on.
+fn same_objective(a: f64, b: f64) -> bool {
+    (a - b).abs() < 1e-6
+}
+
+/// Part 1: model sizes vs the paper's formulas on synthetic dependence
+/// matrices, and for small |S| the ILP reference vs exact permutation
+/// search. Returns whether the two objectives agree at every solved size.
+fn sizes_and_solves() -> bool {
     println!("Model sizes and solve times (synthetic d matrices):\n");
     let mut table = TableBuilder::new(&[
         "|S|",
@@ -39,75 +53,72 @@ fn sizes_and_scaling() {
         "vars (2n^2-n)",
         "constraints (model)",
         "constraints (2n^2)",
-        "nodes (cold)",
-        "nodes (warm)",
-        "LP solve (ms)",
-        "brute force (ms)",
+        "ILP solve (ms)",
+        "exhaustive (ms)",
         "permutations",
-        "objective LP == brute?",
+        "objective equal",
     ]);
-    let mut cold_total = 0usize;
-    let mut warm_total = 0usize;
-    for n in 2..=8usize {
-        let mut rng = seeded_rng(DEFAULT_SEED + n as u64);
-        let mut d = vec![vec![1.0; n]; n];
-        let mut w = vec![vec![1.0; n]; n];
-        for a in 0..n {
-            for b in 0..n {
-                if a != b && a < b {
-                    let v: f64 = 0.5 + rng.random::<f64>() * 1.5;
-                    d[a][b] = v;
-                    d[b][a] = 1.0 / v;
-                }
-                if a != b {
-                    w[a][b] = 1.0 + rng.random::<f64>();
-                }
-            }
-        }
-        let problem = OrderingProblem::new(d, w).unwrap();
+    let mut all_equal = true;
+    for n in SIZE_ROWS {
+        let problem = synthetic_problem(n);
         let model = problem.build_model().expect("model builds");
-
-        let start = Instant::now();
-        let lp = problem.solve(&IlpOptions::default()).unwrap();
-        let lp_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-        // Cold start: same model, no incumbent installed.
-        let cold = solve_ilp(&model, &IlpOptions::default()).unwrap();
-        cold_total += cold.nodes;
-        warm_total += lp.nodes;
-
-        let start_brute = Instant::now();
-        let brute = brute_force_order(&problem).unwrap();
-        let brute_ms = start_brute.elapsed().as_secs_f64() * 1000.0;
-
-        table.row(vec![
+        let mut row = vec![
             n.to_string(),
             model.num_vars().to_string(),
             OrderingProblem::paper_variable_count(n).to_string(),
             model.num_constraints().to_string(),
             OrderingProblem::paper_constraint_count(n).to_string(),
-            cold.nodes.to_string(),
-            lp.nodes.to_string(),
-            f3(lp_ms),
-            f3(brute_ms),
-            brute.evaluated.to_string(),
-            ((lp.objective - brute.objective).abs() < 1e-6).to_string(),
-        ]);
+        ];
+        if SOLVE_ROWS.contains(&n) {
+            let start = Instant::now();
+            let ilp = solve_reference(&problem).unwrap();
+            let ilp_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let start = Instant::now();
+            let exhaustive = problem.solve().unwrap();
+            let exhaustive_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let equal = same_objective(ilp.objective, exhaustive.objective);
+            all_equal &= equal;
+            row.extend([
+                f3(ilp_ms),
+                f3(exhaustive_ms),
+                exhaustive.nodes.to_string(),
+                equal.to_string(),
+            ]);
+        } else {
+            row.extend(["-".to_string(), "-".into(), "-".into(), "-".into()]);
+        }
+        table.row(row);
     }
     table.print();
-    println!(
-        "\nB&B nodes over n=2..8: cold {cold_total}, warm {warm_total} \
-         ({:.1}% saved by the greedy warm start)",
-        100.0 * (1.0 - warm_total as f64 / cold_total.max(1) as f64)
-    );
-    report::record("e4", "bb_nodes_cold", (cold_total as u64).into());
-    report::record("e4", "bb_nodes_warm", (warm_total as u64).into());
+    all_equal
 }
 
-/// Part 2: order quality on the real four-feature system — LP order vs
-/// brute-force, impact order, registration order and the worst order,
-/// judged by the estimated workload cost after recursive tuning.
-fn real_feature_ordering() {
+/// A seeded instance with reciprocal dependence ratios in [0.5, 2] and
+/// impact weights in [1, 2].
+fn synthetic_problem(n: usize) -> OrderingProblem {
+    let mut rng = seeded_rng(DEFAULT_SEED + n as u64);
+    let mut d = vec![vec![1.0; n]; n];
+    let mut w = vec![vec![1.0; n]; n];
+    for a in 0..n {
+        for b in 0..n {
+            if a < b {
+                let v: f64 = 0.5 + rng.random::<f64>() * 1.5;
+                d[a][b] = v;
+                d[b][a] = 1.0 / v;
+            }
+            if a != b {
+                w[a][b] = 1.0 + rng.random::<f64>();
+            }
+        }
+    }
+    OrderingProblem::new(d, w).unwrap()
+}
+
+/// Part 2: order quality on the real four-feature system — the
+/// exhaustive order vs the ILP reference, impact order, registration
+/// order and its reverse, judged by the estimated workload cost after
+/// recursive tuning. Returns whether the two optima agree.
+fn real_feature_ordering() -> bool {
     println!("\nRealized tuning quality by feature order (4 real features):\n");
     let (mut engine, templates) = build_engine(DEFAULT_ROWS, DEFAULT_CHUNK, DEFAULT_SEED);
     let hot_capacity = crate::setup::apply_pressure(&mut engine, &templates);
@@ -144,13 +155,13 @@ fn real_feature_ordering() {
         .analyze(&engine, &forecast, &base, &constraints)
         .unwrap();
     let problem = report.ordering_problem().unwrap();
-    let lp = multi.lp_order(&report).unwrap();
-    let brute = brute_force_order(&problem).unwrap();
+    let exhaustive = multi.lp_order(&report).unwrap();
+    let ilp = solve_reference(&problem).unwrap();
 
     // Evaluate orders by tuning recursively and estimating final cost.
     let orders: Vec<(String, Vec<usize>)> = vec![
-        ("LP-optimized".into(), lp.order.clone()),
-        ("brute-force".into(), brute.order.clone()),
+        ("exhaustive".into(), exhaustive.order.clone()),
+        ("ILP reference".into(), ilp.order.clone()),
         ("impact-ranked".into(), report.impact_order()),
         ("registration".into(), (0..4).collect()),
         ("reversed".into(), (0..4).rev().collect()),
@@ -182,10 +193,10 @@ fn real_feature_ordering() {
         ]);
     }
     table.print();
+    let equal = same_objective(ilp.objective, exhaustive.objective);
     println!(
-        "\nLP objective {:.3} == brute-force objective {:.3}: {}",
-        lp.objective,
-        brute.objective,
-        (lp.objective - brute.objective).abs() < 1e-6
+        "\nILP objective {:.3} == exhaustive objective {:.3}: {equal}",
+        ilp.objective, exhaustive.objective,
     );
+    equal
 }

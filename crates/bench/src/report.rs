@@ -66,7 +66,7 @@ mod tests {
         reset();
         record("e5", "wall_ms", 12.5.into());
         record("e5", "cache_hit_rate", 0.9.into());
-        record("e4", "warm_nodes", 7u64.into());
+        record("e4", "permutations", 24u64.into());
         record("e5", "wall_ms", 13.0.into()); // overwrite wins
         let doc = to_json();
         let exps = doc.get("experiments").unwrap().as_array().unwrap();
@@ -74,7 +74,7 @@ mod tests {
         assert_eq!(exps[0].get("id").unwrap().as_str(), Some("e5"));
         assert_eq!(exps[0].get("wall_ms").unwrap().as_f64(), Some(13.0));
         assert_eq!(exps[0].get("cache_hit_rate").unwrap().as_f64(), Some(0.9));
-        assert_eq!(exps[1].get("warm_nodes").unwrap().as_u64(), Some(7));
+        assert_eq!(exps[1].get("permutations").unwrap().as_u64(), Some(24));
         // Parses back as valid JSON.
         let text = doc.to_string_pretty();
         assert!(smdb_common::json::parse(&text).is_ok());

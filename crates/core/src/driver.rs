@@ -35,9 +35,8 @@ use crate::tuner::{standard_tuner, TuningProposal};
 pub enum OrderingPolicy {
     /// Registration order (no analysis).
     Registration,
-    /// Descending single-feature impact `W∅/W_A`.
-    Impact,
-    /// The paper's LP-based order optimization (Section III-B).
+    /// The order maximizing the paper's Section III-B objective over the
+    /// measured dependence analysis.
     LpOptimized,
 }
 
@@ -642,12 +641,6 @@ impl Driver {
             let features = self.multi.features();
             let order_idx: Vec<usize> = match self.ordering_policy {
                 OrderingPolicy::Registration => (0..n).collect(),
-                OrderingPolicy::Impact => {
-                    let report = self
-                        .multi
-                        .analyze(&engine, &forecast, &base, &constraints)?;
-                    report.impact_order()
-                }
                 OrderingPolicy::LpOptimized => {
                     let report = self
                         .multi

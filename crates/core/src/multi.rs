@@ -10,15 +10,15 @@
 //! * `d_{A,B} = W_{B,A} / W_{A,B}` — the dependence ratio: `> 1` means
 //!   `A` should precede `B`.
 //!
-//! The order is then optimized with the integer LP of Section III-B
-//! (`smdb-lp`), with brute force and naive orders as baselines.
+//! The order then maximizes the objective of Section III-B's integer LP
+//! (`smdb-lp`), found by exact permutation search; the ILP itself is the
+//! audited reference and naive orders are the baselines.
 
 #![allow(clippy::needless_range_loop)] // dense matrix index arithmetic reads clearest with explicit indices
 
 use smdb_common::{Cost, Result};
 use smdb_cost::WhatIf;
 use smdb_forecast::ForecastSet;
-use smdb_lp::branch_bound::IlpOptions;
 use smdb_lp::ordering::{OrderingProblem, OrderingSolution};
 use smdb_query::Workload;
 use smdb_storage::{ConfigInstance, StorageEngine};
@@ -88,17 +88,12 @@ pub struct MultiTuneReport {
 pub struct MultiFeatureTuner {
     tuners: Vec<Tuner>,
     what_if: WhatIf,
-    pub ilp_options: IlpOptions,
 }
 
 impl MultiFeatureTuner {
     /// Creates a multi-feature tuner over per-feature pipelines.
     pub fn new(tuners: Vec<Tuner>, what_if: WhatIf) -> Self {
-        MultiFeatureTuner {
-            tuners,
-            what_if,
-            ilp_options: IlpOptions::default(),
-        }
+        MultiFeatureTuner { tuners, what_if }
     }
 
     /// The features managed, in registration order.
@@ -215,9 +210,10 @@ impl MultiFeatureTuner {
         })
     }
 
-    /// Solves the paper's ordering LP for a report.
+    /// The order that maximizes the paper's ordering objective for a
+    /// report (ties go to registration order).
     pub fn lp_order(&self, report: &DependencyReport) -> Result<OrderingSolution> {
-        report.ordering_problem()?.solve(&self.ilp_options)
+        report.ordering_problem()?.solve()
     }
 
     /// Recursively tunes all features in `order` (indices into
@@ -379,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn lp_order_matches_brute_force() {
+    fn lp_order_matches_ilp_reference() {
         let (engine, t) = setup();
         let m = multi(trained_what_if(&engine, t));
         let report = m
@@ -390,10 +386,9 @@ mod tests {
                 &ConstraintSet::none(),
             )
             .unwrap();
-        let lp = m.lp_order(&report).unwrap();
-        let brute =
-            smdb_lp::permutation::brute_force_order(&report.ordering_problem().unwrap()).unwrap();
-        assert!((lp.objective - brute.objective).abs() < 1e-6);
+        let order = m.lp_order(&report).unwrap();
+        let reference = smdb_lp::solve_reference(&report.ordering_problem().unwrap()).unwrap();
+        assert!((order.objective - reference.objective).abs() < 1e-6);
     }
 
     #[test]

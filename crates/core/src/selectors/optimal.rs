@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use smdb_common::Result;
-use smdb_lp::branch_bound::{solve_ilp, IlpOptions};
+use smdb_lp::branch_bound::solve_ilp;
 use smdb_lp::knapsack::solve_knapsack;
 use smdb_lp::model::{ConstraintOp, LpModel};
 
@@ -117,7 +117,7 @@ impl OptimalSelector {
             let coeffs: Vec<_> = members.iter().map(|&i| (var_of[&i], 1.0)).collect();
             model.add_constraint(format!("group{g}"), coeffs, ConstraintOp::Le, 1.0)?;
         }
-        let sol = solve_ilp(&model, &IlpOptions::default())?;
+        let sol = solve_ilp(&model)?;
         let mut chosen: Vec<usize> = all
             .iter()
             .enumerate()

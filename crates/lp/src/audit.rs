@@ -7,11 +7,43 @@
 //! This module rebuilds the model for a given `|S|` and checks every one
 //! of those properties, returning a structured report that `smdb-lint
 //! --audit-lp` renders and a tier-1 test pins.
+//!
+//! It also holds the one solve of the verbatim model,
+//! [`solve_reference`]: production orders features by exact
+//! permutation search ([`OrderingProblem::solve`]), and tests, experiment
+//! E4 and the `lp_ordering` bench check that search against the ILP.
 
 use smdb_common::{Error, Result};
 
+use crate::branch_bound::solve_ilp;
 use crate::model::{ConstraintOp, VarKind};
-use crate::ordering::OrderingProblem;
+use crate::ordering::{OrderingProblem, OrderingSolution};
+
+/// Solves the paper's ordering ILP by branch-and-bound and decodes the
+/// order from `x_{A,k}`; `nodes` counts branch-and-bound nodes.
+pub fn solve_reference(problem: &OrderingProblem) -> Result<OrderingSolution> {
+    let n = problem.num_features();
+    let sol = solve_ilp(&problem.build_model()?)?;
+    // x_{A,k} are variables 0..n² in row-major order.
+    let mut order = vec![usize::MAX; n];
+    for (a, row) in sol.x.chunks(n).take(n).enumerate() {
+        for (k, &v) in row.iter().enumerate() {
+            if v.round() as i64 == 1 {
+                order[k] = a;
+            }
+        }
+    }
+    if order.contains(&usize::MAX) {
+        return Err(Error::Optimization(
+            "ordering ILP produced no valid permutation".into(),
+        ));
+    }
+    Ok(OrderingSolution {
+        order,
+        objective: sol.objective,
+        nodes: sol.nodes,
+    })
+}
 
 /// One verified property of the model.
 #[derive(Debug, Clone)]
@@ -282,6 +314,20 @@ mod tests {
         let cons: usize = audit.checks[1].actual.parse().expect("count");
         assert_eq!(vars, 15);
         assert_eq!(cons, 18);
+    }
+
+    #[test]
+    fn reference_solve_decodes_the_optimal_permutation() {
+        for n in 1..=4 {
+            let problem = audit_instance(n).expect("instance builds");
+            let reference = solve_reference(&problem).expect("ILP solves");
+            let mut sorted = reference.order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "n={n}");
+            assert!((problem.order_objective(&reference.order) - reference.objective).abs() < 1e-6);
+            let exhaustive = problem.solve().expect("small n");
+            assert!((reference.objective - exhaustive.objective).abs() < 1e-6);
+        }
     }
 
     #[test]

@@ -5,42 +5,20 @@ use smdb_common::{Error, Result};
 use crate::model::LpModel;
 use crate::simplex::{solve_lp_with_bounds, LpStatus};
 
-/// A known feasible point used to warm-start branch-and-bound.
-#[derive(Debug, Clone)]
-pub struct IlpIncumbent {
-    pub x: Vec<f64>,
-    pub objective: f64,
-}
+/// Integrality tolerance: a value within this distance of an integer
+/// counts as integral.
+const INT_TOL: f64 = 1e-6;
 
-/// Solver options.
-#[derive(Debug, Clone)]
-pub struct IlpOptions {
-    /// Integrality tolerance: a value within this distance of an integer
-    /// counts as integral.
-    pub int_tol: f64,
-    /// Maximum number of branch-and-bound nodes before giving up.
-    pub max_nodes: usize,
-    /// Optional warm-start incumbent (e.g. from a problem-specific
-    /// heuristic); must be feasible for the model or it is ignored.
-    pub incumbent: Option<IlpIncumbent>,
-}
-
-impl Default for IlpOptions {
-    fn default() -> Self {
-        IlpOptions {
-            int_tol: 1e-6,
-            max_nodes: 200_000,
-            incumbent: None,
-        }
-    }
-}
+/// Node cap of [`solve_ilp`]: generous for the models this crate builds,
+/// finite for pathological ones.
+const MAX_NODES: usize = 200_000;
 
 /// Result of an ILP solve.
 #[derive(Debug, Clone)]
 pub struct IlpSolution {
     pub x: Vec<f64>,
     pub objective: f64,
-    /// Nodes explored (reported by experiment E4).
+    /// Branch-and-bound nodes explored.
     pub nodes: usize,
 }
 
@@ -48,9 +26,13 @@ pub struct IlpSolution {
 /// best-first branch-and-bound on the integer variables.
 ///
 /// Returns `Err(Optimization)` when the model is infeasible and
-/// `Err(Numeric)` if the node limit is hit before optimality is proven.
-pub fn solve_ilp(model: &LpModel, options: &IlpOptions) -> Result<IlpSolution> {
-    let _n = model.num_vars();
+/// `Err(Numeric)` if the node cap is hit before optimality is proven.
+pub fn solve_ilp(model: &LpModel) -> Result<IlpSolution> {
+    solve_ilp_capped(model, MAX_NODES)
+}
+
+/// Like [`solve_ilp`] with an explicit branch-and-bound node cap.
+fn solve_ilp_capped(model: &LpModel, max_nodes: usize) -> Result<IlpSolution> {
     let int_vars = model.integer_vars();
     let root_lower: Vec<f64> = model.variables().iter().map(|v| v.lower).collect();
     let root_upper: Vec<f64> = model.variables().iter().map(|v| v.upper).collect();
@@ -62,15 +44,6 @@ pub fn solve_ilp(model: &LpModel, options: &IlpOptions) -> Result<IlpSolution> {
         bound: f64::INFINITY,
     }];
     let mut best: Option<IlpSolution> = None;
-    if let Some(seed) = &options.incumbent {
-        if model.is_feasible(&seed.x, 1e-6) {
-            best = Some(IlpSolution {
-                x: seed.x.clone(),
-                objective: seed.objective,
-                nodes: 0,
-            });
-        }
-    }
     let mut nodes = 0usize;
 
     while let Some(node) = pop_best(&mut heap) {
@@ -81,10 +54,9 @@ pub fn solve_ilp(model: &LpModel, options: &IlpOptions) -> Result<IlpSolution> {
             }
         }
         nodes += 1;
-        if nodes > options.max_nodes {
+        if nodes > max_nodes {
             return Err(Error::Numeric(format!(
-                "branch-and-bound node limit ({}) reached",
-                options.max_nodes
+                "branch-and-bound node limit ({max_nodes}) reached"
             )));
         }
 
@@ -106,7 +78,7 @@ pub fn solve_ilp(model: &LpModel, options: &IlpOptions) -> Result<IlpSolution> {
 
         // Most fractional integer variable.
         let mut branch_var = None;
-        let mut best_frac = options.int_tol;
+        let mut best_frac = INT_TOL;
         for &v in &int_vars {
             let xv = relax.x[v.0];
             let frac = (xv - xv.round()).abs();
@@ -204,7 +176,7 @@ mod tests {
         let d = m.add_binary("d", 4.0);
         m.add_constraint("w", vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], Le, 14.0)
             .unwrap();
-        let s = solve_ilp(&m, &IlpOptions::default()).unwrap();
+        let s = solve_ilp(&m).unwrap();
         assert!((s.objective - 21.0).abs() < 1e-6);
         assert_eq!(s.x[0].round() as i64, 0);
         assert_eq!(s.x[1].round() as i64, 1);
@@ -224,7 +196,7 @@ mod tests {
             .unwrap();
         m.add_constraint("b", vec![(x, 2.0), (y, 1.0)], Le, 9.0)
             .unwrap();
-        let s = solve_ilp(&m, &IlpOptions::default()).unwrap();
+        let s = solve_ilp(&m).unwrap();
         assert!((s.objective - 5.25).abs() < 1e-6, "got {}", s.objective);
         assert!((s.x[0] - 3.0).abs() < 1e-9);
     }
@@ -234,7 +206,7 @@ mod tests {
         let mut m = LpModel::new();
         let x = m.add_binary("x", 1.0);
         m.add_constraint("c", vec![(x, 1.0)], Ge, 2.0).unwrap();
-        assert!(solve_ilp(&m, &IlpOptions::default()).is_err());
+        assert!(solve_ilp(&m).is_err());
     }
 
     #[test]
@@ -254,7 +226,7 @@ mod tests {
             .unwrap();
         m.add_constraint("c1", vec![(x01, 1.0), (x11, 1.0)], Eq, 1.0)
             .unwrap();
-        let s = solve_ilp(&m, &IlpOptions::default()).unwrap();
+        let s = solve_ilp(&m).unwrap();
         assert!((s.objective - 9.0).abs() < 1e-6);
     }
 
@@ -271,13 +243,11 @@ mod tests {
             .map(|(i, &v)| (v, 2.0 + i as f64))
             .collect();
         m.add_constraint("w", coeffs, Le, 11.0).unwrap();
-        let tight = IlpOptions {
-            max_nodes: 1,
-            ..IlpOptions::default()
-        };
-        // Either solves in one node or errors; must not loop forever.
-        let _ = solve_ilp(&m, &tight);
-        let s = solve_ilp(&m, &IlpOptions::default()).unwrap();
+        // The root relaxation is fractional, so one node cannot prove
+        // optimality.
+        assert!(solve_ilp_capped(&m, 1).is_err());
+        let s = solve_ilp(&m).unwrap();
+        assert!(s.nodes > 1);
         assert!(m.is_feasible(&s.x, 1e-6));
     }
 }

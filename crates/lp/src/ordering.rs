@@ -1,8 +1,8 @@
-//! The paper's LP-based feature-order optimization (Section III-B).
+//! The paper's feature-order optimization (Section III-B).
 //!
 //! Given the set of features `S`, dependence ratios
 //! `d_{A,B} = W_{B,A} / W_{A,B}` and impact weights `W∅ / W_{A,B}`, the
-//! integer LP below chooses the tuning order:
+//! paper chooses the tuning order with the integer LP below:
 //!
 //! ```text
 //! maximize   Σ_{A,B∈S, A≠B}  y_{A,B} · d_{A,B} · W∅/W_{A,B}
@@ -17,24 +17,35 @@
 //! *verbatim*, including the duplicated coupling rows over ordered pairs,
 //! so the model has exactly `2|S|² − |S|` variables and `2|S|²`
 //! constraints — experiment E4 checks these counts against the formulas.
+//!
+//! [`OrderingProblem::solve`] maximizes the same objective by exact
+//! permutation search: at the system's four features that is 24 orders
+//! and microseconds, where branch-and-bound over the model takes
+//! milliseconds. The model is kept as the audited reference
+//! ([`crate::audit::solve_reference`]).
 
 #![allow(clippy::needless_range_loop)] // dense matrix index arithmetic reads clearest with explicit indices
 
 use smdb_common::{Error, Result};
 
-use crate::branch_bound::{solve_ilp, IlpIncumbent, IlpOptions};
 use crate::model::{ConstraintOp, LpModel, VarId};
+
+/// Largest `|S|` the exhaustive search accepts (`10!` ≈ 3.6 M orders).
+const MAX_FEATURES: usize = 10;
+
+/// Orders whose objectives differ by at most this much are tied; the
+/// lexicographically smallest of them wins.
+pub const TIE_TOLERANCE: f64 = 1e-9;
 
 /// Inputs of the ordering problem for `n` features.
 ///
 /// ```
 /// use smdb_lp::ordering::OrderingProblem;
-/// use smdb_lp::branch_bound::IlpOptions;
 /// // Feature 0 strongly prefers running before feature 1.
 /// let d = vec![vec![1.0, 4.0], vec![0.25, 1.0]];
 /// let w = vec![vec![1.0; 2]; 2];
 /// let problem = OrderingProblem::new(d, w).unwrap();
-/// let solution = problem.solve(&IlpOptions::default()).unwrap();
+/// let solution = problem.solve().unwrap();
 /// assert_eq!(solution.order, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone)]
@@ -52,7 +63,8 @@ pub struct OrderingSolution {
     pub order: Vec<usize>,
     /// Objective value achieved.
     pub objective: f64,
-    /// Branch-and-bound nodes used.
+    /// Search effort: the `|S|!` permutations [`OrderingProblem::solve`]
+    /// evaluates, or the ILP reference's branch-and-bound nodes.
     pub nodes: usize,
 }
 
@@ -83,7 +95,7 @@ impl OrderingProblem {
     }
 
     /// Objective value of a concrete order (sum of `c_{A,B}` over pairs
-    /// where `A` precedes `B`) — shared by the exhaustive baseline.
+    /// where `A` precedes `B`).
     pub fn order_objective(&self, order: &[usize]) -> f64 {
         let mut total = 0.0;
         for i in 0..order.len() {
@@ -159,33 +171,6 @@ impl OrderingProblem {
         Ok(m)
     }
 
-    /// A fast heuristic order: repeatedly pick the feature with the
-    /// largest total pair weight towards the remaining features. Used to
-    /// warm-start branch-and-bound (and usable standalone as a fallback).
-    pub fn heuristic_order(&self) -> Vec<usize> {
-        let n = self.num_features();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut order = Vec::with_capacity(n);
-        while !remaining.is_empty() {
-            // Last-of-equals tie-break, matching `Iterator::max_by`.
-            let mut best = 0usize;
-            let mut best_score = f64::NEG_INFINITY;
-            for (pos, &a) in remaining.iter().enumerate() {
-                let score: f64 = remaining
-                    .iter()
-                    .filter(|&&b| b != a)
-                    .map(|&b| self.pair_weight(a, b) - self.pair_weight(b, a))
-                    .sum();
-                if score.total_cmp(&best_score).is_ge() {
-                    best = pos;
-                    best_score = score;
-                }
-            }
-            order.push(remaining.remove(best));
-        }
-        order
-    }
-
     /// Encodes a permutation as a feasible assignment of the model's
     /// variables (x block row-major, then y block in (a, b) order).
     pub fn encode_order(&self, order: &[usize]) -> Vec<f64> {
@@ -209,50 +194,43 @@ impl OrderingProblem {
         full
     }
 
-    /// Solves the ordering ILP to optimality, warm-started with the
-    /// greedy heuristic incumbent.
-    pub fn solve(&self, options: &IlpOptions) -> Result<OrderingSolution> {
-        let _span = smdb_obs::span!("lp", "ordering_solve", { features: self.num_features() });
-        smdb_obs::metrics::counter("lp.ordering_solves").inc();
+    /// The objective-maximal order, found by evaluating all `|S|!`
+    /// permutations; among orders within [`TIE_TOLERANCE`] of the
+    /// optimum the lexicographically smallest wins, so features with no
+    /// measured dependence keep their registration order. Refuses
+    /// `|S| > 10`.
+    pub fn solve(&self) -> Result<OrderingSolution> {
         let n = self.num_features();
-        if n == 1 {
-            return Ok(OrderingSolution {
-                order: vec![0],
-                objective: 0.0,
-                nodes: 0,
-            });
+        let _span = smdb_obs::span!("lp", "ordering_solve", { features: n });
+        smdb_obs::metrics::counter("lp.ordering_solves").inc();
+        if n > MAX_FEATURES {
+            return Err(Error::invalid(format!(
+                "exhaustive search over {n}! permutations refused (n > {MAX_FEATURES})"
+            )));
         }
-        let model = self.build_model()?;
-        let mut options = options.clone();
-        if options.incumbent.is_none() {
-            let h = self.heuristic_order();
-            options.incumbent = Some(IlpIncumbent {
-                x: self.encode_order(&h),
-                objective: self.order_objective(&h),
-            });
-        }
-        let sol = solve_ilp(&model, &options)?;
-        // Decode the permutation from x_{A,k} (variables 0..n² in
-        // row-major order).
-        let mut order = vec![usize::MAX; n];
-        for a in 0..n {
-            for k in 0..n {
-                if sol.x[a * n + k].round() as i64 == 1 {
-                    order[k] = a;
-                }
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut best = f64::NEG_INFINITY;
+        let mut nodes = 0usize;
+        loop {
+            best = best.max(self.order_objective(&perm));
+            nodes += 1;
+            if !next_permutation(&mut perm) {
+                break;
             }
         }
-        if order.contains(&usize::MAX) {
-            return Err(Error::Optimization(
-                "ordering ILP produced no valid permutation".into(),
-            ));
+        // Second walk: the first order (lexicographically) that ties the
+        // optimum. It stops at the latest on the optimum itself.
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut objective = self.order_objective(&order);
+        while objective < best - TIE_TOLERANCE && next_permutation(&mut order) {
+            objective = self.order_objective(&order);
         }
-        smdb_obs::metrics::gauge("lp.ordering_objective").set(sol.objective);
-        smdb_obs::metrics::observe("lp.ordering_nodes", sol.nodes as f64);
+        smdb_obs::metrics::gauge("lp.ordering_objective").set(objective);
+        smdb_obs::metrics::observe("lp.ordering_nodes", nodes as f64);
         Ok(OrderingSolution {
             order,
-            objective: sol.objective,
-            nodes: sol.nodes,
+            objective,
+            nodes,
         })
     }
 
@@ -265,6 +243,24 @@ impl OrderingProblem {
     pub fn paper_constraint_count(n: usize) -> usize {
         2 * n * n
     }
+}
+
+/// Advances `perm` to its lexicographic successor in place; returns
+/// `false` (leaving `perm` unchanged) when it is already the last
+/// permutation. Starting from `0..n` this visits all `n!` orders.
+fn next_permutation(perm: &mut [usize]) -> bool {
+    let Some(i) = (1..perm.len()).rev().find(|&i| perm[i - 1] < perm[i]) else {
+        return false;
+    };
+    let pivot = i - 1;
+    // `perm[i]` exceeds the pivot, so the search always finds some `j`.
+    let j = (i..perm.len())
+        .rev()
+        .find(|&j| perm[j] > perm[pivot])
+        .unwrap_or(i);
+    perm.swap(pivot, j);
+    perm[i..].reverse();
+    true
 }
 
 #[cfg(test)]
@@ -294,15 +290,38 @@ mod tests {
     }
 
     #[test]
+    fn next_permutation_walks_all_orders_lexicographically() {
+        let mut perm = vec![0, 1, 2];
+        let mut seen = vec![perm.clone()];
+        while next_permutation(&mut perm) {
+            seen.push(perm.clone());
+        }
+        assert_eq!(
+            seen,
+            vec![
+                vec![0, 1, 2],
+                vec![0, 2, 1],
+                vec![1, 0, 2],
+                vec![1, 2, 0],
+                vec![2, 0, 1],
+                vec![2, 1, 0],
+            ]
+        );
+        assert_eq!(perm, vec![2, 1, 0], "the last order is left in place");
+        assert!(!next_permutation(&mut []));
+    }
+
+    #[test]
     fn strong_pairwise_preference_is_respected() {
         // d_{0,1} >> 1 means tuning 0 before 1 is much better.
         let mut d = vec![vec![1.0; 2]; 2];
         d[0][1] = 3.0;
         d[1][0] = 1.0 / 3.0;
         let p = OrderingProblem::new(d, uniform_impact(2)).unwrap();
-        let s = p.solve(&IlpOptions::default()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.order, vec![0, 1]);
         assert!((s.objective - 3.0).abs() < 1e-6);
+        assert_eq!(s.nodes, 2);
     }
 
     #[test]
@@ -317,8 +336,9 @@ mod tests {
         d[2][1] = 2.0;
         d[1][2] = 0.5;
         let p = OrderingProblem::new(d, uniform_impact(n)).unwrap();
-        let s = p.solve(&IlpOptions::default()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.order, vec![2, 0, 1]);
+        assert_eq!(s.nodes, 6);
     }
 
     #[test]
@@ -336,73 +356,27 @@ mod tests {
             }
         }
         let p = OrderingProblem::new(d, w).unwrap();
-        let s = p.solve(&IlpOptions::default()).unwrap();
+        let s = p.solve().unwrap();
         let mut seen = s.order.clone();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert!((p.order_objective(&s.order) - s.objective).abs() < 1e-6);
-    }
-
-    /// The warm-start incumbent handed to branch-and-bound must satisfy
-    /// every model constraint and carry the objective the encoded
-    /// permutation actually achieves — an infeasible or mis-scored
-    /// incumbent would silently prune the true optimum.
-    #[test]
-    fn heuristic_incumbent_is_feasible_and_scores_right() {
-        for n in 2..=6 {
-            let mut d = vec![vec![1.0; n]; n];
-            let mut w = vec![vec![1.0; n]; n];
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        d[a][b] = 0.5 + ((a * 11 + b * 3) % 9) as f64 / 4.0;
-                        w[a][b] = 1.0 + ((a * 5 + b * 7) % 6) as f64 / 2.0;
-                    }
-                }
-            }
-            let p = OrderingProblem::new(d, w).unwrap();
-            let m = p.build_model().unwrap();
-            let h = p.heuristic_order();
-            let x = p.encode_order(&h);
-            assert!(m.is_feasible(&x, 1e-9), "n={n} incumbent infeasible");
-            assert!(
-                (m.objective_value(&x) - p.order_objective(&h)).abs() < 1e-9,
-                "n={n} incumbent objective mismatch"
-            );
-        }
-    }
-
-    /// Warm-started search must reach the same optimum as a cold start
-    /// without ever exploring more nodes.
-    #[test]
-    fn warm_start_never_explores_more_nodes() {
-        for n in [3usize, 5] {
-            let mut d = vec![vec![1.0; n]; n];
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        d[a][b] = 0.5 + ((a * 7 + b * 13) % 10) as f64 / 5.0;
-                    }
-                }
-            }
-            let p = OrderingProblem::new(d, uniform_impact(n)).unwrap();
-            let warm = p.solve(&IlpOptions::default()).unwrap();
-            let cold = solve_ilp(&p.build_model().unwrap(), &IlpOptions::default()).unwrap();
-            assert!((warm.objective - cold.objective).abs() < 1e-6, "n={n}");
-            assert!(
-                warm.nodes <= cold.nodes,
-                "n={n}: warm {} > cold {}",
-                warm.nodes,
-                cold.nodes
-            );
-        }
+        assert!((p.order_objective(&s.order) - s.objective).abs() < 1e-12);
+        assert_eq!(s.nodes, 24);
     }
 
     #[test]
     fn single_feature_trivial() {
         let p = OrderingProblem::new(vec![vec![1.0]], vec![vec![1.0]]).unwrap();
-        let s = p.solve(&IlpOptions::default()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.order, vec![0]);
+        assert_eq!(s.objective, 0.0);
+    }
+
+    #[test]
+    fn refuses_oversized_instances() {
+        let n = MAX_FEATURES + 1;
+        let p = OrderingProblem::new(vec![vec![1.0; n]; n], uniform_impact(n)).unwrap();
+        assert!(p.solve().is_err());
     }
 
     #[test]
@@ -410,17 +384,11 @@ mod tests {
         assert!(OrderingProblem::new(vec![], vec![]).is_err());
         assert!(OrderingProblem::new(vec![vec![1.0, 2.0]], vec![vec![1.0]]).is_err());
     }
-}
-
-#[cfg(test)]
-mod cyclic_tests {
-    use super::*;
-    use crate::permutation::brute_force_order;
 
     /// Section III-B: "a consistent order satisfying all preferred
     /// pairwise relations cannot be assumed to exist." Cyclic preferences
     /// (A before B, B before C, C before A) admit no order satisfying all
-    /// three; the LP must still return the best compromise permutation.
+    /// three; the search must still return the best compromise.
     #[test]
     fn cyclic_preferences_still_solve_to_best_compromise() {
         let n = 3;
@@ -432,28 +400,23 @@ mod cyclic_tests {
         d[2][1] = 0.5;
         d[2][0] = 1.5;
         d[0][2] = 1.0 / 1.5;
-        let p = OrderingProblem::new(d, vec![vec![1.0; n]; n]).unwrap();
-        let lp = p.solve(&IlpOptions::default()).unwrap();
-        let brute = brute_force_order(&p).unwrap();
-        assert!((lp.objective - brute.objective).abs() < 1e-6);
+        let p = OrderingProblem::new(d, uniform_impact(n)).unwrap();
+        let s = p.solve().unwrap();
         // The strongest relation (A before B, weight 3) must be honoured;
         // the weakest (C before A, 1.5) is the one sacrificed.
-        let pos = |f: usize| lp.order.iter().position(|&x| x == f).unwrap();
-        assert!(pos(0) < pos(1), "A before B honoured: {:?}", lp.order);
-        assert!(pos(1) < pos(2), "B before C honoured: {:?}", lp.order);
+        assert_eq!(s.order, vec![0, 1, 2]);
+        assert!((s.objective - (3.0 + 2.0 + 1.0 / 1.5)).abs() < 1e-12);
     }
 
-    /// With perfectly uniform preferences every permutation is optimal;
-    /// the solver must still return a valid permutation and the paper's
-    /// objective value `Σ c = n(n-1)/2 · c`.
+    /// With all-equal weights every permutation is optimal, and the tie
+    /// goes to registration order with the objective `n(n-1)/2 · c`.
     #[test]
-    fn indifferent_preferences_yield_any_valid_permutation() {
-        let n = 4;
-        let p = OrderingProblem::new(vec![vec![1.0; n]; n], vec![vec![2.0; n]; n]).unwrap();
-        let lp = p.solve(&IlpOptions::default()).unwrap();
-        let mut sorted = lp.order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-        assert!((lp.objective - (6.0 * 2.0)).abs() < 1e-6);
+    fn all_equal_weights_keep_registration_order() {
+        for n in 1..=6 {
+            let p = OrderingProblem::new(vec![vec![1.0; n]; n], vec![vec![2.0; n]; n]).unwrap();
+            let s = p.solve().unwrap();
+            assert_eq!(s.order, (0..n).collect::<Vec<_>>(), "n={n}");
+            assert!((s.objective - (n * (n - 1)) as f64).abs() < 1e-12);
+        }
     }
 }

@@ -45,7 +45,10 @@ pub enum TrailEvent {
         cache_hits: u64,
         cache_misses: u64,
     },
-    /// The ordering ILP chose a permutation, with its `d_{A,B}` inputs.
+    /// The feature order maximizing the Section III-B objective (found
+    /// by exact permutation search), with its `d_{A,B}` inputs. The kind
+    /// name `ilp_order_chosen` predates the search and stays, because
+    /// it is part of the `smdb-trail/v2.1` schema.
     IlpOrderChosen {
         at: u64,
         order: Vec<String>,

@@ -1,8 +1,8 @@
 //! Combined tuning of multiple dependent features (Section III).
 //!
 //! Determines impact ratios `W∅/W_A` and the dependence matrix `d_{A,B}`
-//! automatically, solves the paper's integer LP for the tuning order, and
-//! verifies it against exhaustive permutation search.
+//! automatically, picks the tuning order that maximizes the objective of
+//! the paper's integer LP, and verifies it against the ILP itself.
 //!
 //! ```text
 //! cargo run --release --example feature_ordering
@@ -14,7 +14,6 @@ use smdb::core::tuner::standard_tuner;
 use smdb::core::{ConstraintSet, FeatureKind, MultiFeatureTuner};
 use smdb::cost::{CalibratedCostModel, WhatIf};
 use smdb::forecast::{ForecastSet, ScenarioKind, WorkloadScenario};
-use smdb::lp::permutation::brute_force_order;
 use smdb::query::Workload;
 use smdb::storage::StorageEngine;
 use smdb::workload::generators::scan_heavy_mix;
@@ -128,9 +127,9 @@ fn main() {
         report.dependence[0][1], report.dependence[1][0]
     );
 
-    let lp = multi.lp_order(&report).expect("LP solves");
+    let optimized = multi.lp_order(&report).expect("small enough");
     let problem = report.ordering_problem().expect("problem builds");
-    let brute = brute_force_order(&problem).expect("small enough");
+    let ilp = smdb::lp::solve_reference(&problem).expect("ILP solves");
     let name = |order: &[usize]| -> String {
         order
             .iter()
@@ -139,20 +138,20 @@ fn main() {
             .join(" -> ")
     };
     println!(
-        "\nLP-optimized order:  {}  (objective {:.3})",
-        name(&lp.order),
-        lp.objective
+        "\noptimized order:     {}  (objective {:.3})",
+        name(&optimized.order),
+        optimized.objective
     );
     println!(
-        "brute-force order:   {}  (objective {:.3})",
-        name(&brute.order),
-        brute.objective
+        "ILP reference order: {}  (objective {:.3})",
+        name(&ilp.order),
+        ilp.objective
     );
-    assert!((lp.objective - brute.objective).abs() < 1e-6);
+    assert!((optimized.objective - ilp.objective).abs() < 1e-6);
 
     // Tune recursively in the optimized order and report the outcome.
     let run = multi
-        .tune_in_order(&engine, &forecast, &base, &constraints, &lp.order)
+        .tune_in_order(&engine, &forecast, &base, &constraints, &optimized.order)
         .expect("recursive tuning succeeds");
     let final_cost = multi
         .what_if()
@@ -163,7 +162,7 @@ fn main() {
         )
         .expect("costing succeeds");
     println!(
-        "\nafter recursive tuning in LP order: {:.1} ms  ({:.2}x better than W_empty)",
+        "\nafter recursive tuning in optimized order: {:.1} ms  ({:.2}x better than W_empty)",
         final_cost.ms(),
         report.w_empty.ms() / final_cost.ms().max(1e-9)
     );
