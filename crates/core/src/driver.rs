@@ -7,18 +7,18 @@
 //! the constraint set, and mediates their access to the database (plan
 //! cache, engine, cost estimators).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use smdb_common::{Cost, LogicalTime, Result};
+use smdb_common::{Cost, Error, LogicalTime, Result};
 use smdb_cost::{CalibratedCostModel, CostEstimator, WhatIf};
 use smdb_forecast::{
     ForecastSet, PredictorConfig, WorkloadAnalyzer, WorkloadHistory, WorkloadPredictor,
 };
+use smdb_obs::metrics::Counter;
 use smdb_obs::{span, FlightRecorder, TrailEvent};
 use smdb_query::{Database, Query};
-use smdb_storage::ConfigInstance;
+use smdb_storage::{ConfigAction, ConfigInstance};
 
 use crate::config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 use crate::constraints::ConstraintSet;
@@ -56,18 +56,6 @@ pub struct TuningTick {
     pub bucket_cost: Cost,
 }
 
-/// How a tuning pass hands its chosen actions to the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TuningMode {
-    /// Run the executor right away (the embedded / single-threaded path).
-    Immediate,
-    /// Queue every action for the caller to drain at a bucket boundary —
-    /// the serving runtime's path, where the tuning thread only decides
-    /// and the control thread applies, so configuration changes never
-    /// race live query execution.
-    DeferAll,
-}
-
 /// Report of one driver-run bucket.
 #[derive(Debug, Clone)]
 pub struct BucketReport {
@@ -101,9 +89,10 @@ pub struct RollbackReport {
 /// from any thread while serving continues.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningState {
-    /// Actions queued for a low-utilization window.
+    /// Actions of the queued decision not applied yet.
     pub pending_actions: usize,
-    /// Whether a deferred tuning is still being drained slice by slice.
+    /// Whether a decision is queued (no pass starts until it is drained
+    /// or rolled back).
     pub reconfig_in_flight: bool,
     /// Whether the organizer is paused (degraded mode).
     pub paused: bool,
@@ -117,22 +106,26 @@ pub struct TuningState {
     pub buckets_closed: u64,
     /// Tuning passes run (regardless of outcome).
     pub tunings_run: u64,
-    /// Configuration actions applied (immediately or via drains).
+    /// Configuration actions the drains applied.
     pub actions_applied: u64,
-    /// Configuration actions the executor deferred at least once.
+    /// Configuration actions still queued when the pass that chose them
+    /// returned: every action of a [`Driver::maybe_tune_deferred`] pass,
+    /// and those the executor deferred at a [`Driver::maybe_tune`] or
+    /// [`Driver::force_tune`] pass's own tick.
     pub actions_deferred: u64,
     /// Apply attempts that returned an error.
     pub apply_failures: u64,
 }
 
-/// A tuning whose actions the executor deferred: the context needed to
-/// store the configuration instance once the drain completes.
+/// A tuning pass's decision, queued until the drains have applied all
+/// of its actions: the context needed to store the configuration
+/// instance when the last one lands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingReconfig {
     /// The configuration once the drain completes.
     pub final_config: ConfigInstance,
     /// The full action list of the tuning.
-    pub actions: Vec<smdb_storage::ConfigAction>,
+    pub actions: Vec<ConfigAction>,
     /// Predicted workload cost after the change.
     pub predicted_cost: Cost,
     /// Mean observed response before the change.
@@ -149,13 +142,30 @@ smdb_durable::durable_struct!(PendingReconfig {
     accrued_cost
 });
 
+/// The one queued decision and how far the drains got: the actions still
+/// queued are the suffix of `reconfig.actions` after `drained`.
+#[derive(Debug)]
+pub(crate) struct QueuedDecision {
+    pub(crate) reconfig: PendingReconfig,
+    /// Leading actions already handed to the executor (applied, or lost
+    /// to a failed apply).
+    pub(crate) drained: usize,
+}
+
+impl QueuedDecision {
+    /// The actions still queued.
+    pub(crate) fn remaining(&self) -> &[ConfigAction] {
+        &self.reconfig.actions[self.drained..]
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct DriverCounters {
-    pub(crate) buckets_closed: AtomicU64,
-    pub(crate) tunings_run: AtomicU64,
-    pub(crate) actions_applied: AtomicU64,
-    pub(crate) actions_deferred: AtomicU64,
-    pub(crate) apply_failures: AtomicU64,
+    pub(crate) buckets_closed: Counter,
+    pub(crate) tunings_run: Counter,
+    pub(crate) actions_applied: Counter,
+    pub(crate) actions_deferred: Counter,
+    pub(crate) apply_failures: Counter,
 }
 
 /// The central self-management entity.
@@ -178,12 +188,11 @@ pub struct Driver {
     ordering_policy: OrderingPolicy,
     /// Rolling observed workload cost of the last closed bucket.
     pub(crate) last_bucket_cost: Mutex<Cost>,
-    /// Actions a utilization-gated executor deferred; retried each bucket
+    /// The last pass's decision until the drains have applied all of it
     /// ("the executor can access runtime KPIs to determine favorable
-    /// points in time for applying the choices", Section II-D(d)).
-    pub(crate) pending_actions: Mutex<Vec<smdb_storage::ConfigAction>>,
-    /// Context of the deferred tuning the pending actions realise.
-    pub(crate) pending_reconfig: Mutex<Option<PendingReconfig>>,
+    /// points in time for applying the choices", Section II-D(d)). No
+    /// pass starts while it is set.
+    pub(crate) queued: Mutex<Option<QueuedDecision>>,
     /// The configuration at build time — the rollback target before any
     /// instance has been stored.
     baseline_config: ConfigInstance,
@@ -309,7 +318,7 @@ impl Driver {
         let close = self.kpis.end_bucket_accumulated();
         *self.last_bucket_cost.lock() = close.busy;
         self.db.advance_time();
-        self.counters.buckets_closed.fetch_add(1, Ordering::Relaxed);
+        self.counters.buckets_closed.inc();
         smdb_obs::metrics::counter("driver.buckets_closed").inc();
         smdb_obs::metrics::observe("driver.bucket_busy_ms", close.busy.ms());
         if close.morsels > 0 {
@@ -360,117 +369,126 @@ impl Driver {
         Ok(report)
     }
 
-    /// Attempts to apply deferred actions (no-op when none are pending or
-    /// the executor still defers). Returns how many were applied.
+    /// Applies every queued action the executor lets through right now.
+    /// Returns how many were applied; a no-op, without a KPI snapshot,
+    /// when nothing is queued.
     pub fn drain_pending(&self) -> Result<usize> {
-        self.drain_pending_slice(usize::MAX)
+        if self.queued.lock().is_none() {
+            return Ok(0);
+        }
+        self.drain_pending_slice_at(&self.tick(), usize::MAX)
     }
 
-    /// Attempts to apply up to `budget` deferred actions — the
-    /// slice-budgeted drain the serving runtime uses so one
-    /// low-utilization window never stalls readers behind an unbounded
-    /// reconfiguration. Returns how many were applied (0 when the
-    /// executor still defers; the slice is requeued at the front).
+    /// Applies up to `budget` queued actions at `tick`: the executor's
+    /// gating decision and every trail event use the tick's consistent
+    /// bucket-boundary view, and the budget keeps one low-utilization
+    /// window from stalling readers behind an unbounded reconfiguration.
+    /// Returns how many were applied (0 when the executor still defers;
+    /// the slice stays queued).
     ///
     /// On an apply error the failed slice is *not* requeued — the engine
     /// may hold a partial prefix of it — and the error propagates; the
     /// caller is expected to invoke [`Driver::rollback_to_last_good`].
-    pub fn drain_pending_slice(&self, budget: usize) -> Result<usize> {
-        self.drain_slice_inner(&self.kpis.snapshot(), self.db.now(), budget)
-    }
-
-    /// Slice-budgeted drain driven by a [`TuningTick`]: the executor's
-    /// gating decision and every trail event use the tick's consistent
-    /// bucket-boundary view. This is the serving runtime's barrier-drain
-    /// entry point.
     pub fn drain_pending_slice_at(&self, tick: &TuningTick, budget: usize) -> Result<usize> {
-        self.drain_slice_inner(&tick.kpis, tick.now, budget)
+        self.drain_at(tick, budget).map(|report| report.applied)
     }
 
-    fn drain_slice_inner(
-        &self,
-        kpis: &KpiSnapshot,
-        at: LogicalTime,
-        budget: usize,
-    ) -> Result<usize> {
-        let slice: Vec<smdb_storage::ConfigAction> = {
-            let mut pending = self.pending_actions.lock();
-            if pending.is_empty() || budget == 0 {
-                return Ok(0);
-            }
-            let n = budget.min(pending.len());
-            pending.drain(..n).collect()
+    /// The one apply path: hands up to `budget` queued actions to the
+    /// executor and, once the decision's last action has landed, stores
+    /// its configuration instance so the feedback loop (and the rollback
+    /// target) see exactly what ran. The report's `deferred` counts the
+    /// actions still queued afterwards.
+    fn drain_at(&self, tick: &TuningTick, budget: usize) -> Result<ExecutionReport> {
+        let untouched = |queued: usize| ExecutionReport {
+            applied: 0,
+            deferred: queued,
+            reconfiguration_cost: Cost::ZERO,
         };
+        let (slice, queued_before) = {
+            let queued = self.queued.lock();
+            let remaining = queued.as_ref().map_or(&[][..], QueuedDecision::remaining);
+            if remaining.is_empty() || budget == 0 {
+                return Ok(untouched(remaining.len()));
+            }
+            let slice = remaining[..budget.min(remaining.len())].to_vec();
+            (slice, remaining.len())
+        };
+        let at = tick.now.raw();
         let _span = span!("driver", "drain_slice", { actions: slice.len() });
-        let report = match self.executor.execute(&self.db, kpis, &slice) {
-            Ok(report) => report,
-            Err(e) => {
-                self.counters.apply_failures.fetch_add(1, Ordering::Relaxed);
-                smdb_obs::metrics::counter("driver.apply_failures").inc();
-                return Err(e);
-            }
-        };
-        if report.deferred > 0 {
-            // Still not a favorable point in time; requeue the slice in
-            // front of whatever else is waiting.
-            let mut pending = self.pending_actions.lock();
-            let deferred = slice.len();
-            let mut restored = slice;
-            restored.extend(pending.drain(..));
-            *pending = restored;
-            drop(pending);
+        let executed = self.executor.execute(&self.db, &tick.kpis, &slice);
+        if matches!(&executed, Ok(report) if report.deferred > 0) {
+            // Still not a favorable point in time: the slice stays queued.
             self.recorder.record(TrailEvent::SliceDeferred {
-                at: at.raw(),
-                deferred,
+                at,
+                deferred: slice.len(),
             });
-            return Ok(0);
+            return Ok(untouched(queued_before));
         }
-        self.counters
-            .actions_applied
-            .fetch_add(report.applied as u64, Ordering::Relaxed);
+        // Applied or failed, the slice leaves the queue: a failed one is
+        // not requeued, since the engine may hold a partial prefix of it.
+        let cost = executed
+            .as_ref()
+            .map_or(Cost::ZERO, |report| report.reconfiguration_cost);
+        let (remaining, done) = {
+            let mut queued = self.queued.lock();
+            let remaining = queued.as_mut().map_or(0, |decision| {
+                decision.drained += slice.len();
+                decision.reconfig.accrued_cost += cost;
+                decision.remaining().len()
+            });
+            let done = if remaining == 0 && executed.is_ok() {
+                queued.take()
+            } else {
+                None
+            };
+            (remaining, done)
+        };
+        let report = executed.inspect_err(|_| {
+            self.counters.apply_failures.inc();
+            smdb_obs::metrics::counter("driver.apply_failures").inc();
+        })?;
+        self.counters.actions_applied.add(report.applied as u64);
         smdb_obs::metrics::counter("driver.actions_applied").add(report.applied as u64);
-        let remaining = self.pending_actions.lock().len();
         self.recorder.record(TrailEvent::SliceApplied {
-            at: at.raw(),
+            at,
             applied: report.applied,
             remaining,
         });
-        if let Some(pr) = self.pending_reconfig.lock().as_mut() {
-            pr.accrued_cost += report.reconfiguration_cost;
-        }
-        if remaining == 0 {
-            // The deferred tuning is fully applied: store its instance so
-            // the feedback loop (and the rollback target) see it.
-            if let Some(pr) = self.pending_reconfig.lock().take() {
-                let actions = pr.actions.len();
-                let instance = StoredInstance {
-                    applied_at: self.db.now(),
-                    feature: None,
-                    config: pr.final_config,
-                    actions: pr.actions,
-                    predicted_cost: pr.predicted_cost,
-                    reconfiguration_cost: pr.accrued_cost,
-                    observed_before: pr.observed_before,
-                    observed_after: None,
-                };
-                if let Some(d) = &self.durability {
-                    d.log_instance_stored(&instance)?;
-                }
-                self.storage.store(instance);
-                self.kpis.reset_latencies();
-                self.recorder.record(TrailEvent::InstanceStored {
-                    at: at.raw(),
-                    instance: format!("instance-{}", self.storage.len() - 1),
-                    actions,
-                });
+        if let Some(QueuedDecision { reconfig, .. }) = done {
+            let actions = reconfig.actions.len();
+            let instance = StoredInstance {
+                applied_at: tick.now,
+                feature: None,
+                config: reconfig.final_config,
+                actions: reconfig.actions,
+                predicted_cost: reconfig.predicted_cost,
+                reconfiguration_cost: reconfig.accrued_cost,
+                observed_before: reconfig.observed_before,
+                observed_after: None,
+            };
+            if let Some(d) = &self.durability {
+                d.log_instance_stored(&instance)?;
             }
+            self.storage.store(instance);
+            self.kpis.reset_latencies();
+            self.recorder.record(TrailEvent::InstanceStored {
+                at,
+                instance: format!("instance-{}", self.storage.len() - 1),
+                actions,
+            });
         }
-        Ok(report.applied)
+        Ok(ExecutionReport {
+            deferred: remaining,
+            ..report
+        })
     }
 
-    /// Number of actions currently deferred by the executor.
+    /// Number of queued actions not applied yet.
     pub fn pending_actions(&self) -> usize {
-        self.pending_actions.lock().len()
+        self.queued
+            .lock()
+            .as_ref()
+            .map_or(0, |decision| decision.remaining().len())
     }
 
     /// Restores the last good configuration after a failed apply:
@@ -482,9 +500,11 @@ impl Driver {
     /// is touched.
     pub fn rollback_to_last_good(&self, cause: &str) -> Result<RollbackReport> {
         let _span = span!("driver", "rollback");
-        let abandoned: Vec<smdb_storage::ConfigAction> =
-            std::mem::take(&mut *self.pending_actions.lock());
-        *self.pending_reconfig.lock() = None;
+        let abandoned: Vec<ConfigAction> = self
+            .queued
+            .lock()
+            .take()
+            .map_or_else(Vec::new, |decision| decision.remaining().to_vec());
         let restored_label = self.rollback_target_label();
         let target = self
             .storage
@@ -524,17 +544,17 @@ impl Driver {
     /// A point-in-time snapshot of the tuning machinery.
     pub fn tuning_state(&self) -> TuningState {
         TuningState {
-            pending_actions: self.pending_actions.lock().len(),
-            reconfig_in_flight: self.pending_reconfig.lock().is_some(),
+            pending_actions: self.pending_actions(),
+            reconfig_in_flight: self.queued.lock().is_some(),
             paused: self.organizer.is_paused(),
             last_tuning: self.organizer.last_tuning(),
             stored_instances: self.storage.len(),
             rollbacks: self.storage.rollback_count(),
-            buckets_closed: self.counters.buckets_closed.load(Ordering::Relaxed),
-            tunings_run: self.counters.tunings_run.load(Ordering::Relaxed),
-            actions_applied: self.counters.actions_applied.load(Ordering::Relaxed),
-            actions_deferred: self.counters.actions_deferred.load(Ordering::Relaxed),
-            apply_failures: self.counters.apply_failures.load(Ordering::Relaxed),
+            buckets_closed: self.counters.buckets_closed.get(),
+            tunings_run: self.counters.tunings_run.get(),
+            actions_applied: self.counters.actions_applied.get(),
+            actions_deferred: self.counters.actions_deferred.get(),
+            apply_failures: self.counters.apply_failures.get(),
         }
     }
 
@@ -544,30 +564,32 @@ impl Driver {
     }
 
     /// Checks the organizer and, when it fires, runs a full tuning pass
-    /// applying actions immediately (the embedded / single-threaded
-    /// path). Builds its own [`TuningTick`] from the live collector.
+    /// and drains its decision at the same tick (the embedded /
+    /// single-threaded path). Builds its own [`TuningTick`] from the live
+    /// collector. `Ok(None)` while a decision is still queued.
+    ///
+    /// On an apply error the pass's actions are not requeued and the
+    /// error propagates; the caller is expected to invoke
+    /// [`Driver::rollback_to_last_good`].
     pub fn maybe_tune(&self) -> Result<Option<TuningRunReport>> {
-        let tick = self.tick();
-        self.maybe_tune_with(&tick, TuningMode::Immediate)
+        self.maybe_tune_at(&self.tick(), usize::MAX)
     }
 
     /// Checks the organizer against a [`TuningTick`] and, when it fires,
     /// runs a tuning pass that only *decides*: every chosen action is
     /// queued for the caller to drain via
     /// [`Driver::drain_pending_slice_at`] at the next bucket boundary.
-    /// No-op while a previous decision is still queued or draining.
+    /// `Ok(None)` while a decision is still queued.
     pub fn maybe_tune_deferred(&self, tick: &TuningTick) -> Result<Option<TuningRunReport>> {
-        if !self.pending_actions.lock().is_empty() || self.pending_reconfig.lock().is_some() {
-            return Ok(None);
-        }
-        self.maybe_tune_with(tick, TuningMode::DeferAll)
+        self.maybe_tune_at(tick, 0)
     }
 
-    fn maybe_tune_with(
-        &self,
-        tick: &TuningTick,
-        mode: TuningMode,
-    ) -> Result<Option<TuningRunReport>> {
+    /// An organizer-gated pass at `tick` that drains up to `budget` of
+    /// its decision at the same tick.
+    fn maybe_tune_at(&self, tick: &TuningTick, budget: usize) -> Result<Option<TuningRunReport>> {
+        if self.queued.lock().is_some() {
+            return Ok(None);
+        }
         let _span = span!("driver", "maybe_tune");
         // A paused or rate-limited organizer fires on nothing: skip the
         // forecast and its what-if pricing, which only feed the triggers.
@@ -597,36 +619,37 @@ impl Driver {
         ) else {
             return Ok(None);
         };
-        self.tune_with(trigger, forecast, tick, mode).map(Some)
+        self.tune_with(trigger, forecast, tick, budget).map(Some)
     }
 
-    /// Forces a tuning pass now (Manual trigger), applying immediately.
+    /// Forces a tuning pass now (Manual trigger) and drains its decision
+    /// at the same tick. Errs while a decision is still queued; an apply
+    /// error is handled as in [`Driver::maybe_tune`].
     pub fn force_tune(&self) -> Result<TuningRunReport> {
+        if self.queued.lock().is_some() {
+            return Err(Error::invalid(
+                "a tuning decision is still queued: drain or roll it back first",
+            ));
+        }
         let forecast = self.forecast();
-        let tick = self.tick();
-        self.tune_with(
-            TuningTrigger::Manual,
-            forecast,
-            &tick,
-            TuningMode::Immediate,
-        )
+        self.tune_with(TuningTrigger::Manual, forecast, &self.tick(), usize::MAX)
     }
 
+    /// One tuning pass: decides, queues the decision, and drains up to
+    /// `budget` of it at the pass's own tick.
     fn tune_with(
         &self,
         trigger: TuningTrigger,
         forecast: ForecastSet,
         tick: &TuningTick,
-        mode: TuningMode,
+        budget: usize,
     ) -> Result<TuningRunReport> {
         let _span = span!("driver", "tune");
-        // Same snapshot discipline as `maybe_tune_with`: one clone up
+        // Same snapshot discipline as `maybe_tune_at`: one clone up
         // front, never the lock itself across engine access.
         let constraints = self.constraints();
         if forecast.expected().is_none() {
-            return Err(smdb_common::Error::invalid(
-                "cannot tune without an expected forecast",
-            ));
+            return Err(Error::invalid("cannot tune without an expected forecast"));
         }
         let at = tick.now.raw();
         self.recorder.record(TrailEvent::TuningTriggered {
@@ -696,35 +719,12 @@ impl Driver {
             (order_idx, proposals, config, base)
         };
 
-        // Hand over the combined action list: execute it now, or queue it
-        // all for the caller's barrier drain.
         let actions = base_config.diff(&final_config);
-        let report = match mode {
-            TuningMode::Immediate => match self.executor.execute(&self.db, &tick.kpis, &actions) {
-                Ok(report) => report,
-                Err(e) => {
-                    self.counters.apply_failures.fetch_add(1, Ordering::Relaxed);
-                    smdb_obs::metrics::counter("driver.apply_failures").inc();
-                    return Err(e);
-                }
-            },
-            TuningMode::DeferAll => ExecutionReport {
-                applied: 0,
-                deferred: actions.len(),
-                reconfiguration_cost: Cost::ZERO,
-            },
-        };
-        self.counters.tunings_run.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .actions_applied
-            .fetch_add(report.applied as u64, Ordering::Relaxed);
-        self.counters
-            .actions_deferred
-            .fetch_add(report.deferred as u64, Ordering::Relaxed);
-        let now = tick.now;
-        self.organizer.record_tuning(now);
+        self.counters.tunings_run.inc();
+        self.organizer.record_tuning(tick.now);
 
-        // Feedback loop: complete the previous instance, store this one.
+        // Feedback loop: complete the previous instance; the drain stores
+        // this one once all of it has landed.
         let observed_before = tick.kpis.mean_response;
         if self.storage.complete_latest(observed_before) {
             if let Some(d) = &self.durability {
@@ -733,57 +733,31 @@ impl Driver {
         }
         let predicted_cost = {
             let engine = self.db.engine();
-            let expected = forecast.expected().ok_or_else(|| {
-                smdb_common::Error::invalid("forecast lost its expected scenario mid-tuning")
-            })?;
+            let expected = forecast
+                .expected()
+                .ok_or_else(|| Error::invalid("forecast lost its expected scenario mid-tuning"))?;
             self.multi
                 .what_if()
                 .workload_cost(&engine, &expected.workload, &final_config)?
         };
-        if report.deferred > 0 {
-            // The change waits — either the utilization-gated executor
-            // postponed it, or a defer-all tuning hands it to the caller's
-            // barrier drain. Queue it and remember the tuning context so
-            // the completed drain stores its instance.
-            self.pending_actions.lock().extend(actions.iter().cloned());
-            *self.pending_reconfig.lock() = Some(PendingReconfig {
-                final_config,
-                actions: actions.clone(),
-                predicted_cost,
-                observed_before,
-                accrued_cost: Cost::ZERO,
-            });
+        if !actions.is_empty() {
             self.recorder.record(TrailEvent::ActionsQueued {
                 at,
                 actions: actions.len(),
             });
-        } else if report.applied > 0 {
-            let instance = StoredInstance {
-                applied_at: now,
-                feature: None,
-                config: final_config,
-                actions: actions.clone(),
-                predicted_cost,
-                reconfiguration_cost: report.reconfiguration_cost,
-                observed_before,
-                observed_after: None,
-            };
-            if let Some(d) = &self.durability {
-                d.log_instance_stored(&instance)?;
-            }
-            self.storage.store(instance);
-            self.kpis.reset_latencies();
-            self.recorder.record(TrailEvent::ActionsApplied {
-                at,
-                applied: report.applied,
-                reconfiguration_cost_ms: report.reconfiguration_cost.ms(),
-            });
-            self.recorder.record(TrailEvent::InstanceStored {
-                at,
-                instance: format!("instance-{}", self.storage.len() - 1),
-                actions: actions.len(),
+            *self.queued.lock() = Some(QueuedDecision {
+                reconfig: PendingReconfig {
+                    final_config,
+                    actions,
+                    predicted_cost,
+                    observed_before,
+                    accrued_cost: Cost::ZERO,
+                },
+                drained: 0,
             });
         }
+        let drained = self.drain_at(tick, budget)?;
+        self.counters.actions_deferred.add(drained.deferred as u64);
 
         let order: Vec<FeatureKind> = {
             let features = self.multi.features();
@@ -793,8 +767,8 @@ impl Driver {
             trigger,
             order,
             proposals,
-            applied_actions: report.applied,
-            reconfiguration_cost: report.reconfiguration_cost,
+            applied_actions: drained.applied,
+            reconfiguration_cost: drained.reconfiguration_cost,
         })
     }
 }
@@ -939,8 +913,7 @@ impl DriverBuilder {
             calibrated: self.calibrated,
             ordering_policy: self.ordering_policy,
             last_bucket_cost: Mutex::new(Cost::ZERO),
-            pending_actions: Mutex::new(Vec::new()),
-            pending_reconfig: Mutex::new(None),
+            queued: Mutex::new(None),
             baseline_config,
             counters: DriverCounters::default(),
             recorder: self
@@ -958,7 +931,7 @@ mod tests {
     use smdb_storage::value::ColumnValues;
     use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
 
-    fn database() -> Arc<Database> {
+    pub(super) fn database() -> Arc<Database> {
         let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
         let table = Table::from_columns(
             "t",
@@ -972,7 +945,7 @@ mod tests {
         Database::new(engine)
     }
 
-    fn queries(n: usize) -> Vec<Query> {
+    pub(super) fn queries(n: usize) -> Vec<Query> {
         (0..n)
             .map(|i| {
                 Query::new(
@@ -1069,40 +1042,8 @@ mod tests {
 
 #[cfg(test)]
 mod deferred_tests {
+    use super::tests::{database, queries};
     use super::*;
-    use crate::executor::SequentialExecutor;
-    use smdb_common::{ColumnId, TableId};
-    use smdb_query::Query;
-    use smdb_storage::value::ColumnValues;
-    use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
-
-    fn database() -> Arc<Database> {
-        let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
-        let table = Table::from_columns(
-            "t",
-            schema,
-            vec![ColumnValues::Int((0..2000).map(|i| i % 50).collect())],
-            500,
-        )
-        .unwrap();
-        let mut engine = StorageEngine::default();
-        engine.create_table(table).unwrap();
-        Database::new(engine)
-    }
-
-    fn queries(n: usize) -> Vec<Query> {
-        (0..n)
-            .map(|i| {
-                Query::new(
-                    TableId(0),
-                    "t",
-                    vec![ScanPredicate::eq(ColumnId(0), (i % 50) as i64)],
-                    None,
-                    "pt",
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn tuning_defers_under_load_and_applies_when_idle() {
@@ -1126,6 +1067,43 @@ mod deferred_tests {
         driver.run_bucket(&[]).unwrap();
         assert_eq!(driver.pending_actions(), 0);
         assert!(!db.engine().current_config().indexes.is_empty());
+    }
+
+    /// A second pass while the first one's decision is still deferred
+    /// must not queue the same actions again: the idle drain would apply
+    /// them twice and fail on the first index that already exists.
+    #[test]
+    fn no_pass_starts_while_a_decision_is_queued() {
+        let db = database();
+        let driver = Driver::builder(db.clone())
+            .features(vec![FeatureKind::Indexing])
+            .executor(Box::new(SequentialExecutor::during_low_utilization()))
+            .kpi_bucket_capacity(Cost(1.0))
+            .build();
+        for _ in 0..3 {
+            driver.run_bucket(&queries(100)).unwrap();
+        }
+        driver.force_tune().unwrap();
+        let queued = driver.pending_actions();
+        assert!(queued > 0);
+        // Still busy: the boundary drain defers again.
+        driver.run_bucket(&queries(100)).unwrap();
+        let second = driver.force_tune();
+        let outcome = (
+            driver.pending_actions(),
+            driver
+                .run_bucket(&[])
+                .map(|_| ())
+                .map_err(|e| e.to_string()),
+            driver.config_storage().len(),
+            driver.tuning_state().apply_failures,
+        );
+        assert_eq!(outcome, (queued, Ok(()), 1, 0), "second pass: {second:?}");
+        assert!(second.is_err());
+        assert_eq!(
+            driver.config_storage().snapshot()[0].config,
+            db.engine().current_config()
+        );
     }
 
     #[test]
@@ -1161,7 +1139,7 @@ mod deferred_tests {
         driver.close_bucket();
         let mut slices = 0;
         while driver.pending_actions() > 0 {
-            assert_eq!(driver.drain_pending_slice(1).unwrap(), 1);
+            assert_eq!(driver.drain_pending_slice_at(&driver.tick(), 1).unwrap(), 1);
             slices += 1;
             if driver.pending_actions() > 0 {
                 assert!(

@@ -39,7 +39,7 @@
 //! | tag | record              | body               | written by                         |
 //! |-----|---------------------|--------------------|------------------------------------|
 //! | 1   | `Boundary`          | [`ServingState`]   | control thread, after each barrier |
-//! | 2   | `InstanceStored`    | [`StoredInstance`] | feedback loop (tune / drain)       |
+//! | 2   | `InstanceStored`    | [`StoredInstance`] | feedback loop (the drain)          |
 //! | 3   | `InstanceCompleted` | `Cost`             | feedback loop (`complete_latest`)  |
 //! | 4   | `Rollback`          | [`RollbackRecord`] | failed-apply rollback              |
 //!
@@ -57,7 +57,6 @@
 //! the live driver into a [`ServingState`] and restoring one into a
 //! freshly built driver.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -66,12 +65,13 @@ use smdb_durable::{
     decode_all, durable_struct, encode_to_vec, ByteWriter, Encode, Persistence, SnapshotStore, Wal,
 };
 use smdb_forecast::{WorkloadHistory, WorkloadHistoryState};
+use smdb_obs::metrics::Counter;
 use smdb_obs::TrailEvent;
 use smdb_query::{PlanCacheEntry, SessionStats};
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine, Table};
 
 use crate::config_storage::{RollbackRecord, StoredInstance};
-use crate::driver::{Driver, PendingReconfig};
+use crate::driver::{Driver, PendingReconfig, QueuedDecision};
 use crate::kpi::KpiState;
 
 /// Blob name of the write-ahead log.
@@ -488,9 +488,10 @@ pub struct ServingState {
     pub organizer_paused: bool,
     /// Observed cost of the last closed bucket.
     pub last_bucket_cost: Cost,
-    /// Actions still queued for barrier drains.
+    /// Actions of the queued decision not applied yet: a suffix of
+    /// `pending_reconfig`'s actions.
     pub pending_actions: Vec<ConfigAction>,
-    /// In-flight deferred tuning, if any.
+    /// The queued decision, if any.
     pub pending_reconfig: Option<PendingReconfig>,
     /// Driver counters: buckets_closed, tunings_run, actions_applied,
     /// actions_deferred, apply_failures.
@@ -524,8 +525,25 @@ pub fn decode_serving_state(bytes: &[u8]) -> Result<ServingState> {
     decode_all(bytes)
 }
 
+/// Rebuilds the queued decision from the two fields a [`ServingState`]
+/// stores it as; the queued actions must be a suffix of the decision's.
+fn queued_decision(state: &ServingState) -> Result<Option<QueuedDecision>> {
+    match &state.pending_reconfig {
+        None if state.pending_actions.is_empty() => Ok(None),
+        Some(reconfig) if reconfig.actions.ends_with(&state.pending_actions) => {
+            Ok(Some(QueuedDecision {
+                drained: reconfig.actions.len() - state.pending_actions.len(),
+                reconfig: reconfig.clone(),
+            }))
+        }
+        _ => Err(Error::invalid(
+            "pending actions are not the tail of the pending reconfiguration",
+        )),
+    }
+}
+
 impl Driver {
-    fn counter_cells(&self) -> [&AtomicU64; 5] {
+    fn counter_cells(&self) -> [&Counter; 5] {
         let c = &self.counters;
         [
             &c.buckets_closed,
@@ -544,16 +562,18 @@ impl Driver {
         let config = self.db.engine().current_config();
         let plan_cache = self.db.plan_cache().snapshot();
         // Locks are taken one at a time in the driver's canonical order
-        // (history, last_bucket_cost, pending_actions, pending_reconfig)
-        // so boundary export cannot deadlock against the tuning thread.
+        // (history, last_bucket_cost, queued) so boundary export cannot
+        // deadlock against the tuning thread. The one queued decision is
+        // stored as its remaining actions plus the whole decision.
         let history = self.history.lock().export_state();
         let last_bucket_cost = *self.last_bucket_cost.lock();
-        let pending_actions = self.pending_actions.lock().clone();
-        let pending_reconfig = self.pending_reconfig.lock().clone();
-        let counters = self
-            .counter_cells()
-            // ordering: relaxed snapshot of independent statistic counters.
-            .map(|counter| counter.load(Ordering::Relaxed));
+        let queued = self.queued.lock();
+        let pending_actions = queued
+            .as_ref()
+            .map_or(Vec::new(), |d| d.remaining().to_vec());
+        let pending_reconfig = queued.as_ref().map(|d| d.reconfig.clone());
+        drop(queued);
+        let counters = self.counter_cells().map(Counter::get);
         ServingState {
             bucket,
             stats: stats.clone(),
@@ -616,10 +636,12 @@ impl Driver {
     /// state: re-applies the persisted configuration to the engine,
     /// reinstates the stored instances and rollbacks, and restores the
     /// whole serving state (clock, KPIs, history, plan cache, organizer,
-    /// pending tuning, counters). The engine must already hold the
+    /// queued decision, counters). The engine must already hold the
     /// recovered tables at the default configuration. Records a
-    /// `recovered` trail event.
+    /// `recovered` trail event. Errs, before touching anything, when the
+    /// pending actions are not the tail of the pending reconfiguration.
     pub fn restore_from_recovery(&self, rec: &RecoveredState) -> Result<()> {
+        let queued = queued_decision(&rec.serving)?;
         let redo = {
             let engine = self.db.engine();
             engine.current_config().diff(&rec.serving.config)
@@ -633,18 +655,7 @@ impl Driver {
         for rb in &rec.rollbacks {
             self.storage.record_rollback(rb.clone());
         }
-        self.restore_serving_state(&rec.serving);
-        smdb_obs::metrics::counter("driver.recoveries").inc();
-        self.recorder.record(TrailEvent::Recovered {
-            at: self.db.now().raw(),
-            bucket: rec.serving.bucket,
-            replayed_records: rec.replayed_records,
-            dropped_records: rec.dropped_records,
-        });
-        Ok(())
-    }
-
-    fn restore_serving_state(&self, state: &ServingState) {
+        let state = &rec.serving;
         self.db.restore_clock(LogicalTime(state.clock));
         self.kpis.restore_state(state.kpi.clone());
         *self.history.lock() = WorkloadHistory::restore_state(state.history.clone());
@@ -662,12 +673,18 @@ impl Driver {
             self.organizer.pause();
         }
         *self.last_bucket_cost.lock() = state.last_bucket_cost;
-        *self.pending_actions.lock() = state.pending_actions.clone();
-        *self.pending_reconfig.lock() = state.pending_reconfig.clone();
+        *self.queued.lock() = queued;
         for (counter, value) in self.counter_cells().into_iter().zip(state.counters) {
-            // ordering: relaxed counter restore; recovery is single-threaded.
-            counter.store(value, Ordering::Relaxed);
+            counter.set(value);
         }
+        smdb_obs::metrics::counter("driver.recoveries").inc();
+        self.recorder.record(TrailEvent::Recovered {
+            at: self.db.now().raw(),
+            bucket: state.bucket,
+            replayed_records: rec.replayed_records,
+            dropped_records: rec.dropped_records,
+        });
+        Ok(())
     }
 }
 
@@ -1106,6 +1123,29 @@ mod tests {
         let rec = recover(p.as_ref(), &config).unwrap().expect("recoverable");
         assert_eq!(rec.serving.bucket, 2);
         assert_eq!(rec.dropped_records, 0);
+    }
+
+    #[test]
+    fn restore_rejects_pending_actions_outside_the_decision() {
+        let mut state = sample_state(1);
+        state.pending_actions.drain(..2);
+        assert_eq!(queued_decision(&state).unwrap().expect("queued").drained, 2);
+        // Not a suffix: refused before the driver is touched.
+        state.pending_actions.reverse();
+        let driver = Driver::builder(smdb_query::Database::new(StorageEngine::default())).build();
+        let rec = RecoveredState {
+            serving: state,
+            tables: Vec::new(),
+            instances: vec![sample_instance()],
+            rollbacks: Vec::new(),
+            replayed_records: 0,
+            dropped_records: 0,
+            wal_records: 0,
+        };
+        let err = driver.restore_from_recovery(&rec).unwrap_err();
+        assert!(err.to_string().contains("not the tail"), "{err}");
+        assert!(driver.config_storage().is_empty());
+        assert!(!driver.tuning_state().reconfig_in_flight);
     }
 
     #[test]

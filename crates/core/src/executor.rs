@@ -71,6 +71,11 @@ impl SequentialExecutor {
             strategy: ExecutionStrategy::DuringLowUtilization,
         }
     }
+
+    /// Whether [`Executor::execute`] would defer everything under `kpis`.
+    pub fn defers(&self, kpis: &KpiSnapshot) -> bool {
+        self.strategy == ExecutionStrategy::DuringLowUtilization && !kpis.is_low_utilization()
+    }
 }
 
 impl Executor for SequentialExecutor {
@@ -87,7 +92,7 @@ impl Executor for SequentialExecutor {
         kpis: &KpiSnapshot,
         actions: &[ConfigAction],
     ) -> Result<ExecutionReport> {
-        if self.strategy == ExecutionStrategy::DuringLowUtilization && !kpis.is_low_utilization() {
+        if self.defers(kpis) {
             return Ok(ExecutionReport {
                 applied: 0,
                 deferred: actions.len(),

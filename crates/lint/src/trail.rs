@@ -41,6 +41,8 @@ const EVENT_KINDS: &[(&str, &[(&str, FieldType)])] = &[
         ],
     ),
     ("actions_queued", &[("actions", FieldType::U64)]),
+    // No longer emitted (every pass queues, the drain applies); still
+    // legal so `smdb-trail/v2.1` documents that carry it stay valid.
     (
         "actions_applied",
         &[
@@ -404,8 +406,9 @@ mod tests {
 
     #[test]
     fn every_recorder_kind_is_known() {
-        // The list the recorder documents (DESIGN.md §10) — drift in
-        // either direction should be a conscious change to both.
+        // The list the recorder documents (DESIGN.md §10), plus the
+        // retired `actions_applied` — drift in either direction should be
+        // a conscious change to both.
         let kinds = [
             "bucket_closed",
             "tuning_triggered",

@@ -22,11 +22,18 @@ const MIN_EXP: i32 = -32;
 /// Values at or above `2^(MAX_EXP+1)` clamp into the last range.
 const MAX_EXP: i32 = 63;
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter: an independent statistic that
+/// publishes no other memory, so every access is relaxed.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
+    /// Overwrites the total (restoring a persisted counter).
+    pub fn set(&self, n: u64) {
+        // ordering: relaxed like every counter access; it orders nothing else.
+        self.0.store(n, Ordering::Relaxed);
+    }
+
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);

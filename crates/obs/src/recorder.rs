@@ -1,7 +1,7 @@
 //! The flight recorder: a bounded ring buffer of decision events.
 //!
 //! Every tuning decision the driver makes — trigger fired, candidate
-//! assessed, ILP order chosen, actions queued/applied/rolled back — is
+//! assessed, ILP order chosen, actions queued/drained/rolled back — is
 //! appended as a [`TrailEvent`]. The buffer keeps the most recent
 //! `capacity` events (older ones are dropped and counted), exports as
 //! JSON via `smdb_common::json`, and dumps itself to stderr
@@ -55,14 +55,9 @@ pub enum TrailEvent {
         objective: f64,
         dependence: Vec<Vec<f64>>,
     },
-    /// A tuning's actions were queued for a low-utilization window.
+    /// A tuning pass queued its decision; every action of it is applied
+    /// by drain slices, at the pass's own tick or at later boundaries.
     ActionsQueued { at: u64, actions: usize },
-    /// A tuning's actions were applied immediately.
-    ActionsApplied {
-        at: u64,
-        applied: usize,
-        reconfiguration_cost_ms: f64,
-    },
     /// A budgeted drain slice applied part of the queue.
     SliceApplied {
         at: u64,
@@ -126,7 +121,6 @@ impl TrailEvent {
             TrailEvent::CandidateAssessed { .. } => "candidate_assessed",
             TrailEvent::IlpOrderChosen { .. } => "ilp_order_chosen",
             TrailEvent::ActionsQueued { .. } => "actions_queued",
-            TrailEvent::ActionsApplied { .. } => "actions_applied",
             TrailEvent::SliceApplied { .. } => "slice_applied",
             TrailEvent::SliceDeferred { .. } => "slice_deferred",
             TrailEvent::InstanceStored { .. } => "instance_stored",
@@ -209,18 +203,6 @@ impl TrailEvent {
             TrailEvent::ActionsQueued { at, actions } => {
                 vec![("at", Json::Num(*at as f64)), ("actions", num(*actions))]
             }
-            TrailEvent::ActionsApplied {
-                at,
-                applied,
-                reconfiguration_cost_ms,
-            } => vec![
-                ("at", Json::Num(*at as f64)),
-                ("applied", num(*applied)),
-                (
-                    "reconfiguration_cost_ms",
-                    Json::Num(*reconfiguration_cost_ms),
-                ),
-            ],
             TrailEvent::SliceApplied {
                 at,
                 applied,
@@ -316,7 +298,6 @@ impl TrailEvent {
             | TrailEvent::CandidateAssessed { at, .. }
             | TrailEvent::IlpOrderChosen { at, .. }
             | TrailEvent::ActionsQueued { at, .. }
-            | TrailEvent::ActionsApplied { at, .. }
             | TrailEvent::SliceApplied { at, .. }
             | TrailEvent::SliceDeferred { at, .. }
             | TrailEvent::InstanceStored { at, .. }

@@ -1,21 +1,21 @@
 //! Fault injection for the apply path.
 //!
-//! [`FaultInjectingExecutor`] behaves like the core
-//! [`smdb_core::SequentialExecutor`] — including its low-utilization
-//! gate — but fails chosen apply *attempts* mid-batch: it applies a
+//! [`FaultInjectingExecutor`] wraps the core
+//! [`smdb_core::SequentialExecutor`] — its low-utilization gate and its
+//! apply — and fails chosen apply *attempts* mid-batch: it applies a
 //! prefix of the slice through the normal (partial-on-error) apply path
 //! and then errors, so the engine is left in exactly the
 //! half-reconfigured state a real mid-apply failure produces. Deferrals
-//! do not count as attempts — the fault plan speaks in terms of actual
-//! configuration work, so the schedule does not depend on how often the
-//! system happened to be busy.
+//! and empty slices do not count as attempts — the fault plan speaks in
+//! terms of actual configuration work, so the schedule does not depend on
+//! how often the system happened to be busy.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use smdb_common::{Cost, Error, Result};
-use smdb_core::{ExecutionReport, ExecutionStrategy, Executor, KpiSnapshot};
+use smdb_common::{Error, Result};
+use smdb_core::{ExecutionReport, Executor, KpiSnapshot, SequentialExecutor};
 use smdb_query::Database;
 use smdb_storage::ConfigAction;
 
@@ -70,29 +70,29 @@ struct FaultState {
 /// counters.
 #[derive(Debug, Clone)]
 pub struct FaultInjectingExecutor {
-    strategy: ExecutionStrategy,
+    inner: SequentialExecutor,
     plan: Arc<FaultPlan>,
     state: Arc<FaultState>,
 }
 
 impl FaultInjectingExecutor {
-    /// An immediate executor failing the attempts named by `plan`.
-    pub fn immediate(plan: FaultPlan) -> Self {
+    fn new(inner: SequentialExecutor, plan: FaultPlan) -> Self {
         FaultInjectingExecutor {
-            strategy: ExecutionStrategy::Immediate,
+            inner,
             plan: Arc::new(plan),
             state: Arc::new(FaultState::default()),
         }
     }
 
+    /// An immediate executor failing the attempts named by `plan`.
+    pub fn immediate(plan: FaultPlan) -> Self {
+        Self::new(SequentialExecutor::immediate(), plan)
+    }
+
     /// A low-utilization-gated executor failing the attempts named by
     /// `plan` — the serving runtime's configuration.
     pub fn during_low_utilization(plan: FaultPlan) -> Self {
-        FaultInjectingExecutor {
-            strategy: ExecutionStrategy::DuringLowUtilization,
-            plan: Arc::new(plan),
-            state: Arc::new(FaultState::default()),
-        }
+        Self::new(SequentialExecutor::during_low_utilization(), plan)
     }
 
     /// Actual apply attempts so far (deferrals excluded).
@@ -117,19 +117,8 @@ impl Executor for FaultInjectingExecutor {
         kpis: &KpiSnapshot,
         actions: &[ConfigAction],
     ) -> Result<ExecutionReport> {
-        if self.strategy == ExecutionStrategy::DuringLowUtilization && !kpis.is_low_utilization() {
-            return Ok(ExecutionReport {
-                applied: 0,
-                deferred: actions.len(),
-                reconfiguration_cost: Cost::ZERO,
-            });
-        }
-        if actions.is_empty() {
-            return Ok(ExecutionReport {
-                applied: 0,
-                deferred: 0,
-                reconfiguration_cost: Cost::ZERO,
-            });
+        if actions.is_empty() || self.inner.defers(kpis) {
+            return self.inner.execute(db, kpis, actions);
         }
         let attempt = self.state.attempts.fetch_add(1, Ordering::Relaxed);
         if self.plan.fails(attempt) {
@@ -143,12 +132,7 @@ impl Executor for FaultInjectingExecutor {
                 actions.len()
             )));
         }
-        let cost = db.apply_config(actions)?;
-        Ok(ExecutionReport {
-            applied: actions.len(),
-            deferred: 0,
-            reconfiguration_cost: cost,
-        })
+        self.inner.execute(db, kpis, actions)
     }
 }
 

@@ -4,12 +4,14 @@
 use std::sync::Arc;
 
 use smdb::core::driver::{Driver, OrderingPolicy};
-use smdb::core::{ConstraintSet, FeatureKind};
+use smdb::core::durability::WAL_NAME;
+use smdb::core::{ConstraintSet, DurabilityConfig, DurabilityManager, FeatureKind};
 use smdb::cost::CalibratedCostModel;
+use smdb::durable::{MemPersistence, Persistence};
 use smdb::prelude::*;
 use smdb::query::Database;
 use smdb::storage::StorageEngine;
-use smdb::workload::generators::scan_heavy_mix;
+use smdb::workload::generators::{point_heavy_mix, scan_heavy_mix};
 use smdb::workload::tpch::{build_catalog, TpchTemplates};
 use smdb::workload::{MixSchedule, WorkloadGenerator};
 
@@ -21,7 +23,7 @@ fn setup() -> (Arc<Database>, WorkloadGenerator) {
     // lookups exercise indexing.
     let mix: Vec<f64> = scan_heavy_mix()
         .iter()
-        .zip(&smdb::workload::generators::point_heavy_mix())
+        .zip(&point_heavy_mix())
         .map(|(a, b)| a + b)
         .collect();
     let generator = WorkloadGenerator::new(templates, MixSchedule::Stationary(mix), 123);
@@ -187,4 +189,61 @@ fn feedback_loop_records_and_completes() {
     driver.force_tune().expect("second tuning");
     let feedback = driver.config_storage().feedback();
     assert_eq!(feedback.len(), 1, "first instance completed");
+}
+
+/// The embedded entry point and the serving loop's hand a decision to
+/// the same drain: twin drivers on the same seeded buckets — one calling
+/// `maybe_tune`, the other `maybe_tune_deferred` and a drain at the same
+/// tick — store equal instances, reach equal configurations and log the
+/// same WAL bytes.
+#[test]
+fn both_tuning_entry_points_apply_alike() {
+    let twin = || {
+        let mut engine = StorageEngine::default();
+        let catalog = build_catalog(&mut engine, 4_000, 500, 77).expect("catalog builds");
+        let schedule = MixSchedule::Seasonal {
+            day: point_heavy_mix(),
+            night: scan_heavy_mix(),
+            period: 6,
+        };
+        let generator = WorkloadGenerator::new(TpchTemplates::new(catalog), schedule, 123);
+        let store = Arc::new(MemPersistence::new());
+        let manager = DurabilityManager::new(store.clone(), DurabilityConfig::default());
+        let driver = Driver::builder(Database::new(engine))
+            // An SLA no configuration meets: a pass every second bucket.
+            .constraints(ConstraintSet {
+                sla_p95_response: Some(Cost(0.0)),
+                ..ConstraintSet::default()
+            })
+            .durability(Arc::new(manager))
+            .build();
+        (driver, generator, store)
+    };
+    let (embedded, generator, embedded_store) = twin();
+    let (serving, _, serving_store) = twin();
+    for bucket in 0..12 {
+        let queries = generator.bucket_queries(bucket, 60);
+        embedded.run_bucket(&queries).expect("bucket runs");
+        serving.run_bucket(&queries).expect("bucket runs");
+        let applied = embedded.maybe_tune().expect("pass runs");
+        let tick = serving.tick();
+        let decided = serving.maybe_tune_deferred(&tick).expect("pass runs");
+        let drained = serving
+            .drain_pending_slice_at(&tick, usize::MAX)
+            .expect("drain runs");
+        assert_eq!(
+            applied.map(|report| report.applied_actions),
+            decided.map(|_| drained),
+            "bucket {bucket}"
+        );
+    }
+    let instances = embedded.config_storage().snapshot();
+    assert!(instances.len() >= 2, "{} instances", instances.len());
+    assert_eq!(instances, serving.config_storage().snapshot());
+    assert_eq!(
+        embedded.database().engine().current_config(),
+        serving.database().engine().current_config()
+    );
+    let wal = |store: &MemPersistence| store.read(WAL_NAME).expect("readable");
+    assert_eq!(wal(&embedded_store), wal(&serving_store));
 }
