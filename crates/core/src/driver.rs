@@ -43,9 +43,9 @@ pub enum OrderingPolicy {
 /// A consistent view of the serving state at one bucket boundary —
 /// everything a tuning decision reads, captured once so the decision is
 /// a pure function of the tick regardless of what worker threads do to
-/// the live collector afterwards. The serving runtime builds a tick
-/// after each [`Driver::close_bucket`] and hands it to the tuning
-/// thread.
+/// the live collector afterwards. After each [`Driver::close_bucket`]
+/// the serving runtime asks [`Driver::tuning_tick`] for one and hands
+/// it to the tuning thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningTick {
     /// Logical time the tick was taken at.
@@ -348,6 +348,19 @@ impl Driver {
         }
     }
 
+    /// The tick an organizer-gated pass would read now, or `None` when
+    /// no pass can start whatever the KPIs say: a decision is queued, or
+    /// the organizer is paused or rate-limited. Checked on the clock
+    /// alone, so a closed gate costs no KPI snapshot.
+    pub fn tuning_tick(&self) -> Option<TuningTick> {
+        if self.queued.lock().is_some() {
+            return None;
+        }
+        self.organizer
+            .gate_open_at(self.db.now())
+            .then(|| self.tick())
+    }
+
     /// Runs one bucket of queries through the database: executes each
     /// query (monitoring feeds the plan cache), records KPIs, optionally
     /// trains the calibrated cost model, snapshots the plan cache into
@@ -566,13 +579,17 @@ impl Driver {
     /// Checks the organizer and, when it fires, runs a full tuning pass
     /// and drains its decision at the same tick (the embedded /
     /// single-threaded path). Builds its own [`TuningTick`] from the live
-    /// collector. `Ok(None)` while a decision is still queued.
+    /// collector, and only when [`Driver::tuning_tick`] says a pass can
+    /// still start. `Ok(None)` while a decision is still queued.
     ///
     /// On an apply error the pass's actions are not requeued and the
     /// error propagates; the caller is expected to invoke
     /// [`Driver::rollback_to_last_good`].
     pub fn maybe_tune(&self) -> Result<Option<TuningRunReport>> {
-        self.maybe_tune_at(&self.tick(), usize::MAX)
+        match self.tuning_tick() {
+            Some(tick) => self.maybe_tune_at(&tick, usize::MAX),
+            None => Ok(None),
+        }
     }
 
     /// Checks the organizer against a [`TuningTick`] and, when it fires,

@@ -180,12 +180,28 @@ impl KpiCollector {
 
     /// Closes a time bucket that spent `busy` ms executing queries.
     pub fn end_bucket(&self, busy: Cost) -> BucketClose {
-        let utilization = (busy.ms() / self.bucket_capacity.ms().max(1e-9)).max(0.0);
+        self.seal(|_| busy)
+    }
+
+    /// Closes a time bucket using the busy time accumulated by
+    /// [`KpiCollector::record_query`] since the previous close — the
+    /// serving-runtime path, where no single caller owns the bucket cost.
+    /// The busy sum is taken over the *sorted* samples, so it is exact
+    /// and identical regardless of worker count, and over exactly the
+    /// samples the bucket seals.
+    pub fn end_bucket_accumulated(&self) -> BucketClose {
+        self.seal(|sorted| Cost(sorted.iter().sum()))
+    }
+
+    /// Seals the open bucket under one lock: takes it, sorts it once (so
+    /// downstream sums and percentiles are independent of worker push
+    /// order), prices it with `busy` and moves it into the window.
+    fn seal(&self, busy: impl FnOnce(&[f64]) -> Cost) -> BucketClose {
         let mut inner = self.inner.lock();
-        // Seal the open latency bucket, sorted so downstream sums and
-        // percentiles are independent of worker push order.
         let mut bucket = std::mem::take(&mut inner.open);
         bucket.sort_by(f64::total_cmp);
+        let busy = busy(&bucket);
+        let utilization = (busy.ms() / self.bucket_capacity.ms().max(1e-9)).max(0.0);
         inner.closed_len += bucket.len();
         inner.closed.push_back(bucket);
         // Evict whole oldest buckets past the window, always keeping the
@@ -215,21 +231,6 @@ impl KpiCollector {
             queries,
             morsels,
         }
-    }
-
-    /// Closes a time bucket using the busy time accumulated by
-    /// [`KpiCollector::record_query`] since the previous close — the
-    /// serving-runtime path, where no single caller owns the bucket cost.
-    /// The busy sum is taken over the *sorted* samples, so it is exact
-    /// and identical regardless of worker count.
-    pub fn end_bucket_accumulated(&self) -> BucketClose {
-        let busy = {
-            let inner = self.inner.lock();
-            let mut v = inner.open.clone();
-            v.sort_by(f64::total_cmp);
-            Cost(v.iter().sum())
-        };
-        self.end_bucket(busy)
     }
 
     /// Mean response time over the rolling latency window.
@@ -577,6 +578,45 @@ mod tests {
         let b = desc.end_bucket_accumulated();
         assert_eq!(a.busy, b.busy, "sorted sum is exact");
         assert_eq!(asc.snapshot(), desc.snapshot());
+    }
+
+    /// A sample recorded while a bucket closes lands either in the sealed
+    /// bucket *and* its busy time, or in neither: busy always equals the
+    /// left-to-right sum of the bucket the close sealed.
+    #[test]
+    fn busy_is_the_sum_of_the_sealed_bucket_under_concurrent_records() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let k = KpiCollector::default();
+        let stop = AtomicBool::new(false);
+        // Checked after the recorder stopped: a panic inside the scope
+        // would wait forever on a recorder that never stops.
+        let closes: Vec<(BucketClose, Vec<f64>)> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    k.record_query(Cost(1.0 + (i % 97) as f64 * 0.013));
+                    i += 1;
+                }
+            });
+            let closes = (0..200)
+                .map(|_| {
+                    // Close only while the recorder is mid-stream.
+                    let seen = k.queries_total();
+                    while k.queries_total() == seen {
+                        std::hint::spin_loop();
+                    }
+                    let close = k.end_bucket_accumulated();
+                    let sealed = k.export_state().closed.pop().unwrap_or_default();
+                    (close, sealed)
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            closes
+        });
+        for (close, sealed) in closes {
+            assert_eq!(close.busy.ms(), sealed.iter().sum::<f64>());
+            assert_eq!(close.queries, sealed.len() as u64);
+        }
     }
 
     #[test]

@@ -114,23 +114,29 @@ impl Organizer {
         *self.last_tuning.lock() = Some(now);
     }
 
-    /// The cheap gate every trigger sits behind: whether a tuning
-    /// decision may be taken at `now` at all — not paused, past the
-    /// rate limit, and (when required) at low utilization. Callers ask
-    /// this before building the forecast [`Self::should_tune`] needs.
-    pub fn gate_open(&self, now: LogicalTime, kpis: &KpiSnapshot) -> bool {
+    /// The part of [`Self::gate_open`] that needs only the clock: not
+    /// paused and past the rate limit. When it is closed the whole gate
+    /// is, so callers ask this before building the KPI snapshot.
+    pub fn gate_open_at(&self, now: LogicalTime) -> bool {
         // Degraded mode: a failed reconfiguration paused tuning.
         if self.is_paused() {
             return false;
         }
         // Rate limit.
-        if let Some(last) = self.last_tuning() {
-            if now.since(last) < self.config.min_interval {
-                return false;
-            }
+        match self.last_tuning() {
+            Some(last) => now.since(last) >= self.config.min_interval,
+            None => true,
         }
+    }
+
+    /// The cheap gate every trigger sits behind: whether a tuning
+    /// decision may be taken at `now` at all — [`Self::gate_open_at`],
+    /// and (when required) low utilization. Callers ask this before
+    /// building the forecast [`Self::should_tune`] needs.
+    pub fn gate_open(&self, now: LogicalTime, kpis: &KpiSnapshot) -> bool {
         // Utilization gate for the *decision* (the executor has its own).
-        !self.config.require_low_utilization || kpis.is_low_utilization()
+        self.gate_open_at(now)
+            && (!self.config.require_low_utilization || kpis.is_low_utilization())
     }
 
     /// Decides whether to tune now.
@@ -215,6 +221,7 @@ impl Default for Organizer {
 mod tests {
     use super::*;
     use crate::kpi::KpiCollector;
+    use proptest::prelude::*;
 
     fn organizer() -> Organizer {
         Organizer::default()
@@ -384,6 +391,53 @@ mod tests {
             &ConstraintSet::none(),
         );
         assert!(t.is_some());
+    }
+
+    fn flag() -> impl Strategy<Value = bool> {
+        (0u8..2).prop_map(|b| b == 1)
+    }
+
+    proptest! {
+        /// The clock-only gate is a sound early exit: closed, it closes
+        /// the full gate, and the full gate is exactly the clock-only
+        /// gate plus the utilization rule.
+        #[test]
+        fn clock_gate_is_a_sound_early_exit(
+            paused in flag(),
+            last in proptest::option::of(0u64..8),
+            now in 0u64..12,
+            min_interval in 0u64..4,
+            require_low_utilization in flag(),
+            utilization in proptest::option::of(0.0f64..1.0),
+        ) {
+            let o = Organizer::new(OrganizerConfig {
+                min_interval,
+                require_low_utilization,
+                ..OrganizerConfig::default()
+            });
+            if paused {
+                o.pause();
+            }
+            if let Some(t) = last {
+                o.record_tuning(LogicalTime(t));
+            }
+            let kpis = KpiSnapshot {
+                utilization,
+                ..KpiCollector::new(Cost(100.0), 0.3).snapshot()
+            };
+            let at = LogicalTime(now);
+            let early = o.gate_open_at(at);
+            let full = o.gate_open(at, &kpis);
+            prop_assert!(early || !full, "closed early gate, open full gate");
+            // Unknown utilization counts as idle.
+            let idle = utilization.unwrap_or(0.0) < 0.3;
+            prop_assert_eq!(full, early && (!require_low_utilization || idle));
+            let rested = match last {
+                Some(t) => now.saturating_sub(t) >= min_interval,
+                None => true,
+            };
+            prop_assert_eq!(early, !paused && rested);
+        }
     }
 
     #[test]

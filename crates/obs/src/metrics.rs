@@ -180,38 +180,30 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// Gets the named metric of `map`, registering a fresh one on first use.
+/// Looks up by `&str`: the name is copied only when it is registered.
+fn get_or_register<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 /// Gets or creates the named counter. The registry is process-global:
 /// parallel tests sharing a name share the counter.
 pub fn counter(name: &str) -> Arc<Counter> {
-    Arc::clone(
-        registry()
-            .counters
-            .lock()
-            .entry(name.to_string())
-            .or_default(),
-    )
+    get_or_register(&registry().counters, name)
 }
 
 /// Gets or creates the named gauge.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    Arc::clone(
-        registry()
-            .gauges
-            .lock()
-            .entry(name.to_string())
-            .or_default(),
-    )
+    get_or_register(&registry().gauges, name)
 }
 
 /// Gets or creates the named histogram.
 pub fn histogram(name: &str) -> Arc<Mutex<Histogram>> {
-    Arc::clone(
-        registry()
-            .histograms
-            .lock()
-            .entry(name.to_string())
-            .or_default(),
-    )
+    get_or_register(&registry().histograms, name)
 }
 
 /// Records one sample into the named histogram.
@@ -262,6 +254,16 @@ mod tests {
         let g = gauge("test.metrics.gauge");
         g.set(2.5);
         assert_eq!(gauge("test.metrics.gauge").get(), 2.5);
+    }
+
+    #[test]
+    fn a_lookup_returns_the_registered_metric() {
+        let c = counter("test.metrics.lookup.counter");
+        assert!(Arc::ptr_eq(&c, &counter("test.metrics.lookup.counter")));
+        let g = gauge("test.metrics.lookup.gauge");
+        assert!(Arc::ptr_eq(&g, &gauge("test.metrics.lookup.gauge")));
+        let h = histogram("test.metrics.lookup.hist");
+        assert!(Arc::ptr_eq(&h, &histogram("test.metrics.lookup.hist")));
     }
 
     #[test]

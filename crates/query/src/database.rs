@@ -239,10 +239,12 @@ impl Database {
     }
 
     /// Folds one finished scan's output into the dispatch counters.
-    /// [`Database::run_query`] calls this for scans it executes itself;
-    /// a scatter-gather executor that drives the engine through
+    /// Only [`Database::run_query`] calls this, so the counters cover
+    /// the scans this database ran itself — on a shard, its routed
+    /// queries. A scatter-gather drives the engine through
     /// [`StorageEngine::scan_partials`](smdb_storage::StorageEngine::scan_partials)
-    /// calls it so per-shard counters stay complete.
+    /// and does not call it: its chunks and morsels are in no shard's
+    /// [`Database::scan_stats`].
     pub fn note_scan_output(&self, output: &ScanOutput) {
         if output.morsels > 0 {
             // ordering: relaxed statistics add, see note_scan_output.

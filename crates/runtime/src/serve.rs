@@ -18,7 +18,9 @@
 //! 5. **rebalance** the global index-memory budget, when there is an
 //!    arbiter;
 //! 6. write the **boundary record** (a no-op without durability);
-//! 7. hand the tuning thread **one tick per unit**.
+//! 7. hand the tuning thread **one tick per unit** — none for a unit
+//!    whose organizer is paused or rate-limited, or whose decision is
+//!    still queued, so a closed gate costs no KPI snapshot.
 //!
 //! The tuning thread only *decides*, concurrently with the next bucket's
 //! serving: chosen actions are queued and land at the next barrier, one
@@ -105,6 +107,10 @@ pub(crate) struct RunControl {
     pub kill: Option<KillSpec>,
 }
 
+/// One boundary's ticks, unit order; `None` for a unit no pass can
+/// start on ([`Driver::tuning_tick`]).
+type TickBatch = Vec<Option<TuningTick>>;
+
 /// One planned query and the tenant it is billed to.
 pub(crate) type Planned<'a> = (Option<i64>, &'a Query);
 
@@ -189,10 +195,13 @@ pub(crate) fn serve(
     let decided = std::thread::scope(|scope| -> Result<TunerReport> {
         // Capacity 1: the control thread may serve at most one bucket
         // while the tuning thread still decides on the previous ticks.
-        let (tick_tx, tick_rx) = mpsc::sync_channel::<Option<Vec<TuningTick>>>(1);
+        let (tick_tx, tick_rx) = mpsc::sync_channel::<Option<TickBatch>>(1);
         let (ack_tx, ack_rx) = mpsc::channel::<()>();
         let tuner = scope.spawn(move || tuner_loop(drivers, &tick_rx, &ack_tx));
-        let ticks = || Some(drivers.iter().map(|d| d.tick()).collect::<Vec<_>>());
+        // A unit whose gate is closed gets no snapshot. Its gate is
+        // settled here: the previous batch is acked and the barrier
+        // drain has already paused any unit that failed.
+        let ticks = || Some(drivers.iter().map(|d| d.tuning_tick()).collect());
         // A resumed run re-sends the restored boundary's ticks first. The
         // boundary record is written from exactly the state its ticks
         // are built from, so these equal the ones the dying run had in
@@ -370,7 +379,7 @@ fn serve_bucket(
 /// deterministic points regardless of how this thread is scheduled.
 fn tuner_loop(
     drivers: &[Arc<Driver>],
-    ticks: &mpsc::Receiver<Option<Vec<TuningTick>>>,
+    ticks: &mpsc::Receiver<Option<TickBatch>>,
     acks: &mpsc::Sender<()>,
 ) -> Result<TunerReport> {
     let mut report = TunerReport::default();
@@ -396,8 +405,10 @@ fn tuner_loop(
                 // an analysis error the loop exits — the dropped ack
                 // channel stops the control loop, and join surfaces the
                 // error.
-                if driver.maybe_tune_deferred(tick)?.is_some() {
-                    report.tunings += 1;
+                if let Some(tick) = tick {
+                    if driver.maybe_tune_deferred(tick)?.is_some() {
+                        report.tunings += 1;
+                    }
                 }
             }
         }

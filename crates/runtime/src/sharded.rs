@@ -117,7 +117,9 @@ pub struct MtSoakOutcome {
     pub max_used_bytes: u64,
     /// The arbitrated total budget.
     pub budget_bytes: u64,
-    /// Morsels dispatched across all shards (scan-pool traffic).
+    /// Morsels dispatched across all shards by routed queries: the sum
+    /// of the shards' `scan_stats().morsels`, which scatter-gathers do
+    /// not feed.
     pub morsels: u64,
     /// The merged decision trail (global + per-shard trails).
     pub trail: Json,
