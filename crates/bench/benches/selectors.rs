@@ -29,7 +29,7 @@ fn instance(n: usize) -> (Vec<Candidate>, Vec<Assessment>, i64) {
         assessments.push(Assessment {
             candidate: i,
             per_scenario: vec![d1, d2],
-            probabilities: vec![0.6, 0.4],
+            probabilities: vec![0.6, 0.4].into(),
             confidence: 0.9,
             permanent_bytes: 100 + (rng.random::<f64>() * 900.0) as i64,
             one_time_cost: Cost(1.0),

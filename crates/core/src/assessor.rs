@@ -6,15 +6,22 @@
 //! it evaluates the forecast workload cost with and without the candidate
 //! using an exchangeable cost estimator.
 //!
-//! A pass prices the base configuration once (`PricedBase`), then per
-//! candidate patches the base [`ConfigContext`] in O(1) and looks up only
-//! the queries the action can affect; cache keys come from the patched
-//! context, so the hypothetical [`ConfigInstance`] is built only if a
-//! lookup misses. Candidates whose lookups all hit are finished on the
-//! calling thread — a converged pass wakes and waits for no other thread
-//! — and only those that need the estimator fan out, in contiguous
-//! blocks over the storage scan pool (the workspace's designated thread
-//! seam) rather than ad-hoc threads.
+//! A pass prices the base configuration once (`PricedBase`): the
+//! scenarios' *distinct* queries, each with its footprint and base cost,
+//! and per scenario its `(query, weight)` rows. A candidate's [`Price`]
+//! — the hypothetical cost of each distinct query it can affect, its
+//! permanent and its one-time cost — comes from patching the base
+//! [`ConfigContext`] in O(1) and looking up each affected distinct query
+//! once; the hypothetical [`ConfigInstance`] is built only if a lookup
+//! misses. Its desirability is then that price re-weighed by the pass's
+//! scenario rows. Prices do not move while the base configuration, the
+//! catalog, the estimator and the cache hold — only the forecast's
+//! weights do — so the assessor keeps the last full pass's prices and a
+//! converged pass re-weighs them instead of re-pricing. Candidates whose
+//! lookups all hit are finished on the calling thread — a converged pass
+//! wakes and waits for no other thread — and only those that need the
+//! estimator fan out, in contiguous blocks over the storage scan pool
+//! (the workspace's designated thread seam) rather than ad-hoc threads.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -22,11 +29,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use smdb_common::{Cost, Result, TableId};
 use smdb_cost::features::ConfigContext;
-use smdb_cost::footprint::{ActionDelta, QueryFootprint};
-use smdb_cost::what_if::estimate_action_cost;
+use smdb_cost::footprint::ActionDelta;
+use smdb_cost::what_if::{estimate_action_cost, PricedWorkloads};
 use smdb_cost::{sizes, CacheStats, WhatIf};
 use smdb_forecast::ForecastSet;
-use smdb_query::Query;
 use smdb_storage::parallel::ScanPool;
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine, Tier};
 
@@ -60,7 +66,8 @@ pub trait Assessor: Send + Sync {
     /// Re-assesses a subset of candidates against an updated base
     /// configuration — the paper's "selectors can also request
     /// re-assessments … to reflect changed circumstances or incorporate
-    /// interaction between candidates".
+    /// interaction between candidates". Each assessment names its
+    /// candidate's index in `candidates`.
     fn reassess(
         &self,
         engine: &StorageEngine,
@@ -68,26 +75,19 @@ pub trait Assessor: Send + Sync {
         scenarios: &ForecastSet,
         candidates: &[Candidate],
         subset: &[usize],
-    ) -> Result<Vec<Assessment>> {
-        let picked: Vec<Candidate> = subset.iter().map(|&i| candidates[i].clone()).collect();
-        let mut assessments = self.assess(engine, base, scenarios, &picked)?;
-        for (a, &original) in assessments.iter_mut().zip(subset) {
-            a.candidate = original;
-        }
-        Ok(assessments)
-    }
+    ) -> Result<Vec<Assessment>>;
 }
 
 /// Blocks the candidate fan-out cuts per lane: enough that a lane stuck
 /// on a block of cache misses does not leave the others idle.
 const BLOCKS_PER_LANE: usize = 8;
 
-/// What [`WhatIfAssessor::assess_one`] does when a lookup misses.
+/// What [`WhatIfAssessor::price`] does when a lookup misses.
 #[derive(Clone, Copy)]
 enum OnMiss {
     /// Run the estimator (and cache its answer).
     Estimate,
-    /// Give the candidate up, uncounted, for the fan-out to assess whole.
+    /// Give the candidate up, uncounted, for the fan-out to price whole.
     Defer,
 }
 
@@ -103,6 +103,8 @@ pub struct WhatIfAssessor {
     /// Lazily-built scan pool for the fan-out, sized from `threads` at
     /// first parallel use.
     pool: OnceLock<Arc<ScanPool>>,
+    /// The last full `assess` pass's prices (only with a cached what-if).
+    memo: Mutex<Option<PriceMemo>>,
 }
 
 impl WhatIfAssessor {
@@ -113,230 +115,141 @@ impl WhatIfAssessor {
             confidence,
             threads: 4,
             pool: OnceLock::new(),
+            memo: Mutex::new(None),
         }
     }
 
-    /// Assesses one candidate against precomputed per-query base costs.
+    /// Prices one candidate against the base.
     ///
-    /// Delta-aware: only queries whose footprint intersects the
-    /// candidate's [`ActionDelta`] are re-costed; every other query's
-    /// cost is bit-identical under the hypothetical configuration (the
-    /// estimator reads nothing the action changes), so it contributes
-    /// exactly zero to the desirability and is skipped. The hypothetical
-    /// [`ConfigContext`] — nonhot bytes and cache-key digest — is patched
-    /// from the base context in O(1), and the hypothetical
-    /// [`ConfigInstance`] itself is built at most once, only when a
-    /// lookup misses (or the what-if is uncached): a candidate whose
-    /// lookups all hit never clones the base configuration. Under
-    /// [`OnMiss::Defer`] the first miss returns `None` and leaves `tally`
-    /// as it was.
-    fn assess_one(
+    /// Delta-aware: only distinct queries whose footprint intersects the
+    /// candidate's [`ActionDelta`] are re-costed, once each however many
+    /// scenario rows name them; every other query's cost is bit-identical
+    /// under the hypothetical configuration (the estimator reads nothing
+    /// the action changes), so it contributes exactly zero to the
+    /// desirability and is skipped. The hypothetical [`ConfigContext`] —
+    /// nonhot bytes and cache-key digest — is patched from the base
+    /// context in O(1), and the hypothetical [`ConfigInstance`] itself is
+    /// built at most once, only when a lookup misses (or the what-if is
+    /// uncached): a candidate whose lookups all hit never clones the base
+    /// configuration. Under [`OnMiss::Defer`] the first miss returns
+    /// `None` and leaves `tally` as it was.
+    fn price(
         &self,
         base: &PricedBase<'_>,
-        index: usize,
-        candidate: &Candidate,
+        action: &ConfigAction,
         on_miss: OnMiss,
         tally: &mut CacheStats,
-    ) -> Result<Option<Assessment>> {
+    ) -> Result<Option<Price>> {
         let (engine, config) = (base.engine, base.config);
-        let delta = ActionDelta::of(config, &candidate.action);
-        let hypo_ctx = base.ctx.apply_action(engine, config, &candidate.action)?;
+        let delta = ActionDelta::of(config, action);
+        let hypo_ctx = base.ctx.apply_action(engine, config, action)?;
         let hypo = OnceCell::new();
         let materialise = || {
             hypo.get_or_init(|| {
                 #[cfg(test)]
                 HYPOTHETICALS_BUILT.with(|n| n.set(n.get() + 1));
                 let mut hypo = config.clone();
-                hypo.apply(&candidate.action);
+                hypo.apply(action);
                 hypo
             })
         };
 
         let mut lookups = CacheStats::default();
-        let mut per_scenario = Vec::with_capacity(base.scenarios.len());
-        let mut probabilities = Vec::with_capacity(base.scenarios.len());
-        for s in &base.scenarios {
-            let mut benefit = 0.0;
-            for row in &s.rows {
-                if delta.affects(&row.footprint, |t| base.nonhot_tables.contains(&t)) {
-                    let (ctx, fp) = (&hypo_ctx, &row.footprint);
-                    let cost = match on_miss {
-                        OnMiss::Estimate => self.what_if.query_cost_fp(
-                            engine,
-                            ctx,
-                            fp,
-                            row.query,
-                            materialise,
-                            &mut lookups,
-                        )?,
-                        OnMiss::Defer => {
-                            match self
-                                .what_if
-                                .cached_cost_fp(ctx, fp, row.query, &mut lookups)
-                            {
-                                Some(cost) => cost,
-                                None => return Ok(None),
-                            }
-                        }
-                    };
-                    benefit += (row.base_cost.ms() - cost.ms()) * row.weight;
-                }
+        let mut costs = Vec::with_capacity(base.workloads.queries.len());
+        for q in &base.workloads.queries {
+            if !delta.affects(&q.footprint, |t| base.nonhot_tables.contains(&t)) {
+                costs.push(None);
+                continue;
             }
-            per_scenario.push(benefit);
-            probabilities.push(s.probability);
+            #[cfg(test)]
+            KEYS_DERIVED.with(|n| n.set(n.get() + 1));
+            let (ctx, fp) = (&hypo_ctx, &q.footprint);
+            let cost = match on_miss {
+                OnMiss::Estimate => self.what_if.query_cost_fp(
+                    engine,
+                    ctx,
+                    fp,
+                    q.query,
+                    materialise,
+                    &mut lookups,
+                )?,
+                OnMiss::Defer => {
+                    match self.what_if.cached_cost_fp(ctx, fp, q.query, &mut lookups) {
+                        Some(cost) => cost,
+                        None => return Ok(None),
+                    }
+                }
+            };
+            costs.push(Some(cost));
         }
-        tally.hits += lookups.hits;
-        tally.misses += lookups.misses;
+        base.count_rows(&costs, lookups.misses, tally);
 
-        let permanent_bytes = estimate_permanent_bytes(engine, config, &candidate.action)?;
-        let one_time_cost = estimate_action_cost(engine, config, &candidate.action)?;
-        Ok(Some(Assessment {
-            candidate: index,
-            per_scenario,
-            probabilities,
-            confidence: self.confidence,
-            permanent_bytes,
-            one_time_cost,
+        Ok(Some(Price {
+            costs,
+            permanent_bytes: estimate_permanent_bytes(engine, config, action)?,
+            one_time_cost: estimate_action_cost(engine, config, action)?,
         }))
     }
 
-    /// Prices every scenario's queries under the base configuration.
-    fn price_scenarios<'a>(
-        &self,
-        engine: &StorageEngine,
-        base: &ConfigInstance,
-        base_ctx: &ConfigContext,
-        scenarios: &'a ForecastSet,
-    ) -> Result<Vec<BaseScenario<'a>>> {
-        let mut tally = CacheStats::default();
-        let mut price_row = |wq: &'a smdb_query::WeightedQuery| -> Result<BaseRow<'a>> {
-            let footprint = QueryFootprint::of(&wq.query);
-            let base_cost = self.what_if.query_cost_fp(
-                engine,
-                base_ctx,
-                &footprint,
-                &wq.query,
-                || base,
-                &mut tally,
-            )?;
-            Ok(BaseRow {
-                query: &wq.query,
-                weight: wq.weight,
-                base_cost,
-                footprint,
-            })
-        };
-        let priced = scenarios
-            .iter()
-            .map(|s| {
-                Ok(BaseScenario {
-                    probability: s.probability,
-                    rows: s
-                        .workload
-                        .queries()
-                        .iter()
-                        .map(&mut price_row)
-                        .collect::<Result<_>>()?,
-                })
-            })
-            .collect();
-        self.what_if.record_lookups(tally);
-        priced
-    }
-
-    /// Assesses the candidates at `indices` into the matching `out`
-    /// slots, counting the block's cache lookups locally and recording
-    /// them once. A slot stays `None` only where `on_miss` deferred.
-    fn assess_block(
+    /// Prices the candidates at `indices` into the matching `out` slots,
+    /// taking a price from `memo` where it holds one for the candidate,
+    /// and counting the block's cache lookups locally and recording them
+    /// once. A slot stays `None` only where `on_miss` deferred.
+    fn price_block(
         &self,
         base: &PricedBase<'_>,
         candidates: &[Candidate],
         indices: &[usize],
         on_miss: OnMiss,
-        out: &mut [Option<Result<Assessment>>],
+        mut memo: Option<&mut PriceMemo>,
+        out: &mut [Option<Result<Price>>],
     ) {
         let mut tally = CacheStats::default();
         for (&index, slot) in indices.iter().zip(out) {
-            *slot = self
-                .assess_one(base, index, &candidates[index], on_miss, &mut tally)
-                .transpose();
+            let action = &candidates[index].action;
+            *slot = match memo.as_deref_mut().and_then(|m| m.take(index, action)) {
+                Some(price) => {
+                    // Every row it re-costs would have looked up an entry
+                    // the pass that priced it left behind: all hits.
+                    base.count_rows(&price.costs, 0, &mut tally);
+                    Some(Ok(price))
+                }
+                None => self.price(base, action, on_miss, &mut tally).transpose(),
+            };
         }
         self.what_if.record_lookups(tally);
     }
-}
 
-#[cfg(test)]
-thread_local! {
-    /// Hypothetical `ConfigInstance`s this thread's `assess_one` calls built.
-    static HYPOTHETICALS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// The base configuration priced once per `assess` and shared,
-/// read-only, by every candidate worker.
-struct PricedBase<'a> {
-    engine: &'a StorageEngine,
-    config: &'a ConfigInstance,
-    ctx: ConfigContext,
-    scenarios: Vec<BaseScenario<'a>>,
-    /// Tables owning a non-hot chunk under `config`: the blast radius of
-    /// global (buffer-pressure) deltas.
-    nonhot_tables: BTreeSet<TableId>,
-}
-
-/// One scenario's workload priced under the base configuration.
-struct BaseScenario<'a> {
-    probability: f64,
-    rows: Vec<BaseRow<'a>>,
-}
-
-/// One weighted query with its base cost and footprint.
-struct BaseRow<'a> {
-    query: &'a Query,
-    weight: f64,
-    base_cost: Cost,
-    footprint: QueryFootprint,
-}
-
-impl Assessor for WhatIfAssessor {
-    fn name(&self) -> &str {
-        "what_if"
-    }
-
-    fn scenario_costs(
-        &self,
-        engine: &StorageEngine,
-        config: &ConfigInstance,
-        scenarios: &ForecastSet,
-    ) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(scenarios.len());
-        for s in scenarios.iter() {
-            out.push(
-                self.what_if
-                    .workload_cost(engine, &s.workload, config)?
-                    .ms(),
-            );
-        }
-        Ok(out)
-    }
-
-    fn assess(
+    /// Assesses the candidates at `indices`. A full pass (`keep`) reads
+    /// the last full pass's prices where they still hold and leaves its
+    /// own behind; a re-assessment touches neither.
+    fn assess_at(
         &self,
         engine: &StorageEngine,
         base: &ConfigInstance,
         scenarios: &ForecastSet,
         candidates: &[Candidate],
+        indices: &[usize],
+        keep: bool,
     ) -> Result<Vec<Assessment>> {
-        let _span = smdb_obs::span!("assessor", "assess", { candidates: candidates.len() });
+        let _span = smdb_obs::span!("assessor", "assess", { candidates: indices.len() });
         smdb_obs::metrics::counter("assessor.assess_calls").inc();
-        smdb_obs::metrics::counter("assessor.candidates_assessed").add(candidates.len() as u64);
+        smdb_obs::metrics::counter("assessor.candidates_assessed").add(indices.len() as u64);
         // Per-query base costs, footprints and the base context, computed
         // once and shared (read-only) by every candidate worker.
-        let base_ctx = self.what_if.config_context(engine, base);
+        let ctx = self.what_if.config_context(engine, base);
+        let workloads = self.what_if.price_workloads(
+            engine,
+            &ctx,
+            scenarios.iter().map(|s| &s.workload),
+            base,
+        )?;
         let priced = PricedBase {
             engine,
             config: base,
-            scenarios: self.price_scenarios(engine, base, &base_ctx, scenarios)?,
-            ctx: base_ctx,
+            ctx,
+            workloads,
+            probabilities: scenarios.iter().map(|s| s.probability).collect(),
             nonhot_tables: base
                 .placements
                 .iter()
@@ -344,23 +257,54 @@ impl Assessor for WhatIfAssessor {
                 .map(|(&(t, _), _)| t)
                 .collect(),
         };
+        let key = if keep { self.memo_key(&priced) } else { None };
+        let mut memo = key.as_ref().and_then(|key| {
+            let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner()).take()?;
+            (memo.key == *key).then_some(memo)
+        });
 
-        // Warm candidates — every lookup a hit, a few microseconds each —
-        // are finished right here: a converged pass is nothing else, and
-        // handing a helper thread a share of it cost more in wake-up and
-        // waiting than it saved, by an amount that varied run to run.
-        let all: Vec<usize> = (0..candidates.len()).collect();
-        let mut slots: Vec<Option<Result<Assessment>>> = Vec::new();
-        slots.resize_with(candidates.len(), || None);
-        self.assess_block(&priced, candidates, &all, OnMiss::Defer, &mut slots);
+        // Warm candidates — a price kept from the last pass, or every
+        // lookup a hit, a few microseconds each — are finished right
+        // here: a converged pass is nothing else, and handing a helper
+        // thread a share of it cost more in wake-up and waiting than it
+        // saved, by an amount that varied run to run. A sequential
+        // assessor has no thread to hand cold ones to, so it estimates
+        // them on this first visit.
+        let on_miss = if self.threads <= 1 {
+            OnMiss::Estimate
+        } else {
+            OnMiss::Defer
+        };
+        let mut slots: Vec<Option<Result<Price>>> = Vec::new();
+        slots.resize_with(indices.len(), || None);
+        self.price_block(
+            &priced,
+            candidates,
+            indices,
+            on_miss,
+            memo.as_mut(),
+            &mut slots,
+        );
 
         // Cold candidates need the estimator, which is worth a thread.
-        let cold: Vec<usize> = all.into_iter().filter(|&i| slots[i].is_none()).collect();
-        let mut estimated: Vec<Option<Result<Assessment>>> = Vec::new();
+        let cold: Vec<usize> = indices
+            .iter()
+            .zip(&slots)
+            .filter(|(_, slot)| slot.is_none())
+            .map(|(&i, _)| i)
+            .collect();
+        let mut estimated: Vec<Option<Result<Price>>> = Vec::new();
         estimated.resize_with(cold.len(), || None);
         let threads = self.threads.max(1).min(cold.len().max(1));
         if threads == 1 || cold.len() < 8 {
-            self.assess_block(&priced, candidates, &cold, OnMiss::Estimate, &mut estimated);
+            self.price_block(
+                &priced,
+                candidates,
+                &cold,
+                OnMiss::Estimate,
+                None,
+                &mut estimated,
+            );
         } else {
             // Fan out contiguous blocks — a few per lane, so the
             // dispatch cost is O(threads) however many candidates —
@@ -380,25 +324,224 @@ impl Assessor for WhatIfAssessor {
             pool.run(blocks.len(), |b| {
                 let mut guard = blocks[b].lock().unwrap_or_else(|p| p.into_inner());
                 let (indices, out) = &mut *guard;
-                self.assess_block(&priced, candidates, indices, OnMiss::Estimate, out);
+                self.price_block(&priced, candidates, indices, OnMiss::Estimate, None, out);
             });
         }
-        for (index, slot) in cold.into_iter().zip(estimated) {
-            slots[index] = slot;
+        let mut estimated = estimated.into_iter();
+        for slot in slots.iter_mut().filter(|slot| slot.is_none()) {
+            *slot = estimated.next().flatten();
         }
-        slots
-            .into_iter()
-            .map(|slot| {
-                // A panicked block leaves the rest of its slots empty;
-                // surface those candidates as errors instead of taking
-                // down the whole process.
-                slot.unwrap_or_else(|| {
-                    Err(smdb_common::Error::invalid(
-                        "candidate assessment worker failed",
-                    ))
-                })
+
+        // One pricing path from here: kept and fresh prices alike are
+        // re-weighed by this pass's scenarios.
+        let mut assessments = Vec::with_capacity(indices.len());
+        let mut kept = Vec::with_capacity(indices.len());
+        let mut failed = None;
+        for (&index, slot) in indices.iter().zip(slots) {
+            // A panicked block leaves the rest of its slots empty;
+            // surface those candidates as errors instead of taking
+            // down the whole process.
+            let slot = slot.unwrap_or_else(|| {
+                Err(smdb_common::Error::invalid(
+                    "candidate assessment worker failed",
+                ))
+            });
+            match slot {
+                Ok(price) => {
+                    assessments.push(priced.assessment(index, &price, self.confidence));
+                    kept.push(Some((candidates[index].action.clone(), price)));
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                    kept.push(None);
+                }
+            }
+        }
+        if let Some(key) = key {
+            *self.memo.lock().unwrap_or_else(|p| p.into_inner()) =
+                Some(PriceMemo { key, prices: kept });
+        }
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(assessments),
+        }
+    }
+
+    /// What this pass's prices are valid under, or `None` without a
+    /// cache (no generation to tie them to).
+    fn memo_key(&self, priced: &PricedBase<'_>) -> Option<MemoKey> {
+        Some(MemoKey {
+            generation: self.what_if.cache_generation()?,
+            version: self.what_if.estimator().version(),
+            catalog_token: priced.engine.catalog_token(),
+            base: priced.config.fingerprint(),
+            queries: priced
+                .workloads
+                .queries
+                .iter()
+                .map(|q| q.query.instance_fingerprint())
+                .collect(),
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hypothetical `ConfigInstance`s this thread's `price` calls built.
+    static HYPOTHETICALS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Cache keys this thread's `price` calls derived.
+    static KEYS_DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The base configuration priced once per pass and shared, read-only,
+/// by every candidate worker.
+struct PricedBase<'a> {
+    engine: &'a StorageEngine,
+    config: &'a ConfigInstance,
+    ctx: ConfigContext,
+    /// The scenarios' distinct queries with their base costs, and each
+    /// scenario's `(query, weight)` rows.
+    workloads: PricedWorkloads<'a>,
+    /// Scenario probabilities, shared by every assessment of the pass.
+    probabilities: Arc<[f64]>,
+    /// Tables owning a non-hot chunk under `config`: the blast radius of
+    /// global (buffer-pressure) deltas.
+    nonhot_tables: BTreeSet<TableId>,
+}
+
+impl PricedBase<'_> {
+    /// `price` re-weighed by this pass's scenarios: per scenario, the sum
+    /// of `weight · (base − hypothetical)` over the rows whose query the
+    /// candidate re-costs, in row order — the same terms in the same
+    /// order as a sum over every row, so bit-identical to it.
+    fn assessment(&self, index: usize, price: &Price, confidence: f64) -> Assessment {
+        let queries = &self.workloads.queries;
+        let per_scenario = self
+            .workloads
+            .rows
+            .iter()
+            .map(|rows| {
+                let mut benefit = 0.0;
+                for &(q, weight) in rows {
+                    if let Some(cost) = price.costs[q] {
+                        benefit += (queries[q].cost.ms() - cost.ms()) * weight;
+                    }
+                }
+                benefit
             })
-            .collect()
+            .collect();
+        Assessment {
+            candidate: index,
+            per_scenario,
+            probabilities: Arc::clone(&self.probabilities),
+            confidence,
+            permanent_bytes: price.permanent_bytes,
+            one_time_cost: price.one_time_cost,
+        }
+    }
+
+    /// Counts a candidate's lookups per scenario *row*, as if each row
+    /// naming a query it re-costs had looked itself up: every such row is
+    /// a hit except the `misses` its distinct queries' lookups took (a
+    /// repeated row follows its query's first lookup, which left the
+    /// entry behind).
+    fn count_rows(&self, costs: &[Option<Cost>], misses: u64, tally: &mut CacheStats) {
+        let rows: u64 = costs
+            .iter()
+            .zip(&self.workloads.queries)
+            .filter(|(cost, _)| cost.is_some())
+            .map(|(_, q)| q.rows)
+            .sum();
+        tally.hits += rows - misses;
+        tally.misses += misses;
+    }
+}
+
+/// What a candidate costs against one base configuration: everything an
+/// assessment holds but the forecast's weights.
+struct Price {
+    /// Hypothetical cost of each distinct scenario query (aligned with
+    /// `PricedBase::workloads`), `None` where the action cannot reach it.
+    costs: Vec<Option<Cost>>,
+    permanent_bytes: i64,
+    one_time_cost: Cost,
+}
+
+/// What a pass's prices were priced under. Equal keys mean equal prices
+/// for equal actions — prices are pure functions of the estimator (its
+/// version), the catalog, the base configuration and the distinct
+/// queries — and the cache generation ties them to the entries they
+/// were priced off: while it holds, every lookup that produced a price
+/// would hit again, so a kept price counts exactly those hits. The
+/// forecast's weights and probabilities are deliberately absent: they
+/// move every pass, which is why a whole-pass fingerprint never matches.
+#[derive(PartialEq)]
+struct MemoKey {
+    generation: u64,
+    version: u64,
+    catalog_token: u64,
+    /// The base configuration's fingerprint.
+    base: u64,
+    /// Instance fingerprints of the distinct queries, in order.
+    queries: Vec<u64>,
+}
+
+/// One full pass's prices, by candidate position; `None` where the
+/// candidate's assessment failed.
+struct PriceMemo {
+    key: MemoKey,
+    prices: Vec<Option<(ConfigAction, Price)>>,
+}
+
+impl PriceMemo {
+    /// Takes the price kept for candidate `index`, if it was priced for
+    /// the same action.
+    fn take(&mut self, index: usize, action: &ConfigAction) -> Option<Price> {
+        let slot = self.prices.get_mut(index)?;
+        match slot {
+            Some((kept, _)) if kept == action => slot.take().map(|(_, price)| price),
+            _ => None,
+        }
+    }
+}
+
+impl Assessor for WhatIfAssessor {
+    fn name(&self) -> &str {
+        "what_if"
+    }
+
+    fn scenario_costs(
+        &self,
+        engine: &StorageEngine,
+        config: &ConfigInstance,
+        scenarios: &ForecastSet,
+    ) -> Result<Vec<f64>> {
+        let costs =
+            self.what_if
+                .workload_costs(engine, scenarios.iter().map(|s| &s.workload), config)?;
+        Ok(costs.into_iter().map(Cost::ms).collect())
+    }
+
+    fn assess(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+    ) -> Result<Vec<Assessment>> {
+        let all: Vec<usize> = (0..candidates.len()).collect();
+        self.assess_at(engine, base, scenarios, candidates, &all, true)
+    }
+
+    fn reassess(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+        subset: &[usize],
+    ) -> Result<Vec<Assessment>> {
+        self.assess_at(engine, base, scenarios, candidates, subset, false)
     }
 }
 
@@ -600,29 +743,103 @@ mod tests {
         assert!(cold_built > 0 && cold_built <= candidates.len());
         let cold_stats = assessor.what_if.cache_stats().unwrap();
 
+        // A fresh assessor on the warm cache (no kept prices) re-prices.
+        let mut fresh = WhatIfAssessor::new(assessor.what_if.clone(), 0.6);
+        fresh.threads = 1;
         let before = built();
-        let warm = assessor
+        let warm = fresh
             .assess(&engine, &base, &forecast(t), &candidates)
             .unwrap();
         assert_eq!(built() - before, 0, "a warm pass reads keys, not configs");
         assert_eq!(cold, warm);
 
-        // A candidate deferred to the estimator stage has each lookup
-        // counted once: the (sequential) cold pass missed exactly what
-        // it inserted, and the warm pass repeated its lookups as hits.
+        // Each lookup is counted once: the (sequential) cold pass missed
+        // exactly what it inserted, and the warm pass repeated its
+        // lookups as hits.
         let warm_stats = assessor.what_if.cache_stats().unwrap().since(&cold_stats);
         let entries = assessor.what_if.cache().unwrap().len();
         assert_eq!(cold_stats.misses as usize, entries);
         assert_eq!(warm_stats.misses, 0);
         assert_eq!(warm_stats.hits, cold_stats.hits + cold_stats.misses);
 
-        // With helper lanes allowed, a warm pass still wakes none.
-        assessor.threads = 4;
-        let again = assessor
-            .assess(&engine, &base, &forecast(t), &candidates)
+        // Both now keep prices: a pass on them counts the same hits and,
+        // with helper lanes allowed, wakes none.
+        for a in [&mut assessor, &mut fresh] {
+            a.threads = 4;
+            let before = a.what_if.cache_stats().unwrap();
+            let again = a.assess(&engine, &base, &forecast(t), &candidates).unwrap();
+            assert!(a.pool.get().is_none(), "all hits: nothing fans out");
+            assert_eq!(again, warm);
+            assert_eq!(a.what_if.cache_stats().unwrap().since(&before), warm_stats);
+        }
+    }
+
+    /// Five scenarios over the same three queries: a candidate looks up
+    /// each distinct query it affects once, not once per row; a pass
+    /// whose prices were kept looks up nothing, and a re-assessment in
+    /// between leaves them kept.
+    #[test]
+    fn one_key_per_distinct_query() {
+        let (engine, t) = setup();
+        let q = |v: i64| Query::new(t, "t", vec![ScanPredicate::eq(ColumnId(0), v)], None, "pt");
+        let scenario = |s: u32| {
+            let w = f64::from(s);
+            WorkloadScenario {
+                kind: ScenarioKind::Expected,
+                name: format!("s{s}"),
+                probability: 0.2,
+                workload: Workload::new(vec![
+                    smdb_query::WeightedQuery::new(q(7), 32.5 - w),
+                    smdb_query::WeightedQuery::new(q(11), 136.5 + w),
+                    smdb_query::WeightedQuery::new(q(13), 31.0 - w),
+                ]),
+            }
+        };
+        let forecast = |pass: u32| ForecastSet {
+            scenarios: (0..5).map(|s| scenario(s + pass)).collect(),
+        };
+        let mut candidates = Vec::new();
+        for chunk in 0..4u32 {
+            let target = ChunkColumnRef::new(t.0, 0, chunk);
+            for kind in [IndexKind::Hash, IndexKind::BTree] {
+                candidates.push(Candidate::new(
+                    ConfigAction::CreateIndex { target, kind },
+                    None,
+                ));
+            }
+        }
+        let n = candidates.len();
+        let base = ConfigInstance::default();
+        let keys = |assessor: &WhatIfAssessor, pass: u32| {
+            let before = KEYS_DERIVED.with(|k| k.get());
+            let got = assessor
+                .assess(&engine, &base, &forecast(pass), &candidates)
+                .unwrap();
+            (KEYS_DERIVED.with(|k| k.get()) - before, got)
+        };
+        let mut kept = assessor();
+        kept.threads = 1;
+        let (cold, _) = keys(&kept, 0);
+        assert_eq!(cold, 3 * n, "cold: one key per distinct query");
+        let (memo_hit, by_memo) = keys(&kept, 1);
+        assert_eq!(memo_hit, 0, "kept prices: no lookups");
+
+        // A fresh assessor on the warm cache looks everything up again,
+        // once per distinct query, and agrees bit for bit.
+        let mut warm = WhatIfAssessor::new(kept.what_if.clone(), 0.6);
+        warm.threads = 4;
+        let (cache_warm, by_cache) = keys(&warm, 1);
+        assert_eq!(cache_warm, 3 * n, "warm cache: one key per distinct query");
+        assert_eq!(by_memo, by_cache);
+        assert!(warm.pool.get().is_none(), "all hits: nothing fans out");
+
+        // A re-assessment against another base neither reads nor evicts
+        // the full pass's prices.
+        let mut other = base.clone();
+        other.apply(&candidates[0].action);
+        kept.reassess(&engine, &other, &forecast(2), &candidates, &[1, 3])
             .unwrap();
-        assert!(assessor.pool.get().is_none(), "all hits: nothing fans out");
-        assert_eq!(again, warm);
+        assert_eq!(keys(&kept, 2).0, 0, "still kept after a re-assessment");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Candidates, assessments and selection inputs — the data flowing
 //! through the tuning pipeline (Section II-D).
 
+use std::sync::Arc;
+
 use smdb_common::Cost;
 use smdb_storage::ConfigAction;
 
@@ -38,8 +40,9 @@ pub struct Assessment {
     /// Desirability per forecast scenario: the estimated workload-cost
     /// reduction (ms, possibly negative) of applying this candidate alone.
     pub per_scenario: Vec<f64>,
-    /// Scenario probabilities aligned with `per_scenario`.
-    pub probabilities: Vec<f64>,
+    /// Scenario probabilities aligned with `per_scenario` (one slice
+    /// shared by every assessment of a pass).
+    pub probabilities: Arc<[f64]>,
     /// Certainty of the assessment in `[0, 1]`.
     pub confidence: f64,
     /// Permanent cost: memory delta in bytes (negative = frees memory).
@@ -53,7 +56,7 @@ impl Assessment {
     pub fn expected_desirability(&self) -> f64 {
         self.per_scenario
             .iter()
-            .zip(&self.probabilities)
+            .zip(self.probabilities.iter())
             .map(|(d, p)| d * p)
             .sum()
     }
@@ -72,7 +75,7 @@ impl Assessment {
         let var: f64 = self
             .per_scenario
             .iter()
-            .zip(&self.probabilities)
+            .zip(self.probabilities.iter())
             .map(|(d, p)| p * (d - mean).powi(2))
             .sum();
         var.max(0.0).sqrt()
@@ -135,7 +138,7 @@ mod tests {
         Assessment {
             candidate,
             per_scenario,
-            probabilities: vec![1.0 / n as f64; n],
+            probabilities: vec![1.0 / n as f64; n].into(),
             confidence: 1.0,
             permanent_bytes: bytes,
             one_time_cost: Cost(1.0),

@@ -126,7 +126,7 @@ pub(crate) mod testkit {
             .map(|(i, &(d, bytes, _))| Assessment {
                 candidate: i,
                 per_scenario: vec![d],
-                probabilities: vec![1.0],
+                probabilities: vec![1.0].into(),
                 confidence: 1.0,
                 permanent_bytes: bytes,
                 one_time_cost: Cost(1.0),
@@ -159,7 +159,7 @@ pub(crate) mod testkit {
             .map(|(i, (per_scenario, bytes))| Assessment {
                 candidate: i,
                 per_scenario: per_scenario.clone(),
-                probabilities: probabilities.to_vec(),
+                probabilities: probabilities.into(),
                 confidence: 1.0,
                 permanent_bytes: *bytes,
                 one_time_cost: Cost(1.0),

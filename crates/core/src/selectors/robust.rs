@@ -56,7 +56,7 @@ fn cvar(a: &Assessment, alpha: f64) -> f64 {
     let mut pairs: Vec<(f64, f64)> = a
         .per_scenario
         .iter()
-        .zip(&a.probabilities)
+        .zip(a.probabilities.iter())
         .map(|(&d, &p)| (d, p))
         .collect();
     pairs.sort_by(|x, y| x.0.total_cmp(&y.0));

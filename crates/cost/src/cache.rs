@@ -10,7 +10,14 @@
 //! Invalidation: entries are dropped when the estimator's
 //! [`crate::CostEstimator::version`] moves (learned models refit), via
 //! [`CostCache::sync_version`]; catalog changes need no flush because the
-//! engine's catalog token is mixed into every footprint key.
+//! engine's catalog token is mixed into every footprint key. Every flush
+//! bumps [`CostCache::generation`], so anything derived from the entries
+//! (the assessor's per-pass price memo) can tell it no longer describes
+//! this cache.
+//!
+//! Refits never interleave with an assessment fan-out: the tuning loop
+//! refits between passes, and a pass's lookups all run under one
+//! version. The atomics below rely on that and on nothing stronger.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -84,6 +91,8 @@ pub struct CostCache {
     contexts: RwLock<KeyMap<ConfigContext>>,
     /// Estimator version the entries were computed under.
     version: AtomicU64,
+    /// How many times the entries were flushed.
+    generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -97,6 +106,7 @@ impl CostCache {
             shards,
             contexts: RwLock::new(KeyMap::default()),
             version: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -113,10 +123,14 @@ impl CostCache {
     /// models only move versions at refit time, which the tuning loop
     /// never interleaves with assessment fan-out.
     pub fn sync_version(&self, version: u64) {
+        // ordering: nothing but the version hangs on it; pairs with the CAS.
         let current = self.version.load(Ordering::Acquire);
         if current != version
             && self
                 .version
+                // A refit never interleaves with an assessment fan-out (the
+                // module docs), so no lookup of this cache races the flush.
+                // ordering: AcqRel lets exactly one racing caller flush.
                 .compare_exchange(current, version, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
         {
@@ -171,6 +185,18 @@ impl CostCache {
             shard.write().clear();
         }
         self.contexts.write().clear();
+        // Compared only between passes, which a flush never interleaves
+        // with (module docs); the maps' own locks order the entries.
+        // ordering: a lone counter, so Relaxed.
+        self.generation.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many times [`CostCache::clear`] (or a version flush) emptied
+    /// the cache: equal readings bracket a span in which no entry was
+    /// dropped.
+    pub fn generation(&self) -> u64 {
+        // ordering: as in `clear`.
+        self.generation.load(Ordering::Relaxed)
     }
 
     /// Number of cached per-query costs.
@@ -186,7 +212,9 @@ impl CostCache {
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
+            // ordering: independent statistic counters, read only for reports.
             hits: self.hits.load(Ordering::Relaxed),
+            // ordering: as above.
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
@@ -227,9 +255,13 @@ mod tests {
         cache.context_insert((9, 9), ctx);
         cache.sync_version(0);
         assert_eq!(cache.len(), 1, "same version keeps entries");
+        assert_eq!(cache.generation(), 0);
         cache.sync_version(1);
         assert!(cache.is_empty());
         assert!(cache.context_lookup((9, 9)).is_none());
+        assert_eq!(cache.generation(), 1, "a version flush is a clear");
+        cache.clear();
+        assert_eq!(cache.generation(), 2);
     }
 
     #[test]

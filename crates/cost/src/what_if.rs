@@ -5,6 +5,7 @@
 //! (Section II-D(b): "the sum of all these one-time costs are so-called
 //! reconfiguration costs").
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use smdb_common::{Cost, Result};
@@ -79,10 +80,21 @@ impl WhatIf {
         }
     }
 
+    /// The shared cache's [`CostCache::generation`], after flushing it if
+    /// the estimator's version moved (`None` without a cache). Two equal
+    /// readings mean every entry inserted in between is still there.
+    pub fn cache_generation(&self) -> Option<u64> {
+        let cache = self.cache.as_ref()?;
+        cache.sync_version(self.estimator.version());
+        Some(cache.generation())
+    }
+
     /// The [`ConfigContext`] for `config`, memoized per configuration
     /// fingerprint when caching is enabled (the fresh walk and the memo
     /// hold the same `nonhot_bytes` and digest, so results never differ).
     pub fn config_context(&self, engine: &StorageEngine, config: &ConfigInstance) -> ConfigContext {
+        #[cfg(test)]
+        CONTEXTS_RESOLVED.with(|n| n.set(n.get() + 1));
         let Some(cache) = &self.cache else {
             return ConfigContext::new(engine, config);
         };
@@ -132,13 +144,16 @@ impl WhatIf {
         config: impl FnOnce() -> &'c ConfigInstance,
         tally: &mut CacheStats,
     ) -> Result<Cost> {
-        if let Some(cost) = self.cached_cost_fp(ctx, footprint, query, tally) {
-            return Ok(cost);
+        let Some(cache) = &self.cache else {
+            return self.estimator.query_cost(engine, ctx, query, config());
+        };
+        cache.sync_version(self.estimator.version());
+        let key = Self::key(ctx, footprint, query);
+        if let Some(cost) = cache.lookup(key, tally) {
+            return Ok(Cost(cost));
         }
         let cost = self.estimator.query_cost(engine, ctx, query, config())?;
-        if let Some(cache) = &self.cache {
-            cache.insert(Self::key(ctx, footprint, query), cost.ms());
-        }
+        cache.insert(key, cost.ms());
         Ok(cost)
     }
 
@@ -162,7 +177,95 @@ impl WhatIf {
 
     /// The cache key of (query instance, configuration `ctx` describes).
     fn key(ctx: &ConfigContext, footprint: &QueryFootprint, query: &Query) -> (u64, u64) {
+        #[cfg(test)]
+        KEYS_DERIVED.with(|n| n.set(n.get() + 1));
         (query.instance_fingerprint(), footprint.cache_key(ctx))
+    }
+
+    /// Prices `workloads` under the configuration `ctx` describes, each
+    /// distinct query once (see [`PricedWorkloads`]). Lookups are counted
+    /// per *row*: a repeated query counts as the hit it would have been
+    /// had the row looked itself up after its first occurrence.
+    pub fn price_workloads<'w>(
+        &self,
+        engine: &StorageEngine,
+        ctx: &ConfigContext,
+        workloads: impl IntoIterator<Item = &'w Workload>,
+        config: &ConfigInstance,
+    ) -> Result<PricedWorkloads<'w>> {
+        let mut tally = CacheStats::default();
+        let price = || {
+            let mut priced = PricedWorkloads {
+                queries: Vec::new(),
+                rows: Vec::new(),
+            };
+            // Instance fingerprint -> the first distinct query carrying it.
+            let mut first: HashMap<u64, usize> = HashMap::new();
+            for workload in workloads {
+                let mut rows = Vec::with_capacity(workload.queries().len());
+                for wq in workload.queries() {
+                    let query = &wq.query;
+                    let seen = match first.get(&query.instance_fingerprint()) {
+                        Some(&i) if priced.queries[i].query == query => Some(i),
+                        // A fingerprint collision: compare against them all.
+                        Some(_) => priced.queries.iter().position(|q| q.query == query),
+                        None => None,
+                    };
+                    let index = if let Some(i) = seen {
+                        priced.queries[i].rows += 1;
+                        tally.hits += 1;
+                        i
+                    } else {
+                        let footprint = QueryFootprint::of(query);
+                        let cost = self.query_cost_fp(
+                            engine,
+                            ctx,
+                            &footprint,
+                            query,
+                            || config,
+                            &mut tally,
+                        )?;
+                        first
+                            .entry(query.instance_fingerprint())
+                            .or_insert(priced.queries.len());
+                        priced.queries.push(PricedQuery {
+                            query,
+                            footprint,
+                            cost,
+                            rows: 1,
+                        });
+                        priced.queries.len() - 1
+                    };
+                    rows.push((index, wq.weight));
+                }
+                priced.rows.push(rows);
+            }
+            Ok(priced)
+        };
+        let priced = price();
+        self.record_lookups(tally);
+        priced
+    }
+
+    /// Estimated cost of each of `workloads` under `config`, in order:
+    /// one context, and each distinct query priced once across them all.
+    pub fn workload_costs<'w>(
+        &self,
+        engine: &StorageEngine,
+        workloads: impl IntoIterator<Item = &'w Workload>,
+        config: &ConfigInstance,
+    ) -> Result<Vec<Cost>> {
+        if self.cache.is_none() {
+            return workloads
+                .into_iter()
+                .map(|w| self.estimator.workload_cost(engine, w, config))
+                .collect();
+        }
+        let ctx = self.config_context(engine, config);
+        Ok(self
+            .price_workloads(engine, &ctx, workloads, config)?
+            .costs()
+            .collect())
     }
 
     /// Estimated workload cost under `config`.
@@ -172,21 +275,8 @@ impl WhatIf {
         workload: &Workload,
         config: &ConfigInstance,
     ) -> Result<Cost> {
-        if self.cache.is_none() {
-            return self.estimator.workload_cost(engine, workload, config);
-        }
-        // Mirrors the estimator's default workload sum (same context,
-        // same query order) with per-query cache lookups.
-        let ctx = self.config_context(engine, config);
-        let mut tally = CacheStats::default();
-        let total = workload.queries().iter().try_fold(Cost::ZERO, |sum, wq| {
-            let footprint = QueryFootprint::of(&wq.query);
-            let cost =
-                self.query_cost_fp(engine, &ctx, &footprint, &wq.query, || config, &mut tally)?;
-            Ok(sum + cost * wq.weight)
-        });
-        self.record_lookups(tally);
-        total
+        let costs = self.workload_costs(engine, [workload], config)?;
+        Ok(costs.first().copied().unwrap_or(Cost::ZERO))
     }
 
     /// Estimated benefit (cost reduction, possibly negative) of moving
@@ -217,6 +307,47 @@ impl WhatIf {
         to: &ConfigInstance,
     ) -> Result<Cost> {
         Ok(from_cost - self.workload_cost(engine, workload, to)?)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cache keys this thread derived ([`WhatIf::key`]).
+    static KEYS_DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Contexts this thread asked for ([`WhatIf::config_context`]).
+    static CONTEXTS_RESOLVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Workloads priced under one configuration, each distinct query once.
+///
+/// Queries are distinct by instance fingerprint plus equality and kept
+/// in first-appearance order; a workload is a list of `(query index,
+/// weight)` rows in its own order. Summing `cost · weight` over a
+/// workload's rows therefore visits the same terms in the same order as
+/// the per-row sum, so every total is bit-identical to it.
+pub struct PricedWorkloads<'w> {
+    pub queries: Vec<PricedQuery<'w>>,
+    pub rows: Vec<Vec<(usize, f64)>>,
+}
+
+/// One distinct query of [`PricedWorkloads`].
+pub struct PricedQuery<'w> {
+    pub query: &'w Query,
+    pub footprint: QueryFootprint,
+    /// Unweighted cost under the priced configuration.
+    pub cost: Cost,
+    /// How many workload rows name this query.
+    pub rows: u64,
+}
+
+impl PricedWorkloads<'_> {
+    /// Each workload's weighted cost, in order.
+    pub fn costs(&self) -> impl Iterator<Item = Cost> + '_ {
+        self.rows.iter().map(|rows| {
+            rows.iter().fold(Cost::ZERO, |sum, &(q, weight)| {
+                sum + self.queries[q].cost * weight
+            })
+        })
     }
 }
 
@@ -363,6 +494,73 @@ mod tests {
         assert!(stats.hits > 0, "{stats:?}");
         // Clones share one cache.
         assert!(cached.clone().cache_stats().unwrap().hits >= stats.hits);
+    }
+
+    /// Five scenarios over three queries (the shape of a forecast):
+    /// one context and one key per distinct query, totals bit-equal to
+    /// one `workload_cost` per scenario, and the same row-counted stats.
+    #[test]
+    fn workload_costs_price_each_distinct_query_once() {
+        let (engine, t) = setup();
+        let est: Arc<dyn crate::CostEstimator> = Arc::new(LogicalCostModel::default());
+        let q = |v: i64| Query::new(t, "t", vec![ScanPredicate::eq(ColumnId(0), v)], None, "q");
+        let scenario = |w: [f64; 3]| {
+            Workload::new(vec![
+                smdb_query::WeightedQuery::new(q(3), w[0]),
+                smdb_query::WeightedQuery::new(q(7), w[1]),
+                smdb_query::WeightedQuery::new(q(11), w[2]),
+            ])
+        };
+        let workloads: Vec<Workload> = (0..5)
+            .map(|i| scenario([32.5 + i as f64, 136.5 - i as f64, 31.0 * (i + 1) as f64]))
+            .collect();
+        let mut config = ConfigInstance::default();
+        config.apply(&ConfigAction::CreateIndex {
+            target: ChunkColumnRef::new(t.0, 0, 1),
+            kind: IndexKind::BTree,
+        });
+
+        let per_scenario = WhatIf::new(est.clone());
+        let want: Vec<Cost> = workloads
+            .iter()
+            .map(|w| per_scenario.workload_cost(&engine, w, &config).unwrap())
+            .collect();
+        let batched = WhatIf::new(est.clone());
+        let count = || {
+            (
+                KEYS_DERIVED.with(|n| n.get()),
+                CONTEXTS_RESOLVED.with(|n| n.get()),
+            )
+        };
+        for pass in 0..2 {
+            let (keys, contexts) = count();
+            let got = batched
+                .workload_costs(&engine, &workloads, &config)
+                .unwrap();
+            assert_eq!(count(), (keys + 3, contexts + 1), "pass {pass}");
+            assert_eq!(got, want, "pass {pass}");
+        }
+        // Twice the five single-workload calls' rows, counted alike.
+        let once = per_scenario.cache_stats().unwrap();
+        let twice = batched.cache_stats().unwrap();
+        assert_eq!(twice.misses, once.misses);
+        assert_eq!(twice.hits, once.hits + once.hits + once.misses);
+        let plain = WhatIf::uncached(est);
+        assert_eq!(
+            plain.workload_costs(&engine, &workloads, &config).unwrap(),
+            want
+        );
+    }
+
+    #[test]
+    fn cache_generation_moves_with_every_flush() {
+        let what_if = WhatIf::new(Arc::new(LogicalCostModel::default()));
+        let g = what_if.cache_generation().unwrap();
+        assert_eq!(what_if.cache_generation(), Some(g));
+        what_if.clear_cache();
+        assert_eq!(what_if.cache_generation(), Some(g + 1));
+        let uncached = WhatIf::uncached(Arc::new(LogicalCostModel::default()));
+        assert_eq!(uncached.cache_generation(), None);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn build(items: &[Item]) -> (Vec<Candidate>, Vec<Assessment>) {
         .map(|(i, item)| Assessment {
             candidate: i,
             per_scenario: item.desirability.clone(),
-            probabilities: vec![0.5, 0.5],
+            probabilities: vec![0.5, 0.5].into(),
             confidence: 1.0,
             permanent_bytes: item.bytes,
             one_time_cost: Cost(1.0),

@@ -2,18 +2,23 @@
 //! arbitrary configuration-action sequences, cached and uncached
 //! workload costs stay bit-identical, re-assessing after a cache flush
 //! matches a fresh assessor exactly, a patched configuration digest
-//! equals one built from scratch, and two configurations share a cache
-//! key exactly when they agree on the footprint's slice.
+//! equals one built from scratch, two configurations share a cache key
+//! exactly when they agree on the footprint's slice, and an assessor
+//! that keeps its prices across passes answers and counts exactly like
+//! one that prices every pass afresh.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use smdb::common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
+use smdb::common::{Cost, Result};
 use smdb::core::assessor::{Assessor, WhatIfAssessor};
-use smdb::core::candidate::Candidate;
+use smdb::core::candidate::{Assessment, Candidate};
 use smdb::cost::features::ConfigContext;
-use smdb::cost::{LogicalCostModel, QueryFootprint, WhatIf};
+use smdb::cost::{
+    ActionDelta, CacheStats, CalibratedCostModel, LogicalCostModel, QueryFootprint, WhatIf,
+};
 use smdb::forecast::{ForecastSet, ScenarioKind, WorkloadScenario};
 use smdb::query::{Query, WeightedQuery, Workload};
 use smdb::storage::value::ColumnValues;
@@ -347,6 +352,351 @@ proptest! {
             prop_assert_eq!(a.candidate, b.candidate);
             prop_assert_eq!(&a.per_scenario, &b.per_scenario);
             prop_assert_eq!(a.permanent_bytes, b.permanent_bytes);
+        }
+    }
+}
+
+/// One thing that happens between two tuning passes.
+#[derive(Debug, Clone)]
+enum Step {
+    /// The forecast's weights and probabilities move (every pass does).
+    Reweigh,
+    /// A new query joins the forecast.
+    AddQuery(i64),
+    /// The oldest query leaves it.
+    DropQuery,
+    /// The base configuration takes an action.
+    Apply(ConfigAction),
+    /// A table is created: the catalog token moves.
+    CreateTable,
+    /// The cost cache is flushed.
+    ClearCache,
+    /// The learned model absorbs executions and refits: its version moves.
+    Refit,
+    /// A selector re-assesses a subset of the candidates.
+    Reassess(u8),
+    /// The enumerator stops proposing one candidate: later ones shift.
+    Retire(usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0u32..13, 0i64..40, action_strategy(), 1u8..=255).prop_map(
+        |(pick, v, action, mask)| match pick {
+            0..=2 => Step::Reweigh,
+            3 => Step::AddQuery(v),
+            4 => Step::DropQuery,
+            5 | 6 => Step::Apply(action),
+            7 => Step::CreateTable,
+            8 => Step::ClearCache,
+            9 => Step::Refit,
+            10 => Step::Retire(v as usize),
+            _ => Step::Reassess(mask),
+        },
+    )
+}
+
+/// Five scenarios (the forecast's shape: expected, worst case, three
+/// samples) over the same queries, with weights and probabilities that
+/// move with `pass`; the first query appears twice in the worst case.
+fn forecast(queries: &[Query], pass: u32) -> ForecastSet {
+    let p = f64::from(pass);
+    let scenarios = (0..5u32)
+        .map(|s| {
+            let sf = f64::from(s);
+            let mut rows: Vec<WeightedQuery> = queries
+                .iter()
+                .enumerate()
+                .map(|(j, q)| {
+                    let w = 30.0 + 4.25 * ((p + sf) % 5.0) + 1.5 * j as f64 * (sf + 1.0);
+                    WeightedQuery::new(q.clone(), w)
+                })
+                .collect();
+            if s == 1 {
+                if let Some(q) = queries.first() {
+                    rows.push(WeightedQuery::new(q.clone(), 2.75 + p));
+                }
+            }
+            WorkloadScenario {
+                kind: if s == 0 {
+                    ScenarioKind::Expected
+                } else {
+                    ScenarioKind::WorstCase
+                },
+                name: format!("s{s}"),
+                probability: (1.0 + ((p + sf) % 3.0)) / 10.0,
+                workload: Workload::new(rows),
+            }
+        })
+        .collect();
+    ForecastSet { scenarios }
+}
+
+/// Index, encoding, placement and knob candidates over both tables.
+fn candidates(t: TableId, u: TableId, invalid_at: Option<usize>) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    for chunk in 0..4u32 {
+        for column in 0..2u16 {
+            let target = ChunkColumnRef::new(t.0, column, chunk);
+            for kind in [IndexKind::Hash, IndexKind::BTree] {
+                out.push(ConfigAction::CreateIndex { target, kind });
+            }
+            out.push(ConfigAction::DropIndex { target });
+            for kind in [EncodingKind::Dictionary, EncodingKind::RunLength] {
+                out.push(ConfigAction::SetEncoding { target, kind });
+            }
+        }
+    }
+    for chunk in 0..2u32 {
+        for tier in [Tier::Hot, Tier::Cold] {
+            out.push(ConfigAction::SetPlacement {
+                table: u,
+                chunk: ChunkId(chunk),
+                tier,
+            });
+        }
+    }
+    for value in [0.0, 32.0] {
+        out.push(ConfigAction::SetKnob {
+            knob: KnobKind::BufferPoolMb,
+            value,
+        });
+    }
+    if let Some(at) = invalid_at {
+        // Re-encoding a chunk the table does not have fails the pass.
+        let target = ChunkColumnRef::new(t.0, 0, 9);
+        let bad = ConfigAction::SetEncoding {
+            target,
+            kind: EncodingKind::Dictionary,
+        };
+        out.insert(at % (out.len() + 1), bad);
+    }
+    out.into_iter().map(|a| Candidate::new(a, None)).collect()
+}
+
+/// Per-scenario desirabilities compared bit for bit, one entry per
+/// candidate (`None` for a failed pass).
+type Benefits = Option<Vec<Vec<u64>>>;
+
+/// The rest of an assessment, bit for bit.
+type Rest = Vec<(usize, Vec<u64>, i64, u64, u64)>;
+
+fn bits(result: Result<Vec<Assessment>>) -> (Benefits, Option<Rest>) {
+    let Ok(assessments) = result else {
+        return (None, None);
+    };
+    let floats = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let benefits = assessments
+        .iter()
+        .map(|a| floats(&a.per_scenario))
+        .collect();
+    let rest = assessments
+        .iter()
+        .map(|a| {
+            (
+                a.candidate,
+                floats(&a.probabilities),
+                a.permanent_bytes,
+                a.one_time_cost.ms().to_bits(),
+                a.confidence.to_bits(),
+            )
+        })
+        .collect();
+    (Some(benefits), Some(rest))
+}
+
+/// Runs `work` on a what-if and returns its result with the cache-stat
+/// delta it caused and the entry count after it.
+fn counted<T>(what_if: &WhatIf, work: impl FnOnce() -> T) -> (T, CacheStats, usize) {
+    let before = what_if.cache_stats().unwrap_or_default();
+    let result = work();
+    let delta = what_if.cache_stats().unwrap_or_default().since(&before);
+    (result, delta, what_if.cache().map_or(0, |c| c.len()))
+}
+
+/// The definition deduplicated and kept pricing must agree with: every
+/// scenario row looks its own cost up, under the base configuration and
+/// — where the candidate's delta reaches the row's query — under the
+/// candidate's. A candidate whose context cannot be built is skipped.
+fn rowwise(
+    what_if: &WhatIf,
+    engine: &StorageEngine,
+    base: &ConfigInstance,
+    forecast: &ForecastSet,
+    candidates: &[Candidate],
+    subset: &[usize],
+) -> Benefits {
+    let base_ctx = ConfigContext::new(engine, base);
+    let cost = |ctx: &ConfigContext, q: &Query, config: &ConfigInstance| {
+        what_if
+            .query_cost(engine, ctx, q, config)
+            .expect("prices")
+            .ms()
+    };
+    let base_costs: Vec<Vec<f64>> = forecast
+        .iter()
+        .map(|s| {
+            s.workload
+                .queries()
+                .iter()
+                .map(|wq| cost(&base_ctx, &wq.query, base))
+                .collect()
+        })
+        .collect();
+    let nonhot: Vec<TableId> = base
+        .placements
+        .iter()
+        .filter(|&(_, &tier)| tier != Tier::Hot)
+        .map(|(&(t, _), _)| t)
+        .collect();
+    let mut benefits = Vec::new();
+    for &i in subset {
+        let action = &candidates[i].action;
+        let Ok(ctx) = base_ctx.apply_action(engine, base, action) else {
+            continue;
+        };
+        let mut hypo = base.clone();
+        hypo.apply(action);
+        let delta = ActionDelta::of(base, action);
+        let per_scenario = forecast.iter().zip(&base_costs).map(|(s, costs)| {
+            let mut benefit = 0.0;
+            for (wq, b) in s.workload.queries().iter().zip(costs) {
+                if delta.affects(&QueryFootprint::of(&wq.query), |t| nonhot.contains(&t)) {
+                    benefit += (b - cost(&ctx, &wq.query, &hypo)) * wq.weight;
+                }
+            }
+            benefit.to_bits()
+        });
+        benefits.push(per_scenario.collect());
+    }
+    (benefits.len() == subset.len()).then_some(benefits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A converged pass re-weighs the prices it kept instead of
+    /// re-pricing: across weight moves, forecast queries coming and
+    /// going, base-configuration actions, catalog changes, cache flushes,
+    /// model refits, a changing candidate list and interleaved
+    /// re-assessments, the assessor that keeps prices gives bit-equal
+    /// assessments to a fresh assessor on a what-if with the same
+    /// history, and moves its cache's counters and entry count exactly
+    /// as much — which is exactly as much as looking every scenario row
+    /// up one by one.
+    #[test]
+    fn kept_prices_match_fresh_pricing(
+        steps in proptest::collection::vec(step_strategy(), 1..10),
+        invalid_at in (0u32..5, 0usize..64).prop_map(|(p, at)| (p == 0).then_some(at)),
+    ) {
+        let (mut engine, t, u) = engine();
+        let model = Arc::new(CalibratedCostModel::new());
+        let est: Arc<dyn smdb::cost::CostEstimator> = model.clone();
+        let kept_what_if = WhatIf::new(est.clone());
+        let fresh_what_if = WhatIf::new(est.clone());
+        let row_what_if = WhatIf::new(est);
+        let mut kept = WhatIfAssessor::new(kept_what_if.clone(), 0.9);
+        kept.threads = 1;
+        let fresh = || {
+            let mut a = WhatIfAssessor::new(fresh_what_if.clone(), 0.9);
+            a.threads = 1;
+            a
+        };
+        let q = |table, col: u16, v: i64| {
+            Query::new(table, "t", vec![ScanPredicate::eq(ColumnId(col), v)], None, "q")
+        };
+        let mut queries = vec![q(t, 0, 7), q(t, 1, 3), q(u, 0, 4)];
+        let mut base = ConfigInstance::default();
+        let mut candidates = candidates(t, u, invalid_at);
+        let mut tables = 0;
+
+        for (pass, step) in (0u32..).zip(std::iter::once(&Step::Reweigh).chain(&steps)) {
+            let mut subset: Vec<usize> = (0..candidates.len()).collect();
+            let mut keep = true;
+            match step {
+                Step::Reweigh => {}
+                Step::AddQuery(v) => queries.push(q(t, (*v % 2) as u16, *v)),
+                Step::DropQuery => {
+                    if queries.len() > 1 {
+                        queries.remove(0);
+                    }
+                }
+                Step::Apply(action) => base.apply(action),
+                Step::CreateTable => {
+                    tables += 1;
+                    let schema = Schema::new(vec![ColumnDef::new("x", DataType::Int)])
+                        .expect("valid schema");
+                    let values = ColumnValues::Int((0..200).collect());
+                    let table = Table::from_columns(format!("extra{tables}"), schema, vec![values], 100)
+                        .expect("builds");
+                    engine.create_table(table).expect("unique name");
+                }
+                Step::ClearCache => {
+                    for w in [&kept_what_if, &fresh_what_if, &row_what_if] {
+                        w.clear_cache();
+                    }
+                }
+                Step::Refit => {
+                    let config = engine.current_config();
+                    for query in &queries {
+                        let out = engine.scan(query.table(), query.predicates(), None).expect("scans");
+                        model.observe(&engine, query, &config, out.sim_cost).expect("observes");
+                    }
+                    let _ = model.refit();
+                }
+                Step::Retire(k) => {
+                    candidates.remove(k % candidates.len());
+                    subset = (0..candidates.len()).collect();
+                }
+                Step::Reassess(mask) => {
+                    subset.retain(|i| mask & (1 << (i % 8)) != 0 && i % 3 == 0);
+                    keep = false;
+                }
+            }
+            // A re-assessment, then always a full pass: the one after a
+            // re-assessment must still find its prices.
+            let f = forecast(&queries, pass);
+            let passes = if keep { vec![subset] } else { vec![subset, (0..candidates.len()).collect()] };
+            for subset in passes {
+                let full = subset.len() == candidates.len();
+                let run = |a: &WhatIfAssessor| if full {
+                    a.assess(&engine, &base, &f, &candidates)
+                } else {
+                    a.reassess(&engine, &base, &f, &candidates, &subset)
+                };
+                let (got, got_stats, got_len) = counted(&kept_what_if, || bits(run(&kept)));
+                let (want, want_stats, want_len) = counted(&fresh_what_if, || bits(run(&fresh())));
+                let (rows, row_stats, row_len) = counted(&row_what_if, || {
+                    rowwise(&row_what_if, &engine, &base, &f, &candidates, &subset)
+                });
+                let at = format!("pass {pass} after {step:?} (full: {full})");
+                prop_assert_eq!(&got, &want, "{}", at);
+                prop_assert_eq!((got_stats, got_len), (want_stats, want_len), "{}", at);
+                prop_assert_eq!((got_stats, got_len), (row_stats, row_len), "{}", at);
+                if got.0.is_some() {
+                    prop_assert_eq!(&got.0, &rows, "{}", at);
+                }
+            }
+            // The forecast's costs, priced in one batch, match one row at
+            // a time — values and counters alike.
+            let (batched, batched_stats, _) = counted(&kept_what_if, || {
+                kept.scenario_costs(&engine, &base, &f).expect("prices")
+            });
+            let (one_by_one, row_stats, _) = counted(&row_what_if, || {
+                let ctx = ConfigContext::new(&engine, &base);
+                f.iter()
+                    .map(|s| {
+                        s.workload.queries().iter().fold(Cost::ZERO, |sum, wq| {
+                            let c = row_what_if.query_cost(&engine, &ctx, &wq.query, &base);
+                            sum + c.expect("prices") * wq.weight
+                        })
+                        .ms()
+                    })
+                    .collect::<Vec<f64>>()
+            });
+            let to_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(to_bits(&batched), to_bits(&one_by_one));
+            prop_assert_eq!(batched_stats, row_stats);
+            fresh().scenario_costs(&engine, &base, &f).expect("prices");
         }
     }
 }
