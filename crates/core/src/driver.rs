@@ -302,7 +302,8 @@ impl Driver {
 
     /// Closes the current KPI bucket from whatever
     /// [`Driver::record_query`] accumulated: samples engine memory,
-    /// snapshots the plan cache into the workload history, updates the
+    /// feeds the plan cache's entries to the workload history under the
+    /// cache lock (no copy), updates the
     /// observed bucket cost and advances the logical clock.
     pub fn close_bucket(&self) -> BucketReport {
         let _span = span!("driver", "close_bucket");
@@ -314,7 +315,7 @@ impl Driver {
         }
         self.history
             .lock()
-            .observe(now, &self.db.plan_cache().snapshot());
+            .observe(now, self.db.plan_cache().entries());
         let close = self.kpis.end_bucket_accumulated();
         *self.last_bucket_cost.lock() = close.busy;
         self.db.advance_time();

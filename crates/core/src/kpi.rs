@@ -61,7 +61,7 @@ impl Inner {
             v.extend_from_slice(bucket);
         }
         v.extend_from_slice(&self.open);
-        v.sort_by(f64::total_cmp);
+        v.sort_unstable_by(f64::total_cmp);
         v
     }
 }
@@ -195,11 +195,13 @@ impl KpiCollector {
 
     /// Seals the open bucket under one lock: takes it, sorts it once (so
     /// downstream sums and percentiles are independent of worker push
-    /// order), prices it with `busy` and moves it into the window.
+    /// order), prices it with `busy` and moves it into the window. The
+    /// sort may be unstable: samples equal under `total_cmp` are
+    /// bit-equal, so no order among them is observable.
     fn seal(&self, busy: impl FnOnce(&[f64]) -> Cost) -> BucketClose {
         let mut inner = self.inner.lock();
         let mut bucket = std::mem::take(&mut inner.open);
-        bucket.sort_by(f64::total_cmp);
+        bucket.sort_unstable_by(f64::total_cmp);
         let busy = busy(&bucket);
         let utilization = (busy.ms() / self.bucket_capacity.ms().max(1e-9)).max(0.0);
         inner.closed_len += bucket.len();
@@ -616,6 +618,58 @@ mod tests {
         for (close, sealed) in closes {
             assert_eq!(close.busy.ms(), sealed.iter().sum::<f64>());
             assert_eq!(close.queries, sealed.len() as u64);
+        }
+    }
+
+    /// The unstable sorts give the stable sort's windows bit for bit —
+    /// duplicates, ±0.0, subnormals and NaN payloads included — and so
+    /// the same means and percentiles.
+    #[test]
+    fn unstable_sorts_match_the_stable_reference_bitwise() {
+        let specials = [
+            1.5,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 8.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0002),
+            1.5,
+            f64::INFINITY,
+            -2.25,
+        ];
+        let samples: Vec<f64> = (0..350)
+            .map(|i| specials[(i * 7 + i / 5) % specials.len()])
+            .collect();
+        let stable = |v: &[f64]| {
+            let mut v = v.to_vec();
+            v.sort_by(f64::total_cmp);
+            v
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let k = KpiCollector::default();
+        // Three sealed buckets and an open one.
+        for (i, bucket) in samples.chunks(100).enumerate() {
+            bucket.iter().for_each(|&x| k.record_query(Cost(x)));
+            if i < 3 {
+                k.end_bucket_accumulated();
+            }
+        }
+        for (sealed, raw) in k.export_state().closed.iter().zip(samples.chunks(100)) {
+            assert_eq!(bits(sealed), bits(&stable(raw)));
+        }
+        let window = stable(&samples);
+        assert_eq!(bits(&k.inner.lock().sorted_window()), bits(&window));
+        let snap = k.snapshot();
+        let mean = window.iter().sum::<f64>() / window.len() as f64;
+        assert_eq!(snap.mean_response.ms().to_bits(), mean.to_bits());
+        for (got, p) in [(snap.p95_response, 0.95), (snap.p99_response, 0.99)] {
+            assert_eq!(
+                got.ms().to_bits(),
+                percentile_of_sorted(&window, p).to_bits()
+            );
         }
     }
 

@@ -1,8 +1,8 @@
 //! Per-template workload history.
 //!
-//! Built by diffing successive plan-cache snapshots: each call to
+//! Built by diffing successive plan-cache observations: each call to
 //! [`WorkloadHistory::observe`] attributes the executions since the last
-//! snapshot to the current time bucket. This keeps the query path free of
+//! observation to the current time bucket. This keeps the query path free of
 //! forecasting hooks (Section II-C: "by relying on the query plan cache,
 //! no further overhead is added during query execution time").
 //!
@@ -70,9 +70,15 @@ impl WorkloadHistory {
         WorkloadHistory::default()
     }
 
-    /// Absorbs a plan-cache snapshot taken at `now`, attributing all
-    /// executions since the previous snapshot to bucket `now`.
-    pub fn observe(&mut self, now: LogicalTime, snapshot: &[PlanCacheEntry]) {
+    /// Absorbs the plan cache's entries at `now`, attributing all
+    /// executions since the previous observation to bucket `now`. Each
+    /// entry is keyed by its example's cached fingerprint, unique per
+    /// entry, so the order the entries arrive in cannot matter.
+    pub fn observe<'a>(
+        &mut self,
+        now: LogicalTime,
+        entries: impl IntoIterator<Item = &'a PlanCacheEntry>,
+    ) {
         let bucket = now.raw();
         let (lo, hi) = match self.span {
             None => (bucket, bucket + 1),
@@ -80,8 +86,8 @@ impl WorkloadHistory {
         };
         let lo_moved = self.span.is_some_and(|(old_lo, _)| lo < old_lo);
         self.span = Some((lo, hi));
-        for entry in snapshot {
-            let fp = entry.template.fingerprint();
+        for entry in entries {
+            let fp = entry.example.fingerprint();
             let (prev_exec, prev_cost) = self
                 .last_totals
                 .get(&fp)
@@ -349,6 +355,32 @@ mod tests {
         assert_eq!(hist.span(), Some((3, 9)));
         check(&hist);
         check(&WorkloadHistory::restore_state(hist.export_state()));
+    }
+
+    /// Observing the borrowed entries equals observing a cloned snapshot,
+    /// through a seeded record sequence whose templates outnumber the
+    /// cache and so keep evicting each other.
+    #[test]
+    fn entries_and_snapshot_observe_alike() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut cache = PlanCache::new(4);
+        let (mut via_entries, mut via_snapshot) = (WorkloadHistory::new(), WorkloadHistory::new());
+        for bucket in 0..40 {
+            for _ in 0..rng.random_range(0..12) {
+                let table = TableId(rng.random_range(0u32..9));
+                let value = rng.random_range(0i64..50);
+                let pred = vec![ScanPredicate::eq(ColumnId(0), value)];
+                let query = Query::new(table, "t", pred, None, "q");
+                let cost = Cost(rng.random_range(1i64..20) as f64 * 0.5);
+                cache.record(&query, cost, LogicalTime(bucket));
+            }
+            via_entries.observe(LogicalTime(bucket), cache.entries());
+            via_snapshot.observe(LogicalTime(bucket), &cache.snapshot());
+        }
+        assert!(cache.evictions() > 0, "the sequence must evict");
+        assert_eq!(via_entries.export_state(), via_snapshot.export_state());
     }
 
     #[test]

@@ -184,6 +184,12 @@ impl PlanCache {
         self.entries.insert(fp, entry);
     }
 
+    /// Every entry, borrowed, in fingerprint order — for a reader that
+    /// holds the cache lock anyway and need not copy.
+    pub fn entries(&self) -> impl Iterator<Item = &PlanCacheEntry> {
+        self.entries.values()
+    }
+
     /// A point-in-time snapshot of all entries (cloned, so the predictor
     /// can analyse without holding the cache lock).
     pub fn snapshot(&self) -> Vec<PlanCacheEntry> {

@@ -62,7 +62,8 @@ impl Chunk {
             .ok_or_else(|| Error::not_found("column", format!("{col}")))
     }
 
-    /// Statistics of column `col`.
+    /// Statistics of column `col`, written once, at construction: no
+    /// encoding, index or tier change touches them.
     pub fn stats(&self, col: ColumnId) -> Result<&SegmentStats> {
         self.stats
             .get(col.0 as usize)

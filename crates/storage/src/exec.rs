@@ -1,12 +1,22 @@
-//! Scan execution: every chunk is scanned along the [`AccessPath`] that
-//! [`crate::access`] decides for it, yielding a [`ChunkPartial`]; one
-//! chunk-ordered combine tree ([`StorageEngine::merge_scan_partials`])
-//! folds the partials into a [`ScanOutput`] whatever the execution mode
-//! (inline, morsel-parallel, sharded scatter-gather).
+//! Scan execution. A scan first narrows the table to its *chunk run*
+//! ([`crate::table::Table::chunk_run`]): on a column whose chunk mins and
+//! maxes never decrease, two binary searches find the chunks min/max
+//! pruning cannot rule out. A chunk outside the run is charged as the
+//! pruned chunk it is, without asking [`access_path`]; every chunk inside
+//! is scanned along the [`AccessPath`] [`crate::access`] decides for it
+//! (which may still prune it), yielding a [`ChunkPartial`].
+//!
+//! One chunk-ordered fold turns the chunks into a [`ScanOutput`], fed
+//! three ways: the inline scan folds each partial as soon as it is
+//! scanned, the morsel-parallel scan folds its collected partials in
+//! chunk order, and a sharded scatter-gather folds partials from every
+//! shard in global chunk order through
+//! [`StorageEngine::merge_scan_partials`].
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use smdb_common::{ColumnId, Cost, Error, Result, TableId};
+use smdb_common::{ChunkId, ColumnId, Cost, Error, Result, TableId};
 
 use crate::access::{access_path, AccessPath};
 use crate::chunk::Chunk;
@@ -14,6 +24,7 @@ use crate::encoding::EncodingKind;
 use crate::engine::StorageEngine;
 use crate::parallel::ScanPool;
 use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
+use crate::table::Table;
 use crate::value::Value;
 
 /// Result of one table scan.
@@ -194,11 +205,16 @@ impl StorageEngine {
         group_by: Option<ColumnId>,
         parallel: Option<(&ScanPool, usize)>,
     ) -> Result<Vec<ChunkPartial>> {
-        let (partials, _) = self.partials(table_id, predicates, aggregate, group_by, parallel)?;
+        let job = self.scan_job(table_id, predicates, aggregate, group_by)?;
+        if let Some((pool, ranges)) = morsels(parallel, job.table.chunk_count()) {
+            return Ok(self.scan_morsels(&job, pool, &ranges)?.0);
+        }
+        let mut partials = Vec::with_capacity(job.table.chunk_count());
+        self.scan_range(&job, 0..job.table.chunk_count(), &mut partials)?;
         Ok(partials)
     }
 
-    /// Partials, merged; a pool-dispatched scan reports the lane model's
+    /// The scan, folded; a pool-dispatched scan reports the lane model's
     /// critical-path latency instead of the summed work.
     fn scan_with(
         &self,
@@ -208,34 +224,34 @@ impl StorageEngine {
         group_by: Option<ColumnId>,
         parallel: Option<(&ScanPool, usize)>,
     ) -> Result<ScanOutput> {
-        let (partials, morsel_costs_ms) =
-            self.partials(table_id, predicates, aggregate, group_by, parallel)?;
+        let job = self.scan_job(table_id, predicates, aggregate, group_by)?;
+        let Some((pool, ranges)) = morsels(parallel, job.table.chunk_count()) else {
+            // Inline: each chunk's partial is folded as soon as it is
+            // scanned.
+            let mut fold = ScanFold::new(aggregate);
+            self.scan_range(&job, 0..job.table.chunk_count(), &mut fold)?;
+            return Ok(fold.finish(group_by));
+        };
+        let (partials, morsel_costs_ms) = self.scan_morsels(&job, pool, &ranges)?;
         let mut out = self.merge_scan_partials(partials, aggregate, group_by);
-        if let Some((pool, _)) = parallel.filter(|_| !morsel_costs_ms.is_empty()) {
-            out.sim_latency = crate::parallel::simulated_latency(
-                &morsel_costs_ms,
-                pool.threads().min(morsel_costs_ms.len()),
-                self.params.morsel_dispatch_ms,
-            );
-            out.morsels = morsel_costs_ms.len() as u64;
-        }
+        out.sim_latency = crate::parallel::simulated_latency(
+            &morsel_costs_ms,
+            pool.threads().min(morsel_costs_ms.len()),
+            self.params.morsel_dispatch_ms,
+        );
+        out.morsels = morsel_costs_ms.len() as u64;
         Ok(out)
     }
 
-    /// The one scan driver: validates the query shape, then computes
-    /// every chunk's partial in chunk-index order — inline, or as morsels
-    /// on the pool when it has helpers and there are at least two (one
-    /// morsel has no parallelism to pay the dispatch for). Also returns
-    /// each dispatched morsel's summed cost for the lane latency model;
-    /// empty for an inline scan.
-    fn partials(
-        &self,
+    /// Validates the query shape against the table's schema and finds
+    /// the chunk run its predicates leave.
+    fn scan_job<'a>(
+        &'a self,
         table_id: TableId,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
+        predicates: &'a [ScanPredicate],
+        aggregate: Option<&'a Aggregate>,
         group_by: Option<ColumnId>,
-        parallel: Option<(&ScanPool, usize)>,
-    ) -> Result<(Vec<ChunkPartial>, Vec<f64>)> {
+    ) -> Result<ScanJob<'a>> {
         let table = self.table(table_id)?;
         if let Some(g) = group_by {
             table.schema().column(g)?;
@@ -251,47 +267,63 @@ impl StorageEngine {
                 table.schema().column(agg.column)?;
             }
         }
+        Ok(ScanJob {
+            table,
+            predicates,
+            aggregate,
+            group_by,
+            run: table.chunk_run(predicates),
+        })
+    }
 
-        let chunks: Vec<&Chunk> = table.chunks().map(|(_, c)| c).collect();
-        // One position-list allocation per range, reused across its chunks.
-        let scan_range = |start: usize, end: usize| -> Result<Vec<ChunkPartial>> {
-            let mut positions: Vec<u32> = Vec::new();
-            let mut parts = Vec::with_capacity(end - start);
-            for chunk in &chunks[start..end] {
-                parts.push(self.scan_chunk(
-                    chunk,
-                    predicates,
-                    aggregate,
-                    group_by,
-                    &mut positions,
-                )?);
+    /// Feeds `sink` every chunk of `range`, in chunk order: a chunk
+    /// outside the job's run is charged its prune check, any other is
+    /// scanned. One position-list allocation serves the whole range.
+    fn scan_range(
+        &self,
+        job: &ScanJob<'_>,
+        range: Range<usize>,
+        sink: &mut impl ChunkSink,
+    ) -> Result<()> {
+        let prune = Cost(self.params.prune_check_ms);
+        let mut positions = Vec::new();
+        for i in range {
+            if job.run.contains(&i) {
+                let chunk = job.table.chunk(ChunkId(i as u32))?;
+                sink.add(self.scan_chunk(job, chunk, &mut positions)?);
+            } else {
+                sink.pruned(prune);
             }
-            Ok(parts)
-        };
-        let ranges = parallel.map_or(Vec::new(), |(_, morsel_chunks)| {
-            crate::parallel::morsel_ranges(chunks.len(), morsel_chunks)
-        });
-        let pool = match parallel {
-            Some((pool, _)) if pool.threads() > 1 && ranges.len() > 1 => pool,
-            _ => return Ok((scan_range(0, chunks.len())?, Vec::new())),
-        };
+        }
+        Ok(())
+    }
 
-        // The submitting thread collects the morsels in chunk-index
-        // order, so the merge tree — and every float in the result — is
-        // the sequential path's.
+    /// Scans the job's morsels on `pool`, returning every chunk's partial
+    /// in chunk order and each morsel's summed cost for the lane latency
+    /// model. The submitting thread collects the morsels in chunk order,
+    /// so the fold — and every float in the result — is the inline
+    /// scan's.
+    fn scan_morsels(
+        &self,
+        job: &ScanJob<'_>,
+        pool: &ScanPool,
+        ranges: &[(usize, usize)],
+    ) -> Result<(Vec<ChunkPartial>, Vec<f64>)> {
         let slots: Vec<parking_lot::Mutex<Option<Result<Vec<ChunkPartial>>>>> = ranges
             .iter()
             .map(|_| parking_lot::Mutex::new(None))
             .collect();
         let clean = pool.run(ranges.len(), |m| {
             let (start, end) = ranges[m];
-            *slots[m].lock() = Some(scan_range(start, end));
+            let mut parts = Vec::with_capacity(end - start);
+            let scanned = self.scan_range(job, start..end, &mut parts);
+            *slots[m].lock() = Some(scanned.map(|()| parts));
         });
         if !clean {
             return Err(Error::invalid("a parallel scan morsel panicked"));
         }
         let mut morsel_costs_ms = Vec::with_capacity(ranges.len());
-        let mut all = Vec::with_capacity(chunks.len());
+        let mut all = Vec::with_capacity(job.table.chunk_count());
         for slot in &slots {
             let morsel = slot
                 .lock()
@@ -306,27 +338,24 @@ impl StorageEngine {
     /// Scans one chunk along its [`AccessPath`], returning its partial:
     /// counters, aggregate state and the chunk's share of the simulated
     /// work. `positions` is caller-provided scratch (cleared per call) so
-    /// a morsel reuses one allocation across its chunks. A partial is a
+    /// a range reuses one allocation across its chunks. A partial is a
     /// pure function of (chunk, query, configuration) — which execution
     /// mode computed it, and in which order, cannot matter.
     fn scan_chunk(
         &self,
+        job: &ScanJob<'_>,
         chunk: &Chunk,
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<ColumnId>,
         positions: &mut Vec<u32>,
     ) -> Result<ChunkPartial> {
+        let (predicates, aggregate, group_by) = (job.predicates, job.aggregate, job.group_by);
+        let path = live_path(chunk, predicates)?;
+        if path == AccessPath::Pruned {
+            return Ok(ChunkPartial::pruned_chunk(Cost(self.params.prune_check_ms)));
+        }
         let mut part = ChunkPartial {
             agg: AggState::new(aggregate.map(|a| a.op)),
             ..ChunkPartial::default()
         };
-        let path = live_path(chunk, predicates)?;
-        if path == AccessPath::Pruned {
-            part.pruned = true;
-            part.cost += Cost(self.params.prune_check_ms);
-            return Ok(part);
-        }
         let tier_mult = self.tier_multiplier(chunk.tier());
         part.cost += Cost(self.params.chunk_visit_ms);
         positions.clear();
@@ -419,11 +448,10 @@ impl StorageEngine {
     }
 
     /// Folds partials — the caller's responsibility to order by global
-    /// chunk index — into one [`ScanOutput`]. This is the *only* combine
-    /// tree any execution mode uses, which is the determinism argument:
-    /// float accumulation order is fixed by chunk index, never by
-    /// scheduling. The returned latency equals the summed work (the
-    /// inline model); a pool-dispatched or sharded executor overrides
+    /// chunk index — into one [`ScanOutput`] through the same
+    /// [`ScanFold`] the inline scan feeds chunk by chunk. The returned
+    /// latency equals the summed work (the inline model); a
+    /// pool-dispatched or sharded executor overrides
     /// [`ScanOutput::sim_latency`] / [`ScanOutput::morsels`] with its own
     /// lane model.
     pub fn merge_scan_partials(
@@ -432,54 +460,11 @@ impl StorageEngine {
         aggregate: Option<&Aggregate>,
         group_by: Option<ColumnId>,
     ) -> ScanOutput {
-        let mut out = ScanOutput::default();
-        let mut agg_state = AggState::new(aggregate.map(|a| a.op));
-        let mut group_state: BTreeMap<Value, AggState> = BTreeMap::new();
+        let mut fold = ScanFold::new(aggregate);
         for part in partials {
-            out.sim_cost += part.cost;
-            if part.pruned {
-                out.chunks_pruned += 1;
-                continue;
-            }
-            out.chunks_visited += 1;
-            out.rows_matched += part.rows_matched;
-            out.rows_scanned += part.rows_scanned;
-            out.index_probes += part.index_probes;
-            out.kernel_batches += part.kernel_batches;
-            // Access-path partition of the visited chunks: probe, batch
-            // kernel or scalar selection (at most one probe per chunk).
-            if part.index_probes == 0 {
-                if part.kernel_chunk {
-                    out.chunks_kernel += 1;
-                } else {
-                    out.chunks_scalar += 1;
-                }
-            }
-            agg_state.merge(&part.agg);
-            for (key, state) in part.groups {
-                group_state
-                    .entry(key)
-                    .or_insert_with(|| AggState::new(aggregate.map(|a| a.op)))
-                    .merge(&state);
-            }
+            fold.add(part);
         }
-
-        if group_by.is_some() {
-            // `group_state` iterates in key order: groups come out sorted.
-            out.groups = Some(
-                group_state
-                    .into_iter()
-                    .filter_map(|(k, state)| {
-                        let count = state.count;
-                        state.finish(count).map(|v| (k, v))
-                    })
-                    .collect(),
-            );
-        } else {
-            out.agg_value = agg_state.finish(out.rows_matched);
-        }
-        out.sim_latency = out.sim_cost;
-        out
+        fold.finish(group_by)
     }
 
     /// Accumulates aggregate state for the matched positions of one
@@ -566,7 +551,7 @@ impl StorageEngine {
 
 /// One chunk's contribution to a scan. Partials are produced by
 /// `StorageEngine::scan_chunk` (on whichever thread ran the morsel) and
-/// folded by [`StorageEngine::merge_scan_partials`] in chunk-index order. The
+/// folded by `ScanFold` in chunk-index order. The
 /// type is opaque outside the engine: a sharded executor obtains
 /// partials via [`StorageEngine::scan_partials`], orders them by global
 /// chunk index and hands them back to
@@ -601,6 +586,135 @@ impl ChunkPartial {
     /// these per shard to drive its lane latency model.
     pub fn cost(&self) -> Cost {
         self.cost
+    }
+
+    /// The partial of a chunk min/max statistics rule out: its prune
+    /// check and nothing else.
+    fn pruned_chunk(cost: Cost) -> Self {
+        ChunkPartial {
+            pruned: true,
+            cost,
+            ..ChunkPartial::default()
+        }
+    }
+}
+
+/// One validated scan: the table, the query, and the chunk run the
+/// table's monotone columns leave it ([`Table::chunk_run`]).
+struct ScanJob<'a> {
+    table: &'a Table,
+    predicates: &'a [ScanPredicate],
+    aggregate: Option<&'a Aggregate>,
+    group_by: Option<ColumnId>,
+    run: Range<usize>,
+}
+
+/// The pool and morsels a scan is dispatched as: only when a pool with
+/// helpers is offered and the table splits into at least two morsels
+/// (one morsel has no parallelism to pay the dispatch for).
+fn morsels(
+    parallel: Option<(&ScanPool, usize)>,
+    chunks: usize,
+) -> Option<(&ScanPool, Vec<(usize, usize)>)> {
+    let (pool, morsel_chunks) = parallel?;
+    let ranges = crate::parallel::morsel_ranges(chunks, morsel_chunks);
+    (pool.threads() > 1 && ranges.len() > 1).then_some((pool, ranges))
+}
+
+/// Where a scan delivers its chunks, in chunk order: a scanned chunk's
+/// partial, or the prune check of a chunk outside the run.
+trait ChunkSink {
+    fn add(&mut self, part: ChunkPartial);
+    fn pruned(&mut self, cost: Cost);
+}
+
+/// Collected partials — one per chunk, for the morsel and scatter paths.
+impl ChunkSink for Vec<ChunkPartial> {
+    fn add(&mut self, part: ChunkPartial) {
+        self.push(part);
+    }
+
+    fn pruned(&mut self, cost: Cost) {
+        self.push(ChunkPartial::pruned_chunk(cost));
+    }
+}
+
+/// The one combine tree every execution mode uses: a left fold over the
+/// chunks in chunk order. That order fixes every float accumulation —
+/// never scheduling, sharding or the chunk run — which is the
+/// determinism argument.
+struct ScanFold {
+    out: ScanOutput,
+    agg: AggState,
+    groups: BTreeMap<Value, AggState>,
+}
+
+impl ScanFold {
+    fn new(aggregate: Option<&Aggregate>) -> Self {
+        ScanFold {
+            out: ScanOutput::default(),
+            agg: AggState::new(aggregate.map(|a| a.op)),
+            groups: BTreeMap::new(),
+        }
+    }
+
+    /// The folded output; its latency is the summed work.
+    fn finish(self, group_by: Option<ColumnId>) -> ScanOutput {
+        let mut out = self.out;
+        if group_by.is_some() {
+            // `groups` iterates in key order: groups come out sorted.
+            out.groups = Some(
+                self.groups
+                    .into_iter()
+                    .filter_map(|(k, state)| {
+                        let count = state.count;
+                        state.finish(count).map(|v| (k, v))
+                    })
+                    .collect(),
+            );
+        } else {
+            out.agg_value = self.agg.finish(out.rows_matched);
+        }
+        out.sim_latency = out.sim_cost;
+        out
+    }
+}
+
+impl ChunkSink for ScanFold {
+    fn add(&mut self, part: ChunkPartial) {
+        if part.pruned {
+            self.pruned(part.cost);
+            return;
+        }
+        let out = &mut self.out;
+        out.sim_cost += part.cost;
+        out.chunks_visited += 1;
+        out.rows_matched += part.rows_matched;
+        out.rows_scanned += part.rows_scanned;
+        out.index_probes += part.index_probes;
+        out.kernel_batches += part.kernel_batches;
+        // Access-path partition of the visited chunks: probe, batch
+        // kernel or scalar selection (at most one probe per chunk).
+        if part.index_probes == 0 {
+            if part.kernel_chunk {
+                out.chunks_kernel += 1;
+            } else {
+                out.chunks_scalar += 1;
+            }
+        }
+        self.agg.merge(&part.agg);
+        let op = self.agg.op;
+        for (key, state) in part.groups {
+            self.groups
+                .entry(key)
+                .or_insert_with(|| AggState::new(op))
+                .merge(&state);
+        }
+    }
+
+    fn pruned(&mut self, cost: Cost) {
+        self.out.sim_cost += cost;
+        self.out.chunks_pruned += 1;
     }
 }
 
@@ -644,8 +758,8 @@ impl AggState {
     }
 
     /// Folds another partial state into this one. Sum accumulation order
-    /// is the caller's responsibility — [`StorageEngine::merge_scan_partials`]
-    /// always merges in chunk-index order, which is what keeps grouped
+    /// is the caller's responsibility — `ScanFold` always merges in
+    /// chunk-index order, which is what keeps grouped
     /// floats bit-identical across execution modes.
     fn merge(&mut self, other: &AggState) {
         self.count += other.count;
@@ -768,5 +882,292 @@ mod group_by_tests {
             )
             .unwrap();
         assert_eq!(out.groups.unwrap().len(), 0);
+    }
+}
+
+#[cfg(test)]
+mod run_props {
+    //! The chunk run changes how pruned chunks are found, never what is
+    //! charged: every scan mode must equal, bit for bit, a reference that
+    //! asks `access_path` about every chunk.
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use smdb_common::ChunkColumnRef;
+
+    use super::*;
+    use crate::config::ConfigAction;
+    use crate::index::IndexKind;
+    use crate::parallel::{morsel_ranges, simulated_latency};
+    use crate::placement::Tier;
+    use crate::scan::PredicateOp;
+    use crate::schema::{ColumnDef, Schema};
+    use crate::value::ColumnValues;
+
+    /// Non-decreasing Int; a value repeats across the first chunk boundary.
+    const UP: ColumnId = ColumnId(0);
+    /// Non-decreasing Float.
+    const UP_F: ColumnId = ColumnId(1);
+    /// One value everywhere.
+    const FLAT: ColumnId = ColumnId(2);
+    /// Shuffled Int.
+    const MIXED: ColumnId = ColumnId(3);
+    /// Non-decreasing Text.
+    const UP_T: ColumnId = ColumnId(4);
+    /// Low-cardinality group key.
+    const KEY: ColumnId = ColumnId(5);
+    const ARITY: u16 = 6;
+
+    /// Raw columns of up to eight chunks of `chunk_rows` rows.
+    fn columns(rng: &mut StdRng, chunk_rows: usize) -> Vec<ColumnValues> {
+        let rows = rng.random_range(1..=chunk_rows * 8);
+        let mut v = rng.random_range(-5i64..5);
+        let up: Vec<i64> = (0..rows)
+            .map(|row| {
+                if row > 0 && row != chunk_rows {
+                    v += rng.random_range(0i64..3);
+                }
+                v
+            })
+            .collect();
+        let mut f = -3.0;
+        let up_f = (0..rows)
+            .map(|_| {
+                f += [0.0, 0.25, 1.0][rng.random_range(0usize..3)];
+                f
+            })
+            .collect();
+        vec![
+            ColumnValues::Int(up.clone()),
+            ColumnValues::Float(up_f),
+            ColumnValues::Int(vec![7; rows]),
+            ColumnValues::Int((0..rows).map(|_| rng.random_range(0i64..20)).collect()),
+            ColumnValues::Text(up.iter().map(|v| format!("k{:03}", v + 100)).collect()),
+            ColumnValues::Int((0..rows).map(|_| rng.random_range(0i64..3)).collect()),
+        ]
+    }
+
+    /// Random encodings, single and composite indexes and tiers.
+    fn reconfigure(e: &mut StorageEngine, t: TableId, rng: &mut StdRng) {
+        let chunks = e.table(t).unwrap().chunk_count() as u32;
+        let encodings = [
+            EncodingKind::Unencoded,
+            EncodingKind::Dictionary,
+            EncodingKind::RunLength,
+            EncodingKind::FrameOfReference,
+        ];
+        for chunk in 0..chunks {
+            for col in 0..ARITY {
+                let target = ChunkColumnRef::new(t.0, col, chunk);
+                let kind = encodings[rng.random_range(0usize..4)];
+                e.apply_action(&ConfigAction::SetEncoding { target, kind })
+                    .unwrap();
+                let second = ColumnId((col + 1) % ARITY);
+                let index = match rng.random_range(0..4) {
+                    0 => IndexKind::Hash,
+                    1 => IndexKind::BTree,
+                    2 => IndexKind::CompositeHash { second },
+                    _ => continue,
+                };
+                e.apply_action(&ConfigAction::CreateIndex {
+                    target,
+                    kind: index,
+                })
+                .unwrap();
+            }
+            if rng.random_bool(0.3) {
+                e.apply_action(&ConfigAction::SetPlacement {
+                    table: t,
+                    chunk: ChunkId(chunk),
+                    tier: [Tier::Warm, Tier::Cold][rng.random_range(0usize..2)],
+                })
+                .unwrap();
+            }
+        }
+    }
+
+    /// Any operator on any filterable column, with Int and Float literals
+    /// on every numeric column.
+    fn predicate(rng: &mut StdRng) -> ScanPredicate {
+        let column = [UP, UP_F, FLAT, MIXED, UP_T][rng.random_range(0usize..5)];
+        let literal = |rng: &mut StdRng| match rng.random_range(0..2) {
+            _ if column == UP_T => Value::Text(format!("k{:03}", rng.random_range(85i64..190))),
+            0 => Value::Int(rng.random_range(-10i64..90)),
+            _ => Value::Float(rng.random_range(-20i64..180) as f64 * 0.5),
+        };
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+            PredicateOp::Between,
+        ];
+        let op = ops[rng.random_range(0usize..6)];
+        let value = literal(rng);
+        let upper = (op == PredicateOp::Between && rng.random_bool(0.8)).then(|| literal(rng));
+        ScanPredicate {
+            column,
+            op,
+            value,
+            upper,
+        }
+    }
+
+    fn aggregate(rng: &mut StdRng) -> (Option<Aggregate>, Option<ColumnId>) {
+        let agg = match rng.random_range(0..6) {
+            0 => return (None, None),
+            1 => Aggregate::count(),
+            2 => Aggregate::new(AggregateOp::Sum, UP_F),
+            3 => Aggregate::new(AggregateOp::Avg, UP),
+            4 => Aggregate::new(AggregateOp::Min, MIXED),
+            _ => Aggregate::new(AggregateOp::Max, UP_F),
+        };
+        (Some(agg), rng.random_bool(0.3).then_some(KEY))
+    }
+
+    /// The scan with every chunk asked through `access_path`, in chunk
+    /// order — no chunk run.
+    fn reference(
+        e: &StorageEngine,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+    ) -> Vec<ChunkPartial> {
+        let mut job = e
+            .scan_job(TableId(0), predicates, aggregate, group_by)
+            .unwrap();
+        job.run = 0..job.table.chunk_count();
+        let mut partials = Vec::new();
+        e.scan_range(&job, job.run.clone(), &mut partials).unwrap();
+        partials
+    }
+
+    /// The reference's lane model on a two-thread pool.
+    fn reference_lanes(
+        e: &StorageEngine,
+        partials: &[ChunkPartial],
+        morsel_chunks: usize,
+    ) -> (Cost, u64) {
+        let costs: Vec<f64> = morsel_ranges(partials.len(), morsel_chunks)
+            .into_iter()
+            .map(|(start, end)| partials[start..end].iter().map(|p| p.cost.ms()).sum())
+            .collect();
+        let lanes = 2usize.min(costs.len());
+        (
+            simulated_latency(&costs, lanes, e.params.morsel_dispatch_ms),
+            costs.len() as u64,
+        )
+    }
+
+    type Bits = (
+        (u64, Option<u64>, Option<Vec<(Value, u64)>>),
+        (u64, u64, u64),
+        (u64, u64, u64, u64, u64, u64, u64),
+    );
+
+    /// Every field of a [`ScanOutput`], floats as bit patterns.
+    fn bits(o: &ScanOutput) -> Bits {
+        let groups = o
+            .groups
+            .as_ref()
+            .map(|g| g.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect());
+        (
+            (o.rows_matched, o.agg_value.map(f64::to_bits), groups),
+            (
+                o.sim_cost.ms().to_bits(),
+                o.sim_latency.ms().to_bits(),
+                o.morsels,
+            ),
+            (
+                o.rows_scanned,
+                o.chunks_pruned,
+                o.chunks_visited,
+                o.index_probes,
+                o.chunks_kernel,
+                o.chunks_scalar,
+                o.kernel_batches,
+            ),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_run_changes_how_pruned_chunks_are_found_not_what_is_charged(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let chunk_rows = rng.random_range(1usize..5);
+            let raw = columns(&mut rng, chunk_rows);
+            let names = ["up", "up_f", "flat", "mixed", "up_t", "key"];
+            let types = raw.iter().map(ColumnValues::data_type);
+            let schema = Schema::new(names.iter().zip(types).map(|(n, t)| ColumnDef::new(*n, t)).collect()).unwrap();
+            let table = Table::from_columns("t", schema, raw.clone(), chunk_rows).unwrap();
+            let mut e = StorageEngine::default();
+            let t = e.create_table(table).unwrap();
+            reconfigure(&mut e, t, &mut rng);
+            e.set_kernels_enabled(rng.random_bool(0.5));
+            let pool = ScanPool::new(2);
+
+            // The run is live: on every non-decreasing column a predicate
+            // below every value rules out every chunk without asking.
+            let table = e.table(t).unwrap();
+            for col in [UP, UP_F, FLAT, UP_T] {
+                let below = ScanPredicate::cmp(col, PredicateOp::Lt, -1_000i64);
+                prop_assert!(table.chunk_run(&[below]).is_empty(), "{} is monotone", col);
+            }
+            let above = ScanPredicate::cmp(UP, PredicateOp::Gt, 1_000i64);
+
+            let mut queries: Vec<Vec<ScanPredicate>> = (0..6)
+                .map(|_| (0..rng.random_range(0..4)).map(|_| predicate(&mut rng)).collect())
+                .collect();
+            // All pruned, and an empty result from visited chunks.
+            queries.push(vec![above]);
+            queries.push(vec![ScanPredicate::between(MIXED, 7.25f64, 7.75f64)]);
+            for predicates in &queries {
+                let (agg, group_by) = aggregate(&mut rng);
+                let agg = agg.as_ref();
+                let partials = reference(&e, predicates, agg, group_by);
+                let lanes: Vec<(Cost, u64)> = [1, 3].map(|m| reference_lanes(&e, &partials, m)).to_vec();
+                let expected = e.merge_scan_partials(partials, agg, group_by);
+
+                // Rows are counted by brute force only where the
+                // frame-of-reference filter can answer: it matches nothing
+                // for a predicate `int_bounds` cannot lower to integers.
+                let lowered = |p: &ScanPredicate| {
+                    matches!(p.column, UP_F | UP_T) || crate::encoding::int_bounds(p).is_some()
+                };
+                if predicates.iter().all(lowered) {
+                    let matched = (0..raw[0].len())
+                        .filter(|&row| predicates.iter().all(|p| p.matches(&raw[p.column.0 as usize].value_at(row))))
+                        .count();
+                    prop_assert_eq!(expected.rows_matched, matched as u64, "{:?}", predicates);
+                }
+                let predicted = e.predict_access_paths(t, predicates).unwrap();
+                prop_assert_eq!(
+                    (predicted.pruned, predicted.index, predicted.kernel, predicted.scalar),
+                    (expected.chunks_pruned, expected.index_probes, expected.chunks_kernel, expected.chunks_scalar)
+                );
+
+                let inline = e.scan_grouped(t, predicates, agg, group_by).unwrap();
+                prop_assert_eq!(bits(&inline), bits(&expected), "inline {:?}", predicates);
+                let gathered = e.scan_partials(t, predicates, agg, group_by, None).unwrap();
+                let gathered = e.merge_scan_partials(gathered, agg, group_by);
+                prop_assert_eq!(bits(&gathered), bits(&expected), "scan_partials {:?}", predicates);
+                for (morsel_chunks, &(latency, morsels)) in [1, 3].into_iter().zip(&lanes) {
+                    let parallel = Some((&*pool, morsel_chunks));
+                    let gathered = e.scan_partials(t, predicates, agg, group_by, parallel).unwrap();
+                    let gathered = e.merge_scan_partials(gathered, agg, group_by);
+                    prop_assert_eq!(bits(&gathered), bits(&expected), "morsel partials {:?}", predicates);
+                    let mut lane_model = expected.clone();
+                    if morsels > 1 {
+                        (lane_model.sim_latency, lane_model.morsels) = (latency, morsels);
+                    }
+                    let out = e.scan_grouped_parallel(t, predicates, agg, group_by, &pool, morsel_chunks).unwrap();
+                    prop_assert_eq!(bits(&out), bits(&lane_model), "morsels of {} {:?}", morsel_chunks, predicates);
+                }
+            }
+        }
     }
 }

@@ -108,16 +108,33 @@ impl ScanPredicate {
     /// Whether a chunk whose column values span `[min, max]` can contain a
     /// match — used for chunk pruning.
     pub fn overlaps_range(&self, min: &Value, max: &Value) -> bool {
+        self.admits_min(min) && self.admits_max(max)
+    }
+
+    /// The lower half of [`ScanPredicate::overlaps_range`]: whether a
+    /// chunk whose smallest value is `min` can hold a match. Once false
+    /// it stays false for every larger `min`, so over chunks whose mins
+    /// never decrease it holds on a prefix.
+    pub fn admits_min(&self, min: &Value) -> bool {
         match self.op {
-            PredicateOp::Eq => &self.value >= min && &self.value <= max,
+            PredicateOp::Eq => &self.value >= min,
             PredicateOp::Lt => min < &self.value,
             PredicateOp::Le => min <= &self.value,
+            PredicateOp::Gt | PredicateOp::Ge => true,
+            PredicateOp::Between => min <= self.upper.as_ref().unwrap_or(&self.value),
+        }
+    }
+
+    /// The upper half of [`ScanPredicate::overlaps_range`]: whether a
+    /// chunk whose largest value is `max` can hold a match. Once true it
+    /// stays true for every larger `max`, so over chunks whose maxes never
+    /// decrease it holds on a suffix.
+    pub fn admits_max(&self, max: &Value) -> bool {
+        match self.op {
+            PredicateOp::Eq => &self.value <= max,
+            PredicateOp::Lt | PredicateOp::Le => true,
             PredicateOp::Gt => max > &self.value,
-            PredicateOp::Ge => max >= &self.value,
-            PredicateOp::Between => {
-                let hi = self.upper.as_ref().unwrap_or(&self.value);
-                max >= &self.value && min <= hi
-            }
+            PredicateOp::Ge | PredicateOp::Between => max >= &self.value,
         }
     }
 }
@@ -203,6 +220,63 @@ mod tests {
         assert!(ScanPredicate::cmp(ColumnId(0), PredicateOp::Le, 10i64).overlaps_range(&min, &max));
         assert!(ScanPredicate::between(ColumnId(0), 18i64, 30i64).overlaps_range(&min, &max));
         assert!(!ScanPredicate::between(ColumnId(0), 21i64, 30i64).overlaps_range(&min, &max));
+    }
+
+    /// The two-sided prune test written out whole, as one match.
+    fn overlaps_reference(p: &ScanPredicate, min: &Value, max: &Value) -> bool {
+        match p.op {
+            PredicateOp::Eq => &p.value >= min && &p.value <= max,
+            PredicateOp::Lt => min < &p.value,
+            PredicateOp::Le => min <= &p.value,
+            PredicateOp::Gt => max > &p.value,
+            PredicateOp::Ge => max >= &p.value,
+            PredicateOp::Between => {
+                let hi = p.upper.as_ref().unwrap_or(&p.value);
+                max >= &p.value && min <= hi
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_is_both_halves() {
+        let p = |op, v: Value| ScanPredicate {
+            column: ColumnId(0),
+            op,
+            value: v,
+            upper: None,
+        };
+        let mut preds: Vec<ScanPredicate> = [
+            PredicateOp::Eq,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+            PredicateOp::Between,
+        ]
+        .into_iter()
+        .flat_map(|op| [p(op, Value::Int(15)), p(op, Value::Float(15.5))])
+        .collect();
+        preds.push(ScanPredicate::between(ColumnId(0), 12i64, 18.5f64));
+        preds.push(ScanPredicate::between(ColumnId(0), 25i64, 30i64));
+        let bounds = [5i64, 10, 15, 16, 20, 25].map(Value::Int);
+        for p in &preds {
+            for min in &bounds {
+                for max in bounds.iter().chain([&Value::Float(15.5)]) {
+                    let both = p.admits_min(min) && p.admits_max(max);
+                    assert_eq!(
+                        both,
+                        overlaps_reference(p, min, max),
+                        "{p:?} [{min}, {max}]"
+                    );
+                    assert_eq!(p.overlaps_range(min, max), both);
+                }
+            }
+        }
+        // Each half constrains one end only.
+        let ge = ScanPredicate::cmp(ColumnId(0), PredicateOp::Ge, 15i64);
+        assert!(ge.admits_min(&Value::Int(99)) && !ge.admits_max(&Value::Int(14)));
+        let lt = ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, 15i64);
+        assert!(lt.admits_max(&Value::Int(0)) && !lt.admits_min(&Value::Int(15)));
     }
 
     #[test]

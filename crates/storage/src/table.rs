@@ -1,9 +1,12 @@
 //! Tables: a schema plus a sequence of chunks.
 
+use std::ops::Range;
+
 use smdb_common::{ChunkId, ColumnId, Error, Result};
 use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 
 use crate::chunk::Chunk;
+use crate::scan::ScanPredicate;
 use crate::schema::Schema;
 use crate::value::{ColumnValues, Value};
 
@@ -14,6 +17,10 @@ pub struct Table {
     schema: Schema,
     chunks: Vec<Chunk>,
     target_chunk_rows: usize,
+    /// Per column: every chunk has a min and a max, and both never
+    /// decrease in chunk order. Chunk statistics are written once, at
+    /// construction, so no encoding, index or tier change can stale it.
+    monotone: Vec<bool>,
 }
 
 impl Table {
@@ -60,11 +67,15 @@ impl Table {
             chunks.push(Chunk::from_columns(chunk_cols)?);
             start = end;
         }
+        let monotone = (0..schema.arity())
+            .map(|col| is_monotone(&chunks, ColumnId(col as u16)))
+            .collect();
         Ok(Table {
             name: name.into(),
             schema,
             chunks,
             target_chunk_rows,
+            monotone,
         })
     }
 
@@ -154,6 +165,45 @@ impl Table {
     pub fn index_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.index_bytes()).sum()
     }
+
+    /// The chunk run `[lo, hi)` outside which min/max pruning rules out
+    /// every chunk for `predicates`. Each predicate on a monotone column
+    /// narrows it by two binary searches over the same comparisons the
+    /// prune test makes: its admitted mins are a prefix of the chunks and
+    /// its admitted maxes a suffix. Predicates on other columns leave it
+    /// whole, and a chunk inside the run may still be pruned.
+    pub(crate) fn chunk_run(&self, predicates: &[ScanPredicate]) -> Range<usize> {
+        let (mut lo, mut hi) = (0, self.chunks.len());
+        for p in predicates {
+            if self.monotone.get(p.column.0 as usize) != Some(&true) {
+                continue;
+            }
+            let min_admitted = |c: &Chunk| {
+                let min = c.stats(p.column).ok().and_then(|s| s.min.as_ref());
+                min.is_some_and(|m| p.admits_min(m))
+            };
+            let max_refused = |c: &Chunk| {
+                let max = c.stats(p.column).ok().and_then(|s| s.max.as_ref());
+                max.is_some_and(|m| !p.admits_max(m))
+            };
+            hi = hi.min(self.chunks.partition_point(min_admitted));
+            lo = lo.max(self.chunks.partition_point(max_refused));
+        }
+        lo.min(hi)..hi
+    }
+}
+
+/// Whether every chunk has a min and a max on `col` and neither ever
+/// decreases in chunk order.
+fn is_monotone(chunks: &[Chunk], col: ColumnId) -> bool {
+    let bounds: Option<Vec<(&Value, &Value)>> = chunks
+        .iter()
+        .map(|c| {
+            let s = c.stats(col).ok()?;
+            Some((s.min.as_ref()?, s.max.as_ref()?))
+        })
+        .collect();
+    bounds.is_some_and(|b| b.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1))
 }
 
 fn slice_column(col: &ColumnValues, start: usize, end: usize) -> ColumnValues {
@@ -208,6 +258,7 @@ impl Decode for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::PredicateOp;
     use crate::schema::ColumnDef;
     use crate::value::DataType;
 
@@ -304,6 +355,69 @@ mod tests {
         .unwrap();
         let ids: Vec<u32> = t.chunks().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![0, 1]);
+    }
+
+    #[test]
+    fn monotone_columns_are_detected() {
+        let int = |name| ColumnDef::new(name, DataType::Int);
+        let schema = Schema::new(vec![
+            int("up"),
+            int("flat"),
+            int("saw"),
+            int("shrinking"),
+            ColumnDef::new("tag", DataType::Text),
+        ])
+        .unwrap();
+        let t = Table::from_columns(
+            "t",
+            schema,
+            vec![
+                // Chunks [0,1,2] [2,3,4] [5]: a duplicate spans a boundary.
+                ColumnValues::Int(vec![0, 1, 2, 2, 3, 4, 5]),
+                ColumnValues::Int(vec![7; 7]),
+                ColumnValues::Int(vec![0, 1, 2, 0, 1, 2, 0]),
+                // Mins rise (0, 1, 6) but maxes fall (9, 8, 6).
+                ColumnValues::Int(vec![0, 9, 5, 1, 8, 2, 6]),
+                ColumnValues::Text(
+                    ["a", "b", "c", "c", "d", "e", "f"]
+                        .map(String::from)
+                        .to_vec(),
+                ),
+            ],
+            3,
+        )
+        .unwrap();
+        assert_eq!(t.monotone, [true, true, false, false, true]);
+        // A freshly decoded table detects the same.
+        let mut w = ByteWriter::new();
+        t.encode(&mut w).unwrap();
+        let back: Table = smdb_durable::decode_all(&w.into_bytes()).unwrap();
+        assert_eq!(back.monotone, t.monotone);
+
+        let run = |p: ScanPredicate| t.chunk_run(&[p]);
+        assert_eq!(run(ScanPredicate::eq(ColumnId(0), 2i64)), 0..2);
+        // No row holds 2.5, but chunk 1 spans it: the run is the prune
+        // test's answer, not the data's.
+        assert_eq!(run(ScanPredicate::eq(ColumnId(0), 2.5f64)), 1..2);
+        assert_eq!(
+            run(ScanPredicate::cmp(ColumnId(0), PredicateOp::Gt, 4i64)),
+            2..3
+        );
+        assert_eq!(
+            run(ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, 0i64)),
+            0..0
+        );
+        assert_eq!(run(ScanPredicate::between(ColumnId(0), 3i64, 9i64)), 1..3);
+        assert!(run(ScanPredicate::eq(ColumnId(1), 8i64)).is_empty());
+        assert_eq!(run(ScanPredicate::eq(ColumnId(4), "c")), 0..2);
+        // A non-monotone column leaves the run whole; predicates intersect.
+        assert_eq!(run(ScanPredicate::eq(ColumnId(3), 99i64)), 0..3);
+        let both = [
+            ScanPredicate::eq(ColumnId(3), 99i64),
+            ScanPredicate::cmp(ColumnId(0), PredicateOp::Ge, 3i64),
+            ScanPredicate::cmp(ColumnId(0), PredicateOp::Le, 4i64),
+        ];
+        assert_eq!(t.chunk_run(&both), 1..2);
     }
 
     fn text_table() -> Table {
