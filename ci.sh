@@ -129,6 +129,12 @@ count_crates_lines() { # the size number the north star judges by
     echo "crates_rs_lines: ${CRATES_RS_LINES}"
 }
 
+release_predicate_suites() { # overflow checks off: a wrapped bound is a wrong answer, not a panic
+    cargo test --release -q --test storage_props &&
+        cargo test --release -q -p smdb-bench --test kernel_props &&
+        cargo test --release -q -p smdb-storage --lib
+}
+
 check_benchmark_builds() { # the frozen yardstick still compiles against the crates
     # `&&`: steps run under `||`, where `set -e` does not apply.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
@@ -220,6 +226,7 @@ full)
     step "count crates lines" count_crates_lines
     step "cargo build --release" cargo build --workspace --release
     step "cargo test" cargo test -q --workspace
+    step "cargo test --release (predicate suites)" release_predicate_suites
     step "benchmark builds + tests" check_benchmark_builds
     step "benchmark recovery smoke" smoke_benchmark_recovery
     fresh_bench_and_gate

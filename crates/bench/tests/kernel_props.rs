@@ -97,7 +97,7 @@ fn predicate(col: u16, op: usize, a: i64, b: i64) -> ScanPredicate {
         2 => ScanPredicate::cmp(column, PredicateOp::Le, a),
         3 => ScanPredicate::cmp(column, PredicateOp::Gt, a),
         4 => ScanPredicate::cmp(column, PredicateOp::Ge, a),
-        _ => ScanPredicate::between(column, a.min(b), a.max(b)),
+        _ => ScanPredicate::between(column, a, b),
     }
 }
 

@@ -48,6 +48,13 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Returns the total and resets it to zero in one step, so every
+    /// `add` lands in exactly one take, even one racing with it.
+    pub fn take(&self) -> u64 {
+        // ordering: relaxed like every counter access; the swap alone keeps each add in one take.
+        self.0.swap(0, Ordering::Relaxed)
+    }
 }
 
 /// A last-value-wins gauge (f64 bits in an atomic).

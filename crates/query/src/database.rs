@@ -13,6 +13,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use smdb_common::{Cost, LogicalTime, Result};
+use smdb_obs::metrics::Counter;
 use smdb_storage::{ConfigAction, ScanOutput, ScanPool, StorageEngine};
 
 use crate::plan_cache::PlanCache;
@@ -65,14 +66,14 @@ pub struct Database {
     /// Chunks per morsel when the pool is installed (0 = whole table,
     /// i.e. effectively inline).
     morsel_chunks: AtomicUsize,
-    parallel_scans: AtomicU64,
-    inline_scans: AtomicU64,
-    morsels_dispatched: AtomicU64,
-    chunks_pruned: AtomicU64,
-    chunks_index: AtomicU64,
-    chunks_kernel: AtomicU64,
-    chunks_scalar: AtomicU64,
-    kernel_batches: AtomicU64,
+    parallel_scans: Counter,
+    inline_scans: Counter,
+    morsels_dispatched: Counter,
+    chunks_pruned: Counter,
+    chunks_index: Counter,
+    chunks_kernel: Counter,
+    chunks_scalar: Counter,
+    kernel_batches: Counter,
 }
 
 impl Database {
@@ -85,14 +86,14 @@ impl Database {
             clock: AtomicU64::new(0),
             scan_pool: RwLock::new(None),
             morsel_chunks: AtomicUsize::new(smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS),
-            parallel_scans: AtomicU64::new(0),
-            inline_scans: AtomicU64::new(0),
-            morsels_dispatched: AtomicU64::new(0),
-            chunks_pruned: AtomicU64::new(0),
-            chunks_index: AtomicU64::new(0),
-            chunks_kernel: AtomicU64::new(0),
-            chunks_scalar: AtomicU64::new(0),
-            kernel_batches: AtomicU64::new(0),
+            parallel_scans: Counter::default(),
+            inline_scans: Counter::default(),
+            morsels_dispatched: Counter::default(),
+            chunks_pruned: Counter::default(),
+            chunks_index: Counter::default(),
+            chunks_kernel: Counter::default(),
+            chunks_scalar: Counter::default(),
+            kernel_batches: Counter::default(),
         })
     }
 
@@ -121,12 +122,23 @@ impl Database {
     /// including the per-chunk access-path partition (pruned / index /
     /// kernel / scalar).
     pub fn scan_stats(&self) -> ScanStats {
-        // Relaxed loads throughout: independent statistics counters with
-        // no cross-counter invariant a reader could rely on.
-        fn read(counter: &AtomicU64) -> u64 {
-            // ordering: relaxed statistics read, see scan_stats.
-            counter.load(Ordering::Relaxed)
-        }
+        self.read_scan_stats(Counter::get)
+    }
+
+    /// Takes and resets the scan-dispatch counters — the per-bucket read
+    /// a control thread does at each bucket close. Each counter is
+    /// drained with one [`Counter::take`]: a load followed by a separate
+    /// zeroing store would lose any increment a worker slips in between
+    /// the two, so every count lands in exactly one take (the sum of all
+    /// takes plus a final [`Database::scan_stats`] equals the true
+    /// total). Counters are independent — a scan finishing concurrently
+    /// may straddle two takes, which no reader relies on.
+    pub fn take_scan_stats(&self) -> ScanStats {
+        self.read_scan_stats(Counter::take)
+    }
+
+    /// Reads every scan-dispatch counter through `read`.
+    fn read_scan_stats(&self, read: impl Fn(&Counter) -> u64) -> ScanStats {
         ScanStats {
             parallel_scans: read(&self.parallel_scans),
             inline_scans: read(&self.inline_scans),
@@ -136,32 +148,6 @@ impl Database {
             chunks_kernel: read(&self.chunks_kernel),
             chunks_scalar: read(&self.chunks_scalar),
             kernel_batches: read(&self.kernel_batches),
-        }
-    }
-
-    /// Takes and resets the scan-dispatch counters — the per-bucket read
-    /// a control thread does at each bucket close. Each counter is
-    /// drained with a single atomic `swap(0)`: a load followed by a
-    /// separate zeroing store would lose any increment a worker slips in
-    /// between the two, so every count lands in exactly one take (the
-    /// sum of all takes plus a final [`Database::scan_stats`] equals the
-    /// true total). Counters are independent — a scan finishing
-    /// concurrently may straddle two takes, which no reader relies on.
-    pub fn take_scan_stats(&self) -> ScanStats {
-        fn take(counter: &AtomicU64) -> u64 {
-            // ordering: relaxed statistics drain; swap keeps each
-            // increment in exactly one take, see take_scan_stats.
-            counter.swap(0, Ordering::Relaxed)
-        }
-        ScanStats {
-            parallel_scans: take(&self.parallel_scans),
-            inline_scans: take(&self.inline_scans),
-            morsels: take(&self.morsels_dispatched),
-            chunks_pruned: take(&self.chunks_pruned),
-            chunks_index: take(&self.chunks_index),
-            chunks_kernel: take(&self.chunks_kernel),
-            chunks_scalar: take(&self.chunks_scalar),
-            kernel_batches: take(&self.kernel_batches),
         }
     }
 
@@ -247,26 +233,16 @@ impl Database {
     /// [`Database::scan_stats`].
     pub fn note_scan_output(&self, output: &ScanOutput) {
         if output.morsels > 0 {
-            // ordering: relaxed statistics add, see note_scan_output.
-            self.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            self.morsels_dispatched
-                // ordering: relaxed statistics add, see note_scan_output.
-                .fetch_add(output.morsels, Ordering::Relaxed);
+            self.parallel_scans.inc();
+            self.morsels_dispatched.add(output.morsels);
         } else {
-            // ordering: relaxed statistics add, see note_scan_output.
-            self.inline_scans.fetch_add(1, Ordering::Relaxed);
+            self.inline_scans.inc();
         }
-        // Pure statistics folded from the scan's own output after it
-        // completed; no other thread orders against these counters.
-        fn bump(counter: &AtomicU64, by: u64) {
-            // ordering: relaxed statistics add, see note_scan_output.
-            counter.fetch_add(by, Ordering::Relaxed);
-        }
-        bump(&self.chunks_pruned, output.chunks_pruned);
-        bump(&self.chunks_index, output.index_probes);
-        bump(&self.chunks_kernel, output.chunks_kernel);
-        bump(&self.chunks_scalar, output.chunks_scalar);
-        bump(&self.kernel_batches, output.kernel_batches);
+        self.chunks_pruned.add(output.chunks_pruned);
+        self.chunks_index.add(output.index_probes);
+        self.chunks_kernel.add(output.chunks_kernel);
+        self.chunks_scalar.add(output.chunks_scalar);
+        self.kernel_batches.add(output.kernel_batches);
     }
 
     /// Records one execution of `query` at cost `cost` in the plan cache

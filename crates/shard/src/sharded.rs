@@ -19,11 +19,11 @@
 //! latency model (`sim_latency`, `morsels`) is shard-dependent, exactly
 //! the freedom the PR 5 morsel contract already grants.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use smdb_common::{ColumnId, Error, Result, TableId};
+use smdb_obs::metrics::Counter;
 use smdb_query::{Database, Query, QueryRunResult};
 use smdb_storage::value::ColumnValues;
 use smdb_storage::{ChunkPartial, PredicateOp, Schema, StorageEngine, Table};
@@ -43,8 +43,8 @@ pub struct ShardedDatabase {
     chunk_map: Vec<Vec<usize>>,
     router: TenantRouter,
     tenant_column: Option<ColumnId>,
-    routed_queries: AtomicU64,
-    scatter_queries: AtomicU64,
+    routed_queries: Counter,
+    scatter_queries: Counter,
 }
 
 impl ShardedDatabase {
@@ -88,8 +88,8 @@ impl ShardedDatabase {
             chunk_map,
             router,
             tenant_column,
-            routed_queries: AtomicU64::new(0),
-            scatter_queries: AtomicU64::new(0),
+            routed_queries: Counter::default(),
+            scatter_queries: Counter::default(),
         })
     }
 
@@ -115,12 +115,7 @@ impl ShardedDatabase {
 
     /// Queries answered by a single routed shard / by scatter-gather.
     pub fn routing_counts(&self) -> (u64, u64) {
-        (
-            // ordering: relaxed statistics read, see run_query.
-            self.routed_queries.load(Ordering::Relaxed),
-            // ordering: relaxed statistics read, see run_query.
-            self.scatter_queries.load(Ordering::Relaxed),
-        )
+        (self.routed_queries.get(), self.scatter_queries.get())
     }
 
     /// The tenant a query pins with an equality predicate on the tenant
@@ -147,12 +142,10 @@ impl ShardedDatabase {
     /// otherwise.
     pub fn run_query(&self, query: &Query) -> Result<QueryRunResult> {
         if let Some(shard) = self.route(query) {
-            // ordering: relaxed statistics add, see routing_counts.
-            self.routed_queries.fetch_add(1, Ordering::Relaxed);
+            self.routed_queries.inc();
             return self.shards[shard].run_query(query);
         }
-        // ordering: relaxed statistics add, see routing_counts.
-        self.scatter_queries.fetch_add(1, Ordering::Relaxed);
+        self.scatter_queries.inc();
         self.scatter_gather(query)
     }
 

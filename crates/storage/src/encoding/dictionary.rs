@@ -8,8 +8,9 @@
 //! which is why the engine charges lower build cost there.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
-use crate::scan::{PredicateOp, ScanPredicate};
+use crate::scan::{clears_lower, clears_upper, cmp_int, cmp_text, ScanPredicate};
 use crate::value::{ColumnValues, DataType, Value};
 
 /// Dictionary payload: either integer or text dictionaries are supported;
@@ -158,89 +159,17 @@ impl DictionarySegment {
     /// when no code can match. The kernel layer reuses this translation
     /// for its batched code scans.
     pub(crate) fn code_interval(&self, pred: &ScanPredicate) -> Option<(u32, u32)> {
-        // Find, in the sorted dictionary, the interval of codes whose
-        // values satisfy the predicate. All supported operators describe a
-        // contiguous value interval, so the code interval is contiguous too.
-        let (lo_v, hi_v): (Option<&Value>, Option<&Value>) = match pred.op {
-            PredicateOp::Eq => (Some(&pred.value), Some(&pred.value)),
-            PredicateOp::Lt | PredicateOp::Le => (None, Some(&pred.value)),
-            PredicateOp::Gt | PredicateOp::Ge => (Some(&pred.value), None),
-            PredicateOp::Between => (Some(&pred.value), pred.upper.as_ref()),
+        // The dictionary is sorted, so the codes of the values the
+        // predicate's interval admits are contiguous.
+        let codes = match &self.dict {
+            Dict::Int(d) => admitted(d, pred, |&x, lit| cmp_int(x, lit)),
+            Dict::Text(d) => admitted(d, pred, |x, lit| cmp_text(x, lit)),
         };
-        let lo_excl = false;
-        let hi_excl = matches!(pred.op, PredicateOp::Lt);
-        let lo_excl = lo_excl || matches!(pred.op, PredicateOp::Gt);
-
-        let n = self.dictionary_size();
-        let cmp_at = |i: usize, v: &Value| -> Ordering {
-            match (&self.dict, v) {
-                (Dict::Int(d), _) => Value::Int(d[i]).cmp(v),
-                (Dict::Text(d), _) => Value::Text(d[i].clone()).cmp(v),
-            }
-        };
-        // Lower bound: first code with value >= lo (or > lo when exclusive).
-        let lo_code = match lo_v {
-            None => 0,
-            Some(v) => {
-                let mut l = 0usize;
-                let mut r = n;
-                while l < r {
-                    let m = (l + r) / 2;
-                    let ord = cmp_at(m, v);
-                    let keep_right = if lo_excl {
-                        ord != Ordering::Greater
-                    } else {
-                        ord == Ordering::Less
-                    };
-                    if keep_right {
-                        l = m + 1;
-                    } else {
-                        r = m;
-                    }
-                }
-                l
-            }
-        };
-        // Upper bound: last code with value <= hi (or < hi when exclusive).
-        let hi_code = match hi_v {
-            None => n,
-            Some(v) => {
-                let mut l = 0usize;
-                let mut r = n;
-                while l < r {
-                    let m = (l + r) / 2;
-                    let ord = cmp_at(m, v);
-                    let keep_right = if hi_excl {
-                        ord == Ordering::Less
-                    } else {
-                        ord != Ordering::Greater
-                    };
-                    if keep_right {
-                        l = m + 1;
-                    } else {
-                        r = m;
-                    }
-                }
-                l
-            }
-        };
-        if lo_code >= hi_code {
-            None
-        } else {
-            Some((lo_code as u32, (hi_code - 1) as u32))
-        }
+        (!codes.is_empty()).then(|| (codes.start as u32, codes.end as u32 - 1))
     }
 
     /// Encoding-specific filter: predicate → code interval → tight code scan.
     pub fn filter(&self, pred: &ScanPredicate, out: &mut Vec<u32>) {
-        // Type mismatch (e.g. text predicate on int dict): nothing matches
-        // except through the generic value order, which we honour by
-        // falling back to per-value checks only when types align.
-        if pred.value.data_type() != self.data_type()
-            && !(pred.value.data_type() == DataType::Float && self.data_type() == DataType::Int)
-        {
-            return;
-        }
         let Some((lo, hi)) = self.code_interval(pred) else {
             return;
         };
@@ -260,9 +189,23 @@ impl DictionarySegment {
     }
 }
 
+/// The index range of the sorted `dict` whose entries `pred` admits: one
+/// `partition_point` per bound, comparing entries by `cmp`.
+fn admitted<T>(
+    dict: &[T],
+    pred: &ScanPredicate,
+    cmp: impl Fn(&T, &Value) -> Ordering,
+) -> Range<usize> {
+    let (lo, hi) = pred.bounds();
+    let start = dict.partition_point(|x| !clears_lower(lo, |lit| cmp(x, lit)));
+    let end = dict.partition_point(|x| clears_upper(hi, |lit| cmp(x, lit)));
+    start..end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::PredicateOp;
     use smdb_common::ColumnId;
 
     fn seg(v: Vec<i64>) -> DictionarySegment {
@@ -339,10 +282,19 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_predicate_type_matches_nothing() {
+    fn cross_type_literals_follow_the_total_order() {
         let s = seg(vec![1, 2, 3]);
-        let mut out = Vec::new();
-        s.filter(&ScanPredicate::eq(ColumnId(0), "one"), &mut out);
-        assert!(out.is_empty());
+        let filtered = |p: ScanPredicate| {
+            let mut out = Vec::new();
+            s.filter(&p, &mut out);
+            out
+        };
+        // Text sorts above every number; Float compares numerically.
+        assert!(filtered(ScanPredicate::eq(ColumnId(0), "one")).is_empty());
+        let below_text = ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, "one");
+        assert_eq!(filtered(below_text), vec![0, 1, 2]);
+        assert_eq!(filtered(ScanPredicate::eq(ColumnId(0), 2.0f64)), vec![1]);
+        let below = ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, 2.5f64);
+        assert_eq!(filtered(below), vec![0, 1]);
     }
 }

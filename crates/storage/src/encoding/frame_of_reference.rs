@@ -71,23 +71,27 @@ impl ForSegment {
         self.offsets.iter().map(|&o| self.base + o as i64).collect()
     }
 
-    /// Encoding-specific filter: shift the predicate interval into offset
-    /// space once, then scan u32s.
-    pub fn filter(&self, pred: &ScanPredicate, out: &mut Vec<u32>) {
-        let Some((lo, hi)) = int_bounds(pred) else {
-            return;
-        };
-        // Translate [lo, hi] into offset space, clamping to the encodable
-        // window. An empty window means no row can match.
+    /// The offsets `[lo, hi]` holding values `pred` admits, `None` when
+    /// no offset can: the predicate's integer interval rebased once into
+    /// offset space and clamped to the encodable window. The scalar
+    /// filter and the kernel both scan by it.
+    pub(crate) fn offset_interval(&self, pred: &ScanPredicate) -> Option<(u32, u32)> {
+        let (lo, hi) = int_bounds(pred)?;
         let lo_off = lo.saturating_sub(self.base);
         let hi_off = hi.saturating_sub(self.base);
         if hi_off < 0 || lo_off > u32::MAX as i64 {
-            return;
+            return None;
         }
-        let lo_off = lo_off.clamp(0, u32::MAX as i64) as u32;
-        let hi_off = hi_off.clamp(0, u32::MAX as i64) as u32;
+        Some((lo_off.max(0) as u32, hi_off.min(u32::MAX as i64) as u32))
+    }
+
+    /// Encoding-specific filter: one offset interval, then a scan of u32s.
+    pub fn filter(&self, pred: &ScanPredicate, out: &mut Vec<u32>) {
+        let Some((lo, hi)) = self.offset_interval(pred) else {
+            return;
+        };
         for (i, &o) in self.offsets.iter().enumerate() {
-            if o >= lo_off && o <= hi_off {
+            if o >= lo && o <= hi {
                 out.push(i as u32);
             }
         }

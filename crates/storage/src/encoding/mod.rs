@@ -25,7 +25,9 @@ pub mod dictionary;
 pub mod frame_of_reference;
 pub mod run_length;
 
-use crate::scan::ScanPredicate;
+use std::ops::Bound;
+
+use crate::scan::{clears_lower, clears_upper, cmp_int, cmp_text, ScanPredicate};
 use crate::value::{ColumnValues, DataType, Value};
 
 use dictionary::DictionarySegment;
@@ -199,17 +201,12 @@ impl Segment {
 fn filter_unencoded(values: &ColumnValues, pred: &ScanPredicate, out: &mut Vec<u32>) {
     match values {
         ColumnValues::Int(v) => {
-            // Fast numeric path: lower the predicate to i64 bounds once.
-            if let Some((lo, hi)) = int_bounds(pred) {
-                for (i, &x) in v.iter().enumerate() {
-                    if x >= lo && x <= hi {
-                        out.push(i as u32);
-                    }
-                }
+            // Lower the predicate to i64 bounds once.
+            let Some((lo, hi)) = int_bounds(pred) else {
                 return;
-            }
+            };
             for (i, &x) in v.iter().enumerate() {
-                if pred.matches(&Value::Int(x)) {
+                if x >= lo && x <= hi {
                     out.push(i as u32);
                 }
             }
@@ -224,7 +221,7 @@ fn filter_unencoded(values: &ColumnValues, pred: &ScanPredicate, out: &mut Vec<u
         ColumnValues::Text(v) => {
             for (i, s) in v.iter().enumerate() {
                 // Avoid cloning each string into a Value.
-                if matches_text(pred, s) {
+                if pred.admits_by(|lit| cmp_text(s, lit)) {
                     out.push(i as u32);
                 }
             }
@@ -232,45 +229,48 @@ fn filter_unencoded(values: &ColumnValues, pred: &ScanPredicate, out: &mut Vec<u
     }
 }
 
-fn matches_text(pred: &ScanPredicate, s: &str) -> bool {
-    let as_str = |v: &Value| match v {
-        Value::Text(t) => Some(t.clone()),
-        _ => None,
+/// Lowers a predicate over an integer column to the inclusive `[lo, hi]`
+/// of integers it admits, `None` when it admits none. `Int(x).cmp(lit)`
+/// never decreases as `x` grows, whatever the literal's type, so each
+/// bound lowers to one integer: an Int literal by arithmetic, any other
+/// by a binary search over `i64` (a Text literal, above every number,
+/// admits nothing as a lower bound and everything as an upper one).
+pub(crate) fn int_bounds(pred: &ScanPredicate) -> Option<(i64, i64)> {
+    let (lo, hi) = pred.bounds();
+    let lo = match lo {
+        Bound::Unbounded => i64::MIN,
+        Bound::Included(Value::Int(l)) => *l,
+        Bound::Excluded(Value::Int(l)) => l.checked_add(1)?,
+        _ => first_int(|x| clears_lower(lo, |lit| cmp_int(x, lit)))?,
     };
-    let Some(rhs) = as_str(&pred.value) else {
-        return false;
+    let hi = match hi {
+        Bound::Unbounded => i64::MAX,
+        Bound::Included(Value::Int(h)) => *h,
+        Bound::Excluded(Value::Int(h)) => h.checked_sub(1)?,
+        _ => match first_int(|x| !clears_upper(hi, |lit| cmp_int(x, lit))) {
+            Some(above) => above.checked_sub(1)?,
+            None => i64::MAX,
+        },
     };
-    match pred.op {
-        crate::scan::PredicateOp::Eq => s == rhs,
-        crate::scan::PredicateOp::Lt => s < rhs.as_str(),
-        crate::scan::PredicateOp::Le => s <= rhs.as_str(),
-        crate::scan::PredicateOp::Gt => s > rhs.as_str(),
-        crate::scan::PredicateOp::Ge => s >= rhs.as_str(),
-        crate::scan::PredicateOp::Between => {
-            let Some(hi) = pred.upper.as_ref().and_then(as_str) else {
-                return false;
-            };
-            s >= rhs.as_str() && s <= hi.as_str()
-        }
-    }
+    (lo <= hi).then_some((lo, hi))
 }
 
-/// Lowers a predicate over an integer column to an inclusive `[lo, hi]`
-/// interval, when its comparison values are integers.
-pub(crate) fn int_bounds(pred: &ScanPredicate) -> Option<(i64, i64)> {
-    use crate::scan::PredicateOp::*;
-    let v = pred.value.as_i64()?;
-    Some(match pred.op {
-        Eq => (v, v),
-        Lt => (i64::MIN, v.checked_sub(1)?),
-        Le => (i64::MIN, v),
-        Gt => (v.checked_add(1)?, i64::MAX),
-        Ge => (v, i64::MAX),
-        Between => {
-            let hi = pred.upper.as_ref()?.as_i64()?;
-            (v, hi)
+/// The smallest `x` for which `holds(x)`, given that `holds` never turns
+/// false again once true; `None` when it never holds.
+fn first_int(holds: impl Fn(i64) -> bool) -> Option<i64> {
+    let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+    if !holds(hi) {
+        return None;
+    }
+    while lo < hi {
+        let mid = ((i128::from(lo) + i128::from(hi)) >> 1) as i64;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
-    })
+    }
+    Some(lo)
 }
 
 #[cfg(test)]
@@ -353,12 +353,90 @@ mod tests {
 
     #[test]
     fn int_bounds_lowering() {
-        let p = ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, 10i64);
-        assert_eq!(int_bounds(&p), Some((i64::MIN, 9)));
-        let p = ScanPredicate::between(ColumnId(0), 2i64, 8i64);
-        assert_eq!(int_bounds(&p), Some((2, 8)));
-        let p = ScanPredicate::eq(ColumnId(0), "x");
-        assert_eq!(int_bounds(&p), None);
+        let c = ColumnId(0);
+        let lower = |p: ScanPredicate| int_bounds(&p);
+        assert_eq!(
+            lower(ScanPredicate::cmp(c, PredicateOp::Lt, 10i64)),
+            Some((i64::MIN, 9))
+        );
+        assert_eq!(lower(ScanPredicate::between(c, 2i64, 8i64)), Some((2, 8)));
+        // Cross-type literals lower where `Value::cmp` puts them.
+        assert_eq!(
+            lower(ScanPredicate::cmp(c, PredicateOp::Lt, 2.5f64)),
+            Some((i64::MIN, 2))
+        );
+        assert_eq!(lower(ScanPredicate::eq(c, 3.0f64)), Some((3, 3)));
+        assert_eq!(
+            lower(ScanPredicate::cmp(c, PredicateOp::Lt, "a")),
+            Some((i64::MIN, i64::MAX))
+        );
+        assert_eq!(lower(ScanPredicate::eq(c, "x")), None);
+        // An upper-less Between is equality; an inverted one is empty.
+        let upperless = ScanPredicate {
+            column: c,
+            op: PredicateOp::Between,
+            value: Value::Int(4),
+            upper: None,
+        };
+        assert_eq!(lower(upperless), Some((4, 4)));
+        assert_eq!(lower(ScanPredicate::between(c, 8i64, 2i64)), None);
+
+        // Brute force: the lowered interval holds exactly the integers
+        // `matches` admits, at the ends of the domain too.
+        let lits = [
+            Value::Int(i64::MIN),
+            Value::Int(-3),
+            Value::Int(i64::MAX),
+            Value::Float(-2.5),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(9.3e18),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Text("a".into()),
+        ];
+        let xs = [
+            i64::MIN,
+            i64::MIN + 1,
+            -4,
+            -3,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            3,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+            PredicateOp::Between,
+        ];
+        for value in &lits {
+            for upper in lits.iter().map(Some).chain([None]) {
+                for op in ops {
+                    if upper.is_some() && op != PredicateOp::Between {
+                        continue;
+                    }
+                    let p = ScanPredicate {
+                        column: c,
+                        op,
+                        value: value.clone(),
+                        upper: upper.cloned(),
+                    };
+                    let bounds = int_bounds(&p);
+                    for x in xs {
+                        let lowered = bounds.is_some_and(|(lo, hi)| lo <= x && x <= hi);
+                        assert_eq!(lowered, p.matches(&Value::Int(x)), "{p:?} at {x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -473,6 +473,37 @@ mod tests {
     }
 
     #[test]
+    fn inverted_between_matches_nothing_on_every_path() {
+        let pool = crate::parallel::ScanPool::new(2);
+        let pred = [ScanPredicate::between(ColumnId(0), 8i64, 2i64)];
+        for kind in EncodingKind::ALL {
+            for index in [None, Some(IndexKind::Hash), Some(IndexKind::BTree)] {
+                let (mut engine, t) = engine_with_table();
+                for chunk in 0..4 {
+                    let target = ChunkColumnRef::new(t.0, 0, chunk);
+                    engine
+                        .apply_action(&ConfigAction::SetEncoding { target, kind })
+                        .unwrap();
+                    if let Some(kind) = index {
+                        engine
+                            .apply_action(&ConfigAction::CreateIndex { target, kind })
+                            .unwrap();
+                    }
+                }
+                for kernels in [false, true] {
+                    engine.set_kernels_enabled(kernels);
+                    let at = format!("{kind} / {index:?} / kernels {kernels}");
+                    assert_eq!(engine.scan(t, &pred, None).unwrap().rows_matched, 0, "{at}");
+                    let parallel = engine
+                        .scan_grouped_parallel(t, &pred, None, None, &pool, 1)
+                        .unwrap();
+                    assert_eq!(parallel.rows_matched, 0, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn pruning_skips_chunks() {
         let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
         // Sorted data: each chunk covers a distinct range.

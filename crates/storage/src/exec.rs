@@ -124,7 +124,7 @@ impl StorageEngine {
                 AccessPath::FullChunk => self.kernels,
                 AccessPath::Scan { driving } => {
                     let p = &predicates[driving];
-                    self.kernels && crate::kernels::covers_filter(chunk.segment(p.column)?, p)
+                    self.kernels && crate::kernels::covers_filter(chunk.segment(p.column)?)
                 }
             };
             if kernel {
@@ -1132,18 +1132,10 @@ mod run_props {
                 let lanes: Vec<(Cost, u64)> = [1, 3].map(|m| reference_lanes(&e, &partials, m)).to_vec();
                 let expected = e.merge_scan_partials(partials, agg, group_by);
 
-                // Rows are counted by brute force only where the
-                // frame-of-reference filter can answer: it matches nothing
-                // for a predicate `int_bounds` cannot lower to integers.
-                let lowered = |p: &ScanPredicate| {
-                    matches!(p.column, UP_F | UP_T) || crate::encoding::int_bounds(p).is_some()
-                };
-                if predicates.iter().all(lowered) {
-                    let matched = (0..raw[0].len())
-                        .filter(|&row| predicates.iter().all(|p| p.matches(&raw[p.column.0 as usize].value_at(row))))
-                        .count();
-                    prop_assert_eq!(expected.rows_matched, matched as u64, "{:?}", predicates);
-                }
+                let matched = (0..raw[0].len())
+                    .filter(|&row| predicates.iter().all(|p| p.matches(&raw[p.column.0 as usize].value_at(row))))
+                    .count();
+                prop_assert_eq!(expected.rows_matched, matched as u64, "brute force {:?}", predicates);
                 let predicted = e.predict_access_paths(t, predicates).unwrap();
                 prop_assert_eq!(
                     (predicted.pruned, predicted.index, predicted.kernel, predicted.scalar),

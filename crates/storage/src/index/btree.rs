@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::encoding::Segment;
-use crate::scan::{PredicateOp, ScanPredicate};
+use crate::scan::ScanPredicate;
 use crate::value::Value;
 
 /// A B-tree index over one segment.
@@ -42,22 +42,22 @@ impl BTreeIndex {
         self.entry_bytes
     }
 
-    /// Appends all positions matching `pred` to `out`.
+    /// Appends all positions matching `pred` to `out`: one range over the
+    /// interval the predicate admits.
     pub fn probe(&self, pred: &ScanPredicate, out: &mut Vec<u32>) {
-        let (lo, hi): (Bound<&Value>, Bound<&Value>) = match pred.op {
-            PredicateOp::Eq => (Bound::Included(&pred.value), Bound::Included(&pred.value)),
-            PredicateOp::Lt => (Bound::Unbounded, Bound::Excluded(&pred.value)),
-            PredicateOp::Le => (Bound::Unbounded, Bound::Included(&pred.value)),
-            PredicateOp::Gt => (Bound::Excluded(&pred.value), Bound::Unbounded),
-            PredicateOp::Ge => (Bound::Included(&pred.value), Bound::Unbounded),
-            // A Between with no upper bound degrades to equality — the
-            // same fallback `ScanPredicate::matches` uses.
-            PredicateOp::Between => (
-                Bound::Included(&pred.value),
-                Bound::Included(pred.upper.as_ref().unwrap_or(&pred.value)),
-            ),
-        };
-        for (_, postings) in self.map.range::<Value, _>((lo, hi)) {
+        let bounds = pred.bounds();
+        // An inverted interval admits nothing, and `BTreeMap::range`
+        // panics on one.
+        if let (
+            Bound::Included(lo) | Bound::Excluded(lo),
+            Bound::Included(hi) | Bound::Excluded(hi),
+        ) = bounds
+        {
+            if lo > hi {
+                return;
+            }
+        }
+        for (_, postings) in self.map.range::<Value, _>(bounds) {
             out.extend_from_slice(postings);
         }
     }
@@ -67,6 +67,7 @@ impl BTreeIndex {
 mod tests {
     use super::*;
     use crate::encoding::EncodingKind;
+    use crate::scan::PredicateOp;
     use crate::value::ColumnValues;
     use smdb_common::ColumnId;
 
@@ -119,6 +120,7 @@ mod tests {
         let idx = index();
         let mut out = Vec::new();
         idx.probe(&ScanPredicate::eq(ColumnId(0), 99i64), &mut out);
+        idx.probe(&ScanPredicate::between(ColumnId(0), 30i64, 20i64), &mut out);
         assert!(out.is_empty());
     }
 }

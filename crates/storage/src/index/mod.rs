@@ -131,20 +131,15 @@ impl ChunkIndex {
     /// always return `false` here; the engine probes them with
     /// [`ChunkIndex::probe_composite`] when both predicates are present.
     pub fn probe(&self, pred: &ScanPredicate, out: &mut Vec<u32>) -> bool {
-        match self {
-            ChunkIndex::Hash(i) => {
-                if !matches!(pred.op, PredicateOp::Eq) {
-                    return false;
-                }
-                i.probe_eq(&pred.value, out);
-                true
-            }
-            ChunkIndex::BTree(i) => {
-                i.probe(pred, out);
-                true
-            }
-            ChunkIndex::Composite { .. } => false,
+        if !self.kind().supports(pred.op) {
+            return false;
         }
+        match self {
+            ChunkIndex::Hash(i) => i.probe_eq(&pred.value, out),
+            ChunkIndex::BTree(i) => i.probe(pred, out),
+            ChunkIndex::Composite { .. } => return false,
+        }
+        true
     }
 
     /// Probes a composite index with equality values for both columns.

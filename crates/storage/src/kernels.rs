@@ -7,26 +7,28 @@
 //! either produces exactly the bytes the scalar path would (same
 //! positions in the same order, same float accumulation sequence, same
 //! group keys) or it refuses the batch (`false`) and the caller runs
-//! the scalar path. Coverage is a pure function of encoding, data type
-//! and predicate shape, so the cost layer can mirror the engine's
-//! kernel-vs-scalar decision exactly (see [`covers_filter`]).
+//! the scalar path. Coverage is a pure function of encoding and data
+//! type, so the cost layer can mirror the engine's kernel-vs-scalar
+//! decision exactly (see [`covers_filter`]).
 //!
-//! The speed comes from never materializing [`Value`]s in inner loops:
-//! dictionary predicates are translated once into the code domain and
-//! scanned as `u32` compares, frame-of-reference predicates are rebased
-//! into offset space, float comparisons run in `total_cmp`'s monotone
-//! `i64` key space, and selection vectors are emitted block-at-a-time:
-//! each block of rows is compared into a bitmask (AVX2 lanes where the
-//! host supports them, a scalar mask loop otherwise) and only the set
-//! bits are expanded into positions, so sparse matches cost almost no
-//! stores.
+//! Every filter reads what a predicate admits from
+//! [`ScanPredicate::bounds`], lowered once per batch: dictionary
+//! predicates into the code domain and scanned as `u32` compares,
+//! integer predicates into an `i64` interval (rebased into offset space
+//! for frame-of-reference), float predicates into `total_cmp`'s monotone
+//! `i64` key space. Refinement evaluates the same interval per position
+//! through `ScanPredicate::admits_by`, never materializing [`Value`]s.
+//! Selection vectors are emitted block-at-a-time: each block of rows is
+//! compared into a bitmask (AVX2 lanes where the host supports them, a
+//! scalar mask loop otherwise) and only the set bits are expanded into
+//! positions, so sparse matches cost almost no stores.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use crate::encoding::{int_bounds, Segment};
-use crate::scan::{PredicateOp, ScanPredicate};
-use crate::value::{ColumnValues, DataType, Value};
+use crate::scan::{cmp_float, cmp_int, cmp_text, ScanPredicate};
+use crate::value::{ColumnValues, Value};
 
 /// Marker for batches the kernel layer refuses. Every call site must
 /// carry a `// kernel-fallback: <reason>` justification (enforced by
@@ -230,192 +232,85 @@ fn f64_key(x: f64) -> i64 {
     b ^ ((((b >> 63) as u64) >> 1) as i64)
 }
 
-/// Interval that never matches (used where the scalar path would reject
-/// every row, e.g. `Lt` the smallest value in total order).
-const EMPTY_KEYS: (i64, i64) = (i64::MAX, i64::MIN);
-
-/// Lowers a predicate over a float column to an inclusive interval in
-/// `total_cmp` key space. `None` means the predicate shape has no such
-/// lowering (non-numeric comparison value) and the batch is uncovered.
+/// Lowers a predicate over a float column to the inclusive interval it
+/// admits in `total_cmp` key space, `None` when it admits nothing. An
+/// Int literal orders a float row through `as f64`, the key `as_f64`
+/// gives; a Text literal sorts above every float.
 fn float_key_bounds(pred: &ScanPredicate) -> Option<(i64, i64)> {
-    // `as_f64` reads Int comparison values through the same `as f64`
-    // conversion `Value::cmp` applies, so the key is exact by mirror.
-    let k = f64_key(pred.value.as_f64()?);
-    Some(match pred.op {
-        PredicateOp::Eq => (k, k),
-        PredicateOp::Lt => match k.checked_sub(1) {
-            Some(hi) => (i64::MIN, hi),
-            None => EMPTY_KEYS,
+    let key = |lit: &Value| lit.as_f64().map(f64_key);
+    let (lo, hi) = pred.bounds();
+    let lo = match lo {
+        Bound::Unbounded => i64::MIN,
+        Bound::Included(l) => key(l)?,
+        Bound::Excluded(l) => key(l)?.checked_add(1)?,
+    };
+    let hi = match hi {
+        Bound::Unbounded => i64::MAX,
+        Bound::Included(h) => key(h).unwrap_or(i64::MAX),
+        Bound::Excluded(h) => match key(h) {
+            Some(k) => k.checked_sub(1)?,
+            None => i64::MAX,
         },
-        PredicateOp::Le => (i64::MIN, k),
-        PredicateOp::Gt => match k.checked_add(1) {
-            Some(lo) => (lo, i64::MAX),
-            None => EMPTY_KEYS,
-        },
-        PredicateOp::Ge => (k, i64::MAX),
-        PredicateOp::Between => {
-            // No upper bound degrades to equality, mirroring
-            // `ScanPredicate::matches`.
-            let hi = match pred.upper.as_ref() {
-                None => k,
-                Some(u) => f64_key(u.as_f64()?),
-            };
-            (k, hi)
-        }
-    })
+    };
+    (lo <= hi).then_some((lo, hi))
 }
 
 // ---------------------------------------------------------------------------
 // Filter kernels
 // ---------------------------------------------------------------------------
 
-/// Whether [`filter`] covers this segment/predicate combination. Pure in
-/// (encoding, data type, predicate shape): the cost layer calls this to
-/// predict the engine's kernel-vs-scalar decision per chunk.
-pub fn covers_filter(seg: &Segment, pred: &ScanPredicate) -> bool {
-    match seg {
-        // Encoded segments lower every predicate shape: either into the
-        // code/offset/run domain, or to a provably empty selection.
-        Segment::Dictionary(_) | Segment::RunLength(_) | Segment::FrameOfReference(_) => true,
-        Segment::Unencoded(ColumnValues::Int(_)) => int_bounds(pred).is_some(),
-        Segment::Unencoded(ColumnValues::Float(_)) => float_key_bounds(pred).is_some(),
-        Segment::Unencoded(ColumnValues::Text(_)) => false,
-    }
+/// Whether [`filter`] covers this segment. Pure in (encoding, data
+/// type): the cost layer calls this to predict the engine's
+/// kernel-vs-scalar decision per chunk.
+pub fn covers_filter(seg: &Segment) -> bool {
+    !matches!(seg, Segment::Unencoded(ColumnValues::Text(_)))
 }
 
 /// Batch filter: appends the positions matching `pred` to `out`, exactly
 /// as [`Segment::filter`] would. Returns `false` (appending nothing)
-/// when the combination is uncovered; the caller must then run the
-/// scalar filter.
+/// when the segment is uncovered; the caller must then run the scalar
+/// filter.
 pub fn filter(seg: &Segment, pred: &ScanPredicate, out: &mut Vec<u32>) -> bool {
     match seg {
         Segment::Unencoded(ColumnValues::Int(v)) => {
-            let Some((lo, hi)) = int_bounds(pred) else {
-                // kernel-fallback: non-integer comparison values have no
-                // i64 interval lowering; the scalar per-value loop keeps
-                // the mixed-type `Value::cmp` semantics.
-                return uncovered();
-            };
-            if lo > hi {
-                return true;
+            if let Some((lo, hi)) = int_bounds(pred) {
+                filter_i64_interval(v, lo, hi.wrapping_sub(lo) as u64, out);
             }
-            filter_i64_interval(v, lo, hi.wrapping_sub(lo) as u64, out);
-            true
         }
         Segment::Unencoded(ColumnValues::Float(v)) => {
-            let Some((lo, hi)) = float_key_bounds(pred) else {
-                // kernel-fallback: text comparison values against float
-                // columns resolve through cross-type `Value::cmp`; no
-                // key-space interval exists.
-                return uncovered();
-            };
-            if lo > hi {
-                return true;
+            if let Some((lo, hi)) = float_key_bounds(pred) {
+                filter_f64_keys(v, lo, hi.wrapping_sub(lo) as u64, out);
             }
-            filter_f64_keys(v, lo, hi.wrapping_sub(lo) as u64, out);
-            true
         }
         Segment::Unencoded(ColumnValues::Text(_)) => {
             // kernel-fallback: the scalar text path already compares
             // `&str` without materializing Values; there is no batch
             // lowering to add on top.
-            uncovered()
+            return uncovered();
         }
+        // Code-domain translation: two binary searches over the sorted
+        // dictionary, then a tight u32 interval scan over the codes.
         Segment::Dictionary(s) => {
-            // Type guard mirrored from the scalar dictionary filter:
-            // mismatched predicate types match nothing (except float
-            // predicates on int dictionaries, which compare numerically).
-            if pred.value.data_type() != s.data_type()
-                && !(pred.value.data_type() == DataType::Float && s.data_type() == DataType::Int)
-            {
-                return true;
+            if let Some((lo, hi)) = s.code_interval(pred) {
+                filter_u32_interval(s.codes(), lo, hi - lo, out);
             }
-            // Code-domain translation: one dictionary binary search, then
-            // a tight u32 interval scan over the codes.
-            let Some((lo, hi)) = s.code_interval(pred) else {
-                return true;
-            };
-            filter_u32_interval(s.codes(), lo, hi - lo, out);
-            true
         }
-        Segment::RunLength(s) => {
-            // The run-domain path already *is* the batch kernel: one
-            // predicate evaluation per run, whole runs emitted.
-            s.filter(pred, out);
-            true
-        }
+        // The run-domain path already *is* the batch kernel: one
+        // predicate evaluation per run, whole runs emitted.
+        Segment::RunLength(s) => s.filter(pred, out),
+        // The interval rebased into offset space once, then a u32 scan.
         Segment::FrameOfReference(s) => {
-            // Rebase the predicate interval into offset space once
-            // (mirroring the scalar FoR filter, including its "no i64
-            // interval ⇒ nothing matches" rule), then scan u32 offsets.
-            let Some((lo, hi)) = int_bounds(pred) else {
-                return true;
-            };
-            let base = s.base();
-            let lo_off = lo.saturating_sub(base);
-            let hi_off = hi.saturating_sub(base);
-            if hi_off < 0 || lo_off > u32::MAX as i64 {
-                return true;
+            if let Some((lo, hi)) = s.offset_interval(pred) {
+                filter_u32_interval(s.offsets(), lo, hi - lo, out);
             }
-            let lo_off = lo_off.clamp(0, u32::MAX as i64) as u32;
-            let hi_off = hi_off.clamp(0, u32::MAX as i64) as u32;
-            filter_u32_interval(s.offsets(), lo_off, hi_off - lo_off, out);
-            true
         }
     }
+    true
 }
 
 // ---------------------------------------------------------------------------
 // Refine kernels
 // ---------------------------------------------------------------------------
-
-/// `lhs.cmp(rhs)` for an integer row value, without boxing the row into
-/// a [`Value`] — the arms replicate `Value::cmp` exactly.
-#[inline(always)]
-fn cmp_int(x: i64, rhs: &Value) -> Ordering {
-    match rhs {
-        Value::Int(b) => x.cmp(b),
-        Value::Float(b) => (x as f64).total_cmp(b),
-        Value::Text(_) => Ordering::Less,
-    }
-}
-
-/// `lhs.cmp(rhs)` for a float row value (mirror of `Value::cmp`).
-#[inline(always)]
-fn cmp_float(x: f64, rhs: &Value) -> Ordering {
-    match rhs {
-        Value::Int(b) => x.total_cmp(&(*b as f64)),
-        Value::Float(b) => x.total_cmp(b),
-        Value::Text(_) => Ordering::Less,
-    }
-}
-
-/// `lhs.cmp(rhs)` for a text row value (mirror of `Value::cmp`).
-#[inline(always)]
-fn cmp_text(x: &str, rhs: &Value) -> Ordering {
-    match rhs {
-        Value::Text(t) => x.cmp(t.as_str()),
-        _ => Ordering::Greater,
-    }
-}
-
-/// Evaluates `pred` given an ordering oracle for the row value, exactly
-/// as `ScanPredicate::matches` does through `Value`'s total order.
-#[inline(always)]
-fn op_matches(pred: &ScanPredicate, ord: impl Fn(&Value) -> Ordering) -> bool {
-    match pred.op {
-        PredicateOp::Eq => ord(&pred.value) == Ordering::Equal,
-        PredicateOp::Lt => ord(&pred.value) == Ordering::Less,
-        PredicateOp::Le => ord(&pred.value) != Ordering::Greater,
-        PredicateOp::Gt => ord(&pred.value) == Ordering::Greater,
-        PredicateOp::Ge => ord(&pred.value) != Ordering::Less,
-        PredicateOp::Between => {
-            // No upper bound degrades to equality, mirroring `matches`.
-            let hi = pred.upper.as_ref().unwrap_or(&pred.value);
-            ord(&pred.value) != Ordering::Less && ord(hi) != Ordering::Greater
-        }
-    }
-}
 
 /// Batch refinement: retains in `positions` exactly the positions
 /// [`Segment::refine`] would, without the per-position `Value`
@@ -424,26 +319,25 @@ fn op_matches(pred: &ScanPredicate, ord: impl Fn(&Value) -> Ordering) -> bool {
 pub fn refine(seg: &Segment, pred: &ScanPredicate, positions: &mut Vec<u32>) -> bool {
     match seg {
         Segment::Unencoded(ColumnValues::Int(v)) => {
-            positions.retain(|&p| op_matches(pred, |rhs| cmp_int(v[p as usize], rhs)));
+            positions.retain(|&p| pred.admits_by(|lit| cmp_int(v[p as usize], lit)));
             true
         }
         Segment::Unencoded(ColumnValues::Float(v)) => {
-            positions.retain(|&p| op_matches(pred, |rhs| cmp_float(v[p as usize], rhs)));
+            positions.retain(|&p| pred.admits_by(|lit| cmp_float(v[p as usize], lit)));
             true
         }
         Segment::Unencoded(ColumnValues::Text(v)) => {
-            positions.retain(|&p| op_matches(pred, |rhs| cmp_text(&v[p as usize], rhs)));
+            positions.retain(|&p| pred.admits_by(|lit| cmp_text(&v[p as usize], lit)));
             true
         }
         Segment::Dictionary(s) => {
             let codes = s.codes();
             if let Some(d) = s.int_dict() {
-                positions.retain(|&p| {
-                    op_matches(pred, |rhs| cmp_int(d[codes[p as usize] as usize], rhs))
-                });
+                positions
+                    .retain(|&p| pred.admits_by(|lit| cmp_int(d[codes[p as usize] as usize], lit)));
             } else if let Some(d) = s.text_dict() {
                 positions.retain(|&p| {
-                    op_matches(pred, |rhs| cmp_text(&d[codes[p as usize] as usize], rhs))
+                    pred.admits_by(|lit| cmp_text(&d[codes[p as usize] as usize], lit))
                 });
             }
             true
@@ -451,9 +345,8 @@ pub fn refine(seg: &Segment, pred: &ScanPredicate, positions: &mut Vec<u32>) -> 
         Segment::FrameOfReference(s) => {
             let base = s.base();
             let offsets = s.offsets();
-            positions.retain(|&p| {
-                op_matches(pred, |rhs| cmp_int(base + offsets[p as usize] as i64, rhs))
-            });
+            positions
+                .retain(|&p| pred.admits_by(|lit| cmp_int(base + offsets[p as usize] as i64, lit)));
             true
         }
         Segment::RunLength(_) => {
@@ -659,6 +552,7 @@ pub fn aggregate_grouped(
 mod tests {
     use super::*;
     use crate::encoding::EncodingKind;
+    use crate::scan::PredicateOp;
     use smdb_common::ColumnId;
 
     fn all_preds() -> Vec<ScanPredicate> {
@@ -695,6 +589,12 @@ mod tests {
             value: Value::Float(2.0),
             upper: Some(Value::Text("zed".into())),
         });
+        preds.push(ScanPredicate {
+            column: c,
+            op: PredicateOp::Between,
+            value: Value::Text("mango".into()),
+            upper: None,
+        });
         preds
     }
 
@@ -721,10 +621,14 @@ mod tests {
                     let mut scalar = vec![7u32]; // pre-existing content survives
                     let mut kernel = vec![7u32];
                     seg.filter(&pred, &mut scalar);
+                    let oracle = (0..data.len() as u32)
+                        .filter(|&i| pred.matches(&data.value_at(i as usize)));
+                    let oracle: Vec<u32> = std::iter::once(7).chain(oracle).collect();
+                    assert_eq!(scalar, oracle, "scalar vs matches for {kind} / {pred:?}");
                     let covered = filter(&seg, &pred, &mut kernel);
                     assert_eq!(
                         covered,
-                        covers_filter(&seg, &pred),
+                        covers_filter(&seg),
                         "coverage mismatch for {kind} / {pred:?}"
                     );
                     if covered {

@@ -4,6 +4,15 @@
 //! The query crate lowers its logical queries to these structures; the
 //! engine evaluates them per chunk along the access path
 //! [`crate::access`] chooses.
+//!
+//! A predicate admits one interval of values under `Value::cmp`'s total
+//! order, stated once by [`ScanPredicate::bounds`]. Row checks, chunk
+//! pruning, B-tree range probes, the dictionary code interval and the
+//! integer and float key lowerings all derive from it, so an encoding or
+//! an index changes what a predicate costs, never which rows it returns.
+
+use std::cmp::Ordering;
+use std::ops::Bound;
 
 use smdb_common::ColumnId;
 use smdb_durable::{durable_enum, durable_struct};
@@ -89,19 +98,38 @@ impl ScanPredicate {
         }
     }
 
+    /// The interval of values the predicate admits, under `Value::cmp`'s
+    /// total order. A `Between` without an upper bound admits its lower
+    /// bound alone; one whose upper bound lies below its lower bound
+    /// admits nothing. Every other reading of the predicate derives from
+    /// this one statement.
+    pub fn bounds(&self) -> (Bound<&Value>, Bound<&Value>) {
+        use Bound::{Excluded, Included, Unbounded};
+        let v = &self.value;
+        match self.op {
+            PredicateOp::Eq => (Included(v), Included(v)),
+            PredicateOp::Lt => (Unbounded, Excluded(v)),
+            PredicateOp::Le => (Unbounded, Included(v)),
+            PredicateOp::Gt => (Excluded(v), Unbounded),
+            PredicateOp::Ge => (Included(v), Unbounded),
+            PredicateOp::Between => (Included(v), Included(self.upper.as_ref().unwrap_or(v))),
+        }
+    }
+
     /// Evaluates the predicate against a concrete value.
     pub fn matches(&self, v: &Value) -> bool {
-        match self.op {
-            PredicateOp::Eq => v == &self.value,
-            PredicateOp::Lt => v < &self.value,
-            PredicateOp::Le => v <= &self.value,
-            PredicateOp::Gt => v > &self.value,
-            PredicateOp::Ge => v >= &self.value,
-            PredicateOp::Between => {
-                // No upper bound degrades to equality.
-                let hi = self.upper.as_ref().unwrap_or(&self.value);
-                v >= &self.value && v <= hi
-            }
+        self.admits_by(|lit| v.cmp(lit))
+    }
+
+    /// Evaluates the predicate on a value known only through `ord`, its
+    /// order against a literal (`value.cmp(lit)`), so a caller holding a
+    /// raw `i64`, `f64` or `&str` never builds a [`Value`]. A point
+    /// interval costs one comparison.
+    #[inline(always)]
+    pub(crate) fn admits_by(&self, ord: impl Fn(&Value) -> Ordering) -> bool {
+        match self.bounds() {
+            (Bound::Included(lo), Bound::Included(hi)) if std::ptr::eq(lo, hi) => ord(lo).is_eq(),
+            (lo, hi) => clears_lower(lo, &ord) && clears_upper(hi, &ord),
         }
     }
 
@@ -112,30 +140,72 @@ impl ScanPredicate {
     }
 
     /// The lower half of [`ScanPredicate::overlaps_range`]: whether a
-    /// chunk whose smallest value is `min` can hold a match. Once false
-    /// it stays false for every larger `min`, so over chunks whose mins
-    /// never decrease it holds on a prefix.
+    /// chunk whose smallest value is `min` can hold a match, i.e. `min`
+    /// clears the upper bound. Once false it stays false for every larger
+    /// `min`, so over chunks whose mins never decrease it holds on a
+    /// prefix.
     pub fn admits_min(&self, min: &Value) -> bool {
-        match self.op {
-            PredicateOp::Eq => &self.value >= min,
-            PredicateOp::Lt => min < &self.value,
-            PredicateOp::Le => min <= &self.value,
-            PredicateOp::Gt | PredicateOp::Ge => true,
-            PredicateOp::Between => min <= self.upper.as_ref().unwrap_or(&self.value),
-        }
+        clears_upper(self.bounds().1, |lit| min.cmp(lit))
     }
 
     /// The upper half of [`ScanPredicate::overlaps_range`]: whether a
-    /// chunk whose largest value is `max` can hold a match. Once true it
-    /// stays true for every larger `max`, so over chunks whose maxes never
-    /// decrease it holds on a suffix.
+    /// chunk whose largest value is `max` can hold a match, i.e. `max`
+    /// clears the lower bound. Once true it stays true for every larger
+    /// `max`, so over chunks whose maxes never decrease it holds on a
+    /// suffix.
     pub fn admits_max(&self, max: &Value) -> bool {
-        match self.op {
-            PredicateOp::Eq => &self.value <= max,
-            PredicateOp::Lt | PredicateOp::Le => true,
-            PredicateOp::Gt => max > &self.value,
-            PredicateOp::Ge | PredicateOp::Between => max >= &self.value,
-        }
+        clears_lower(self.bounds().0, |lit| max.cmp(lit))
+    }
+}
+
+/// Whether a value ordered against literals by `ord` is not below the
+/// lower bound `lo`.
+#[inline(always)]
+pub(crate) fn clears_lower(lo: Bound<&Value>, ord: impl Fn(&Value) -> Ordering) -> bool {
+    match lo {
+        Bound::Included(l) => ord(l).is_ge(),
+        Bound::Excluded(l) => ord(l).is_gt(),
+        Bound::Unbounded => true,
+    }
+}
+
+/// Whether a value ordered against literals by `ord` is not above the
+/// upper bound `hi`.
+#[inline(always)]
+pub(crate) fn clears_upper(hi: Bound<&Value>, ord: impl Fn(&Value) -> Ordering) -> bool {
+    match hi {
+        Bound::Included(h) => ord(h).is_le(),
+        Bound::Excluded(h) => ord(h).is_lt(),
+        Bound::Unbounded => true,
+    }
+}
+
+/// `Value::Int(x).cmp(lit)` without building the [`Value`].
+#[inline(always)]
+pub(crate) fn cmp_int(x: i64, lit: &Value) -> Ordering {
+    match lit {
+        Value::Int(b) => x.cmp(b),
+        Value::Float(b) => (x as f64).total_cmp(b),
+        Value::Text(_) => Ordering::Less,
+    }
+}
+
+/// `Value::Float(x).cmp(lit)` without building the [`Value`].
+#[inline(always)]
+pub(crate) fn cmp_float(x: f64, lit: &Value) -> Ordering {
+    match lit {
+        Value::Int(b) => x.total_cmp(&(*b as f64)),
+        Value::Float(b) => x.total_cmp(b),
+        Value::Text(_) => Ordering::Less,
+    }
+}
+
+/// `Value::Text(x).cmp(lit)` without building the [`Value`].
+#[inline(always)]
+pub(crate) fn cmp_text(x: &str, lit: &Value) -> Ordering {
+    match lit {
+        Value::Text(t) => x.cmp(t.as_str()),
+        _ => Ordering::Greater,
     }
 }
 
@@ -210,6 +280,54 @@ mod tests {
         assert!(ge.matches(&Value::Int(3)) && !ge.matches(&Value::Int(2)));
     }
 
+    /// Every operator written out whole, as one match over `Value`'s
+    /// comparison operators.
+    fn matches_reference(p: &ScanPredicate, v: &Value) -> bool {
+        match p.op {
+            PredicateOp::Eq => v == &p.value,
+            PredicateOp::Lt => v < &p.value,
+            PredicateOp::Le => v <= &p.value,
+            PredicateOp::Gt => v > &p.value,
+            PredicateOp::Ge => v >= &p.value,
+            PredicateOp::Between => v >= &p.value && v <= p.upper.as_ref().unwrap_or(&p.value),
+        }
+    }
+
+    #[test]
+    fn the_interval_reads_as_each_operator() {
+        let values = [
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(2.5),
+            Value::Int(3),
+            Value::Text("a".into()),
+            Value::Text("b".into()),
+        ];
+        for value in &values {
+            for upper in [None, Some(Value::Int(3)), Some(Value::Int(1))] {
+                for op in [
+                    PredicateOp::Eq,
+                    PredicateOp::Lt,
+                    PredicateOp::Le,
+                    PredicateOp::Gt,
+                    PredicateOp::Ge,
+                    PredicateOp::Between,
+                ] {
+                    let p = ScanPredicate {
+                        column: ColumnId(0),
+                        op,
+                        value: value.clone(),
+                        upper: upper.clone(),
+                    };
+                    for v in &values {
+                        assert_eq!(p.matches(v), matches_reference(&p, v), "{p:?} on {v}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn pruning_respects_ranges() {
         let min = Value::Int(10);
@@ -277,6 +395,29 @@ mod tests {
         assert!(ge.admits_min(&Value::Int(99)) && !ge.admits_max(&Value::Int(14)));
         let lt = ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, 15i64);
         assert!(lt.admits_max(&Value::Int(0)) && !lt.admits_min(&Value::Int(15)));
+    }
+
+    #[test]
+    fn row_oracles_mirror_value_cmp() {
+        let lits = [
+            Value::Int(-3),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Text("m".into()),
+        ];
+        for lit in &lits {
+            for x in [-3i64, 0, 2, i64::MAX] {
+                assert_eq!(cmp_int(x, lit), Value::Int(x).cmp(lit), "{x} vs {lit}");
+            }
+            for x in [-0.0, 0.0, 2.0, f64::NAN, f64::NEG_INFINITY] {
+                assert_eq!(cmp_float(x, lit), Value::Float(x).cmp(lit), "{x} vs {lit}");
+            }
+            for x in ["", "m", "z"] {
+                assert_eq!(cmp_text(x, lit), Value::from(x).cmp(lit), "{x} vs {lit}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests for the storage substrate: encoding round-trips,
-//! filter agreement across encodings and indexes, configuration
+//! filter agreement across encodings, kernels and indexes, configuration
 //! diff/apply round-trips, and engine scan consistency.
 
 use proptest::prelude::*;
@@ -7,19 +7,72 @@ use proptest::prelude::*;
 use smdb::common::{ChunkColumnRef, ColumnId};
 use smdb::storage::encoding::{EncodingKind, Segment};
 use smdb::storage::index::{ChunkIndex, IndexKind};
+use smdb::storage::kernels;
 use smdb::storage::value::ColumnValues;
-use smdb::storage::{ConfigAction, ConfigInstance, PredicateOp, ScanPredicate, Tier};
+use smdb::storage::{ConfigAction, ConfigInstance, PredicateOp, ScanPredicate, Tier, Value};
 
 fn int_column() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(-50i64..50, 0..200)
 }
 
-fn predicate() -> impl Strategy<Value = ScanPredicate> {
-    (0i64..3, -60i64..60, -60i64..60).prop_map(|(kind, a, b)| match kind {
-        0 => ScanPredicate::eq(ColumnId(0), a),
-        1 => ScanPredicate::cmp(ColumnId(0), PredicateOp::Lt, a),
-        _ => ScanPredicate::between(ColumnId(0), a.min(b), a.max(b)),
-    })
+/// A zero-padded key that sorts as its number does.
+fn key(x: i64) -> String {
+    format!("k{:03}", x + 100)
+}
+
+/// The same numbers as an Int column and as a Text column of keys.
+fn columns(data: &[i64]) -> [ColumnValues; 2] {
+    [
+        ColumnValues::Int(data.to_vec()),
+        ColumnValues::Text(data.iter().map(|&x| key(x)).collect()),
+    ]
+}
+
+/// The data, and two literal numbers `a < b` with a fraction to add to
+/// their Float forms.
+fn shapes() -> impl Strategy<Value = (Vec<i64>, i64, i64, f64)> {
+    (
+        proptest::collection::vec(-20i64..20, 0..120),
+        -25i64..25,
+        1i64..8,
+        0usize..2,
+    )
+        .prop_map(|(data, a, gap, frac)| (data, a, a + gap, frac as f64 * 0.5))
+}
+
+/// Every predicate shape over `a < b`: each operator with an Int, a
+/// Float and a Text literal, and each `Between` with no upper bound, an
+/// ordered one and an inverted one.
+fn predicates(a: i64, b: i64, frac: f64) -> Vec<ScanPredicate> {
+    use PredicateOp::*;
+    let literals = |x: i64| {
+        [
+            Value::Int(x),
+            Value::Float(x as f64 + frac),
+            Value::Text(key(x)),
+        ]
+    };
+    let mut out = Vec::new();
+    for (lo, hi) in literals(a).into_iter().zip(literals(b)) {
+        for op in [Eq, Lt, Le, Gt, Ge, Between] {
+            out.push(ScanPredicate {
+                column: ColumnId(0),
+                op,
+                value: lo.clone(),
+                upper: None,
+            });
+        }
+        out.push(ScanPredicate::between(ColumnId(0), lo.clone(), hi.clone()));
+        out.push(ScanPredicate::between(ColumnId(0), hi, lo));
+    }
+    out
+}
+
+/// The rows `matches` admits, by brute force.
+fn oracle(col: &ColumnValues, pred: &ScanPredicate) -> Vec<u32> {
+    (0..col.len() as u32)
+        .filter(|&i| pred.matches(&col.value_at(i as usize)))
+        .collect()
 }
 
 proptest! {
@@ -36,37 +89,41 @@ proptest! {
     }
 
     #[test]
-    fn filters_agree_across_encodings(data in int_column(), pred in predicate()) {
-        let col = ColumnValues::Int(data);
-        let reference = {
-            let seg = Segment::encode(&col, EncodingKind::Unencoded);
-            let mut out = Vec::new();
-            seg.filter(&pred, &mut out);
-            out
-        };
-        for kind in EncodingKind::ALL {
-            let seg = Segment::encode(&col, kind);
-            let mut out = Vec::new();
-            seg.filter(&pred, &mut out);
-            prop_assert_eq!(&out, &reference, "encoding {} disagrees", kind);
+    fn filters_agree_across_encodings((data, a, b, frac) in shapes()) {
+        for col in columns(&data) {
+            for pred in predicates(a, b, frac) {
+                let expect = oracle(&col, &pred);
+                for kind in EncodingKind::ALL {
+                    let seg = Segment::encode(&col, kind);
+                    let mut scalar = Vec::new();
+                    seg.filter(&pred, &mut scalar);
+                    prop_assert_eq!(&scalar, &expect, "encoding {} disagrees on {:?}", kind, pred);
+                    let mut kernel = Vec::new();
+                    if kernels::filter(&seg, &pred, &mut kernel) {
+                        prop_assert_eq!(&kernel, &expect, "{} kernel disagrees on {:?}", kind, pred);
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn indexes_agree_with_scans(data in int_column(), pred in predicate()) {
-        let col = ColumnValues::Int(data);
-        let seg = Segment::encode(&col, EncodingKind::Unencoded);
-        let mut scan = Vec::new();
-        seg.filter(&pred, &mut scan);
-        for kind in IndexKind::ALL {
-            if !kind.supports(pred.op) {
-                continue;
+    fn indexes_agree_with_scans((data, a, b, frac) in shapes()) {
+        for col in columns(&data) {
+            for kind in EncodingKind::ALL {
+                let seg = Segment::encode(&col, kind);
+                for index in IndexKind::ALL {
+                    let idx = ChunkIndex::build(index, &seg);
+                    for pred in predicates(a, b, frac) {
+                        let mut probed = Vec::new();
+                        prop_assert_eq!(idx.probe(&pred, &mut probed), index.supports(pred.op));
+                        probed.sort_unstable();
+                        if index.supports(pred.op) {
+                            prop_assert_eq!(&probed, &oracle(&col, &pred), "index {} on {} disagrees on {:?}", index, kind, pred);
+                        }
+                    }
+                }
             }
-            let idx = ChunkIndex::build(kind, &seg);
-            let mut probed = Vec::new();
-            prop_assert!(idx.probe(&pred, &mut probed));
-            probed.sort_unstable();
-            prop_assert_eq!(&probed, &scan, "index {} disagrees", kind);
         }
     }
 
