@@ -334,7 +334,8 @@ fn engine_soak(args: &Args) -> Json {
 /// hottest tenant's shard than for those homed elsewhere? Positive
 /// means the hot shard's neighbors pay; ~0 means per-shard tuning and
 /// the budget split kept them whole. `None` when the hot tenant has no
-/// unique home shard (hash partitioning) or a side has no tenants.
+/// unique home shard (it straddles a shard boundary) or a side has no
+/// tenants.
 fn noisy_neighbor_delta_ms(runtime: &ShardedRuntime, outcome: &MtSoakOutcome) -> Option<f64> {
     let hot = outcome
         .tenant_stats

@@ -60,7 +60,7 @@ pub fn run() {
             "observe".into(),
             report.queries_run.to_string(),
             f2(report.bucket_cost.ms()),
-            f3(driver.kpis().mean_response().ms()),
+            f3(driver.kpis().snapshot().mean_response.ms()),
             db.plan_cache().len().to_string(),
             model.observations().to_string(),
         ]);
@@ -82,7 +82,7 @@ pub fn run() {
             "tuned #1".into(),
             report.queries_run.to_string(),
             f2(report.bucket_cost.ms()),
-            f3(driver.kpis().mean_response().ms()),
+            f3(driver.kpis().snapshot().mean_response.ms()),
             db.plan_cache().len().to_string(),
             model.observations().to_string(),
         ]);
@@ -102,7 +102,7 @@ pub fn run() {
             "tuned #2".into(),
             report.queries_run.to_string(),
             f2(report.bucket_cost.ms()),
-            f3(driver.kpis().mean_response().ms()),
+            f3(driver.kpis().snapshot().mean_response.ms()),
             db.plan_cache().len().to_string(),
             model.observations().to_string(),
         ]);

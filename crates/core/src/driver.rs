@@ -283,25 +283,18 @@ impl Driver {
         }
     }
 
-    /// Records one served query's response time into the KPI window and
-    /// the open bucket. The serving runtime calls this from worker
-    /// threads; [`Driver::close_bucket`] consumes the accumulation.
-    pub fn record_query(&self, latency: Cost) {
-        self.kpis.record_query(latency);
-    }
-
-    /// Records one served query's scan-dispatch footprint alongside its
-    /// response time: `latency` is the (possibly parallel) simulated
-    /// latency and `morsels` how many morsels the scan pool executed for
-    /// it (0 = inline). The serving runtime calls this instead of
-    /// [`Driver::record_query`] when morsel-driven scans are enabled.
+    /// Records one served query into the KPI window and the open bucket:
+    /// `latency` is the (possibly parallel) simulated latency and
+    /// `morsels` how many morsels the scan pool executed for it
+    /// (0 = inline). The serving runtime calls this from worker threads;
+    /// [`Driver::close_bucket`] consumes the accumulation.
     pub fn record_scan(&self, latency: Cost, morsels: u64) {
         self.kpis.record_query(latency);
         self.kpis.record_morsels(morsels);
     }
 
     /// Closes the current KPI bucket from whatever
-    /// [`Driver::record_query`] accumulated: samples engine memory,
+    /// [`Driver::record_scan`] accumulated: samples engine memory,
     /// feeds the plan cache's entries to the workload history under the
     /// cache lock (no copy), updates the
     /// observed bucket cost and advances the logical clock.
@@ -370,7 +363,7 @@ impl Driver {
         let config = self.db.engine().current_config();
         for q in queries {
             let result = self.db.run_query(q)?;
-            self.record_query(result.output.sim_cost);
+            self.kpis.record_query(result.output.sim_cost);
             if let Some(model) = &self.calibrated {
                 let engine = self.db.engine();
                 model.observe(&engine, q, &config, result.output.sim_cost)?;
@@ -611,7 +604,7 @@ impl Driver {
         let _span = span!("driver", "maybe_tune");
         // A paused or rate-limited organizer fires on nothing: skip the
         // forecast and its what-if pricing, which only feed the triggers.
-        if !self.organizer.gate_open(tick.now, &tick.kpis) {
+        if !self.organizer.gate_open_at(tick.now) {
             return Ok(None);
         }
         // Snapshot once, before any engine lock, so budget retargeting
@@ -795,7 +788,6 @@ impl Driver {
 pub struct DriverBuilder {
     db: Arc<Database>,
     analyzer: Box<dyn WorkloadAnalyzer>,
-    predictor_config: PredictorConfig,
     estimator: Option<Arc<dyn CostEstimator>>,
     calibrated: Option<Arc<CalibratedCostModel>>,
     features: Vec<FeatureKind>,
@@ -813,7 +805,6 @@ impl DriverBuilder {
         DriverBuilder {
             db,
             analyzer: Box::new(smdb_forecast::analyzers::MovingAverage::new(4)),
-            predictor_config: PredictorConfig::default(),
             estimator: None,
             calibrated: None,
             features: vec![FeatureKind::Indexing, FeatureKind::Compression],
@@ -830,12 +821,6 @@ impl DriverBuilder {
     /// Sets the workload analyzer.
     pub fn analyzer(mut self, analyzer: Box<dyn WorkloadAnalyzer>) -> Self {
         self.analyzer = analyzer;
-        self
-    }
-
-    /// Sets the predictor configuration.
-    pub fn predictor_config(mut self, config: PredictorConfig) -> Self {
-        self.predictor_config = config;
         self
     }
 
@@ -919,10 +904,10 @@ impl DriverBuilder {
         Driver {
             db: self.db,
             history: Mutex::new(WorkloadHistory::new()),
-            predictor: WorkloadPredictor::new(self.analyzer, self.predictor_config),
+            predictor: WorkloadPredictor::new(self.analyzer, PredictorConfig::default()),
             multi: MultiFeatureTuner::new(tuners, what_if),
             organizer: Organizer::new(self.organizer_config),
-            kpis: KpiCollector::new(self.kpi_bucket_capacity, 0.3),
+            kpis: KpiCollector::new(self.kpi_bucket_capacity),
             storage: ConfigStorage::new(),
             constraints: RwLock::new(self.constraints),
             executor: self
@@ -984,7 +969,7 @@ mod tests {
         let report = driver.run_bucket(&queries(20)).unwrap();
         assert_eq!(report.queries_run, 20);
         assert!(report.bucket_cost.ms() > 0.0);
-        assert_eq!(driver.kpis().queries_total(), 20);
+        assert_eq!(driver.kpis().snapshot().queries_total, 20);
         let forecast = driver.forecast();
         assert!(!forecast.is_empty());
         assert!(forecast.expected().unwrap().workload.total_weight() > 0.0);
@@ -1124,6 +1109,54 @@ mod deferred_tests {
         );
     }
 
+    /// A deferred pass asks the organizer's clock gate itself, even on a
+    /// tick built without it: paused, and again right after a pass (rate
+    /// limited), it returns `Ok(None)` and queues nothing.
+    #[test]
+    fn deferred_pass_behind_a_closed_clock_gate_queues_nothing() {
+        let db = database();
+        let driver = Driver::builder(db)
+            .features(vec![FeatureKind::Indexing])
+            // A p95 SLA nothing meets: the trigger fires whenever the
+            // gate is open.
+            .constraints(ConstraintSet {
+                sla_p95_response: Some(Cost::ZERO),
+                ..ConstraintSet::none()
+            })
+            .build();
+        for _ in 0..3 {
+            driver.run_bucket(&queries(30)).unwrap();
+        }
+        let deferred = |driver: &Driver| driver.maybe_tune_deferred(&driver.tick()).unwrap();
+        let untouched = |driver: &Driver, tunings: u64| {
+            let state = driver.tuning_state();
+            assert_eq!(state.tunings_run, tunings);
+            assert!(!state.reconfig_in_flight);
+            assert_eq!(state.pending_actions, 0);
+        };
+
+        driver.organizer().pause();
+        assert!(deferred(&driver).is_none());
+        untouched(&driver, 0);
+
+        // Open, the same gate lets the pass through and it queues.
+        driver.organizer().resume();
+        assert!(deferred(&driver).is_some());
+        assert!(driver.pending_actions() > 0);
+        driver.drain_pending().unwrap();
+        untouched(&driver, 1);
+
+        // Same bucket: inside `min_interval` of the pass just run.
+        assert!(deferred(&driver).is_none());
+        untouched(&driver, 1);
+
+        // Two buckets later the rate limit has lifted.
+        for _ in 0..2 {
+            driver.close_bucket();
+        }
+        assert!(deferred(&driver).is_some());
+    }
+
     #[test]
     fn drain_pending_is_noop_without_queue() {
         let db = database();
@@ -1223,6 +1256,6 @@ mod deferred_tests {
         driver.rollback_to_last_good("apply failed").unwrap();
         assert_eq!(db.engine().current_config(), good);
         // KPI utilization is stale until the next bucket closes.
-        assert_eq!(driver.kpis().current_utilization(), None);
+        assert_eq!(driver.kpis().snapshot().utilization, None);
     }
 }

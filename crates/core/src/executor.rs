@@ -17,8 +17,8 @@ use crate::kpi::KpiSnapshot;
 pub enum ExecutionStrategy {
     /// Apply immediately, in selection order.
     Immediate,
-    /// Apply only while system utilization is below the collector's
-    /// low-utilization threshold; otherwise defer.
+    /// Apply only while the tick's snapshot counts as low utilization
+    /// ([`KpiSnapshot::is_low_utilization`]); otherwise defer.
     DuringLowUtilization,
 }
 
@@ -154,7 +154,7 @@ mod tests {
         for _ in 0..50 {
             kpis.record_query(Cost(100.0));
         }
-        kpis.end_bucket(Cost(100.0) * 50.0);
+        kpis.end_bucket_accumulated();
         let report = SequentialExecutor::during_low_utilization()
             .execute(&db, &kpis.snapshot(), &actions())
             .unwrap();
@@ -167,7 +167,8 @@ mod tests {
     fn low_utilization_gate_applies_when_idle() {
         let db = db();
         let kpis = KpiCollector::default();
-        kpis.end_bucket(Cost(0.1));
+        kpis.record_query(Cost(0.1));
+        kpis.end_bucket_accumulated();
         let report = SequentialExecutor::during_low_utilization()
             .execute(&db, &kpis.snapshot(), &actions())
             .unwrap();

@@ -8,6 +8,12 @@
 //! DBMS KPIs here: query response times (simulated cost). System KPIs:
 //! memory usage and utilization (busy time per bucket capacity).
 //!
+//! Serving threads write through [`KpiCollector::record_query`],
+//! [`KpiCollector::record_morsels`] and [`KpiCollector::record_memory`];
+//! a bucket closes with [`KpiCollector::end_bucket_accumulated`]; every
+//! decision reads one [`KpiSnapshot`] taken under one lock. The snapshot
+//! is the only reader, so no decision can mix two boundaries.
+//!
 //! Determinism: worker threads push latencies in scheduling order, so
 //! the raw arrival sequence differs run to run. The collector therefore
 //! keeps the latency window *bucket-aligned*: each closed bucket's
@@ -25,6 +31,9 @@ use smdb_common::Cost;
 
 const LATENCY_WINDOW: usize = 4096;
 const BUCKET_WINDOW: usize = 256;
+/// Bucket utilization below which the system counts as idle enough for
+/// resource-intensive reconfigurations.
+const LOW_UTILIZATION_THRESHOLD: f64 = 0.3;
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -102,51 +111,42 @@ pub struct KpiSnapshot {
     pub last_bucket_throughput: Option<u64>,
     /// Total queries observed.
     pub queries_total: u64,
-    /// The collector's low-utilization threshold, carried along so the
-    /// executor can gate on the snapshot alone.
-    pub low_utilization_threshold: f64,
 }
 
 impl KpiSnapshot {
-    /// Whether the system is idle enough for expensive reconfigurations.
-    /// Unknown utilization counts as idle (startup window).
+    /// Whether the system is idle enough for expensive reconfigurations:
+    /// utilization below `LOW_UTILIZATION_THRESHOLD` (0.3). Unknown
+    /// utilization counts as idle (startup window).
     pub fn is_low_utilization(&self) -> bool {
         match self.utilization {
             None => true,
-            Some(u) => u < self.low_utilization_threshold,
+            Some(u) => u < LOW_UTILIZATION_THRESHOLD,
         }
     }
 }
 
-/// Thread-safe runtime KPI collector.
+/// Thread-safe runtime KPI collector. Decisions read it only through
+/// [`KpiCollector::snapshot`].
 #[derive(Debug)]
 pub struct KpiCollector {
     inner: Mutex<Inner>,
     /// Work capacity of one bucket, in ms of query runtime. Utilization
     /// of a bucket = busy ms / capacity.
     pub bucket_capacity: Cost,
-    /// Utilization below which the system counts as idle enough for
-    /// resource-intensive tunings.
-    pub low_utilization_threshold: f64,
 }
 
 impl Default for KpiCollector {
     fn default() -> Self {
-        KpiCollector {
-            inner: Mutex::new(Inner::default()),
-            bucket_capacity: Cost(1000.0),
-            low_utilization_threshold: 0.3,
-        }
+        KpiCollector::new(Cost(1000.0))
     }
 }
 
 impl KpiCollector {
     /// Creates a collector with the given bucket capacity.
-    pub fn new(bucket_capacity: Cost, low_utilization_threshold: f64) -> Self {
+    pub fn new(bucket_capacity: Cost) -> Self {
         KpiCollector {
             inner: Mutex::new(Inner::default()),
             bucket_capacity,
-            low_utilization_threshold,
         }
     }
 
@@ -178,31 +178,20 @@ impl KpiCollector {
         inner.memory.push_back(bytes);
     }
 
-    /// Closes a time bucket that spent `busy` ms executing queries.
-    pub fn end_bucket(&self, busy: Cost) -> BucketClose {
-        self.seal(|_| busy)
-    }
-
-    /// Closes a time bucket using the busy time accumulated by
-    /// [`KpiCollector::record_query`] since the previous close — the
-    /// serving-runtime path, where no single caller owns the bucket cost.
-    /// The busy sum is taken over the *sorted* samples, so it is exact
-    /// and identical regardless of worker count, and over exactly the
-    /// samples the bucket seals.
+    /// Closes the open time bucket under one lock: takes it, sorts it
+    /// once (so downstream sums and percentiles are independent of
+    /// worker push order) and moves it into the window. Its busy time is
+    /// the sum of the response times [`KpiCollector::record_query`]
+    /// accumulated since the previous close, taken over the *sorted*
+    /// samples: exact, identical regardless of worker count, and over
+    /// exactly the samples the bucket seals. The sort may be unstable:
+    /// samples equal under `total_cmp` are bit-equal, so no order among
+    /// them is observable.
     pub fn end_bucket_accumulated(&self) -> BucketClose {
-        self.seal(|sorted| Cost(sorted.iter().sum()))
-    }
-
-    /// Seals the open bucket under one lock: takes it, sorts it once (so
-    /// downstream sums and percentiles are independent of worker push
-    /// order), prices it with `busy` and moves it into the window. The
-    /// sort may be unstable: samples equal under `total_cmp` are
-    /// bit-equal, so no order among them is observable.
-    fn seal(&self, busy: impl FnOnce(&[f64]) -> Cost) -> BucketClose {
         let mut inner = self.inner.lock();
         let mut bucket = std::mem::take(&mut inner.open);
         bucket.sort_unstable_by(f64::total_cmp);
-        let busy = busy(&bucket);
+        let busy = Cost(bucket.iter().sum());
         let utilization = (busy.ms() / self.bucket_capacity.ms().max(1e-9)).max(0.0);
         inner.closed_len += bucket.len();
         inner.closed.push_back(bucket);
@@ -235,82 +224,6 @@ impl KpiCollector {
         }
     }
 
-    /// Mean response time over the rolling latency window.
-    pub fn mean_response(&self) -> Cost {
-        let window = self.inner.lock().sorted_window();
-        if window.is_empty() {
-            return Cost::ZERO;
-        }
-        Cost(window.iter().sum::<f64>() / window.len() as f64)
-    }
-
-    /// 95th-percentile response time over the rolling window.
-    pub fn p95_response(&self) -> Cost {
-        self.percentile_response(0.95)
-    }
-
-    /// 99th-percentile response time over the rolling window.
-    pub fn p99_response(&self) -> Cost {
-        self.percentile_response(0.99)
-    }
-
-    /// The `ceil(n·p)`-th smallest response time over the rolling window
-    /// (`Cost::ZERO` when empty) — the rank rule `smdb_obs` histogram
-    /// quantiles mirror.
-    pub fn percentile_response(&self, p: f64) -> Cost {
-        let window = self.inner.lock().sorted_window();
-        Cost(percentile_of_sorted(&window, p))
-    }
-
-    /// Most recent bucket utilization. `None` before the first bucket
-    /// closes, and `None` again after [`KpiCollector::reset_latencies`]
-    /// until a new bucket closes: a reset marks a reconfiguration, and a
-    /// pre-reconfiguration utilization must not steer the Organizer.
-    pub fn current_utilization(&self) -> Option<f64> {
-        let inner = self.inner.lock();
-        if inner.utilization_stale {
-            return None;
-        }
-        inner.utilization.back().copied()
-    }
-
-    /// Queries served in the most recently closed bucket. `None` before
-    /// the first bucket closes, and `None` again after
-    /// [`KpiCollector::reset_latencies`] until a new bucket closes — a
-    /// post-reset reading would describe the pre-reconfiguration bucket.
-    pub fn last_bucket_throughput(&self) -> Option<u64> {
-        let inner = self.inner.lock();
-        if inner.utilization_stale {
-            return None;
-        }
-        inner.bucket_queries.back().copied()
-    }
-
-    /// Per-bucket query counts over the rolling bucket window, oldest
-    /// first (history accessor; unaffected by staleness).
-    pub fn bucket_throughputs(&self) -> Vec<u64> {
-        self.inner.lock().bucket_queries.iter().copied().collect()
-    }
-
-    /// Whether the system is idle enough for expensive tunings. Before
-    /// any bucket closes the system counts as idle (startup window).
-    pub fn is_low_utilization(&self) -> bool {
-        match self.current_utilization() {
-            None => true,
-            Some(u) => u < self.low_utilization_threshold,
-        }
-    }
-
-    /// Latest memory sample.
-    pub fn current_memory(&self) -> Option<usize> {
-        self.inner.lock().memory.back().copied()
-    }
-
-    /// Total queries observed.
-    pub fn queries_total(&self) -> u64 {
-        self.inner.lock().queries_total
-    }
-
     /// Takes a consistent [`KpiSnapshot`] under one lock.
     pub fn snapshot(&self) -> KpiSnapshot {
         let inner = self.inner.lock();
@@ -336,7 +249,6 @@ impl KpiCollector {
             memory: inner.memory.back().copied(),
             last_bucket_throughput,
             queries_total: inner.queries_total,
-            low_utilization_threshold: self.low_utilization_threshold,
         }
     }
 
@@ -376,9 +288,9 @@ impl KpiCollector {
     /// Clears the latency window (used after reconfigurations so the
     /// feedback loop compares before/after cleanly). Also marks the
     /// utilization and throughput figures stale: until the next bucket
-    /// closes, [`KpiCollector::current_utilization`] and
-    /// [`KpiCollector::last_bucket_throughput`] return `None` instead of
-    /// pre-reconfiguration values.
+    /// closes, a snapshot's `utilization` and `last_bucket_throughput`
+    /// are `None` instead of pre-reconfiguration values, which must not
+    /// steer a decision.
     pub fn reset_latencies(&self) {
         let mut inner = self.inner.lock();
         inner.closed.clear();
@@ -435,52 +347,58 @@ mod tests {
         for i in 1..=100 {
             k.record_query(Cost(i as f64));
         }
-        assert!((k.mean_response().ms() - 50.5).abs() < 1e-9);
-        assert_eq!(k.p95_response().ms(), 95.0);
-        assert_eq!(k.queries_total(), 100);
+        let snap = k.snapshot();
+        assert!((snap.mean_response.ms() - 50.5).abs() < 1e-9);
+        assert_eq!(snap.p95_response.ms(), 95.0);
+        assert_eq!(snap.queries_total, 100);
         k.reset_latencies();
-        assert_eq!(k.mean_response(), Cost::ZERO);
-        assert_eq!(k.queries_total(), 100);
+        let snap = k.snapshot();
+        assert_eq!(snap.mean_response, Cost::ZERO);
+        assert_eq!(snap.queries_total, 100);
     }
 
     #[test]
     fn utilization_tracks_buckets() {
-        let k = KpiCollector::new(Cost(100.0), 0.3);
-        assert!(k.is_low_utilization(), "startup counts as idle");
-        k.end_bucket(Cost(90.0));
-        assert_eq!(k.current_utilization(), Some(0.9));
-        assert!(!k.is_low_utilization());
-        k.end_bucket(Cost(10.0));
-        assert!(k.is_low_utilization());
+        let k = KpiCollector::new(Cost(100.0));
+        assert!(k.snapshot().is_low_utilization(), "startup counts as idle");
+        k.record_query(Cost(90.0));
+        k.end_bucket_accumulated();
+        let snap = k.snapshot();
+        assert_eq!(snap.utilization, Some(0.9));
+        assert!(!snap.is_low_utilization());
+        k.record_query(Cost(10.0));
+        k.end_bucket_accumulated();
+        assert!(k.snapshot().is_low_utilization());
     }
 
     #[test]
     fn memory_samples() {
         let k = KpiCollector::default();
-        assert_eq!(k.current_memory(), None);
+        assert_eq!(k.snapshot().memory, None);
         k.record_memory(1000);
         k.record_memory(2000);
-        assert_eq!(k.current_memory(), Some(2000));
+        assert_eq!(k.snapshot().memory, Some(2000));
     }
 
     #[test]
     fn p99_and_bucket_throughput() {
-        let k = KpiCollector::new(Cost(1000.0), 0.3);
+        let k = KpiCollector::new(Cost(1000.0));
         for i in 1..=100 {
             k.record_query(Cost(i as f64));
         }
-        assert_eq!(k.p99_response().ms(), 99.0);
-        assert_eq!(k.last_bucket_throughput(), None, "no bucket closed yet");
+        let snap = k.snapshot();
+        assert_eq!(snap.p99_response.ms(), 99.0);
+        assert_eq!(snap.last_bucket_throughput, None, "no bucket closed yet");
         let close = k.end_bucket_accumulated();
         assert_eq!(close.queries, 100);
         assert!((close.busy.ms() - 5050.0).abs() < 1e-9);
         assert!((close.utilization - 5.05).abs() < 1e-9);
-        assert_eq!(k.last_bucket_throughput(), Some(100));
+        assert_eq!(k.snapshot().last_bucket_throughput, Some(100));
         // The next bucket starts from zero.
         k.record_query(Cost(2.0));
         let close = k.end_bucket_accumulated();
         assert_eq!(close.queries, 1);
-        assert_eq!(k.bucket_throughputs(), vec![100, 1]);
+        assert_eq!(k.export_state().bucket_queries, vec![100, 1]);
     }
 
     #[test]
@@ -499,73 +417,75 @@ mod tests {
 
     #[test]
     fn reset_between_buckets_stales_utilization() {
-        let k = KpiCollector::new(Cost(100.0), 0.3);
+        let k = KpiCollector::new(Cost(100.0));
         k.record_query(Cost(90.0));
         k.end_bucket_accumulated();
-        assert_eq!(k.current_utilization(), Some(0.9));
+        assert_eq!(k.snapshot().utilization, Some(0.9));
         // A reconfiguration resets the latency window mid-bucket: the
         // 0.9 figure predates the change and must not leak out.
         k.reset_latencies();
-        assert_eq!(k.current_utilization(), None);
-        assert!(k.is_low_utilization(), "unknown counts as startup-idle");
+        let snap = k.snapshot();
+        assert_eq!(snap.utilization, None);
+        assert!(snap.is_low_utilization(), "unknown counts as startup-idle");
         // The next close refreshes the signal.
         k.record_query(Cost(10.0));
         k.end_bucket_accumulated();
-        assert_eq!(k.current_utilization(), Some(0.1));
+        assert_eq!(k.snapshot().utilization, Some(0.1));
     }
 
-    /// Regression for the post-reset accessor contract: a reset marks
+    /// Regression for the post-reset snapshot contract: a reset marks
     /// everything derived from the pre-reconfiguration bucket stale, so
-    /// percentile accessors return a defined zero and the throughput
-    /// accessor returns `None` — never whatever the last bucket held.
+    /// the percentiles are a defined zero and the throughput is `None` —
+    /// never whatever the last bucket held.
     #[test]
     fn reset_yields_defined_zero_and_none_until_next_close() {
-        let k = KpiCollector::new(Cost(100.0), 0.3);
+        let k = KpiCollector::new(Cost(100.0));
         for _ in 0..10 {
             k.record_query(Cost(5.0));
         }
         k.end_bucket_accumulated();
-        assert_eq!(k.last_bucket_throughput(), Some(10));
-        assert!(k.p99_response().ms() > 0.0);
+        let snap = k.snapshot();
+        assert_eq!(snap.last_bucket_throughput, Some(10));
+        assert!(snap.p99_response.ms() > 0.0);
 
         k.reset_latencies();
-        assert_eq!(k.p99_response(), Cost::ZERO);
-        assert_eq!(k.p95_response(), Cost::ZERO);
-        assert_eq!(k.mean_response(), Cost::ZERO);
-        assert_eq!(k.last_bucket_throughput(), None);
-        assert_eq!(k.current_utilization(), None);
         let snap = k.snapshot();
         assert_eq!(snap.p99_response, Cost::ZERO);
+        assert_eq!(snap.p95_response, Cost::ZERO);
+        assert_eq!(snap.mean_response, Cost::ZERO);
         assert_eq!(snap.last_bucket_throughput, None);
         assert_eq!(snap.utilization, None);
 
         // The next close refreshes both.
         k.record_query(Cost(2.0));
         k.end_bucket_accumulated();
-        assert_eq!(k.last_bucket_throughput(), Some(1));
-        assert_eq!(k.p99_response(), Cost(2.0));
+        let snap = k.snapshot();
+        assert_eq!(snap.last_bucket_throughput, Some(1));
+        assert_eq!(snap.p99_response, Cost(2.0));
     }
 
     #[test]
-    fn snapshot_is_consistent_and_gates_like_the_collector() {
-        let k = KpiCollector::new(Cost(100.0), 0.3);
+    fn snapshot_reads_every_kpi_at_one_boundary() {
+        let k = KpiCollector::new(Cost(100.0));
         for i in 1..=20 {
             k.record_query(Cost(i as f64));
         }
         k.record_memory(4096);
         k.end_bucket_accumulated();
         let snap = k.snapshot();
-        assert_eq!(snap.mean_response, k.mean_response());
-        assert_eq!(snap.p95_response, k.p95_response());
-        assert_eq!(snap.p99_response, k.p99_response());
-        assert_eq!(snap.utilization, k.current_utilization());
+        assert_eq!(snap.mean_response, Cost(10.5));
+        // `ceil(n·p)`-th smallest of 1..=20.
+        assert_eq!(snap.p95_response, Cost(19.0));
+        assert_eq!(snap.p99_response, Cost(20.0));
+        assert_eq!(snap.utilization, Some(2.1));
         assert_eq!(snap.memory, Some(4096));
         assert_eq!(snap.last_bucket_throughput, Some(20));
         assert_eq!(snap.queries_total, 20);
-        assert_eq!(snap.is_low_utilization(), k.is_low_utilization());
+        assert!(!snap.is_low_utilization());
         // A snapshot is a copy: later traffic does not change it.
         k.record_query(Cost(1000.0));
         assert_eq!(snap.queries_total, 20);
+        assert_eq!(k.snapshot().queries_total, 21);
     }
 
     #[test]
@@ -603,8 +523,9 @@ mod tests {
             let closes = (0..200)
                 .map(|_| {
                     // Close only while the recorder is mid-stream.
-                    let seen = k.queries_total();
-                    while k.queries_total() == seen {
+                    let total = || k.inner.lock().queries_total;
+                    let seen = total();
+                    while total() == seen {
                         std::hint::spin_loop();
                     }
                     let close = k.end_bucket_accumulated();
@@ -690,28 +611,28 @@ mod tests {
         drop(inner);
         // The retained window is the most recent samples: its minimum is
         // the first sample of bucket 4.
-        let p_min = k.percentile_response(0.0);
-        assert_eq!(p_min.ms(), (4 * 1024) as f64);
+        let p_min = percentile_of_sorted(&k.inner.lock().sorted_window(), 0.0);
+        assert_eq!(p_min, (4 * 1024) as f64);
     }
 
     #[test]
     fn export_restore_roundtrips_at_bucket_boundary() {
-        let k = KpiCollector::new(Cost(100.0), 0.3);
+        let k = KpiCollector::new(Cost(100.0));
         for i in 1..=50 {
             k.record_query(Cost(i as f64));
         }
         k.record_memory(2048);
         k.end_bucket_accumulated();
         let state = k.export_state();
-        let restored = KpiCollector::new(Cost(100.0), 0.3);
+        let restored = KpiCollector::new(Cost(100.0));
         restored.restore_state(state.clone());
         assert_eq!(restored.snapshot(), k.snapshot());
         assert_eq!(restored.export_state(), state);
         // Staleness survives the round trip.
         k.reset_latencies();
-        let stale = KpiCollector::new(Cost(100.0), 0.3);
+        let stale = KpiCollector::new(Cost(100.0));
         stale.restore_state(k.export_state());
-        assert_eq!(stale.current_utilization(), None);
+        assert_eq!(stale.snapshot().utilization, None);
     }
 
     #[test]

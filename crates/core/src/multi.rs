@@ -101,11 +101,6 @@ impl MultiFeatureTuner {
         self.tuners.iter().map(|t| t.feature).collect()
     }
 
-    /// Access to a tuner by feature.
-    pub fn tuner_mut(&mut self, feature: FeatureKind) -> Option<&mut Tuner> {
-        self.tuners.iter_mut().find(|t| t.feature == feature)
-    }
-
     /// The what-if façade in use.
     pub fn what_if(&self) -> &WhatIf {
         &self.what_if

@@ -6,6 +6,13 @@
 //! forecasts into account. The organizer also decides whether changes
 //! observed in workload forecasts are significant enough to justify
 //! possibly expensive tunings."
+//!
+//! One gate guards every trigger: [`Organizer::gate_open_at`], which
+//! reads only the clock (paused, and the `min_interval` rate limit).
+//! Low utilization is not part of it. Whether a chosen action waits for
+//! an idle bucket is the executor's call
+//! ([`crate::executor::SequentialExecutor::during_low_utilization`]),
+//! made at the drain, where the action actually costs something.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -54,8 +61,6 @@ pub struct OrganizerConfig {
     pub cost_delta_threshold: f64,
     /// Minimum buckets between tuning runs.
     pub min_interval: u64,
-    /// Whether expensive tunings must wait for low utilization.
-    pub require_low_utilization: bool,
 }
 
 impl Default for OrganizerConfig {
@@ -63,7 +68,6 @@ impl Default for OrganizerConfig {
         OrganizerConfig {
             cost_delta_threshold: 0.25,
             min_interval: 2,
-            require_low_utilization: false,
         }
     }
 }
@@ -114,9 +118,9 @@ impl Organizer {
         *self.last_tuning.lock() = Some(now);
     }
 
-    /// The part of [`Self::gate_open`] that needs only the clock: not
-    /// paused and past the rate limit. When it is closed the whole gate
-    /// is, so callers ask this before building the KPI snapshot.
+    /// The gate every trigger sits behind: not paused and past the rate
+    /// limit. It needs only the clock, so callers ask it before building
+    /// the KPI snapshot and the forecast [`Self::should_tune`] reads.
     pub fn gate_open_at(&self, now: LogicalTime) -> bool {
         // Degraded mode: a failed reconfiguration paused tuning.
         if self.is_paused() {
@@ -127,16 +131,6 @@ impl Organizer {
             Some(last) => now.since(last) >= self.config.min_interval,
             None => true,
         }
-    }
-
-    /// The cheap gate every trigger sits behind: whether a tuning
-    /// decision may be taken at `now` at all — [`Self::gate_open_at`],
-    /// and (when required) low utilization. Callers ask this before
-    /// building the forecast [`Self::should_tune`] needs.
-    pub fn gate_open(&self, now: LogicalTime, kpis: &KpiSnapshot) -> bool {
-        // Utilization gate for the *decision* (the executor has its own).
-        self.gate_open_at(now)
-            && (!self.config.require_low_utilization || kpis.is_low_utilization())
     }
 
     /// Decides whether to tune now.
@@ -175,7 +169,7 @@ impl Organizer {
         kpis: &KpiSnapshot,
         constraints: &ConstraintSet,
     ) -> Option<TuningTrigger> {
-        if !self.gate_open(now, kpis) {
+        if !self.gate_open_at(now) {
             return None;
         }
         // SLA violations always justify tuning.
@@ -365,54 +359,22 @@ mod tests {
         assert!(t.is_some());
     }
 
-    #[test]
-    fn utilization_gate() {
-        let config = OrganizerConfig {
-            require_low_utilization: true,
-            ..OrganizerConfig::default()
-        };
-        let o = Organizer::new(config);
-        let k = KpiCollector::new(Cost(100.0), 0.3);
-        k.end_bucket(Cost(90.0)); // busy
-        let t = o.should_tune(
-            LogicalTime(5),
-            Cost(100.0),
-            Cost(500.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
-        assert!(t.is_none());
-        k.end_bucket(Cost(5.0)); // idle
-        let t = o.should_tune(
-            LogicalTime(5),
-            Cost(100.0),
-            Cost(500.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
-        assert!(t.is_some());
-    }
-
     fn flag() -> impl Strategy<Value = bool> {
         (0u8..2).prop_map(|b| b == 1)
     }
 
     proptest! {
-        /// The clock-only gate is a sound early exit: closed, it closes
-        /// the full gate, and the full gate is exactly the clock-only
-        /// gate plus the utilization rule.
+        /// The clock gate is open exactly when the organizer is neither
+        /// paused nor inside its rate limit.
         #[test]
         fn clock_gate_is_a_sound_early_exit(
             paused in flag(),
             last in proptest::option::of(0u64..8),
             now in 0u64..12,
             min_interval in 0u64..4,
-            require_low_utilization in flag(),
-            utilization in proptest::option::of(0.0f64..1.0),
         ) {
             let o = Organizer::new(OrganizerConfig {
                 min_interval,
-                require_low_utilization,
                 ..OrganizerConfig::default()
             });
             if paused {
@@ -421,17 +383,7 @@ mod tests {
             if let Some(t) = last {
                 o.record_tuning(LogicalTime(t));
             }
-            let kpis = KpiSnapshot {
-                utilization,
-                ..KpiCollector::new(Cost(100.0), 0.3).snapshot()
-            };
-            let at = LogicalTime(now);
-            let early = o.gate_open_at(at);
-            let full = o.gate_open(at, &kpis);
-            prop_assert!(early || !full, "closed early gate, open full gate");
-            // Unknown utilization counts as idle.
-            let idle = utilization.unwrap_or(0.0) < 0.3;
-            prop_assert_eq!(full, early && (!require_low_utilization || idle));
+            let early = o.gate_open_at(LogicalTime(now));
             let rested = match last {
                 Some(t) => now.saturating_sub(t) >= min_interval,
                 None => true,

@@ -92,20 +92,6 @@ impl Tuner {
         stripped
     }
 
-    /// Component names, for experiment tables.
-    pub fn component_names(&self) -> (String, String, String) {
-        (
-            self.enumerator.name().to_string(),
-            self.assessor.name().to_string(),
-            self.selector.name().to_string(),
-        )
-    }
-
-    /// Replaces the selector (selectors are exchangeable per the paper).
-    pub fn set_selector(&mut self, selector: Box<dyn Selector>) {
-        self.selector = selector;
-    }
-
     /// The memory budget the selector must respect for this feature.
     fn memory_budget(
         &self,

@@ -4,8 +4,8 @@
 //! (power-of-two exponent ranges split into [`SUB_BUCKETS`] linear
 //! sub-buckets) and merge by index-wise count addition, which makes the
 //! merge exactly associative and commutative. Quantiles use the same
-//! rank rule as `KpiCollector::percentile_response` (`ceil(n·p)`-th
-//! smallest) and return the containing bucket's upper bound, so they
+//! rank rule as the KPI snapshot's `p95_response` / `p99_response`
+//! (`ceil(n·p)`-th smallest) and return the containing bucket's upper bound, so they
 //! agree with the exact percentile to within one sub-bucket width.
 
 use std::collections::BTreeMap;

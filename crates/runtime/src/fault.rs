@@ -193,8 +193,9 @@ mod tests {
     #[test]
     fn deferral_does_not_consume_an_attempt() {
         let db = db();
-        let kpis = KpiCollector::new(Cost(10.0), 0.3);
-        kpis.end_bucket(Cost(100.0)); // busy
+        let kpis = KpiCollector::new(Cost(10.0));
+        kpis.record_query(Cost(100.0));
+        kpis.end_bucket_accumulated(); // busy
         let exec = FaultInjectingExecutor::during_low_utilization(FaultPlan::failing_attempts([0]));
         let report = exec
             .execute(&db, &kpis.snapshot(), &[create_index(0)])
@@ -202,7 +203,7 @@ mod tests {
         assert_eq!(report.deferred, 1);
         assert_eq!(exec.attempts(), 0, "deferral is not an attempt");
         // Now idle: attempt 0 fires and is the injected failure.
-        kpis.end_bucket(Cost(0.0));
+        kpis.end_bucket_accumulated();
         let err = exec
             .execute(&db, &kpis.snapshot(), &[create_index(0)])
             .unwrap_err();

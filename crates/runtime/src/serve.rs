@@ -57,11 +57,7 @@ pub(crate) fn driver_builder(db: Arc<Database>, executor: FaultInjectingExecutor
     Driver::builder(db)
         .features(vec![FeatureKind::Indexing, FeatureKind::Compression])
         .executor(Box::new(executor))
-        .organizer(OrganizerConfig {
-            cost_delta_threshold: 0.25,
-            min_interval: 2,
-            require_low_utilization: false,
-        })
+        .organizer(OrganizerConfig::default())
 }
 
 /// Installs a `scan_threads`-wide morsel pool on `db` (`<= 1` scans

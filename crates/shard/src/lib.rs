@@ -4,10 +4,10 @@
 //! decisions *local* while constraint enforcement stays *global* —
 //! the Organizer split the paper draws in §II, applied across shards:
 //!
-//! * [`partition`] — chunk-granular hash/range assignment of one
-//!   logical table into N shard tables. Shards own whole chunks in
-//!   ascending global order, which is what lets sharded execution
-//!   reproduce the unsharded combine tree bit-for-bit.
+//! * [`partition`] — chunk-granular range assignment of one logical
+//!   table into N shard tables. Shards own contiguous runs of whole
+//!   chunks in ascending global order, which is what lets sharded
+//!   execution reproduce the unsharded combine tree bit-for-bit.
 //! * [`sharded::ShardedDatabase`] — N per-shard [`smdb_query::Database`]
 //!   instances behind one query surface: tenant-equality queries route
 //!   to a single shard; everything else scatter-gathers
@@ -35,7 +35,7 @@ pub mod sharded;
 pub mod tenant;
 
 pub use budget::{BudgetArbiter, RebalanceOutcome};
-pub use partition::{assign_chunks, chunk_count, Assignment, ShardSpec};
+pub use partition::{assign_chunks, chunk_count, ShardSpec};
 pub use route::{TenantRange, TenantRouter};
 pub use sharded::{ShardedDatabase, SHARD_TABLE};
 pub use tenant::{build_sharded, MultiTenantConfig, TenantQuery, TenantStream};

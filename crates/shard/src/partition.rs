@@ -1,13 +1,16 @@
-//! Chunk-granular table partitioning.
+//! Chunk-granular range partitioning.
 //!
-//! A shard owns *whole chunks* of the logical table, never row
-//! sub-ranges, and each shard's chunk list is kept in ascending global
-//! chunk order. Both choices serve the bitwise-identity contract: the
+//! A shard owns a *contiguous run of whole chunks* of the logical table,
+//! never row sub-ranges, and shard `s`'s run precedes shard `s + 1`'s.
+//! Both choices serve the bitwise-identity contract: the
 //! storage engine merges per-chunk partials in chunk-index order, and
 //! float aggregation is non-associative, so results stay bit-identical
 //! across shard counts only if the sharded execution can reproduce the
 //! unsharded combine tree exactly — i.e. produce the *same* per-chunk
-//! partials and fold them once in the *same* global order.
+//! partials and fold them once in the *same* global order. With
+//! ascending contiguous runs, concatenating the shards' partials in
+//! ascending shard order *is* that order. Contiguity also keeps a
+//! sorted clustering key (the tenant column) local to one shard.
 //!
 //! Rebuilding a shard's table from its chunks' concatenated rows
 //! reproduces the global chunk boundaries because every chunk except
@@ -18,77 +21,38 @@
 use smdb_common::{Error, Result};
 use smdb_storage::value::ColumnValues;
 
-/// How the logical table's chunks are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Assignment {
-    /// Chunk `i` goes to shard `mix(i) % shards` — spreads neighbouring
-    /// chunks (and thus a sorted clustering key) over all shards.
-    HashChunks,
-    /// Contiguous chunk ranges, balanced to within one chunk — keeps a
-    /// sorted clustering key (the tenant column) local to one shard.
-    RangeChunks,
-}
-
-/// A partitioning scheme: shard count plus chunk assignment.
+/// A partitioning scheme: how many shards the table's chunks are split
+/// over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     pub shards: usize,
-    pub assignment: Assignment,
 }
 
 impl ShardSpec {
     /// A range-partitioned spec over `shards` shards.
     pub fn range(shards: usize) -> ShardSpec {
-        ShardSpec {
-            shards,
-            assignment: Assignment::RangeChunks,
-        }
+        ShardSpec { shards }
     }
-
-    /// A hash-partitioned spec over `shards` shards.
-    pub fn hash(shards: usize) -> ShardSpec {
-        ShardSpec {
-            shards,
-            assignment: Assignment::HashChunks,
-        }
-    }
-}
-
-/// SplitMix64 finalizer — decorrelates chunk index from shard choice so
-/// hash assignment does not degenerate into round-robin.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Assigns `chunks` global chunk indices to `spec.shards` shards.
-/// Returns one ascending global-chunk-index list per shard; every chunk
-/// appears in exactly one list.
+/// Returns one ascending global-chunk-index list per shard, each
+/// starting where the previous one ended; every chunk appears in
+/// exactly one list.
 pub fn assign_chunks(chunks: usize, spec: &ShardSpec) -> Result<Vec<Vec<usize>>> {
     if spec.shards == 0 {
         return Err(Error::invalid("shard count must be at least 1"));
     }
     let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); spec.shards];
-    match spec.assignment {
-        Assignment::HashChunks => {
-            for chunk in 0..chunks {
-                per_shard[(mix(chunk as u64) % spec.shards as u64) as usize].push(chunk);
-            }
-        }
-        Assignment::RangeChunks => {
-            // Balanced contiguous ranges: the first `chunks % shards`
-            // shards get one extra chunk.
-            let base = chunks / spec.shards;
-            let extra = chunks % spec.shards;
-            let mut next = 0usize;
-            for (s, list) in per_shard.iter_mut().enumerate() {
-                let take = base + usize::from(s < extra);
-                list.extend(next..next + take);
-                next += take;
-            }
-        }
+    // Balanced contiguous ranges: the first `chunks % shards` shards get
+    // one extra chunk.
+    let base = chunks / spec.shards;
+    let extra = chunks % spec.shards;
+    let mut next = 0usize;
+    for (s, list) in per_shard.iter_mut().enumerate() {
+        let take = base + usize::from(s < extra);
+        list.extend(next..next + take);
+        next += take;
     }
     Ok(per_shard)
 }
@@ -149,25 +113,6 @@ mod tests {
             per_shard,
             vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7], vec![8, 9]]
         );
-    }
-
-    #[test]
-    fn hash_assignment_is_total_ascending_and_spread() {
-        let per_shard = assign_chunks(64, &ShardSpec::hash(4)).unwrap();
-        let mut all: Vec<usize> = per_shard.iter().flatten().copied().collect();
-        for list in &per_shard {
-            assert!(list.windows(2).all(|w| w[0] < w[1]), "ascending per shard");
-            assert!(
-                !list.is_empty(),
-                "64 chunks over 4 shards leaves none empty"
-            );
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
-        // Not round-robin: at least one shard's list has a gap != shards.
-        assert!(per_shard
-            .iter()
-            .any(|l| l.windows(2).any(|w| w[1] - w[0] != 4)));
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!
 //! Routing is conservative: a tenant-equality query may be answered by
 //! a single shard only when that shard is the *only* one whose tenant
-//! range could contain the tenant. Under range partitioning with a
-//! sorted tenant column that is the common case (a tenant straddling a
-//! shard boundary yields two shards); under hash partitioning every
-//! shard's range overlaps and the query scatters.
+//! range could contain the tenant. With a sorted tenant column that is
+//! the common case; a tenant straddling a shard boundary yields two
+//! shards and the query scatters over both.
 
 /// Inclusive tenant bounds of one shard (`None` = shard holds no rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

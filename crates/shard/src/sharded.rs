@@ -2,20 +2,21 @@
 //!
 //! Every shard is a full [`Database`] (its own `StorageEngine`, plan
 //! cache, scan-dispatch counters and logical clock), holding the whole
-//! chunks of the logical table its [`crate::partition`] assignment gave
-//! it. Queries take one of two paths:
+//! chunks of the logical table its [`crate::partition`] range gave it.
+//! Queries take one of two paths:
 //!
 //! * **routed** — a tenant-equality query whose tenant lives on exactly
 //!   one shard runs on that shard's `Database` unchanged (plan cache,
 //!   counters, parallel-scan dispatch all included);
 //! * **scatter-gather** — everything else fans `scan_partials` out over
-//!   the candidate shards, tags each [`ChunkPartial`] with its *global*
-//!   chunk index, sorts, and merges once in global chunk order.
+//!   the candidate shards, concatenates their [`ChunkPartial`]s in
+//!   ascending shard order and merges once.
 //!
-//! Because shards hold whole chunks and the gather merge replays the
-//! unsharded chunk order, a full scatter produces a [`ScanOutput`] that
-//! is bit-identical to the unsharded scan — rows, float aggregates,
-//! groups and total simulated cost — for *any* shard count. Only the
+//! Because shards hold whole, contiguous, ascending chunk runs, that
+//! concatenation is the unsharded chunk order, so a full scatter
+//! produces a [`ScanOutput`] that is bit-identical to the unsharded
+//! scan — rows, float aggregates, groups and total simulated cost —
+//! for *any* shard count. Only the
 //! latency model (`sim_latency`, `morsels`) is shard-dependent, exactly
 //! the freedom the PR 5 morsel contract already grants.
 
@@ -98,11 +99,6 @@ impl ShardedDatabase {
         &self.shards
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The tenant router.
     pub fn router(&self) -> &TenantRouter {
         &self.router
@@ -165,11 +161,13 @@ impl ShardedDatabase {
     fn scatter_gather(&self, query: &Query) -> Result<QueryRunResult> {
         let start = Instant::now();
         let candidates = self.scatter_candidates(query);
-        // Fan out: per-shard partial scans, each partial tagged with its
-        // global chunk index so the gather can replay the unsharded
-        // merge order exactly (float addition is non-associative — the
-        // combine tree must match, not just the operand set).
-        let mut tagged: Vec<(usize, ChunkPartial)> = Vec::new();
+        // Fan out: per-shard partial scans, concatenated in candidate
+        // order. Candidates ascend and each shard holds a contiguous run
+        // of chunks that follows the previous shard's, so that is global
+        // chunk order and the gather replays the unsharded merge exactly
+        // (float addition is non-associative — the combine tree must
+        // match, not just the operand set).
+        let mut gathered: Vec<ChunkPartial> = Vec::new();
         for &s in &candidates {
             let shard = &self.shards[s];
             let pool = shard.scan_pool();
@@ -184,27 +182,22 @@ impl ShardedDatabase {
                     .filter(|(p, _)| p.threads() > 1),
             )?;
             let mut shard_cost = smdb_common::Cost::ZERO;
-            for (partial, &global) in partials.into_iter().zip(&self.chunk_map[s]) {
+            for partial in &partials {
                 shard_cost += partial.cost();
-                tagged.push((global, partial));
             }
+            gathered.extend(partials);
             drop(engine);
             // Each shard's plan cache sees the work *it* did — the
             // shard-local signal its driver tunes on.
             shard.record_execution(query, shard_cost);
         }
-        tagged.sort_by_key(|(global, _)| *global);
         let merge_on = candidates.first().copied().unwrap_or(0);
         let engine = self
             .shards
             .get(merge_on)
             .ok_or_else(|| Error::invalid("sharded database has no shards"))?
             .engine();
-        let output = engine.merge_scan_partials(
-            tagged.into_iter().map(|(_, p)| p).collect(),
-            query.aggregate(),
-            query.group_by(),
-        );
+        let output = engine.merge_scan_partials(gathered, query.aggregate(), query.group_by());
         Ok(QueryRunResult {
             output,
             wall_ns: start.elapsed().as_nanos() as u64,
@@ -224,7 +217,6 @@ impl std::fmt::Debug for ShardedDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Assignment;
     use smdb_storage::{
         Aggregate, AggregateOp, ColumnDef, DataType, ScanPool, ScanPredicate, Schema,
     };
@@ -301,7 +293,11 @@ mod tests {
     #[test]
     fn scatter_is_bit_identical_to_unsharded_scan() {
         let base = unsharded();
-        for spec in [ShardSpec::range(1), ShardSpec::range(3), ShardSpec::hash(4)] {
+        for spec in [
+            ShardSpec::range(1),
+            ShardSpec::range(3),
+            ShardSpec::range(4),
+        ] {
             let db = sharded(spec);
             for k in 0..17 {
                 let q = global_grouped(k);
@@ -318,10 +314,7 @@ mod tests {
     #[test]
     fn routed_tenant_queries_match_unsharded_results() {
         let base = unsharded();
-        let db = sharded(ShardSpec {
-            shards: 4,
-            assignment: Assignment::RangeChunks,
-        });
+        let db = sharded(ShardSpec::range(4));
         let mut routed_seen = 0;
         for t in 0..TENANTS as i64 {
             let q = tenant_sum(t, 3);
@@ -337,16 +330,6 @@ mod tests {
         assert_eq!(routed as usize + scattered as usize, TENANTS);
         assert_eq!(routed, routed_seen);
         assert!(routed > 0, "range partitioning routes most tenants");
-    }
-
-    #[test]
-    fn hash_partitioning_scatters_tenant_queries() {
-        let db = sharded(ShardSpec::hash(4));
-        let q = tenant_sum(7, 3);
-        assert_eq!(db.route(&q), None, "overlapping ranges cannot route");
-        db.run_query(&q).expect("still answers correctly");
-        let (routed, scattered) = db.routing_counts();
-        assert_eq!((routed, scattered), (0, 1));
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl DictionarySegment {
         }
     }
 
-    /// The code stored at `row`; used by index builders that operate on
-    /// codes directly.
-    pub fn code_at(&self, row: usize) -> u32 {
-        self.codes[row]
-    }
-
     /// The per-row code array; the kernel layer scans it directly.
     pub(crate) fn codes(&self) -> &[u32] {
         &self.codes

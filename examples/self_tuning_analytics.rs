@@ -45,7 +45,6 @@ fn main() {
         .organizer(OrganizerConfig {
             cost_delta_threshold: 0.15,
             min_interval: 3,
-            require_low_utilization: false,
         })
         .constraints(ConstraintSet {
             index_memory_bytes: Some(8 * 1024 * 1024),
@@ -74,7 +73,7 @@ fn main() {
             "{:>6} | {:>9.1} | {:>9.3} | {}",
             bucket,
             report.bucket_cost.ms(),
-            driver.kpis().mean_response().ms(),
+            driver.kpis().snapshot().mean_response.ms(),
             match &tuned {
                 Some(run) => format!("TUNED ({:?}, {} actions)", run.trigger, run.applied_actions),
                 None => "-".to_string(),

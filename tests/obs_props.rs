@@ -20,7 +20,7 @@ fn hist_of(samples: &[f64]) -> Histogram {
 }
 
 /// The exact `ceil(n·p)`-th smallest sample — the rank rule both the
-/// histogram and `KpiCollector::percentile_response` use.
+/// histogram and the KPI snapshot's p95/p99 use.
 fn exact_quantile(samples: &[f64], p: f64) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -75,22 +75,24 @@ proptest! {
     }
 
     /// On identical samples the histogram's p50/p95/p99 agree with the
-    /// KPI collector's percentiles to within one bucket width — the two
-    /// views of latency never tell conflicting stories.
+    /// KPI snapshot's p95/p99 (and the exact p50 rank) to within one
+    /// bucket width — the two views of latency never tell conflicting
+    /// stories.
     #[test]
     fn histogram_agrees_with_kpi_collector_percentiles(s in samples()) {
         let h = hist_of(&s);
-        let kpis = KpiCollector::new(Cost(1_000.0), 0.3);
+        let kpis = KpiCollector::new(Cost(1_000.0));
         for &v in &s {
             kpis.record_query(Cost(v));
         }
-        for (p, kpi_value) in [
-            (0.5, kpis.percentile_response(0.5)),
-            (0.95, kpis.p95_response()),
-            (0.99, kpis.p99_response()),
+        let snap = kpis.snapshot();
+        for (p, exact) in [
+            (0.5, exact_quantile(&s, 0.5)),
+            (0.95, snap.p95_response.ms()),
+            (0.99, snap.p99_response.ms()),
         ] {
+            prop_assert_eq!(exact.to_bits(), exact_quantile(&s, p).to_bits());
             let q = h.quantile(p).expect("non-empty");
-            let exact = kpi_value.ms();
             prop_assert!(
                 q >= exact && q - exact <= Histogram::bucket_width(exact),
                 "p{}: histogram {q} vs collector {exact}", (p * 100.0) as u32
