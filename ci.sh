@@ -21,8 +21,6 @@
 #                         # against the committed BENCH_*.json baselines
 #   ./ci.sh bench-gate --update-baselines
 #                         # regenerate and bless the committed baselines
-#   ./ci.sh calibrate     # measured kernel timings + cost-model
-#                         # calibration -> target/ci/BENCH_kernels.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -93,11 +91,6 @@ run_experiments() { # outdir
         e3 e4 e5 calibration --json "$1/BENCH_tuning.json"
 }
 
-run_calibrate() { # outdir -> BENCH_kernels.json
-    cargo run --release -q -p smdb-bench --bin calibrate -- \
-        --json "$1/BENCH_kernels.json"
-}
-
 run_soak() { # outdir
     cargo run --release -q -p smdb-bench --bin soak -- \
         --scan-threads 4 \
@@ -131,11 +124,18 @@ check_audit() { # audit path
 count_crates_lines() { # the size number the north star judges by
     CRATES_RS_LINES="$(find crates -name '*.rs' | xargs cat | wc -l)"
     echo "crates_rs_lines: ${CRATES_RS_LINES}"
-    # Non-test lines: each file's lines before its first `#[cfg(test)]`
-    # line; files under a `tests/` directory are all test. Code moved
-    # into tests therefore never counts as a reduction.
+    # Non-test lines: each file's lines before its test module, the
+    # first column-0 `#[cfg(test)]` whose next line starts a `mod`; files
+    # under a `tests/` directory are all test. An indented `#[cfg(test)]`
+    # on a statement does not end the count. Code moved into tests
+    # therefore never counts as a reduction.
     CRATES_RS_NONTEST_LINES="$(find crates -name '*.rs' -not -path '*/tests/*' -print0 |
-        xargs -0 awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
+        xargs -0 awk 'FNR == 1 { t = 0; held = 0 }
+            t { next }
+            held && /^(pub(\([a-z]+\))? )?mod / { t = 1; next }
+            held { n += held; held = 0 }
+            /^#\[cfg\(test\)\]/ { held = 1; next }
+            { n++ }
             END { print n + 0 }' | awk '{ s += $1 } END { print s + 0 }')"
     echo "crates_rs_nontest_lines: ${CRATES_RS_NONTEST_LINES}"
 }
@@ -209,12 +209,6 @@ recover)
         --recovery BENCH_recovery.json "$CI_DIR/BENCH_recovery.json"
     echo "Recovery CI green."
     ;;
-calibrate)
-    step "build (release, calibrate)" cargo build --release -p smdb-bench --bin calibrate
-    mkdir -p "$CI_DIR"
-    step "calibrate" run_calibrate "$CI_DIR"
-    echo "Calibration artifacts in $CI_DIR/BENCH_kernels.json."
-    ;;
 bench-gate)
     step "build (release, bench)" cargo build --release -p smdb-bench
     mkdir -p "$CI_DIR"
@@ -247,7 +241,7 @@ full)
     echo "CI green."
     ;;
 *)
-    echo "unknown mode '${MODE}' (valid: full quick soak soak-mt recover bench-gate calibrate)" >&2
+    echo "unknown mode '${MODE}' (valid: full quick soak soak-mt recover bench-gate)" >&2
     exit 2
     ;;
 esac

@@ -1,4 +1,4 @@
-//! Experiment harness: regenerates every experiment table (E1–E10).
+//! Experiment harness: regenerates every experiment table (E1–E11).
 //!
 //! ```text
 //! cargo run --release -p smdb-bench --bin experiments            # all

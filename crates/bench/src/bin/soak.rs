@@ -31,7 +31,6 @@
 //! decision trail.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use smdb_bench::report;
 use smdb_common::json::Json;
@@ -53,7 +52,7 @@ const DIGEST_CHECK_QUERIES: usize = 1_000;
 
 /// Flags every run takes, and the ones each run adds.
 const COMMON_FLAGS: &[&str] = &["--workers", "--seed", "--buckets", "--json"];
-const ENGINE_FLAGS: &[&str] = &["--scan-threads", "--morsel-chunks", "--no-kernels"];
+const ENGINE_FLAGS: &[&str] = &["--scan-threads", "--morsel-chunks"];
 const SHARDED_FLAGS: &[&str] = &["--shards", "--tenants", "--zipf"];
 const RECOVER_FLAGS: &[&str] = &["--kill-bucket", "--kill-after", "--snapshot-every", "--dir"];
 
@@ -67,7 +66,6 @@ struct Args {
     trail_path: Option<String>,
     scan_threads: usize,
     morsel_chunks: usize,
-    kernels: bool,
     shards: usize,
     tenants: usize,
     zipf: f64,
@@ -106,7 +104,6 @@ fn parse_args() -> Args {
         trail_path: None,
         scan_threads: 1,
         morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
-        kernels: true,
         shards: 4,
         tenants: 1200,
         zipf: 1.1,
@@ -134,7 +131,6 @@ fn parse_args() -> Args {
             "--trail" => parsed.trail_path = Some(text()),
             "--scan-threads" => parsed.scan_threads = num(&flag, text()),
             "--morsel-chunks" => parsed.morsel_chunks = num(&flag, text()),
-            "--no-kernels" => parsed.kernels = false,
             "--shards" => parsed.shards = num(&flag, text()),
             "--tenants" => parsed.tenants = num(&flag, text()),
             "--zipf" => parsed.zipf = num(&flag, text()),
@@ -217,9 +213,6 @@ fn events_fixture(args: &Args) -> (Arc<Database>, Vec<BucketPlan>) {
     };
     let (db, table) =
         events_database(24, 1_000).unwrap_or_else(|e| die(1, &format!("fixture failed: {e}")));
-    if !args.kernels {
-        db.engine_mut().set_kernels_enabled(false);
-    }
     (db, generate(table, 24_000, &stream))
 }
 
@@ -245,13 +238,10 @@ fn engine_soak(args: &Args) -> Json {
     // tick, worker, drain), so the subscriber costs nothing per query.
     let spans = smdb_obs::CountingSubscriber::new();
     smdb_obs::trace::install(spans.clone());
-    let start = Instant::now();
     let outcome = runtime
         .run(&plan)
         .unwrap_or_else(|e| die(1, &format!("soak failed: {e}")));
-    let wall = start.elapsed().as_secs_f64();
     smdb_obs::trace::uninstall();
-    let qps = outcome.stats.queries as f64 / wall.max(1e-9);
     let (stats, tuning) = (&outcome.stats, &outcome.tuning);
 
     let scans = db.scan_stats();
@@ -275,8 +265,6 @@ fn engine_soak(args: &Args) -> Json {
             ("errors", stats.errors.into()),
             ("wrong_results", stats.wrong_results.into()),
             ("result_digest", stats.result_digest.into()),
-            ("wall_s", wall.into()),
-            ("sustained_qps", qps.into()),
             ("cold_mean_ms", outcome.cold_mean.ms().into()),
             ("cold_p95_ms", outcome.cold_p95.ms().into()),
             ("tuned_mean_ms", outcome.tuned_mean.ms().into()),
@@ -443,8 +431,6 @@ fn sharded_soak(args: &Args) -> Json {
             ("routed", outcome.routed.into()),
             ("scattered", outcome.scattered.into()),
             ("morsels", outcome.morsels.into()),
-            ("wall_s", outcome.wall_seconds.into()),
-            ("sustained_qps", outcome.sustained_qps.into()),
             ("tenants_active", outcome.tenant_stats.len().into()),
             ("mean_tenant_p95_ms", mean_p95.into()),
             (

@@ -1,20 +1,13 @@
 //! Measured cost-model calibration (E11).
 //!
-//! Two harnesses over one mixed-encoding fixture table:
-//!
-//! * [`kernel_micro`] times each kernel shape (driving filters per
-//!   encoding, residual refinement, plain and grouped aggregation) with
-//!   the vectorized kernel layer on and off, reporting best-of-repeats µs/row —
-//!   the machine-readable twin of the `scan_kernels` criterion bench,
-//!   written to `BENCH_kernels.json` by `./ci.sh calibrate`.
-//! * [`run_calibration`] measures *wall-clock* per-query cost over a
-//!   query grid that isolates each cost term (raw/dict/RLE/FoR scan
-//!   units, index probes, refinement, aggregation, grouping), feeds the
-//!   measurements to the [`CalibratedCostModel`] regression, refits, and
-//!   reports the fitted ms-per-unit weight plus the sim-vs-measured
-//!   relative error per term. The refit bumps the estimator version,
-//!   which the report verifies by watching a warmed [`WhatIf`] cost
-//!   cache flush on the next lookup.
+//! [`run_calibration`] measures *wall-clock* per-query cost over a query
+//! grid that isolates each cost term (raw/dict/RLE/FoR scan units, index
+//! probes, refinement, aggregation, grouping), feeds the measurements to
+//! the [`CalibratedCostModel`] regression, refits, and reports the
+//! fitted ms-per-unit weight plus the sim-vs-measured relative error per
+//! term. The refit bumps the estimator version, which the report
+//! verifies by watching a warmed [`WhatIf`] cost cache flush on the next
+//! lookup.
 //!
 //! Wall-clock timings are inherently host-dependent; the *fit* given a
 //! fixed observation set is deterministic (see the reproducibility test
@@ -38,34 +31,30 @@ use smdb_storage::{
 use crate::report;
 
 /// Fixture scale: rows and chunk size of the calibration table.
-pub const ROWS: usize = 40_000;
+const ROWS: usize = 40_000;
 const CHUNK: usize = 4_000;
 
 /// Default measurement repeats (minimum taken).
 pub const DEFAULT_REPEATS: usize = 9;
 
 /// Builds the calibration fixture: one table whose columns cover every
-/// encoding the kernels specialize for, plus a hash-indexed probe
-/// column. Column layout (`sorted` controls columns 0–2):
+/// encoding the cost model prices, plus a hash-indexed probe column.
 ///
 /// | col | name | data            | physical design        |
 /// |-----|------|-----------------|------------------------|
-/// | 0   | `u`  | `i` or `i%1000` | unencoded              |
-/// | 1   | `d`  | `i` or `i%1000` | dictionary             |
-/// | 2   | `o`  | `i` or `i%1000` | frame-of-reference     |
+/// | 0   | `u`  | `i`             | unencoded              |
+/// | 1   | `d`  | `i`             | dictionary             |
+/// | 2   | `o`  | `i`             | frame-of-reference     |
 /// | 3   | `r`  | `i / 40` (runs) | run-length             |
 /// | 4   | `f`  | `i * 0.5`       | unencoded float        |
 /// | 5   | `g`  | `i % 8`         | unencoded (group keys) |
 /// | 6   | `x`  | `i % 500`       | hash index, all chunks |
 ///
-/// The micro harness uses the *unsorted* layout (every chunk covers the
-/// full value range, so a range predicate scans the whole table — the
-/// per-row number is meaningful). The calibration fit uses the *sorted*
-/// layout: range predicates then prune to a controllable chunk prefix,
-/// which makes each scan term's feature vary across the probe grid —
-/// without that variation the regression cannot attribute
+/// Columns 0–3 ascend, so range predicates prune to a controllable
+/// chunk prefix, which makes each scan term's feature vary across the
+/// probe grid — without that variation the regression cannot attribute
 /// span-dependent wall time to the scan slots at all.
-pub fn build_fixture(sorted: bool) -> Result<(StorageEngine, smdb_common::TableId)> {
+fn build_fixture() -> Result<(StorageEngine, smdb_common::TableId)> {
     let schema = Schema::new(vec![
         ColumnDef::new("u", DataType::Int),
         ColumnDef::new("d", DataType::Int),
@@ -75,14 +64,13 @@ pub fn build_fixture(sorted: bool) -> Result<(StorageEngine, smdb_common::TableI
         ColumnDef::new("g", DataType::Int),
         ColumnDef::new("x", DataType::Int),
     ])?;
-    let key = |i: i64| if sorted { i } else { i % 1000 };
     let table = Table::from_columns(
         "calibration",
         schema,
         vec![
-            ColumnValues::Int((0..ROWS as i64).map(key).collect()),
-            ColumnValues::Int((0..ROWS as i64).map(key).collect()),
-            ColumnValues::Int((0..ROWS as i64).map(key).collect()),
+            ColumnValues::Int((0..ROWS as i64).collect()),
+            ColumnValues::Int((0..ROWS as i64).collect()),
+            ColumnValues::Int((0..ROWS as i64).collect()),
             ColumnValues::Int((0..ROWS as i64).map(|i| i / 40).collect()),
             ColumnValues::Float((0..ROWS).map(|i| i as f64 * 0.5).collect()),
             ColumnValues::Int((0..ROWS as i64).map(|i| i % 8).collect()),
@@ -112,129 +100,6 @@ pub fn build_fixture(sorted: bool) -> Result<(StorageEngine, smdb_common::TableI
         })?;
     }
     Ok((engine, t))
-}
-
-/// Best (minimum) wall-clock microseconds of `f` over `repeats` runs,
-/// after one untimed warm-up. The minimum, not the median: scheduler
-/// and cache interference on a shared host is strictly additive, so the
-/// fastest observation is the closest to the work's true cost — and the
-/// calibration fit is gated, so per-query estimates must be stable
-/// across noisy CI hosts.
-fn best_us(repeats: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..repeats.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// One kernel-vs-scalar micro measurement.
-#[derive(Debug, Clone)]
-pub struct KernelTiming {
-    /// Shape label, matching the `scan_kernels` criterion bench ids.
-    pub shape: &'static str,
-    /// Median µs per table row with the kernel layer enabled.
-    pub kernel_us_per_row: f64,
-    /// Median µs per table row with the kernel layer disabled.
-    pub scalar_us_per_row: f64,
-}
-
-impl KernelTiming {
-    /// Scalar-over-kernel speedup (> 1 means the kernel wins).
-    pub fn speedup(&self) -> f64 {
-        if self.kernel_us_per_row <= 0.0 {
-            return 0.0;
-        }
-        self.scalar_us_per_row / self.kernel_us_per_row
-    }
-}
-
-/// Times every kernel shape with the kernel layer on and off over the
-/// shared fixture. µs/row is normalized by the table's total row count,
-/// so shapes are comparable to each other and across runs.
-pub fn kernel_micro(repeats: usize) -> Result<Vec<KernelTiming>> {
-    let (mut engine, t) = build_fixture(false)?;
-    let pred_u = ScanPredicate::between(ColumnId(0), 100i64, 299i64);
-    let pred_d = ScanPredicate::between(ColumnId(1), 100i64, 299i64);
-    let pred_o = ScanPredicate::between(ColumnId(2), 100i64, 299i64);
-    let pred_r = ScanPredicate::between(ColumnId(3), 100i64, 299i64);
-    let pred_f = ScanPredicate::cmp(ColumnId(4), PredicateOp::Lt, 10_000.0);
-    let sum_f = Aggregate::new(AggregateOp::Sum, ColumnId(4));
-
-    struct Shape {
-        label: &'static str,
-        preds: Vec<ScanPredicate>,
-        agg: Option<Aggregate>,
-        group: Option<ColumnId>,
-    }
-    let shapes = [
-        Shape {
-            label: "filter_raw",
-            preds: vec![pred_u.clone()],
-            agg: None,
-            group: None,
-        },
-        Shape {
-            label: "filter_dict",
-            preds: vec![pred_d],
-            agg: None,
-            group: None,
-        },
-        Shape {
-            label: "filter_for",
-            preds: vec![pred_o],
-            agg: None,
-            group: None,
-        },
-        Shape {
-            label: "filter_rle",
-            preds: vec![pred_r],
-            agg: None,
-            group: None,
-        },
-        Shape {
-            label: "refine_float",
-            preds: vec![pred_u.clone(), pred_f],
-            agg: None,
-            group: None,
-        },
-        Shape {
-            label: "agg_sum",
-            preds: vec![pred_u.clone()],
-            agg: Some(sum_f.clone()),
-            group: None,
-        },
-        Shape {
-            label: "group_sum",
-            preds: vec![pred_u],
-            agg: Some(sum_f),
-            group: Some(ColumnId(5)),
-        },
-    ];
-
-    let mut out = Vec::with_capacity(shapes.len());
-    for shape in &shapes {
-        let timed = |enabled: bool, engine: &mut StorageEngine| {
-            engine.set_kernels_enabled(enabled);
-            best_us(repeats, || {
-                engine
-                    .scan_grouped(t, &shape.preds, shape.agg.as_ref(), shape.group)
-                    .expect("fixture scan succeeds");
-            }) / ROWS as f64
-        };
-        let kernel_us_per_row = timed(true, &mut engine);
-        let scalar_us_per_row = timed(false, &mut engine);
-        engine.set_kernels_enabled(true);
-        out.push(KernelTiming {
-            shape: shape.label,
-            kernel_us_per_row,
-            scalar_us_per_row,
-        });
-    }
-    Ok(out)
 }
 
 /// The cost terms calibration isolates, each mapped to the feature slot
@@ -308,10 +173,10 @@ impl CalibrationReport {
     }
 }
 
-/// The probe-query grid over the *sorted* fixture: each entry is
+/// The probe-query grid over the fixture: each entry is
 /// `(term, query)` where the query's dominant cost lives in that term's
 /// feature slot. Range predicates select a prefix of `chunks` chunks
-/// (the sorted key makes chunk stats prune the rest), so each scan
+/// (the ascending key makes chunk stats prune the rest), so each scan
 /// term's feature takes several distinct magnitudes across the grid —
 /// the variation the regression needs to attribute wall time to the
 /// slot.
@@ -378,7 +243,7 @@ fn probe_grid(t: smdb_common::TableId) -> Vec<(&'static str, Query)> {
 /// [`CalibratedCostModel`] on the wall-clock timings, and reports the
 /// per-term weights, sim-vs-measured errors and the cache-flush check.
 pub fn run_calibration(repeats: usize) -> Result<CalibrationReport> {
-    let (engine, t) = build_fixture(true)?;
+    let (engine, t) = build_fixture()?;
     let config = engine.current_config();
     let ctx = ConfigContext::new(&engine, &config);
     let grid = probe_grid(t);
@@ -470,28 +335,6 @@ pub fn run_calibration(repeats: usize) -> Result<CalibrationReport> {
     })
 }
 
-/// Records the kernel micro timings under the `kernels` report section
-/// (the `BENCH_kernels.json` payload).
-pub fn record_kernel_micro(timings: &[KernelTiming]) {
-    for t in timings {
-        report::record(
-            "kernels",
-            &format!("{}_kernel_us_per_row", t.shape),
-            t.kernel_us_per_row.into(),
-        );
-        report::record(
-            "kernels",
-            &format!("{}_scalar_us_per_row", t.shape),
-            t.scalar_us_per_row.into(),
-        );
-        report::record(
-            "kernels",
-            &format!("{}_speedup", t.shape),
-            t.speedup().into(),
-        );
-    }
-}
-
 /// Records the calibration fit under the `calibration` report section —
 /// the `sim_vs_measured_err_*` keys are bound-gated (≤ 30 %) by
 /// `gate::tuning_bounds`.
@@ -532,7 +375,7 @@ mod tests {
 
     #[test]
     fn fixture_covers_every_term_feature() {
-        let (engine, t) = build_fixture(true).unwrap();
+        let (engine, t) = build_fixture().unwrap();
         let config = engine.current_config();
         let ctx = ConfigContext::new(&engine, &config);
         let grid = probe_grid(t);
@@ -573,16 +416,6 @@ mod tests {
                 "term {} error is not finite",
                 term.term
             );
-        }
-    }
-
-    #[test]
-    fn kernel_micro_times_every_shape() {
-        let timings = kernel_micro(1).unwrap();
-        assert_eq!(timings.len(), 7);
-        for t in &timings {
-            assert!(t.kernel_us_per_row > 0.0, "{} kernel time", t.shape);
-            assert!(t.scalar_us_per_row > 0.0, "{} scalar time", t.shape);
         }
     }
 }

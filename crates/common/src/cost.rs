@@ -76,12 +76,6 @@ impl Cost {
             Some(self.0 / other.0)
         }
     }
-
-    /// Clamps a (possibly negative) cost difference at zero.
-    #[inline]
-    pub fn clamp_non_negative(self) -> Cost {
-        Cost(self.0.max(0.0))
-    }
 }
 
 impl fmt::Display for Cost {
@@ -200,13 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_clamp() {
+    fn min_max() {
         let a = Cost(3.0);
         let b = Cost(-1.0);
         assert_eq!(a.min(b), b);
         assert_eq!(a.max(b), a);
-        assert_eq!(b.clamp_non_negative(), Cost::ZERO);
-        assert_eq!(a.clamp_non_negative(), a);
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub fn exactly_zero(x: f64) -> bool {
     x.abs() == 0.0
 }
 
-/// Tolerance comparison for computed quantities.
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,13 +25,5 @@ mod tests {
         assert!(!exactly_zero(1e-300));
         assert!(!exactly_zero(-1e-300));
         assert!(!exactly_zero(f64::NAN));
-    }
-
-    #[test]
-    fn approx_is_symmetric_within_tol() {
-        assert!(approx_eq(1.0, 1.0 + 1e-10, 1e-9));
-        assert!(approx_eq(1.0 + 1e-10, 1.0, 1e-9));
-        assert!(!approx_eq(1.0, 1.1, 1e-9));
-        assert!(!approx_eq(f64::NAN, f64::NAN, 1.0));
     }
 }

@@ -37,12 +37,6 @@ impl FeatureKind {
             FeatureKind::BufferPool => "buffer_pool",
         }
     }
-
-    /// Whether the feature is part of the physical database design (vs a
-    /// knob), per the paper's categorisation of configurable entities.
-    pub fn is_physical_design(self) -> bool {
-        !matches!(self, FeatureKind::BufferPool)
-    }
 }
 
 impl std::fmt::Display for FeatureKind {
@@ -60,11 +54,5 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             FeatureKind::ALL.iter().map(|f| f.label()).collect();
         assert_eq!(labels.len(), FeatureKind::ALL.len());
-    }
-
-    #[test]
-    fn categorisation() {
-        assert!(FeatureKind::Indexing.is_physical_design());
-        assert!(!FeatureKind::BufferPool.is_physical_design());
     }
 }

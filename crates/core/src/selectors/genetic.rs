@@ -162,11 +162,13 @@ impl Selector for GeneticSelector {
             population.push(genome);
         }
 
-        let mut best: (f64, Vec<bool>) = population
+        let Some(mut best) = population
             .iter()
             .map(|g| (self.fitness(input, g), g.clone()))
             .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("population non-empty");
+        else {
+            return Ok(Vec::new());
+        };
 
         for _gen in 0..self.generations {
             let mut next = Vec::with_capacity(population.len());
@@ -217,15 +219,18 @@ impl GeneticSelector {
         population: &'a [Vec<bool>],
         rng: &mut StdRng,
     ) -> &'a Vec<bool> {
-        let mut best: Option<(&Vec<bool>, f64)> = None;
-        for _ in 0..self.tournament.max(1) {
+        let mut draw = || {
             let g = &population[rng.random_range(0..population.len())];
-            let f = self.fitness(input, g);
-            if best.as_ref().is_none_or(|&(_, bf)| f > bf) {
-                best = Some((g, f));
+            (g, self.fitness(input, g))
+        };
+        let mut best = draw();
+        for _ in 1..self.tournament.max(1) {
+            let (g, f) = draw();
+            if f > best.1 {
+                best = (g, f);
             }
         }
-        best.expect("tournament ran at least once").0
+        best.0
     }
 }
 

@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use smdb_common::Result;
+use smdb_common::{Error, Result};
 use smdb_forecast::ForecastSet;
 use smdb_storage::{ConfigInstance, StorageEngine};
 
@@ -90,10 +90,9 @@ impl IterativeGreedy {
                 break; // nothing improves any more
             };
             let pick = remaining.swap_remove(pos);
-            let assessment = assessments
-                .iter()
-                .find(|a| a.candidate == pick)
-                .expect("assessment for picked candidate exists");
+            let Some(assessment) = assessments.iter().find(|a| a.candidate == pick) else {
+                return Err(Error::invalid("picked candidate has no assessment"));
+            };
             if let Some(g) = candidates[pick].exclusive_group {
                 used_groups.insert(g);
             }

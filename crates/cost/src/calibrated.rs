@@ -47,8 +47,7 @@ impl CalibratedCostModel {
     pub fn new() -> Self {
         CalibratedCostModel {
             inner: RwLock::new(Inner {
-                regression: OnlineRegression::new(NUM_FEATURES, 1e-6)
-                    .expect("NUM_FEATURES > 0, lambda > 0"),
+                regression: OnlineRegression::with_valid(NUM_FEATURES, 1e-6),
                 weights: None,
                 support: vec![0.0; NUM_FEATURES],
                 refit_every: 16,

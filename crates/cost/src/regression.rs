@@ -31,13 +31,19 @@ impl OnlineRegression {
         if lambda <= 0.0 {
             return Err(Error::invalid("lambda must be positive"));
         }
-        Ok(OnlineRegression {
+        Ok(Self::with_valid(k, lambda))
+    }
+
+    /// [`new`](Self::new) for arguments that hold `k > 0` and
+    /// `lambda > 0` by construction.
+    pub(crate) fn with_valid(k: usize, lambda: f64) -> Self {
+        OnlineRegression {
             k,
             gram: vec![0.0; k * k],
             moment: vec![0.0; k],
             lambda,
             observations: 0,
-        })
+        }
     }
 
     /// Number of features.

@@ -42,7 +42,8 @@ impl WhatIf {
         }
     }
 
-    /// Wraps an estimator without a cache (baseline for benches/tests).
+    /// Wraps an estimator without a cache: the full-recompute baseline E5
+    /// and the tests compare the cached path against.
     pub fn uncached(estimator: Arc<dyn CostEstimator>) -> Self {
         WhatIf {
             estimator,

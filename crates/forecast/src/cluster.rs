@@ -113,7 +113,7 @@ pub fn cluster_templates(history: &WorkloadHistory, k: usize, seed: u64) -> Vec<
     let first = rng.random_range(0..points.len());
     let mut centroids: Vec<[f64; 6]> = vec![points[first]];
     while centroids.len() < k {
-        let (best_i, _) = points
+        let Some((best_i, _)) = points
             .iter()
             .enumerate()
             .map(|(i, p)| {
@@ -124,7 +124,9 @@ pub fn cluster_templates(history: &WorkloadHistory, k: usize, seed: u64) -> Vec<
                 (i, d)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("non-empty points");
+        else {
+            break;
+        };
         centroids.push(points[best_i]);
     }
 
@@ -135,7 +137,7 @@ pub fn cluster_templates(history: &WorkloadHistory, k: usize, seed: u64) -> Vec<
         for (i, p) in points.iter().enumerate() {
             let best = (0..centroids.len())
                 .min_by(|&a, &b| dist2(p, &centroids[a]).total_cmp(&dist2(p, &centroids[b])))
-                .expect("at least one centroid");
+                .unwrap_or(0);
             if assignment[i] != best {
                 assignment[i] = best;
                 changed = true;
@@ -167,10 +169,7 @@ pub fn cluster_templates(history: &WorkloadHistory, k: usize, seed: u64) -> Vec<
     let mut clusters: Vec<Cluster> = Vec::new();
     for c in 0..centroids.len() {
         let members: Vec<usize> = (0..items.len()).filter(|&i| assignment[i] == c).collect();
-        if members.is_empty() {
-            continue;
-        }
-        let representative = members
+        let Some(representative) = members
             .iter()
             .max_by(|&&a, &&b| {
                 items[a]
@@ -179,7 +178,9 @@ pub fn cluster_templates(history: &WorkloadHistory, k: usize, seed: u64) -> Vec<
                     .then(items[b].0.cmp(&items[a].0))
             })
             .map(|&i| items[i].0)
-            .expect("non-empty members");
+        else {
+            continue;
+        };
         clusters.push(Cluster {
             members: members.iter().map(|&i| items[i].0).collect(),
             representative,

@@ -152,25 +152,26 @@ impl WorkloadPredictor {
                 .collect(),
             Some(k) => cluster_templates(history, k, self.config.seed)
                 .into_iter()
-                .map(|cluster| {
+                .filter_map(|cluster| {
                     // Cluster series = sum of member series; represented
-                    // by the heaviest member's example query.
+                    // by the heaviest member's example query. Clusters
+                    // are built from `history`, so every id resolves.
+                    let example = &history.template(cluster.representative)?.example;
                     let mut series = vec![0.0; (hi - lo) as usize];
-                    for fp in &cluster.members {
-                        let th = history.template(*fp).expect("member exists");
+                    for th in cluster
+                        .members
+                        .iter()
+                        .filter_map(|&fp| history.template(fp))
+                    {
                         for (s, v) in series.iter_mut().zip(th.series(lo, hi)) {
                             *s += v;
                         }
                     }
-                    let example = &history
-                        .template(cluster.representative)
-                        .expect("representative exists")
-                        .example;
-                    Unit {
+                    Some(Unit {
                         example,
                         series: Cow::Owned(series),
                         template: None,
-                    }
+                    })
                 })
                 .collect(),
         };

@@ -16,7 +16,7 @@
 //! * [`database::Database`] — the execution façade combining
 //!   the storage engine with the plan cache and a *monitoring switch*
 //!   used by the ≤1 % overhead experiment (E2),
-//! * [`session::Session`] / [`session::ResultOracle`] — per-session
+//! * [`session::SessionStats`] / [`session::ResultOracle`] — per-worker
 //!   serving statistics with ground-truth result checking, the
 //!   correctness witness of the online runtime (reconfiguration must
 //!   never change what a query returns).
@@ -32,5 +32,5 @@ pub use database::{Database, QueryRunResult, ScanStats};
 pub use logical::LogicalTemplate;
 pub use plan_cache::{PlanCache, PlanCacheEntry};
 pub use query::Query;
-pub use session::{result_hash, ExpectedResult, ResultOracle, Session, SessionStats};
+pub use session::{result_hash, ExpectedResult, ResultOracle, SessionStats};
 pub use workload_spec::{WeightedQuery, Workload};

@@ -1,20 +1,18 @@
-//! Session-level serving with result checking.
+//! Serving statistics with result checking.
 //!
 //! The serving runtime's correctness property is *logical*: configuration
 //! actions (indexes, encodings, placements, knobs) are physical and must
 //! never change what a query returns. [`ResultOracle`] captures the
-//! ground-truth answer of every query template up front; [`Session`]
-//! wraps a shared [`Database`] handle with per-session statistics and
-//! verifies each answer against the oracle while reconfigurations race
-//! the serving path.
+//! ground-truth answer of every query template up front; each serving
+//! worker folds its answers into a [`SessionStats`], which verifies them
+//! against the oracle while reconfigurations race the serving path.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use smdb_common::{Cost, Result};
 use smdb_storage::{ScanOutput, Value};
 
-use crate::database::{Database, QueryRunResult};
+use crate::database::Database;
 use crate::query::Query;
 
 /// Relative tolerance for float aggregates: physical configuration
@@ -194,63 +192,6 @@ impl SessionStats {
     }
 }
 
-/// One serving session: a shared database handle plus statistics and
-/// optional oracle verification.
-#[derive(Debug)]
-pub struct Session {
-    db: Arc<Database>,
-    oracle: Option<Arc<ResultOracle>>,
-    stats: SessionStats,
-}
-
-impl Session {
-    /// A session without result checking.
-    pub fn new(db: Arc<Database>, session_id: u64) -> Session {
-        Session {
-            db,
-            oracle: None,
-            stats: SessionStats {
-                session_id,
-                ..SessionStats::default()
-            },
-        }
-    }
-
-    /// A session verifying every answer against `oracle`.
-    pub fn with_oracle(db: Arc<Database>, session_id: u64, oracle: Arc<ResultOracle>) -> Session {
-        let mut s = Session::new(db, session_id);
-        s.oracle = Some(oracle);
-        s
-    }
-
-    /// Runs one query, updating statistics and verifying the answer.
-    /// Engine errors are counted and propagated — the caller decides
-    /// whether the session survives.
-    pub fn run(&mut self, query: &Query) -> Result<QueryRunResult> {
-        match self.db.run_query(query) {
-            Ok(result) => {
-                self.stats
-                    .record(query, &result.output, self.oracle.as_deref());
-                Ok(result)
-            }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// The session's statistics so far.
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
-    }
-
-    /// Consumes the session, returning its statistics.
-    pub fn into_stats(self) -> SessionStats {
-        self.stats
-    }
-}
-
 /// Hash of one answer's configuration-independent parts. Aggregate
 /// *values* are excluded: physical reconfiguration may legally perturb
 /// float sums in the last bits (the oracle checks them with tolerance);
@@ -280,6 +221,8 @@ pub fn result_hash(query: &Query, output: &ScanOutput) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use smdb_common::{ColumnId, TableId};
     use smdb_storage::value::ColumnValues;
     use smdb_storage::{
@@ -318,16 +261,24 @@ mod tests {
         )
     }
 
+    /// Serves `queries` the way a serving worker does: run through the
+    /// database, fold each answer into `stats`.
+    fn serve(db: &Database, queries: &[Query], oracle: Option<&ResultOracle>) -> SessionStats {
+        let mut stats = SessionStats::default();
+        for query in queries {
+            let result = db.run_query(query).unwrap();
+            stats.record(query, &result.output, oracle);
+        }
+        stats
+    }
+
     #[test]
     fn oracle_verifies_across_reconfiguration() {
         let db = db();
         let queries: Vec<Query> = (0..20).map(q).collect();
-        let oracle = Arc::new(ResultOracle::capture(&db, queries.iter()).unwrap());
+        let oracle = ResultOracle::capture(&db, queries.iter()).unwrap();
         assert_eq!(oracle.len(), 20);
-        let mut session = Session::with_oracle(db.clone(), 0, oracle.clone());
-        for query in &queries {
-            session.run(query).unwrap();
-        }
+        let mut stats = serve(&db, &queries, Some(&oracle));
         // Reconfigure, then serve the same queries again: still correct.
         for chunk in 0..4 {
             db.apply_config(&[ConfigAction::CreateIndex {
@@ -336,13 +287,11 @@ mod tests {
             }])
             .unwrap();
         }
-        for query in &queries {
-            session.run(query).unwrap();
-        }
-        assert_eq!(session.stats().queries, 40);
-        assert_eq!(session.stats().wrong_results, 0);
-        assert_eq!(session.stats().errors, 0);
-        assert!(session.stats().busy.ms() > 0.0);
+        stats.merge(&serve(&db, &queries, Some(&oracle)));
+        assert_eq!(stats.queries, 40);
+        assert_eq!(stats.wrong_results, 0);
+        assert_eq!(stats.errors, 0);
+        assert!(stats.busy.ms() > 0.0);
     }
 
     #[test]
@@ -365,36 +314,15 @@ mod tests {
     fn digest_is_partition_independent() {
         let db = db();
         let queries: Vec<Query> = (0..40).map(|i| q(i % 20)).collect();
-        // One session serving everything…
-        let mut all = Session::new(db.clone(), 0);
-        for query in &queries {
-            all.run(query).unwrap();
-        }
-        // …equals two sessions serving interleaved halves, merged.
-        let mut a = Session::new(db.clone(), 1);
-        let mut b = Session::new(db.clone(), 2);
-        for (i, query) in queries.iter().enumerate() {
-            if i % 2 == 0 {
-                a.run(query).unwrap();
-            } else {
-                b.run(query).unwrap();
-            }
-        }
-        let mut merged = a.into_stats();
-        merged.merge(b.stats());
-        assert_eq!(merged.queries, all.stats().queries);
-        assert_eq!(merged.result_digest, all.stats().result_digest);
-        assert_ne!(all.stats().result_digest, 0);
-    }
-
-    #[test]
-    fn errors_are_counted_and_propagated() {
-        let db = db();
-        let mut session = Session::new(db, 7);
-        let bad = Query::new(TableId(9), "missing", vec![], None, "bad");
-        assert!(session.run(&bad).is_err());
-        assert_eq!(session.stats().errors, 1);
-        assert_eq!(session.stats().queries, 0);
-        assert_eq!(session.stats().session_id, 7);
+        // One worker serving everything…
+        let all = serve(&db, &queries, None);
+        // …equals two workers serving interleaved halves, merged.
+        let half =
+            |parity| -> Vec<Query> { queries.iter().skip(parity).step_by(2).cloned().collect() };
+        let mut merged = serve(&db, &half(0), None);
+        merged.merge(&serve(&db, &half(1), None));
+        assert_eq!(merged.queries, all.queries);
+        assert_eq!(merged.result_digest, all.result_digest);
+        assert_ne!(all.result_digest, 0);
     }
 }

@@ -38,22 +38,8 @@ impl FaultPlan {
         }
     }
 
-    /// Fails every `n`-th attempt (attempts n-1, 2n-1, …) up to `max`
-    /// injected failures.
-    pub fn every_nth(n: usize, max: usize) -> Self {
-        let n = n.max(1);
-        FaultPlan {
-            failing_attempts: (0..max).map(|i| n * (i + 1) - 1).collect(),
-        }
-    }
-
     fn fails(&self, attempt: usize) -> bool {
         self.failing_attempts.contains(&attempt)
-    }
-
-    /// Number of faults the plan will inject (given enough attempts).
-    pub fn planned_failures(&self) -> usize {
-        self.failing_attempts.len()
     }
 }
 
@@ -163,12 +149,11 @@ mod tests {
 
     #[test]
     fn plan_schedules_attempts() {
-        let plan = FaultPlan::every_nth(3, 2);
+        let plan = FaultPlan::failing_attempts([2, 5]);
         assert!(!plan.fails(0) && !plan.fails(1));
         assert!(plan.fails(2) && plan.fails(5));
         assert!(!plan.fails(8));
-        assert_eq!(plan.planned_failures(), 2);
-        assert_eq!(FaultPlan::none().planned_failures(), 0);
+        assert!((0..8).all(|attempt| !FaultPlan::none().fails(attempt)));
     }
 
     #[test]

@@ -101,9 +101,9 @@ pub struct MtSoakOutcome {
     pub routed: u64,
     /// Queries answered by scatter-gather.
     pub scattered: u64,
-    /// Wall-clock seconds spent serving (capture excluded).
-    pub wall_seconds: f64,
-    /// Aggregate throughput over the serving phase, queries/second.
+    /// Aggregate throughput over the serving phase (capture excluded),
+    /// queries/second: the `benchmark/` package's
+    /// `runtime.sharded_run_qps`.
     pub sustained_qps: f64,
     /// Per-tenant stats (tenant id → summary), tenants with traffic.
     pub tenant_stats: BTreeMap<i64, TenantStats>,
@@ -292,7 +292,6 @@ impl ShardedRuntime {
             result_digest: stats.result_digest,
             routed: stats.queries - served.scattered,
             scattered: served.scattered,
-            wall_seconds: served.wall_seconds,
             sustained_qps: if served.wall_seconds > 0.0 {
                 stats.queries as f64 / served.wall_seconds
             } else {

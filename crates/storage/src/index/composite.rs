@@ -37,11 +37,6 @@ impl CompositeHashIndex {
         CompositeHashIndex { map, entry_bytes }
     }
 
-    /// Number of distinct value pairs.
-    pub fn distinct_pairs(&self) -> usize {
-        self.map.len()
-    }
-
     /// Approximate memory footprint.
     pub fn memory_bytes(&self) -> usize {
         self.entry_bytes
@@ -81,7 +76,6 @@ mod tests {
     fn probe_matches_pairs_only() {
         let (a, b) = segments();
         let idx = CompositeHashIndex::build(&a, &b);
-        assert_eq!(idx.distinct_pairs(), 4);
         let mut out = Vec::new();
         idx.probe_eq(&Value::Int(1), &Value::Int(7), &mut out);
         out.sort_unstable();

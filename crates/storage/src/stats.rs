@@ -128,14 +128,6 @@ impl SegmentStats {
     }
 }
 
-/// Merges distinct-count style statistics across segments of a column
-/// (upper bound: sum of per-segment distinct counts, capped by rows).
-pub fn merged_distinct(stats: &[&SegmentStats]) -> u64 {
-    let sum: u64 = stats.iter().map(|s| s.distinct).sum();
-    let rows: u64 = stats.iter().map(|s| s.rows).sum();
-    sum.min(rows)
-}
-
 /// Distinct values helper used by tests and generators.
 pub fn distinct_values(values: &ColumnValues) -> usize {
     let mut set = HashSet::new();
@@ -200,15 +192,6 @@ mod tests {
             0.0
         );
         assert!(!s.can_match(&ScanPredicate::eq(ColumnId(0), 99i64)));
-    }
-
-    #[test]
-    fn merged_distinct_caps_at_rows() {
-        let a = SegmentStats::compute(&ColumnValues::Int(vec![1, 2]));
-        let b = SegmentStats::compute(&ColumnValues::Int(vec![1, 2]));
-        assert_eq!(merged_distinct(&[&a, &b]), 4);
-        let c = SegmentStats::compute(&ColumnValues::Int(vec![1]));
-        assert_eq!(merged_distinct(&[&c]), 1);
     }
 
     #[test]

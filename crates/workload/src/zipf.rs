@@ -48,10 +48,7 @@ impl Zipf {
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.random();
         // First index with cdf >= u.
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-        {
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i + 1,
             Err(i) => (i + 1).min(self.cdf.len()),
         }

@@ -51,9 +51,9 @@ fn budget_ratchet_has_no_slack() {
 
 /// Pre-rewrite finding counts for the six legacy rules (L1–L6), pinned
 /// at the point the regex line scanner was replaced by the token-stream
-/// backend. The only non-zero rule is the grandfathered `no-panic` long
-/// tail tracked in lint.toml; a drift in either direction means the
-/// lexer projection changed rule semantics.
+/// backend, since burned down to zero: the `no-panic` long tail once
+/// grandfathered in lint.toml is gone. A finding means either new code
+/// broke a rule or the lexer projection changed rule semantics.
 #[test]
 fn legacy_rules_reproduce_pre_rewrite_counts() {
     let cfg = smdb_lint::load_config(repo_root()).expect("config loads");
@@ -65,7 +65,7 @@ fn legacy_rules_reproduce_pre_rewrite_counts() {
         }
     }
     let count = |id: &str| findings.iter().filter(|f| f.rule == id).count();
-    assert_eq!(count("no-panic"), 11, "grandfathered unwrap/expect tail");
+    assert_eq!(count("no-panic"), 0);
     assert_eq!(count("no-entropy"), 0);
     assert_eq!(count("no-float-eq"), 0);
     assert_eq!(count("no-wall-clock"), 0);
