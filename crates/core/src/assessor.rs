@@ -14,14 +14,22 @@
 //! [`ConfigContext`] in O(1) and looking up each affected distinct query
 //! once; the hypothetical [`ConfigInstance`] is built only if a lookup
 //! misses. Its desirability is then that price re-weighed by the pass's
-//! scenario rows. Prices do not move while the base configuration, the
-//! catalog, the estimator and the cache hold — only the forecast's
-//! weights do — so the assessor keeps the last full pass's prices and a
-//! converged pass re-weighs them instead of re-pricing. Candidates whose
-//! lookups all hit are finished on the calling thread — a converged pass
-//! wakes and waits for no other thread — and only those that need the
-//! estimator fan out, in contiguous blocks over the storage scan pool
-//! (the workspace's designated thread seam) rather than ad-hoc threads.
+//! scenario rows.
+//!
+//! Prices do not move while the base configuration, the catalog, the
+//! estimator and the cache hold — only the forecast's weights do — so
+//! the assessor keeps them by candidate position under that key
+//! (`MemoKey`), reads them in place, and starts over only when the key
+//! changes. When every candidate of a pass has a kept price, in order,
+//! [`Assessor::assess_unless`] hands the caller each candidate's expected
+//! desirability and budget weight, computed in the float order of the
+//! assessment it stands for; a caller that finds its selection unchanged
+//! ends the pass there, and the lookups the full pass would have counted
+//! are recorded as if it had run. Candidates whose lookups all hit are
+//! finished on the calling thread — a converged pass wakes and waits for
+//! no other thread — and only those that need the estimator fan out, in
+//! contiguous blocks over the storage scan pool (the workspace's
+//! designated thread seam) rather than ad-hoc threads.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -36,7 +44,12 @@ use smdb_forecast::ForecastSet;
 use smdb_storage::parallel::ScanPool;
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine, Tier};
 
-use crate::candidate::{Assessment, Candidate};
+use crate::candidate::{budget_weight, expected_desirability, Assessment, Candidate};
+
+/// Decides from each candidate's `(expected desirability, budget
+/// weight)`, in candidate order, whether a pass is settled (see
+/// [`Assessor::assess_unless`]).
+pub type Settled<'a> = &'a mut dyn FnMut(&[(f64, f64)]) -> bool;
 
 /// Assesses candidates against a forecast.
 pub trait Assessor: Send + Sync {
@@ -63,6 +76,38 @@ pub trait Assessor: Send + Sync {
         candidates: &[Candidate],
     ) -> Result<Vec<Assessment>>;
 
+    /// [`Assessor::assess`], unless the pass can be settled without it:
+    /// when this assessor can give every candidate's expected
+    /// desirability and budget weight (in candidate order) without
+    /// assessing, it hands them to `settled` first. If `settled` returns
+    /// true the pass is over — the cache lookups a full pass would have
+    /// counted are recorded — and the result is `None`. The default never
+    /// can, and always assesses.
+    fn assess_unless(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+        settled: Settled<'_>,
+    ) -> Result<Option<Vec<Assessment>>> {
+        let _ = settled;
+        self.assess(engine, base, scenarios, candidates).map(Some)
+    }
+
+    /// The cache counters and kept prices a settled pass is checked on.
+    #[cfg(test)]
+    fn shadow_state(&self) -> Option<ShadowState> {
+        None
+    }
+
+    /// Takes `delta` back off the cache counters (the shadow's full path
+    /// repeats a settled pass's lookups).
+    #[cfg(test)]
+    fn rewind_lookups(&self, delta: CacheStats) {
+        let _ = delta;
+    }
+
     /// Re-assesses a subset of candidates against an updated base
     /// configuration — the paper's "selectors can also request
     /// re-assessments … to reflect changed circumstances or incorporate
@@ -81,6 +126,15 @@ pub trait Assessor: Send + Sync {
 /// Blocks the candidate fan-out cuts per lane: enough that a lane stuck
 /// on a block of cache misses does not leave the others idle.
 const BLOCKS_PER_LANE: usize = 8;
+
+/// Which pass [`WhatIfAssessor::assess_at`] runs.
+enum Pass<'a> {
+    /// A re-assessment: kept prices are neither read nor kept.
+    Reassess,
+    /// A full pass: it reads the kept prices and keeps its own, and with
+    /// `Some` it may settle before assessing.
+    Full(Option<Settled<'a>>),
+}
 
 /// What [`WhatIfAssessor::price`] does when a lookup misses.
 #[derive(Clone, Copy)]
@@ -192,8 +246,7 @@ impl WhatIfAssessor {
     }
 
     /// Prices the candidates at `indices` into the matching `out` slots,
-    /// taking a price from `memo` where it holds one for the candidate,
-    /// and counting the block's cache lookups locally and recording them
+    /// counting the block's cache lookups locally and recording them
     /// once. A slot stays `None` only where `on_miss` deferred.
     fn price_block(
         &self,
@@ -201,42 +254,25 @@ impl WhatIfAssessor {
         candidates: &[Candidate],
         indices: &[usize],
         on_miss: OnMiss,
-        mut memo: Option<&mut PriceMemo>,
         out: &mut [Option<Result<Price>>],
     ) {
         let mut tally = CacheStats::default();
         for (&index, slot) in indices.iter().zip(out) {
             let action = &candidates[index].action;
-            *slot = match memo.as_deref_mut().and_then(|m| m.take(index, action)) {
-                Some(price) => {
-                    // Every row it re-costs would have looked up an entry
-                    // the pass that priced it left behind: all hits.
-                    base.count_rows(&price.costs, 0, &mut tally);
-                    Some(Ok(price))
-                }
-                None => self.price(base, action, on_miss, &mut tally).transpose(),
-            };
+            *slot = self.price(base, action, on_miss, &mut tally).transpose();
         }
         self.what_if.record_lookups(tally);
     }
 
-    /// Assesses the candidates at `indices`. A full pass (`keep`) reads
-    /// the last full pass's prices where they still hold and leaves its
-    /// own behind; a re-assessment touches neither.
-    fn assess_at(
+    /// The base configuration priced once for a pass: base context,
+    /// per-query base costs and footprints, shared (read-only) by every
+    /// candidate worker.
+    fn priced_base<'a>(
         &self,
-        engine: &StorageEngine,
-        base: &ConfigInstance,
-        scenarios: &ForecastSet,
-        candidates: &[Candidate],
-        indices: &[usize],
-        keep: bool,
-    ) -> Result<Vec<Assessment>> {
-        let _span = smdb_obs::span!("assessor", "assess", { candidates: indices.len() });
-        smdb_obs::metrics::counter("assessor.assess_calls").inc();
-        smdb_obs::metrics::counter("assessor.candidates_assessed").add(indices.len() as u64);
-        // Per-query base costs, footprints and the base context, computed
-        // once and shared (read-only) by every candidate worker.
+        engine: &'a StorageEngine,
+        base: &'a ConfigInstance,
+        scenarios: &'a ForecastSet,
+    ) -> Result<PricedBase<'a>> {
         let ctx = self.what_if.config_context(engine, base);
         let workloads = self.what_if.price_workloads(
             engine,
@@ -244,7 +280,7 @@ impl WhatIfAssessor {
             scenarios.iter().map(|s| &s.workload),
             base,
         )?;
-        let priced = PricedBase {
+        Ok(PricedBase {
             engine,
             config: base,
             ctx,
@@ -256,38 +292,112 @@ impl WhatIfAssessor {
                 .filter(|&(_, &tier)| tier != Tier::Hot)
                 .map(|(&(t, _), _)| t)
                 .collect(),
-        };
-        let key = if keep { self.memo_key(&priced) } else { None };
-        let mut memo = key.as_ref().and_then(|key| {
-            let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner()).take()?;
-            (memo.key == *key).then_some(memo)
-        });
+        })
+    }
 
-        // Warm candidates — a price kept from the last pass, or every
-        // lookup a hit, a few microseconds each — are finished right
-        // here: a converged pass is nothing else, and handing a helper
-        // thread a share of it cost more in wake-up and waiting than it
-        // saved, by an amount that varied run to run. A sequential
-        // assessor has no thread to hand cold ones to, so it estimates
-        // them on this first visit.
+    /// Assesses the candidates at `indices`. A full pass reads the
+    /// prices kept under this pass's [`MemoKey`] in place and keeps its
+    /// fresh ones; a re-assessment touches neither. When every candidate
+    /// has a kept price, in order, a full pass's `settled` may end it
+    /// before any assessment is built (`Ok(None)`).
+    fn assess_at(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+        indices: &[usize],
+        pass: Pass<'_>,
+    ) -> Result<Option<Vec<Assessment>>> {
+        let (keep, settled) = match pass {
+            Pass::Reassess => (false, None),
+            Pass::Full(settled) => (true, settled),
+        };
+        let _span = smdb_obs::span!("assessor", "assess", { candidates: indices.len() });
+        smdb_obs::metrics::counter("assessor.assess_calls").inc();
+        smdb_obs::metrics::counter("assessor.candidates_assessed").add(indices.len() as u64);
+        let priced = self.priced_base(engine, base, scenarios)?;
+        // The kept prices hold while the key does; under a new key the
+        // memo starts over.
+        let key = if keep { self.memo_key(&priced) } else { None };
+        let mut memo = key.map(|key| {
+            let kept = self.memo.lock().unwrap_or_else(|p| p.into_inner()).take();
+            match kept {
+                Some(memo) if memo.key == key => memo,
+                _ => PriceMemo {
+                    key,
+                    prices: Vec::new(),
+                },
+            }
+        });
+        let result = self.assess_kept(&priced, candidates, indices, memo.as_mut(), settled);
+        if let Some(memo) = memo {
+            *self.memo.lock().unwrap_or_else(|p| p.into_inner()) = Some(memo);
+        }
+        result
+    }
+
+    /// [`Self::assess_at`] once the base is priced and the memo is in
+    /// hand.
+    fn assess_kept(
+        &self,
+        priced: &PricedBase<'_>,
+        candidates: &[Candidate],
+        indices: &[usize],
+        mut memo: Option<&mut PriceMemo>,
+        settled: Option<Settled<'_>>,
+    ) -> Result<Option<Vec<Assessment>>> {
+        if let (Some(memo), Some(settled)) = (memo.as_deref(), settled) {
+            if let Some(scored) = memo.scores(priced, candidates) {
+                if settled(&scored) {
+                    // Count the lookups as the full pass would have: a
+                    // kept price's rows all hit.
+                    let mut tally = CacheStats::default();
+                    for (_, price) in memo.prices.iter().flatten() {
+                        priced.count_rows(&price.costs, 0, &mut tally);
+                    }
+                    self.what_if.record_lookups(tally);
+                    return Ok(None);
+                }
+            }
+        }
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.prices.resize_with(candidates.len(), || None);
+        }
+
+        // Kept prices are read where they lie; every row they re-cost
+        // would have looked up an entry the pass that priced them left
+        // behind: all hits.
+        let mut tally = CacheStats::default();
+        let mut fresh: Vec<usize> = Vec::new();
+        for &index in indices {
+            let kept = memo
+                .as_deref()
+                .and_then(|m| m.price_of(index, &candidates[index].action));
+            match kept {
+                Some(price) => priced.count_rows(&price.costs, 0, &mut tally),
+                None => fresh.push(index),
+            }
+        }
+        self.what_if.record_lookups(tally);
+
+        // Warm candidates — every lookup a hit, a few microseconds each —
+        // are finished right here: a converged pass is nothing else, and
+        // handing a helper thread a share of it cost more in wake-up and
+        // waiting than it saved, by an amount that varied run to run. A
+        // sequential assessor has no thread to hand cold ones to, so it
+        // estimates them on this first visit.
         let on_miss = if self.threads <= 1 {
             OnMiss::Estimate
         } else {
             OnMiss::Defer
         };
         let mut slots: Vec<Option<Result<Price>>> = Vec::new();
-        slots.resize_with(indices.len(), || None);
-        self.price_block(
-            &priced,
-            candidates,
-            indices,
-            on_miss,
-            memo.as_mut(),
-            &mut slots,
-        );
+        slots.resize_with(fresh.len(), || None);
+        self.price_block(priced, candidates, &fresh, on_miss, &mut slots);
 
         // Cold candidates need the estimator, which is worth a thread.
-        let cold: Vec<usize> = indices
+        let cold: Vec<usize> = fresh
             .iter()
             .zip(&slots)
             .filter(|(_, slot)| slot.is_none())
@@ -297,14 +407,7 @@ impl WhatIfAssessor {
         estimated.resize_with(cold.len(), || None);
         let threads = self.threads.max(1).min(cold.len().max(1));
         if threads == 1 || cold.len() < 8 {
-            self.price_block(
-                &priced,
-                candidates,
-                &cold,
-                OnMiss::Estimate,
-                None,
-                &mut estimated,
-            );
+            self.price_block(priced, candidates, &cold, OnMiss::Estimate, &mut estimated);
         } else {
             // Fan out contiguous blocks — a few per lane, so the
             // dispatch cost is O(threads) however many candidates —
@@ -324,7 +427,7 @@ impl WhatIfAssessor {
             pool.run(blocks.len(), |b| {
                 let mut guard = blocks[b].lock().unwrap_or_else(|p| p.into_inner());
                 let (indices, out) = &mut *guard;
-                self.price_block(&priced, candidates, indices, OnMiss::Estimate, None, out);
+                self.price_block(priced, candidates, indices, OnMiss::Estimate, out);
             });
         }
         let mut estimated = estimated.into_iter();
@@ -333,37 +436,41 @@ impl WhatIfAssessor {
         }
 
         // One pricing path from here: kept and fresh prices alike are
-        // re-weighed by this pass's scenarios.
+        // re-weighed by this pass's scenarios, and fresh ones are kept.
         let mut assessments = Vec::with_capacity(indices.len());
-        let mut kept = Vec::with_capacity(indices.len());
         let mut failed = None;
-        for (&index, slot) in indices.iter().zip(slots) {
+        let mut slots = slots.into_iter();
+        for &index in indices {
+            let action = &candidates[index].action;
+            if let Some(price) = memo.as_deref().and_then(|m| m.price_of(index, action)) {
+                assessments.push(priced.assessment(index, price, self.confidence));
+                continue;
+            }
             // A panicked block leaves the rest of its slots empty;
             // surface those candidates as errors instead of taking
             // down the whole process.
-            let slot = slot.unwrap_or_else(|| {
+            let slot = slots.next().flatten().unwrap_or_else(|| {
                 Err(smdb_common::Error::invalid(
                     "candidate assessment worker failed",
                 ))
             });
-            match slot {
+            let kept = match slot {
                 Ok(price) => {
                     assessments.push(priced.assessment(index, &price, self.confidence));
-                    kept.push(Some((candidates[index].action.clone(), price)));
+                    Some((action.clone(), price))
                 }
                 Err(e) => {
                     failed.get_or_insert(e);
-                    kept.push(None);
+                    None
                 }
+            };
+            if let Some(memo) = memo.as_deref_mut() {
+                memo.prices[index] = kept;
             }
-        }
-        if let Some(key) = key {
-            *self.memo.lock().unwrap_or_else(|p| p.into_inner()) =
-                Some(PriceMemo { key, prices: kept });
         }
         match failed {
             Some(e) => Err(e),
-            None => Ok(assessments),
+            None => Ok(Some(assessments)),
         }
     }
 
@@ -415,29 +522,34 @@ impl PricedBase<'_> {
     /// candidate re-costs, in row order — the same terms in the same
     /// order as a sum over every row, so bit-identical to it.
     fn assessment(&self, index: usize, price: &Price, confidence: f64) -> Assessment {
-        let queries = &self.workloads.queries;
-        let per_scenario = self
-            .workloads
-            .rows
-            .iter()
-            .map(|rows| {
-                let mut benefit = 0.0;
-                for &(q, weight) in rows {
-                    if let Some(cost) = price.costs[q] {
-                        benefit += (queries[q].cost.ms() - cost.ms()) * weight;
-                    }
-                }
-                benefit
-            })
-            .collect();
         Assessment {
             candidate: index,
-            per_scenario,
+            per_scenario: self.benefits(price).collect(),
             probabilities: Arc::clone(&self.probabilities),
             confidence,
             permanent_bytes: price.permanent_bytes,
             one_time_cost: price.one_time_cost,
         }
+    }
+
+    /// The per-scenario desirabilities of [`Self::assessment`].
+    fn benefits<'p>(&'p self, price: &'p Price) -> impl Iterator<Item = f64> + 'p {
+        let queries = &self.workloads.queries;
+        self.workloads.rows.iter().map(move |rows| {
+            let mut benefit = 0.0;
+            for &(q, weight) in rows {
+                if let Some(cost) = price.costs[q] {
+                    benefit += (queries[q].cost.ms() - cost.ms()) * weight;
+                }
+            }
+            benefit
+        })
+    }
+
+    /// The expected desirability of [`Self::assessment`], bit for bit,
+    /// without building it.
+    fn expected_desirability(&self, price: &Price) -> f64 {
+        expected_desirability(self.benefits(price), &self.probabilities)
     }
 
     /// Counts a candidate's lookups per scenario *row*, as if each row
@@ -486,28 +598,103 @@ struct MemoKey {
     queries: Vec<u64>,
 }
 
-/// One full pass's prices, by candidate position; `None` where the
-/// candidate's assessment failed.
+/// Full passes' prices under one key, by candidate position; `None`
+/// where the candidate's assessment failed or nothing was priced yet.
 struct PriceMemo {
     key: MemoKey,
     prices: Vec<Option<(ConfigAction, Price)>>,
 }
 
 impl PriceMemo {
-    /// Takes the price kept for candidate `index`, if it was priced for
-    /// the same action.
-    fn take(&mut self, index: usize, action: &ConfigAction) -> Option<Price> {
-        let slot = self.prices.get_mut(index)?;
-        match slot {
-            Some((kept, _)) if kept == action => slot.take().map(|(_, price)| price),
+    /// The price kept for candidate `index`, if it was priced for the
+    /// same action.
+    fn price_of(&self, index: usize, action: &ConfigAction) -> Option<&Price> {
+        match self.prices.get(index)? {
+            Some((kept, price)) if kept == action => Some(price),
             _ => None,
         }
     }
+
+    /// Each candidate's expected desirability and budget weight from
+    /// its kept price, in the float order of the assessment it stands
+    /// for — only when the kept list matches `candidates` position by
+    /// position.
+    fn scores(&self, priced: &PricedBase<'_>, candidates: &[Candidate]) -> Option<Vec<(f64, f64)>> {
+        if self.prices.len() != candidates.len() {
+            return None;
+        }
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(index, c)| {
+                let price = self.price_of(index, &c.action)?;
+                let desirability = priced.expected_desirability(price);
+                Some((desirability, budget_weight(price.permanent_bytes)))
+            })
+            .collect()
+    }
 }
+
+/// What [`Assessor::shadow_state`] reads: the cache counters, and the
+/// kept prices bit for bit (key, then per position the action, the
+/// costs, the permanent and the one-time cost).
+#[cfg(test)]
+#[derive(Debug)]
+pub struct ShadowState {
+    pub(crate) stats: CacheStats,
+    pub(crate) memo: Option<KeptBits>,
+}
+
+#[cfg(test)]
+type KeptBits = (
+    (u64, u64, u64, u64, Vec<u64>),
+    Vec<Option<(ConfigAction, Vec<Option<u64>>, i64, u64)>>,
+);
 
 impl Assessor for WhatIfAssessor {
     fn name(&self) -> &str {
         "what_if"
+    }
+
+    #[cfg(test)]
+    fn shadow_state(&self) -> Option<ShadowState> {
+        let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
+        let memo = memo.as_ref().map(|m| {
+            let k = &m.key;
+            let key = (
+                k.generation,
+                k.version,
+                k.catalog_token,
+                k.base,
+                k.queries.clone(),
+            );
+            let prices = m
+                .prices
+                .iter()
+                .map(|slot| {
+                    slot.as_ref().map(|(action, p)| {
+                        let costs = p.costs.iter().map(|c| c.map(|c| c.ms().to_bits()));
+                        let one_time = p.one_time_cost.ms().to_bits();
+                        (action.clone(), costs.collect(), p.permanent_bytes, one_time)
+                    })
+                })
+                .collect();
+            (key, prices)
+        });
+        Some(ShadowState {
+            stats: self.what_if.cache_stats()?,
+            memo,
+        })
+    }
+
+    #[cfg(test)]
+    fn rewind_lookups(&self, delta: CacheStats) {
+        // The counters add with wrap-around: adding the two's complement
+        // subtracts exactly.
+        self.what_if.record_lookups(CacheStats {
+            hits: delta.hits.wrapping_neg(),
+            misses: delta.misses.wrapping_neg(),
+        });
     }
 
     fn scenario_costs(
@@ -530,7 +717,22 @@ impl Assessor for WhatIfAssessor {
         candidates: &[Candidate],
     ) -> Result<Vec<Assessment>> {
         let all: Vec<usize> = (0..candidates.len()).collect();
-        self.assess_at(engine, base, scenarios, candidates, &all, true)
+        let assessments =
+            self.assess_at(engine, base, scenarios, candidates, &all, Pass::Full(None))?;
+        Ok(assessments.unwrap_or_default())
+    }
+
+    fn assess_unless(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+        settled: Settled<'_>,
+    ) -> Result<Option<Vec<Assessment>>> {
+        let all: Vec<usize> = (0..candidates.len()).collect();
+        let pass = Pass::Full(Some(settled));
+        self.assess_at(engine, base, scenarios, candidates, &all, pass)
     }
 
     fn reassess(
@@ -541,7 +743,9 @@ impl Assessor for WhatIfAssessor {
         candidates: &[Candidate],
         subset: &[usize],
     ) -> Result<Vec<Assessment>> {
-        self.assess_at(engine, base, scenarios, candidates, subset, false)
+        let assessments =
+            self.assess_at(engine, base, scenarios, candidates, subset, Pass::Reassess)?;
+        Ok(assessments.unwrap_or_default())
     }
 }
 
@@ -840,6 +1044,69 @@ mod tests {
         kept.reassess(&engine, &other, &forecast(2), &candidates, &[1, 3])
             .unwrap();
         assert_eq!(keys(&kept, 2).0, 0, "still kept after a re-assessment");
+    }
+
+    /// A candidate's expected desirability from its price equals its
+    /// assessment's bit for bit, on scenarios that name the same queries
+    /// in the same order and on ones that do not.
+    #[test]
+    fn scalar_desirability_matches_the_assessment_bitwise() {
+        let (engine, t) = setup();
+        let q = |v: i64| Query::new(t, "t", vec![ScanPredicate::eq(ColumnId(0), v)], None, "pt");
+        let scenario = |s: u32, rows: Vec<(i64, f64)>| WorkloadScenario {
+            kind: ScenarioKind::Expected,
+            name: format!("s{s}"),
+            probability: 0.1 + 0.07 * f64::from(s),
+            workload: Workload::new(
+                rows.into_iter()
+                    .map(|(v, w)| smdb_query::WeightedQuery::new(q(v), w))
+                    .collect(),
+            ),
+        };
+        let lined_up = ForecastSet {
+            scenarios: (0..5)
+                .map(|s| {
+                    let f = f64::from(s);
+                    scenario(
+                        s,
+                        vec![(7, 30.1 + f), (11, 0.3 * f + 1e-3), (13, 17.0 / (f + 3.0))],
+                    )
+                })
+                .collect(),
+        };
+        let ragged = ForecastSet {
+            scenarios: vec![
+                scenario(0, vec![(7, 3.0), (11, 5.5)]),
+                scenario(1, vec![(11, 1.25), (7, 9.0), (7, 2.0)]),
+                scenario(2, vec![(13, 0.7)]),
+            ],
+        };
+        let mut candidates = Vec::new();
+        for chunk in 0..4u32 {
+            let target = ChunkColumnRef::new(t.0, 0, chunk);
+            for kind in [IndexKind::Hash, IndexKind::BTree] {
+                let action = ConfigAction::CreateIndex { target, kind };
+                candidates.push(Candidate::new(action, None));
+            }
+            let action = ConfigAction::SetEncoding {
+                target,
+                kind: EncodingKind::Dictionary,
+            };
+            candidates.push(Candidate::new(action, None));
+        }
+        let base = ConfigInstance::default();
+        for forecast in [lined_up, ragged] {
+            let assessor = assessor();
+            let priced = assessor.priced_base(&engine, &base, &forecast).unwrap();
+            for (i, c) in candidates.iter().enumerate() {
+                let mut tally = CacheStats::default();
+                let price = assessor.price(&priced, &c.action, OnMiss::Estimate, &mut tally);
+                let price = price.unwrap().unwrap();
+                let want = priced.assessment(i, &price, 0.6).expected_desirability();
+                let got = priced.expected_desirability(&price);
+                assert_eq!(got.to_bits(), want.to_bits(), "candidate {i}");
+            }
+        }
     }
 
     #[test]

@@ -54,11 +54,7 @@ pub struct Assessment {
 impl Assessment {
     /// Probability-weighted expected desirability.
     pub fn expected_desirability(&self) -> f64 {
-        self.per_scenario
-            .iter()
-            .zip(self.probabilities.iter())
-            .map(|(d, p)| d * p)
-            .sum()
+        expected_desirability(self.per_scenario.iter().copied(), &self.probabilities)
     }
 
     /// Worst-case (minimum) desirability across scenarios.
@@ -84,8 +80,22 @@ impl Assessment {
     /// Memory the candidate *consumes* (clamped at zero: freeing memory
     /// never violates a budget).
     pub fn budget_weight(&self) -> f64 {
-        self.permanent_bytes.max(0) as f64
+        budget_weight(self.permanent_bytes)
     }
+}
+
+/// [`Assessment::expected_desirability`] of these per-scenario
+/// desirabilities, for callers that have not built the assessment.
+pub(crate) fn expected_desirability(
+    per_scenario: impl Iterator<Item = f64>,
+    probabilities: &[f64],
+) -> f64 {
+    per_scenario.zip(probabilities).map(|(d, p)| d * p).sum()
+}
+
+/// [`Assessment::budget_weight`] of a permanent cost.
+pub(crate) fn budget_weight(permanent_bytes: i64) -> f64 {
+    permanent_bytes.max(0) as f64
 }
 
 /// Everything a selector sees (Section II-D(c)).

@@ -614,12 +614,13 @@ impl Driver {
         let Some(expected) = forecast.expected() else {
             return Ok(None);
         };
-        let forecast_cost = {
+        // Priced only if the organizer reaches its forecast-shift check.
+        let forecast_cost = || {
             let engine = self.db.engine();
             let config = engine.current_config();
             self.multi
                 .what_if()
-                .workload_cost(&engine, &expected.workload, &config)?
+                .workload_cost(&engine, &expected.workload, &config)
         };
         let Some(trigger) = self.organizer.should_tune(
             tick.now,
@@ -627,7 +628,8 @@ impl Driver {
             forecast_cost,
             &tick.kpis,
             &constraints,
-        ) else {
+        )?
+        else {
             return Ok(None);
         };
         self.tune_with(trigger, forecast, tick, budget).map(Some)
@@ -742,16 +744,18 @@ impl Driver {
                 d.log_instance_completed(observed_before)?;
             }
         }
-        let predicted_cost = {
-            let engine = self.db.engine();
-            let expected = forecast
-                .expected()
-                .ok_or_else(|| Error::invalid("forecast lost its expected scenario mid-tuning"))?;
-            self.multi
-                .what_if()
-                .workload_cost(&engine, &expected.workload, &final_config)?
-        };
         if !actions.is_empty() {
+            // Priced only for a decision that queues: its record is the
+            // only reader.
+            let predicted_cost = {
+                let engine = self.db.engine();
+                let expected = forecast.expected().ok_or_else(|| {
+                    Error::invalid("forecast lost its expected scenario mid-tuning")
+                })?;
+                self.multi
+                    .what_if()
+                    .workload_cost(&engine, &expected.workload, &final_config)?
+            };
             self.recorder.record(TrailEvent::ActionsQueued {
                 at,
                 actions: actions.len(),
@@ -1047,6 +1051,9 @@ mod tests {
 mod deferred_tests {
     use super::tests::{database, queries};
     use super::*;
+    use smdb_common::{ColumnId, TableId};
+    use smdb_storage::value::ColumnValues;
+    use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
 
     #[test]
     fn tuning_defers_under_load_and_applies_when_idle() {
@@ -1155,6 +1162,160 @@ mod deferred_tests {
             driver.close_bucket();
         }
         assert!(deferred(&driver).is_some());
+    }
+
+    /// Shards re-split one index budget every bucket, as the sharded
+    /// budget arbiter does. Once a shard's pass changes nothing, every
+    /// later pass of it settles from kept prices in both tuners — and
+    /// the same run with settling off reports and records the same,
+    /// cache counts in the trail included.
+    #[test]
+    fn converged_shards_settle_every_pass_under_a_moving_budget() {
+        use crate::tuner::shadow;
+        let shard = |rows: i64| {
+            let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
+            let values = ColumnValues::Int((0..rows).map(|i| i % 50).collect());
+            let table = Table::from_columns("t", schema, vec![values], 500).unwrap();
+            let mut engine = StorageEngine::default();
+            engine.create_table(table).unwrap();
+            Database::new(engine)
+        };
+        let run = |full_path_only: bool| {
+            shadow::set_full_path_only(full_path_only);
+            let settled_before = shadow::settled();
+            let shards: Vec<Driver> = [2000, 1500, 3000]
+                .into_iter()
+                .map(|rows| {
+                    Driver::builder(shard(rows))
+                        .constraints(ConstraintSet {
+                            sla_p95_response: Some(Cost::ZERO),
+                            ..ConstraintSet::none()
+                        })
+                        .build()
+                })
+                .collect();
+            let mut reports = Vec::new();
+            let mut quiet = [false; 3];
+            for bucket in 0..24usize {
+                for (s, driver) in shards.iter().enumerate() {
+                    // A fresh, generous split every bucket.
+                    let share = 1 + (bucket + s) % 3;
+                    driver.set_index_memory_budget(Some(1 << (22 + share)));
+                    driver.run_bucket(&queries(40)).unwrap();
+                    let settled = shadow::settled();
+                    let report = driver.maybe_tune().unwrap();
+                    let settled = shadow::settled() - settled;
+                    if let Some(report) = &report {
+                        if quiet[s] && !full_path_only {
+                            assert_eq!(settled, 2, "bucket {bucket} shard {s}: {report:?}");
+                        }
+                        quiet[s] |= report.applied_actions == 0
+                            && report.proposals.iter().all(|p| p.actions.is_empty());
+                    }
+                    reports.push(format!("{report:?}"));
+                }
+            }
+            shadow::set_full_path_only(false);
+            assert_eq!(quiet, [true; 3], "every shard converged");
+            let trails: Vec<_> = shards
+                .iter()
+                .map(|d| d.flight_recorder().events())
+                .collect();
+            (reports, trails, shadow::settled() - settled_before)
+        };
+        let (reports, trails, settled) = run(false);
+        let (full_reports, full_trails, full_settled) = run(true);
+        assert!(settled > 0);
+        assert_eq!(full_settled, 0);
+        assert_eq!(reports, full_reports);
+        assert_eq!(trails, full_trails);
+    }
+
+    /// A pass a KPI trigger starts never prices the forecast for the
+    /// organizer, so the lookups that pricing would take land in the
+    /// tuners' windows instead. Against a run that prices it before
+    /// every pass, outside any window: every decision matches, each
+    /// pass's windows count as many lookups, and on a KPI-triggered pass
+    /// exactly the up-front pricing's misses move from hits to misses —
+    /// those of the template the forecast gains.
+    #[test]
+    fn kpi_triggered_passes_count_the_forecast_lookups_in_the_tuner_windows() {
+        let run = |price_up_front: bool| {
+            let driver = Driver::builder(database())
+                .constraints(ConstraintSet {
+                    sla_p95_response: Some(Cost::ZERO),
+                    ..ConstraintSet::none()
+                })
+                .build();
+            let mut reports = Vec::new();
+            // Per pass, the misses its up-front pricing took.
+            let mut moved = Vec::new();
+            for bucket in 0..16usize {
+                // The forecast gains a range template halfway through.
+                let mut bucket_queries = queries(30);
+                if bucket >= 8 {
+                    let range = ScanPredicate::between(ColumnId(0), 10i64, 20i64);
+                    let query = Query::new(TableId(0), "t", vec![range], None, "range");
+                    bucket_queries.extend(std::iter::repeat_n(query, 5));
+                }
+                driver.run_bucket(&bucket_queries).unwrap();
+                let mut misses = 0;
+                if price_up_front && driver.tuning_tick().is_some() {
+                    let forecast = driver.forecast();
+                    let expected = forecast.expected().unwrap();
+                    let what_if = driver.multi().what_if();
+                    let before = what_if.cache_stats().unwrap();
+                    let engine = driver.db.engine();
+                    let config = engine.current_config();
+                    what_if
+                        .workload_cost(&engine, &expected.workload, &config)
+                        .unwrap();
+                    misses = what_if.cache_stats().unwrap().since(&before).misses;
+                }
+                if let Some(report) = driver.maybe_tune().unwrap() {
+                    let kpi = !matches!(report.trigger, TuningTrigger::ForecastShift { .. });
+                    moved.push((bucket, misses, kpi));
+                    reports.push(format!("{report:?}"));
+                }
+            }
+            // Per pass, the windows' (hits, misses) summed.
+            let mut windows: Vec<(u64, u64, u64)> = Vec::new();
+            for (_, event) in driver.flight_recorder().events() {
+                if let TrailEvent::CandidateAssessed {
+                    at,
+                    cache_hits,
+                    cache_misses,
+                    ..
+                } = event
+                {
+                    match windows.last_mut() {
+                        Some(last) if last.0 == at => {
+                            last.1 += cache_hits;
+                            last.2 += cache_misses;
+                        }
+                        _ => windows.push((at, cache_hits, cache_misses)),
+                    }
+                }
+            }
+            (reports, moved, windows)
+        };
+        let (reports, _, windows) = run(false);
+        let (eager_reports, moved, eager_windows) = run(true);
+        assert_eq!(reports, eager_reports, "the same decisions");
+        assert_eq!(windows.len(), moved.len());
+        let mut gained = false;
+        for ((lazy, eager), (bucket, misses, kpi)) in windows.iter().zip(&eager_windows).zip(moved)
+        {
+            assert_eq!(lazy.1 + lazy.2, eager.1 + eager.2, "bucket {bucket}");
+            // A forecast-shift pass prices the forecast on both runs.
+            let shifted = if kpi { misses } else { 0 };
+            assert_eq!(lazy.2, eager.2 + shifted, "bucket {bucket}");
+            gained |= kpi && bucket >= 8 && misses > 0;
+        }
+        assert!(
+            gained,
+            "a KPI-triggered pass priced queries the forecast gained"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
-use smdb_common::{Cost, LogicalTime};
+use smdb_common::{Cost, LogicalTime, Result};
 
 use crate::constraints::ConstraintSet;
 use crate::kpi::KpiSnapshot;
@@ -100,16 +100,21 @@ impl Organizer {
 
     /// Pauses all tuning triggers (degraded mode).
     pub fn pause(&self) {
+        // The flag only gates whether a pass starts, and a pass re-reads
+        // everything it decides on under locks.
+        // ordering: Relaxed — the flag publishes nothing else.
         self.paused.store(true, Ordering::Relaxed);
     }
 
     /// Resumes tuning after a pause.
     pub fn resume(&self) {
+        // ordering: as in `pause`.
         self.paused.store(false, Ordering::Relaxed);
     }
 
     /// Whether tuning is currently paused.
     pub fn is_paused(&self) -> bool {
+        // ordering: as in `pause`.
         self.paused.load(Ordering::Relaxed)
     }
 
@@ -136,72 +141,74 @@ impl Organizer {
     /// Decides whether to tune now.
     ///
     /// * `observed_cost` — recently observed per-horizon workload cost,
-    /// * `forecast_cost_current_config` — estimated cost of the forecast
-    ///   workload *under the current configuration* (the paper's
-    ///   trigger signal).
+    /// * `forecast_cost_current_config` — prices the forecast workload
+    ///   *under the current configuration* (the paper's trigger signal).
+    ///   It is called only when no KPI trigger fires first, since the
+    ///   forecast-shift check is the only reader of its what-if.
     pub fn should_tune(
         &self,
         now: LogicalTime,
         observed_cost: Cost,
-        forecast_cost_current_config: Cost,
+        forecast_cost_current_config: impl FnOnce() -> Result<Cost>,
         kpis: &KpiSnapshot,
         constraints: &ConstraintSet,
-    ) -> Option<TuningTrigger> {
+    ) -> Result<Option<TuningTrigger>> {
         let trigger = self.evaluate(
             now,
             observed_cost,
             forecast_cost_current_config,
             kpis,
             constraints,
-        );
+        )?;
         smdb_obs::metrics::counter("organizer.checks").inc();
         if let Some(t) = &trigger {
             smdb_obs::metrics::counter(&format!("organizer.trigger.{}", t.label())).inc();
         }
-        trigger
+        Ok(trigger)
     }
 
     fn evaluate(
         &self,
         now: LogicalTime,
         observed_cost: Cost,
-        forecast_cost_current_config: Cost,
+        forecast_cost_current_config: impl FnOnce() -> Result<Cost>,
         kpis: &KpiSnapshot,
         constraints: &ConstraintSet,
-    ) -> Option<TuningTrigger> {
+    ) -> Result<Option<TuningTrigger>> {
         if !self.gate_open_at(now) {
-            return None;
+            return Ok(None);
         }
         // SLA violations always justify tuning.
         let mean = kpis.mean_response;
         if constraints.violates_sla(mean) {
-            return Some(TuningTrigger::SlaViolation {
+            return Ok(Some(TuningTrigger::SlaViolation {
                 mean_response: mean,
-            });
+            }));
         }
         let p95 = kpis.p95_response;
         if constraints.violates_p95(p95) {
-            return Some(TuningTrigger::P95Violation { p95_response: p95 });
+            return Ok(Some(TuningTrigger::P95Violation { p95_response: p95 }));
         }
         if let Some(bytes) = kpis.memory {
             if constraints.violates_memory(bytes) {
-                return Some(TuningTrigger::MemoryPressure { bytes });
+                return Ok(Some(TuningTrigger::MemoryPressure { bytes }));
             }
         }
         // Forecast shift.
-        if observed_cost.ms() > 0.0 {
+        let forecast_cost_current_config = forecast_cost_current_config()?;
+        Ok(if observed_cost.ms() > 0.0 {
             let ratio =
                 (forecast_cost_current_config.ms() - observed_cost.ms()).abs() / observed_cost.ms();
-            if ratio > self.config.cost_delta_threshold {
-                return Some(TuningTrigger::ForecastShift { ratio });
-            }
+            (ratio > self.config.cost_delta_threshold)
+                .then_some(TuningTrigger::ForecastShift { ratio })
         } else if forecast_cost_current_config.ms() > 0.0 {
             // Nothing observed yet but work is forecast: bootstrap.
-            return Some(TuningTrigger::ForecastShift {
+            Some(TuningTrigger::ForecastShift {
                 ratio: f64::INFINITY,
-            });
-        }
-        None
+            })
+        } else {
+            None
+        })
     }
 }
 
@@ -225,22 +232,26 @@ mod tests {
     fn forecast_shift_triggers() {
         let o = organizer();
         let k = KpiCollector::default();
-        let t = o.should_tune(
-            LogicalTime(10),
-            Cost(100.0),
-            Cost(140.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(10),
+                Cost(100.0),
+                || Ok(Cost(140.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(matches!(t, Some(TuningTrigger::ForecastShift { .. })));
         // Small shift: no trigger.
-        let t = o.should_tune(
-            LogicalTime(10),
-            Cost(100.0),
-            Cost(110.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(10),
+                Cost(100.0),
+                || Ok(Cost(110.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(t.is_none());
     }
 
@@ -255,13 +266,15 @@ mod tests {
             sla_mean_response: Some(Cost(10.0)),
             ..ConstraintSet::default()
         };
-        let t = o.should_tune(
-            LogicalTime(5),
-            Cost(100.0),
-            Cost(100.0),
-            &k.snapshot(),
-            &constraints,
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(5),
+                Cost(100.0),
+                || Ok(Cost(100.0)),
+                &k.snapshot(),
+                &constraints,
+            )
+            .unwrap();
         assert!(matches!(t, Some(TuningTrigger::SlaViolation { .. })));
     }
 
@@ -281,13 +294,15 @@ mod tests {
             sla_p95_response: Some(Cost(50.0)),
             ..ConstraintSet::default()
         };
-        let t = o.should_tune(
-            LogicalTime(5),
-            Cost(100.0),
-            Cost(100.0),
-            &k.snapshot(),
-            &constraints,
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(5),
+                Cost(100.0),
+                || Ok(Cost(100.0)),
+                &k.snapshot(),
+                &constraints,
+            )
+            .unwrap();
         assert!(
             matches!(t, Some(TuningTrigger::P95Violation { .. })),
             "{t:?}"
@@ -298,17 +313,54 @@ mod tests {
             ..ConstraintSet::default()
         };
         k.record_memory(2_000);
-        let t = o.should_tune(
-            LogicalTime(5),
-            Cost(100.0),
-            Cost(100.0),
-            &k.snapshot(),
-            &constraints,
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(5),
+                Cost(100.0),
+                || Ok(Cost(100.0)),
+                &k.snapshot(),
+                &constraints,
+            )
+            .unwrap();
         assert!(
             matches!(t, Some(TuningTrigger::MemoryPressure { bytes: 2_000 })),
             "{t:?}"
         );
+    }
+
+    /// The forecast what-if feeds only the forecast-shift check: a KPI
+    /// trigger that fires first, or a closed gate, never prices it.
+    #[test]
+    fn kpi_triggers_never_price_the_forecast() {
+        let o = organizer();
+        let k = KpiCollector::default();
+        k.record_query(Cost(5.0));
+        let constraints = ConstraintSet {
+            sla_p95_response: Some(Cost::ZERO),
+            ..ConstraintSet::default()
+        };
+        let unpriced = || -> Result<Cost> { panic!("the forecast what-if was priced") };
+        let t = o
+            .should_tune(
+                LogicalTime(5),
+                Cost(100.0),
+                unpriced,
+                &k.snapshot(),
+                &constraints,
+            )
+            .unwrap();
+        assert!(matches!(t, Some(TuningTrigger::P95Violation { .. })));
+        o.pause();
+        let t = o
+            .should_tune(
+                LogicalTime(5),
+                Cost(100.0),
+                unpriced,
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
+        assert!(t.is_none());
     }
 
     #[test]
@@ -317,22 +369,26 @@ mod tests {
         let k = KpiCollector::default();
         o.pause();
         assert!(o.is_paused());
-        let t = o.should_tune(
-            LogicalTime(10),
-            Cost(100.0),
-            Cost(900.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(10),
+                Cost(100.0),
+                || Ok(Cost(900.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(t.is_none(), "paused organizer never fires");
         o.resume();
-        let t = o.should_tune(
-            LogicalTime(10),
-            Cost(100.0),
-            Cost(900.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(10),
+                Cost(100.0),
+                || Ok(Cost(900.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(t.is_some());
     }
 
@@ -341,21 +397,25 @@ mod tests {
         let o = organizer();
         let k = KpiCollector::default();
         o.record_tuning(LogicalTime(10));
-        let t = o.should_tune(
-            LogicalTime(11),
-            Cost(100.0),
-            Cost(500.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(11),
+                Cost(100.0),
+                || Ok(Cost(500.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(t.is_none(), "within min_interval");
-        let t = o.should_tune(
-            LogicalTime(12),
-            Cost(100.0),
-            Cost(500.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(12),
+                Cost(100.0),
+                || Ok(Cost(500.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(t.is_some());
     }
 
@@ -396,13 +456,15 @@ mod tests {
     fn bootstrap_with_no_observations() {
         let o = organizer();
         let k = KpiCollector::default();
-        let t = o.should_tune(
-            LogicalTime(0),
-            Cost::ZERO,
-            Cost(50.0),
-            &k.snapshot(),
-            &ConstraintSet::none(),
-        );
+        let t = o
+            .should_tune(
+                LogicalTime(0),
+                Cost::ZERO,
+                || Ok(Cost(50.0)),
+                &k.snapshot(),
+                &ConstraintSet::none(),
+            )
+            .unwrap();
         assert!(matches!(t, Some(TuningTrigger::ForecastShift { .. })));
     }
 }

@@ -21,7 +21,7 @@ pub mod robust;
 
 use smdb_common::Result;
 
-use crate::candidate::SelectionInput;
+use crate::candidate::{Candidate, SelectionInput};
 
 pub use genetic::GeneticSelector;
 pub use greedy::GreedySelector;
@@ -38,6 +38,22 @@ pub trait Selector: Send + Sync {
     /// the budget and exclusivity groups
     /// ([`SelectionInput::is_feasible`]).
     fn select(&self, input: &SelectionInput<'_>) -> Result<Vec<usize>>;
+
+    /// What [`Selector::select`] would choose from each candidate's
+    /// `(expected desirability, budget weight)` alone, in candidate
+    /// order, under `memory_budget_bytes` — for a selector whose choice
+    /// reads nothing else of the assessments, so a tuner can select
+    /// without building them. `None` (the default) where the choice
+    /// reads more.
+    fn select_scored(
+        &self,
+        candidates: &[Candidate],
+        scored: &[(f64, f64)],
+        memory_budget_bytes: Option<i64>,
+    ) -> Option<Vec<usize>> {
+        let _ = (candidates, scored, memory_budget_bytes);
+        None
+    }
 }
 
 /// Shared helper: greedy selection by an arbitrary score function.
@@ -47,22 +63,35 @@ pub(crate) fn greedy_by_score(
     input: &SelectionInput<'_>,
     score: impl Fn(&crate::candidate::Assessment) -> f64,
 ) -> Vec<usize> {
-    let mut ranked: Vec<(usize, f64, f64)> = input
-        .assessments
-        .iter()
+    greedy_over(
+        input.candidates,
+        input
+            .assessments
+            .iter()
+            .map(|a| (score(a), a.budget_weight())),
+        input.memory_budget_bytes,
+    )
+}
+
+/// [`greedy_by_score`] over each candidate's `(score, budget weight)`,
+/// in candidate order.
+pub(crate) fn greedy_over(
+    candidates: &[Candidate],
+    scored: impl Iterator<Item = (f64, f64)>,
+    memory_budget_bytes: Option<i64>,
+) -> Vec<usize> {
+    let mut ranked: Vec<(usize, f64, f64, f64)> = scored
         .enumerate()
-        .map(|(i, a)| {
-            let s = score(a);
-            let weight = a.budget_weight();
+        .filter(|&(_, (s, _))| s > 0.0)
+        .map(|(i, (s, weight))| {
             // Ratio for budgeted problems; plain score when free.
             let ratio = if weight > 0.0 {
                 s / weight
             } else {
                 f64::INFINITY
             };
-            (i, s, ratio)
+            (i, s, ratio, weight)
         })
-        .filter(|&(_, s, _)| s > 0.0)
         .collect();
     ranked.sort_by(|a, b| {
         b.2.total_cmp(&a.2)
@@ -73,20 +102,19 @@ pub(crate) fn greedy_by_score(
     let mut chosen = Vec::new();
     let mut used_groups = std::collections::HashSet::new();
     let mut used_bytes = 0.0f64;
-    let budget = input.memory_budget_bytes.map(|b| b as f64);
-    for (i, _, _) in ranked {
-        if let Some(g) = input.candidates[i].exclusive_group {
+    let budget = memory_budget_bytes.map(|b| b as f64);
+    for (i, _, _, w) in ranked {
+        if let Some(g) = candidates[i].exclusive_group {
             if used_groups.contains(&g) {
                 continue;
             }
         }
-        let w = input.assessments[i].budget_weight();
         if let Some(b) = budget {
             if used_bytes + w > b + 1e-6 {
                 continue;
             }
         }
-        if let Some(g) = input.candidates[i].exclusive_group {
+        if let Some(g) = candidates[i].exclusive_group {
             used_groups.insert(g);
         }
         used_bytes += w;

@@ -4,13 +4,25 @@
 //! delivers configurations for features as output". The pipeline is
 //! assembled from exchangeable components; `propose` is purely
 //! hypothetical (what-if) — applying the proposal is the executor's job.
+//!
+//! A converged pass mostly confirms the configuration it already has.
+//! When the assessor still holds a price for every enumerated candidate
+//! and the selector can choose from expected desirability and budget
+//! weight alone ([`Selector::select_scored`]), the tuner re-selects from
+//! those prices under this pass's budget; if that selection changes nothing
+//! the pass ends with the proposal the full path would return there,
+//! without building assessments. Any other outcome runs the full path.
+//! Exactness rests on three facts: the kept prices are the ones a fresh
+//! pricing would give (the assessor's key), the scalars are computed in
+//! the float order of the assessments they stand for, and the selector's
+//! choice reads nothing else.
 
 use smdb_common::{Cost, Result};
 use smdb_forecast::ForecastSet;
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine};
 
 use crate::assessor::Assessor;
-use crate::candidate::SelectionInput;
+use crate::candidate::{Candidate, SelectionInput};
 use crate::constraints::ConstraintSet;
 use crate::enumerator::Enumerator;
 use crate::feature::FeatureKind;
@@ -40,7 +52,7 @@ pub struct Tuner {
 
 /// The tuner's output: a hypothetical configuration plus its predicted
 /// economics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningProposal {
     pub feature: FeatureKind,
     /// The proposed configuration (equals the base when not accepted).
@@ -148,6 +160,38 @@ impl Tuner {
         constraints: &ConstraintSet,
         gated: bool,
     ) -> Result<TuningProposal> {
+        #[cfg(test)]
+        let before = self.assessor.shadow_state();
+        #[cfg(not(test))]
+        let reselect_kept = true;
+        #[cfg(test)]
+        let reselect_kept = !shadow::full_path_only();
+        let (proposal, _settled) =
+            self.propose_with(engine, base, scenarios, constraints, gated, reselect_kept)?;
+        #[cfg(test)]
+        if _settled {
+            shadow::check(
+                self,
+                (engine, base, scenarios, constraints, gated),
+                &proposal,
+                before,
+            );
+        }
+        Ok(proposal)
+    }
+
+    /// The pipeline. With `reselect_kept`, a greedy selector re-selects
+    /// from the prices the assessor kept, and the pass ends there when
+    /// that selection changes nothing (`true` in the second value).
+    fn propose_with(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        constraints: &ConstraintSet,
+        gated: bool,
+        reselect_kept: bool,
+    ) -> Result<(TuningProposal, bool)> {
         // In reselect mode the pipeline runs against the base with this
         // feature stripped, so existing entries must re-earn their place.
         let enum_base = if self.reselect {
@@ -157,33 +201,59 @@ impl Tuner {
         };
         let candidates = self.enumerator.enumerate(engine, &enum_base, scenarios)?;
         if candidates.is_empty() {
-            return Ok(self.rejected(base, 0));
+            return Ok((self.rejected(base, 0), false));
         }
-        let assessments = self
-            .assessor
-            .assess(engine, &enum_base, scenarios, &candidates)?;
+        let memory_budget_bytes = self.memory_budget(engine, &enum_base, constraints)?;
+        // Re-selection from kept prices: the selector's choice from each
+        // candidate's expected desirability and budget weight under this
+        // pass's budget — the very scalars its full-path choice reads.
+        let mut unchanged = |scored: &[(f64, f64)]| {
+            self.selector
+                .select_scored(&candidates, scored, memory_budget_bytes)
+                .is_some_and(|chosen| {
+                    base.diff(&self.target(&enum_base, &candidates, &chosen))
+                        .is_empty()
+                })
+        };
+        let assessments = if reselect_kept {
+            self.assessor.assess_unless(
+                engine,
+                &enum_base,
+                scenarios,
+                &candidates,
+                &mut unchanged,
+            )?
+        } else {
+            Some(
+                self.assessor
+                    .assess(engine, &enum_base, scenarios, &candidates)?,
+            )
+        };
         // Costed once and reused below for the combined economics (when
-        // not reselecting, `enum_base` *is* the base configuration).
+        // not reselecting, `enum_base` *is* the base configuration). A
+        // settled pass still prices it: its lookups are part of the
+        // pass's cache traffic.
         let enum_base_costs = self
             .assessor
             .scenario_costs(engine, &enum_base, scenarios)?;
+        let Some(assessments) = assessments else {
+            smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
+            return Ok((self.rejected(base, candidates.len()), true));
+        };
         let input = SelectionInput {
             candidates: &candidates,
             assessments: &assessments,
-            memory_budget_bytes: self.memory_budget(engine, &enum_base, constraints)?,
+            memory_budget_bytes,
             scenario_base_costs: Some(enum_base_costs.clone()),
         };
         let chosen = self.selector.select(&input)?;
         debug_assert!(input.is_feasible(&chosen), "selector violated constraints");
 
-        let mut target = enum_base.clone();
-        for &i in &chosen {
-            target.apply(&candidates[i].action);
-        }
+        let target = self.target(&enum_base, &candidates, &chosen);
         let actions = base.diff(&target);
         if actions.is_empty() {
             // Already at (or re-confirmed as) the selected configuration.
-            return Ok(self.rejected(base, candidates.len()));
+            return Ok((self.rejected(base, candidates.len()), false));
         }
 
         // Combined economics: whole-configuration what-if instead of the
@@ -209,8 +279,19 @@ impl Tuner {
         let accepted = !gated
             || predicted_benefit.ms() * self.benefit_horizon
                 >= self.reconfiguration_weight * reconfiguration_cost.ms();
-        if !accepted {
-            return Ok(TuningProposal {
+        let proposal = if accepted {
+            TuningProposal {
+                feature: self.feature,
+                target,
+                actions,
+                predicted_benefit,
+                reconfiguration_cost,
+                candidates_enumerated: candidates.len(),
+                chosen: chosen.len(),
+                accepted: true,
+            }
+        } else {
+            TuningProposal {
                 feature: self.feature,
                 target: base.clone(),
                 actions: Vec::new(),
@@ -219,18 +300,23 @@ impl Tuner {
                 candidates_enumerated: candidates.len(),
                 chosen: chosen.len(),
                 accepted: false,
-            });
+            }
+        };
+        Ok((proposal, false))
+    }
+
+    /// `enum_base` with the chosen candidates applied.
+    fn target(
+        &self,
+        enum_base: &ConfigInstance,
+        candidates: &[Candidate],
+        chosen: &[usize],
+    ) -> ConfigInstance {
+        let mut target = enum_base.clone();
+        for &i in chosen {
+            target.apply(&candidates[i].action);
         }
-        Ok(TuningProposal {
-            feature: self.feature,
-            target,
-            actions,
-            predicted_benefit,
-            reconfiguration_cost,
-            candidates_enumerated: candidates.len(),
-            chosen: chosen.len(),
-            accepted: true,
-        })
+        target
     }
 
     fn rejected(&self, base: &ConfigInstance, enumerated: usize) -> TuningProposal {
@@ -272,6 +358,82 @@ pub fn standard_tuner(feature: FeatureKind, what_if: smdb_cost::WhatIf) -> Tuner
     // which also retires indexes the workload no longer justifies.
     tuner.reselect = feature == FeatureKind::Indexing;
     tuner
+}
+
+/// The full path run behind every pass settled from kept prices, in
+/// tests: it must give the same proposal, count the same lookups and
+/// leave the same kept prices.
+#[cfg(test)]
+pub(crate) mod shadow {
+    use std::cell::Cell;
+
+    use smdb_forecast::ForecastSet;
+    use smdb_storage::{ConfigInstance, StorageEngine};
+
+    use super::{Tuner, TuningProposal};
+    use crate::assessor::ShadowState;
+    use crate::constraints::ConstraintSet;
+
+    thread_local! {
+        static FULL_PATH_ONLY: Cell<bool> = const { Cell::new(false) };
+        static SETTLED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Whether this thread's passes skip re-selection from kept prices.
+    pub(crate) fn full_path_only() -> bool {
+        FULL_PATH_ONLY.with(Cell::get)
+    }
+
+    /// Makes this thread's passes always take the full path (or not).
+    pub(crate) fn set_full_path_only(on: bool) {
+        FULL_PATH_ONLY.with(|f| f.set(on));
+    }
+
+    /// Passes this thread settled from kept prices.
+    pub(crate) fn settled() -> usize {
+        SETTLED.with(Cell::get)
+    }
+
+    /// Runs the full path behind a settled pass and checks it against
+    /// the settled one, then rewinds the cache counters it moved.
+    pub(super) fn check(
+        tuner: &Tuner,
+        (engine, base, scenarios, constraints, gated): (
+            &StorageEngine,
+            &ConfigInstance,
+            &ForecastSet,
+            &ConstraintSet,
+            bool,
+        ),
+        settled: &TuningProposal,
+        before: Option<ShadowState>,
+    ) {
+        SETTLED.with(|n| n.set(n.get() + 1));
+        let after = tuner.assessor.shadow_state();
+        let (full, full_settled) = tuner
+            .propose_with(engine, base, scenarios, constraints, gated, false)
+            .expect("the full path succeeds where the settled pass did");
+        assert!(!full_settled);
+        assert_eq!(
+            &full, settled,
+            "a settled pass proposes what the full path does"
+        );
+        let again = tuner.assessor.shadow_state();
+        let (Some(before), Some(after), Some(again)) = (before, after, again) else {
+            return;
+        };
+        let full_lookups = again.stats.since(&after.stats);
+        assert_eq!(
+            full_lookups,
+            after.stats.since(&before.stats),
+            "a settled pass counts the full path's lookups"
+        );
+        assert!(
+            again.memo == after.memo,
+            "a settled pass keeps the full path's prices"
+        );
+        tuner.assessor.rewind_lookups(full_lookups);
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! estimators are allowed to see.
 
 use std::collections::HashSet;
+use std::ops::Bound;
 
 use crate::scan::ScanPredicate;
 use crate::value::{ColumnValues, Value};
@@ -73,7 +74,10 @@ impl SegmentStats {
 
     /// Estimated selectivity (matching fraction) of `pred` over this
     /// segment, using the uniform-within-range assumption. Returns a value
-    /// in `[0, 1]`.
+    /// in `[0, 1]`. It reads the predicate's [`ScanPredicate::bounds`],
+    /// the interval every encoding, kernel and index evaluates: a point
+    /// interval is one of `distinct` values, any other the fraction of
+    /// `[min, max]` it covers, an unbounded end reading the segment's own.
     pub fn estimate_selectivity(&self, pred: &ScanPredicate) -> f64 {
         let (Some(min), Some(max)) = (&self.min, &self.max) else {
             return 0.0;
@@ -81,42 +85,34 @@ impl SegmentStats {
         if !pred.overlaps_range(min, max) {
             return 0.0;
         }
-        use crate::scan::PredicateOp::*;
-        match pred.op {
-            Eq => {
-                if self.distinct == 0 {
+        let (lower, upper) = pred.bounds();
+        if let (Bound::Included(a), Bound::Included(b)) = (lower, upper) {
+            if std::ptr::eq(a, b) {
+                return if self.distinct == 0 {
                     0.0
                 } else {
                     1.0 / self.distinct as f64
-                }
-            }
-            _ => {
-                // Numeric range fraction when both ends are numeric;
-                // otherwise a fixed guess.
-                let (lo, hi) = (min.as_f64(), max.as_f64());
-                let (Some(lo), Some(hi)) = (lo, hi) else {
-                    return 0.33;
                 };
-                let width = (hi - lo).max(f64::MIN_POSITIVE);
-                let frac = match pred.op {
-                    Lt | Le => {
-                        let v = pred.value.as_f64().unwrap_or(hi);
-                        (v - lo) / width
-                    }
-                    Gt | Ge => {
-                        let v = pred.value.as_f64().unwrap_or(lo);
-                        (hi - v) / width
-                    }
-                    Between => {
-                        let a = pred.value.as_f64().unwrap_or(lo);
-                        let b = pred.upper.as_ref().and_then(|u| u.as_f64()).unwrap_or(hi);
-                        (b.min(hi) - a.max(lo)) / width
-                    }
-                    Eq => unreachable!(),
-                };
-                frac.clamp(0.0, 1.0)
             }
         }
+        // Numeric range fraction when both ends are numeric; otherwise a
+        // fixed guess.
+        let (Some(lo), Some(hi)) = (min.as_f64(), max.as_f64()) else {
+            return 0.33;
+        };
+        let width = (hi - lo).max(f64::MIN_POSITIVE);
+        let end = |bound: Bound<&Value>| match bound {
+            Bound::Included(v) | Bound::Excluded(v) => Some(v.as_f64()),
+            Bound::Unbounded => None,
+        };
+        let frac = match (end(lower), end(upper)) {
+            (None, upper) => (upper.flatten().unwrap_or(hi) - lo) / width,
+            (Some(lower), None) => (hi - lower.unwrap_or(lo)) / width,
+            (Some(lower), Some(upper)) => {
+                (upper.unwrap_or(hi).min(hi) - lower.unwrap_or(lo).max(lo)) / width
+            }
+        };
+        frac.clamp(0.0, 1.0)
     }
 
     /// Whether a predicate can be satisfied by *any* row of the segment.
@@ -192,6 +188,52 @@ mod tests {
             0.0
         );
         assert!(!s.can_match(&ScanPredicate::eq(ColumnId(0), 99i64)));
+    }
+
+    /// A `Between` without an upper bound admits its lower bound alone —
+    /// the point every encoding, kernel and index evaluates — so it is
+    /// estimated as that point, on integer, float and dictionary-encoded
+    /// text segments alike.
+    #[test]
+    fn upperless_between_estimates_like_eq() {
+        use crate::chunk::Chunk;
+        use crate::scan::PredicateOp;
+        use crate::EncodingKind;
+        let upperless = |value: Value| ScanPredicate {
+            column: ColumnId(0),
+            op: PredicateOp::Between,
+            value,
+            upper: None,
+        };
+        let text: Vec<String> = (0..60).map(|i| format!("k{:02}", i % 12)).collect();
+        let mut chunk = Chunk::from_columns(vec![ColumnValues::Text(text)]).unwrap();
+        chunk
+            .set_encoding(ColumnId(0), EncodingKind::Dictionary)
+            .unwrap();
+        let dictionary = chunk.stats(ColumnId(0)).unwrap().clone();
+        let segments = [
+            (
+                SegmentStats::compute(&ColumnValues::Int((0..100).collect())),
+                Value::Int(42),
+            ),
+            (
+                SegmentStats::compute(&ColumnValues::Float(
+                    (0..50).map(|i| i as f64 * 0.5).collect(),
+                )),
+                Value::Float(3.5),
+            ),
+            (dictionary, Value::Text("k03".into())),
+        ];
+        for (stats, value) in segments {
+            let eq = ScanPredicate::eq(ColumnId(0), value.clone());
+            let point = stats.estimate_selectivity(&eq);
+            assert!(point > 0.0 && point < 0.5, "{value:?}: {point}");
+            assert_eq!(
+                stats.estimate_selectivity(&upperless(value.clone())),
+                point,
+                "{value:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! equals one built from scratch, two configurations share a cache key
 //! exactly when they agree on the footprint's slice, and an assessor
 //! that keeps its prices across passes answers and counts exactly like
-//! one that prices every pass afresh.
+//! one that prices every pass afresh — and so does a tuner that
+//! re-selects from those prices instead of assessing.
 
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -15,7 +17,11 @@ use smdb::common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 use smdb::common::{Cost, Result};
 use smdb::core::assessor::{Assessor, WhatIfAssessor};
 use smdb::core::candidate::{Assessment, Candidate};
+use smdb::core::constraints::ConstraintSet;
+use smdb::core::feature::FeatureKind;
+use smdb::core::tuner::{standard_tuner, Tuner};
 use smdb::cost::features::ConfigContext;
+use smdb::cost::sizes::estimate_index_bytes;
 use smdb::cost::{
     ActionDelta, CacheStats, CalibratedCostModel, LogicalCostModel, QueryFootprint, WhatIf,
 };
@@ -697,6 +703,256 @@ proptest! {
             prop_assert_eq!(to_bits(&batched), to_bits(&one_by_one));
             prop_assert_eq!(batched_stats, row_stats);
             fresh().scenario_costs(&engine, &base, &f).expect("prices");
+        }
+    }
+}
+
+/// One thing that happens between two passes of the tuners.
+#[derive(Debug, Clone)]
+enum Move {
+    /// The forecast's weights and probabilities move (every pass does);
+    /// as they grow the index enumerator ranks the two columns of `t`
+    /// the other way round, permuting its candidate list.
+    Reweigh,
+    /// The index budget is re-split: `None`, or this many single-chunk
+    /// hash indexes' worth of bytes.
+    Budget(Option<u32>),
+    /// A new query joins the forecast.
+    AddQuery(i64),
+    /// The oldest query leaves it.
+    DropQuery,
+    /// A table is created: the catalog token moves.
+    CreateTable,
+    /// The cost cache is flushed.
+    ClearCache,
+}
+
+fn move_strategy() -> impl Strategy<Value = Move> {
+    (0u32..12, 0i64..40, 0u32..9).prop_map(|(pick, v, budget)| match pick {
+        0..=4 => Move::Reweigh,
+        5 | 6 => Move::Budget((budget < 7).then_some(budget)),
+        7 => Move::AddQuery(v),
+        8 => Move::DropQuery,
+        9 => Move::CreateTable,
+        _ => Move::ClearCache,
+    })
+}
+
+/// The tuners a driver runs: the re-selecting index tuner and the
+/// compression tuner, both greedy, over one what-if.
+fn tuners(what_if: &WhatIf) -> Vec<Tuner> {
+    [FeatureKind::Indexing, FeatureKind::Compression]
+        .into_iter()
+        .map(|feature| standard_tuner(feature, what_if.clone()))
+        .collect()
+}
+
+/// Runs `moves` through tuners that keep their prices across passes and
+/// re-select from them, and through tuners built afresh every pass (no
+/// kept prices: always the full path) on a what-if with the same
+/// history, applying each proposal to the shared base as a driver
+/// would. Both propose the same, bit for bit, and move their caches'
+/// counters and entry counts alike. Returns how many passes settled from
+/// kept prices (a lower bound: the counter is process-wide).
+fn settles_like_the_full_path(moves: &[Move]) -> u64 {
+    let (mut engine, t, u) = engine();
+    let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
+    let kept_what_if = WhatIf::new(estimator.clone());
+    let fresh_what_if = WhatIf::new(estimator);
+    let kept = tuners(&kept_what_if);
+    let q = |table, col: u16, v: i64| {
+        Query::new(
+            table,
+            "t",
+            vec![ScanPredicate::eq(ColumnId(col), v)],
+            None,
+            "q",
+        )
+    };
+    let mut queries = vec![q(t, 0, 7), q(t, 1, 3), q(u, 0, 4)];
+    let mut base = ConfigInstance::default();
+    let mut constraints = ConstraintSet::none();
+    // Column `a` of `t` holds the same values in every chunk: its
+    // candidates tie chunk for chunk.
+    let hash = estimate_index_bytes(200, 40, IndexKind::Hash) as i64;
+    let settled = smdb::obs::metrics::counter("tuner.reselected_from_kept");
+    let before = settled.get();
+    let mut tables = 0;
+    for (pass, step) in (0u32..).zip(moves) {
+        match step {
+            Move::Reweigh => {}
+            Move::Budget(n) => {
+                constraints.index_memory_bytes = n.map(|n| i64::from(n) * hash + 1);
+            }
+            Move::AddQuery(v) => queries.push(q(t, (*v % 2) as u16, *v)),
+            Move::DropQuery => {
+                if queries.len() > 1 {
+                    queries.remove(0);
+                }
+            }
+            Move::CreateTable => {
+                tables += 1;
+                let schema =
+                    Schema::new(vec![ColumnDef::new("x", DataType::Int)]).expect("valid schema");
+                let values = ColumnValues::Int((0..200).collect());
+                let table =
+                    Table::from_columns(format!("extra{tables}"), schema, vec![values], 100)
+                        .expect("builds");
+                engine.create_table(table).expect("unique name");
+            }
+            Move::ClearCache => {
+                kept_what_if.clear_cache();
+                fresh_what_if.clear_cache();
+            }
+        }
+        let f = forecast(&queries, pass);
+        for (i, tuner) in kept.iter().enumerate() {
+            let propose = |tuner: &Tuner| {
+                tuner
+                    .propose(&engine, &base, &f, &constraints)
+                    .map_err(|e| e.to_string())
+            };
+            let (got, got_stats, got_len) = counted(&kept_what_if, || propose(tuner));
+            let (want, want_stats, want_len) =
+                counted(&fresh_what_if, || propose(&tuners(&fresh_what_if)[i]));
+            let at = format!("pass {pass} after {step:?}, tuner {i}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!((got_stats, got_len), (want_stats, want_len), "{at}");
+            if let Ok(proposal) = got {
+                for action in &proposal.actions {
+                    base.apply(action);
+                }
+            }
+        }
+    }
+    settled.get() - before
+}
+
+/// A scripted run through each side of re-selection from kept prices:
+/// converged passes settle under moving weights and a moving budget; a
+/// budget that binds below the configured indexes is decided by the
+/// full path (which prices the drop it then rejects), and one raised
+/// again adds an index; the permuted candidate list, new queries, a new
+/// table and a flushed cache each send a pass down the full path before
+/// passes settle again.
+#[test]
+fn reselection_from_kept_prices_settles_where_nothing_changes() {
+    use Move::*;
+    let mut moves = vec![Budget(None), Reweigh, Reweigh, Budget(Some(1)), Reweigh];
+    moves.extend([
+        Budget(Some(6)),
+        Reweigh,
+        Reweigh,
+        Budget(Some(5)),
+        Reweigh,
+        Reweigh,
+    ]);
+    moves.extend([Budget(None), Reweigh, Reweigh]);
+    moves.extend(std::iter::repeat_n(Reweigh, 12));
+    moves.extend([
+        AddQuery(12),
+        Reweigh,
+        Reweigh,
+        CreateTable,
+        Reweigh,
+        Reweigh,
+    ]);
+    moves.extend([ClearCache, Reweigh, Reweigh, DropQuery, Reweigh, Reweigh]);
+    let settled = settles_like_the_full_path(&moves);
+    assert!(settled >= 20, "only {settled} passes settled");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Re-selection from kept prices proposes and counts exactly like
+    /// the full path across weight moves, budget re-splits (binding or
+    /// not), query churn, catalog changes and cache flushes.
+    #[test]
+    fn reselection_from_kept_prices_matches_the_full_path(
+        moves in proptest::collection::vec(move_strategy(), 1..24),
+    ) {
+        settles_like_the_full_path(&moves);
+    }
+}
+
+/// Index candidates on `t`'s column `b` (no forecast query filters on
+/// it: nothing to gain) or on column `a` (every query gains), four
+/// chunks either way: one list length, two contents, switched by hand.
+struct Switched(Arc<AtomicU16>);
+
+impl smdb::core::Enumerator for Switched {
+    fn name(&self) -> &str {
+        "switched"
+    }
+
+    fn enumerate(
+        &self,
+        engine: &StorageEngine,
+        _base: &ConfigInstance,
+        _scenarios: &ForecastSet,
+    ) -> Result<Vec<Candidate>> {
+        let t = engine.table_id("t")?;
+        let column = self.0.load(Ordering::Relaxed);
+        let target = |chunk| ChunkColumnRef::new(t.0, column, chunk);
+        let candidates = (0..4).map(|chunk| {
+            let action = ConfigAction::CreateIndex {
+                target: target(chunk),
+                kind: IndexKind::Hash,
+            };
+            Candidate::new(action, None)
+        });
+        Ok(candidates.collect())
+    }
+}
+
+/// A candidate list that changes content at an unchanged length, base,
+/// catalog, cache and query set is priced afresh: the kept prices belong
+/// to other candidates. The tuner that keeps prices proposes and counts
+/// like one built afresh every pass.
+#[test]
+fn a_changed_candidate_list_is_priced_afresh() {
+    use smdb::core::selectors::GreedySelector;
+    let (engine, t, _) = engine();
+    let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
+    let column = Arc::new(AtomicU16::new(1));
+    let tuner = |what_if: &WhatIf| {
+        Tuner::new(
+            FeatureKind::Indexing,
+            Box::new(Switched(Arc::clone(&column))),
+            Box::new(WhatIfAssessor::new(what_if.clone(), 0.8)),
+            Box::new(GreedySelector),
+        )
+    };
+    let (kept_what_if, fresh_what_if) = (WhatIf::new(estimator.clone()), WhatIf::new(estimator));
+    let kept = tuner(&kept_what_if);
+    let queries = [Query::new(
+        t,
+        "t",
+        vec![ScanPredicate::eq(ColumnId(0), 7)],
+        None,
+        "q",
+    )];
+    let base = ConfigInstance::default();
+    let settled = smdb::obs::metrics::counter("tuner.reselected_from_kept");
+    for (pass, on) in (0u32..).zip([1, 1, 1, 0, 0]) {
+        column.store(on, Ordering::Relaxed);
+        let f = forecast(&queries, pass);
+        let propose = |tuner: &Tuner| {
+            tuner
+                .propose(&engine, &base, &f, &ConstraintSet::none())
+                .map_err(|e| e.to_string())
+        };
+        let before = settled.get();
+        let (got, got_stats, _) = counted(&kept_what_if, || propose(&kept));
+        let did_settle = settled.get() > before;
+        let (want, want_stats, _) = counted(&fresh_what_if, || propose(&tuner(&fresh_what_if)));
+        assert_eq!(got, want, "pass {pass} on column {on}");
+        assert_eq!(got_stats, want_stats, "pass {pass} on column {on}");
+        if on == 0 {
+            assert!(!got.expect("proposes").actions.is_empty(), "column a pays");
+        } else if pass > 0 {
+            assert!(did_settle, "pass {pass}: nothing changed on column b");
         }
     }
 }
