@@ -184,6 +184,9 @@ concurrency_audit_and_check() { # emit + schema-validate the audit artifact
     step "check-audit" check_audit "$CI_DIR/AUDIT_concurrency.json"
 }
 
+# Every mode reports the size numbers, so every CI_SUMMARY.json carries them.
+step "count crates lines" count_crates_lines
+
 case "$MODE" in
 quick)
     step "build (release, bench)" cargo build --release -p smdb-bench
@@ -228,7 +231,6 @@ bench-gate)
     ;;
 full)
     step "cargo fmt --check" cargo fmt --all --check
-    step "count crates lines" count_crates_lines
     step "cargo build --release" cargo build --workspace --release
     step "cargo test" cargo test -q --workspace
     step "cargo test --release (predicate suites)" release_predicate_suites

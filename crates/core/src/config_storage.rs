@@ -6,8 +6,7 @@
 //! decisions." (Section II-A(b))
 
 use parking_lot::Mutex;
-use smdb_common::json::Json;
-use smdb_common::{ChunkColumnRef, Cost, Error, LogicalTime, Result};
+use smdb_common::{Cost, Error, LogicalTime, Result};
 use smdb_durable::{durable_struct, ByteReader, ByteWriter, Decode, Encode};
 use smdb_storage::{ConfigAction, ConfigInstance};
 
@@ -170,16 +169,11 @@ impl ConfigStorage {
             .collect()
     }
 
-    /// The configuration in effect after the latest stored instance.
+    /// The configuration in effect after the latest stored instance — the
+    /// last configuration known good, since an instance is stored only
+    /// once fully applied. The rollback target.
     pub fn latest_config(&self) -> Option<ConfigInstance> {
         self.instances.lock().last().map(|i| i.config.clone())
-    }
-
-    /// The last configuration known good — the latest *fully applied*
-    /// stored instance. Identical to [`ConfigStorage::latest_config`];
-    /// the alias names the rollback target.
-    pub fn last_good_config(&self) -> Option<ConfigInstance> {
-        self.latest_config()
     }
 
     /// Records that a failed reconfiguration was rolled back.
@@ -196,85 +190,6 @@ impl ConfigStorage {
     pub fn rollbacks(&self) -> Vec<RollbackRecord> {
         self.rollbacks.lock().clone()
     }
-
-    /// Exports the whole decision history as JSON — the durable audit
-    /// trail of the feedback loop (what was applied when, what it was
-    /// predicted to do, and what it actually did).
-    pub fn export_json(&self) -> Result<String> {
-        let instances = self.instances.lock();
-        let rows: Json = instances
-            .iter()
-            .map(|i| {
-                Json::obj([
-                    ("applied_at", Json::from(i.applied_at.raw())),
-                    (
-                        "feature",
-                        Json::from(i.feature.map(|f| f.label().to_string())),
-                    ),
-                    ("config", config_json(&i.config)),
-                    ("actions", i.actions.iter().map(|a| a.to_string()).collect()),
-                    ("predicted_cost_ms", Json::from(i.predicted_cost.ms())),
-                    (
-                        "reconfiguration_cost_ms",
-                        Json::from(i.reconfiguration_cost.ms()),
-                    ),
-                    ("observed_before_ms", Json::from(i.observed_before.ms())),
-                    (
-                        "observed_after_ms",
-                        Json::from(i.observed_after.map(|c| c.ms())),
-                    ),
-                ])
-            })
-            .collect();
-        Ok(rows.to_string_pretty())
-    }
-}
-
-/// Flattens a configuration into JSON: map keys become explicit object
-/// fields (`{table, column, chunk, kind}`), which JSON can represent and
-/// downstream tooling can diff.
-fn config_json(config: &ConfigInstance) -> Json {
-    fn segment(target: &ChunkColumnRef, kind: String) -> Json {
-        Json::obj([
-            ("table", Json::from(u64::from(target.table.0))),
-            ("column", Json::from(u64::from(target.column.0))),
-            ("chunk", Json::from(u64::from(target.chunk.0))),
-            ("kind", Json::from(kind)),
-        ])
-    }
-    Json::obj([
-        (
-            "indexes",
-            config
-                .indexes
-                .iter()
-                .map(|(target, kind)| segment(target, format!("{kind:?}")))
-                .collect(),
-        ),
-        (
-            "encodings",
-            config
-                .encodings
-                .iter()
-                .map(|(target, kind)| segment(target, format!("{kind:?}")))
-                .collect(),
-        ),
-        (
-            "placements",
-            config
-                .placements
-                .iter()
-                .map(|((table, chunk), tier)| {
-                    Json::obj([
-                        ("table", Json::from(u64::from(table.0))),
-                        ("chunk", Json::from(u64::from(chunk.0))),
-                        ("tier", Json::from(format!("{tier:?}"))),
-                    ])
-                })
-                .collect(),
-        ),
-        ("buffer_pool_mb", Json::from(config.knobs.buffer_pool_mb)),
-    ])
 }
 
 #[cfg(test)]
@@ -315,46 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn export_json_roundtrips_structured_fields() {
-        let storage = ConfigStorage::new();
-        let mut inst = instance(3, 9.0);
-        inst.config.indexes.insert(
-            smdb_common::ChunkColumnRef::new(0, 1, 2),
-            smdb_storage::IndexKind::Hash,
-        );
-        inst.actions = vec![ConfigAction::DropIndex {
-            target: smdb_common::ChunkColumnRef::new(0, 0, 0),
-        }];
-        storage.store(inst);
-        storage.complete_latest(Cost(4.5));
-        let json = storage.export_json().unwrap();
-        let parsed = smdb_common::json::parse(&json).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), 1);
-        let row = parsed.at(0).unwrap();
-        assert_eq!(row.get("applied_at").and_then(Json::as_u64), Some(3));
-        assert_eq!(row.get("feature").and_then(Json::as_str), Some("indexing"));
-        assert_eq!(
-            row.get("observed_after_ms").and_then(Json::as_f64),
-            Some(4.5)
-        );
-        let indexes = row.get("config").and_then(|c| c.get("indexes")).unwrap();
-        assert_eq!(indexes.as_array().unwrap().len(), 1);
-        assert_eq!(
-            indexes
-                .at(0)
-                .and_then(|i| i.get("kind"))
-                .and_then(Json::as_str),
-            Some("Hash")
-        );
-        let action = row.get("actions").and_then(|a| a.at(0)).unwrap();
-        assert!(action.as_str().unwrap().contains("DROP INDEX"));
-    }
-
-    #[test]
     fn rollback_records_accumulate() {
         let storage = ConfigStorage::new();
         assert_eq!(storage.rollback_count(), 0);
-        assert!(storage.last_good_config().is_none());
+        assert!(storage.latest_config().is_none());
         storage.store(instance(1, 5.0));
         storage.record_rollback(RollbackRecord {
             at: LogicalTime(7),
@@ -371,7 +250,7 @@ mod tests {
         assert_eq!(records[0].cause, "injected");
         // Rollbacks do not count as stored instances.
         assert_eq!(storage.len(), 1);
-        assert!(storage.last_good_config().is_some());
+        assert!(storage.latest_config().is_some());
     }
 
     #[test]

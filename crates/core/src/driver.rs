@@ -5,7 +5,9 @@
 //! The driver owns the workload predictor, the multi-feature tuner, the
 //! organizer, the KPI collector, the configuration-instance storage and
 //! the constraint set, and mediates their access to the database (plan
-//! cache, engine, cost estimators).
+//! cache, engine, cost estimators). It is the one owner of its state:
+//! it exports itself into a [`ServingState`] at bucket boundaries and
+//! restores a freshly built driver from a [`RecoveredState`].
 
 use std::sync::Arc;
 
@@ -17,12 +19,12 @@ use smdb_forecast::{
 };
 use smdb_obs::metrics::Counter;
 use smdb_obs::{span, FlightRecorder, TrailEvent};
-use smdb_query::{Database, Query};
+use smdb_query::{Database, Query, SessionStats};
 use smdb_storage::{ConfigAction, ConfigInstance};
 
 use crate::config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 use crate::constraints::ConstraintSet;
-use crate::durability::DurabilityManager;
+use crate::durability::{DurabilityManager, RecoveredState, ServingState};
 use crate::executor::{ExecutionReport, Executor, SequentialExecutor};
 use crate::feature::FeatureKind;
 use crate::kpi::{KpiCollector, KpiSnapshot};
@@ -145,38 +147,38 @@ smdb_durable::durable_struct!(PendingReconfig {
 /// The one queued decision and how far the drains got: the actions still
 /// queued are the suffix of `reconfig.actions` after `drained`.
 #[derive(Debug)]
-pub(crate) struct QueuedDecision {
-    pub(crate) reconfig: PendingReconfig,
+struct QueuedDecision {
+    reconfig: PendingReconfig,
     /// Leading actions already handed to the executor (applied, or lost
     /// to a failed apply).
-    pub(crate) drained: usize,
+    drained: usize,
 }
 
 impl QueuedDecision {
     /// The actions still queued.
-    pub(crate) fn remaining(&self) -> &[ConfigAction] {
+    fn remaining(&self) -> &[ConfigAction] {
         &self.reconfig.actions[self.drained..]
     }
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct DriverCounters {
-    pub(crate) buckets_closed: Counter,
-    pub(crate) tunings_run: Counter,
-    pub(crate) actions_applied: Counter,
-    pub(crate) actions_deferred: Counter,
-    pub(crate) apply_failures: Counter,
+struct DriverCounters {
+    buckets_closed: Counter,
+    tunings_run: Counter,
+    actions_applied: Counter,
+    actions_deferred: Counter,
+    apply_failures: Counter,
 }
 
 /// The central self-management entity.
 pub struct Driver {
-    pub(crate) db: Arc<Database>,
-    pub(crate) history: Mutex<WorkloadHistory>,
+    db: Arc<Database>,
+    history: Mutex<WorkloadHistory>,
     predictor: WorkloadPredictor,
     multi: MultiFeatureTuner,
-    pub(crate) organizer: Organizer,
-    pub(crate) kpis: KpiCollector,
-    pub(crate) storage: ConfigStorage,
+    organizer: Organizer,
+    kpis: KpiCollector,
+    storage: ConfigStorage,
     /// Constraint set behind its own lock so an external arbiter (the
     /// sharded Organizer splitting one memory budget across shards) can
     /// retarget budgets between ticks. Tuning paths clone it up front
@@ -187,22 +189,22 @@ pub struct Driver {
     calibrated: Option<Arc<CalibratedCostModel>>,
     ordering_policy: OrderingPolicy,
     /// Rolling observed workload cost of the last closed bucket.
-    pub(crate) last_bucket_cost: Mutex<Cost>,
+    last_bucket_cost: Mutex<Cost>,
     /// The last pass's decision until the drains have applied all of it
     /// ("the executor can access runtime KPIs to determine favorable
     /// points in time for applying the choices", Section II-D(d)). No
     /// pass starts while it is set.
-    pub(crate) queued: Mutex<Option<QueuedDecision>>,
+    queued: Mutex<Option<QueuedDecision>>,
     /// The configuration at build time — the rollback target before any
     /// instance has been stored.
     baseline_config: ConfigInstance,
-    pub(crate) counters: DriverCounters,
+    counters: DriverCounters,
     /// Flight recorder every tuning decision lands in (bounded ring;
     /// exportable as JSON, dumped on rollback when auto-dump is on).
-    pub(crate) recorder: Arc<FlightRecorder>,
+    recorder: Arc<FlightRecorder>,
     /// WAL + snapshot manager; `None` keeps the in-memory path free of
     /// durability overhead.
-    pub(crate) durability: Option<Arc<DurabilityManager>>,
+    durability: Option<Arc<DurabilityManager>>,
 }
 
 impl Driver {
@@ -276,7 +278,7 @@ impl Driver {
     /// Label of the configuration a rollback would restore right now:
     /// the latest stored instance, or the build-time baseline.
     fn rollback_target_label(&self) -> String {
-        if self.storage.last_good_config().is_some() {
+        if self.storage.latest_config().is_some() {
             format!("instance-{}", self.storage.len() - 1)
         } else {
             "baseline".to_string()
@@ -515,7 +517,7 @@ impl Driver {
         let restored_label = self.rollback_target_label();
         let target = self
             .storage
-            .last_good_config()
+            .latest_config()
             .unwrap_or_else(|| self.baseline_config.clone());
         let undo = {
             let engine = self.db.engine();
@@ -670,13 +672,11 @@ impl Driver {
             trigger: format!("{trigger:?}"),
         });
         smdb_obs::metrics::counter(&format!("driver.tuning.{}", trigger.label())).inc();
-        let (order_idx, proposals, final_config, base_config) = {
+        let (run, base_config) = {
             let engine = self.db.engine();
             let base = engine.current_config();
-            let n = self.multi.features().len();
-            let features = self.multi.features();
-            let order_idx: Vec<usize> = match self.ordering_policy {
-                OrderingPolicy::Registration => (0..n).collect(),
+            let order: Vec<usize> = match self.ordering_policy {
+                OrderingPolicy::Registration => (0..self.multi.features().len()).collect(),
                 OrderingPolicy::LpOptimized => {
                     let report = self
                         .multi
@@ -687,7 +687,7 @@ impl Driver {
                         order: solution
                             .order
                             .iter()
-                            .map(|&i| features[i].label().to_string())
+                            .map(|&i| report.features[i].label().to_string())
                             .collect(),
                         objective: solution.objective,
                         dependence: report.dependence.clone(),
@@ -695,44 +695,28 @@ impl Driver {
                     solution.order
                 }
             };
-            // Tune feature by feature so each feature's what-if cache
-            // traffic (and proposal) lands in the decision trail
-            // individually; chaining the accepted configs is exactly what
-            // a single `tune_in_order` over the full order does.
-            let mut config = base.clone();
-            let mut proposals: Vec<TuningProposal> = Vec::new();
-            for &idx in &order_idx {
-                let _span = span!("driver", "tune_feature");
-                let before = self.multi.what_if().cache_stats().unwrap_or_default();
-                let run =
-                    self.multi
-                        .tune_in_order(&engine, &forecast, &config, &constraints, &[idx])?;
-                let stats = self
-                    .multi
-                    .what_if()
-                    .cache_stats()
-                    .unwrap_or_default()
-                    .since(&before);
-                for p in &run.proposals {
-                    self.recorder.record(TrailEvent::CandidateAssessed {
-                        at,
-                        feature: features[idx].label().to_string(),
-                        candidates: p.candidates_enumerated,
-                        predicted_benefit_ms: p.predicted_benefit.ms(),
-                        accepted: p.accepted,
-                        cache_hits: stats.hits,
-                        cache_misses: stats.misses,
-                    });
-                }
-                smdb_obs::metrics::counter("driver.whatif_cache_hits").add(stats.hits);
-                smdb_obs::metrics::counter("driver.whatif_cache_misses").add(stats.misses);
-                proposals.extend(run.proposals);
-                config = run.final_config;
-            }
-            (order_idx, proposals, config, base)
+            let run = self
+                .multi
+                .tune_in_order(&engine, &forecast, &base, &constraints, &order)?;
+            (run, base)
         };
+        // Each feature's proposal and what-if cache traffic land in the
+        // decision trail individually.
+        for ((feature, p), stats) in run.order.iter().zip(&run.proposals).zip(&run.cache) {
+            self.recorder.record(TrailEvent::CandidateAssessed {
+                at,
+                feature: feature.label().to_string(),
+                candidates: p.candidates_enumerated,
+                predicted_benefit_ms: p.predicted_benefit.ms(),
+                accepted: p.accepted,
+                cache_hits: stats.hits,
+                cache_misses: stats.misses,
+            });
+            smdb_obs::metrics::counter("driver.whatif_cache_hits").add(stats.hits);
+            smdb_obs::metrics::counter("driver.whatif_cache_misses").add(stats.misses);
+        }
 
-        let actions = base_config.diff(&final_config);
+        let actions = base_config.diff(&run.final_config);
         self.counters.tunings_run.inc();
         self.organizer.record_tuning(tick.now);
 
@@ -752,9 +736,11 @@ impl Driver {
                 let expected = forecast.expected().ok_or_else(|| {
                     Error::invalid("forecast lost its expected scenario mid-tuning")
                 })?;
-                self.multi
-                    .what_if()
-                    .workload_cost(&engine, &expected.workload, &final_config)?
+                self.multi.what_if().workload_cost(
+                    &engine,
+                    &expected.workload,
+                    &run.final_config,
+                )?
             };
             self.recorder.record(TrailEvent::ActionsQueued {
                 at,
@@ -762,7 +748,7 @@ impl Driver {
             });
             *self.queued.lock() = Some(QueuedDecision {
                 reconfig: PendingReconfig {
-                    final_config,
+                    final_config: run.final_config,
                     actions,
                     predicted_cost,
                     observed_before,
@@ -774,17 +760,175 @@ impl Driver {
         let drained = self.drain_at(tick, budget)?;
         self.counters.actions_deferred.add(drained.deferred as u64);
 
-        let order: Vec<FeatureKind> = {
-            let features = self.multi.features();
-            order_idx.iter().map(|&i| features[i]).collect()
-        };
         Ok(TuningRunReport {
             trigger,
-            order,
-            proposals,
+            order: run.order,
+            proposals: run.proposals,
             applied_actions: drained.applied,
             reconfiguration_cost: drained.reconfiguration_cost,
         })
+    }
+
+    /// The counters in [`ServingState::counters`] order.
+    fn counter_cells(&self) -> [&Counter; 5] {
+        let c = &self.counters;
+        [
+            &c.buckets_closed,
+            &c.tunings_run,
+            &c.actions_applied,
+            &c.actions_deferred,
+            &c.apply_failures,
+        ]
+    }
+
+    /// Captures the complete serving state at a bucket boundary —
+    /// everything a boundary WAL record carries. `bucket` is the number
+    /// of buckets fully served and `stats` the cumulative session
+    /// statistics the serving runtime accumulated.
+    pub fn export_serving_state(&self, bucket: u64, stats: &SessionStats) -> ServingState {
+        let config = self.db.engine().current_config();
+        let plan_cache = self.db.plan_cache().snapshot();
+        // Locks are taken one at a time in the driver's canonical order
+        // (history, last_bucket_cost, queued) so boundary export cannot
+        // deadlock against the tuning thread. The one queued decision is
+        // stored as its remaining actions plus the whole decision.
+        let history = self.history.lock().export_state();
+        let last_bucket_cost = *self.last_bucket_cost.lock();
+        let queued = self.queued.lock();
+        let pending_actions = queued
+            .as_ref()
+            .map_or(Vec::new(), |d| d.remaining().to_vec());
+        let pending_reconfig = queued.as_ref().map(|d| d.reconfig.clone());
+        drop(queued);
+        let counters = self.counter_cells().map(Counter::get);
+        ServingState {
+            bucket,
+            stats: stats.clone(),
+            clock: self.db.now().raw(),
+            config,
+            kpi: self.kpis.export_state(),
+            history,
+            plan_cache,
+            organizer_last_tuning: self.organizer.last_tuning(),
+            organizer_paused: self.organizer.is_paused(),
+            last_bucket_cost,
+            pending_actions,
+            pending_reconfig,
+            counters,
+        }
+    }
+
+    /// Logs a bucket boundary to the WAL and, when the snapshot cadence
+    /// fires, takes a snapshot. No-op without a durability manager.
+    pub fn persist_boundary(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
+        let state = self.export_serving_state(bucket, stats);
+        d.log_boundary(&state)?;
+        if d.should_snapshot(bucket) {
+            self.persist_snapshot_inner(d, &state)?;
+        }
+        Ok(())
+    }
+
+    /// Takes a snapshot right now (e.g. the run-start snapshot a
+    /// durable run writes before serving). No-op without a durability
+    /// manager.
+    pub fn persist_snapshot(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
+        let state = self.export_serving_state(bucket, stats);
+        self.persist_snapshot_inner(d, &state)
+    }
+
+    fn persist_snapshot_inner(&self, d: &DurabilityManager, state: &ServingState) -> Result<()> {
+        let instances = self.storage.snapshot();
+        let rollbacks = self.storage.rollbacks();
+        let (wal_records, bytes) = {
+            let engine = self.db.engine();
+            d.take_snapshot(state, &engine, &instances, &rollbacks)?
+        };
+        self.recorder.record(TrailEvent::SnapshotTaken {
+            at: state.clock,
+            bucket: state.bucket,
+            wal_records,
+            bytes,
+        });
+        Ok(())
+    }
+
+    /// Restores this (freshly built) driver from recovered durable
+    /// state: re-applies the persisted configuration to the engine,
+    /// reinstates the stored instances and rollbacks, and restores the
+    /// whole serving state (clock, KPIs, history, plan cache, organizer,
+    /// queued decision, counters). The engine must already hold the
+    /// recovered tables at the default configuration. Records a
+    /// `recovered` trail event. Errs, before touching anything, when the
+    /// pending actions are not the tail of the pending reconfiguration.
+    pub fn restore_from_recovery(&self, rec: &RecoveredState) -> Result<()> {
+        let queued = queued_decision(&rec.serving)?;
+        let redo = {
+            let engine = self.db.engine();
+            engine.current_config().diff(&rec.serving.config)
+        };
+        if !redo.is_empty() {
+            self.db.apply_config_atomic(&redo)?;
+        }
+        for inst in &rec.instances {
+            self.storage.store(inst.clone());
+        }
+        for rb in &rec.rollbacks {
+            self.storage.record_rollback(rb.clone());
+        }
+        let state = &rec.serving;
+        self.db.restore_clock(LogicalTime(state.clock));
+        self.kpis.restore_state(state.kpi.clone());
+        *self.history.lock() = WorkloadHistory::restore_state(state.history.clone());
+        {
+            let mut cache = self.db.plan_cache();
+            cache.clear();
+            for entry in &state.plan_cache {
+                cache.restore_entry(entry.clone());
+            }
+        }
+        if let Some(t) = state.organizer_last_tuning {
+            self.organizer.record_tuning(t);
+        }
+        if state.organizer_paused {
+            self.organizer.pause();
+        }
+        *self.last_bucket_cost.lock() = state.last_bucket_cost;
+        *self.queued.lock() = queued;
+        for (counter, value) in self.counter_cells().into_iter().zip(state.counters) {
+            counter.set(value);
+        }
+        smdb_obs::metrics::counter("driver.recoveries").inc();
+        self.recorder.record(TrailEvent::Recovered {
+            at: self.db.now().raw(),
+            bucket: state.bucket,
+            replayed_records: rec.replayed_records,
+            dropped_records: rec.dropped_records,
+        });
+        Ok(())
+    }
+}
+
+/// Rebuilds the queued decision from the two fields a [`ServingState`]
+/// stores it as; the queued actions must be a suffix of the decision's.
+fn queued_decision(state: &ServingState) -> Result<Option<QueuedDecision>> {
+    match &state.pending_reconfig {
+        None if state.pending_actions.is_empty() => Ok(None),
+        Some(reconfig) if reconfig.actions.ends_with(&state.pending_actions) => {
+            Ok(Some(QueuedDecision {
+                drained: reconfig.actions.len() - state.pending_actions.len(),
+                reconfig: reconfig.clone(),
+            }))
+        }
+        _ => Err(Error::invalid(
+            "pending actions are not the tail of the pending reconfiguration",
+        )),
     }
 }
 
@@ -934,9 +1078,11 @@ impl DriverBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smdb_common::{ColumnId, TableId};
+    use smdb_common::{ChunkColumnRef, ColumnId, TableId};
     use smdb_storage::value::ColumnValues;
-    use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
+    use smdb_storage::{
+        ColumnDef, DataType, IndexKind, ScanPredicate, Schema, StorageEngine, Table,
+    };
 
     pub(super) fn database() -> Arc<Database> {
         let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
@@ -977,6 +1123,60 @@ mod tests {
         let forecast = driver.forecast();
         assert!(!forecast.is_empty());
         assert!(forecast.expected().unwrap().workload.total_weight() > 0.0);
+    }
+
+    #[test]
+    fn restore_rejects_pending_actions_outside_the_decision() {
+        let driver = Driver::builder(database()).build();
+        let actions: Vec<ConfigAction> = (0..4)
+            .map(|chunk| ConfigAction::CreateIndex {
+                target: ChunkColumnRef::new(0, 0, chunk),
+                kind: IndexKind::Hash,
+            })
+            .collect();
+        let mut config = driver.baseline_config().clone();
+        actions.iter().for_each(|a| config.apply(a));
+        let mut state = driver.export_serving_state(1, &SessionStats::default());
+        state.clock += 5;
+        state.config = config.clone();
+        state.pending_reconfig = Some(PendingReconfig {
+            final_config: config.clone(),
+            actions: actions.clone(),
+            predicted_cost: Cost(9.0),
+            observed_before: Cost(11.0),
+            accrued_cost: Cost::ZERO,
+        });
+        state.pending_actions = actions[2..].to_vec();
+        assert_eq!(queued_decision(&state).unwrap().expect("queued").drained, 2);
+        // Not a suffix: refused before the driver is touched.
+        state.pending_actions.reverse();
+        let rec = RecoveredState {
+            serving: state,
+            tables: Vec::new(),
+            instances: vec![StoredInstance {
+                applied_at: LogicalTime(1),
+                feature: None,
+                config,
+                actions,
+                predicted_cost: Cost(9.0),
+                reconfiguration_cost: Cost(1.0),
+                observed_before: Cost(11.0),
+                observed_after: None,
+            }],
+            rollbacks: Vec::new(),
+            replayed_records: 0,
+            dropped_records: 0,
+            wal_records: 0,
+        };
+        let err = driver.restore_from_recovery(&rec).unwrap_err();
+        assert!(err.to_string().contains("not the tail"), "{err}");
+        assert!(driver.config_storage().is_empty());
+        assert!(!driver.tuning_state().reconfig_in_flight);
+        assert_eq!(driver.database().now(), LogicalTime(0));
+        assert_eq!(
+            &driver.database().engine().current_config(),
+            driver.baseline_config()
+        );
     }
 
     #[test]

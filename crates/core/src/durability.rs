@@ -52,10 +52,11 @@
 //! snapshots shorten recovery (fewer records to replay — a lower RTO)
 //! at the price of one more state snapshot each, a boundary record's
 //! worth of bytes. [`DurabilityStats`] surfaces both sides as KPIs (the
-//! base counts: it is a durable byte the run wrote). The second
-//! `impl Driver` block at the end of this file is the glue: exporting
-//! the live driver into a [`ServingState`] and restoring one into a
-//! freshly built driver.
+//! base counts: it is a durable byte the run wrote).
+//!
+//! The driver exports itself into a [`ServingState`] and restores from a
+//! [`RecoveredState`] in its own module; nothing here reads a driver
+//! field.
 
 use std::sync::Arc;
 
@@ -64,14 +65,12 @@ use smdb_common::{Cost, Error, LogicalTime, Result};
 use smdb_durable::{
     decode_all, durable_struct, encode_to_vec, ByteWriter, Encode, Persistence, SnapshotStore, Wal,
 };
-use smdb_forecast::{WorkloadHistory, WorkloadHistoryState};
-use smdb_obs::metrics::Counter;
-use smdb_obs::TrailEvent;
+use smdb_forecast::WorkloadHistoryState;
 use smdb_query::{PlanCacheEntry, SessionStats};
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine, Table};
 
 use crate::config_storage::{RollbackRecord, StoredInstance};
-use crate::driver::{Driver, PendingReconfig, QueuedDecision};
+use crate::driver::PendingReconfig;
 use crate::kpi::KpiState;
 
 /// Blob name of the write-ahead log.
@@ -525,169 +524,6 @@ pub fn decode_serving_state(bytes: &[u8]) -> Result<ServingState> {
     decode_all(bytes)
 }
 
-/// Rebuilds the queued decision from the two fields a [`ServingState`]
-/// stores it as; the queued actions must be a suffix of the decision's.
-fn queued_decision(state: &ServingState) -> Result<Option<QueuedDecision>> {
-    match &state.pending_reconfig {
-        None if state.pending_actions.is_empty() => Ok(None),
-        Some(reconfig) if reconfig.actions.ends_with(&state.pending_actions) => {
-            Ok(Some(QueuedDecision {
-                drained: reconfig.actions.len() - state.pending_actions.len(),
-                reconfig: reconfig.clone(),
-            }))
-        }
-        _ => Err(Error::invalid(
-            "pending actions are not the tail of the pending reconfiguration",
-        )),
-    }
-}
-
-impl Driver {
-    fn counter_cells(&self) -> [&Counter; 5] {
-        let c = &self.counters;
-        [
-            &c.buckets_closed,
-            &c.tunings_run,
-            &c.actions_applied,
-            &c.actions_deferred,
-            &c.apply_failures,
-        ]
-    }
-
-    /// Captures the complete serving state at a bucket boundary —
-    /// everything a boundary WAL record carries. `bucket` is the number
-    /// of buckets fully served and `stats` the cumulative session
-    /// statistics the serving runtime accumulated.
-    pub fn export_serving_state(&self, bucket: u64, stats: &SessionStats) -> ServingState {
-        let config = self.db.engine().current_config();
-        let plan_cache = self.db.plan_cache().snapshot();
-        // Locks are taken one at a time in the driver's canonical order
-        // (history, last_bucket_cost, queued) so boundary export cannot
-        // deadlock against the tuning thread. The one queued decision is
-        // stored as its remaining actions plus the whole decision.
-        let history = self.history.lock().export_state();
-        let last_bucket_cost = *self.last_bucket_cost.lock();
-        let queued = self.queued.lock();
-        let pending_actions = queued
-            .as_ref()
-            .map_or(Vec::new(), |d| d.remaining().to_vec());
-        let pending_reconfig = queued.as_ref().map(|d| d.reconfig.clone());
-        drop(queued);
-        let counters = self.counter_cells().map(Counter::get);
-        ServingState {
-            bucket,
-            stats: stats.clone(),
-            clock: self.db.now().raw(),
-            config,
-            kpi: self.kpis.export_state(),
-            history,
-            plan_cache,
-            organizer_last_tuning: self.organizer.last_tuning(),
-            organizer_paused: self.organizer.is_paused(),
-            last_bucket_cost,
-            pending_actions,
-            pending_reconfig,
-            counters,
-        }
-    }
-
-    /// Logs a bucket boundary to the WAL and, when the snapshot cadence
-    /// fires, takes a snapshot. No-op without a durability manager.
-    pub fn persist_boundary(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let state = self.export_serving_state(bucket, stats);
-        d.log_boundary(&state)?;
-        if d.should_snapshot(bucket) {
-            self.persist_snapshot_inner(d, &state)?;
-        }
-        Ok(())
-    }
-
-    /// Takes a snapshot right now (e.g. the run-start snapshot a
-    /// durable run writes before serving). No-op without a durability
-    /// manager.
-    pub fn persist_snapshot(&self, bucket: u64, stats: &SessionStats) -> Result<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let state = self.export_serving_state(bucket, stats);
-        self.persist_snapshot_inner(d, &state)
-    }
-
-    fn persist_snapshot_inner(&self, d: &DurabilityManager, state: &ServingState) -> Result<()> {
-        let instances = self.storage.snapshot();
-        let rollbacks = self.storage.rollbacks();
-        let (wal_records, bytes) = {
-            let engine = self.db.engine();
-            d.take_snapshot(state, &engine, &instances, &rollbacks)?
-        };
-        self.recorder.record(TrailEvent::SnapshotTaken {
-            at: state.clock,
-            bucket: state.bucket,
-            wal_records,
-            bytes,
-        });
-        Ok(())
-    }
-
-    /// Restores this (freshly built) driver from recovered durable
-    /// state: re-applies the persisted configuration to the engine,
-    /// reinstates the stored instances and rollbacks, and restores the
-    /// whole serving state (clock, KPIs, history, plan cache, organizer,
-    /// queued decision, counters). The engine must already hold the
-    /// recovered tables at the default configuration. Records a
-    /// `recovered` trail event. Errs, before touching anything, when the
-    /// pending actions are not the tail of the pending reconfiguration.
-    pub fn restore_from_recovery(&self, rec: &RecoveredState) -> Result<()> {
-        let queued = queued_decision(&rec.serving)?;
-        let redo = {
-            let engine = self.db.engine();
-            engine.current_config().diff(&rec.serving.config)
-        };
-        if !redo.is_empty() {
-            self.db.apply_config_atomic(&redo)?;
-        }
-        for inst in &rec.instances {
-            self.storage.store(inst.clone());
-        }
-        for rb in &rec.rollbacks {
-            self.storage.record_rollback(rb.clone());
-        }
-        let state = &rec.serving;
-        self.db.restore_clock(LogicalTime(state.clock));
-        self.kpis.restore_state(state.kpi.clone());
-        *self.history.lock() = WorkloadHistory::restore_state(state.history.clone());
-        {
-            let mut cache = self.db.plan_cache();
-            cache.clear();
-            for entry in &state.plan_cache {
-                cache.restore_entry(entry.clone());
-            }
-        }
-        if let Some(t) = state.organizer_last_tuning {
-            self.organizer.record_tuning(t);
-        }
-        if state.organizer_paused {
-            self.organizer.pause();
-        }
-        *self.last_bucket_cost.lock() = state.last_bucket_cost;
-        *self.queued.lock() = queued;
-        for (counter, value) in self.counter_cells().into_iter().zip(state.counters) {
-            counter.set(value);
-        }
-        smdb_obs::metrics::counter("driver.recoveries").inc();
-        self.recorder.record(TrailEvent::Recovered {
-            at: self.db.now().raw(),
-            bucket: state.bucket,
-            replayed_records: rec.replayed_records,
-            dropped_records: rec.dropped_records,
-        });
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1123,29 +959,6 @@ mod tests {
         let rec = recover(p.as_ref(), &config).unwrap().expect("recoverable");
         assert_eq!(rec.serving.bucket, 2);
         assert_eq!(rec.dropped_records, 0);
-    }
-
-    #[test]
-    fn restore_rejects_pending_actions_outside_the_decision() {
-        let mut state = sample_state(1);
-        state.pending_actions.drain(..2);
-        assert_eq!(queued_decision(&state).unwrap().expect("queued").drained, 2);
-        // Not a suffix: refused before the driver is touched.
-        state.pending_actions.reverse();
-        let driver = Driver::builder(smdb_query::Database::new(StorageEngine::default())).build();
-        let rec = RecoveredState {
-            serving: state,
-            tables: Vec::new(),
-            instances: vec![sample_instance()],
-            rollbacks: Vec::new(),
-            replayed_records: 0,
-            dropped_records: 0,
-            wal_records: 0,
-        };
-        let err = driver.restore_from_recovery(&rec).unwrap_err();
-        assert!(err.to_string().contains("not the tail"), "{err}");
-        assert!(driver.config_storage().is_empty());
-        assert!(!driver.tuning_state().reconfig_in_flight);
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   utilization) driving tuning triggers and low-utilization windows.
 //! * [`config_storage`] — the configuration-instance history enabling
 //!   the feedback loop on past tuning decisions.
+//! * [`durability`] — when the serving state is logged to the WAL and
+//!   snapshotted, the record and snapshot framing, and [`recover`]. The
+//!   driver exports itself into a [`ServingState`] and restores from a
+//!   [`RecoveredState`] in [`driver`], its one owner.
 
 pub mod assessor;
 pub mod candidate;
@@ -36,7 +40,6 @@ pub mod feature;
 pub mod kpi;
 pub mod multi;
 pub mod organizer;
-pub mod plugin;
 pub mod selectors;
 pub mod tuner;
 
@@ -57,6 +60,5 @@ pub use feature::FeatureKind;
 pub use kpi::{BucketClose, KpiCollector, KpiSnapshot};
 pub use multi::{DependencyReport, MultiFeatureTuner};
 pub use organizer::{Organizer, OrganizerConfig, TuningTrigger};
-pub use plugin::{PluginHost, SelfDrivingPlugin, SelfManagementPlugin};
 pub use selectors::Selector;
 pub use tuner::{Tuner, TuningProposal};

@@ -17,7 +17,7 @@
 #![allow(clippy::needless_range_loop)] // dense matrix index arithmetic reads clearest with explicit indices
 
 use smdb_common::{Cost, Result};
-use smdb_cost::WhatIf;
+use smdb_cost::{CacheStats, WhatIf};
 use smdb_forecast::ForecastSet;
 use smdb_lp::ordering::{OrderingProblem, OrderingSolution};
 use smdb_query::Workload;
@@ -80,6 +80,10 @@ pub struct MultiTuneReport {
     pub order: Vec<FeatureKind>,
     /// Per-feature proposals, in tuned order.
     pub proposals: Vec<TuningProposal>,
+    /// Per-feature what-if cache traffic (growth of the shared cache's
+    /// counters across that feature's proposal), in tuned order; zero
+    /// without a cache.
+    pub cache: Vec<CacheStats>,
     /// The final configuration after all accepted proposals.
     pub final_config: ConfigInstance,
 }
@@ -225,10 +229,18 @@ impl MultiFeatureTuner {
     ) -> Result<MultiTuneReport> {
         let mut config = base.clone();
         let mut proposals = Vec::with_capacity(order.len());
+        let mut cache = Vec::with_capacity(order.len());
         let mut order_features = Vec::with_capacity(order.len());
         for &idx in order {
             let tuner = &self.tuners[idx];
+            let before = self.what_if.cache_stats().unwrap_or_default();
             let proposal = tuner.propose(engine, &config, scenarios, constraints)?;
+            cache.push(
+                self.what_if
+                    .cache_stats()
+                    .unwrap_or_default()
+                    .since(&before),
+            );
             if proposal.accepted {
                 config = proposal.target.clone();
             }
@@ -238,6 +250,7 @@ impl MultiFeatureTuner {
         Ok(MultiTuneReport {
             order: order_features,
             proposals,
+            cache,
             final_config: config,
         })
     }
@@ -416,6 +429,52 @@ mod tests {
             )
             .unwrap();
         assert!(after < before);
+    }
+
+    #[test]
+    fn one_pass_over_the_order_equals_chained_single_feature_passes() {
+        let (engine, t) = setup();
+        let trained = trained_what_if(&engine, t);
+        // Fresh caches over one estimator: each side starts cold.
+        let fresh = || multi(WhatIf::new(Arc::clone(trained.estimator())));
+        let f = forecast(t);
+        let base = ConfigInstance::default();
+        let constraints = ConstraintSet::none();
+
+        let merged = fresh();
+        let before = merged.what_if().cache_stats().unwrap();
+        let run = merged
+            .tune_in_order(&engine, &f, &base, &constraints, &[0, 1])
+            .unwrap();
+        let total = merged.what_if().cache_stats().unwrap().since(&before);
+
+        let chained = fresh();
+        let mut config = base;
+        let mut proposals = Vec::new();
+        let mut cache = Vec::new();
+        for idx in [0, 1] {
+            let single = chained
+                .tune_in_order(&engine, &f, &config, &constraints, &[idx])
+                .unwrap();
+            config = single.final_config;
+            proposals.extend(single.proposals);
+            cache.extend(single.cache);
+        }
+
+        assert_eq!(run.order, chained.features());
+        assert_eq!(run.proposals, proposals);
+        assert_eq!(run.final_config, config);
+        assert_eq!(run.cache, cache);
+        assert_eq!(run.cache.len(), 2);
+        let summed = run
+            .cache
+            .iter()
+            .fold(CacheStats::default(), |acc, s| CacheStats {
+                hits: acc.hits + s.hits,
+                misses: acc.misses + s.misses,
+            });
+        assert_eq!(summed, total);
+        assert!(total.misses > 0, "{total:?}");
     }
 
     #[test]

@@ -24,13 +24,11 @@ pub mod accuracy;
 pub mod analyzer;
 pub mod analyzers;
 pub mod cluster;
-pub mod ensemble;
 pub mod history;
 pub mod predictor;
 pub mod scenario;
 
 pub use analyzer::WorkloadAnalyzer;
-pub use ensemble::{EnsembleAnalyzer, HoltSmoothing};
 pub use history::{TemplateHistory, WorkloadHistory, WorkloadHistoryState};
 pub use predictor::{PredictorConfig, WorkloadPredictor};
 pub use scenario::{ForecastSet, ScenarioKind, WorkloadScenario};

@@ -146,7 +146,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use smdb::common::seeded_rng;
-use smdb::forecast::{EnsembleAnalyzer, ForecastSet, HoltSmoothing};
+use smdb::forecast::ForecastSet;
 
 fn template(col: u16) -> Query {
     Query::new(
@@ -197,15 +197,12 @@ fn bits(set: &ForecastSet) -> Vec<String> {
 }
 
 /// Drives one long-lived predictor over a seeded `buckets`-bucket
-/// history — exporting and restoring the history half-way — and at each
-/// checkpoint compares its forecast with a from-scratch one: a fresh
-/// predictor (no backtests yet) over a history rebuilt from the exported
-/// sparse state (dense series re-derived from the bucket maps).
-fn incremental_matches_scratch(
-    make: &dyn Fn() -> Box<dyn WorkloadAnalyzer>,
-    buckets: u64,
-    every_bucket: bool,
-) {
+/// history — predicting every bucket, exporting and restoring the
+/// history half-way — and at each checkpoint compares its forecast with
+/// a from-scratch one: a fresh predictor (no backtests yet) over a
+/// history rebuilt from the exported sparse state (dense series
+/// re-derived from the bucket maps).
+fn incremental_matches_scratch(make: &dyn Fn() -> Box<dyn WorkloadAnalyzer>, buckets: u64) {
     let checkpoints = [1, 2, 3, 4, 5, 9, 40, 100];
     let predictor = WorkloadPredictor::new(make(), PredictorConfig::default());
     let mut rng = seeded_rng(0xF0CA57);
@@ -223,9 +220,6 @@ fn incremental_matches_scratch(
             || near_event(buckets / 2)
             || near_event(300)
             || done == buckets;
-        if !(check || every_bucket) {
-            continue;
-        }
         let incremental = predictor.predict(&hist);
         if check {
             let scratch_hist = WorkloadHistory::restore_state(hist.export_state());
@@ -243,22 +237,16 @@ fn incremental_matches_scratch(
 
 #[test]
 fn incremental_predict_equals_from_scratch_for_every_analyzer() {
-    let simple: Vec<Box<dyn Fn() -> Box<dyn WorkloadAnalyzer>>> = vec![
+    let analyzers: Vec<Box<dyn Fn() -> Box<dyn WorkloadAnalyzer>>> = vec![
         Box::new(|| Box::new(LastValue)),
         Box::new(|| Box::new(MovingAverage::new(4))),
         Box::new(|| Box::new(LinearTrend)),
         Box::new(|| Box::new(Seasonal::new(12))),
         Box::new(|| Box::new(AutoRegressive::new(2))),
-        Box::new(|| Box::new(HoltSmoothing::default())),
     ];
-    for make in &simple {
-        incremental_matches_scratch(make.as_ref(), 500, true);
+    for make in &analyzers {
+        incremental_matches_scratch(make.as_ref(), 500);
     }
-    // One ensemble forecast backtests every member over the whole series
-    // (quadratic), so a from-scratch predict is cubic in the span: the
-    // ensemble gets a shorter history and predicts at checkpoints only —
-    // which also makes its backtests extend by many buckets at once.
-    incremental_matches_scratch(&|| Box::new(EnsembleAnalyzer::standard(12)), 160, false);
 }
 
 /// Forwards to a moving average, counting `forecast` calls.
