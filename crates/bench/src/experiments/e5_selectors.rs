@@ -8,7 +8,7 @@ use smdb_core::enumerator::IndexEnumerator;
 use smdb_core::selectors::{
     GeneticSelector, GreedySelector, OptimalSelector, RiskCriterion, RobustSelector, Selector,
 };
-use smdb_core::{Assessor, Enumerator, SelectionInput, WhatIfAssessor};
+use smdb_core::{Enumerator, SelectionInput, WhatIfAssessor};
 use smdb_cost::WhatIf;
 use smdb_storage::ConfigInstance;
 

@@ -55,7 +55,7 @@ impl Selector for ExpectedOnlyGreedy {
         Ok(chosen)
     }
 }
-use smdb_core::{Assessor, Enumerator, SelectionInput, WhatIfAssessor};
+use smdb_core::{Enumerator, SelectionInput, WhatIfAssessor};
 use smdb_cost::WhatIf;
 use smdb_storage::ConfigInstance;
 use smdb_workload::generators::{point_heavy_mix, scan_heavy_mix};

@@ -117,23 +117,39 @@ impl SelectionInput<'_> {
     /// budget and exclusivity groups. Used by tests and as a debug
     /// assertion after selection.
     pub fn is_feasible(&self, chosen: &[usize]) -> bool {
-        let mut groups = std::collections::HashSet::new();
-        let mut bytes = 0.0f64;
-        for &i in chosen {
-            if i >= self.candidates.len() {
+        is_feasible(
+            self.candidates,
+            |i| self.assessments[i].budget_weight(),
+            chosen,
+            self.memory_budget_bytes,
+        )
+    }
+}
+
+/// Whether `chosen` (indices into `candidates`) respects the exclusivity
+/// groups and, by each candidate's budget weight, the budget.
+pub(crate) fn is_feasible(
+    candidates: &[Candidate],
+    weight: impl Fn(usize) -> f64,
+    chosen: &[usize],
+    memory_budget_bytes: Option<i64>,
+) -> bool {
+    let mut groups = std::collections::HashSet::new();
+    let mut bytes = 0.0f64;
+    for &i in chosen {
+        if i >= candidates.len() {
+            return false;
+        }
+        if let Some(g) = candidates[i].exclusive_group {
+            if !groups.insert(g) {
                 return false;
             }
-            if let Some(g) = self.candidates[i].exclusive_group {
-                if !groups.insert(g) {
-                    return false;
-                }
-            }
-            bytes += self.assessments[i].budget_weight();
         }
-        match self.memory_budget_bytes {
-            Some(budget) => bytes <= budget as f64 + 1e-6,
-            None => true,
-        }
+        bytes += weight(i);
+    }
+    match memory_budget_bytes {
+        Some(budget) => bytes <= budget as f64 + 1e-6,
+        None => true,
     }
 }
 

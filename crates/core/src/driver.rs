@@ -1366,12 +1366,15 @@ mod deferred_tests {
 
     /// Shards re-split one index budget every bucket, as the sharded
     /// budget arbiter does. Once a shard's pass changes nothing, every
-    /// later pass of it settles from kept prices in both tuners — and
-    /// the same run with settling off reports and records the same,
-    /// cache counts in the trail included.
+    /// later pass of it is priced wholly from kept prices in both tuners
+    /// — and the same run with the what-if cache cleared before every
+    /// pass, so that nothing is kept, reports the same decisions. (Its
+    /// trails differ: they record the cache counters, which the clears
+    /// move.)
     #[test]
     fn converged_shards_settle_every_pass_under_a_moving_budget() {
-        use crate::tuner::shadow;
+        use crate::tuner::FROM_KEPT;
+        let from_kept = || FROM_KEPT.with(|n| n.get());
         let shard = |rows: i64| {
             let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
             let values = ColumnValues::Int((0..rows).map(|i| i % 50).collect());
@@ -1380,9 +1383,8 @@ mod deferred_tests {
             engine.create_table(table).unwrap();
             Database::new(engine)
         };
-        let run = |full_path_only: bool| {
-            shadow::set_full_path_only(full_path_only);
-            let settled_before = shadow::settled();
+        let run = |clear_cache: bool| {
+            let from_kept_before = from_kept();
             let shards: Vec<Driver> = [2000, 1500, 3000]
                 .into_iter()
                 .map(|rows| {
@@ -1402,12 +1404,15 @@ mod deferred_tests {
                     let share = 1 + (bucket + s) % 3;
                     driver.set_index_memory_budget(Some(1 << (22 + share)));
                     driver.run_bucket(&queries(40)).unwrap();
-                    let settled = shadow::settled();
+                    if clear_cache {
+                        driver.multi().what_if().clear_cache();
+                    }
+                    let before = from_kept();
                     let report = driver.maybe_tune().unwrap();
-                    let settled = shadow::settled() - settled;
+                    let kept = from_kept() - before;
                     if let Some(report) = &report {
-                        if quiet[s] && !full_path_only {
-                            assert_eq!(settled, 2, "bucket {bucket} shard {s}: {report:?}");
+                        if quiet[s] && !clear_cache {
+                            assert_eq!(kept, 2, "bucket {bucket} shard {s}: {report:?}");
                         }
                         quiet[s] |= report.applied_actions == 0
                             && report.proposals.iter().all(|p| p.actions.is_empty());
@@ -1415,20 +1420,14 @@ mod deferred_tests {
                     reports.push(format!("{report:?}"));
                 }
             }
-            shadow::set_full_path_only(false);
             assert_eq!(quiet, [true; 3], "every shard converged");
-            let trails: Vec<_> = shards
-                .iter()
-                .map(|d| d.flight_recorder().events())
-                .collect();
-            (reports, trails, shadow::settled() - settled_before)
+            (reports, from_kept() - from_kept_before)
         };
-        let (reports, trails, settled) = run(false);
-        let (full_reports, full_trails, full_settled) = run(true);
-        assert!(settled > 0);
-        assert_eq!(full_settled, 0);
-        assert_eq!(reports, full_reports);
-        assert_eq!(trails, full_trails);
+        let (reports, kept) = run(false);
+        let (cleared_reports, cleared_kept) = run(true);
+        assert!(kept > 0);
+        assert_eq!(cleared_kept, 0, "a cleared cache keeps no prices");
+        assert_eq!(reports, cleared_reports);
     }
 
     /// A pass a KPI trigger starts never prices the forecast for the

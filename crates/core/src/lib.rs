@@ -2,10 +2,11 @@
 //!
 //! The paper's contribution (Sections II and III): a component-based
 //! framework that adds self-management capabilities to a database system
-//! with a strict separation of concerns. Components are trait objects
-//! with narrow interfaces, so every one of them is exchangeable and
-//! reusable — the property the paper's architecture diagram (Figure 1)
-//! promises.
+//! with a strict separation of concerns. Components sit behind narrow
+//! interfaces, exchangeable and reusable as the paper's architecture
+//! diagram (Figure 1) promises: enumerators, selectors, executors and
+//! cost estimators are trait objects, and the one what-if assessor is
+//! exchanged through the estimator it prices with.
 //!
 //! * [`driver`] — the central entity encapsulating all components and
 //!   the interface to the database (plan cache, cost estimators, KPIs,
@@ -43,7 +44,7 @@ pub mod organizer;
 pub mod selectors;
 pub mod tuner;
 
-pub use assessor::{Assessor, WhatIfAssessor};
+pub use assessor::WhatIfAssessor;
 pub use candidate::{Assessment, Candidate, SelectionInput};
 pub use config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 pub use constraints::ConstraintSet;

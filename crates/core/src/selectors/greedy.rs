@@ -6,8 +6,8 @@
 
 use smdb_common::Result;
 
-use crate::candidate::{Candidate, SelectionInput};
-use crate::selectors::{greedy_by_score, greedy_over, Selector};
+use crate::candidate::SelectionInput;
+use crate::selectors::{greedy_by_score, Selector};
 
 /// Greedy selection by expected desirability per byte.
 #[derive(Debug, Clone, Default)]
@@ -20,19 +20,6 @@ impl Selector for GreedySelector {
 
     fn select(&self, input: &SelectionInput<'_>) -> Result<Vec<usize>> {
         Ok(greedy_by_score(input, |a| a.expected_desirability()))
-    }
-
-    fn select_scored(
-        &self,
-        candidates: &[Candidate],
-        scored: &[(f64, f64)],
-        memory_budget_bytes: Option<i64>,
-    ) -> Option<Vec<usize>> {
-        Some(greedy_over(
-            candidates,
-            scored.iter().copied(),
-            memory_budget_bytes,
-        ))
     }
 }
 

@@ -18,7 +18,7 @@ use smdb_common::{Error, Result};
 use smdb_forecast::ForecastSet;
 use smdb_storage::{ConfigInstance, StorageEngine};
 
-use crate::assessor::Assessor;
+use crate::assessor::WhatIfAssessor;
 use crate::candidate::Candidate;
 
 /// Interaction-aware greedy selection via assessor round-trips.
@@ -42,7 +42,7 @@ impl IterativeGreedy {
     pub fn select(
         &self,
         engine: &StorageEngine,
-        assessor: &dyn Assessor,
+        assessor: &WhatIfAssessor,
         base: &ConfigInstance,
         scenarios: &ForecastSet,
         candidates: &[Candidate],
@@ -107,7 +107,6 @@ impl IterativeGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assessor::WhatIfAssessor;
     use crate::enumerator::{Enumerator, IndexEnumerator};
     use crate::selectors::{greedy_by_score, Selector};
     use smdb_common::{ColumnId, TableId};

@@ -12,6 +12,12 @@
 //!   search spaces too large for exact solutions.
 //! * [`robust::RobustSelector`] — risk-averse criteria (mean-variance,
 //!   worst case, CVaR) over the per-scenario desirabilities.
+//!
+//! [`iterative::IterativeGreedy`] adds the paper's re-assessment
+//! round-trips. The tuner needs none of these trait objects: it selects
+//! greedily from each candidate's expected desirability and budget
+//! weight (`greedy_over`), all the greedy selector reads of an
+//! assessment. The others serve the selector experiments (E5, E6).
 
 pub mod genetic;
 pub mod greedy;
@@ -38,22 +44,6 @@ pub trait Selector: Send + Sync {
     /// the budget and exclusivity groups
     /// ([`SelectionInput::is_feasible`]).
     fn select(&self, input: &SelectionInput<'_>) -> Result<Vec<usize>>;
-
-    /// What [`Selector::select`] would choose from each candidate's
-    /// `(expected desirability, budget weight)` alone, in candidate
-    /// order, under `memory_budget_bytes` — for a selector whose choice
-    /// reads nothing else of the assessments, so a tuner can select
-    /// without building them. `None` (the default) where the choice
-    /// reads more.
-    fn select_scored(
-        &self,
-        candidates: &[Candidate],
-        scored: &[(f64, f64)],
-        memory_budget_bytes: Option<i64>,
-    ) -> Option<Vec<usize>> {
-        let _ = (candidates, scored, memory_budget_bytes);
-        None
-    }
 }
 
 /// Shared helper: greedy selection by an arbitrary score function.
@@ -74,7 +64,7 @@ pub(crate) fn greedy_by_score(
 }
 
 /// [`greedy_by_score`] over each candidate's `(score, budget weight)`,
-/// in candidate order.
+/// in candidate order — the tuner's selection.
 pub(crate) fn greedy_over(
     candidates: &[Candidate],
     scored: impl Iterator<Item = (f64, f64)>,

@@ -1,39 +1,35 @@
 //! The per-feature tuner: enumerate → assess → select (Section II-D).
 //!
 //! A tuner "takes workload forecasts and cost estimations as input and
-//! delivers configurations for features as output". The pipeline is
-//! assembled from exchangeable components; `propose` is purely
+//! delivers configurations for features as output". `propose` is purely
 //! hypothetical (what-if) — applying the proposal is the executor's job.
 //!
-//! A converged pass mostly confirms the configuration it already has.
-//! When the assessor still holds a price for every enumerated candidate
-//! and the selector can choose from expected desirability and budget
-//! weight alone ([`Selector::select_scored`]), the tuner re-selects from
-//! those prices under this pass's budget; if that selection changes nothing
-//! the pass ends with the proposal the full path would return there,
-//! without building assessments. Any other outcome runs the full path.
-//! Exactness rests on three facts: the kept prices are the ones a fresh
-//! pricing would give (the assessor's key), the scalars are computed in
-//! the float order of the assessments they stand for, and the selector's
-//! choice reads nothing else.
+//! A pass runs one pipeline: the enumerator's candidates, each one's
+//! expected desirability and budget weight from the what-if assessor,
+//! greedy selection under the pass's budget — the paper's selector of
+//! "short runtime", which reads nothing else of an assessment — and the
+//! diff against the base. An empty diff ends the pass; otherwise the
+//! whole target configuration is priced and must pass the
+//! reconfiguration-cost test. The assessor keeps its prices across
+//! passes, so a converged pass re-weighs the prices it already holds.
 
 use smdb_common::{Cost, Result};
+use smdb_cost::WhatIf;
 use smdb_forecast::ForecastSet;
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine};
 
-use crate::assessor::Assessor;
-use crate::candidate::{Candidate, SelectionInput};
+use crate::assessor::WhatIfAssessor;
+use crate::candidate::{is_feasible, Candidate};
 use crate::constraints::ConstraintSet;
 use crate::enumerator::Enumerator;
 use crate::feature::FeatureKind;
-use crate::selectors::Selector;
+use crate::selectors::greedy_over;
 
 /// A per-feature tuning pipeline.
 pub struct Tuner {
     pub feature: FeatureKind,
     enumerator: Box<dyn Enumerator>,
-    assessor: Box<dyn Assessor>,
-    selector: Box<dyn Selector>,
+    assessor: WhatIfAssessor,
     /// Weight of reconfiguration costs in the acceptance test: a proposal
     /// is accepted only when `benefit · horizon ≥ weight · reconfiguration
     /// cost`. Zero disables the test (every improving proposal is taken) —
@@ -41,13 +37,6 @@ pub struct Tuner {
     pub reconfiguration_weight: f64,
     /// How many forecast horizons the benefit is assumed to persist.
     pub benefit_horizon: f64,
-    /// When true the tuner *re-selects* this feature's configuration
-    /// from scratch each run instead of only adding to it: candidates
-    /// are enumerated against the base configuration with this feature's
-    /// entries stripped, and the action diff naturally drops entries
-    /// (e.g. stale indexes) that no longer pay off. This is how classic
-    /// index advisors (AutoAdmin, DB2 Advisor) behave.
-    pub reselect: bool,
 }
 
 /// The tuner's output: a hypothetical configuration plus its predicted
@@ -71,23 +60,34 @@ pub struct TuningProposal {
     pub accepted: bool,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Passes this thread priced wholly from kept prices and found
+    /// unchanged.
+    pub(crate) static FROM_KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl Tuner {
-    /// Assembles a tuner from components.
-    pub fn new(
-        feature: FeatureKind,
-        enumerator: Box<dyn Enumerator>,
-        assessor: Box<dyn Assessor>,
-        selector: Box<dyn Selector>,
-    ) -> Self {
+    /// Assembles a tuner from an enumerator and the estimator its
+    /// what-if assessor prices candidates with.
+    pub fn new(feature: FeatureKind, enumerator: Box<dyn Enumerator>, what_if: WhatIf) -> Self {
         Tuner {
             feature,
             enumerator,
-            assessor,
-            selector,
+            assessor: WhatIfAssessor::new(what_if, 0.8),
             reconfiguration_weight: 1.0,
             benefit_horizon: 10.0,
-            reselect: false,
         }
+    }
+
+    /// Whether a pass *re-selects* this feature's configuration from
+    /// scratch instead of only adding to it: candidates are enumerated
+    /// against the base configuration with this feature's entries
+    /// stripped, and the action diff naturally drops entries (e.g. stale
+    /// indexes) that no longer pay off. This is how classic index
+    /// advisors (AutoAdmin, DB2 Advisor) behave, so the index tuner does.
+    fn reselects(&self) -> bool {
+        self.feature == FeatureKind::Indexing
     }
 
     /// Strips this tuner's feature from a configuration (reselect mode).
@@ -104,7 +104,7 @@ impl Tuner {
         stripped
     }
 
-    /// The memory budget the selector must respect for this feature.
+    /// The memory budget the selection must respect for this feature.
     fn memory_budget(
         &self,
         engine: &StorageEngine,
@@ -160,105 +160,49 @@ impl Tuner {
         constraints: &ConstraintSet,
         gated: bool,
     ) -> Result<TuningProposal> {
-        #[cfg(test)]
-        let before = self.assessor.shadow_state();
-        #[cfg(not(test))]
-        let reselect_kept = true;
-        #[cfg(test)]
-        let reselect_kept = !shadow::full_path_only();
-        let (proposal, _settled) =
-            self.propose_with(engine, base, scenarios, constraints, gated, reselect_kept)?;
-        #[cfg(test)]
-        if _settled {
-            shadow::check(
-                self,
-                (engine, base, scenarios, constraints, gated),
-                &proposal,
-                before,
-            );
-        }
-        Ok(proposal)
-    }
-
-    /// The pipeline. With `reselect_kept`, a greedy selector re-selects
-    /// from the prices the assessor kept, and the pass ends there when
-    /// that selection changes nothing (`true` in the second value).
-    fn propose_with(
-        &self,
-        engine: &StorageEngine,
-        base: &ConfigInstance,
-        scenarios: &ForecastSet,
-        constraints: &ConstraintSet,
-        gated: bool,
-        reselect_kept: bool,
-    ) -> Result<(TuningProposal, bool)> {
         // In reselect mode the pipeline runs against the base with this
         // feature stripped, so existing entries must re-earn their place.
-        let enum_base = if self.reselect {
+        let enum_base = if self.reselects() {
             self.strip_feature(base)
         } else {
             base.clone()
         };
         let candidates = self.enumerator.enumerate(engine, &enum_base, scenarios)?;
         if candidates.is_empty() {
-            return Ok((self.rejected(base, 0), false));
+            return Ok(self.rejected(base, 0));
         }
         let memory_budget_bytes = self.memory_budget(engine, &enum_base, constraints)?;
-        // Re-selection from kept prices: the selector's choice from each
-        // candidate's expected desirability and budget weight under this
-        // pass's budget — the very scalars its full-path choice reads.
-        let mut unchanged = |scored: &[(f64, f64)]| {
-            self.selector
-                .select_scored(&candidates, scored, memory_budget_bytes)
-                .is_some_and(|chosen| {
-                    base.diff(&self.target(&enum_base, &candidates, &chosen))
-                        .is_empty()
-                })
-        };
-        let assessments = if reselect_kept {
-            self.assessor.assess_unless(
-                engine,
-                &enum_base,
-                scenarios,
-                &candidates,
-                &mut unchanged,
-            )?
-        } else {
-            Some(
-                self.assessor
-                    .assess(engine, &enum_base, scenarios, &candidates)?,
-            )
-        };
+        let (scored, all_kept) =
+            self.assessor
+                .scores(engine, &enum_base, scenarios, &candidates)?;
         // Costed once and reused below for the combined economics (when
         // not reselecting, `enum_base` *is* the base configuration). A
-        // settled pass still prices it: its lookups are part of the
-        // pass's cache traffic.
+        // pass that ends unchanged still prices it: its lookups are part
+        // of every pass's cache traffic.
         let enum_base_costs = self
             .assessor
             .scenario_costs(engine, &enum_base, scenarios)?;
-        let Some(assessments) = assessments else {
-            smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
-            return Ok((self.rejected(base, candidates.len()), true));
-        };
-        let input = SelectionInput {
-            candidates: &candidates,
-            assessments: &assessments,
-            memory_budget_bytes,
-            scenario_base_costs: Some(enum_base_costs.clone()),
-        };
-        let chosen = self.selector.select(&input)?;
-        debug_assert!(input.is_feasible(&chosen), "selector violated constraints");
+        let chosen = greedy_over(&candidates, scored.iter().copied(), memory_budget_bytes);
+        debug_assert!(
+            is_feasible(&candidates, |i| scored[i].1, &chosen, memory_budget_bytes),
+            "greedy selection violated constraints"
+        );
 
         let target = self.target(&enum_base, &candidates, &chosen);
         let actions = base.diff(&target);
         if actions.is_empty() {
             // Already at (or re-confirmed as) the selected configuration.
-            return Ok((self.rejected(base, candidates.len()), false));
+            if all_kept {
+                smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
+                #[cfg(test)]
+                FROM_KEPT.with(|n| n.set(n.get() + 1));
+            }
+            return Ok(self.rejected(base, candidates.len()));
         }
 
         // Combined economics: whole-configuration what-if instead of the
         // interaction-blind sum of per-candidate desirabilities.
-        let base_costs = if self.reselect {
+        let base_costs = if self.reselects() {
             self.assessor.scenario_costs(engine, base, scenarios)?
         } else {
             enum_base_costs
@@ -302,7 +246,7 @@ impl Tuner {
                 accepted: false,
             }
         };
-        Ok((proposal, false))
+        Ok(proposal)
     }
 
     /// `enum_base` with the chosen candidates applied.
@@ -333,14 +277,12 @@ impl Tuner {
     }
 }
 
-/// Builds the standard tuner for a feature with the default component
-/// choices (what-if assessor over the given estimator, greedy selector).
-pub fn standard_tuner(feature: FeatureKind, what_if: smdb_cost::WhatIf) -> Tuner {
-    use crate::assessor::WhatIfAssessor;
+/// Builds the standard tuner for a feature: its enumerator, with the
+/// what-if assessor over the given estimator.
+pub fn standard_tuner(feature: FeatureKind, what_if: WhatIf) -> Tuner {
     use crate::enumerator::{
         BufferPoolEnumerator, EncodingEnumerator, IndexEnumerator, PlacementEnumerator,
     };
-    use crate::selectors::GreedySelector;
 
     let enumerator: Box<dyn Enumerator> = match feature {
         FeatureKind::Indexing => Box::new(IndexEnumerator::default()),
@@ -348,92 +290,7 @@ pub fn standard_tuner(feature: FeatureKind, what_if: smdb_cost::WhatIf) -> Tuner
         FeatureKind::Placement => Box::new(PlacementEnumerator),
         FeatureKind::BufferPool => Box::new(BufferPoolEnumerator::default()),
     };
-    let mut tuner = Tuner::new(
-        feature,
-        enumerator,
-        Box::new(WhatIfAssessor::new(what_if, 0.8)),
-        Box::new(GreedySelector),
-    );
-    // Index advisors classically re-select the whole index set per run,
-    // which also retires indexes the workload no longer justifies.
-    tuner.reselect = feature == FeatureKind::Indexing;
-    tuner
-}
-
-/// The full path run behind every pass settled from kept prices, in
-/// tests: it must give the same proposal, count the same lookups and
-/// leave the same kept prices.
-#[cfg(test)]
-pub(crate) mod shadow {
-    use std::cell::Cell;
-
-    use smdb_forecast::ForecastSet;
-    use smdb_storage::{ConfigInstance, StorageEngine};
-
-    use super::{Tuner, TuningProposal};
-    use crate::assessor::ShadowState;
-    use crate::constraints::ConstraintSet;
-
-    thread_local! {
-        static FULL_PATH_ONLY: Cell<bool> = const { Cell::new(false) };
-        static SETTLED: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Whether this thread's passes skip re-selection from kept prices.
-    pub(crate) fn full_path_only() -> bool {
-        FULL_PATH_ONLY.with(Cell::get)
-    }
-
-    /// Makes this thread's passes always take the full path (or not).
-    pub(crate) fn set_full_path_only(on: bool) {
-        FULL_PATH_ONLY.with(|f| f.set(on));
-    }
-
-    /// Passes this thread settled from kept prices.
-    pub(crate) fn settled() -> usize {
-        SETTLED.with(Cell::get)
-    }
-
-    /// Runs the full path behind a settled pass and checks it against
-    /// the settled one, then rewinds the cache counters it moved.
-    pub(super) fn check(
-        tuner: &Tuner,
-        (engine, base, scenarios, constraints, gated): (
-            &StorageEngine,
-            &ConfigInstance,
-            &ForecastSet,
-            &ConstraintSet,
-            bool,
-        ),
-        settled: &TuningProposal,
-        before: Option<ShadowState>,
-    ) {
-        SETTLED.with(|n| n.set(n.get() + 1));
-        let after = tuner.assessor.shadow_state();
-        let (full, full_settled) = tuner
-            .propose_with(engine, base, scenarios, constraints, gated, false)
-            .expect("the full path succeeds where the settled pass did");
-        assert!(!full_settled);
-        assert_eq!(
-            &full, settled,
-            "a settled pass proposes what the full path does"
-        );
-        let again = tuner.assessor.shadow_state();
-        let (Some(before), Some(after), Some(again)) = (before, after, again) else {
-            return;
-        };
-        let full_lookups = again.stats.since(&after.stats);
-        assert_eq!(
-            full_lookups,
-            after.stats.since(&before.stats),
-            "a settled pass counts the full path's lookups"
-        );
-        assert!(
-            again.memo == after.memo,
-            "a settled pass keeps the full path's prices"
-        );
-        tuner.assessor.rewind_lookups(full_lookups);
-    }
+    Tuner::new(feature, enumerator, what_if)
 }
 
 #[cfg(test)]
@@ -591,6 +448,57 @@ mod tests {
         assert_eq!(proposal.actions.len(), 1);
         assert!(matches!(proposal.actions[0], ConfigAction::SetKnob { .. }));
         assert!(proposal.target.knobs.buffer_pool_mb > 0.0);
+    }
+
+    /// A pass whose candidates come in another order still finds every
+    /// kept price: the encoding candidates (worthless to the logical
+    /// model, so nothing changes) reversed on every other pass are priced
+    /// wholly from kept prices from the second pass on.
+    #[test]
+    fn a_reordered_candidate_list_is_priced_from_kept_prices() {
+        /// The encoding enumerator's candidates, reversed on odd calls.
+        struct Alternating(std::sync::Mutex<usize>);
+
+        impl Enumerator for Alternating {
+            fn name(&self) -> &str {
+                "alternating"
+            }
+
+            fn enumerate(
+                &self,
+                engine: &StorageEngine,
+                base: &ConfigInstance,
+                scenarios: &ForecastSet,
+            ) -> Result<Vec<crate::candidate::Candidate>> {
+                let mut calls = self.0.lock().unwrap();
+                let enumerator = crate::enumerator::EncodingEnumerator;
+                let mut candidates = enumerator.enumerate(engine, base, scenarios)?;
+                if *calls % 2 == 1 {
+                    candidates.reverse();
+                }
+                *calls += 1;
+                Ok(candidates)
+            }
+        }
+
+        let (engine, t) = setup();
+        let enumerator = Alternating(std::sync::Mutex::new(0));
+        let tuner = Tuner::new(FeatureKind::Compression, Box::new(enumerator), what_if());
+        let from_kept = || FROM_KEPT.with(|n| n.get());
+        for pass in 0..3 {
+            let before = from_kept();
+            let proposal = tuner
+                .propose(
+                    &engine,
+                    &ConfigInstance::default(),
+                    &forecast(t, 100.0),
+                    &ConstraintSet::none(),
+                )
+                .unwrap();
+            assert!(proposal.candidates_enumerated > 1);
+            assert!(proposal.actions.is_empty());
+            assert_eq!(from_kept() - before, usize::from(pass > 0), "pass {pass}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use smdb::core::enumerator::IndexEnumerator;
 use smdb::core::selectors::{GreedySelector, RiskCriterion, RobustSelector, Selector};
-use smdb::core::{Assessor, Enumerator, SelectionInput, WhatIfAssessor};
+use smdb::core::{Enumerator, SelectionInput, WhatIfAssessor};
 use smdb::cost::{CalibratedCostModel, WhatIf};
 use smdb::forecast::{ForecastSet, ScenarioKind, WorkloadScenario};
 use smdb::prelude::*;

@@ -6,16 +6,16 @@
 //! exactly when they agree on the footprint's slice, and an assessor
 //! that keeps its prices across passes answers and counts exactly like
 //! one that prices every pass afresh — and so does a tuner that
-//! re-selects from those prices instead of assessing.
+//! selects from those prices, whatever order its candidates come in.
 
-use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use smdb::common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 use smdb::common::{Cost, Result};
-use smdb::core::assessor::{Assessor, WhatIfAssessor};
+use smdb::core::assessor::WhatIfAssessor;
 use smdb::core::candidate::{Assessment, Candidate};
 use smdb::core::constraints::ConstraintSet;
 use smdb::core::feature::FeatureKind;
@@ -739,7 +739,7 @@ fn move_strategy() -> impl Strategy<Value = Move> {
 }
 
 /// The tuners a driver runs: the re-selecting index tuner and the
-/// compression tuner, both greedy, over one what-if.
+/// compression tuner over one what-if.
 fn tuners(what_if: &WhatIf) -> Vec<Tuner> {
     [FeatureKind::Indexing, FeatureKind::Compression]
         .into_iter()
@@ -748,13 +748,13 @@ fn tuners(what_if: &WhatIf) -> Vec<Tuner> {
 }
 
 /// Runs `moves` through tuners that keep their prices across passes and
-/// re-select from them, and through tuners built afresh every pass (no
-/// kept prices: always the full path) on a what-if with the same
-/// history, applying each proposal to the shared base as a driver
-/// would. Both propose the same, bit for bit, and move their caches'
-/// counters and entry counts alike. Returns how many passes settled from
-/// kept prices (a lower bound: the counter is process-wide).
-fn settles_like_the_full_path(moves: &[Move]) -> u64 {
+/// through tuners built afresh every pass (no kept prices) on a what-if
+/// with the same history, applying each proposal to the shared base as
+/// a driver would. Both propose the same, bit for bit, and move their
+/// caches' counters and entry counts alike. Returns how many passes were
+/// priced wholly from kept prices and changed nothing (a lower bound:
+/// the counter is process-wide).
+fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
     let (mut engine, t, u) = engine();
     let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
     let kept_what_if = WhatIf::new(estimator.clone());
@@ -829,12 +829,11 @@ fn settles_like_the_full_path(moves: &[Move]) -> u64 {
 }
 
 /// A scripted run through each side of re-selection from kept prices:
-/// converged passes settle under moving weights and a moving budget; a
-/// budget that binds below the configured indexes is decided by the
-/// full path (which prices the drop it then rejects), and one raised
-/// again adds an index; the permuted candidate list, new queries, a new
-/// table and a flushed cache each send a pass down the full path before
-/// passes settle again.
+/// converged passes settle under moving weights, a moving budget and a
+/// permuted candidate list; a budget that binds below the configured
+/// indexes prices the drop it then rejects, and one raised again adds
+/// an index; new queries, a new table and a flushed cache each have a
+/// pass priced afresh before passes settle again.
 #[test]
 fn reselection_from_kept_prices_settles_where_nothing_changes() {
     use Move::*;
@@ -858,7 +857,7 @@ fn reselection_from_kept_prices_settles_where_nothing_changes() {
         Reweigh,
     ]);
     moves.extend([ClearCache, Reweigh, Reweigh, DropQuery, Reweigh, Reweigh]);
-    let settled = settles_like_the_full_path(&moves);
+    let settled = kept_tuners_match_fresh_ones(&moves);
     assert!(settled >= 20, "only {settled} passes settled");
 }
 
@@ -866,20 +865,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Re-selection from kept prices proposes and counts exactly like
-    /// the full path across weight moves, budget re-splits (binding or
+    /// pricing afresh across weight moves, budget re-splits (binding or
     /// not), query churn, catalog changes and cache flushes.
     #[test]
     fn reselection_from_kept_prices_matches_the_full_path(
         moves in proptest::collection::vec(move_strategy(), 1..24),
     ) {
-        settles_like_the_full_path(&moves);
+        kept_tuners_match_fresh_ones(&moves);
     }
 }
 
 /// Index candidates on `t`'s column `b` (no forecast query filters on
 /// it: nothing to gain) or on column `a` (every query gains), four
-/// chunks either way: one list length, two contents, switched by hand.
-struct Switched(Arc<AtomicU16>);
+/// chunks either way, in chunk order or reversed: one list length, two
+/// contents, two orders, switched by hand (clones share the switch).
+#[derive(Default, Clone)]
+struct Switched {
+    column: Arc<AtomicU16>,
+    reversed: Arc<AtomicBool>,
+}
 
 impl smdb::core::Enumerator for Switched {
     fn name(&self) -> &str {
@@ -893,35 +897,39 @@ impl smdb::core::Enumerator for Switched {
         _scenarios: &ForecastSet,
     ) -> Result<Vec<Candidate>> {
         let t = engine.table_id("t")?;
-        let column = self.0.load(Ordering::Relaxed);
+        let column = self.column.load(Ordering::Relaxed);
         let target = |chunk| ChunkColumnRef::new(t.0, column, chunk);
-        let candidates = (0..4).map(|chunk| {
-            let action = ConfigAction::CreateIndex {
-                target: target(chunk),
-                kind: IndexKind::Hash,
-            };
-            Candidate::new(action, None)
-        });
-        Ok(candidates.collect())
+        let mut candidates: Vec<Candidate> = (0..4)
+            .map(|chunk| {
+                let action = ConfigAction::CreateIndex {
+                    target: target(chunk),
+                    kind: IndexKind::Hash,
+                };
+                Candidate::new(action, None)
+            })
+            .collect();
+        if self.reversed.load(Ordering::Relaxed) {
+            candidates.reverse();
+        }
+        Ok(candidates)
     }
 }
 
-/// A candidate list that changes content at an unchanged length, base,
-/// catalog, cache and query set is priced afresh: the kept prices belong
-/// to other candidates. The tuner that keeps prices proposes and counts
-/// like one built afresh every pass.
-#[test]
-fn a_changed_candidate_list_is_priced_afresh() {
-    use smdb::core::selectors::GreedySelector;
+/// Runs one pass per `(column, reversed)` switch setting through a tuner
+/// on `Switched` that keeps its prices and through one built afresh
+/// every pass, on a what-if with the same history: both propose the
+/// same and count the same lookups. Returns, per pass, the proposal and
+/// whether `tuner.reselected_from_kept` moved (a lower bound: the
+/// counter is process-wide).
+fn switched_passes(passes: &[(u16, bool)]) -> Vec<(smdb::core::TuningProposal, bool)> {
     let (engine, t, _) = engine();
     let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
-    let column = Arc::new(AtomicU16::new(1));
+    let switch = Switched::default();
     let tuner = |what_if: &WhatIf| {
         Tuner::new(
             FeatureKind::Indexing,
-            Box::new(Switched(Arc::clone(&column))),
-            Box::new(WhatIfAssessor::new(what_if.clone(), 0.8)),
-            Box::new(GreedySelector),
+            Box::new(switch.clone()),
+            what_if.clone(),
         )
     };
     let (kept_what_if, fresh_what_if) = (WhatIf::new(estimator.clone()), WhatIf::new(estimator));
@@ -934,25 +942,55 @@ fn a_changed_candidate_list_is_priced_afresh() {
         "q",
     )];
     let base = ConfigInstance::default();
-    let settled = smdb::obs::metrics::counter("tuner.reselected_from_kept");
-    for (pass, on) in (0u32..).zip([1, 1, 1, 0, 0]) {
-        column.store(on, Ordering::Relaxed);
+    let from_kept = smdb::obs::metrics::counter("tuner.reselected_from_kept");
+    let mut out = Vec::new();
+    for (pass, &(column, reversed)) in (0u32..).zip(passes) {
+        switch.column.store(column, Ordering::Relaxed);
+        switch.reversed.store(reversed, Ordering::Relaxed);
         let f = forecast(&queries, pass);
         let propose = |tuner: &Tuner| {
             tuner
                 .propose(&engine, &base, &f, &ConstraintSet::none())
                 .map_err(|e| e.to_string())
         };
-        let before = settled.get();
+        let before = from_kept.get();
         let (got, got_stats, _) = counted(&kept_what_if, || propose(&kept));
-        let did_settle = settled.get() > before;
+        let moved = from_kept.get() > before;
         let (want, want_stats, _) = counted(&fresh_what_if, || propose(&tuner(&fresh_what_if)));
-        assert_eq!(got, want, "pass {pass} on column {on}");
-        assert_eq!(got_stats, want_stats, "pass {pass} on column {on}");
-        if on == 0 {
-            assert!(!got.expect("proposes").actions.is_empty(), "column a pays");
+        let at = format!("pass {pass} on column {column}, reversed: {reversed}");
+        assert_eq!(got, want, "{at}");
+        assert_eq!(got_stats, want_stats, "{at}");
+        out.push((got.expect("proposes"), moved));
+    }
+    out
+}
+
+/// A candidate list that changes content at an unchanged length, base,
+/// catalog, cache and query set is priced afresh: the kept prices belong
+/// to other candidates. The tuner that keeps prices proposes and counts
+/// like one built afresh every pass.
+#[test]
+fn a_changed_candidate_list_is_priced_afresh() {
+    let passes = [(1, false), (1, false), (1, false), (0, false), (0, false)];
+    for (pass, (proposal, moved)) in switched_passes(&passes).into_iter().enumerate() {
+        if passes[pass].0 == 0 {
+            assert!(!proposal.actions.is_empty(), "column a pays");
         } else if pass > 0 {
-            assert!(did_settle, "pass {pass}: nothing changed on column b");
+            assert!(moved, "pass {pass}: nothing changed on column b");
+        }
+    }
+}
+
+/// The same four actions in reverse order keep every price: the pass is
+/// priced wholly from kept prices, and the tuner that keeps them still
+/// proposes and counts like one built afresh.
+#[test]
+fn a_reordered_candidate_list_reuses_every_kept_price() {
+    let passes = [(1, false), (1, true), (1, false)];
+    for (pass, (proposal, moved)) in switched_passes(&passes).into_iter().enumerate() {
+        assert!(proposal.actions.is_empty(), "nothing pays on column b");
+        if pass > 0 {
+            assert!(moved, "pass {pass}: the reordered list was priced afresh");
         }
     }
 }
