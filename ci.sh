@@ -6,7 +6,7 @@
 #
 #   ./ci.sh               # full gate (build, tests, benchmark/ package
 #                         # build + tests + a 3 s shift_durable smoke run,
-#                         # lint, bench + gate)
+#                         # experiment e8, lint, bench + gate)
 #   ./ci.sh quick         # release build + tuning experiments + soak
 #                         # + concurrency audit -> target/ci/BENCH_*.json
 #                         # and AUDIT_concurrency.json, gated vs committed
@@ -159,6 +159,10 @@ smoke_benchmark_recovery() { # exit code only: the frozen harness's recovery che
     benchmark/run.sh --workload shift_durable --seconds 3 >/dev/null
 }
 
+run_e8() { # exit code only: E8 is the one non-test caller of the clustered predictor
+    cargo run --release -q -p smdb-bench --bin experiments -- e8
+}
+
 run_gate() { # candidate dir
     cargo run --release -q -p smdb-bench --bin bench_gate -- \
         --runtime BENCH_runtime.json "$1/BENCH_runtime.json" \
@@ -236,6 +240,7 @@ full)
     step "cargo test --release (predicate suites)" release_predicate_suites
     step "benchmark builds + tests" check_benchmark_builds
     step "benchmark recovery smoke" smoke_benchmark_recovery
+    step "experiment e8 (clustered predictor)" run_e8
     fresh_bench_and_gate
     step "smdb-lint" cargo run -q -p smdb-lint
     step "smdb-lint --audit-lp" cargo run -q -p smdb-lint -- --audit-lp

@@ -9,7 +9,6 @@ use smdb_common::{seeded_rng, LogicalTime};
 use smdb_core::tuner::standard_tuner;
 use smdb_core::{ConstraintSet, FeatureKind};
 use smdb_cost::WhatIf;
-use smdb_forecast::analyzers::MovingAverage;
 use smdb_forecast::{PredictorConfig, WorkloadHistory, WorkloadPredictor};
 use smdb_query::{PlanCache, Query};
 use smdb_storage::{Aggregate, AggregateOp, ConfigInstance, PredicateOp, ScanPredicate};
@@ -77,14 +76,11 @@ pub fn run() {
     };
 
     // Reference: uncompressed expected workload cost estimate.
-    let reference_forecast = WorkloadPredictor::new(
-        Box::new(MovingAverage::new(4)),
-        PredictorConfig {
-            clusters: None,
-            samples: 0,
-            ..PredictorConfig::default()
-        },
-    )
+    let reference_forecast = WorkloadPredictor::new(PredictorConfig {
+        clusters: None,
+        samples: 0,
+        ..PredictorConfig::default()
+    })
     .predict(&history);
     let reference_cost = what_if
         .workload_cost(
@@ -105,15 +101,11 @@ pub fn run() {
     ]);
 
     for k in [None, Some(64), Some(16), Some(4)] {
-        let predictor = WorkloadPredictor::new(
-            Box::new(MovingAverage::new(4)),
-            PredictorConfig {
-                clusters: k,
-                samples: 0,
-                seed: DEFAULT_SEED,
-                ..PredictorConfig::default()
-            },
-        );
+        let predictor = WorkloadPredictor::new(PredictorConfig {
+            clusters: k,
+            samples: 0,
+            seed: DEFAULT_SEED,
+        });
         let start = Instant::now();
         let forecast = predictor.predict(&history);
         let predict_ms = start.elapsed().as_secs_f64() * 1000.0;

@@ -14,9 +14,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use smdb_common::{Cost, Error, LogicalTime, Result};
 use smdb_cost::{CalibratedCostModel, CostEstimator, WhatIf};
-use smdb_forecast::{
-    ForecastSet, PredictorConfig, WorkloadAnalyzer, WorkloadHistory, WorkloadPredictor,
-};
+use smdb_forecast::{ForecastSet, PredictorConfig, WorkloadHistory, WorkloadPredictor};
 use smdb_obs::metrics::Counter;
 use smdb_obs::{span, FlightRecorder, TrailEvent};
 use smdb_query::{Database, Query, SessionStats};
@@ -935,7 +933,6 @@ fn queued_decision(state: &ServingState) -> Result<Option<QueuedDecision>> {
 /// Builder wiring the driver's exchangeable components.
 pub struct DriverBuilder {
     db: Arc<Database>,
-    analyzer: Box<dyn WorkloadAnalyzer>,
     estimator: Option<Arc<dyn CostEstimator>>,
     calibrated: Option<Arc<CalibratedCostModel>>,
     features: Vec<FeatureKind>,
@@ -952,7 +949,6 @@ impl DriverBuilder {
     fn new(db: Arc<Database>) -> Self {
         DriverBuilder {
             db,
-            analyzer: Box::new(smdb_forecast::analyzers::MovingAverage::new(4)),
             estimator: None,
             calibrated: None,
             features: vec![FeatureKind::Indexing, FeatureKind::Compression],
@@ -964,12 +960,6 @@ impl DriverBuilder {
             recorder: None,
             durability: None,
         }
-    }
-
-    /// Sets the workload analyzer.
-    pub fn analyzer(mut self, analyzer: Box<dyn WorkloadAnalyzer>) -> Self {
-        self.analyzer = analyzer;
-        self
     }
 
     /// Uses a fixed cost estimator (e.g. the logical model).
@@ -1052,7 +1042,7 @@ impl DriverBuilder {
         Driver {
             db: self.db,
             history: Mutex::new(WorkloadHistory::new()),
-            predictor: WorkloadPredictor::new(self.analyzer, PredictorConfig::default()),
+            predictor: WorkloadPredictor::new(PredictorConfig::default()),
             multi: MultiFeatureTuner::new(tuners, what_if),
             organizer: Organizer::new(self.organizer_config),
             kpis: KpiCollector::new(self.kpi_bucket_capacity),

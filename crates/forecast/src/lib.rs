@@ -10,25 +10,19 @@
 //!    feature vectors ("similar queries can be combined to reduce the
 //!    number of queries that have to be processed"), the workload
 //!    compression evaluated in experiment E8.
-//! 3. **Workload analysis** ([`analyzer`], [`analyzers`]): exchangeable
-//!    forecasting methods — last-value, moving average, linear-regression
-//!    trend, seasonal decomposition, autoregressive AR(p) via
-//!    Yule-Walker — matching the paper's list ("simple linear
-//!    regressions, time series analysis (cf. ARIMA)").
+//! 3. **Workload analysis** ([`predictor`]): one forecaster, the mean of
+//!    each series' trailing four buckets, with the spread of its
+//!    one-step backtest residuals as the uncertainty.
 //! 4. **Scenario generation** ([`scenario`], [`predictor`]): the
 //!    predictor emits not just the expected workload but a distribution
 //!    of scenarios (expected / worst-case / sampled) "to allow the
 //!    computation of robust configurations".
 
-pub mod accuracy;
-pub mod analyzer;
-pub mod analyzers;
 pub mod cluster;
 pub mod history;
 pub mod predictor;
 pub mod scenario;
 
-pub use analyzer::WorkloadAnalyzer;
 pub use history::{TemplateHistory, WorkloadHistory, WorkloadHistoryState};
 pub use predictor::{PredictorConfig, WorkloadPredictor};
 pub use scenario::{ForecastSet, ScenarioKind, WorkloadScenario};

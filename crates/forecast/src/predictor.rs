@@ -1,5 +1,9 @@
-//! The workload predictor: history → (clustering) → analyzer →
+//! The workload predictor: history → (clustering) → forecast →
 //! scenarios.
+//!
+//! Each unit's expected weight is the mean of its trailing
+//! [`WINDOW`] buckets; its uncertainty is the sample deviation of the
+//! one-step backtest residuals of that same forecast.
 //!
 //! `predict` is incremental on the unclustered path: it reads each
 //! template's dense series from the history and keeps the one-step
@@ -18,43 +22,59 @@ use rand::RngExt;
 use smdb_common::seeded_rng;
 use smdb_query::{Query, Workload};
 
-use crate::analyzer::{residual_std, WorkloadAnalyzer};
 use crate::cluster::cluster_templates;
 use crate::history::WorkloadHistory;
 use crate::scenario::{ForecastSet, ScenarioKind, WorkloadScenario};
 
+/// Buckets the moving-average forecast averages over.
+const WINDOW: usize = 4;
+/// Worst-case inflation in residual standard deviations.
+const WORST_CASE_SIGMAS: f64 = 2.0;
+/// Probability mass of the expected scenario; the rest is split between
+/// worst case and samples.
+const EXPECTED_PROBABILITY: f64 = 0.6;
+/// Minimum training prefix for backtest residuals.
+const MIN_TRAIN: usize = 3;
+
 /// Predictor configuration.
 pub struct PredictorConfig {
-    /// Forecast horizon in buckets; per-template weights are the summed
-    /// forecast counts over the horizon.
-    pub horizon: usize,
     /// Cluster count for workload compression; `None` disables clustering.
     pub clusters: Option<usize>,
     /// Sampled scenarios to generate besides expected and worst case.
     pub samples: usize,
-    /// Worst-case inflation in residual standard deviations.
-    pub worst_case_sigmas: f64,
-    /// Probability mass of the expected scenario; the rest is split
-    /// between worst case and samples.
-    pub expected_probability: f64,
     /// Seed for sampling noise and clustering.
     pub seed: u64,
-    /// Minimum training prefix for backtest residuals.
-    pub min_train: usize,
 }
 
 impl Default for PredictorConfig {
     fn default() -> Self {
         PredictorConfig {
-            horizon: 1,
             clusters: None,
             samples: 3,
-            worst_case_sigmas: 2.0,
-            expected_probability: 0.6,
             seed: 0xC0FFEE,
-            min_train: 3,
         }
     }
+}
+
+/// The one-step forecast: the mean of the trailing [`WINDOW`]
+/// observations, 0 for an empty series.
+fn forecast(series: &[f64]) -> f64 {
+    if series.is_empty() {
+        return 0.0;
+    }
+    let tail = &series[series.len().saturating_sub(WINDOW)..];
+    (tail.iter().sum::<f64>() / tail.len() as f64).max(0.0)
+}
+
+/// Sample standard deviation of residuals (0 for < 2 samples).
+fn residual_std(residuals: &[f64]) -> f64 {
+    if residuals.len() < 2 {
+        return 0.0;
+    }
+    let n = residuals.len() as f64;
+    let mean = residuals.iter().sum::<f64>() / n;
+    let var = residuals.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    var.sqrt()
 }
 
 /// One template's one-step backtest, kept across `predict` calls.
@@ -62,25 +82,25 @@ impl Default for PredictorConfig {
 struct Backtest {
     /// The series the residuals were computed over.
     seen: Vec<f64>,
-    /// `analyzer.backtest_residuals(&seen, min_train)`.
+    /// For each point `t >= MIN_TRAIN` of `seen`, `seen[t]` minus the
+    /// forecast from `seen[..t]`.
     residuals: Vec<f64>,
 }
 
 impl Backtest {
     /// Brings the backtest up to `series` — by the new points alone when
-    /// `seen` is a prefix of it — and returns the residuals.
-    fn extend(
-        &mut self,
-        analyzer: &dyn WorkloadAnalyzer,
-        series: &[f64],
-        min_train: usize,
-    ) -> &[f64] {
+    /// `seen` is a prefix of it — and returns the residuals. The
+    /// residual of point `t` reads only `series[..=t]`, so extending
+    /// gives the from-scratch vector bit for bit.
+    fn extend(&mut self, series: &[f64]) -> &[f64] {
         if !series.starts_with(&self.seen) {
             self.seen.clear();
             self.residuals.clear();
         }
-        let from = self.seen.len().max(min_train);
-        analyzer.extend_backtest_residuals(series, from, &mut self.residuals);
+        let from = self.seen.len().max(MIN_TRAIN);
+        for t in from..series.len() {
+            self.residuals.push(series[t] - forecast(&series[..t]));
+        }
         self.seen.extend_from_slice(&series[self.seen.len()..]);
         &self.residuals
     }
@@ -88,24 +108,22 @@ impl Backtest {
 
 /// The workload predictor component.
 pub struct WorkloadPredictor {
-    analyzer: Box<dyn WorkloadAnalyzer>,
     config: PredictorConfig,
     /// Backtests by template fingerprint (unclustered path only).
     backtests: Mutex<BTreeMap<u64, Backtest>>,
 }
 
 impl WorkloadPredictor {
-    /// Creates a predictor around an exchangeable analyzer.
-    pub fn new(analyzer: Box<dyn WorkloadAnalyzer>, config: PredictorConfig) -> Self {
+    /// Creates a predictor.
+    pub fn new(config: PredictorConfig) -> Self {
         WorkloadPredictor {
-            analyzer,
             config,
             backtests: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The backtest cache. A panic inside an analyzer may have left an
-    /// entry half-extended; the cache is derived, so drop it all.
+    /// The backtest cache. A panic mid-extension may have left an entry
+    /// half-extended; the cache is derived, so drop it all.
     fn backtests(&self) -> MutexGuard<'_, BTreeMap<u64, Backtest>> {
         self.backtests.lock().unwrap_or_else(|poisoned| {
             let mut cache = poisoned.into_inner();
@@ -114,21 +132,11 @@ impl WorkloadPredictor {
         })
     }
 
-    /// The analyzer's name (for experiment tables).
-    pub fn analyzer_name(&self) -> &str {
-        self.analyzer.name()
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PredictorConfig {
-        &self.config
-    }
-
     /// Produces the forecast scenario set from the observed history.
     ///
     /// Per template (or per cluster representative when compression is
-    /// on): forecast the next `horizon` buckets, sum to an expected
-    /// weight, and estimate uncertainty from one-step backtest residuals.
+    /// on): forecast the next bucket as the expected weight, and
+    /// estimate uncertainty from one-step backtest residuals.
     pub fn predict(&self, history: &WorkloadHistory) -> ForecastSet {
         let Some((lo, hi)) = history.span() else {
             return ForecastSet::default();
@@ -179,28 +187,20 @@ impl WorkloadPredictor {
         // Forecast each unit.
         let mut expected = Workload::default();
         let mut worst = Workload::default();
+        let mut weights: Vec<f64> = Vec::with_capacity(units.len());
         let mut sigmas: Vec<f64> = Vec::with_capacity(units.len());
         let mut backtests = self.backtests();
-        let (analyzer, min_train) = (self.analyzer.as_ref(), self.config.min_train);
         for unit in &units {
-            let forecast = self.analyzer.forecast(&unit.series, self.config.horizon);
-            let weight: f64 = forecast.iter().sum();
-            let residual_sigma = match unit.template {
-                Some(fp) => residual_std(backtests.entry(fp).or_default().extend(
-                    analyzer,
-                    &unit.series,
-                    min_train,
-                )),
-                None => residual_std(&analyzer.backtest_residuals(&unit.series, min_train)),
+            let weight = forecast(&unit.series);
+            let sigma = match unit.template {
+                Some(fp) => residual_std(backtests.entry(fp).or_default().extend(&unit.series)),
+                None => residual_std(Backtest::default().extend(&unit.series)),
             };
-            let sigma = residual_sigma * (self.config.horizon as f64).sqrt();
+            weights.push(weight);
             sigmas.push(sigma);
             if weight > 0.0 || sigma > 0.0 {
                 expected.push(unit.example.clone(), weight);
-                worst.push(
-                    unit.example.clone(),
-                    weight + self.config.worst_case_sigmas * sigma,
-                );
+                worst.push(unit.example.clone(), weight + WORST_CASE_SIGMAS * sigma);
             }
         }
         drop(backtests);
@@ -212,35 +212,31 @@ impl WorkloadPredictor {
         }
         let mut scenarios = vec![WorkloadScenario {
             kind: ScenarioKind::Expected,
-            name: format!("expected/{}", self.analyzer.name()),
-            probability: self.config.expected_probability,
-            workload: expected.clone(),
+            name: "expected/moving_average".to_owned(),
+            probability: EXPECTED_PROBABILITY,
+            workload: expected,
         }];
-        let rest = (1.0 - self.config.expected_probability).max(0.0);
+        let rest = (1.0 - EXPECTED_PROBABILITY).max(0.0);
         let worst_p = rest * 0.5;
         scenarios.push(WorkloadScenario {
             kind: ScenarioKind::WorstCase,
-            name: format!("worst_case/{:.1}sigma", self.config.worst_case_sigmas),
+            name: format!("worst_case/{WORST_CASE_SIGMAS:.1}sigma"),
             probability: worst_p,
             workload: worst,
         });
 
         // Sampled scenarios: expected weights + Gaussian-ish noise
-        // (sum of 4 uniforms, deterministic).
+        // (sum of 4 uniforms, deterministic). A unit missing from the
+        // expected scenario has weight 0, so it samples from 0 too.
         if self.config.samples > 0 {
             let sample_p = (rest - worst_p) / self.config.samples as f64;
             let mut rng = seeded_rng(self.config.seed ^ 0x5EED);
             for s in 0..self.config.samples {
                 let mut w = Workload::default();
                 for (i, unit) in units.iter().enumerate() {
-                    let base = expected
-                        .queries()
-                        .iter()
-                        .find(|wq| wq.query.fingerprint() == unit.example.fingerprint())
-                        .map_or(0.0, |wq| wq.weight);
                     let noise: f64 =
                         (0..4).map(|_| rng.random::<f64>() - 0.5).sum::<f64>() * sigmas[i] * 1.732; // var(sum of 4 U(-.5,.5)) = 1/3 → scale to σ²
-                    let sampled = (base + noise).max(0.0);
+                    let sampled = (weights[i] + noise).max(0.0);
                     if sampled > 0.0 {
                         w.push(unit.example.clone(), sampled);
                     }
@@ -263,7 +259,6 @@ impl WorkloadPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzers::{LastValue, LinearTrend};
     use smdb_common::{ColumnId, Cost, LogicalTime, TableId};
     use smdb_query::{PlanCache, Query};
     use smdb_storage::ScanPredicate;
@@ -293,9 +288,66 @@ mod tests {
     }
 
     #[test]
+    fn forecast_is_the_trailing_window_mean() {
+        assert_eq!(forecast(&[]), 0.0);
+        assert_eq!(forecast(&[5.0]), 5.0);
+        assert_eq!(forecast(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 4.5);
+    }
+
+    #[test]
+    fn backtest_produces_residuals() {
+        // t = 3: 4 − mean(4, 8, 0) = 0; t = 4: 12 − mean(4, 8, 0, 4) = 8;
+        // t = 5: 2 − mean(8, 0, 4, 12) = −4 (the window drops the 4).
+        let series = [4.0, 8.0, 0.0, 4.0, 12.0, 2.0];
+        let mut backtest = Backtest::default();
+        assert_eq!(backtest.extend(&series), [0.0, 8.0, -4.0]);
+        assert_eq!(Backtest::default().extend(&series[..3]), [] as [f64; 0]);
+    }
+
+    #[test]
+    fn residual_std_basics() {
+        assert_eq!(residual_std(&[]), 0.0);
+        assert_eq!(residual_std(&[1.0]), 0.0);
+        let s = residual_std(&[1.0, -1.0, 1.0, -1.0]);
+        assert!((s - (16.0f64 / 12.0).sqrt()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn predict_extends_kept_residuals_and_rebuilds_stale_ones() {
+        let buckets: [&[(u16, usize)]; 6] = [
+            &[(0, 10)],
+            &[(0, 2)],
+            &[(0, 12)],
+            &[(0, 3)],
+            &[(0, 9)],
+            &[(0, 6)],
+        ];
+        let fp = q(0, 0).fingerprint();
+        let p = WorkloadPredictor::new(PredictorConfig::default());
+        p.predict(&build_history(&buckets[..5]));
+        const SENTINEL: f64 = 1e9;
+        p.backtests().get_mut(&fp).unwrap().residuals[0] = SENTINEL;
+
+        // An extended history appends one residual and keeps the rest.
+        p.predict(&build_history(&buckets));
+        let kept = p.backtests().get(&fp).unwrap().residuals.clone();
+        assert_eq!(kept.len(), 3);
+        assert_eq!(kept[0], SENTINEL);
+
+        // A history that is not an extension rebuilds from scratch.
+        let mut other = buckets;
+        other[1] = &[(0, 7)];
+        let history = build_history(&other);
+        p.predict(&history);
+        let rebuilt = p.backtests().get(&fp).unwrap().residuals.clone();
+        let (_, _, series) = history.iter_dense().next().unwrap();
+        assert_eq!(rebuilt, Backtest::default().extend(series));
+    }
+
+    #[test]
     fn expected_scenario_reflects_stable_workload() {
         let hist = build_history(&[&[(0, 10), (1, 5)], &[(0, 10), (1, 5)], &[(0, 10), (1, 5)]]);
-        let p = WorkloadPredictor::new(Box::new(LastValue), PredictorConfig::default());
+        let p = WorkloadPredictor::new(PredictorConfig::default());
         let set = p.predict(&hist);
         let expected = set.expected().unwrap();
         assert_eq!(expected.workload.len(), 2);
@@ -310,21 +362,27 @@ mod tests {
             "{weights:?}"
         );
         assert!((set.total_probability() - 1.0).abs() < 1e-9);
+        // No residual spread, so no noise: every sample is the expected
+        // workload.
+        for sample in set.iter().filter(|s| s.kind == ScenarioKind::Sampled) {
+            let sampled: Vec<f64> = sample.workload.queries().iter().map(|w| w.weight).collect();
+            assert_eq!(sampled, weights);
+        }
     }
 
     #[test]
-    fn trend_analyzer_extrapolates_growth() {
-        let hist = build_history(&[&[(0, 2)], &[(0, 4)], &[(0, 6)], &[(0, 8)]]);
-        let p = WorkloadPredictor::new(Box::new(LinearTrend), PredictorConfig::default());
+    fn expected_weight_averages_the_last_four_buckets() {
+        let hist = build_history(&[&[(0, 2)], &[(0, 4)], &[(0, 6)], &[(0, 8)], &[(0, 10)]]);
+        let p = WorkloadPredictor::new(PredictorConfig::default());
         let set = p.predict(&hist);
         let w = set.expected().unwrap().workload.queries()[0].weight;
-        assert!((w - 10.0).abs() < 1e-6, "expected 10, got {w}");
+        assert_eq!(w, 7.0);
     }
 
     #[test]
     fn worst_case_at_least_expected() {
         let hist = build_history(&[&[(0, 10)], &[(0, 2)], &[(0, 12)], &[(0, 3)], &[(0, 9)]]);
-        let p = WorkloadPredictor::new(Box::new(LastValue), PredictorConfig::default());
+        let p = WorkloadPredictor::new(PredictorConfig::default());
         let set = p.predict(&hist);
         let e = set.expected().unwrap().workload.total_weight();
         let w = set.worst_case().unwrap().workload.total_weight();
@@ -341,7 +399,7 @@ mod tests {
             clusters: Some(2),
             ..PredictorConfig::default()
         };
-        let p = WorkloadPredictor::new(Box::new(LastValue), config);
+        let p = WorkloadPredictor::new(config);
         let set = p.predict(&hist);
         let expected = set.expected().unwrap();
         assert!(expected.workload.len() <= 2);
@@ -353,15 +411,15 @@ mod tests {
     #[test]
     fn empty_history_empty_forecast() {
         let hist = WorkloadHistory::new();
-        let p = WorkloadPredictor::new(Box::new(LastValue), PredictorConfig::default());
+        let p = WorkloadPredictor::new(PredictorConfig::default());
         assert!(p.predict(&hist).is_empty());
     }
 
     #[test]
     fn deterministic_sampling() {
         let hist = build_history(&[&[(0, 5)], &[(0, 7)], &[(0, 6)]]);
-        let p1 = WorkloadPredictor::new(Box::new(LastValue), PredictorConfig::default());
-        let p2 = WorkloadPredictor::new(Box::new(LastValue), PredictorConfig::default());
+        let p1 = WorkloadPredictor::new(PredictorConfig::default());
+        let p2 = WorkloadPredictor::new(PredictorConfig::default());
         let a = p1.predict(&hist);
         let b = p2.predict(&hist);
         for (x, y) in a.iter().zip(b.iter()) {

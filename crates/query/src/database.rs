@@ -101,6 +101,8 @@ impl Database {
     /// sets the morsel granularity. Results are bit-identical either way;
     /// only the simulated latency model changes.
     pub fn set_scan_pool(&self, pool: Option<Arc<ScanPool>>, morsel_chunks: usize) {
+        // A scan racing this write uses either granularity, and results
+        // are identical for both. ordering: relaxed config write.
         self.morsel_chunks.store(morsel_chunks, Ordering::Relaxed);
         *self.scan_pool.write() = pool;
     }
@@ -112,8 +114,8 @@ impl Database {
 
     /// Chunks per morsel configured via [`Database::set_scan_pool`].
     pub fn morsel_chunks(&self) -> usize {
-        // ordering: relaxed config read; the value is a standalone
-        // granularity knob with no cross-field invariant.
+        // The value is a standalone knob with no cross-field invariant.
+        // ordering: relaxed config read.
         self.morsel_chunks.load(Ordering::Relaxed)
     }
 
@@ -169,21 +171,27 @@ impl Database {
     /// Turns workload monitoring (plan-cache recording) on or off.
     /// The overhead experiment compares query latency in both modes.
     pub fn set_monitoring(&self, on: bool) {
+        // A query racing the switch is recorded or not, and the flag
+        // publishes no other data. ordering: relaxed flag.
         self.monitoring.store(on, Ordering::Relaxed);
     }
 
     /// Whether monitoring is enabled.
     pub fn monitoring(&self) -> bool {
+        // ordering: relaxed flag read, as in `set_monitoring`.
         self.monitoring.load(Ordering::Relaxed)
     }
 
     /// Current logical time (bucket index).
     pub fn now(&self) -> LogicalTime {
+        // ordering: relaxed; the clock is a standalone counter.
         LogicalTime(self.clock.load(Ordering::Relaxed))
     }
 
     /// Advances the logical clock by one bucket and returns the new time.
     pub fn advance_time(&self) -> LogicalTime {
+        // The read-modify-write alone makes each advance unique, and the
+        // clock publishes no other data. ordering: relaxed.
         LogicalTime(self.clock.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
@@ -208,6 +216,7 @@ impl Database {
                     query.aggregate(),
                     query.group_by(),
                     pool,
+                    // ordering: relaxed config read, as in `morsel_chunks`.
                     self.morsel_chunks.load(Ordering::Relaxed),
                 )?,
                 _ => engine.scan_grouped(

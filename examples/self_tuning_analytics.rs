@@ -15,7 +15,6 @@ use smdb::core::driver::{Driver, OrderingPolicy};
 use smdb::core::organizer::OrganizerConfig;
 use smdb::core::{ConstraintSet, FeatureKind};
 use smdb::cost::CalibratedCostModel;
-use smdb::forecast::analyzers::MovingAverage;
 use smdb::query::Database;
 use smdb::storage::StorageEngine;
 use smdb::workload::generators::{point_heavy_mix, scan_heavy_mix};
@@ -34,7 +33,6 @@ fn main() {
     let model = Arc::new(CalibratedCostModel::new());
     let driver = Driver::builder(db.clone())
         .learned_estimator(model)
-        .analyzer(Box::new(MovingAverage::new(3)))
         .features(vec![
             FeatureKind::Indexing,
             FeatureKind::Compression,

@@ -10,7 +10,7 @@
 //! * [`storage`] — a Hyrise-like in-memory chunked column store,
 //! * [`query`] — queries, execution, and the query plan cache,
 //! * [`cost`] — logical and calibrated (learned) cost models, what-if costing,
-//! * [`forecast`] — the workload predictor (clustering, analyzers, scenarios),
+//! * [`forecast`] — the workload predictor (clustering, moving-average forecast, scenarios),
 //! * [`lp`] — simplex + branch-and-bound ILP and the feature-ordering model,
 //! * [`core`] — the framework itself (driver, organizer, tuner pipeline),
 //! * [`runtime`] — the online serving runtime (worker pool, background

@@ -1,41 +1,41 @@
-//! Property-based tests for the workload predictor: analyzers respect
-//! their contracts, histories diff plan-cache snapshots exactly, and
-//! clustering conserves weight.
+//! Property-based tests for the workload predictor: the forecast is the
+//! trailing moving average, histories diff plan-cache snapshots exactly,
+//! and clustering conserves weight.
 
 use proptest::prelude::*;
 
 use smdb::common::{ColumnId, Cost, LogicalTime, TableId};
-use smdb::forecast::analyzer::WorkloadAnalyzer;
-use smdb::forecast::analyzers::{AutoRegressive, LastValue, LinearTrend, MovingAverage, Seasonal};
 use smdb::forecast::cluster::cluster_templates;
 use smdb::forecast::{PredictorConfig, WorkloadHistory, WorkloadPredictor};
 use smdb::query::{PlanCache, Query};
 use smdb::storage::ScanPredicate;
 
-fn analyzers() -> Vec<Box<dyn WorkloadAnalyzer>> {
-    vec![
-        Box::new(LastValue),
-        Box::new(MovingAverage::new(3)),
-        Box::new(LinearTrend),
-        Box::new(Seasonal::new(4)),
-        Box::new(AutoRegressive::new(2)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn analyzer_contracts(
-        series in proptest::collection::vec(0.0f64..100.0, 0..40),
-        horizon in 0usize..6,
+    fn forecast_is_the_trailing_mean(
+        bucket_counts in proptest::collection::vec(0usize..12, 1..40),
     ) {
-        for a in analyzers() {
-            let f = a.forecast(&series, horizon);
-            prop_assert_eq!(f.len(), horizon, "{} horizon", a.name());
-            prop_assert!(f.iter().all(|v| v.is_finite() && *v >= 0.0),
-                "{} produced invalid forecast {f:?}", a.name());
+        let q = template(0);
+        let mut cache = PlanCache::default();
+        let mut hist = WorkloadHistory::new();
+        for (bucket, &count) in bucket_counts.iter().enumerate() {
+            for _ in 0..count {
+                cache.record(&q, Cost(1.0), LogicalTime(bucket as u64));
+            }
+            hist.observe(LogicalTime(bucket as u64), &cache.snapshot());
         }
+        let set = WorkloadPredictor::new(PredictorConfig::default()).predict(&hist);
+        for s in set.iter() {
+            prop_assert!(s.workload.queries().iter().all(|wq| wq.weight.is_finite() && wq.weight >= 0.0),
+                "{} has an invalid weight", s.name);
+        }
+        // The expected weight is the mean of the last four buckets.
+        let tail = &bucket_counts[bucket_counts.len().saturating_sub(4)..];
+        let mean = tail.iter().map(|&c| c as f64).sum::<f64>() / tail.len() as f64;
+        let weight = set.expected().map_or(0.0, |e| e.workload.total_weight());
+        prop_assert_eq!(weight.to_bits(), mean.to_bits());
     }
 
     #[test]
@@ -125,10 +125,8 @@ proptest! {
             }
             hist.observe(LogicalTime(bucket as u64), &cache.snapshot());
         }
-        let predictor = WorkloadPredictor::new(
-            Box::new(LastValue),
-            PredictorConfig { samples, ..PredictorConfig::default() },
-        );
+        let predictor =
+            WorkloadPredictor::new(PredictorConfig { samples, ..PredictorConfig::default() });
         let set = predictor.predict(&hist);
         prop_assert!(!set.is_empty());
         prop_assert!((set.total_probability() - 1.0).abs() < 1e-9);
@@ -141,9 +139,6 @@ proptest! {
 }
 
 // --- incremental predict == from-scratch predict ---------------------------
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use smdb::common::seeded_rng;
 use smdb::forecast::ForecastSet;
@@ -202,9 +197,11 @@ fn bits(set: &ForecastSet) -> Vec<String> {
 /// a from-scratch one: a fresh predictor (no backtests yet) over a
 /// history rebuilt from the exported sparse state (dense series
 /// re-derived from the bucket maps).
-fn incremental_matches_scratch(make: &dyn Fn() -> Box<dyn WorkloadAnalyzer>, buckets: u64) {
+#[test]
+fn incremental_predict_equals_from_scratch() {
+    let buckets = 500;
     let checkpoints = [1, 2, 3, 4, 5, 9, 40, 100];
-    let predictor = WorkloadPredictor::new(make(), PredictorConfig::default());
+    let predictor = WorkloadPredictor::new(PredictorConfig::default());
     let mut rng = seeded_rng(0xF0CA57);
     let mut cache = PlanCache::default();
     let mut hist = WorkloadHistory::new();
@@ -223,65 +220,8 @@ fn incremental_matches_scratch(make: &dyn Fn() -> Box<dyn WorkloadAnalyzer>, buc
         let incremental = predictor.predict(&hist);
         if check {
             let scratch_hist = WorkloadHistory::restore_state(hist.export_state());
-            let scratch =
-                WorkloadPredictor::new(make(), PredictorConfig::default()).predict(&scratch_hist);
-            assert_eq!(
-                bits(&incremental),
-                bits(&scratch),
-                "{} after {done} buckets",
-                predictor.analyzer_name()
-            );
+            let scratch = WorkloadPredictor::new(PredictorConfig::default()).predict(&scratch_hist);
+            assert_eq!(bits(&incremental), bits(&scratch), "after {done} buckets");
         }
     }
-}
-
-#[test]
-fn incremental_predict_equals_from_scratch_for_every_analyzer() {
-    let analyzers: Vec<Box<dyn Fn() -> Box<dyn WorkloadAnalyzer>>> = vec![
-        Box::new(|| Box::new(LastValue)),
-        Box::new(|| Box::new(MovingAverage::new(4))),
-        Box::new(|| Box::new(LinearTrend)),
-        Box::new(|| Box::new(Seasonal::new(12))),
-        Box::new(|| Box::new(AutoRegressive::new(2))),
-    ];
-    for make in &analyzers {
-        incremental_matches_scratch(make.as_ref(), 500);
-    }
-}
-
-/// Forwards to a moving average, counting `forecast` calls.
-struct Counting(Arc<AtomicUsize>);
-
-impl WorkloadAnalyzer for Counting {
-    fn name(&self) -> &str {
-        "counting"
-    }
-    fn forecast(&self, series: &[f64], horizon: usize) -> Vec<f64> {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        MovingAverage::new(4).forecast(series, horizon)
-    }
-}
-
-#[test]
-fn a_predict_costs_analyzer_calls_per_template_not_per_bucket() {
-    let calls = Arc::new(AtomicUsize::new(0));
-    let predictor = WorkloadPredictor::new(
-        Box::new(Counting(Arc::clone(&calls))),
-        PredictorConfig::default(),
-    );
-    let mut rng = seeded_rng(0xF0CA57);
-    let mut cache = PlanCache::default();
-    let mut hist = WorkloadHistory::new();
-    let mut last = 0;
-    for bucket in 0..500 {
-        record_bucket(&mut cache, &mut rng, bucket);
-        hist.observe(LogicalTime(bucket), &cache.snapshot());
-        let before = calls.load(Ordering::Relaxed);
-        predictor.predict(&hist);
-        last = calls.load(Ordering::Relaxed) - before;
-    }
-    // One forecast plus one new residual per template (from scratch it
-    // is one plus ~500 residuals per template).
-    assert_eq!(hist.len(), 3);
-    assert!(last <= 2 * hist.len(), "500th predict made {last} calls");
 }
