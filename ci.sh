@@ -143,7 +143,10 @@ count_crates_lines() { # the size number the north star judges by
 release_predicate_suites() { # overflow checks off: a wrapped bound is a wrong answer, not a panic
     cargo test --release -q --test storage_props &&
         cargo test --release -q -p smdb-bench --test kernel_props &&
-        cargo test --release -q -p smdb-storage --lib
+        cargo test --release -q -p smdb-storage --lib &&
+        cargo test --release -q --test parallel_scan_props &&
+        cargo test --release -q --test grouped_queries &&
+        cargo test --release -q --test grouped_partial_props
 }
 
 check_benchmark_builds() { # the frozen yardstick still compiles against the crates

@@ -259,8 +259,7 @@ impl KpiCollector {
     /// them is observable.
     pub fn end_bucket_accumulated(&self) -> BucketClose {
         let mut inner = self.inner.lock();
-        let mut bucket = std::mem::take(&mut inner.open);
-        bucket.sort_unstable_by(f64::total_cmp);
+        let bucket = sort_total(std::mem::take(&mut inner.open));
         let busy = Cost(bucket.iter().sum());
         let utilization = (busy.ms() / self.bucket_capacity.ms().max(1e-9)).max(0.0);
         inner.window = merge_runs(&inner.window, &bucket, true);
@@ -304,8 +303,7 @@ impl KpiCollector {
         let (mean_response, p95_response, p99_response) = if inner.open.is_empty() {
             window_stats(&inner.window, inner.closed_len)
         } else {
-            let mut open = inner.open.clone();
-            open.sort_unstable_by(f64::total_cmp);
+            let open = sort_total(inner.open.clone());
             let runs = merge_runs(&inner.window, &open, true);
             window_stats(&runs, inner.closed_len + open.len())
         };
@@ -408,6 +406,30 @@ smdb_durable::durable_struct!(KpiState {
     queries_total,
     utilization_stale
 });
+
+/// `samples` in `f64::total_cmp` order: the `u64` keys that order is
+/// defined by (a negative float's bits inverted, a positive float's sign
+/// bit set), sorted as integers and mapped back. Keys are distinct
+/// exactly when bits are, so this is the comparison sort's sequence bit
+/// for bit. The collects reuse the sample buffer.
+fn sort_total(samples: Vec<f64>) -> Vec<f64> {
+    const SIGN: u64 = 1 << 63;
+    let mut keys: Vec<u64> = samples
+        .into_iter()
+        .map(|x| {
+            let bits = x.to_bits();
+            if bits & SIGN == 0 {
+                bits | SIGN
+            } else {
+                !bits
+            }
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| f64::from_bits(if key & SIGN == 0 { !key } else { key ^ SIGN }))
+        .collect()
+}
 
 /// The 0-based rank of the `ceil(n·p)`-th smallest of `n > 0` samples —
 /// the rank rule `smdb_obs::metrics::Histogram::quantile` mirrors.
@@ -743,6 +765,38 @@ mod tests {
         for (close, sealed) in closes {
             assert_eq!(close.busy.ms(), sealed.iter().sum::<f64>());
             assert_eq!(close.queries, sealed.len() as u64);
+        }
+    }
+
+    proptest! {
+        /// The key sort gives the comparison sort's sequence bit for bit
+        /// on buckets mixing duplicates, ±0.0, subnormals, infinities,
+        /// NaN payloads of both signs and arbitrary bit patterns.
+        #[test]
+        fn key_sort_matches_the_total_cmp_sort(
+            picks in proptest::collection::vec((0usize..12, 0u64..=u64::MAX), 0..300),
+        ) {
+            let specials = [
+                0.0,
+                -0.0,
+                1.5,
+                -1.5,
+                f64::MIN_POSITIVE / 4.0,
+                -f64::MIN_POSITIVE / 8.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::from_bits(0x7ff8_0000_0000_0001),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            let bucket: Vec<f64> = picks
+                .iter()
+                .map(|&(i, bits)| specials.get(i).copied().unwrap_or(f64::from_bits(bits)))
+                .collect();
+            let mut reference = bucket.clone();
+            reference.sort_unstable_by(f64::total_cmp);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&sort_total(bucket)), bits(&reference));
         }
     }
 

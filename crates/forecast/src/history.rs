@@ -11,8 +11,15 @@
 //! the one new bucket per `observe`, so the predictor reads a slice
 //! instead of re-materialising the series per forecast. The dense series
 //! is derived state: never exported, rebuilt by `restore_state`.
+//!
+//! Each dense series carries a **stamp**, unique in the process, that
+//! changes whenever a point already in the series changes — a re-observed
+//! bucket, a rebuild after a bucket before the span, a restored history —
+//! and never when `observe` only appends. A reader that kept a prefix
+//! under the same stamp therefore still holds a prefix of the series.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use smdb_common::{Cost, LogicalTime};
 use smdb_query::{PlanCacheEntry, Query};
@@ -46,12 +53,31 @@ impl TemplateHistory {
     }
 }
 
+/// A stamp no dense series has carried before.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // ordering: only uniqueness matters; no other memory is published.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A template's history plus its derived dense series.
 #[derive(Debug)]
 struct Tracked {
     history: TemplateHistory,
     /// `history.series(lo, hi)` over the history's span, kept current.
     dense: Vec<f64>,
+    /// Changes whenever a point of `dense` changes after it was set.
+    stamp: u64,
+}
+
+impl Tracked {
+    fn new(history: TemplateHistory) -> Self {
+        Tracked {
+            history,
+            dense: Vec::new(),
+            stamp: fresh_stamp(),
+        }
+    }
 }
 
 /// Histories for all observed templates.
@@ -98,14 +124,13 @@ impl WorkloadHistory {
             self.last_totals
                 .insert(fp, (entry.executions, entry.total_cost));
 
-            let tracked = self.templates.entry(fp).or_insert_with(|| Tracked {
-                history: TemplateHistory {
+            let tracked = self.templates.entry(fp).or_insert_with(|| {
+                Tracked::new(TemplateHistory {
                     example: entry.example.clone(),
                     buckets: BTreeMap::new(),
                     mean_cost: Cost::ZERO,
                     total: 0.0,
-                },
-                dense: Vec::new(),
+                })
             });
             let hist = &mut tracked.history;
             if delta_exec > 0 {
@@ -124,8 +149,12 @@ impl WorkloadHistory {
         let (len, at) = ((hi - lo) as usize, (bucket - lo) as usize);
         // det: each template is updated independently of visit order.
         for tracked in self.templates.values_mut() {
+            let set = tracked.dense.len();
             tracked.dense.resize(len, 0.0);
             if let Some(&count) = tracked.history.buckets.get(&bucket) {
+                if at < set && tracked.dense[at].to_bits() != count.to_bits() {
+                    tracked.stamp = fresh_stamp();
+                }
                 tracked.dense[at] = count;
             }
         }
@@ -137,6 +166,7 @@ impl WorkloadHistory {
         // det: each template is rebuilt independently of visit order.
         for tracked in self.templates.values_mut() {
             tracked.dense = tracked.history.series(lo, hi);
+            tracked.stamp = fresh_stamp();
         }
     }
 
@@ -162,18 +192,24 @@ impl WorkloadHistory {
 
     /// Iterates over `(fingerprint, history)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &TemplateHistory)> {
-        self.iter_dense().map(|(fp, history, _)| (fp, history))
+        self.iter_dense().map(|(fp, history, _, _)| (fp, history))
     }
 
     /// Like [`Self::iter`], with each template's dense count series over
-    /// [`Self::span`] (equal to `history.series(lo, hi)`, not rebuilt).
-    pub fn iter_dense(&self) -> impl Iterator<Item = (u64, &TemplateHistory, &[f64])> {
+    /// [`Self::span`] (equal to `history.series(lo, hi)`, not rebuilt)
+    /// and the series' stamp (see the module docs).
+    pub fn iter_dense(&self) -> impl Iterator<Item = (u64, &TemplateHistory, &[f64], u64)> {
         let mut keys: Vec<u64> = self.templates.keys().copied().collect();
         keys.sort_unstable();
         keys.into_iter().map(move |k| {
             let tracked = &self.templates[&k];
-            (k, &tracked.history, tracked.dense.as_slice())
+            (k, &tracked.history, tracked.dense.as_slice(), tracked.stamp)
         })
+    }
+
+    /// One template's dense count series over [`Self::span`].
+    pub fn dense(&self, fingerprint: u64) -> Option<&[f64]> {
+        self.templates.get(&fingerprint).map(|t| t.dense.as_slice())
     }
 
     /// The full history as a deterministic, serializable value (sorted by
@@ -205,15 +241,7 @@ impl WorkloadHistory {
             templates: state
                 .templates
                 .into_iter()
-                .map(|(fp, history)| {
-                    (
-                        fp,
-                        Tracked {
-                            history,
-                            dense: Vec::new(),
-                        },
-                    )
-                })
+                .map(|(fp, history)| (fp, Tracked::new(history)))
                 .collect(),
             last_totals: state
                 .last_totals
@@ -324,7 +352,7 @@ mod tests {
     fn dense_series_mirror_the_sparse_buckets() {
         let check = |hist: &WorkloadHistory| {
             let (lo, hi) = hist.span().unwrap();
-            for (_, th, dense) in hist.iter_dense() {
+            for (_, th, dense, _) in hist.iter_dense() {
                 assert_eq!(dense, th.series(lo, hi));
             }
         };

@@ -191,37 +191,55 @@ fn bits(set: &ForecastSet) -> Vec<String> {
         .collect()
 }
 
-/// Drives one long-lived predictor over a seeded `buckets`-bucket
-/// history — predicting every bucket, exporting and restoring the
-/// history half-way — and at each checkpoint compares its forecast with
-/// a from-scratch one: a fresh predictor (no backtests yet) over a
-/// history rebuilt from the exported sparse state (dense series
-/// re-derived from the bucket maps).
+/// Drives one long-lived predictor over a seeded 5,000-bucket history,
+/// predicting every bucket, and compares every forecast bit for bit with
+/// a fresh predictor's (no backtests yet) over the same history. Three
+/// events change points the long-lived predictor already read: a bucket
+/// observed twice, an export/restore of the history, and an observation
+/// below the span's first bucket (every dense series shifts). Around
+/// them, and at a few checkpoints, the forecast is also compared with a
+/// fresh predictor's over a history rebuilt from the exported sparse
+/// state (dense series re-derived from the bucket maps).
 #[test]
 fn incremental_predict_equals_from_scratch() {
-    let buckets = 500;
-    let checkpoints = [1, 2, 3, 4, 5, 9, 40, 100];
+    let buckets = 5_000;
+    // The stream starts here, so a later observation can fall below it.
+    let first = 8;
+    let (twice, restore, below) = (1_500, 2_500, 3_500);
+    let checkpoints = [1, 2, 3, 4, 5, 9, 40, 100, 300, buckets];
     let predictor = WorkloadPredictor::new(PredictorConfig::default());
     let mut rng = seeded_rng(0xF0CA57);
     let mut cache = PlanCache::default();
     let mut hist = WorkloadHistory::new();
-    for bucket in 0..buckets {
+    for done in 1..=buckets {
+        let bucket = first + done - 1;
+        if done == twice + 1 {
+            // The bucket the last forecast read, observed again.
+            record_bucket(&mut cache, &mut rng, bucket - 1);
+            hist.observe(LogicalTime(bucket - 1), &cache.snapshot());
+        }
         record_bucket(&mut cache, &mut rng, bucket);
         hist.observe(LogicalTime(bucket), &cache.snapshot());
-        if bucket == buckets / 2 {
+        if done == restore {
             hist = WorkloadHistory::restore_state(hist.export_state());
         }
-        let done = bucket + 1;
-        let near_event = |at: u64| done + 1 >= at && done <= at + 2;
-        let check = checkpoints.contains(&done)
-            || near_event(buckets / 2)
-            || near_event(300)
-            || done == buckets;
+        if done == below {
+            record_bucket(&mut cache, &mut rng, first - 5);
+            hist.observe(LogicalTime(first - 5), &cache.snapshot());
+            assert_eq!(hist.span().map(|(lo, _)| lo), Some(first - 5));
+        }
         let incremental = predictor.predict(&hist);
-        if check {
+        let fresh = WorkloadPredictor::new(PredictorConfig::default()).predict(&hist);
+        assert_eq!(bits(&incremental), bits(&fresh), "after {done} buckets");
+        let near_event = |at: u64| done + 1 >= at && done <= at + 2;
+        if checkpoints.contains(&done) || [twice + 1, restore, below].into_iter().any(near_event) {
             let scratch_hist = WorkloadHistory::restore_state(hist.export_state());
             let scratch = WorkloadPredictor::new(PredictorConfig::default()).predict(&scratch_hist);
-            assert_eq!(bits(&incremental), bits(&scratch), "after {done} buckets");
+            assert_eq!(
+                bits(&incremental),
+                bits(&scratch),
+                "restored, after {done} buckets"
+            );
         }
     }
 }
