@@ -8,35 +8,43 @@
 //! A pass prices the base configuration once (`PricedBase`): the
 //! scenarios' *distinct* queries, each with its footprint and base cost,
 //! and per scenario its `(query, weight)` rows. A candidate's [`Price`]
-//! — the hypothetical cost of each distinct query it can affect, its
-//! permanent and its one-time cost — comes from patching the base
-//! [`ConfigContext`] in O(1) and looking up each affected distinct query
-//! once; the hypothetical [`ConfigInstance`] is built only if a lookup
-//! misses. Its desirability is then that price re-weighed by the pass's
-//! scenario rows.
+//! — `(distinct query, base − hypothetical ms)` for each distinct query
+//! it can affect, its permanent and its one-time cost — comes from
+//! patching the base [`ConfigContext`] in O(1) and looking up each
+//! affected distinct query once; the hypothetical [`ConfigInstance`] is
+//! built only if a lookup misses. Its desirability is then that price
+//! re-weighed by the pass's scenario rows, in row order.
 //!
 //! One pricing function gives every candidate of a pass its price, and
 //! three projections read it: [`WhatIfAssessor::assess`] builds
 //! assessments (the selector experiments and tests),
 //! [`WhatIfAssessor::reassess`] builds them for a subset against an
-//! updated base, and [`WhatIfAssessor::scores`] hands the tuner each
-//! candidate's expected desirability and budget weight — all the greedy
-//! selector reads of an assessment, in its float order — without
-//! building one.
+//! updated base, and [`WhatIfAssessor::scores`] hands the tuner the
+//! expected desirability and budget weight of each candidate greedy
+//! could still choose — all the greedy selector reads of an assessment,
+//! in its float order — without building one. A price with no positive
+//! saving cannot score above zero while every weight and probability is
+//! ≥ 0, and greedy drops every score that is not, so when one O(rows)
+//! check of the pass's weights holds, `scores` skips such a candidate
+//! unprojected (the sign certificate); when it fails, every candidate
+//! is projected.
 //!
 //! Prices do not move while the base configuration, the catalog, the
 //! estimator and the cache hold — only the forecast's weights do — so a
-//! full pass keeps them under that key (`MemoKey`), in its candidate
-//! order and indexed by action: the next pass reads a candidate's kept
-//! price wherever the enumerator now ranks it, and the memo starts over
-//! when the key changes. While the key
-//! holds, the memo holds the last full pass's candidates and no others,
-//! so it never outgrows one candidate list. A re-assessment neither
-//! reads nor keeps prices. Candidates whose lookups all hit are finished
-//! on the calling thread — a converged pass wakes and waits for no other
-//! thread — and only those that need the estimator fan out, in
-//! contiguous blocks over the storage scan pool (the workspace's
-//! designated thread seam) rather than ad-hoc threads.
+//! full pass keeps them under that key (`MemoKey`) in one flat memo:
+//! the actions, the fixed fields and the savings each in one array, in
+//! the pass's candidate order, indexed by action. The next pass reads a
+//! candidate's kept price wherever the enumerator now ranks it (the
+//! slot after the previous match first), leaves the memo as it is when
+//! it re-offers the same set in any order, and starts over when the key
+//! changes. While the key holds, the memo holds the last full pass's
+//! candidates and no others, so it never outgrows one candidate list. A
+//! re-assessment neither reads nor keeps prices. Candidates whose
+//! lookups all hit are finished on the calling thread — a converged
+//! pass wakes and waits for no other thread — and only those that need
+//! the estimator fan out, in contiguous blocks over the storage scan
+//! pool (the workspace's designated thread seam) rather than ad-hoc
+//! threads.
 
 use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
@@ -123,7 +131,7 @@ impl WhatIfAssessor {
         let priced = self.priced_base(engine, base, scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
         let (assessments, _) = self.priced(&priced, candidates, &all, true, |index, price| {
-            priced.assessment(index, price, self.confidence)
+            Some(priced.assessment(index, price, self.confidence))
         })?;
         Ok(assessments)
     }
@@ -144,27 +152,45 @@ impl WhatIfAssessor {
         let priced = self.priced_base(engine, base, scenarios)?;
         let (assessments, _) =
             self.priced(&priced, candidates, subset, false, |index, price| {
-                priced.assessment(index, price, self.confidence)
+                Some(priced.assessment(index, price, self.confidence))
             })?;
         Ok(assessments)
     }
 
-    /// Each candidate's `(expected desirability, budget weight)`, in
-    /// candidate order — what [`Self::assess`]'s assessments give, bit
-    /// for bit, without building them — and whether every price was
-    /// kept from an earlier pass.
+    /// What greedy selection reads of [`Self::assess`]'s assessments,
+    /// bit for bit, without building them, and the base's scenario costs
+    /// ([`Self::scenario_costs`] of `base`, off the pass's one context).
     pub fn scores(
         &self,
         engine: &StorageEngine,
         base: &ConfigInstance,
         scenarios: &ForecastSet,
         candidates: &[Candidate],
-    ) -> Result<(Vec<(f64, f64)>, bool)> {
+    ) -> Result<Scores> {
         let priced = self.priced_base(engine, base, scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
-        self.priced(&priced, candidates, &all, true, |_, price| {
-            let desirability = priced.expected_desirability(price);
-            (desirability, budget_weight(price.permanent_bytes))
+        let (open, all_kept) = self.priced(&priced, candidates, &all, true, |index, price| {
+            if priced.certifies && price.fixed.no_gain {
+                return None;
+            }
+            let desirability = priced.expected_desirability(price.deltas);
+            Some((
+                index,
+                desirability,
+                budget_weight(price.fixed.permanent_bytes),
+            ))
+        })?;
+        let workloads = scenarios.iter().map(|s| &s.workload);
+        let base_costs = self
+            .what_if
+            .price_workloads(engine, &priced.ctx, workloads, base)?
+            .costs()
+            .map(Cost::ms)
+            .collect();
+        Ok(Scores {
+            open,
+            all_kept,
+            base_costs,
         })
     }
 
@@ -204,10 +230,9 @@ impl WhatIfAssessor {
         };
 
         let mut lookups = CacheStats::default();
-        let mut costs = Vec::with_capacity(base.workloads.queries.len());
-        for q in &base.workloads.queries {
+        let mut deltas = Vec::new();
+        for (index, q) in base.workloads.queries.iter().enumerate() {
             if !delta.affects(&q.footprint, |t| base.nonhot_tables.contains(&t)) {
-                costs.push(None);
                 continue;
             }
             #[cfg(test)]
@@ -229,15 +254,16 @@ impl WhatIfAssessor {
                     }
                 }
             };
-            costs.push(Some(cost));
+            deltas.push((index, q.cost.ms() - cost.ms()));
         }
-        base.count_rows(&costs, lookups.misses, tally);
+        base.count_rows(&deltas, lookups.misses, tally);
 
-        Ok(Some(Price {
-            costs,
+        let fixed = Fixed {
             permanent_bytes: estimate_permanent_bytes(engine, config, action)?,
             one_time_cost: estimate_action_cost(engine, config, action)?,
-        }))
+            no_gain: no_gain(&deltas),
+        };
+        Ok(Some(Price { deltas, fixed }))
     }
 
     /// Prices the candidates at `indices` into the matching `out` slots,
@@ -261,26 +287,34 @@ impl WhatIfAssessor {
 
     /// The base configuration priced once for a pass: base context,
     /// per-query base costs and footprints, shared (read-only) by every
-    /// candidate worker.
+    /// candidate worker. The base is hashed here and nowhere else in
+    /// the pass.
     fn priced_base<'a>(
         &self,
         engine: &'a StorageEngine,
         base: &'a ConfigInstance,
         scenarios: &'a ForecastSet,
     ) -> Result<PricedBase<'a>> {
-        let ctx = self.what_if.config_context(engine, base);
+        let fingerprint = base.fingerprint();
+        let ctx = self.what_if.config_context(engine, base, fingerprint);
         let workloads = self.what_if.price_workloads(
             engine,
             &ctx,
             scenarios.iter().map(|s| &s.workload),
             base,
         )?;
+        let probabilities: Arc<[f64]> = scenarios.iter().map(|s| s.probability).collect();
+        // `>=` rejects NaN as well as every negative value; -0.0 passes.
+        let certifies = probabilities.iter().all(|&p| p >= 0.0)
+            && workloads.rows.iter().flatten().all(|&(_, w)| w >= 0.0);
         Ok(PricedBase {
             engine,
             config: base,
+            fingerprint,
             ctx,
             workloads,
-            probabilities: scenarios.iter().map(|s| s.probability).collect(),
+            probabilities,
+            certifies,
             nonhot_tables: base
                 .placements
                 .iter()
@@ -291,17 +325,17 @@ impl WhatIfAssessor {
     }
 
     /// The one pricing function: prices the candidates at `indices` and
-    /// projects each price, in order. With `keep` it reads the prices
-    /// kept under this pass's [`MemoKey`] by action and then keeps this
-    /// pass's (the flag tells whether every one was kept); without, it
-    /// touches neither.
+    /// projects each price, in order, keeping what `project` returns.
+    /// With `keep` it reads the prices kept under this pass's
+    /// [`MemoKey`] by action and then keeps this pass's (the flag tells
+    /// whether every one was kept); without, it touches neither.
     fn priced<T>(
         &self,
         priced: &PricedBase<'_>,
         candidates: &[Candidate],
         indices: &[usize],
         keep: bool,
-        project: impl Fn(usize, &Price) -> T,
+        mut project: impl FnMut(usize, PriceRef<'_>) -> Option<T>,
     ) -> Result<(Vec<T>, bool)> {
         let _span = smdb_obs::span!("assessor", "assess", { candidates: indices.len() });
         smdb_obs::metrics::counter("assessor.assess_calls").inc();
@@ -313,24 +347,34 @@ impl WhatIfAssessor {
             let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner()).take();
             memo.filter(|memo| memo.key == *key)
         });
-        let kept_prices = kept.as_ref().map_or(&[][..], |memo| &memo.prices[..]);
 
         // A kept price is found by action, wherever the candidate now
         // ranks; every row it re-costs would have looked up an entry the
         // pass that priced it left behind: all hits.
         let mut found: Vec<Option<usize>> = Vec::with_capacity(indices.len());
         let mut fresh: Vec<usize> = Vec::new();
-        let mut in_place = kept_prices.len() == indices.len();
-        let mut tally = CacheStats::default();
-        for (position, &index) in indices.iter().enumerate() {
+        let mut next = 0;
+        for &index in indices {
             let action = ActionKey::of(&candidates[index].action);
-            let at = kept.as_ref().and_then(|memo| memo.find(position, &action));
-            match at.and_then(|at| kept_prices.get(at)) {
-                Some((_, price)) => priced.count_rows(&price.costs, 0, &mut tally),
+            let at = kept.as_ref().and_then(|memo| memo.find(next, &action));
+            match at {
+                Some(at) => next = at + 1,
                 None => fresh.push(index),
             }
-            in_place &= at == Some(position);
             found.push(at);
+        }
+        let same_set = kept
+            .as_ref()
+            .is_some_and(|memo| fresh.is_empty() && memo.is_permuted_by(&found));
+        let mut tally = CacheStats::default();
+        match &kept {
+            Some(memo) if same_set => priced.count_reach(&memo.reach, &mut tally),
+            Some(memo) => {
+                for &at in found.iter().flatten() {
+                    priced.count_rows(memo.price(at).deltas, 0, &mut tally);
+                }
+            }
+            None => {}
         }
         self.what_if.record_lookups(tally);
         let mut failed = None;
@@ -350,28 +394,28 @@ impl WhatIfAssessor {
         // Kept and fresh prices alike are projected in candidate order.
         let mut projected = Vec::with_capacity(indices.len());
         let mut fresh_slots = fresh_prices.iter();
-        for (&index, at) in indices.iter().zip(&found) {
-            let price = match at {
-                Some(at) => kept_prices.get(*at).map(|(_, price)| price),
-                None => fresh_slots.next().and_then(Option::as_ref),
-            };
-            if let Some(price) = price {
-                projected.push(project(index, price));
+        for (&index, &at) in indices.iter().zip(&found) {
+            if let Some(price) = kept_or_fresh(kept.as_ref(), at, &mut fresh_slots) {
+                projected.extend(project(index, price));
             }
         }
         if let Some(key) = key {
-            // A pass that re-offered the kept list unchanged leaves the
-            // memo as it was; any other keeps its own prices, in order.
-            let memo = match kept {
-                Some(memo) if in_place => memo,
-                kept => {
-                    let actions = indices
-                        .iter()
-                        .map(|&index| ActionKey::of(&candidates[index].action));
-                    PriceMemo::rebuilt(key, kept, actions.zip(found), fresh_prices)
+            // A pass that re-offered the kept set, in any order, leaves
+            // the memo as it was; any other keeps its own prices, in
+            // order.
+            let memo = if same_set {
+                kept
+            } else {
+                let mut memo = PriceMemo::new(key, priced.workloads.queries.len());
+                let mut fresh_slots = fresh_prices.iter();
+                for (&index, &at) in indices.iter().zip(&found) {
+                    if let Some(price) = kept_or_fresh(kept.as_ref(), at, &mut fresh_slots) {
+                        memo.push(ActionKey::of(&candidates[index].action), price);
+                    }
                 }
+                Some(memo)
             };
-            *self.memo.lock().unwrap_or_else(|p| p.into_inner()) = Some(memo);
+            *self.memo.lock().unwrap_or_else(|p| p.into_inner()) = memo;
         }
         match failed {
             Some(e) => Err(e),
@@ -449,7 +493,7 @@ impl WhatIfAssessor {
             generation: self.what_if.cache_generation()?,
             version: self.what_if.estimator().version(),
             catalog_token: priced.engine.catalog_token(),
-            base: priced.config.fingerprint(),
+            base: priced.fingerprint,
             queries: priced
                 .workloads
                 .queries
@@ -458,6 +502,33 @@ impl WhatIfAssessor {
                 .collect(),
         })
     }
+}
+
+/// The price found `at` a slot of the kept memo, or else the next fresh
+/// one (`None` where that candidate failed).
+fn kept_or_fresh<'p>(
+    kept: Option<&'p PriceMemo>,
+    at: Option<usize>,
+    fresh: &mut impl Iterator<Item = &'p Option<Price>>,
+) -> Option<PriceRef<'p>> {
+    match (kept, at) {
+        (Some(memo), Some(at)) => Some(memo.price(at)),
+        _ => fresh.next().and_then(Option::as_ref).map(Price::view),
+    }
+}
+
+/// What [`WhatIfAssessor::scores`] hands the tuner.
+#[derive(Debug)]
+pub struct Scores {
+    /// `(candidate, expected desirability, budget weight)` of every
+    /// candidate greedy could choose, in candidate order. Under the sign
+    /// certificate a candidate whose price saves nothing on any query is
+    /// left out: its score cannot be positive.
+    pub open: Vec<(usize, f64, f64)>,
+    /// Whether every price was kept from an earlier pass.
+    pub all_kept: bool,
+    /// The base's estimated workload cost per scenario (ms).
+    pub base_costs: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -473,41 +544,48 @@ thread_local! {
 struct PricedBase<'a> {
     engine: &'a StorageEngine,
     config: &'a ConfigInstance,
+    /// `config.fingerprint()`.
+    fingerprint: u64,
     ctx: ConfigContext,
     /// The scenarios' distinct queries with their base costs, and each
     /// scenario's `(query, weight)` rows.
     workloads: PricedWorkloads<'a>,
     /// Scenario probabilities, shared by every assessment of the pass.
     probabilities: Arc<[f64]>,
+    /// Whether every probability and row weight is ≥ 0. Then a price
+    /// whose every saving is ≤ 0 (or NaN) sums to a per-scenario
+    /// desirability ≤ 0 (or NaN), and so to an expected one, which
+    /// greedy drops: the sign certificate.
+    certifies: bool,
     /// Tables owning a non-hot chunk under `config`: the blast radius of
     /// global (buffer-pressure) deltas.
     nonhot_tables: BTreeSet<TableId>,
 }
 
 impl PricedBase<'_> {
-    /// `price` re-weighed by this pass's scenarios: per scenario, the sum
-    /// of `weight · (base − hypothetical)` over the rows whose query the
-    /// candidate re-costs, in row order — the same terms in the same
-    /// order as a sum over every row, so bit-identical to it.
-    fn assessment(&self, index: usize, price: &Price, confidence: f64) -> Assessment {
+    /// `price` re-weighed by this pass's scenarios.
+    fn assessment(&self, index: usize, price: PriceRef<'_>, confidence: f64) -> Assessment {
         Assessment {
             candidate: index,
-            per_scenario: self.benefits(price).collect(),
+            per_scenario: self.benefits(price.deltas).collect(),
             probabilities: Arc::clone(&self.probabilities),
             confidence,
-            permanent_bytes: price.permanent_bytes,
-            one_time_cost: price.one_time_cost,
+            permanent_bytes: price.fixed.permanent_bytes,
+            one_time_cost: price.fixed.one_time_cost,
         }
     }
 
-    /// The per-scenario desirabilities of [`Self::assessment`].
-    fn benefits<'p>(&'p self, price: &'p Price) -> impl Iterator<Item = f64> + 'p {
-        let queries = &self.workloads.queries;
+    /// The per-scenario desirabilities of [`Self::assessment`]: per
+    /// scenario, the sum of `weight · (base − hypothetical)` over the
+    /// rows whose query the price reaches, in row order — the same terms
+    /// in the same order as a sum over every row, so bit-identical to
+    /// it.
+    fn benefits<'p>(&'p self, deltas: &'p [(usize, f64)]) -> impl Iterator<Item = f64> + 'p {
         self.workloads.rows.iter().map(move |rows| {
             let mut benefit = 0.0;
             for &(q, weight) in rows {
-                if let Some(cost) = price.costs[q] {
-                    benefit += (queries[q].cost.ms() - cost.ms()) * weight;
+                if let Ok(at) = deltas.binary_search_by_key(&q, |&(q, _)| q) {
+                    benefit += deltas[at].1 * weight;
                 }
             }
             benefit
@@ -516,8 +594,8 @@ impl PricedBase<'_> {
 
     /// The expected desirability of [`Self::assessment`], bit for bit,
     /// without building it.
-    fn expected_desirability(&self, price: &Price) -> f64 {
-        expected_desirability(self.benefits(price), &self.probabilities)
+    fn expected_desirability(&self, deltas: &[(usize, f64)]) -> f64 {
+        expected_desirability(self.benefits(deltas), &self.probabilities)
     }
 
     /// Counts a candidate's lookups per scenario *row*, as if each row
@@ -525,26 +603,64 @@ impl PricedBase<'_> {
     /// a hit except the `misses` its distinct queries' lookups took (a
     /// repeated row follows its query's first lookup, which left the
     /// entry behind).
-    fn count_rows(&self, costs: &[Option<Cost>], misses: u64, tally: &mut CacheStats) {
-        let rows: u64 = costs
-            .iter()
-            .zip(&self.workloads.queries)
-            .filter(|(cost, _)| cost.is_some())
-            .map(|(_, q)| q.rows)
-            .sum();
+    fn count_rows(&self, deltas: &[(usize, f64)], misses: u64, tally: &mut CacheStats) {
+        let queries = &self.workloads.queries;
+        let rows: u64 = deltas.iter().map(|&(q, _)| queries[q].rows).sum();
         tally.hits += rows - misses;
         tally.misses += misses;
+    }
+
+    /// [`Self::count_rows`] summed over a set of kept prices, from how
+    /// many of them reach each distinct query: all hits.
+    fn count_reach(&self, reach: &[u64], tally: &mut CacheStats) {
+        let queries = &self.workloads.queries;
+        tally.hits += reach
+            .iter()
+            .zip(queries)
+            .map(|(n, q)| n * q.rows)
+            .sum::<u64>();
     }
 }
 
 /// What a candidate costs against one base configuration: everything an
 /// assessment holds but the forecast's weights.
 struct Price {
-    /// Hypothetical cost of each distinct scenario query (aligned with
-    /// `PricedBase::workloads`), `None` where the action cannot reach it.
-    costs: Vec<Option<Cost>>,
+    /// `(distinct query, base − hypothetical ms)` for each distinct
+    /// query (an index into `PricedBase::workloads`) the action reaches,
+    /// in query order.
+    deltas: Vec<(usize, f64)>,
+    fixed: Fixed,
+}
+
+impl Price {
+    fn view(&self) -> PriceRef<'_> {
+        PriceRef {
+            deltas: &self.deltas,
+            fixed: self.fixed,
+        }
+    }
+}
+
+/// A price's fields besides its deltas.
+#[derive(Clone, Copy)]
+struct Fixed {
     permanent_bytes: i64,
     one_time_cost: Cost,
+    /// Whether no delta is positive ([`no_gain`]).
+    no_gain: bool,
+}
+
+/// A fresh or a kept price, read in place.
+#[derive(Clone, Copy)]
+struct PriceRef<'p> {
+    deltas: &'p [(usize, f64)],
+    fixed: Fixed,
+}
+
+/// Whether no delta is positive. A NaN delta is not: the NaN score it
+/// leads to is one greedy drops too.
+fn no_gain(deltas: &[(usize, f64)]) -> bool {
+    !deltas.iter().any(|&(_, d)| d > 0.0)
 }
 
 /// What a pass's prices were priced under. Equal keys mean equal prices
@@ -566,59 +682,79 @@ struct MemoKey {
     queries: Vec<u64>,
 }
 
-/// The last full pass's prices under one key: its candidates' actions
-/// and prices in its candidate order, and where each action's sits.
+/// The last full pass's prices under one key, flat: each price's
+/// action, fixed fields (with where its deltas end) and deltas, each in
+/// one array in that pass's candidate order.
 struct PriceMemo {
     key: MemoKey,
-    prices: Vec<(ActionKey, Price)>,
+    actions: Vec<ActionKey>,
+    heads: Vec<(Fixed, usize)>,
+    deltas: Vec<(usize, f64)>,
+    /// How many kept prices reach each distinct query.
+    reach: Vec<u64>,
+    /// Where each action's price sits.
     at: HashMap<ActionKey, usize>,
 }
 
 impl PriceMemo {
-    /// Where the price kept for `action` sits. The candidate's own
-    /// position is tried first: a converged pass mostly re-offers the
-    /// list it kept, and reading that in order stays sequential, where
-    /// looking every action up scatters its reads over a table the
-    /// queries between passes have pushed out of cache. Looking every
-    /// action up, even with a cheap hash, raised `events_mix`'s
-    /// `retune_p50_ms` (3,600 candidates a pass) by 43 %.
-    fn find(&self, position: usize, action: &ActionKey) -> Option<usize> {
-        match self.prices.get(position) {
-            Some((kept, _)) if kept == action => Some(position),
+    /// An empty memo for a pass over `queries` distinct queries.
+    fn new(key: MemoKey, queries: usize) -> PriceMemo {
+        PriceMemo {
+            key,
+            actions: Vec::new(),
+            heads: Vec::new(),
+            deltas: Vec::new(),
+            reach: vec![0; queries],
+            at: HashMap::new(),
+        }
+    }
+
+    /// Keeps `price` for `action`; an action offered twice keeps its
+    /// first price.
+    fn push(&mut self, action: ActionKey, price: PriceRef<'_>) {
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.at.entry(action) {
+            slot.insert(self.actions.len());
+            self.actions.push(action);
+            self.deltas.extend_from_slice(price.deltas);
+            self.heads.push((price.fixed, self.deltas.len()));
+            for &(q, _) in price.deltas {
+                self.reach[q] += 1;
+            }
+        }
+    }
+
+    /// The price kept in `slot`.
+    fn price(&self, slot: usize) -> PriceRef<'_> {
+        let start = slot.checked_sub(1).map_or(0, |prev| self.heads[prev].1);
+        let (fixed, end) = self.heads[slot];
+        PriceRef {
+            deltas: &self.deltas[start..end],
+            fixed,
+        }
+    }
+
+    /// Where the price kept for `action` sits, trying `slot` first: a
+    /// converged pass re-offers the list it kept, or (the index
+    /// enumerator re-ranking its columns) runs of it, so the slot after
+    /// the previous match mostly holds it, and reading in order stays
+    /// sequential where looking every action up scatters its reads over
+    /// a table the queries between passes have pushed out of cache.
+    /// Looking every action up, even with a cheap hash, raised
+    /// `events_mix`'s `retune_p50_ms` (3,600 candidates a pass) by 43 %.
+    fn find(&self, slot: usize, action: &ActionKey) -> Option<usize> {
+        match self.actions.get(slot) {
+            Some(kept) if kept == action => Some(slot),
             _ => self.at.get(action).copied(),
         }
     }
 
-    /// This pass's prices in its candidate order: each action with the
-    /// kept price found `at` its old position, or else the next fresh
-    /// one. It holds the last pass's candidates and no others.
-    fn rebuilt(
-        key: MemoKey,
-        kept: Option<PriceMemo>,
-        actions: impl Iterator<Item = (ActionKey, Option<usize>)>,
-        fresh: Vec<Option<Price>>,
-    ) -> PriceMemo {
-        let mut kept: Vec<Option<Price>> = kept.map_or_else(Vec::new, |memo| {
-            memo.prices
-                .into_iter()
-                .map(|(_, price)| Some(price))
-                .collect()
-        });
-        let mut fresh = fresh.into_iter();
-        let mut prices = Vec::with_capacity(actions.size_hint().0);
-        for (action, at) in actions {
-            let price = match at {
-                Some(at) => kept.get_mut(at).and_then(Option::take),
-                None => fresh.next().flatten(),
-            };
-            prices.extend(price.map(|price| (action, price)));
-        }
-        let at = prices
-            .iter()
-            .enumerate()
-            .map(|(position, (action, _))| (*action, position))
-            .collect();
-        PriceMemo { key, prices, at }
+    /// Whether `found` names every kept slot exactly once.
+    fn is_permuted_by(&self, found: &[Option<usize>]) -> bool {
+        let mut seen = vec![false; self.actions.len()];
+        found.len() == seen.len()
+            && found
+                .iter()
+                .all(|at| at.is_some_and(|at| !std::mem::replace(&mut seen[at], true)))
     }
 }
 
@@ -997,40 +1133,111 @@ mod tests {
         for forecast in [lined_up, ragged] {
             let assessor = assessor();
             let priced = assessor.priced_base(&engine, &base, &forecast).unwrap();
+            assert!(priced.certifies);
+            let mut certified = Vec::new();
             for (i, c) in candidates.iter().enumerate() {
                 let mut tally = CacheStats::default();
                 let price = assessor.price(&priced, &c.action, OnMiss::Estimate, &mut tally);
                 let price = price.unwrap().unwrap();
-                let want = priced.assessment(i, &price, 0.6).expected_desirability();
-                let got = priced.expected_desirability(&price);
+                let want = priced.assessment(i, price.view(), 0.6);
+                let got = priced.expected_desirability(&price.deltas);
+                let want = want.expected_desirability();
                 assert_eq!(got.to_bits(), want.to_bits(), "candidate {i}");
+                certified.push(price.fixed.no_gain);
+            }
+            // The logical model is encoding-blind: re-encoding saves
+            // nothing, and an index on the filtered column saves.
+            for (c, &certified) in candidates.iter().zip(&certified) {
+                let index = matches!(c.action, ConfigAction::CreateIndex { .. });
+                assert_eq!(certified, !index, "{c:?}");
             }
             // The tuner's scores, fresh and then kept, are the
-            // assessments' scalars.
+            // assessments' scalars, less those the sign certificate
+            // drops; the base costs are `scenario_costs`'.
             let assessed = assessor.assess(&engine, &base, &forecast, &candidates);
-            let want: Vec<(u64, u64)> = assessed
+            let want: Vec<(usize, u64, u64)> = assessed
                 .unwrap()
                 .iter()
                 .map(|a| {
                     (
+                        a.candidate,
                         a.expected_desirability().to_bits(),
                         a.budget_weight().to_bits(),
                     )
                 })
+                .filter(|&(i, d, _)| {
+                    assert!(!certified[i] || !(f64::from_bits(d) > 0.0));
+                    !certified[i]
+                })
                 .collect();
+            let base_costs = assessor.scenario_costs(&engine, &base, &forecast).unwrap();
             for kept in [false, true] {
                 let fresh = WhatIfAssessor::new(assessor.what_if.clone(), 0.6);
                 let scorer = if kept { &assessor } else { &fresh };
-                let (scores, all_kept) = scorer
+                let scores = scorer
                     .scores(&engine, &base, &forecast, &candidates)
                     .unwrap();
-                let got: Vec<(u64, u64)> = scores
+                let got: Vec<(usize, u64, u64)> = scores
+                    .open
                     .iter()
-                    .map(|&(d, w)| (d.to_bits(), w.to_bits()))
+                    .map(|&(i, d, w)| (i, d.to_bits(), w.to_bits()))
                     .collect();
-                assert_eq!((got, all_kept), (want.clone(), kept));
+                assert_eq!((got, scores.all_kept), (want.clone(), kept));
+                assert_eq!(scores.base_costs, base_costs);
             }
         }
+    }
+
+    /// A pass that re-offers the kept candidates in another order reads
+    /// every price from the memo and leaves the memo as it was; a pass
+    /// that drops one keeps its own list.
+    #[test]
+    fn a_permuted_pass_keeps_the_memo() {
+        let (engine, t) = setup();
+        let mut candidates = Vec::new();
+        for chunk in 0..4u32 {
+            let target = ChunkColumnRef::new(t.0, 0, chunk);
+            for kind in [IndexKind::Hash, IndexKind::BTree] {
+                let action = ConfigAction::CreateIndex { target, kind };
+                candidates.push(Candidate::new(action, None));
+            }
+            let kind = EncodingKind::Dictionary;
+            let action = ConfigAction::SetEncoding { target, kind };
+            candidates.push(Candidate::new(action, None));
+        }
+        let base = ConfigInstance::default();
+        let assessor = assessor();
+        let kept_order = |assessor: &WhatIfAssessor| {
+            let memo = assessor.memo.lock().unwrap();
+            memo.as_ref().map(|memo| memo.actions.clone()).unwrap()
+        };
+        let first = assessor
+            .scores(&engine, &base, &forecast(t), &candidates)
+            .unwrap();
+        assert!(!first.all_kept);
+        let order = kept_order(&assessor);
+        let mut permuted: Vec<Candidate> = candidates.chunks(3).rev().flatten().cloned().collect();
+        permuted.swap(0, 5);
+        let again = assessor
+            .scores(&engine, &base, &forecast(t), &permuted)
+            .unwrap();
+        assert!(again.all_kept);
+        assert!(kept_order(&assessor) == order, "the memo was rebuilt");
+        let score_of = |scores: &Scores, action: &ConfigAction, list: &[Candidate]| {
+            let at = scores.open.iter().find(|s| list[s.0].action == *action);
+            at.map(|&(_, d, w)| (d.to_bits(), w.to_bits()))
+        };
+        for c in &candidates {
+            let want = score_of(&first, &c.action, &candidates);
+            assert_eq!(score_of(&again, &c.action, &permuted), want);
+        }
+        let shorter = &permuted[1..];
+        let last = assessor
+            .scores(&engine, &base, &forecast(t), shorter)
+            .unwrap();
+        assert!(last.all_kept);
+        let keys: Vec<ActionKey> = shorter.iter().map(|c| ActionKey::of(&c.action)).collect();
+        assert!(kept_order(&assessor) == keys);
     }
 
     #[test]

@@ -301,11 +301,7 @@ impl Driver {
     pub fn close_bucket(&self) -> BucketReport {
         let _span = span!("driver", "close_bucket");
         let now = self.db.now();
-        {
-            let engine = self.db.engine();
-            self.kpis
-                .record_memory(engine.memory_report().total_bytes());
-        }
+        self.kpis.record_memory(self.db.engine().total_bytes());
         self.history
             .lock()
             .observe(now, self.db.plan_cache().entries());

@@ -58,22 +58,23 @@ pub(crate) fn greedy_by_score(
         input
             .assessments
             .iter()
-            .map(|a| (score(a), a.budget_weight())),
+            .enumerate()
+            .map(|(i, a)| (i, score(a), a.budget_weight())),
         input.memory_budget_bytes,
     )
 }
 
-/// [`greedy_by_score`] over each candidate's `(score, budget weight)`,
-/// in candidate order — the tuner's selection.
+/// [`greedy_by_score`] over `(candidate, score, budget weight)` triples
+/// — the tuner's selection. A candidate left out is never chosen, like
+/// one whose score is not positive.
 pub(crate) fn greedy_over(
     candidates: &[Candidate],
-    scored: impl Iterator<Item = (f64, f64)>,
+    scored: impl Iterator<Item = (usize, f64, f64)>,
     memory_budget_bytes: Option<i64>,
 ) -> Vec<usize> {
     let mut ranked: Vec<(usize, f64, f64, f64)> = scored
-        .enumerate()
-        .filter(|&(_, (s, _))| s > 0.0)
-        .map(|(i, (s, weight))| {
+        .filter(|&(_, s, _)| s > 0.0)
+        .map(|(i, s, weight)| {
             // Ratio for budgeted problems; plain score when free.
             let ratio = if weight > 0.0 {
                 s / weight
@@ -89,23 +90,32 @@ pub(crate) fn greedy_over(
             .then(a.0.cmp(&b.0))
     });
 
+    // The exclusive groups the ranked candidates name, sorted, each with
+    // whether a chosen candidate took it.
+    let mut groups: Vec<(u64, bool)> = ranked
+        .iter()
+        .filter_map(|&(i, ..)| candidates[i].exclusive_group)
+        .map(|g| (g, false))
+        .collect();
+    groups.sort_unstable();
+    groups.dedup();
     let mut chosen = Vec::new();
-    let mut used_groups = std::collections::HashSet::new();
     let mut used_bytes = 0.0f64;
     let budget = memory_budget_bytes.map(|b| b as f64);
     for (i, _, _, w) in ranked {
-        if let Some(g) = candidates[i].exclusive_group {
-            if used_groups.contains(&g) {
-                continue;
-            }
+        let group = candidates[i]
+            .exclusive_group
+            .and_then(|g| groups.binary_search_by_key(&g, |&(g, _)| g).ok());
+        if group.is_some_and(|at| groups[at].1) {
+            continue;
         }
         if let Some(b) = budget {
             if used_bytes + w > b + 1e-6 {
                 continue;
             }
         }
-        if let Some(g) = candidates[i].exclusive_group {
-            used_groups.insert(g);
+        if let Some(at) = group {
+            groups[at].1 = true;
         }
         used_bytes += w;
         chosen.push(i);
@@ -214,5 +224,81 @@ mod tests {
         assert!(!chosen.contains(&1));
         assert!(!chosen.contains(&2));
         assert!(!chosen.contains(&3), "budget exhausted by 0");
+    }
+
+    /// The selection `greedy_over` made with a `HashSet` of taken groups.
+    fn greedy_with_hash_set(
+        candidates: &[Candidate],
+        scored: &[(usize, f64, f64)],
+        memory_budget_bytes: Option<i64>,
+    ) -> Vec<usize> {
+        let mut ranked: Vec<(usize, f64, f64, f64)> = scored
+            .iter()
+            .filter(|&&(_, s, _)| s > 0.0)
+            .map(|&(i, s, w)| (i, s, if w > 0.0 { s / w } else { f64::INFINITY }, w))
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.2.total_cmp(&a.2)
+                .then(b.1.total_cmp(&a.1))
+                .then(a.0.cmp(&b.0))
+        });
+        let mut chosen = Vec::new();
+        let mut used_groups = std::collections::HashSet::new();
+        let mut used_bytes = 0.0f64;
+        let budget = memory_budget_bytes.map(|b| b as f64);
+        for (i, _, _, w) in ranked {
+            if let Some(g) = candidates[i].exclusive_group {
+                if used_groups.contains(&g) {
+                    continue;
+                }
+            }
+            if let Some(b) = budget {
+                if used_bytes + w > b + 1e-6 {
+                    continue;
+                }
+            }
+            if let Some(g) = candidates[i].exclusive_group {
+                used_groups.insert(g);
+            }
+            used_bytes += w;
+            chosen.push(i);
+        }
+        chosen
+    }
+
+    /// The sorted group table chooses what the hash set chose, over
+    /// random lists with tied scores and ratios, free and costly
+    /// candidates, few groups shared by many candidates (including
+    /// `u64::MAX`), binding and slack budgets, and candidates left out.
+    #[test]
+    fn group_table_matches_the_hash_set() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for case in 0..2_000 {
+            let n = rng.random_range(0..24);
+            let spec: Vec<(f64, i64, Option<u64>)> = (0..n)
+                .map(|_| {
+                    let score = [-1.0, 0.0, -0.0, 1.0, 2.0, 4.0][rng.random_range(0..6)];
+                    let bytes = [-10, 0, 10, 20, 40][rng.random_range(0..5)];
+                    let group = match rng.random_range(0..5) {
+                        0 => None,
+                        1 => Some(u64::MAX),
+                        _ => Some(rng.random_range(0..4) * 1_000_003),
+                    };
+                    (score, bytes, group)
+                })
+                .collect();
+            let (candidates, assessments) = fixture(&spec);
+            let scored: Vec<(usize, f64, f64)> = assessments
+                .iter()
+                .enumerate()
+                .filter(|_| rng.random_range(0..8) > 0)
+                .map(|(i, a)| (i, a.expected_desirability(), a.budget_weight()))
+                .collect();
+            let budget = [None, Some(0), Some(25), Some(60)][rng.random_range(0..4)];
+            let got = greedy_over(&candidates, scored.iter().copied(), budget);
+            let want = greedy_with_hash_set(&candidates, &scored, budget);
+            assert_eq!(got, want, "case {case}: {spec:?} {budget:?}");
+        }
     }
 }

@@ -11,7 +11,8 @@
 //! diff against the base. An empty diff ends the pass; otherwise the
 //! whole target configuration is priced and must pass the
 //! reconfiguration-cost test. The assessor keeps its prices across
-//! passes, so a converged pass re-weighs the prices it already holds.
+//! passes, so a converged pass re-weighs the prices it already holds,
+//! and only those of candidates greedy could still choose.
 
 use smdb_common::{Cost, Result};
 use smdb_cost::WhatIf;
@@ -113,7 +114,7 @@ impl Tuner {
     ) -> Result<Option<i64>> {
         match self.feature {
             FeatureKind::Indexing => {
-                let data_bytes = engine.memory_report().data_bytes as i64;
+                let data_bytes = engine.data_bytes() as i64;
                 let Some(budget) = constraints.effective_index_budget(data_bytes) else {
                     return Ok(None);
                 };
@@ -172,19 +173,25 @@ impl Tuner {
             return Ok(self.rejected(base, 0));
         }
         let memory_budget_bytes = self.memory_budget(engine, &enum_base, constraints)?;
-        let (scored, all_kept) =
-            self.assessor
-                .scores(engine, &enum_base, scenarios, &candidates)?;
-        // Costed once and reused below for the combined economics (when
-        // not reselecting, `enum_base` *is* the base configuration). A
-        // pass that ends unchanged still prices it: its lookups are part
-        // of every pass's cache traffic.
-        let enum_base_costs = self
+        // The scores come with `enum_base`'s scenario costs, reused below
+        // for the combined economics (when not reselecting, `enum_base`
+        // *is* the base configuration). A pass that ends unchanged still
+        // prices them: their lookups are part of every pass's cache
+        // traffic.
+        let scores = self
             .assessor
-            .scenario_costs(engine, &enum_base, scenarios)?;
-        let chosen = greedy_over(&candidates, scored.iter().copied(), memory_budget_bytes);
+            .scores(engine, &enum_base, scenarios, &candidates)?;
+        let open = &scores.open;
+        let chosen = greedy_over(&candidates, open.iter().copied(), memory_budget_bytes);
         debug_assert!(
-            is_feasible(&candidates, |i| scored[i].1, &chosen, memory_budget_bytes),
+            is_feasible(
+                &candidates,
+                |i| open
+                    .binary_search_by_key(&i, |s| s.0)
+                    .map_or(f64::NAN, |at| open[at].2),
+                &chosen,
+                memory_budget_bytes
+            ),
             "greedy selection violated constraints"
         );
 
@@ -192,7 +199,7 @@ impl Tuner {
         let actions = base.diff(&target);
         if actions.is_empty() {
             // Already at (or re-confirmed as) the selected configuration.
-            if all_kept {
+            if scores.all_kept {
                 smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
                 #[cfg(test)]
                 FROM_KEPT.with(|n| n.set(n.get() + 1));
@@ -205,7 +212,7 @@ impl Tuner {
         let base_costs = if self.reselects() {
             self.assessor.scenario_costs(engine, base, scenarios)?
         } else {
-            enum_base_costs
+            scores.base_costs
         };
         let target_costs = self.assessor.scenario_costs(engine, &target, scenarios)?;
         let predicted_benefit = Cost(

@@ -93,13 +93,21 @@ impl WhatIf {
     /// The [`ConfigContext`] for `config`, memoized per configuration
     /// fingerprint when caching is enabled (the fresh walk and the memo
     /// hold the same `nonhot_bytes` and digest, so results never differ).
-    pub fn config_context(&self, engine: &StorageEngine, config: &ConfigInstance) -> ConfigContext {
+    /// `fingerprint` is `config.fingerprint()`, which a caller that also
+    /// keys other state on it hashes once.
+    pub fn config_context(
+        &self,
+        engine: &StorageEngine,
+        config: &ConfigInstance,
+        fingerprint: u64,
+    ) -> ConfigContext {
         #[cfg(test)]
         CONTEXTS_RESOLVED.with(|n| n.set(n.get() + 1));
+        debug_assert_eq!(fingerprint, config.fingerprint());
         let Some(cache) = &self.cache else {
             return ConfigContext::new(engine, config);
         };
-        let key = (engine.catalog_token(), config.fingerprint());
+        let key = (engine.catalog_token(), fingerprint);
         if let Some(ctx) = cache.context_lookup(key) {
             return ctx;
         }
@@ -262,7 +270,7 @@ impl WhatIf {
                 .map(|w| self.estimator.workload_cost(engine, w, config))
                 .collect();
         }
-        let ctx = self.config_context(engine, config);
+        let ctx = self.config_context(engine, config, config.fingerprint());
         Ok(self
             .price_workloads(engine, &ctx, workloads, config)?
             .costs()

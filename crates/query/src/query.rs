@@ -1,6 +1,8 @@
 //! The query model: parameterised predicate scans with optional
 //! aggregates.
 
+use std::sync::Arc;
+
 use smdb_common::{ColumnId, Result, TableId};
 use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 use smdb_storage::{Aggregate, ScanPredicate};
@@ -13,16 +15,20 @@ use crate::logical::LogicalTemplate;
 /// Queries are *instances of templates*: two queries with the same table,
 /// predicate shapes and aggregate but different literals share a
 /// [`LogicalTemplate`] and hence a plan-cache entry.
+///
+/// The name, label and predicates are shared, so a clone allocates
+/// nothing: the forecast clones each template's example query into
+/// every scenario it builds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     table: TableId,
-    table_name: String,
-    predicates: Vec<ScanPredicate>,
+    table_name: Arc<str>,
+    predicates: Arc<[ScanPredicate]>,
     aggregate: Option<Aggregate>,
     /// GROUP BY column (requires an aggregate).
     group_by: Option<ColumnId>,
     /// Human-readable template label, e.g. `"q6_discount_scan"`.
-    label: String,
+    label: Arc<str>,
     /// Precomputed template fingerprint (plan-cache key); computing it
     /// once at construction keeps the monitoring path allocation-free.
     fingerprint: u64,
@@ -43,11 +49,11 @@ impl Query {
     ) -> Self {
         let mut query = Query {
             table,
-            table_name: table_name.into(),
-            predicates,
+            table_name: Arc::from(table_name.into()),
+            predicates: predicates.into(),
             aggregate,
             group_by: None,
-            label: label.into(),
+            label: Arc::from(label.into()),
             fingerprint: 0,
             instance_fingerprint: 0,
         };
@@ -68,7 +74,7 @@ impl Query {
         self.fingerprint = self.template().fingerprint();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.fingerprint.hash(&mut h);
-        for p in &self.predicates {
+        for p in self.predicates.iter() {
             p.value.hash(&mut h);
             p.upper.hash(&mut h);
         }
@@ -126,11 +132,11 @@ impl Query {
 impl Encode for Query {
     fn encode(&self, w: &mut ByteWriter) {
         self.table.encode(w);
-        self.table_name.encode(w);
+        w.str(&self.table_name);
         self.predicates.encode(w);
         self.aggregate.encode(w);
         self.group_by.encode(w);
-        self.label.encode(w);
+        w.str(&self.label);
     }
 }
 
@@ -138,11 +144,11 @@ impl Decode for Query {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let mut query = Query {
             table: TableId::decode(r)?,
-            table_name: String::decode(r)?,
-            predicates: Vec::decode(r)?,
+            table_name: String::decode(r)?.into(),
+            predicates: Vec::<ScanPredicate>::decode(r)?.into(),
             aggregate: Option::decode(r)?,
             group_by: Option::decode(r)?,
-            label: String::decode(r)?,
+            label: String::decode(r)?.into(),
             fingerprint: 0,
             instance_fingerprint: 0,
         };

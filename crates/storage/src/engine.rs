@@ -28,6 +28,11 @@ pub struct StorageEngine {
     pub(crate) kernels: bool,
     /// Cached bytes resident on non-hot tiers (drives buffer-pool hit rates).
     nonhot_bytes: usize,
+    /// Table data bytes and index bytes over every table, kept up to date
+    /// where they change (a new table, an index or encoding action), so
+    /// reading them walks nothing.
+    data_bytes: usize,
+    index_bytes: usize,
     /// Process-unique catalog identity, refreshed whenever the table set
     /// changes. Cost caches key on it so entries from one engine are
     /// never served for another; clones share the token because their
@@ -57,6 +62,8 @@ impl StorageEngine {
             params,
             kernels: true,
             nonhot_bytes: 0,
+            data_bytes: 0,
+            index_bytes: 0,
             catalog_token: next_catalog_token(),
         }
     }
@@ -84,6 +91,8 @@ impl StorageEngine {
         }
         let id = TableId(self.tables.len() as u32);
         self.names.insert(table.name().to_string(), id);
+        self.data_bytes += table.data_bytes();
+        self.index_bytes += table.index_bytes();
         self.tables.push(table);
         self.recompute_residency();
         self.catalog_token = next_catalog_token();
@@ -161,12 +170,19 @@ impl StorageEngine {
                 let chunk = table.chunk_mut(target.chunk)?;
                 let rows = chunk.rows();
                 let enc = chunk.segment(target.column)?.encoding();
+                let before = chunk.index_bytes();
                 chunk.create_index(target.column, *kind)?;
+                let after = chunk.index_bytes();
+                self.index_bytes = self.index_bytes - before + after;
                 self.params.index_build_cost(rows, enc, tier_mult)
             }
             ConfigAction::DropIndex { target } => {
                 let table = self.table_mut(target.table)?;
-                table.chunk_mut(target.chunk)?.drop_index(target.column)?;
+                let chunk = table.chunk_mut(target.chunk)?;
+                let before = chunk.index_bytes();
+                chunk.drop_index(target.column)?;
+                let after = chunk.index_bytes();
+                self.index_bytes = self.index_bytes - before + after;
                 Cost(0.1)
             }
             ConfigAction::SetEncoding { target, kind } => {
@@ -175,7 +191,10 @@ impl StorageEngine {
                 let table = self.table_mut(target.table)?;
                 let chunk = table.chunk_mut(target.chunk)?;
                 let rows = chunk.rows();
+                let before = chunk.segment(target.column)?.memory_bytes();
                 chunk.set_encoding(target.column, *kind)?;
+                let after = chunk.segment(target.column)?.memory_bytes();
+                self.data_bytes = self.data_bytes - before + after;
                 self.recompute_residency();
                 self.params.reencode_cost(rows, tier_mult)
             }
@@ -204,6 +223,14 @@ impl StorageEngine {
                 Cost(self.params.knob_change_ms)
             }
         };
+        debug_assert_eq!(
+            (self.data_bytes, self.index_bytes),
+            {
+                let report = self.memory_report();
+                (report.data_bytes, report.index_bytes)
+            },
+            "kept byte totals drifted from the catalog"
+        );
         Ok(cost)
     }
 
@@ -325,6 +352,18 @@ impl StorageEngine {
             }
         }
         Ok(())
+    }
+
+    /// Table data bytes over every table (after encoding, without
+    /// indexes): [`MemoryReport::data_bytes`] without the walk.
+    pub fn data_bytes(&self) -> usize {
+        self.data_bytes
+    }
+
+    /// Data plus index bytes: [`MemoryReport::total_bytes`] without the
+    /// walk.
+    pub fn total_bytes(&self) -> usize {
+        self.data_bytes + self.index_bytes
     }
 
     /// Point-in-time memory report.

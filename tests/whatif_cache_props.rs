@@ -6,7 +6,9 @@
 //! exactly when they agree on the footprint's slice, and an assessor
 //! that keeps its prices across passes answers and counts exactly like
 //! one that prices every pass afresh — and so does a tuner that
-//! selects from those prices, whatever order its candidates come in.
+//! selects from those prices, whatever order its candidates come in —
+//! and the scores it hands greedy leave out exactly the candidates the
+//! sign certificate proves greedy would drop.
 
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
@@ -16,9 +18,10 @@ use proptest::prelude::*;
 use smdb::common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 use smdb::common::{Cost, Result};
 use smdb::core::assessor::WhatIfAssessor;
-use smdb::core::candidate::{Assessment, Candidate};
+use smdb::core::candidate::{Assessment, Candidate, SelectionInput};
 use smdb::core::constraints::ConstraintSet;
 use smdb::core::feature::FeatureKind;
+use smdb::core::selectors::{GreedySelector, Selector};
 use smdb::core::tuner::{standard_tuner, Tuner};
 use smdb::cost::features::ConfigContext;
 use smdb::cost::sizes::estimate_index_bytes;
@@ -405,6 +408,18 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// samples) over the same queries, with weights and probabilities that
 /// move with `pass`; the first query appears twice in the worst case.
 fn forecast(queries: &[Query], pass: u32) -> ForecastSet {
+    forecast_with(queries, pass, |_, _, w| w, |_, p| p)
+}
+
+/// [`forecast`] with each row's weight passed through `weight(scenario,
+/// row, weight)` and each scenario's probability through
+/// `probability(scenario, probability)`.
+fn forecast_with(
+    queries: &[Query],
+    pass: u32,
+    weight: impl Fn(usize, usize, f64) -> f64,
+    probability: impl Fn(usize, f64) -> f64,
+) -> ForecastSet {
     let p = f64::from(pass);
     let scenarios = (0..5u32)
         .map(|s| {
@@ -422,6 +437,11 @@ fn forecast(queries: &[Query], pass: u32) -> ForecastSet {
                     rows.push(WeightedQuery::new(q.clone(), 2.75 + p));
                 }
             }
+            let rows = rows
+                .into_iter()
+                .enumerate()
+                .map(|(r, wq)| WeightedQuery::new(wq.query, weight(s as usize, r, wq.weight)))
+                .collect();
             WorkloadScenario {
                 kind: if s == 0 {
                     ScenarioKind::Expected
@@ -429,7 +449,7 @@ fn forecast(queries: &[Query], pass: u32) -> ForecastSet {
                     ScenarioKind::WorstCase
                 },
                 name: format!("s{s}"),
-                probability: (1.0 + ((p + sf) % 3.0)) / 10.0,
+                probability: probability(s as usize, (1.0 + ((p + sf) % 3.0)) / 10.0),
                 workload: Workload::new(rows),
             }
         })
@@ -992,5 +1012,255 @@ fn a_reordered_candidate_list_reuses_every_kept_price() {
         if pass > 0 {
             assert!(moved, "pass {pass}: the reordered list was priced afresh");
         }
+    }
+}
+
+/// One thing that happens between two scored passes.
+#[derive(Debug, Clone)]
+enum Pass {
+    /// Only the forecast's weights move.
+    Reweigh,
+    /// The candidates come in another order: blocks of `1 + k % 7` in
+    /// reverse block order (runs kept, as when the index enumerator
+    /// re-ranks its columns), and the whole list reversed when `k` is odd.
+    Permute(usize),
+    /// The base configuration takes an action.
+    Apply(ConfigAction),
+    /// A new query joins the forecast.
+    AddQuery(i64),
+    /// The cost cache is flushed.
+    ClearCache,
+}
+
+fn pass_strategy() -> impl Strategy<Value = Pass> {
+    (0u32..10, 0usize..64, action_strategy(), 0i64..40).prop_map(
+        |(pick, k, action, v)| match pick {
+            0..=2 => Pass::Reweigh,
+            3..=5 => Pass::Permute(k),
+            6 | 7 => Pass::Apply(action),
+            8 => Pass::AddQuery(v),
+            _ => Pass::ClearCache,
+        },
+    )
+}
+
+/// How a pass signs its forecast: `(mode, pick)`. Mode 0 keeps every
+/// weight positive; 1 turns rows into `0.0` and `-0.0`; 2 makes one
+/// weight negative; 3 gives one scenario probability `-0.0` and another
+/// `0.0`; 4 makes one probability negative. Modes 2 and 4 void the sign
+/// certificate.
+fn signed_forecast(queries: &[Query], pass: u32, (mode, pick): (u8, usize)) -> ForecastSet {
+    let weight = |s: usize, r: usize, w: f64| match (mode, (s + r + pick) % 3) {
+        (1, 0) => 0.0,
+        (1, 1) => -0.0,
+        (2, _) if s == pick % 5 && r == pick % queries.len().max(1) => -w,
+        _ => w,
+    };
+    let probability = |s: usize, p: f64| match mode {
+        3 if s == pick % 5 => -0.0,
+        3 if s == (pick + 1) % 5 => 0.0,
+        4 if s == pick % 5 => -p,
+        _ => p,
+    };
+    forecast_with(queries, pass, weight, probability)
+}
+
+/// Whether each candidate saves on some scenario row it reaches: some
+/// `base − hypothetical` cost above zero, row by row.
+fn gains_somewhere(
+    what_if: &WhatIf,
+    engine: &StorageEngine,
+    base: &ConfigInstance,
+    forecast: &ForecastSet,
+    candidates: &[Candidate],
+) -> Vec<bool> {
+    let base_ctx = ConfigContext::new(engine, base);
+    let cost = |ctx: &ConfigContext, q: &Query, config: &ConfigInstance| {
+        what_if
+            .query_cost(engine, ctx, q, config)
+            .expect("prices")
+            .ms()
+    };
+    let nonhot: Vec<TableId> = base
+        .placements
+        .iter()
+        .filter(|&(_, &tier)| tier != Tier::Hot)
+        .map(|(&(t, _), _)| t)
+        .collect();
+    candidates
+        .iter()
+        .map(|c| {
+            let ctx = base_ctx
+                .apply_action(engine, base, &c.action)
+                .expect("valid");
+            let mut hypo = base.clone();
+            hypo.apply(&c.action);
+            let delta = ActionDelta::of(base, &c.action);
+            forecast
+                .iter()
+                .flat_map(|s| s.workload.queries())
+                .any(|wq| {
+                    delta.affects(&QueryFootprint::of(&wq.query), |t| nonhot.contains(&t))
+                        && cost(&base_ctx, &wq.query, base) - cost(&ctx, &wq.query, &hypo) > 0.0
+                })
+        })
+        .collect()
+}
+
+/// Greedy's choice from one expected desirability and budget weight per
+/// candidate (single-scenario assessments that give exactly those).
+fn greedy_on(candidates: &[Candidate], scored: &[(f64, f64)], budget: Option<i64>) -> Vec<usize> {
+    let assessments: Vec<Assessment> = scored
+        .iter()
+        .enumerate()
+        .map(|(i, &(d, w))| Assessment {
+            candidate: i,
+            per_scenario: vec![d],
+            probabilities: vec![1.0].into(),
+            confidence: 1.0,
+            permanent_bytes: w as i64,
+            one_time_cost: Cost::ZERO,
+        })
+        .collect();
+    let input = SelectionInput {
+        candidates,
+        assessments: &assessments,
+        memory_budget_bytes: budget,
+        scenario_base_costs: None,
+    };
+    GreedySelector.select(&input).expect("selects")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `scores` leaves out exactly the candidates the sign certificate
+    /// covers — those with no positive saving on any row they reach,
+    /// while every weight and probability is ≥ 0 — and none when one is
+    /// negative. Every score it gives is bit-equal to a fresh
+    /// assessment's, no candidate it leaves out has a positive expected
+    /// desirability, and greedy chooses the same from its scores as
+    /// from every assessment. It counts cache lookups like a fresh
+    /// assessor, and a pass that only re-weighs or re-orders the
+    /// candidates reads every price from the memo.
+    #[test]
+    fn scores_leave_out_only_certified_candidates(
+        passes in proptest::collection::vec(
+            (pass_strategy(), (0u8..5, 0usize..64), proptest::option::of(0i64..120_000)),
+            1..12,
+        ),
+    ) {
+        let (engine, t, u) = engine();
+        let est: Arc<dyn smdb::cost::CostEstimator> = Arc::new(CalibratedCostModel::new());
+        let kept_what_if = WhatIf::new(est.clone());
+        let fresh_what_if = WhatIf::new(est.clone());
+        let row_what_if = WhatIf::new(est);
+        let mut kept = WhatIfAssessor::new(kept_what_if.clone(), 0.9);
+        kept.threads = 1;
+        let fresh = || {
+            let mut a = WhatIfAssessor::new(fresh_what_if.clone(), 0.9);
+            a.threads = 1;
+            a
+        };
+        let q = |table, col: u16, v: i64| {
+            Query::new(table, "t", vec![ScanPredicate::eq(ColumnId(col), v)], None, "q")
+        };
+        let mut queries = vec![q(t, 0, 7), q(t, 1, 3), q(u, 0, 4)];
+        // An index to drop and a cold chunk make savings below zero.
+        let mut base = ConfigInstance::default();
+        base.apply(&ConfigAction::CreateIndex {
+            target: ChunkColumnRef::new(t.0, 0, 1),
+            kind: IndexKind::BTree,
+        });
+        base.apply(&ConfigAction::SetPlacement { table: u, chunk: ChunkId(1), tier: Tier::Cold });
+        // Exclusive groups by chunk, so picks compete.
+        let mut candidates: Vec<Candidate> = candidates(t, u, None)
+            .into_iter()
+            .map(|c| {
+                let group = match c.action {
+                    ConfigAction::CreateIndex { target, .. }
+                    | ConfigAction::DropIndex { target }
+                    | ConfigAction::SetEncoding { target, .. } => Some(u64::from(target.chunk.0)),
+                    _ => None,
+                };
+                Candidate::new(c.action, group)
+            })
+            .collect();
+        let mut kept_ok = false;
+        let mut certified_seen = 0;
+        for (pass, (step, signs, budget)) in (0u32..).zip(
+            std::iter::once(&(Pass::Reweigh, (0, 0), None)).chain(&passes),
+        ) {
+            match step {
+                Pass::Reweigh => {}
+                Pass::Permute(k) => {
+                    let mut blocks: Vec<Vec<Candidate>> =
+                        candidates.chunks(1 + k % 7).map(<[Candidate]>::to_vec).collect();
+                    blocks.reverse();
+                    candidates = blocks.concat();
+                    if k % 2 == 1 {
+                        candidates.reverse();
+                    }
+                }
+                Pass::Apply(action) => base.apply(action),
+                Pass::AddQuery(v) => queries.push(q(t, (*v % 2) as u16, *v)),
+                Pass::ClearCache => {
+                    for w in [&kept_what_if, &fresh_what_if, &row_what_if] {
+                        w.clear_cache();
+                    }
+                }
+            }
+            let at = format!("pass {pass} after {step:?}, signs {signs:?}");
+            let f = signed_forecast(&queries, pass, *signs);
+            let (scores, got_stats, _) = counted(&kept_what_if, || {
+                kept.scores(&engine, &base, &f, &candidates).expect("scores")
+            });
+            let (want, want_stats, _) = counted(&fresh_what_if, || {
+                fresh().scores(&engine, &base, &f, &candidates).expect("scores")
+            });
+            prop_assert_eq!(got_stats, want_stats, "{}", &at);
+            prop_assert_eq!(&scores.base_costs, &want.base_costs, "{}", &at);
+            let weights_only = matches!(step, Pass::Reweigh | Pass::Permute(_));
+            if kept_ok && weights_only {
+                prop_assert!(scores.all_kept, "{}: the memo was not kept", &at);
+            }
+            kept_ok = true;
+
+            let assessed = fresh().assess(&engine, &base, &f, &candidates).expect("assesses");
+            let signs_hold = f.iter().all(|s| {
+                s.probability >= 0.0 && s.workload.queries().iter().all(|wq| wq.weight >= 0.0)
+            });
+            let gains = gains_somewhere(&row_what_if, &engine, &base, &f, &candidates);
+            let open: Vec<usize> = scores.open.iter().map(|s| s.0).collect();
+            let want_open: Vec<usize> =
+                (0..candidates.len()).filter(|&i| !signs_hold || gains[i]).collect();
+            prop_assert_eq!(&open, &want_open, "{}", &at);
+            certified_seen += candidates.len() - open.len();
+            for &(i, d, w) in &scores.open {
+                let a = &assessed[i];
+                prop_assert_eq!(d.to_bits(), a.expected_desirability().to_bits(), "{} #{}", &at, i);
+                prop_assert_eq!(w.to_bits(), a.budget_weight().to_bits(), "{} #{}", &at, i);
+            }
+            let mut sparse = vec![(0.0, 0.0); candidates.len()];
+            for &(i, d, w) in &scores.open {
+                sparse[i] = (d, w);
+            }
+            for (i, a) in assessed.iter().enumerate() {
+                if !open.contains(&i) {
+                    let d = a.expected_desirability();
+                    prop_assert!(d <= 0.0 || d.is_nan(), "{} #{}", &at, i);
+                }
+            }
+            let full: Vec<(f64, f64)> = assessed
+                .iter()
+                .map(|a| (a.expected_desirability(), a.budget_weight()))
+                .collect();
+            prop_assert_eq!(
+                greedy_on(&candidates, &sparse, *budget),
+                greedy_on(&candidates, &full, *budget),
+                "{}", &at
+            );
+        }
+        prop_assert!(certified_seen > 0, "nothing was certified");
     }
 }
