@@ -147,7 +147,8 @@ release_predicate_suites() { # overflow checks off: a wrapped bound is a wrong a
         cargo test --release -q --test parallel_scan_props &&
         cargo test --release -q --test grouped_queries &&
         cargo test --release -q --test grouped_partial_props &&
-        cargo test --release -q --test whatif_cache_props
+        cargo test --release -q --test whatif_cache_props &&
+        cargo test --release -q -p smdb-core --lib tuner::
 }
 
 check_benchmark_builds() { # the frozen yardstick still compiles against the crates

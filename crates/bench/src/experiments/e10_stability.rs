@@ -83,7 +83,7 @@ pub fn run() {
             let proposal = tuner
                 .propose(&live, &current, &forecast, &constraints)
                 .unwrap();
-            if proposal.accepted && !proposal.actions.is_empty() {
+            if proposal.accepted() && !proposal.actions.is_empty() {
                 epochs_with_changes += 1;
                 total_actions += proposal.actions.len();
                 total_reconf += live.apply_all(&proposal.actions).unwrap();

@@ -128,7 +128,7 @@ pub fn run() {
                 p.chosen.to_string(),
                 f2(p.predicted_benefit.ms()),
                 f2(p.reconfiguration_cost.ms()),
-                p.accepted.to_string(),
+                p.accepted().to_string(),
             ]);
         }
         t2.print();

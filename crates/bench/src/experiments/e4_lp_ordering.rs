@@ -181,7 +181,11 @@ fn real_feature_ordering() -> bool {
             .tune_in_order(&engine, &forecast, &base, &constraints, &order)
             .unwrap();
         let final_cost = what_if
-            .workload_cost(&engine, &expected, &run.final_config)
+            .workload_cost(
+                &engine,
+                &expected,
+                run.final_config.as_ref().unwrap_or(&base),
+            )
             .unwrap();
         let order_str: Vec<&str> = order.iter().map(|&i| features[i].label()).collect();
         table.row(vec![

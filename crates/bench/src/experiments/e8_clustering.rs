@@ -134,7 +134,7 @@ pub fn run() {
             .workload_cost(
                 &engine,
                 &reference_forecast.expected().unwrap().workload,
-                &proposal.target,
+                &proposal.target.unwrap_or_default(),
             )
             .unwrap();
 

@@ -158,7 +158,8 @@ pub fn run() {
         let proposal = tuner
             .propose(&engine, &base, &forecast, &ConstraintSet::none())
             .unwrap();
-        let cost = ground_truth_cost_under(&engine, &expected, &proposal.target).unwrap();
+        let tuned = proposal.target.as_ref().unwrap_or(&base);
+        let cost = ground_truth_cost_under(&engine, &expected, tuned).unwrap();
         t2.row(vec![
             name.into(),
             proposal.actions.len().to_string(),

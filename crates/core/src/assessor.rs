@@ -37,7 +37,12 @@
 //! candidate's kept price wherever the enumerator now ranks it (the
 //! slot after the previous match first), leaves the memo as it is when
 //! it re-offers the same set in any order, and starts over when the key
-//! changes. While the key holds, the memo holds the last full pass's
+//! changes. A pass that re-offers the kept list in its order — every
+//! converged compression pass — is recognised in one comparing walk
+//! and reads its prices by slot; under the sign certificate it visits
+//! only the slots the memo lists as gaining, so the kept prices that
+//! save nothing (all 2,880 of `scan_agg`'s compression candidates) are
+//! not walked at all. While the key holds, the memo holds the last full pass's
 //! candidates and no others, so it never outgrows one candidate list. A
 //! re-assessment neither reads nor keeps prices. Candidates whose
 //! lookups all hit are finished on the calling thread — a converged
@@ -130,9 +135,10 @@ impl WhatIfAssessor {
     ) -> Result<Vec<Assessment>> {
         let priced = self.priced_base(engine, base, scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
-        let (assessments, _) = self.priced(&priced, candidates, &all, true, |index, price| {
-            Some(priced.assessment(index, price, self.confidence))
-        })?;
+        let (assessments, _) =
+            self.priced(&priced, candidates, &all, true, false, |index, price| {
+                priced.assessment(index, price, self.confidence)
+            })?;
         Ok(assessments)
     }
 
@@ -151,8 +157,8 @@ impl WhatIfAssessor {
     ) -> Result<Vec<Assessment>> {
         let priced = self.priced_base(engine, base, scenarios)?;
         let (assessments, _) =
-            self.priced(&priced, candidates, subset, false, |index, price| {
-                Some(priced.assessment(index, price, self.confidence))
+            self.priced(&priced, candidates, subset, false, false, |index, price| {
+                priced.assessment(index, price, self.confidence)
             })?;
         Ok(assessments)
     }
@@ -169,17 +175,16 @@ impl WhatIfAssessor {
     ) -> Result<Scores> {
         let priced = self.priced_base(engine, base, scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
-        let (open, all_kept) = self.priced(&priced, candidates, &all, true, |index, price| {
-            if priced.certifies && price.fixed.no_gain {
-                return None;
-            }
+        let project = |index, price: PriceRef<'_>| {
             let desirability = priced.expected_desirability(price.deltas);
-            Some((
+            (
                 index,
                 desirability,
                 budget_weight(price.fixed.permanent_bytes),
-            ))
-        })?;
+            )
+        };
+        let (open, all_kept) =
+            self.priced(&priced, candidates, &all, true, priced.certifies, project)?;
         let workloads = scenarios.iter().map(|s| &s.workload);
         let base_costs = self
             .what_if
@@ -325,17 +330,19 @@ impl WhatIfAssessor {
     }
 
     /// The one pricing function: prices the candidates at `indices` and
-    /// projects each price, in order, keeping what `project` returns.
-    /// With `keep` it reads the prices kept under this pass's
-    /// [`MemoKey`] by action and then keeps this pass's (the flag tells
-    /// whether every one was kept); without, it touches neither.
+    /// projects each price, in order — with `gain_only`, only those
+    /// that save something on some query. With `keep` it reads the
+    /// prices kept under this pass's [`MemoKey`] by action and then
+    /// keeps this pass's (the flag tells whether every one was kept);
+    /// without, it touches neither.
     fn priced<T>(
         &self,
         priced: &PricedBase<'_>,
         candidates: &[Candidate],
         indices: &[usize],
         keep: bool,
-        mut project: impl FnMut(usize, PriceRef<'_>) -> Option<T>,
+        gain_only: bool,
+        mut project: impl FnMut(usize, PriceRef<'_>) -> T,
     ) -> Result<(Vec<T>, bool)> {
         let _span = smdb_obs::span!("assessor", "assess", { candidates: indices.len() });
         smdb_obs::metrics::counter("assessor.assess_calls").inc();
@@ -348,24 +355,35 @@ impl WhatIfAssessor {
             memo.filter(|memo| memo.key == *key)
         });
 
-        // A kept price is found by action, wherever the candidate now
-        // ranks; every row it re-costs would have looked up an entry the
-        // pass that priced it left behind: all hits.
-        let mut found: Vec<Option<usize>> = Vec::with_capacity(indices.len());
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut next = 0;
-        for &index in indices {
-            let action = ActionKey::of(&candidates[index].action);
-            let at = kept.as_ref().and_then(|memo| memo.find(next, &action));
-            match at {
-                Some(at) => next = at + 1,
-                None => fresh.push(index),
-            }
-            found.push(at);
-        }
-        let same_set = kept
+        // The kept list re-offered in its order, as a deterministic
+        // enumerator does on a converged pass, is recognised in one
+        // comparing walk, and its kept prices are read by slot.
+        let in_order = kept
             .as_ref()
-            .is_some_and(|memo| fresh.is_empty() && memo.is_permuted_by(&found));
+            .is_some_and(|memo| memo.offered_in_order(candidates, indices));
+        // Otherwise a kept price is found by action, wherever the
+        // candidate now ranks. Every row a kept price re-costs would have
+        // looked up an entry the pass that priced it left behind: all
+        // hits.
+        let mut found: Vec<Option<usize>> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
+        if !in_order {
+            found.reserve(indices.len());
+            let mut next = 0;
+            for &index in indices {
+                let action = ActionKey::of(&candidates[index].action);
+                let at = kept.as_ref().and_then(|memo| memo.find(next, &action));
+                match at {
+                    Some(at) => next = at + 1,
+                    None => fresh.push(index),
+                }
+                found.push(at);
+            }
+        }
+        let same_set = in_order
+            || kept
+                .as_ref()
+                .is_some_and(|memo| fresh.is_empty() && memo.is_permuted_by(&found));
         let mut tally = CacheStats::default();
         match &kept {
             Some(memo) if same_set => priced.count_reach(&memo.reach, &mut tally),
@@ -392,11 +410,32 @@ impl WhatIfAssessor {
             .collect();
 
         // Kept and fresh prices alike are projected in candidate order.
-        let mut projected = Vec::with_capacity(indices.len());
-        let mut fresh_slots = fresh_prices.iter();
-        for (&index, &at) in indices.iter().zip(&found) {
-            if let Some(price) = kept_or_fresh(kept.as_ref(), at, &mut fresh_slots) {
-                projected.extend(project(index, price));
+        let mut projected = Vec::new();
+        let mut emit = |index: usize, price: PriceRef<'_>| {
+            if !(gain_only && price.fixed.no_gain) {
+                projected.push(project(index, price));
+            }
+        };
+        match kept.as_ref().filter(|_| in_order) {
+            // Slot is position: only the slots kept as gaining are read
+            // when no other price is projected.
+            Some(memo) if gain_only => {
+                for &slot in &memo.gaining {
+                    emit(indices[slot], memo.price(slot));
+                }
+            }
+            Some(memo) => {
+                for (slot, &index) in indices.iter().enumerate() {
+                    emit(index, memo.price(slot));
+                }
+            }
+            None => {
+                let mut fresh_slots = fresh_prices.iter();
+                for (&index, &at) in indices.iter().zip(&found) {
+                    if let Some(price) = kept_or_fresh(kept.as_ref(), at, &mut fresh_slots) {
+                        emit(index, price);
+                    }
+                }
             }
         }
         if let Some(key) = key {
@@ -692,6 +731,9 @@ struct PriceMemo {
     deltas: Vec<(usize, f64)>,
     /// How many kept prices reach each distinct query.
     reach: Vec<u64>,
+    /// The slots whose price saves something on some query (not
+    /// [`Fixed::no_gain`]), in order.
+    gaining: Vec<usize>,
     /// Where each action's price sits.
     at: HashMap<ActionKey, usize>,
 }
@@ -705,6 +747,7 @@ impl PriceMemo {
             heads: Vec::new(),
             deltas: Vec::new(),
             reach: vec![0; queries],
+            gaining: Vec::new(),
             at: HashMap::new(),
         }
     }
@@ -714,6 +757,9 @@ impl PriceMemo {
     fn push(&mut self, action: ActionKey, price: PriceRef<'_>) {
         if let std::collections::hash_map::Entry::Vacant(slot) = self.at.entry(action) {
             slot.insert(self.actions.len());
+            if !price.fixed.no_gain {
+                self.gaining.push(self.actions.len());
+            }
             self.actions.push(action);
             self.deltas.extend_from_slice(price.deltas);
             self.heads.push((price.fixed, self.deltas.len()));
@@ -746,6 +792,16 @@ impl PriceMemo {
             Some(kept) if kept == action => Some(slot),
             _ => self.at.get(action).copied(),
         }
+    }
+
+    /// Whether the candidates at `indices` are the kept actions, in the
+    /// kept order.
+    fn offered_in_order(&self, candidates: &[Candidate], indices: &[usize]) -> bool {
+        indices.len() == self.actions.len()
+            && indices
+                .iter()
+                .zip(&self.actions)
+                .all(|(&index, kept)| ActionKey::of(&candidates[index].action) == *kept)
     }
 
     /// Whether `found` names every kept slot exactly once.
@@ -1190,7 +1246,8 @@ mod tests {
 
     /// A pass that re-offers the kept candidates in another order reads
     /// every price from the memo and leaves the memo as it was; a pass
-    /// that drops one keeps its own list.
+    /// that drops one keeps its own list; one that re-offers them in the
+    /// kept order scores them as the lookup walk does.
     #[test]
     fn a_permuted_pass_keeps_the_memo() {
         let (engine, t) = setup();
@@ -1237,6 +1294,21 @@ mod tests {
             .unwrap();
         assert!(last.all_kept);
         let keys: Vec<ActionKey> = shorter.iter().map(|c| ActionKey::of(&c.action)).collect();
+        assert!(kept_order(&assessor) == keys);
+
+        // Re-offered in the kept order, the prices are read by slot and
+        // only the gaining ones projected: the same scores as the walk.
+        let bits = |scores: &Scores| -> Vec<(usize, u64, u64)> {
+            let open = scores.open.iter();
+            open.map(|&(i, d, w)| (i, d.to_bits(), w.to_bits()))
+                .collect()
+        };
+        let in_order = assessor
+            .scores(&engine, &base, &forecast(t), shorter)
+            .unwrap();
+        assert!(in_order.all_kept);
+        assert!(!in_order.open.is_empty() && in_order.open.len() < shorter.len());
+        assert_eq!(bits(&in_order), bits(&last));
         assert!(kept_order(&assessor) == keys);
     }
 

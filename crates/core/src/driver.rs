@@ -356,13 +356,17 @@ impl Driver {
     /// trains the calibrated cost model, snapshots the plan cache into
     /// the workload history, and advances the logical clock.
     pub fn run_bucket(&self, queries: &[Query]) -> Result<BucketReport> {
-        let config = self.db.engine().current_config();
-        for q in queries {
-            let result = self.db.run_query(q)?;
-            self.kpis.record_query(result.output.sim_cost);
-            if let Some(model) = &self.calibrated {
-                let engine = self.db.engine();
-                model.observe(&engine, q, &config, result.output.sim_cost)?;
+        {
+            // Released before the drain below, whose actions would
+            // otherwise copy the shared instance.
+            let config = self.db.engine().shared_config();
+            for q in queries {
+                let result = self.db.run_query(q)?;
+                self.kpis.record_query(result.output.sim_cost);
+                if let Some(model) = &self.calibrated {
+                    let engine = self.db.engine();
+                    model.observe(&engine, q, &config, result.output.sim_cost)?;
+                }
             }
         }
         let report = self.close_bucket();
@@ -515,7 +519,7 @@ impl Driver {
             .unwrap_or_else(|| self.baseline_config.clone());
         let undo = {
             let engine = self.db.engine();
-            engine.current_config().diff(&target)
+            engine.config().diff(&target)
         };
         let cost = self.db.apply_config_atomic(&undo)?;
         let record = RollbackRecord {
@@ -613,10 +617,9 @@ impl Driver {
         // Priced only if the organizer reaches its forecast-shift check.
         let forecast_cost = || {
             let engine = self.db.engine();
-            let config = engine.current_config();
             self.multi
                 .what_if()
-                .workload_cost(&engine, &expected.workload, &config)
+                .workload_cost(&engine, &expected.workload, engine.config())
         };
         let Some(trigger) = self.organizer.should_tune(
             tick.now,
@@ -666,15 +669,13 @@ impl Driver {
             trigger: format!("{trigger:?}"),
         });
         smdb_obs::metrics::counter(&format!("driver.tuning.{}", trigger.label())).inc();
-        let (run, base_config) = {
+        let (run, actions) = {
             let engine = self.db.engine();
-            let base = engine.current_config();
+            let base = engine.config();
             let order: Vec<usize> = match self.ordering_policy {
                 OrderingPolicy::Registration => (0..self.multi.features().len()).collect(),
                 OrderingPolicy::LpOptimized => {
-                    let report = self
-                        .multi
-                        .analyze(&engine, &forecast, &base, &constraints)?;
+                    let report = self.multi.analyze(&engine, &forecast, base, &constraints)?;
                     let solution = self.multi.lp_order(&report)?;
                     self.recorder.record(TrailEvent::IlpOrderChosen {
                         at,
@@ -691,8 +692,12 @@ impl Driver {
             };
             let run = self
                 .multi
-                .tune_in_order(&engine, &forecast, &base, &constraints, &order)?;
-            (run, base)
+                .tune_in_order(&engine, &forecast, base, &constraints, &order)?;
+            let actions = run
+                .final_config
+                .as_ref()
+                .map_or_else(Vec::new, |config| base.diff(config));
+            (run, actions)
         };
         // Each feature's proposal and what-if cache traffic land in the
         // decision trail individually.
@@ -702,7 +707,7 @@ impl Driver {
                 feature: feature.label().to_string(),
                 candidates: p.candidates_enumerated,
                 predicted_benefit_ms: p.predicted_benefit.ms(),
-                accepted: p.accepted,
+                accepted: p.accepted(),
                 cache_hits: stats.hits,
                 cache_misses: stats.misses,
             });
@@ -710,7 +715,6 @@ impl Driver {
             smdb_obs::metrics::counter("driver.whatif_cache_misses").add(stats.misses);
         }
 
-        let actions = base_config.diff(&run.final_config);
         self.counters.tunings_run.inc();
         self.organizer.record_tuning(tick.now);
 
@@ -722,7 +726,7 @@ impl Driver {
                 d.log_instance_completed(observed_before)?;
             }
         }
-        if !actions.is_empty() {
+        if let (false, Some(final_config)) = (actions.is_empty(), run.final_config) {
             // Priced only for a decision that queues: its record is the
             // only reader.
             let predicted_cost = {
@@ -730,11 +734,9 @@ impl Driver {
                 let expected = forecast.expected().ok_or_else(|| {
                     Error::invalid("forecast lost its expected scenario mid-tuning")
                 })?;
-                self.multi.what_if().workload_cost(
-                    &engine,
-                    &expected.workload,
-                    &run.final_config,
-                )?
+                self.multi
+                    .what_if()
+                    .workload_cost(&engine, &expected.workload, &final_config)?
             };
             self.recorder.record(TrailEvent::ActionsQueued {
                 at,
@@ -742,7 +744,7 @@ impl Driver {
             });
             *self.queued.lock() = Some(QueuedDecision {
                 reconfig: PendingReconfig {
-                    final_config: run.final_config,
+                    final_config,
                     actions,
                     predicted_cost,
                     observed_before,
@@ -780,7 +782,7 @@ impl Driver {
     /// of buckets fully served and `stats` the cumulative session
     /// statistics the serving runtime accumulated.
     pub fn export_serving_state(&self, bucket: u64, stats: &SessionStats) -> ServingState {
-        let config = self.db.engine().current_config();
+        let config = self.db.engine().shared_config();
         let plan_cache = self.db.plan_cache().snapshot();
         // Locks are taken one at a time in the driver's canonical order
         // (history, last_bucket_cost, queued) so boundary export cannot
@@ -865,7 +867,7 @@ impl Driver {
         let queued = queued_decision(&rec.serving)?;
         let redo = {
             let engine = self.db.engine();
-            engine.current_config().diff(&rec.serving.config)
+            engine.config().diff(&rec.serving.config)
         };
         if !redo.is_empty() {
             self.db.apply_config_atomic(&redo)?;
@@ -1124,7 +1126,7 @@ mod tests {
         actions.iter().for_each(|a| config.apply(a));
         let mut state = driver.export_serving_state(1, &SessionStats::default());
         state.clock += 5;
-        state.config = config.clone();
+        state.config = Arc::new(config.clone());
         state.pending_reconfig = Some(PendingReconfig {
             final_config: config.clone(),
             actions: actions.clone(),

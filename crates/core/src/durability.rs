@@ -473,8 +473,9 @@ pub struct ServingState {
     pub stats: SessionStats,
     /// The database's logical clock.
     pub clock: u64,
-    /// The applied configuration.
-    pub config: ConfigInstance,
+    /// The applied configuration, shared with the engine that exported
+    /// it.
+    pub config: Arc<ConfigInstance>,
     /// KPI collector windows.
     pub kpi: KpiState,
     /// Workload history.
@@ -633,7 +634,7 @@ mod tests {
                 result_digest: 0xDEAD_BEEF_CAFE_F00D,
             },
             clock: 9,
-            config: sample_config(),
+            config: Arc::new(sample_config()),
             kpi: KpiState {
                 closed: vec![vec![1.0, 2.0], vec![0.5]],
                 utilization: vec![0.4, 0.1],

@@ -16,6 +16,8 @@
 
 #![allow(clippy::needless_range_loop)] // dense matrix index arithmetic reads clearest with explicit indices
 
+use std::borrow::Cow;
+
 use smdb_common::{Cost, Result};
 use smdb_cost::{CacheStats, WhatIf};
 use smdb_forecast::ForecastSet;
@@ -84,8 +86,9 @@ pub struct MultiTuneReport {
     /// counters across that feature's proposal), in tuned order; zero
     /// without a cache.
     pub cache: Vec<CacheStats>,
-    /// The final configuration after all accepted proposals.
-    pub final_config: ConfigInstance,
+    /// The final configuration after all accepted proposals; `None`
+    /// when none was accepted and the base stands.
+    pub final_config: Option<ConfigInstance>,
 }
 
 /// Orchestrates the per-feature tuners for combined tuning.
@@ -125,7 +128,7 @@ impl MultiFeatureTuner {
         // Analysis bypasses the reconfiguration test: rebuild the target
         // from the proposal even if it was not "accepted".
         let proposal = propose_ungated(tuner, engine, base, scenarios, constraints)?;
-        Ok(proposal.target)
+        Ok(proposal.target.unwrap_or_else(|| base.clone()))
     }
 
     /// Runs the full dependence analysis of Section III-A: `|S|` single
@@ -227,7 +230,7 @@ impl MultiFeatureTuner {
         constraints: &ConstraintSet,
         order: &[usize],
     ) -> Result<MultiTuneReport> {
-        let mut config = base.clone();
+        let mut config = Cow::Borrowed(base);
         let mut proposals = Vec::with_capacity(order.len());
         let mut cache = Vec::with_capacity(order.len());
         let mut order_features = Vec::with_capacity(order.len());
@@ -241,8 +244,8 @@ impl MultiFeatureTuner {
                     .unwrap_or_default()
                     .since(&before),
             );
-            if proposal.accepted {
-                config = proposal.target.clone();
+            if let Some(target) = &proposal.target {
+                config = Cow::Owned(target.clone());
             }
             order_features.push(tuner.feature);
             proposals.push(proposal);
@@ -251,7 +254,10 @@ impl MultiFeatureTuner {
             order: order_features,
             proposals,
             cache,
-            final_config: config,
+            final_config: match config {
+                Cow::Owned(config) => Some(config),
+                Cow::Borrowed(_) => None,
+            },
         })
     }
 }
@@ -410,11 +416,8 @@ mod tests {
             .unwrap();
         assert_eq!(report.order.len(), 2);
         // Indexing accepted → final config has indexes.
-        assert!(
-            !report.final_config.indexes.is_empty(),
-            "{:?}",
-            report.proposals
-        );
+        let tuned = report.final_config.as_ref().unwrap();
+        assert!(!tuned.indexes.is_empty(), "{:?}", report.proposals);
         // Workload cost improves end-to-end.
         let before = m
             .what_if()
@@ -422,11 +425,7 @@ mod tests {
             .unwrap();
         let after = m
             .what_if()
-            .workload_cost(
-                &engine,
-                &f.expected().unwrap().workload,
-                &report.final_config,
-            )
+            .workload_cost(&engine, &f.expected().unwrap().workload, tuned)
             .unwrap();
         assert!(after < before);
     }
@@ -456,14 +455,14 @@ mod tests {
             let single = chained
                 .tune_in_order(&engine, &f, &config, &constraints, &[idx])
                 .unwrap();
-            config = single.final_config;
+            config = single.final_config.unwrap_or(config);
             proposals.extend(single.proposals);
             cache.extend(single.cache);
         }
 
         assert_eq!(run.order, chained.features());
         assert_eq!(run.proposals, proposals);
-        assert_eq!(run.final_config, config);
+        assert_eq!(run.final_config, Some(config));
         assert_eq!(run.cache, cache);
         assert_eq!(run.cache.len(), 2);
         let summed = run

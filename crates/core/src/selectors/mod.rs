@@ -25,7 +25,12 @@ pub mod iterative;
 pub mod optimal;
 pub mod robust;
 
+use std::cmp::Reverse;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
 use smdb_common::Result;
+use smdb_cost::cache::KeyHasher;
 
 use crate::candidate::{Candidate, SelectionInput};
 
@@ -72,7 +77,13 @@ pub(crate) fn greedy_over(
     scored: impl Iterator<Item = (usize, f64, f64)>,
     memory_budget_bytes: Option<i64>,
 ) -> Vec<usize> {
-    let mut ranked: Vec<(usize, f64, f64, f64)> = scored
+    // Each candidate's rank as integers: ratio and score descending in
+    // `f64::total_cmp` order (their total-order keys, reversed), then
+    // the candidate index — a total order, so the unstable sort ranks
+    // exactly as a stable sort by `total_cmp` would, in integer
+    // compares.
+    let desc = |x: f64| Reverse(total_order_key(x));
+    let mut ranked: Vec<((Reverse<i64>, Reverse<i64>, usize), f64)> = scored
         .filter(|&(_, s, _)| s > 0.0)
         .map(|(i, s, weight)| {
             // Ratio for budgeted problems; plain score when free.
@@ -81,32 +92,24 @@ pub(crate) fn greedy_over(
             } else {
                 f64::INFINITY
             };
-            (i, s, ratio, weight)
+            ((desc(ratio), desc(s), i), weight)
         })
         .collect();
-    ranked.sort_by(|a, b| {
-        b.2.total_cmp(&a.2)
-            .then(b.1.total_cmp(&a.1))
-            .then(a.0.cmp(&b.0))
-    });
+    ranked.sort_unstable_by_key(|&(rank, _)| rank);
 
-    // The exclusive groups the ranked candidates name, sorted, each with
-    // whether a chosen candidate took it.
-    let mut groups: Vec<(u64, bool)> = ranked
-        .iter()
-        .filter_map(|&(i, ..)| candidates[i].exclusive_group)
-        .map(|g| (g, false))
-        .collect();
-    groups.sort_unstable();
-    groups.dedup();
-    let mut chosen = Vec::new();
+    // The exclusive groups a chosen candidate took: only ever asked
+    // whether it holds a group, never iterated. The ids are hashes
+    // already (`enumerator::group_of`), so each is its own bucket key.
+    // Sized for every ranked candidate, so a pass that takes most of
+    // them never rehashes.
+    let mut taken: HashSet<u64, BuildHasherDefault<KeyHasher>> =
+        HashSet::with_capacity_and_hasher(ranked.len(), Default::default());
+    let mut chosen = Vec::with_capacity(ranked.len());
     let mut used_bytes = 0.0f64;
     let budget = memory_budget_bytes.map(|b| b as f64);
-    for (i, _, _, w) in ranked {
-        let group = candidates[i]
-            .exclusive_group
-            .and_then(|g| groups.binary_search_by_key(&g, |&(g, _)| g).ok());
-        if group.is_some_and(|at| groups[at].1) {
+    for ((.., i), w) in ranked {
+        let group = candidates[i].exclusive_group;
+        if group.is_some_and(|g| taken.contains(&g)) {
             continue;
         }
         if let Some(b) = budget {
@@ -114,13 +117,18 @@ pub(crate) fn greedy_over(
                 continue;
             }
         }
-        if let Some(at) = group {
-            groups[at].1 = true;
-        }
+        taken.extend(group);
         used_bytes += w;
         chosen.push(i);
     }
     chosen
+}
+
+/// The integer whose order is `f64::total_cmp`'s: the sign-magnitude
+/// bits folded to two's complement, as `total_cmp` itself does.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 #[cfg(test)]
@@ -226,7 +234,8 @@ mod tests {
         assert!(!chosen.contains(&3), "budget exhausted by 0");
     }
 
-    /// The selection `greedy_over` made with a `HashSet` of taken groups.
+    /// The selection by a stable `total_cmp` sort and a SipHash set of
+    /// taken groups.
     fn greedy_with_hash_set(
         candidates: &[Candidate],
         scored: &[(usize, f64, f64)],
@@ -266,7 +275,30 @@ mod tests {
         chosen
     }
 
-    /// The sorted group table chooses what the hash set chose, over
+    #[test]
+    fn total_order_key_orders_as_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                let want = a.total_cmp(&b);
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), want, "{a} {b}");
+            }
+        }
+    }
+
+    /// The integer-keyed ranking and the pass-through group set choose
+    /// what the reference chose, over
     /// random lists with tied scores and ratios, free and costly
     /// candidates, few groups shared by many candidates (including
     /// `u64::MAX`), binding and slack budgets, and candidates left out.
@@ -278,7 +310,17 @@ mod tests {
             let n = rng.random_range(0..24);
             let spec: Vec<(f64, i64, Option<u64>)> = (0..n)
                 .map(|_| {
-                    let score = [-1.0, 0.0, -0.0, 1.0, 2.0, 4.0][rng.random_range(0..6)];
+                    let score = [
+                        -1.0,
+                        0.0,
+                        -0.0,
+                        1.0,
+                        2.0,
+                        4.0,
+                        f64::INFINITY,
+                        f64::NAN,
+                        5e-324,
+                    ][rng.random_range(0..9)];
                     let bytes = [-10, 0, 10, 20, 40][rng.random_range(0..5)];
                     let group = match rng.random_range(0..5) {
                         0 => None,

@@ -14,6 +14,9 @@
 //! passes, so a converged pass re-weighs the prices it already holds,
 //! and only those of candidates greedy could still choose.
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use smdb_common::{Cost, Result};
 use smdb_cost::WhatIf;
 use smdb_forecast::ForecastSet;
@@ -38,6 +41,10 @@ pub struct Tuner {
     pub reconfiguration_weight: f64,
     /// How many forecast horizons the benefit is assumed to persist.
     pub benefit_horizon: f64,
+    /// Reselect mode: the last pass's enumeration base, reused while the
+    /// base's other features are unchanged, so a converged pass strips
+    /// nothing.
+    stripped: Mutex<Option<Arc<ConfigInstance>>>,
 }
 
 /// The tuner's output: a hypothetical configuration plus its predicted
@@ -45,8 +52,9 @@ pub struct Tuner {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningProposal {
     pub feature: FeatureKind,
-    /// The proposed configuration (equals the base when not accepted).
-    pub target: ConfigInstance,
+    /// The proposed configuration; `None` when the proposal was not
+    /// accepted and the base stands.
+    pub target: Option<ConfigInstance>,
     /// Actions from the base to the target (empty when not accepted).
     pub actions: Vec<ConfigAction>,
     /// Expected workload-cost reduction per forecast horizon.
@@ -57,8 +65,14 @@ pub struct TuningProposal {
     pub candidates_enumerated: usize,
     /// Chosen candidate count.
     pub chosen: usize,
-    /// Whether the reconfiguration-cost test passed.
-    pub accepted: bool,
+}
+
+impl TuningProposal {
+    /// Whether the proposal changes the configuration: its selection
+    /// differs from the base and passed the reconfiguration-cost test.
+    pub fn accepted(&self) -> bool {
+        self.target.is_some()
+    }
 }
 
 #[cfg(test)]
@@ -78,6 +92,7 @@ impl Tuner {
             assessor: WhatIfAssessor::new(what_if, 0.8),
             reconfiguration_weight: 1.0,
             benefit_horizon: 10.0,
+            stripped: Mutex::new(None),
         }
     }
 
@@ -91,18 +106,69 @@ impl Tuner {
         self.feature == FeatureKind::Indexing
     }
 
-    /// Strips this tuner's feature from a configuration (reselect mode).
-    fn strip_feature(&self, base: &ConfigInstance) -> ConfigInstance {
-        let mut stripped = base.clone();
-        match self.feature {
-            FeatureKind::Indexing => stripped.indexes.clear(),
-            FeatureKind::Compression => stripped.encodings.clear(),
-            FeatureKind::Placement => stripped.placements.clear(),
-            FeatureKind::BufferPool => {
-                stripped.knobs.buffer_pool_mb = smdb_storage::Knobs::default().buffer_pool_mb;
+    /// `base` without its indexes (reselect mode): the kept one while
+    /// the base's other features still equal its own — a walk that
+    /// allocates nothing — otherwise a fresh copy, kept for the next
+    /// pass.
+    fn stripped_base(&self, base: &ConfigInstance) -> Arc<ConfigInstance> {
+        let mut kept = self.stripped.lock();
+        let current = |s: &&Arc<ConfigInstance>| {
+            s.encodings == base.encodings
+                && s.placements == base.placements
+                && s.knobs.buffer_pool_mb.to_bits() == base.knobs.buffer_pool_mb.to_bits()
+        };
+        if let Some(stripped) = kept.as_ref().filter(current) {
+            return Arc::clone(stripped);
+        }
+        let stripped = Arc::new(ConfigInstance {
+            indexes: Default::default(),
+            encodings: base.encodings.clone(),
+            placements: base.placements.clone(),
+            knobs: base.knobs.clone(),
+        });
+        *kept = Some(Arc::clone(&stripped));
+        stripped
+    }
+
+    /// Whether the chosen candidates, applied to the enumeration base,
+    /// give back `base` — decided without building that target. In
+    /// reselect mode the chosen actions must all create indexes and, the
+    /// last per segment winning as in [`ConfigInstance::apply`], name
+    /// exactly the base's indexes: one merge walk. Otherwise each must
+    /// already hold in the base. `false` may still diff empty; the caller
+    /// then builds the target and diffs it.
+    fn selects_base(
+        &self,
+        base: &ConfigInstance,
+        candidates: &[Candidate],
+        chosen: &[usize],
+    ) -> bool {
+        if !self.reselects() {
+            return chosen.iter().all(|&i| base.holds(&candidates[i].action));
+        }
+        let mut created = Vec::with_capacity(chosen.len());
+        for &i in chosen {
+            match candidates[i].action {
+                ConfigAction::CreateIndex { target, kind } => created.push((target, kind)),
+                _ => return false,
             }
         }
-        stripped
+        // Stable: a segment's later choices stay after its earlier ones,
+        // so its last choice ends its run.
+        created.sort_by_key(|&(target, _)| target);
+        let mut last = created
+            .iter()
+            .enumerate()
+            .filter(|&(at, (target, _))| created.get(at + 1).is_none_or(|next| next.0 != *target))
+            .map(|(_, entry)| entry);
+        let mut indexes = base.indexes.iter();
+        loop {
+            match (last.next(), indexes.next()) {
+                (None, None) => return true,
+                (Some(chose), Some((target, kind))) if chose.0 == *target && chose.1 == *kind => {}
+                _ => return false,
+            }
+        }
     }
 
     /// The memory budget the selection must respect for this feature.
@@ -163,16 +229,13 @@ impl Tuner {
     ) -> Result<TuningProposal> {
         // In reselect mode the pipeline runs against the base with this
         // feature stripped, so existing entries must re-earn their place.
-        let enum_base = if self.reselects() {
-            self.strip_feature(base)
-        } else {
-            base.clone()
-        };
-        let candidates = self.enumerator.enumerate(engine, &enum_base, scenarios)?;
+        let stripped = self.reselects().then(|| self.stripped_base(base));
+        let enum_base = stripped.as_deref().unwrap_or(base);
+        let candidates = self.enumerator.enumerate(engine, enum_base, scenarios)?;
         if candidates.is_empty() {
-            return Ok(self.rejected(base, 0));
+            return Ok(self.rejected(0));
         }
-        let memory_budget_bytes = self.memory_budget(engine, &enum_base, constraints)?;
+        let memory_budget_bytes = self.memory_budget(engine, enum_base, constraints)?;
         // The scores come with `enum_base`'s scenario costs, reused below
         // for the combined economics (when not reselecting, `enum_base`
         // *is* the base configuration). A pass that ends unchanged still
@@ -180,7 +243,7 @@ impl Tuner {
         // traffic.
         let scores = self
             .assessor
-            .scores(engine, &enum_base, scenarios, &candidates)?;
+            .scores(engine, enum_base, scenarios, &candidates)?;
         let open = &scores.open;
         let chosen = greedy_over(&candidates, open.iter().copied(), memory_budget_bytes);
         debug_assert!(
@@ -195,16 +258,22 @@ impl Tuner {
             "greedy selection violated constraints"
         );
 
-        let target = self.target(&enum_base, &candidates, &chosen);
-        let actions = base.diff(&target);
-        if actions.is_empty() {
-            // Already at (or re-confirmed as) the selected configuration.
+        // Already at (or re-confirmed as) the selected configuration.
+        let unchanged = || {
             if scores.all_kept {
                 smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
                 #[cfg(test)]
                 FROM_KEPT.with(|n| n.set(n.get() + 1));
             }
-            return Ok(self.rejected(base, candidates.len()));
+            Ok(self.rejected(candidates.len()))
+        };
+        if self.selects_base(base, &candidates, &chosen) {
+            return unchanged();
+        }
+        let target = self.target(enum_base, &candidates, &chosen);
+        let actions = base.diff(&target);
+        if actions.is_empty() {
+            return unchanged();
         }
 
         // Combined economics: whole-configuration what-if instead of the
@@ -230,30 +299,15 @@ impl Tuner {
         let accepted = !gated
             || predicted_benefit.ms() * self.benefit_horizon
                 >= self.reconfiguration_weight * reconfiguration_cost.ms();
-        let proposal = if accepted {
-            TuningProposal {
-                feature: self.feature,
-                target,
-                actions,
-                predicted_benefit,
-                reconfiguration_cost,
-                candidates_enumerated: candidates.len(),
-                chosen: chosen.len(),
-                accepted: true,
-            }
-        } else {
-            TuningProposal {
-                feature: self.feature,
-                target: base.clone(),
-                actions: Vec::new(),
-                predicted_benefit,
-                reconfiguration_cost,
-                candidates_enumerated: candidates.len(),
-                chosen: chosen.len(),
-                accepted: false,
-            }
-        };
-        Ok(proposal)
+        Ok(TuningProposal {
+            feature: self.feature,
+            target: accepted.then_some(target),
+            actions: if accepted { actions } else { Vec::new() },
+            predicted_benefit,
+            reconfiguration_cost,
+            candidates_enumerated: candidates.len(),
+            chosen: chosen.len(),
+        })
     }
 
     /// `enum_base` with the chosen candidates applied.
@@ -270,16 +324,15 @@ impl Tuner {
         target
     }
 
-    fn rejected(&self, base: &ConfigInstance, enumerated: usize) -> TuningProposal {
+    fn rejected(&self, enumerated: usize) -> TuningProposal {
         TuningProposal {
             feature: self.feature,
-            target: base.clone(),
+            target: None,
             actions: Vec::new(),
             predicted_benefit: Cost::ZERO,
             reconfiguration_cost: Cost::ZERO,
             candidates_enumerated: enumerated,
             chosen: 0,
-            accepted: false,
         }
     }
 }
@@ -359,10 +412,10 @@ mod tests {
                 &ConstraintSet::none(),
             )
             .unwrap();
-        assert!(proposal.accepted);
+        assert!(proposal.accepted());
         assert!(!proposal.actions.is_empty());
         assert!(proposal.predicted_benefit.ms() > 0.0);
-        assert!(proposal.target.indexes.len() == proposal.chosen);
+        assert!(proposal.target.as_ref().unwrap().indexes.len() == proposal.chosen);
     }
 
     #[test]
@@ -380,9 +433,9 @@ mod tests {
                 &ConstraintSet::none(),
             )
             .unwrap();
-        assert!(!proposal.accepted);
+        assert!(!proposal.accepted());
         assert!(proposal.actions.is_empty());
-        assert_eq!(proposal.target, ConfigInstance::default());
+        assert_eq!(proposal.target, None);
     }
 
     #[test]
@@ -451,10 +504,10 @@ mod tests {
         let proposal = tuner
             .propose(&engine, &base, &forecast(t, 100.0), &ConstraintSet::none())
             .unwrap();
-        assert!(proposal.accepted, "{proposal:?}");
+        assert!(proposal.accepted(), "{proposal:?}");
         assert_eq!(proposal.actions.len(), 1);
         assert!(matches!(proposal.actions[0], ConfigAction::SetKnob { .. }));
-        assert!(proposal.target.knobs.buffer_pool_mb > 0.0);
+        assert!(proposal.target.as_ref().unwrap().knobs.buffer_pool_mb > 0.0);
     }
 
     /// A pass whose candidates come in another order still finds every
@@ -527,5 +580,172 @@ mod tests {
         // Logical model sees no encoding benefit → no accepted changes.
         assert_eq!(proposal.actions.len(), 0);
         assert!(proposal.candidates_enumerated > 0);
+    }
+
+    /// The early exit against the path it skips: whenever
+    /// `selects_base` holds, building the target and diffing it against
+    /// the base gives no action — over random bases, candidate lists
+    /// that repeat segments and mix in other actions, and chosen sets in
+    /// any order. In reselect mode with only index creations chosen the
+    /// two agree both ways.
+    #[test]
+    fn the_early_exit_agrees_with_the_target_diff_path() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use smdb_common::ChunkColumnRef;
+        use smdb_storage::{EncodingKind, IndexKind};
+
+        let (_, t) = setup();
+        let kinds = [IndexKind::Hash, IndexKind::BTree];
+        let encodings = [EncodingKind::Dictionary, EncodingKind::RunLength];
+        let segment = |rng: &mut StdRng| ChunkColumnRef::new(t.0, 0, rng.random_range(0..4));
+        let (mut exits, mut agreed) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut base = ConfigInstance::default();
+            for _ in 0..rng.random_range(0..4) {
+                let kind = kinds[rng.random_range(0usize..2)];
+                base.indexes.insert(segment(&mut rng), kind);
+            }
+            if rng.random_bool(0.3) {
+                let kind = encodings[rng.random_range(0usize..2)];
+                base.encodings.insert(segment(&mut rng), kind);
+            }
+            // Often exactly the base's indexes, re-ranked; sometimes more,
+            // fewer, another kind, or another feature's action.
+            let mut candidates: Vec<Candidate> = base
+                .indexes
+                .iter()
+                .map(|(&target, &kind)| ConfigAction::CreateIndex { target, kind })
+                .chain(
+                    (0..rng.random_range(0..4)).map(|_| match rng.random_range(0..6) {
+                        0 => ConfigAction::DropIndex {
+                            target: segment(&mut rng),
+                        },
+                        1 => ConfigAction::SetEncoding {
+                            target: segment(&mut rng),
+                            kind: encodings[rng.random_range(0usize..2)],
+                        },
+                        _ => ConfigAction::CreateIndex {
+                            target: segment(&mut rng),
+                            kind: kinds[rng.random_range(0usize..2)],
+                        },
+                    }),
+                )
+                .map(|action| Candidate::new(action, None))
+                .collect();
+            let n = candidates.len();
+            for i in (1..n).rev() {
+                candidates.swap(i, rng.random_range(0..=i));
+            }
+            let mut chosen: Vec<usize> = (0..n).filter(|_| rng.random_bool(0.85)).collect();
+            for i in (1..chosen.len()).rev() {
+                chosen.swap(i, rng.random_range(0..=i));
+            }
+            for feature in [FeatureKind::Indexing, FeatureKind::Compression] {
+                let tuner = standard_tuner(feature, what_if());
+                let stripped = tuner.reselects().then(|| tuner.stripped_base(&base));
+                let enum_base = stripped.as_deref().unwrap_or(&base);
+                let exit = tuner.selects_base(&base, &candidates, &chosen);
+                let unchanged = base
+                    .diff(&tuner.target(enum_base, &candidates, &chosen))
+                    .is_empty();
+                assert!(
+                    !exit || unchanged,
+                    "seed {seed} {feature:?}: exit but the diff is not empty"
+                );
+                let creates_only = chosen
+                    .iter()
+                    .all(|&i| matches!(candidates[i].action, ConfigAction::CreateIndex { .. }));
+                if tuner.reselects() && creates_only {
+                    assert_eq!(exit, unchanged, "seed {seed}");
+                    agreed += 1;
+                }
+                exits += usize::from(exit);
+            }
+        }
+        assert!(
+            exits > 50 && agreed > 100,
+            "{exits} exits, {agreed} exact cases"
+        );
+    }
+
+    /// Passes over random weights and candidate lists re-ranked on every
+    /// call: once a changing pass's proposal is applied, the next pass —
+    /// the same forecast, the candidates in another order — chooses a
+    /// set the early exit recognises as the base, so it ends before
+    /// building a target, reporting what an empty diff does.
+    #[test]
+    fn a_converged_pass_builds_no_target() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        /// The index enumerator's candidates, shuffled on every call.
+        struct Shuffled(std::sync::Mutex<StdRng>);
+
+        impl Enumerator for Shuffled {
+            fn name(&self) -> &str {
+                "shuffled"
+            }
+
+            fn enumerate(
+                &self,
+                engine: &StorageEngine,
+                base: &ConfigInstance,
+                scenarios: &ForecastSet,
+            ) -> Result<Vec<Candidate>> {
+                let enumerator = crate::enumerator::IndexEnumerator::default();
+                let mut candidates = enumerator.enumerate(engine, base, scenarios)?;
+                let mut rng = self.0.lock().unwrap();
+                for i in (1..candidates.len()).rev() {
+                    candidates.swap(i, rng.random_range(0..=i));
+                }
+                Ok(candidates)
+            }
+        }
+
+        let (engine, t) = setup();
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weight = rng.random_range(1i64..400) as f64;
+            let enumerator = Shuffled(std::sync::Mutex::new(StdRng::seed_from_u64(seed)));
+            let tuner = Tuner::new(FeatureKind::Indexing, Box::new(enumerator), what_if());
+            let scenarios = forecast(t, weight);
+            let constraints = ConstraintSet::none();
+            let first = tuner
+                .propose(
+                    &engine,
+                    &ConfigInstance::default(),
+                    &scenarios,
+                    &constraints,
+                )
+                .unwrap();
+            assert!(first.accepted(), "weight {weight}: {first:?}");
+            let tuned = first.target.clone().unwrap();
+            for pass in 0..3 {
+                // The choice a converged pass makes, in another order.
+                let enum_base = tuner.stripped_base(&tuned);
+                let candidates = tuner
+                    .enumerator
+                    .enumerate(&engine, &enum_base, &scenarios)
+                    .unwrap();
+                let scores = tuner
+                    .assessor
+                    .scores(&engine, &enum_base, &scenarios, &candidates)
+                    .unwrap();
+                let budget = tuner
+                    .memory_budget(&engine, &enum_base, &constraints)
+                    .unwrap();
+                let chosen = greedy_over(&candidates, scores.open.iter().copied(), budget);
+                assert!(
+                    tuner.selects_base(&tuned, &candidates, &chosen),
+                    "weight {weight}, pass {pass}: no early exit"
+                );
+                let again = tuner
+                    .propose(&engine, &tuned, &scenarios, &constraints)
+                    .unwrap();
+                assert_eq!(again, tuner.rejected(first.candidates_enumerated));
+            }
+        }
     }
 }

@@ -33,9 +33,10 @@ const SHARDS: usize = 16;
 /// key are well-mixed 64-bit values (a query fingerprint and a footprint
 /// key), and both maps' keys are produced in-process, so re-hashing them
 /// through SipHash buys nothing. Folds the words with a rotate so the
-/// two halves land on different bits.
+/// two halves land on different bits; a single word is its own hash
+/// (the selectors' exclusive-group ids, hashes too, use it that way).
 #[derive(Default)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -162,9 +163,11 @@ impl CostCache {
         self.misses.fetch_add(tally.misses, Ordering::Relaxed);
     }
 
-    /// Inserts a computed per-query cost (ms).
-    pub fn insert(&self, key: (u64, u64), value: f64) {
-        self.shard(key).write().insert(key, value);
+    /// Inserts a computed per-query cost (ms). Returns whether it added
+    /// the entry: `false` means another fan-out worker missed the same
+    /// key first and inserted it while this caller computed.
+    pub fn insert(&self, key: (u64, u64), value: f64) -> bool {
+        self.shard(key).write().insert(key, value).is_none()
     }
 
     /// Looks up a memoized context for a configuration (a cheap clone:
@@ -235,7 +238,8 @@ mod tests {
         let cache = CostCache::new();
         let mut tally = CacheStats::default();
         assert_eq!(cache.lookup((1, 2), &mut tally), None);
-        cache.insert((1, 2), 4.5);
+        assert!(cache.insert((1, 2), 4.5), "a new key is added");
+        assert!(!cache.insert((1, 2), 4.5), "a present key is not");
         assert_eq!(cache.lookup((1, 2), &mut tally), Some(4.5));
         assert_eq!(cache.stats(), CacheStats::default(), "not yet recorded");
         cache.record(tally);

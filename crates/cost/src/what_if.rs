@@ -162,7 +162,14 @@ impl WhatIf {
             return Ok(Cost(cost));
         }
         let cost = self.estimator.query_cost(engine, ctx, query, config())?;
-        cache.insert(key, cost.ms());
+        if !cache.insert(key, cost.ms()) {
+            // A concurrent worker missed the key first: its miss is the
+            // one that added the entry, so this lookup counts as a hit
+            // and the misses equal the entries added, whatever the
+            // thread timing.
+            tally.misses -= 1;
+            tally.hits += 1;
+        }
         Ok(cost)
     }
 

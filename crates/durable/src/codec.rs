@@ -296,6 +296,19 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+/// The shared value itself: sharing is not part of the bytes.
+impl<T: Encode> Encode for std::sync::Arc<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        (**self).encode(w);
+    }
+}
+
+impl<T: Decode> Decode for std::sync::Arc<T> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        T::decode(r).map(std::sync::Arc::new)
+    }
+}
+
 /// The elements in order, nothing between them.
 macro_rules! tuple {
     ($($name:ident),+) => {

@@ -2,6 +2,7 @@
 //! execution over the catalog lives in [`crate::exec`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use smdb_common::{ChunkColumnRef, Cost, Error, Result, TableId};
 
@@ -33,6 +34,11 @@ pub struct StorageEngine {
     /// reading them walks nothing.
     data_bytes: usize,
     index_bytes: usize,
+    /// The configuration in effect, kept up to date where it changes (a
+    /// new table, an applied action), so reading it walks nothing.
+    /// Shared with whoever exports it; an action on a shared instance
+    /// copies it first.
+    config: Arc<ConfigInstance>,
     /// Process-unique catalog identity, refreshed whenever the table set
     /// changes. Cost caches key on it so entries from one engine are
     /// never served for another; clones share the token because their
@@ -64,6 +70,7 @@ impl StorageEngine {
             nonhot_bytes: 0,
             data_bytes: 0,
             index_bytes: 0,
+            config: Arc::default(),
             catalog_token: next_catalog_token(),
         }
     }
@@ -93,6 +100,7 @@ impl StorageEngine {
         self.names.insert(table.name().to_string(), id);
         self.data_bytes += table.data_bytes();
         self.index_bytes += table.index_bytes();
+        table_config(id, &table, Arc::make_mut(&mut self.config));
         self.tables.push(table);
         self.recompute_residency();
         self.catalog_token = next_catalog_token();
@@ -122,39 +130,31 @@ impl StorageEngine {
             .map(|(i, t)| (TableId(i as u32), t))
     }
 
-    /// Snapshot of the configuration currently in effect, reconstructed
-    /// from actual physical state.
+    /// The configuration currently in effect.
+    pub fn config(&self) -> &ConfigInstance {
+        &self.config
+    }
+
+    /// The configuration currently in effect, shared: the engine copies
+    /// it before its next action rather than change it under the holder.
+    pub fn shared_config(&self) -> Arc<ConfigInstance> {
+        Arc::clone(&self.config)
+    }
+
+    /// An owned copy of the configuration currently in effect.
     pub fn current_config(&self) -> ConfigInstance {
+        (*self.config).clone()
+    }
+
+    /// The configuration reconstructed from the catalog's physical
+    /// state: what the kept [`StorageEngine::config`] must equal.
+    fn walk_config(&self) -> ConfigInstance {
         let mut config = ConfigInstance {
             knobs: self.knobs.clone(),
             ..ConfigInstance::default()
         };
         for (tid, table) in self.tables() {
-            for (cid, chunk) in table.chunks() {
-                if chunk.tier() != Tier::Hot {
-                    config.placements.insert((tid, cid), chunk.tier());
-                }
-                for (col, _) in table.schema().iter() {
-                    let target = ChunkColumnRef {
-                        table: tid,
-                        column: col,
-                        chunk: cid,
-                    };
-                    if let Some(idx) = chunk.index(col) {
-                        config.indexes.insert(target, idx.kind());
-                    }
-                    // A schema column always has a segment; a mismatch is
-                    // treated as "unencoded" rather than a panic so the
-                    // snapshot path can never poison a running server.
-                    let enc = chunk
-                        .segment(col)
-                        .map(|s| s.encoding())
-                        .unwrap_or(crate::encoding::EncodingKind::Unencoded);
-                    if enc != crate::encoding::EncodingKind::Unencoded {
-                        config.encodings.insert(target, enc);
-                    }
-                }
-            }
+            table_config(tid, table, &mut config);
         }
         config
     }
@@ -162,6 +162,8 @@ impl StorageEngine {
     /// Applies one configuration action, returning its one-time
     /// reconfiguration cost.
     pub fn apply_action(&mut self, action: &ConfigAction) -> Result<Cost> {
+        // The action as it landed, for the kept configuration.
+        let mut kept = action.clone();
         let cost = match action {
             ConfigAction::CreateIndex { target, kind } => {
                 let tier = self.table(target.table)?.chunk(target.chunk)?.tier();
@@ -192,10 +194,15 @@ impl StorageEngine {
                 let chunk = table.chunk_mut(target.chunk)?;
                 let rows = chunk.rows();
                 let before = chunk.segment(target.column)?.memory_bytes();
-                chunk.set_encoding(target.column, *kind)?;
+                let applied = chunk.set_encoding(target.column, *kind)?;
                 let after = chunk.segment(target.column)?.memory_bytes();
                 self.data_bytes = self.data_bytes - before + after;
                 self.recompute_residency();
+                // What the segment fell back to, not what was asked for.
+                kept = ConfigAction::SetEncoding {
+                    target: *target,
+                    kind: applied,
+                };
                 self.params.reencode_cost(rows, tier_mult)
             }
             ConfigAction::SetPlacement { table, chunk, tier } => {
@@ -223,6 +230,7 @@ impl StorageEngine {
                 Cost(self.params.knob_change_ms)
             }
         };
+        Arc::make_mut(&mut self.config).apply(&kept);
         debug_assert_eq!(
             (self.data_bytes, self.index_bytes),
             {
@@ -230,6 +238,10 @@ impl StorageEngine {
                 (report.data_bytes, report.index_bytes)
             },
             "kept byte totals drifted from the catalog"
+        );
+        debug_assert!(
+            *self.config == self.walk_config(),
+            "kept configuration drifted from the catalog"
         );
         Ok(cost)
     }
@@ -254,8 +266,17 @@ impl StorageEngine {
     /// too.
     pub fn inverse_of(&self, action: &ConfigAction) -> Result<ConfigAction> {
         match action {
+            // A create replaces an index of another kind: its undo
+            // rebuilds that one.
             ConfigAction::CreateIndex { target, .. } => {
-                Ok(ConfigAction::DropIndex { target: *target })
+                let chunk = self.table(target.table)?.chunk(target.chunk)?;
+                Ok(match chunk.index(target.column) {
+                    Some(prior) => ConfigAction::CreateIndex {
+                        target: *target,
+                        kind: prior.kind(),
+                    },
+                    None => ConfigAction::DropIndex { target: *target },
+                })
             }
             ConfigAction::DropIndex { target } => {
                 let chunk = self.table(target.table)?.chunk(target.chunk)?;
@@ -398,6 +419,36 @@ impl StorageEngine {
             .filter(|(_, c)| c.tier() != Tier::Hot)
             .map(|(_, c)| c.data_bytes())
             .sum();
+    }
+}
+
+/// Records `table`'s physical configuration — non-hot tiers, indexes,
+/// non-default encodings — into `config` under the id `tid`.
+fn table_config(tid: TableId, table: &Table, config: &mut ConfigInstance) {
+    for (cid, chunk) in table.chunks() {
+        if chunk.tier() != Tier::Hot {
+            config.placements.insert((tid, cid), chunk.tier());
+        }
+        for (col, _) in table.schema().iter() {
+            let target = ChunkColumnRef {
+                table: tid,
+                column: col,
+                chunk: cid,
+            };
+            if let Some(idx) = chunk.index(col) {
+                config.indexes.insert(target, idx.kind());
+            }
+            // A schema column always has a segment; a mismatch is
+            // treated as "unencoded" rather than a panic so the
+            // snapshot path can never poison a running server.
+            let enc = chunk
+                .segment(col)
+                .map(|s| s.encoding())
+                .unwrap_or(crate::encoding::EncodingKind::Unencoded);
+            if enc != crate::encoding::EncodingKind::Unencoded {
+                config.encodings.insert(target, enc);
+            }
+        }
     }
 }
 
@@ -916,5 +967,156 @@ mod composite_tests {
             },
         });
         assert!(err.is_err());
+    }
+}
+
+#[cfg(test)]
+mod kept_config_props {
+    //! The kept configuration is the catalog walk after every step of a
+    //! random action sequence — failed actions, undone batches, restored
+    //! snapshots and configured tables joining a fresh engine included.
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use smdb_common::{ChunkId, ColumnId};
+    use smdb_durable::ByteWriter;
+
+    use super::*;
+    use crate::config::KnobKind;
+    use crate::encoding::EncodingKind;
+    use crate::index::IndexKind;
+    use crate::schema::{ColumnDef, Schema};
+    use crate::value::{ColumnValues, DataType};
+
+    const CHUNKS: u32 = 4;
+
+    fn engine() -> (StorageEngine, TableId) {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("v", DataType::Float),
+            ColumnDef::new("s", DataType::Text),
+        ])
+        .unwrap();
+        let rows = 40;
+        let table = Table::from_columns(
+            "t",
+            schema,
+            vec![
+                ColumnValues::Int((0..rows).map(|i| i % 7).collect()),
+                ColumnValues::Float((0..rows).map(|i| i as f64 * 0.5).collect()),
+                ColumnValues::Text((0..rows).map(|i| format!("s{}", i % 3)).collect()),
+            ],
+            rows as usize / CHUNKS as usize,
+        )
+        .unwrap();
+        let mut e = StorageEngine::default();
+        let t = e.create_table(table).unwrap();
+        (e, t)
+    }
+
+    /// Any action on the table, applicable or not (a drop of a missing
+    /// index, a move to the tier a chunk is on, a negative pool fail).
+    fn action(rng: &mut StdRng, t: TableId) -> ConfigAction {
+        let column = rng.random_range(0u16..3);
+        let chunk = rng.random_range(0..CHUNKS);
+        let target = ChunkColumnRef::new(t.0, column, chunk);
+        match rng.random_range(0..5) {
+            0 => {
+                let second = ColumnId(rng.random_range(0u16..3));
+                let kinds = [
+                    IndexKind::Hash,
+                    IndexKind::BTree,
+                    IndexKind::CompositeHash { second },
+                ];
+                let kind = kinds[rng.random_range(0usize..3)];
+                ConfigAction::CreateIndex { target, kind }
+            }
+            1 => ConfigAction::DropIndex { target },
+            // Every kind on every type: Float and Text fall back.
+            2 => ConfigAction::SetEncoding {
+                target,
+                kind: EncodingKind::ALL[rng.random_range(0usize..EncodingKind::ALL.len())],
+            },
+            3 => ConfigAction::SetPlacement {
+                table: t,
+                chunk: ChunkId(chunk),
+                tier: [Tier::Hot, Tier::Warm, Tier::Cold][rng.random_range(0usize..3)],
+            },
+            _ => ConfigAction::SetKnob {
+                knob: KnobKind::BufferPoolMb,
+                value: rng.random_range(-8i64..512) as f64,
+            },
+        }
+    }
+
+    fn kept_is_walk(e: &StorageEngine) {
+        let walk = e.walk_config();
+        assert_eq!(e.config(), &walk);
+        assert_eq!(&*e.shared_config(), &walk);
+        assert_eq!(e.current_config(), walk);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_kept_configuration_is_the_catalog_walk(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut e, t) = engine();
+            kept_is_walk(&e);
+            // An export holding the instance across the steps: actions
+            // copy it rather than change it underneath.
+            let mut held = e.shared_config();
+            for _ in 0..40 {
+                match rng.random_range(0..10) {
+                    0..=5 => {
+                        let _ = e.apply_action(&action(&mut rng, t));
+                    }
+                    6 => {
+                        // A batch whose last action fails is undone.
+                        let mut batch: Vec<ConfigAction> =
+                            (0..rng.random_range(1..4)).map(|_| action(&mut rng, t)).collect();
+                        batch.push(ConfigAction::SetKnob {
+                            knob: KnobKind::BufferPoolMb,
+                            value: -1.0,
+                        });
+                        let before = e.current_config();
+                        prop_assert!(e.apply_all_atomic(&batch).is_err());
+                        prop_assert_eq!(e.config(), &before);
+                    }
+                    7 => {
+                        // Snapshot restore: the tables' bytes into a fresh
+                        // engine at the default configuration, then the
+                        // saved configuration re-applied.
+                        let saved = e.current_config();
+                        let mut restored = StorageEngine::default();
+                        for (_, table) in e.tables() {
+                            let mut w = ByteWriter::new();
+                            table.encode(&mut w).unwrap();
+                            let table: Table = smdb_durable::decode_all(&w.into_bytes()).unwrap();
+                            restored.create_table(table).unwrap();
+                        }
+                        prop_assert_eq!(restored.config(), &ConfigInstance {
+                            knobs: restored.knobs.clone(),
+                            ..ConfigInstance::default()
+                        });
+                        let redo = restored.config().diff(&saved);
+                        restored.apply_all_atomic(&redo).unwrap();
+                        prop_assert_eq!(restored.config(), &saved);
+                        e = restored;
+                    }
+                    8 => {
+                        // A configured table joins a fresh engine as it is.
+                        let mut copy = StorageEngine::default();
+                        copy.create_table(e.table(t).unwrap().clone()).unwrap();
+                        kept_is_walk(&copy);
+                    }
+                    _ => held = e.shared_config(),
+                }
+                kept_is_walk(&e);
+            }
+            drop(held);
+        }
     }
 }

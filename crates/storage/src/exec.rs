@@ -12,6 +12,12 @@
 //! chunk order, and a sharded scatter-gather folds partials from every
 //! shard in global chunk order through
 //! [`StorageEngine::merge_scan_partials`].
+//!
+//! Aggregate state (`AggState`) folds per operator: every operator
+//! counts its rows, SUM and AVG fold `sum`, MIN `min`, MAX `max`, and
+//! COUNT reads no segment. The one `Step` of the operator is chosen
+//! once per batch, and the scalar consume, the kernels and
+//! `fold_keyed` all step through it.
 
 use std::ops::Range;
 
@@ -489,15 +495,10 @@ impl StorageEngine {
                         Some(_) => crate::kernels::covers_accumulate(chunk.segment(agg.column)?),
                     };
                 if use_kernel {
-                    let seg = chunk.segment(agg.column)?;
-                    let st = &mut part.agg;
-                    st.count += positions.len() as u64;
                     crate::kernels::accumulate(
-                        seg,
+                        chunk.segment(agg.column)?,
                         positions,
-                        &mut st.sum,
-                        &mut st.min,
-                        &mut st.max,
+                        &mut part.agg,
                     );
                     part.kernel_batches += 1;
                 } else {
@@ -515,6 +516,7 @@ impl StorageEngine {
                 if self.kernels
                     && crate::kernels::aggregate_grouped(
                         group_seg,
+                        chunk.stats(g)?,
                         agg_seg,
                         positions,
                         agg.op,
@@ -527,13 +529,11 @@ impl StorageEngine {
                         .iter()
                         .map(|&p| (group_seg.value_at(p as usize), p))
                         .collect();
-                    let fold = |state: &mut AggState, p: u32| {
-                        state.count += 1;
-                        if let Some(x) = agg_seg.and_then(|seg| seg.value_at(p as usize).as_f64()) {
-                            state.step(x);
-                        }
-                    };
-                    fold_keyed(keyed, Some(agg.op), fold, &mut part.groups);
+                    let x = |p: u32| agg_seg.and_then(|seg| seg.value_at(p as usize).as_f64());
+                    let op = Some(agg.op);
+                    with_step!(op, S => {
+                        fold_keyed(keyed, op, |st, p| st.add::<S>(x(p)), &mut part.groups)
+                    });
                 }
                 Ok(Cost(
                     positions.len() as f64
@@ -654,22 +654,26 @@ impl ScanFold {
         }
     }
 
-    /// Folds one partial's key-sorted groups into the fold's: in place,
-    /// a binary search per key, while the partial's keys are already
-    /// present; as a merge of the two sorted vectors from the first new
-    /// key on. A partial whose keys are all present or all past the
-    /// fold's last key costs O(P log G) for P partial and G fold groups;
-    /// one with a new key inside the fold's range, O(G + P). Either way
-    /// each key's state is `merge`d, so its floats fold in chunk order
-    /// exactly as a map entry's would.
+    /// Folds one partial's key-sorted groups into the fold's: in place
+    /// while the partial's keys are already present — each key tried
+    /// first at the slot after the previous match, then found by binary
+    /// search — and as a merge of the two sorted vectors from the first
+    /// new key on. A partial holding the fold's keys (every chunk of a
+    /// low-cardinality GROUP BY) costs O(P) for P partial groups; one
+    /// whose keys are present but sparse or past the fold's last key,
+    /// O(P log G) for G fold groups; one with a new key inside the
+    /// fold's range, O(G + P). Either way each key's state is `merge`d,
+    /// so its floats fold in chunk order exactly as a map entry's would.
     fn merge_groups(&mut self, part: Vec<(Value, AggState)>) {
         let op = self.agg.op;
         let mut part = part.into_iter().peekable();
         let mut at = 0;
         while let Some((key, state)) = part.peek() {
-            at += self.groups[at..].partition_point(|(k, _)| k < key);
-            if at == self.groups.len() || self.groups[at].0 != *key {
-                break;
+            if self.groups.get(at).is_none_or(|(k, _)| k != key) {
+                at += self.groups[at..].partition_point(|(k, _)| k < key);
+                if at == self.groups.len() || self.groups[at].0 != *key {
+                    break;
+                }
             }
             self.groups[at].1.merge(state);
             part.next();
@@ -769,7 +773,10 @@ pub(crate) fn fold_keyed<K: Ord>(
     }
 }
 
-/// Streaming aggregate state across chunks.
+/// Streaming aggregate state across chunks. Every operator counts its
+/// matched rows; beyond that each folds only the field it finishes
+/// from — SUM and AVG `sum`, MIN `min`, MAX `max` — and COUNT reads no
+/// value at all.
 #[derive(Default, Clone)]
 pub(crate) struct AggState {
     op: Option<AggregateOp>,
@@ -779,6 +786,76 @@ pub(crate) struct AggState {
     pub(crate) max: Option<f64>,
 }
 
+/// One operator's fold of a numeric value into the field it finishes
+/// from. [`with_step!`] resolves it once per batch, so the scalar
+/// consume, the kernels and [`fold_keyed`] all run per-row loops
+/// monomorphised over the same `step`.
+pub(crate) trait Step {
+    fn step(state: &mut AggState, x: f64);
+}
+
+/// SUM and AVG: `sum += x`.
+pub(crate) struct SumStep;
+/// MIN: `min` over the numeric rows, NaN dropped unless it is all there is.
+pub(crate) struct MinStep;
+/// MAX: as MIN.
+pub(crate) struct MaxStep;
+/// COUNT (and no aggregate): the row count is all there is.
+pub(crate) struct CountStep;
+
+impl Step for SumStep {
+    #[inline(always)]
+    fn step(state: &mut AggState, x: f64) {
+        state.sum += x;
+    }
+}
+
+impl Step for MinStep {
+    #[inline(always)]
+    fn step(state: &mut AggState, x: f64) {
+        state.min = Some(state.min.map_or(x, |m| m.min(x)));
+    }
+}
+
+impl Step for MaxStep {
+    #[inline(always)]
+    fn step(state: &mut AggState, x: f64) {
+        state.max = Some(state.max.map_or(x, |m| m.max(x)));
+    }
+}
+
+impl Step for CountStep {
+    #[inline(always)]
+    fn step(_: &mut AggState, _: f64) {}
+}
+
+/// Evaluates `$body` with `$S` naming the [`Step`] of `$op`, an
+/// `Option<AggregateOp>`: one match per batch, never per row.
+macro_rules! with_step {
+    ($op:expr, $S:ident => $body:expr) => {{
+        use $crate::scan::AggregateOp as Op;
+        match $op {
+            Some(Op::Sum | Op::Avg) => {
+                type $S = $crate::exec::SumStep;
+                $body
+            }
+            Some(Op::Min) => {
+                type $S = $crate::exec::MinStep;
+                $body
+            }
+            Some(Op::Max) => {
+                type $S = $crate::exec::MaxStep;
+                $body
+            }
+            Some(Op::Count) | None => {
+                type $S = $crate::exec::CountStep;
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_step;
+
 impl AggState {
     pub(crate) fn new(op: Option<AggregateOp>) -> Self {
         AggState {
@@ -787,12 +864,19 @@ impl AggState {
         }
     }
 
-    /// Folds one numeric value, in the scalar statement order.
+    /// The operator this state folds for.
+    pub(crate) fn op(&self) -> Option<AggregateOp> {
+        self.op
+    }
+
+    /// Folds one matched row: counts it and, when it reads as a number
+    /// (`x`), steps it.
     #[inline(always)]
-    pub(crate) fn step(&mut self, x: f64) {
-        self.sum += x;
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
+    pub(crate) fn add<S: Step>(&mut self, x: Option<f64>) {
+        self.count += 1;
+        if let Some(x) = x {
+            S::step(self, x);
+        }
     }
 
     fn consume(&mut self, chunk: &Chunk, agg: &Aggregate, positions: &[u32]) -> Result<()> {
@@ -804,31 +888,37 @@ impl AggState {
             return Ok(());
         }
         let seg = chunk.segment(agg.column)?;
-        for &p in positions {
-            if let Some(x) = seg.value_at(p as usize).as_f64() {
-                self.step(x);
+        with_step!(self.op, S => {
+            for &p in positions {
+                if let Some(x) = seg.value_at(p as usize).as_f64() {
+                    S::step(self, x);
+                }
             }
-        }
+        });
         Ok(())
     }
 
-    /// Folds another partial state into this one. Sum accumulation order
-    /// is the caller's responsibility — `ScanFold` always merges in
-    /// chunk-index order, which is what keeps grouped
-    /// floats bit-identical across execution modes.
+    /// Folds another partial state into this one, field by the
+    /// operator's field. Sum accumulation order is the caller's
+    /// responsibility — `ScanFold` always merges in chunk-index order,
+    /// which is what keeps grouped floats bit-identical across execution
+    /// modes.
     fn merge(&mut self, other: &AggState) {
         self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
+        match self.op {
+            Some(AggregateOp::Sum | AggregateOp::Avg) => self.sum += other.sum,
+            Some(AggregateOp::Min) => {
+                if let Some(x) = other.min {
+                    MinStep::step(self, x);
+                }
+            }
+            Some(AggregateOp::Max) => {
+                if let Some(x) = other.max {
+                    MaxStep::step(self, x);
+                }
+            }
+            Some(AggregateOp::Count) | None => {}
+        }
     }
 
     fn finish(&self, matched: u64) -> Option<f64> {

@@ -22,12 +22,21 @@
 //! compared into a bitmask (AVX2 lanes where the host supports them, a
 //! scalar mask loop otherwise) and only the set bits are expanded into
 //! positions, so sparse matches cost almost no stores.
+//!
+//! Aggregation folds only what the operator returns: `accumulate` and
+//! `aggregate_grouped` resolve the operator's `exec::Step` and the
+//! value source once per batch (`with_step!`, `with_reader!`), so every
+//! per-row loop is monomorphised over both. Int and frame-of-reference
+//! group keys take their dense slot span from the chunk's statistics
+//! when it is narrow, skipping a pass over the matched keys, and are
+//! sorted by key otherwise.
 
 use std::ops::Bound;
 
 use crate::encoding::{int_bounds, Segment};
-use crate::exec::{fold_keyed, AggState};
+use crate::exec::{fold_keyed, with_step, AggState, Step};
 use crate::scan::{cmp_float, cmp_int, cmp_text, AggregateOp, ScanPredicate};
+use crate::stats::SegmentStats;
 use crate::value::{ColumnValues, Value};
 
 /// Marker for batches the kernel layer refuses. Every call site must
@@ -362,10 +371,11 @@ pub fn refine(seg: &Segment, pred: &ScanPredicate, positions: &mut Vec<u32>) -> 
 // Aggregation kernels
 // ---------------------------------------------------------------------------
 
-/// Per-position numeric reader for an aggregation input segment:
-/// `None` when every selected row reads as non-numeric (text columns —
-/// the scalar path skips those rows too).
+/// Numeric source of an aggregation input segment, classified once per
+/// batch and turned into a per-position reader by [`with_reader!`].
 enum NumSrc<'a> {
+    /// Every row reads as non-numeric (text columns — the scalar path
+    /// skips those rows too).
     Skip,
     Ints(&'a [i64]),
     Floats(&'a [f64]),
@@ -391,57 +401,70 @@ impl<'a> NumSrc<'a> {
             Segment::RunLength(_) => None,
         }
     }
-
-    /// The numeric reading of position `p`, mirroring
-    /// `Value::as_f64(&seg.value_at(p))`.
-    #[inline(always)]
-    fn num_at(&self, p: u32) -> Option<f64> {
-        match self {
-            NumSrc::Skip => None,
-            NumSrc::Ints(v) => Some(v[p as usize] as f64),
-            NumSrc::Floats(v) => Some(v[p as usize]),
-            NumSrc::Codes(codes, d) => Some(d[codes[p as usize] as usize] as f64),
-            NumSrc::Rebased(base, offsets) => Some((base + offsets[p as usize] as i64) as f64),
-        }
-    }
 }
 
-/// Whether [`accumulate`] covers this aggregation input segment.
+/// Evaluates `$body` with `$read` bound to a `Fn(u32) -> Option<f64>`
+/// reading position `p` of the [`NumSrc`] `$src` as
+/// `Value::as_f64(&seg.value_at(p))` would. The source is matched once
+/// here, so `$body` is monomorphised per source and its per-row loop
+/// never matches again.
+macro_rules! with_reader {
+    ($src:expr, $read:ident => $body:expr) => {
+        match $src {
+            NumSrc::Skip => {
+                let $read = |_: u32| None::<f64>;
+                $body
+            }
+            NumSrc::Ints(v) => {
+                let $read = |p: u32| Some(v[p as usize] as f64);
+                $body
+            }
+            NumSrc::Floats(v) => {
+                let $read = |p: u32| Some(v[p as usize]);
+                $body
+            }
+            NumSrc::Codes(codes, d) => {
+                let $read = |p: u32| Some(d[codes[p as usize] as usize] as f64);
+                $body
+            }
+            NumSrc::Rebased(base, offsets) => {
+                let $read = |p: u32| Some((base + offsets[p as usize] as i64) as f64);
+                $body
+            }
+        }
+    };
+}
+
+/// Whether `accumulate` covers this aggregation input segment.
 pub fn covers_accumulate(seg: &Segment) -> bool {
     !matches!(seg, Segment::RunLength(_))
 }
 
-/// Batched ungrouped aggregation over the selected positions: folds
-/// sum/min/max exactly in the scalar consume order (same float
-/// statement sequence per position, non-numeric rows skipped). Count
-/// maintenance stays with the caller. Returns `false` (touching
-/// nothing) when uncovered.
-pub fn accumulate(
-    seg: &Segment,
-    positions: &[u32],
-    sum: &mut f64,
-    min: &mut Option<f64>,
-    max: &mut Option<f64>,
-) -> bool {
+/// Batched ungrouped aggregation over the selected positions: counts
+/// them into `state` and folds their numeric readings with the one
+/// [`Step`] of `state`'s operator, in the scalar consume order
+/// (non-numeric rows skipped). Returns `false` (touching nothing) when
+/// uncovered.
+pub(crate) fn accumulate(seg: &Segment, positions: &[u32], state: &mut AggState) -> bool {
     let Some(src) = NumSrc::classify(seg) else {
         // kernel-fallback: RLE value access is a per-position binary
         // search; the scalar consume loop is the reference path.
         return uncovered();
     };
-    for &p in positions {
-        let Some(x) = src.num_at(p) else {
-            continue;
-        };
-        *sum += x;
-        *min = Some(min.map_or(x, |m| m.min(x)));
-        *max = Some(max.map_or(x, |m| m.max(x)));
-    }
+    state.count += positions.len() as u64;
+    with_step!(state.op(), S => with_reader!(src, read => {
+        for &p in positions {
+            if let Some(x) = read(p) {
+                S::step(state, x);
+            }
+        }
+    }));
     true
 }
 
-/// Matched-key spans below this many keys group Int and
-/// frame-of-reference keys in a dense slot table indexed by `key − min`;
-/// wider spans are sorted by key (`exec::fold_keyed`).
+/// Group-key spans below this many keys group Int and frame-of-reference
+/// keys in a dense slot table indexed by `key − min`; wider spans are
+/// sorted by key (`exec::fold_keyed`).
 const DENSE_SPAN: u64 = 256;
 
 /// Whether [`aggregate_grouped`] covers this group-key/aggregation-input
@@ -458,16 +481,19 @@ pub fn covers_grouped(group_seg: &Segment, agg_seg: Option<&Segment>) -> bool {
 }
 
 /// Batched grouped aggregation: groups the selected positions by the
-/// group segment's value and folds the aggregation input per group,
-/// appending to the empty `out` exactly the key-sorted (key, state)
-/// pairs the scalar path builds — one `Value` per *group*
-/// instead of one per row. Dictionary keys accumulate in a dense table
-/// indexed by code; Int and frame-of-reference keys in a dense table
-/// indexed by `key − min` when the matched keys span fewer than
-/// [`DENSE_SPAN`] values, by a stable sort on the key otherwise. Returns
+/// group segment's value and folds the aggregation input per group with
+/// the operator's one [`Step`], appending to the empty `out` exactly the
+/// key-sorted (key, state) pairs the scalar path builds — one `Value`
+/// per *group* instead of one per row. Dictionary keys accumulate in a
+/// dense table indexed by code. Int and frame-of-reference keys
+/// accumulate in a dense table indexed by `key − min` when the chunk's
+/// key statistics (`key_stats`, exact: written once from the raw
+/// values) span fewer than [`DENSE_SPAN`] values; by a stable sort on
+/// the key otherwise. Returns
 /// `false` (touching nothing) when uncovered.
 pub(crate) fn aggregate_grouped(
     group_seg: &Segment,
+    key_stats: &SegmentStats,
     agg_seg: Option<&Segment>,
     positions: &[u32],
     op: AggregateOp,
@@ -486,13 +512,26 @@ pub(crate) fn aggregate_grouped(
             None => return false, // unreachable: covers_grouped checked
         },
     };
-    let op = Some(op);
-    let fold = |state: &mut AggState, p: u32| {
-        state.count += 1;
-        if let Some(x) = src.num_at(p) {
-            state.step(x);
-        }
+    let key_range = match (&key_stats.min, &key_stats.max) {
+        (Some(Value::Int(lo)), Some(Value::Int(hi))) => Some((*lo, *hi)),
+        _ => None,
     };
+    let op = Some(op);
+    with_step!(op, S => with_reader!(src, read => {
+        let fold = |state: &mut AggState, p: u32| state.add::<S>(read(p));
+        group_rows(group_seg, key_range, positions, op, fold, out)
+    }))
+}
+
+/// The grouping half of [`aggregate_grouped`], monomorphised per fold.
+fn group_rows(
+    group_seg: &Segment,
+    key_range: Option<(i64, i64)>,
+    positions: &[u32],
+    op: Option<AggregateOp>,
+    fold: impl Fn(&mut AggState, u32),
+    out: &mut Vec<(Value, AggState)>,
+) -> bool {
     match group_seg {
         Segment::Dictionary(s) => {
             // Emission in code order is emission in key order (the
@@ -507,12 +546,13 @@ pub(crate) fn aggregate_grouped(
             out.extend(groups.map(|(code, st)| (s.value_of_code(code as u32), st)));
         }
         Segment::Unencoded(ColumnValues::Int(v)) => {
-            group_ints(|p| v[p as usize], positions, op, fold, out);
+            group_ints(|p| v[p as usize], key_range, positions, op, fold, out);
         }
         Segment::FrameOfReference(s) => {
             let (base, offsets) = (s.base(), s.offsets());
             group_ints(
                 |p| base + offsets[p as usize] as i64,
+                key_range,
                 positions,
                 op,
                 fold,
@@ -528,23 +568,22 @@ pub(crate) fn aggregate_grouped(
 
 /// Groups `positions` by the integer key `key_of` reads, folding each
 /// position into its key's state in position order and appending the
-/// groups to `out` in key order.
+/// groups to `out` in key order: through a dense table over the chunk's
+/// `key_range` when that is narrow enough, so no pass over the matched
+/// keys precedes the fold, and by a stable sort on the key otherwise.
+/// The table drops its zero-count slots, so both give the same groups.
 fn group_ints(
     key_of: impl Fn(u32) -> i64,
+    key_range: Option<(i64, i64)>,
     positions: &[u32],
     op: Option<AggregateOp>,
     fold: impl Fn(&mut AggState, u32),
     out: &mut Vec<(Value, AggState)>,
 ) {
-    let mut keys = positions.iter().map(|&p| key_of(p));
-    let Some(first) = keys.next() else {
-        return;
-    };
-    let (lo, hi) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
     // `hi − lo` as an unsigned distance: exact for every pair of i64s.
-    let span = hi.wrapping_sub(lo) as u64;
-    if span < DENSE_SPAN {
-        let mut slots = vec![AggState::new(op); span as usize + 1];
+    let span = |(lo, hi): (i64, i64)| hi.wrapping_sub(lo) as u64;
+    if let Some(range @ (lo, _)) = key_range.filter(|&r| span(r) < DENSE_SPAN) {
+        let mut slots = vec![AggState::new(op); span(range) as usize + 1];
         for &p in positions {
             fold(&mut slots[key_of(p).wrapping_sub(lo) as u64 as usize], p);
         }
@@ -712,46 +751,98 @@ mod tests {
         }
     }
 
+    const OPS: [AggregateOp; 5] = [
+        AggregateOp::Count,
+        AggregateOp::Sum,
+        AggregateOp::Avg,
+        AggregateOp::Min,
+        AggregateOp::Max,
+    ];
+
+    /// The all-field oracle: every numeric row folds sum, min and max in
+    /// the scalar statement order, whatever the operator.
+    #[derive(Default)]
+    struct AllFields {
+        count: u64,
+        sum: f64,
+        min: Option<f64>,
+        max: Option<f64>,
+    }
+
+    impl AllFields {
+        fn add(&mut self, x: Option<f64>) {
+            self.count += 1;
+            if let Some(x) = x {
+                self.sum += x;
+                self.min = Some(self.min.map_or(x, |m| m.min(x)));
+                self.max = Some(self.max.map_or(x, |m| m.max(x)));
+            }
+        }
+
+        /// Asserts `st` holds exactly the fields its operator reads,
+        /// bit for bit, and leaves every other field at its default.
+        fn check(&self, op: AggregateOp, st: &AggState, what: &str) {
+            let reads_sum = matches!(op, AggregateOp::Sum | AggregateOp::Avg);
+            let sum = if reads_sum { self.sum } else { 0.0 };
+            let min = if op == AggregateOp::Min {
+                self.min
+            } else {
+                None
+            };
+            let max = if op == AggregateOp::Max {
+                self.max
+            } else {
+                None
+            };
+            assert_eq!(st.count, self.count, "{what} {op:?} count");
+            assert_eq!(st.sum.to_bits(), sum.to_bits(), "{what} {op:?} sum");
+            assert_eq!(
+                st.min.map(f64::to_bits),
+                min.map(f64::to_bits),
+                "{what} {op:?} min"
+            );
+            assert_eq!(
+                st.max.map(f64::to_bits),
+                max.map(f64::to_bits),
+                "{what} {op:?} max"
+            );
+        }
+    }
+
     #[test]
-    fn accumulate_matches_scalar_consume_order() {
+    fn accumulate_folds_only_the_operators_field() {
         for data in columns() {
             for kind in EncodingKind::ALL {
                 let seg = Segment::encode(&data, kind);
                 let positions: Vec<u32> = (0..data.len() as u32).collect();
-                let (mut sum, mut min, mut max) = (0.0f64, None, None);
-                if !accumulate(&seg, &positions, &mut sum, &mut min, &mut max) {
-                    assert!(matches!(seg, Segment::RunLength(_)));
-                    continue;
-                }
-                // Scalar reference: the exact consume statement sequence.
-                let (mut esum, mut emin, mut emax) = (0.0f64, None::<f64>, None::<f64>);
+                let mut expect = AllFields::default();
                 for &p in &positions {
-                    let Some(x) = seg.value_at(p as usize).as_f64() else {
-                        continue;
-                    };
-                    esum += x;
-                    emin = Some(emin.map_or(x, |m| m.min(x)));
-                    emax = Some(emax.map_or(x, |m| m.max(x)));
+                    expect.add(seg.value_at(p as usize).as_f64());
                 }
-                assert_eq!(sum.to_bits(), esum.to_bits(), "{kind}");
-                assert_eq!(min.map(f64::to_bits), emin.map(f64::to_bits));
-                assert_eq!(max.map(f64::to_bits), emax.map(f64::to_bits));
+                for op in OPS {
+                    let mut st = AggState::new(Some(op));
+                    if !accumulate(&seg, &positions, &mut st) {
+                        assert!(matches!(seg, Segment::RunLength(_)));
+                        assert_eq!(st.count, 0, "uncovered accumulate touches nothing");
+                        continue;
+                    }
+                    expect.check(op, &st, &format!("{kind}"));
+                }
             }
         }
     }
 
-    /// The scalar reference: per-row key and fold, in position order,
-    /// into a map.
-    fn per_row_groups(gseg: &Segment, aseg: &Segment, positions: &[u32]) -> Vec<(Value, AggState)> {
-        let mut expect: BTreeMap<Value, AggState> = BTreeMap::new();
+    /// The scalar reference: per-row key and all-field fold, in position
+    /// order, into a map.
+    fn per_row_groups(
+        gseg: &Segment,
+        aseg: &Segment,
+        positions: &[u32],
+    ) -> Vec<(Value, AllFields)> {
+        let mut expect: BTreeMap<Value, AllFields> = BTreeMap::new();
         for &p in positions {
-            let st = expect
-                .entry(gseg.value_at(p as usize))
-                .or_insert_with(|| AggState::new(Some(AggregateOp::Sum)));
-            st.count += 1;
-            if let Some(x) = aseg.value_at(p as usize).as_f64() {
-                st.step(x);
-            }
+            let st = expect.entry(gseg.value_at(p as usize)).or_default();
+            st.add(aseg.value_at(p as usize).as_f64());
         }
         expect.into_iter().collect()
     }
@@ -767,31 +858,42 @@ mod tests {
         ];
         let agg_data =
             ColumnValues::Float(vec![0.5, 1.5, 2.5, 3.25, 4.0, 5.0, 6.5, 7.0, 8.5, 9.75]);
-        let positions: Vec<u32> = vec![0, 2, 3, 5, 6, 7, 9, 1, 4];
+        // All rows, a narrow subset of the widest span's keys, one row
+        // and none.
+        let position_sets: [&[u32]; 4] = [&[0, 2, 3, 5, 6, 7, 9, 1, 4], &[3, 7, 9], &[8], &[]];
         for keys in wide {
             let group_data = ColumnValues::Int(keys);
+            let stats = SegmentStats::compute(&group_data);
             for gkind in EncodingKind::ALL {
                 for akind in EncodingKind::ALL {
                     let gseg = Segment::encode(&group_data, gkind);
                     let aseg = Segment::encode(&agg_data, akind);
-                    let mut out = Vec::new();
-                    let op = AggregateOp::Sum;
-                    if !aggregate_grouped(&gseg, Some(&aseg), &positions, op, &mut out) {
-                        assert!(
-                            matches!(gseg, Segment::RunLength(_))
-                                || matches!(aseg, Segment::RunLength(_)),
-                            "{gkind}/{akind} unexpectedly uncovered"
-                        );
-                        continue;
-                    }
-                    let expect = per_row_groups(&gseg, &aseg, &positions);
-                    assert_eq!(out.len(), expect.len(), "{gkind}/{akind}");
-                    for ((k, a), (ek, ea)) in out.iter().zip(&expect) {
-                        assert_eq!(k, ek, "{gkind}/{akind}");
-                        assert_eq!(a.count, ea.count);
-                        assert_eq!(a.sum.to_bits(), ea.sum.to_bits(), "{gkind}/{akind}");
-                        assert_eq!(a.min.map(f64::to_bits), ea.min.map(f64::to_bits));
-                        assert_eq!(a.max.map(f64::to_bits), ea.max.map(f64::to_bits));
+                    for positions in position_sets {
+                        for op in OPS {
+                            let mut out = Vec::new();
+                            let what = format!("{gkind}/{akind} {positions:?}");
+                            if !aggregate_grouped(
+                                &gseg,
+                                &stats,
+                                Some(&aseg),
+                                positions,
+                                op,
+                                &mut out,
+                            ) {
+                                assert!(
+                                    matches!(gseg, Segment::RunLength(_))
+                                        || matches!(aseg, Segment::RunLength(_)),
+                                    "{what} unexpectedly uncovered"
+                                );
+                                continue;
+                            }
+                            let expect = per_row_groups(&gseg, &aseg, positions);
+                            assert_eq!(out.len(), expect.len(), "{what}");
+                            for ((k, st), (ek, e)) in out.iter().zip(&expect) {
+                                assert_eq!(k, ek, "{what}");
+                                e.check(op, st, &what);
+                            }
+                        }
                     }
                 }
             }
@@ -801,13 +903,16 @@ mod tests {
     #[test]
     fn grouped_count_star_has_no_aggregation_input() {
         let group_data = ColumnValues::Int(vec![4, 4, 2, 4, 2]);
+        let stats = SegmentStats::compute(&group_data);
         let gseg = Segment::encode(&group_data, EncodingKind::Dictionary);
         let mut out = Vec::new();
+        let op = AggregateOp::Count;
         assert!(aggregate_grouped(
             &gseg,
+            &stats,
             None,
             &[0, 1, 2, 4],
-            AggregateOp::Count,
+            op,
             &mut out
         ));
         assert_eq!(out.len(), 2);
@@ -821,14 +926,29 @@ mod tests {
     #[test]
     fn text_group_keys_fall_back() {
         let group_data = ColumnValues::Text(vec!["a".into(), "b".into()]);
+        let stats = SegmentStats::compute(&group_data);
         let gseg = Segment::encode(&group_data, EncodingKind::Unencoded);
         let mut out = Vec::new();
         let op = AggregateOp::Count;
-        assert!(!aggregate_grouped(&gseg, None, &[0, 1], op, &mut out));
+        assert!(!aggregate_grouped(
+            &gseg,
+            &stats,
+            None,
+            &[0, 1],
+            op,
+            &mut out
+        ));
         assert!(out.is_empty());
         // Text *dictionary* group keys are covered (dense code table).
         let dict = Segment::encode(&group_data, EncodingKind::Dictionary);
-        assert!(aggregate_grouped(&dict, None, &[0, 1], op, &mut out));
+        assert!(aggregate_grouped(
+            &dict,
+            &stats,
+            None,
+            &[0, 1],
+            op,
+            &mut out
+        ));
         assert_eq!(out.len(), 2);
     }
 

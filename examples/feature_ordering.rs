@@ -158,7 +158,7 @@ fn main() {
         .workload_cost(
             &engine,
             &forecast.expected().expect("expected exists").workload,
-            &run.final_config,
+            run.final_config.as_ref().unwrap_or(&base),
         )
         .expect("costing succeeds");
     println!(

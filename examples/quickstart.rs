@@ -88,7 +88,10 @@ fn main() {
     for proposal in &tuning.proposals {
         println!(
             "  {}: {} candidates -> {} chosen (accepted: {})",
-            proposal.feature, proposal.candidates_enumerated, proposal.chosen, proposal.accepted
+            proposal.feature,
+            proposal.candidates_enumerated,
+            proposal.chosen,
+            proposal.accepted()
         );
     }
     println!(

@@ -226,7 +226,7 @@ fn state() -> impl Strategy<Value = ServingState> {
                     ..SessionStats::default()
                 },
                 clock: bucket,
-                config,
+                config: config.into(),
                 kpi,
                 history,
                 plan_cache: cache.snapshot(),

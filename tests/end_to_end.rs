@@ -153,7 +153,7 @@ fn tuning_prediction_matches_realized_cost_direction() {
     let predicted: Cost = report
         .proposals
         .iter()
-        .filter(|p| p.accepted)
+        .filter(|p| p.accepted())
         .map(|p| p.predicted_benefit)
         .sum();
     assert!(predicted.ms() > 0.0, "accepted proposals predict benefit");

@@ -4,10 +4,15 @@
 //! in chunk order — group keys and `f64` bits, `agg_value` bits,
 //! `rows_matched` — with `sim_cost` bit-equal across every mode.
 //!
+//! The per-operator fold (SUM and AVG fold only `sum`, MIN only `min`,
+//! MAX only `max`) is held to the same all-field reference for every
+//! operator × value encoding × group-key segment, over empty, single and
+//! full position sets and values at the edges of `f64` and `i64`.
+//!
 //! Covered: group keys in every encoding (unencoded `Int`, frame of
 //! reference, dictionary `Int` and `Text`, run length, unencoded `Float`
 //! with `-0.0`, `0.0` and NaN keys that `Value::cmp` keeps apart), keys
-//! at `i64::MIN`/`i64::MAX`, matched-key spans on both sides of the
+//! at `i64::MIN`/`i64::MAX`, chunk key spans on both sides of the
 //! dense-slot cutoff, kernels on and off, and inline, morsel and
 //! 1–4-shard scans.
 
@@ -123,7 +128,8 @@ fn engine(
     e
 }
 
-/// The old map-based state and fold, over raw rows.
+/// The old map-based state and its all-field fold, over raw rows: every
+/// numeric row folds sum, min and max, whatever the operator.
 #[derive(Clone, Default)]
 struct MapState {
     sum: f64,
@@ -133,9 +139,9 @@ struct MapState {
 }
 
 impl MapState {
-    fn add(&mut self, op: AggregateOp, x: f64) {
+    fn add(&mut self, op: AggregateOp, x: Option<f64>) {
         self.count += 1;
-        if op != AggregateOp::Count {
+        if let Some(x) = x.filter(|_| op != AggregateOp::Count) {
             self.sum += x;
             self.min = Some(self.min.map_or(x, |m| m.min(x)));
             self.max = Some(self.max.map_or(x, |m| m.max(x)));
@@ -190,7 +196,7 @@ fn reference(
                 continue;
             }
             matched += 1;
-            let x = value_at(V).as_f64().expect("float input");
+            let x = value_at(V).as_f64();
             chunk_total.add(op, x);
             let state: &mut MapState = chunk_groups.entry(value_at(KEY)).or_default();
             state.add(op, x);
@@ -297,4 +303,164 @@ proptest! {
             prop_assert_eq!(out.sim_cost.ms().to_bits(), cost, "{} sim_cost", mode);
         }
     }
+}
+
+/// The group-key columns of the per-operator sweep: narrow Int keys (a
+/// dense table spanned by the chunk statistics, whose extremes every
+/// chunk holds), Int keys spanning the whole `i64` range, Float keys
+/// that `Value::cmp` keeps apart, and Text keys.
+fn sweep_keys(rows: usize) -> Vec<ColumnValues> {
+    let narrow = [-3, 3, 0, 1, -1, 2];
+    let wide = [i64::MIN, i64::MAX, -1, 0, 5, i64::MAX - 1];
+    let floats = [-0.0, 0.0, f64::NAN, 1.5, f64::NEG_INFINITY];
+    let text = ["", "b", "a", "zz"];
+    vec![
+        ColumnValues::Int((0..rows).map(|i| narrow[i % narrow.len()]).collect()),
+        ColumnValues::Int((0..rows).map(|i| wide[i % wide.len()]).collect()),
+        ColumnValues::Float((0..rows).map(|i| floats[i % floats.len()]).collect()),
+        ColumnValues::Text((0..rows).map(|i| text[i % text.len()].to_owned()).collect()),
+    ]
+}
+
+/// The aggregation inputs of the sweep: Int at the `i64` extremes, Float
+/// with NaN, `-0.0`, ±inf and order-dependent sums, and Text, which
+/// reads as no number at all.
+fn sweep_values(rows: usize) -> Vec<ColumnValues> {
+    let ints = [i64::MIN, 7, i64::MAX, -1, 0, i64::MAX - 1, 3];
+    let floats = [
+        1e16,
+        f64::NAN,
+        -0.0,
+        f64::INFINITY,
+        1.0,
+        -1e16,
+        f64::NEG_INFINITY,
+        0.1,
+    ];
+    let floats_finite = [-0.0, 2.5, -7.25, 1e300, 1e-300, -1e300];
+    vec![
+        ColumnValues::Int((0..rows).map(|i| ints[i % ints.len()]).collect()),
+        ColumnValues::Float((0..rows).map(|i| floats[i % floats.len()]).collect()),
+        ColumnValues::Float(
+            (0..rows)
+                .map(|i| floats_finite[i % floats_finite.len()])
+                .collect(),
+        ),
+        ColumnValues::Text((0..rows).map(|i| format!("t{}", i % 3)).collect()),
+    ]
+}
+
+/// Every operator × value encoding × group-key segment, grouped and not,
+/// over empty, single and full position sets: the per-operator fold
+/// equals the all-field reference bit for bit inline with kernels on and
+/// off, morsel-parallel on two scan threads, and gathered from four
+/// shards.
+#[test]
+fn every_operator_folds_only_its_field_like_the_all_field_reference() {
+    const ROWS: usize = 48;
+    const CHUNK_ROWS: usize = 12;
+    let chunks = ROWS / CHUNK_ROWS;
+    let ops = [
+        AggregateOp::Count,
+        AggregateOp::Sum,
+        AggregateOp::Avg,
+        AggregateOp::Min,
+        AggregateOp::Max,
+    ];
+    // Empty, single and full position sets.
+    let position_sets: [Vec<ScanPredicate>; 3] = [
+        vec![ScanPredicate::cmp(F, PredicateOp::Lt, 0i64)],
+        vec![ScanPredicate::eq(F, 17i64)],
+        vec![],
+    ];
+    let pool = ScanPool::new(2);
+    let t = TableId(0);
+    let mut compared = 0usize;
+    for keys in sweep_keys(ROWS) {
+        for values in sweep_values(ROWS) {
+            let row_ids = ColumnValues::Int((0..ROWS as i64).collect());
+            let columns = vec![keys.clone(), values, row_ids];
+            for key_kind in 0..4 {
+                for value_kind in 0..4 {
+                    let encodings = vec![(key_kind, value_kind); chunks];
+                    let mut e = engine(&columns, 0..ROWS, CHUNK_ROWS, 0, &encodings);
+                    let shards: Vec<StorageEngine> = (0..chunks)
+                        .map(|s| {
+                            let rows = s * CHUNK_ROWS..(s + 1) * CHUNK_ROWS;
+                            engine(&columns, rows, CHUNK_ROWS, s, &encodings)
+                        })
+                        .collect();
+                    for predicates in &position_sets {
+                        for op in ops {
+                            for group_by in [None, Some(KEY)] {
+                                let agg = Aggregate::new(op, V);
+                                let what = format!(
+                                    "{:?} keys {key_kind}, {:?} values {value_kind}, {op:?} {group_by:?} {predicates:?}",
+                                    keys.data_type(),
+                                    columns[1].data_type(),
+                                );
+                                let expected = reference(
+                                    &columns,
+                                    CHUNK_ROWS,
+                                    predicates,
+                                    op,
+                                    group_by.is_some(),
+                                );
+                                let scan = |e: &StorageEngine| {
+                                    e.scan_grouped(t, predicates, Some(&agg), group_by)
+                                        .expect("scans")
+                                };
+                                e.set_kernels_enabled(true);
+                                let kernels = scan(&e);
+                                let parallel = e
+                                    .scan_grouped_parallel(
+                                        t,
+                                        predicates,
+                                        Some(&agg),
+                                        group_by,
+                                        &pool,
+                                        1,
+                                    )
+                                    .expect("scans");
+                                e.set_kernels_enabled(false);
+                                let scalar = scan(&e);
+                                let mut gathered = Vec::new();
+                                for shard in &shards {
+                                    gathered.extend(
+                                        shard
+                                            .scan_partials(
+                                                t,
+                                                predicates,
+                                                Some(&agg),
+                                                group_by,
+                                                None,
+                                            )
+                                            .expect("scans"),
+                                    );
+                                }
+                                let sharded =
+                                    shards[0].merge_scan_partials(gathered, Some(&agg), group_by);
+                                let cost = kernels.sim_cost.ms().to_bits();
+                                for (mode, out) in [
+                                    ("kernels", &kernels),
+                                    ("two scan threads", &parallel),
+                                    ("scalar", &scalar),
+                                    ("four shards", &sharded),
+                                ] {
+                                    assert_eq!(answer(out), expected, "{mode}: {what}");
+                                    assert_eq!(
+                                        out.sim_cost.ms().to_bits(),
+                                        cost,
+                                        "{mode} sim_cost: {what}"
+                                    );
+                                    compared += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 4 * 4 * 4 * 4 * 3 * 5 * 2 * 4);
 }
