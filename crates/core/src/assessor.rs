@@ -133,10 +133,11 @@ impl WhatIfAssessor {
         scenarios: &ForecastSet,
         candidates: &[Candidate],
     ) -> Result<Vec<Assessment>> {
-        let priced = self.priced_base(engine, base, scenarios)?;
+        let priced = self.priced_base(engine, base, base.fingerprint(), scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
+        let keep = Keep::Offered(None);
         let (assessments, _) =
-            self.priced(&priced, candidates, &all, true, false, |index, price| {
+            self.priced(&priced, candidates, &all, keep, false, |index, price| {
                 priced.assessment(index, price, self.confidence)
             })?;
         Ok(assessments)
@@ -155,11 +156,15 @@ impl WhatIfAssessor {
         candidates: &[Candidate],
         subset: &[usize],
     ) -> Result<Vec<Assessment>> {
-        let priced = self.priced_base(engine, base, scenarios)?;
-        let (assessments, _) =
-            self.priced(&priced, candidates, subset, false, false, |index, price| {
-                priced.assessment(index, price, self.confidence)
-            })?;
+        let priced = self.priced_base(engine, base, base.fingerprint(), scenarios)?;
+        let (assessments, _) = self.priced(
+            &priced,
+            candidates,
+            subset,
+            Keep::No,
+            false,
+            |index, price| priced.assessment(index, price, self.confidence),
+        )?;
         Ok(assessments)
     }
 
@@ -173,7 +178,47 @@ impl WhatIfAssessor {
         scenarios: &ForecastSet,
         candidates: &[Candidate],
     ) -> Result<Scores> {
-        let priced = self.priced_base(engine, base, scenarios)?;
+        self.scores_of(
+            engine,
+            base,
+            base.fingerprint(),
+            scenarios,
+            candidates,
+            None,
+        )
+    }
+
+    /// [`Self::scores`] of a tuner's shared candidate list, with the
+    /// base's fingerprint the tuner already holds: a list the memo was
+    /// kept for is recognised by identity, without comparing its actions.
+    pub(crate) fn scores_kept(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        fingerprint: u64,
+        scenarios: &ForecastSet,
+        candidates: &Arc<[Candidate]>,
+    ) -> Result<Scores> {
+        self.scores_of(
+            engine,
+            base,
+            fingerprint,
+            scenarios,
+            candidates,
+            Some(candidates),
+        )
+    }
+
+    fn scores_of(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        fingerprint: u64,
+        scenarios: &ForecastSet,
+        candidates: &[Candidate],
+        offered: Option<&Arc<[Candidate]>>,
+    ) -> Result<Scores> {
+        let priced = self.priced_base(engine, base, fingerprint, scenarios)?;
         let all: Vec<usize> = (0..candidates.len()).collect();
         let project = |index, price: PriceRef<'_>| {
             let desirability = priced.expected_desirability(price.deltas);
@@ -183,8 +228,9 @@ impl WhatIfAssessor {
                 budget_weight(price.fixed.permanent_bytes),
             )
         };
+        let keep = Keep::Offered(offered);
         let (open, all_kept) =
-            self.priced(&priced, candidates, &all, true, priced.certifies, project)?;
+            self.priced(&priced, candidates, &all, keep, priced.certifies, project)?;
         let workloads = scenarios.iter().map(|s| &s.workload);
         let base_costs = self
             .what_if
@@ -292,15 +338,16 @@ impl WhatIfAssessor {
 
     /// The base configuration priced once for a pass: base context,
     /// per-query base costs and footprints, shared (read-only) by every
-    /// candidate worker. The base is hashed here and nowhere else in
-    /// the pass.
+    /// candidate worker. `fingerprint` is `base.fingerprint()`, hashed
+    /// once per pass by the caller.
     fn priced_base<'a>(
         &self,
         engine: &'a StorageEngine,
         base: &'a ConfigInstance,
+        fingerprint: u64,
         scenarios: &'a ForecastSet,
     ) -> Result<PricedBase<'a>> {
-        let fingerprint = base.fingerprint();
+        debug_assert_eq!(fingerprint, base.fingerprint());
         let ctx = self.what_if.config_context(engine, base, fingerprint);
         let workloads = self.what_if.price_workloads(
             engine,
@@ -331,16 +378,16 @@ impl WhatIfAssessor {
 
     /// The one pricing function: prices the candidates at `indices` and
     /// projects each price, in order — with `gain_only`, only those
-    /// that save something on some query. With `keep` it reads the
-    /// prices kept under this pass's [`MemoKey`] by action and then
-    /// keeps this pass's (the flag tells whether every one was kept);
-    /// without, it touches neither.
+    /// that save something on some query. With [`Keep::Offered`] it
+    /// reads the prices kept under this pass's [`MemoKey`] by action and
+    /// then keeps this pass's (the flag tells whether every one was
+    /// kept); with [`Keep::No`], it touches neither.
     fn priced<T>(
         &self,
         priced: &PricedBase<'_>,
         candidates: &[Candidate],
         indices: &[usize],
-        keep: bool,
+        keep: Keep<'_>,
         gain_only: bool,
         mut project: impl FnMut(usize, PriceRef<'_>) -> T,
     ) -> Result<(Vec<T>, bool)> {
@@ -349,7 +396,10 @@ impl WhatIfAssessor {
         smdb_obs::metrics::counter("assessor.candidates_assessed").add(indices.len() as u64);
         // The kept prices hold while the key does; under a new key the
         // memo starts over.
-        let key = if keep { self.memo_key(priced) } else { None };
+        let (key, offered) = match keep {
+            Keep::Offered(offered) => (self.memo_key(priced), offered),
+            Keep::No => (None, None),
+        };
         let kept = key.as_ref().and_then(|key| {
             let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner()).take();
             memo.filter(|memo| memo.key == *key)
@@ -360,7 +410,7 @@ impl WhatIfAssessor {
         // comparing walk, and its kept prices are read by slot.
         let in_order = kept
             .as_ref()
-            .is_some_and(|memo| memo.offered_in_order(candidates, indices));
+            .is_some_and(|memo| memo.offered_in_order(candidates, indices, offered));
         // Otherwise a kept price is found by action, wherever the
         // candidate now ranks. Every row a kept price re-costs would have
         // looked up an entry the pass that priced it left behind: all
@@ -443,9 +493,16 @@ impl WhatIfAssessor {
             // the memo as it was; any other keeps its own prices, in
             // order.
             let memo = if same_set {
-                kept
+                // Re-offered in the kept order: this list is the memo's.
+                kept.map(|mut memo| {
+                    if in_order && offered.is_some() {
+                        memo.offered = offered.cloned();
+                    }
+                    memo
+                })
             } else {
                 let mut memo = PriceMemo::new(key, priced.workloads.queries.len());
+                memo.offered = offered.cloned();
                 let mut fresh_slots = fresh_prices.iter();
                 for (&index, &at) in indices.iter().zip(&found) {
                     if let Some(price) = kept_or_fresh(kept.as_ref(), at, &mut fresh_slots) {
@@ -541,6 +598,16 @@ impl WhatIfAssessor {
                 .collect(),
         })
     }
+}
+
+/// Whether [`WhatIfAssessor::priced`] reads and keeps prices.
+#[derive(Clone, Copy)]
+enum Keep<'a> {
+    /// Neither: a re-assessment.
+    No,
+    /// Both, for the full list offered — shared, when the caller keeps
+    /// it across passes.
+    Offered(Option<&'a Arc<[Candidate]>>),
 }
 
 /// The price found `at` a slot of the kept memo, or else the next fresh
@@ -736,6 +803,8 @@ struct PriceMemo {
     gaining: Vec<usize>,
     /// Where each action's price sits.
     at: HashMap<ActionKey, usize>,
+    /// A shared candidate list whose actions are `actions`, in order.
+    offered: Option<Arc<[Candidate]>>,
 }
 
 impl PriceMemo {
@@ -749,6 +818,7 @@ impl PriceMemo {
             reach: vec![0; queries],
             gaining: Vec::new(),
             at: HashMap::new(),
+            offered: None,
         }
     }
 
@@ -795,13 +865,30 @@ impl PriceMemo {
     }
 
     /// Whether the candidates at `indices` are the kept actions, in the
-    /// kept order.
-    fn offered_in_order(&self, candidates: &[Candidate], indices: &[usize]) -> bool {
-        indices.len() == self.actions.len()
-            && indices
-                .iter()
-                .zip(&self.actions)
-                .all(|(&index, kept)| ActionKey::of(&candidates[index].action) == *kept)
+    /// kept order: by identity when the whole list `offered` is the one
+    /// the memo was kept for, otherwise by one comparing walk.
+    fn offered_in_order(
+        &self,
+        candidates: &[Candidate],
+        indices: &[usize],
+        offered: Option<&Arc<[Candidate]>>,
+    ) -> bool {
+        let walk = || {
+            indices.len() == self.actions.len()
+                && indices
+                    .iter()
+                    .zip(&self.actions)
+                    .all(|(&index, kept)| ActionKey::of(&candidates[index].action) == *kept)
+        };
+        let same_list = offered
+            .zip(self.offered.as_ref())
+            .is_some_and(|(offered, kept)| Arc::ptr_eq(offered, kept));
+        // An action offered twice is kept once: then the lengths differ.
+        if same_list && indices.len() == candidates.len() && indices.len() == self.actions.len() {
+            debug_assert!(walk(), "the kept list is the memo's actions, in order");
+            return true;
+        }
+        walk()
     }
 
     /// Whether `found` names every kept slot exactly once.
@@ -1188,7 +1275,9 @@ mod tests {
         let base = ConfigInstance::default();
         for forecast in [lined_up, ragged] {
             let assessor = assessor();
-            let priced = assessor.priced_base(&engine, &base, &forecast).unwrap();
+            let priced = assessor
+                .priced_base(&engine, &base, base.fingerprint(), &forecast)
+                .unwrap();
             assert!(priced.certifies);
             let mut certified = Vec::new();
             for (i, c) in candidates.iter().enumerate() {

@@ -6,11 +6,23 @@
 //! exhaustive enumerator and (for indexing) a heuristic one that
 //! restricts the set workload-drivenly; the framework can "fall back to
 //! restrictive enumerators when necessary".
+//!
+//! A tuner keeps its last list ([`Kept`]) next to exactly the inputs the
+//! enumerator read to build it, and [`Enumerator::enumerate_kept`] hands
+//! the same shared list back while those inputs hold. The encoding
+//! enumerator reads the catalog, the base configuration (by its
+//! fingerprint) and the tables the forecast touches. The index
+//! enumerator also reads the weight-ranked `(column, has_range)` list
+//! and the composite pairs; the ranking re-orders on most converged
+//! passes, so it keeps one run of candidates per column and reassembles
+//! the runs in the new order — the actions, groups and order a fresh
+//! enumeration gives.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use smdb_common::{ChunkColumnRef, Result};
+use smdb_common::{ChunkColumnRef, ColumnId, Result, TableId};
 use smdb_forecast::ForecastSet;
 use smdb_storage::{
     ConfigAction, ConfigInstance, EncodingKind, IndexKind, KnobKind, StorageEngine, Tier,
@@ -30,7 +42,69 @@ pub trait Enumerator: Send + Sync {
         base: &ConfigInstance,
         scenarios: &ForecastSet,
     ) -> Result<Vec<Candidate>>;
+
+    /// [`Self::enumerate`]'s list, shared: `kept`'s while the inputs it
+    /// was built from still hold, otherwise a fresh one, kept.
+    /// `base_fingerprint` is `base.fingerprint()`, which the caller
+    /// computes once per pass. The default keeps nothing.
+    fn enumerate_kept(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        _base_fingerprint: u64,
+        scenarios: &ForecastSet,
+        _kept: &mut Kept,
+    ) -> Result<Arc<[Candidate]>> {
+        Ok(self.enumerate(engine, base, scenarios)?.into())
+    }
 }
+
+/// A tuner's last enumeration and the inputs it was built from.
+#[derive(Default)]
+pub struct Kept(Option<KeptList>);
+
+impl Kept {
+    /// Whether an enumerator keeps a list here (the default keeps none).
+    #[cfg(debug_assertions)]
+    pub(crate) fn holds_list(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+/// What every kept list was read from: the catalog and the base.
+#[derive(PartialEq)]
+struct Basis {
+    catalog_token: u64,
+    base: u64,
+}
+
+impl Basis {
+    fn of(engine: &StorageEngine, base_fingerprint: u64) -> Basis {
+        Basis {
+            catalog_token: engine.catalog_token(),
+            base: base_fingerprint,
+        }
+    }
+}
+
+enum KeptList {
+    Encoding {
+        basis: Basis,
+        touched: BTreeSet<TableId>,
+        list: Arc<[Candidate]>,
+    },
+    Index {
+        basis: Basis,
+        pairs: BTreeSet<(TableId, ColumnId, ColumnId)>,
+        ranked: Vec<Ranked>,
+        /// One run per ranked column: its candidates over every chunk.
+        runs: HashMap<Ranked, Vec<Candidate>>,
+        list: Arc<[Candidate]>,
+    },
+}
+
+/// A ranked predicate column and whether a range operator reads it.
+type Ranked = ((TableId, ColumnId), bool);
 
 fn group_of(target: ChunkColumnRef, salt: u64) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -42,9 +116,7 @@ fn group_of(target: ChunkColumnRef, salt: u64) -> u64 {
 /// Columns referenced by predicates in any scenario, with their summed
 /// query weight (used for workload-driven restriction) and whether range
 /// operators occur.
-fn predicate_columns(
-    scenarios: &ForecastSet,
-) -> BTreeMap<(smdb_common::TableId, smdb_common::ColumnId), (f64, bool)> {
+fn predicate_columns(scenarios: &ForecastSet) -> BTreeMap<(TableId, ColumnId), (f64, bool)> {
     let mut out: BTreeMap<_, (f64, bool)> = BTreeMap::new();
     for scenario in scenarios.iter() {
         for wq in scenario.workload.queries() {
@@ -74,13 +146,7 @@ pub struct IndexEnumerator {
 
 /// Ordered `(table, leading, second)` column pairs that co-occur as
 /// equality predicates within single forecast queries.
-fn composite_pairs(
-    scenarios: &ForecastSet,
-) -> BTreeSet<(
-    smdb_common::TableId,
-    smdb_common::ColumnId,
-    smdb_common::ColumnId,
-)> {
+fn composite_pairs(scenarios: &ForecastSet) -> BTreeSet<(TableId, ColumnId, ColumnId)> {
     let mut out = BTreeSet::new();
     for scenario in scenarios.iter() {
         for wq in scenario.workload.queries() {
@@ -103,6 +169,74 @@ fn composite_pairs(
     out
 }
 
+/// The referenced columns, heaviest first, with whether ranges occur.
+fn ranked_columns(scenarios: &ForecastSet) -> Vec<Ranked> {
+    let mut columns: Vec<_> = predicate_columns(scenarios).into_iter().collect();
+    columns.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0));
+    columns
+        .into_iter()
+        .map(|(column, (_, has_range))| (column, has_range))
+        .collect()
+}
+
+impl IndexEnumerator {
+    /// One column's candidates over every chunk of its table: hash, a
+    /// B-tree where ranges occur, and the composites it leads.
+    fn run(
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        pairs: &BTreeSet<(TableId, ColumnId, ColumnId)>,
+        ((table_id, column), has_range): Ranked,
+    ) -> Result<Vec<Candidate>> {
+        let table = engine.table(table_id)?;
+        let mut out = Vec::new();
+        for (chunk_id, _) in table.chunks() {
+            let target = ChunkColumnRef {
+                table: table_id,
+                column,
+                chunk: chunk_id,
+            };
+            let group = group_of(target, 0xA11);
+            let mut kinds: Vec<IndexKind> = if has_range {
+                vec![IndexKind::BTree, IndexKind::Hash]
+            } else {
+                vec![IndexKind::Hash]
+            };
+            // Multi-attribute candidates led by this column.
+            for &(t, a, b) in pairs {
+                if t == table_id && a == column {
+                    kinds.push(IndexKind::CompositeHash { second: b });
+                }
+            }
+            for kind in kinds {
+                if base.index_of(target) == Some(kind) {
+                    continue; // already in effect
+                }
+                out.push(Candidate::new(
+                    ConfigAction::CreateIndex { target, kind },
+                    Some(group),
+                ));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The runs in ranked order, capped.
+    fn assemble<'r>(&self, runs: impl Iterator<Item = &'r [Candidate]>) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        for run in runs {
+            out.extend_from_slice(run);
+            if let Some(cap) = self.max_candidates {
+                if out.len() >= cap {
+                    out.truncate(cap);
+                    break;
+                }
+            }
+        }
+        out
+    }
+}
+
 impl Enumerator for IndexEnumerator {
     fn name(&self) -> &str {
         "index"
@@ -114,49 +248,66 @@ impl Enumerator for IndexEnumerator {
         base: &ConfigInstance,
         scenarios: &ForecastSet,
     ) -> Result<Vec<Candidate>> {
-        // Rank referenced columns by workload weight (heaviest first).
-        let mut columns: Vec<_> = predicate_columns(scenarios).into_iter().collect();
-        columns.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0));
-
         let pairs = composite_pairs(scenarios);
-        let mut out = Vec::new();
-        'outer: for ((table_id, column), (_, has_range)) in columns {
-            let table = engine.table(table_id)?;
-            for (chunk_id, _) in table.chunks() {
-                let target = ChunkColumnRef {
-                    table: table_id,
-                    column,
-                    chunk: chunk_id,
-                };
-                let group = group_of(target, 0xA11);
-                let mut kinds: Vec<IndexKind> = if has_range {
-                    vec![IndexKind::BTree, IndexKind::Hash]
-                } else {
-                    vec![IndexKind::Hash]
-                };
-                // Multi-attribute candidates led by this column.
-                for &(t, a, b) in &pairs {
-                    if t == table_id && a == column {
-                        kinds.push(IndexKind::CompositeHash { second: b });
-                    }
+        let runs = ranked_columns(scenarios)
+            .into_iter()
+            .map(|ranked| Self::run(engine, base, &pairs, ranked))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.assemble(runs.iter().map(Vec::as_slice)))
+    }
+
+    fn enumerate_kept(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        base_fingerprint: u64,
+        scenarios: &ForecastSet,
+        kept: &mut Kept,
+    ) -> Result<Arc<[Candidate]>> {
+        let basis = Basis::of(engine, base_fingerprint);
+        let pairs = composite_pairs(scenarios);
+        let ranked = ranked_columns(scenarios);
+        // Runs hold while the catalog, the base and the pairs do.
+        let mut runs = match kept.0.take() {
+            Some(KeptList::Index {
+                basis: b,
+                pairs: p,
+                ranked: r,
+                runs,
+                list,
+            }) if b == basis && p == pairs => {
+                if r == ranked {
+                    let list_out = Arc::clone(&list);
+                    kept.0 = Some(KeptList::Index {
+                        basis,
+                        pairs,
+                        ranked,
+                        runs,
+                        list,
+                    });
+                    return Ok(list_out);
                 }
-                for kind in kinds {
-                    if base.index_of(target) == Some(kind) {
-                        continue; // already in effect
-                    }
-                    out.push(Candidate::new(
-                        ConfigAction::CreateIndex { target, kind },
-                        Some(group),
-                    ));
-                    if let Some(cap) = self.max_candidates {
-                        if out.len() >= cap {
-                            break 'outer;
-                        }
-                    }
-                }
+                runs
+            }
+            _ => HashMap::new(),
+        };
+        for &column in &ranked {
+            if !runs.contains_key(&column) {
+                runs.insert(column, Self::run(engine, base, &pairs, column)?);
             }
         }
-        Ok(out)
+        runs.retain(|column, _| ranked.contains(column));
+        let list: Arc<[Candidate]> = self
+            .assemble(ranked.iter().map(|column| runs[column].as_slice()))
+            .into();
+        kept.0 = Some(KeptList::Index {
+            basis,
+            pairs,
+            ranked,
+            runs,
+            list: Arc::clone(&list),
+        });
+        Ok(list)
     }
 }
 
@@ -164,6 +315,17 @@ impl Enumerator for IndexEnumerator {
 /// forecast query touches.
 #[derive(Debug, Clone, Default)]
 pub struct EncodingEnumerator;
+
+/// The tables the forecast's queries touch.
+fn touched_tables(scenarios: &ForecastSet) -> BTreeSet<TableId> {
+    let mut touched = BTreeSet::new();
+    for s in scenarios.iter() {
+        for wq in s.workload.queries() {
+            touched.insert(wq.query.table());
+        }
+    }
+    touched
+}
 
 impl Enumerator for EncodingEnumerator {
     fn name(&self) -> &str {
@@ -176,15 +338,8 @@ impl Enumerator for EncodingEnumerator {
         base: &ConfigInstance,
         scenarios: &ForecastSet,
     ) -> Result<Vec<Candidate>> {
-        // Tables touched by the forecast.
-        let mut touched: BTreeSet<smdb_common::TableId> = BTreeSet::new();
-        for s in scenarios.iter() {
-            for wq in s.workload.queries() {
-                touched.insert(wq.query.table());
-            }
-        }
         let mut out = Vec::new();
-        for table_id in touched {
+        for table_id in touched_tables(scenarios) {
             let table = engine.table(table_id)?;
             for (chunk_id, _) in table.chunks() {
                 for (column, _) in table.schema().iter() {
@@ -209,6 +364,35 @@ impl Enumerator for EncodingEnumerator {
         }
         Ok(out)
     }
+
+    fn enumerate_kept(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        base_fingerprint: u64,
+        scenarios: &ForecastSet,
+        kept: &mut Kept,
+    ) -> Result<Arc<[Candidate]>> {
+        let basis = Basis::of(engine, base_fingerprint);
+        let touched = touched_tables(scenarios);
+        if let Some(KeptList::Encoding {
+            basis: b,
+            touched: t,
+            list,
+        }) = &kept.0
+        {
+            if *b == basis && *t == touched {
+                return Ok(Arc::clone(list));
+            }
+        }
+        let list: Arc<[Candidate]> = self.enumerate(engine, base, scenarios)?.into();
+        kept.0 = Some(KeptList::Encoding {
+            basis,
+            touched,
+            list: Arc::clone(&list),
+        });
+        Ok(list)
+    }
 }
 
 /// Placement candidates: every alternative tier for every chunk of the
@@ -227,14 +411,8 @@ impl Enumerator for PlacementEnumerator {
         base: &ConfigInstance,
         scenarios: &ForecastSet,
     ) -> Result<Vec<Candidate>> {
-        let mut touched: BTreeSet<smdb_common::TableId> = BTreeSet::new();
-        for s in scenarios.iter() {
-            for wq in s.workload.queries() {
-                touched.insert(wq.query.table());
-            }
-        }
         let mut out = Vec::new();
-        for table_id in touched {
+        for table_id in touched_tables(scenarios) {
             let table = engine.table(table_id)?;
             for (chunk_id, _) in table.chunks() {
                 let current = base.tier_of(table_id, chunk_id);
@@ -468,5 +646,135 @@ mod tests {
         // {0, 64, 128, 192, 256} minus current 64 → 4 candidates, one group.
         assert_eq!(candidates.len(), 4);
         assert!(candidates.iter().all(|c| c.exclusive_group == Some(0xB0FF)));
+    }
+
+    /// Kept lists under random forecast drift — weights that swap the
+    /// column ranking, new templates (ranges, equality pairs, another
+    /// table), a base changed by actions and a catalog change: after
+    /// every pass each enumerator's list equals a fresh enumeration
+    /// (same actions, groups and order), and both the shared list and a
+    /// reassembly from kept runs are taken.
+    #[test]
+    fn kept_lists_equal_fresh_enumerations_under_drift() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use smdb_query::WeightedQuery;
+        use smdb_storage::PredicateOp;
+
+        let (mut shared, mut reassembled, mut swaps) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut engine, t) = setup();
+            let mut tables = vec![t];
+            let mut base = ConfigInstance::default();
+            let mut templates: Vec<(Query, f64)> = vec![(point_query(t, 0), 1.0)];
+            let enumerators: [Box<dyn Enumerator>; 3] = [
+                Box::new(IndexEnumerator::default()),
+                Box::new(IndexEnumerator {
+                    max_candidates: Some(rng.random_range(1usize..12)),
+                }),
+                Box::new(EncodingEnumerator),
+            ];
+            let mut kept: Vec<Kept> = (0..3).map(|_| Kept::default()).collect();
+            let mut last: Vec<Option<Arc<[Candidate]>>> = vec![None; 3];
+            let mut last_ranking = Vec::new();
+            for _ in 0..40 {
+                match rng.random_range(0..10) {
+                    // A new template: a point, a range or an equality pair.
+                    0 | 1 => {
+                        let table = tables[rng.random_range(0..tables.len())];
+                        let column =
+                            |rng: &mut StdRng| smdb_common::ColumnId(rng.random_range(0..2));
+                        let mut predicates = vec![match rng.random_range(0..3) {
+                            0 => ScanPredicate::eq(column(&mut rng), 3i64),
+                            1 => ScanPredicate::cmp(column(&mut rng), PredicateOp::Lt, 50i64),
+                            _ => ScanPredicate::between(column(&mut rng), 1i64, 90i64),
+                        }];
+                        if rng.random_bool(0.3) {
+                            predicates.push(ScanPredicate::eq(column(&mut rng), 2i64));
+                        }
+                        templates.push((Query::new(table, "t", predicates, None, "q"), 1.0));
+                    }
+                    // The base changed by an action.
+                    2 => {
+                        let target = ChunkColumnRef::new(
+                            t.0,
+                            rng.random_range(0..2),
+                            rng.random_range(0..4),
+                        );
+                        if rng.random_bool(0.5) {
+                            base.apply(&ConfigAction::CreateIndex {
+                                target,
+                                kind: IndexKind::Hash,
+                            });
+                        } else {
+                            let kind =
+                                EncodingKind::ALL[rng.random_range(0..EncodingKind::ALL.len())];
+                            base.apply(&ConfigAction::SetEncoding { target, kind });
+                        }
+                    }
+                    // A catalog change: a new table.
+                    3 if tables.len() < 3 => {
+                        let schema = Schema::new(vec![
+                            ColumnDef::new("a", DataType::Int),
+                            ColumnDef::new("b", DataType::Int),
+                        ])
+                        .unwrap();
+                        let rows = rng.random_range(50i64..300);
+                        let columns = vec![
+                            ColumnValues::Int((0..rows).collect()),
+                            ColumnValues::Int((0..rows).map(|i| i % 5).collect()),
+                        ];
+                        let name = format!("t{}", tables.len());
+                        let table = Table::from_columns(&name, schema, columns, 100).unwrap();
+                        tables.push(engine.create_table(table).unwrap());
+                    }
+                    // Otherwise the weights drift, often swapping the ranking.
+                    _ => {
+                        for (_, weight) in &mut templates {
+                            *weight = rng.random_range(1i64..100) as f64;
+                        }
+                    }
+                }
+                let queries = templates
+                    .iter()
+                    .map(|(q, w)| WeightedQuery::new(q.clone(), *w))
+                    .collect();
+                let f = ForecastSet {
+                    scenarios: vec![WorkloadScenario {
+                        kind: ScenarioKind::Expected,
+                        name: "expected".into(),
+                        probability: 1.0,
+                        workload: Workload::new(queries),
+                    }],
+                };
+                let ranking = ranked_columns(&f);
+                swaps +=
+                    usize::from(ranking.len() == last_ranking.len() && ranking != last_ranking);
+                last_ranking = ranking;
+                let fingerprint = base.fingerprint();
+                for (at, enumerator) in enumerators.iter().enumerate() {
+                    let list = enumerator
+                        .enumerate_kept(&engine, &base, fingerprint, &f, &mut kept[at])
+                        .unwrap();
+                    let fresh = enumerator.enumerate(&engine, &base, &f).unwrap();
+                    assert_eq!(list[..], fresh[..], "seed {seed}, {}", enumerator.name());
+                    match &last[at] {
+                        Some(prev) if Arc::ptr_eq(prev, &list) => shared += 1,
+                        _ if at < 2
+                            && matches!(&kept[at].0, Some(KeptList::Index { runs, .. }) if runs.len() > 1) =>
+                        {
+                            reassembled += 1
+                        }
+                        _ => {}
+                    }
+                    last[at] = Some(list);
+                }
+            }
+        }
+        assert!(
+            shared > 200 && reassembled > 100 && swaps > 100,
+            "{shared} shared, {reassembled} reassembled, {swaps} ranking swaps"
+        );
     }
 }

@@ -25,7 +25,7 @@ use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine};
 use crate::assessor::WhatIfAssessor;
 use crate::candidate::{is_feasible, Candidate};
 use crate::constraints::ConstraintSet;
-use crate::enumerator::Enumerator;
+use crate::enumerator::{Enumerator, Kept};
 use crate::feature::FeatureKind;
 use crate::selectors::greedy_over;
 
@@ -41,10 +41,12 @@ pub struct Tuner {
     pub reconfiguration_weight: f64,
     /// How many forecast horizons the benefit is assumed to persist.
     pub benefit_horizon: f64,
-    /// Reselect mode: the last pass's enumeration base, reused while the
-    /// base's other features are unchanged, so a converged pass strips
-    /// nothing.
-    stripped: Mutex<Option<Arc<ConfigInstance>>>,
+    /// Reselect mode: the last pass's enumeration base and its
+    /// fingerprint, reused while the base's other features are
+    /// unchanged, so a converged pass strips and hashes nothing.
+    stripped: Mutex<Option<(Arc<ConfigInstance>, u64)>>,
+    /// The last pass's candidate list and the inputs it was built from.
+    kept: Mutex<Kept>,
 }
 
 /// The tuner's output: a hypothetical configuration plus its predicted
@@ -93,6 +95,7 @@ impl Tuner {
             reconfiguration_weight: 1.0,
             benefit_horizon: 10.0,
             stripped: Mutex::new(None),
+            kept: Mutex::new(Kept::default()),
         }
     }
 
@@ -106,19 +109,19 @@ impl Tuner {
         self.feature == FeatureKind::Indexing
     }
 
-    /// `base` without its indexes (reselect mode): the kept one while
-    /// the base's other features still equal its own — a walk that
-    /// allocates nothing — otherwise a fresh copy, kept for the next
-    /// pass.
-    fn stripped_base(&self, base: &ConfigInstance) -> Arc<ConfigInstance> {
+    /// `base` without its indexes (reselect mode) and its fingerprint:
+    /// the kept pair while the base's other features still equal its
+    /// own — a walk that allocates nothing — otherwise a fresh copy,
+    /// hashed once and kept for the next pass.
+    fn stripped_base(&self, base: &ConfigInstance) -> (Arc<ConfigInstance>, u64) {
         let mut kept = self.stripped.lock();
-        let current = |s: &&Arc<ConfigInstance>| {
+        let current = |(s, _): &&(Arc<ConfigInstance>, u64)| {
             s.encodings == base.encodings
                 && s.placements == base.placements
                 && s.knobs.buffer_pool_mb.to_bits() == base.knobs.buffer_pool_mb.to_bits()
         };
-        if let Some(stripped) = kept.as_ref().filter(current) {
-            return Arc::clone(stripped);
+        if let Some((stripped, fingerprint)) = kept.as_ref().filter(current) {
+            return (Arc::clone(stripped), *fingerprint);
         }
         let stripped = Arc::new(ConfigInstance {
             indexes: Default::default(),
@@ -126,8 +129,9 @@ impl Tuner {
             placements: base.placements.clone(),
             knobs: base.knobs.clone(),
         });
-        *kept = Some(Arc::clone(&stripped));
-        stripped
+        let fingerprint = stripped.fingerprint();
+        *kept = Some((Arc::clone(&stripped), fingerprint));
+        (stripped, fingerprint)
     }
 
     /// Whether the chosen candidates, applied to the enumeration base,
@@ -230,8 +234,27 @@ impl Tuner {
         // In reselect mode the pipeline runs against the base with this
         // feature stripped, so existing entries must re-earn their place.
         let stripped = self.reselects().then(|| self.stripped_base(base));
-        let enum_base = stripped.as_deref().unwrap_or(base);
-        let candidates = self.enumerator.enumerate(engine, enum_base, scenarios)?;
+        let (enum_base, fingerprint) = match &stripped {
+            Some((stripped, fingerprint)) => (&**stripped, *fingerprint),
+            None => (base, base.fingerprint()),
+        };
+        // The kept list while the enumerator's inputs hold: the same
+        // `Arc`, which the assessor's memo recognises by identity.
+        let mut kept = self.kept.lock();
+        let candidates =
+            self.enumerator
+                .enumerate_kept(engine, enum_base, fingerprint, scenarios, &mut kept)?;
+        // Every list an enumerator keeps (and so may hand back) is the
+        // list a fresh enumeration gives.
+        #[cfg(debug_assertions)]
+        if kept.holds_list() {
+            let fresh = self.enumerator.enumerate(engine, enum_base, scenarios)?;
+            debug_assert!(
+                fresh[..] == candidates[..],
+                "the kept candidate list differs from a fresh enumeration"
+            );
+        }
+        drop(kept);
         if candidates.is_empty() {
             return Ok(self.rejected(0));
         }
@@ -241,9 +264,9 @@ impl Tuner {
         // *is* the base configuration). A pass that ends unchanged still
         // prices them: their lookups are part of every pass's cache
         // traffic.
-        let scores = self
-            .assessor
-            .scores(engine, enum_base, scenarios, &candidates)?;
+        let scores =
+            self.assessor
+                .scores_kept(engine, enum_base, fingerprint, scenarios, &candidates)?;
         let open = &scores.open;
         let chosen = greedy_over(&candidates, open.iter().copied(), memory_budget_bytes);
         debug_assert!(
@@ -644,7 +667,7 @@ mod tests {
             }
             for feature in [FeatureKind::Indexing, FeatureKind::Compression] {
                 let tuner = standard_tuner(feature, what_if());
-                let stripped = tuner.reselects().then(|| tuner.stripped_base(&base));
+                let stripped = tuner.reselects().then(|| tuner.stripped_base(&base).0);
                 let enum_base = stripped.as_deref().unwrap_or(&base);
                 let exit = tuner.selects_base(&base, &candidates, &chosen);
                 let unchanged = base
@@ -724,7 +747,7 @@ mod tests {
             let tuned = first.target.clone().unwrap();
             for pass in 0..3 {
                 // The choice a converged pass makes, in another order.
-                let enum_base = tuner.stripped_base(&tuned);
+                let (enum_base, _) = tuner.stripped_base(&tuned);
                 let candidates = tuner
                     .enumerator
                     .enumerate(&engine, &enum_base, &scenarios)

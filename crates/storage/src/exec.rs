@@ -13,6 +13,16 @@
 //! shard in global chunk order through
 //! [`StorageEngine::merge_scan_partials`].
 //!
+//! A chunk every row of which provably satisfies every predicate is
+//! *covered* ([`crate::stats::SegmentStats::admits_all`]): when the
+//! query has no GROUP BY and the path selects in position order (every
+//! path but a B-tree probe of an unsorted column), its ungrouped
+//! aggregate is the constant the aggregated segment's statistics keep,
+//! folded in position order. One body (`visit_chunk`) runs and charges
+//! every chunk: a covered chunk skips the filters, probes and fold and
+//! is charged its row count wherever the row path charges what it
+//! selected, so answers, `sim_cost` and counters are unchanged.
+//!
 //! Aggregate state (`AggState`) folds per operator: every operator
 //! counts its rows, SUM and AVG fold `sum`, MIN `min`, MAX `max`, and
 //! COUNT reads no segment. The one `Step` of the operator is chosen
@@ -27,6 +37,7 @@ use crate::access::{access_path, AccessPath};
 use crate::chunk::Chunk;
 use crate::encoding::EncodingKind;
 use crate::engine::StorageEngine;
+use crate::index::IndexKind;
 use crate::parallel::ScanPool;
 use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
 use crate::table::Table;
@@ -352,11 +363,29 @@ impl StorageEngine {
         chunk: &Chunk,
         positions: &mut Vec<u32>,
     ) -> Result<ChunkPartial> {
-        let (predicates, aggregate, group_by) = (job.predicates, job.aggregate, job.group_by);
-        let path = live_path(chunk, predicates)?;
+        let path = live_path(chunk, job.predicates)?;
         if path == AccessPath::Pruned {
             return Ok(ChunkPartial::pruned_chunk(Cost(self.params.prune_check_ms)));
         }
+        let covered = covered(job, chunk, path)?;
+        self.visit_chunk(job, chunk, path, covered, positions)
+    }
+
+    /// Runs `path` over a chunk min/max pruning kept, and charges it.
+    /// A `covered` chunk ([`covered`]) runs no filter, probe or fold:
+    /// every row matches, so every charge that reads how many rows the
+    /// path has selected reads the chunk's row count, and the aggregate
+    /// is the constant its statistics keep. Either way the charges,
+    /// counters and kernel decisions come from this one body.
+    fn visit_chunk(
+        &self,
+        job: &ScanJob<'_>,
+        chunk: &Chunk,
+        path: AccessPath,
+        covered: bool,
+        positions: &mut Vec<u32>,
+    ) -> Result<ChunkPartial> {
+        let (predicates, aggregate, group_by) = (job.predicates, job.aggregate, job.group_by);
         let mut part = ChunkPartial {
             agg: AggState::new(aggregate.map(|a| a.op)),
             ..ChunkPartial::default()
@@ -364,6 +393,9 @@ impl StorageEngine {
         let tier_mult = self.tier_multiplier(chunk.tier());
         part.cost += Cost(self.params.chunk_visit_ms);
         positions.clear();
+        // The rows selected so far: all of them on a covered chunk.
+        let rows = chunk.rows();
+        let selected = |positions: &Vec<u32>| if covered { rows } else { positions.len() };
 
         // The index the path names: the decision just saw it, but this
         // path must never panic mid-serve.
@@ -381,47 +413,59 @@ impl StorageEngine {
                 * tier_mult
         };
         match path {
-            // Returned above.
+            // Returned by `scan_chunk`.
             AccessPath::Pruned => {}
             AccessPath::Composite { first, second } => {
-                index_at(first)?.probe_composite(
-                    &predicates[first].value,
-                    &predicates[second].value,
-                    positions,
-                );
+                let index = index_at(first)?;
+                if !covered {
+                    index.probe_composite(
+                        &predicates[first].value,
+                        &predicates[second].value,
+                        positions,
+                    );
+                }
                 part.index_probes += 1;
-                part.cost += probe_cost(positions.len());
+                part.cost += probe_cost(selected(positions));
             }
             AccessPath::FullChunk => {
                 // One batch emit either way, so the chunk is classified
                 // with the kernel path when enabled.
                 part.kernel_chunk = self.kernels;
-                positions.extend(0..chunk.rows() as u32);
-                part.rows_scanned += chunk.rows() as u64;
+                if !covered {
+                    positions.extend(0..rows as u32);
+                }
+                part.rows_scanned += rows as u64;
                 let (units, enc) = chunk
                     .segment(ColumnId(0))
                     .map(|s| (s.scan_units(), s.encoding()))
-                    .unwrap_or((chunk.rows(), EncodingKind::Unencoded));
+                    .unwrap_or((rows, EncodingKind::Unencoded));
                 part.cost += scan_cost(units, enc);
             }
             // Probed whether or not the selectivity rule chose it (see
             // `AccessPath::Probe::selective`).
             AccessPath::Probe { driving, .. } => {
-                let answered = index_at(driving)?.probe(&predicates[driving], positions);
-                debug_assert!(answered, "single-attribute probe must answer");
+                let index = index_at(driving)?;
+                if !covered {
+                    let answered = index.probe(&predicates[driving], positions);
+                    debug_assert!(answered, "single-attribute probe must answer");
+                }
                 part.index_probes += 1;
-                part.cost += probe_cost(positions.len());
+                part.cost += probe_cost(selected(positions));
             }
             AccessPath::Scan { driving } => {
                 let driving = &predicates[driving];
                 let seg = chunk.segment(driving.column)?;
-                if self.kernels && crate::kernels::filter(seg, driving, positions) {
-                    part.kernel_chunk = true;
-                    part.kernel_batches += 1;
-                } else {
-                    seg.filter(driving, positions);
+                let kernel = self.kernels && crate::kernels::covers_filter(seg);
+                if !covered {
+                    let batched = kernel && crate::kernels::filter(seg, driving, positions);
+                    debug_assert_eq!(batched, kernel, "covers_filter decides the kernel");
+                    if !batched {
+                        seg.filter(driving, positions);
+                    }
                 }
-                part.rows_scanned += chunk.rows() as u64;
+                part.kernel_chunk = kernel;
+                part.kernel_batches += u64::from(kernel);
+                part.rows_scanned += rows as u64;
                 part.cost += scan_cost(seg.scan_units(), seg.encoding());
             }
         }
@@ -431,22 +475,31 @@ impl StorageEngine {
             if path.consumes(pos) {
                 continue;
             }
-            if positions.is_empty() {
+            let before = selected(positions);
+            if before == 0 {
                 break;
             }
-            let before = positions.len();
             let seg = chunk.segment(p.column)?;
-            if self.kernels && crate::kernels::refine(seg, p, positions) {
-                part.kernel_batches += 1;
-            } else {
-                seg.refine(p, positions);
+            let kernel = self.kernels && crate::kernels::covers_refine(seg);
+            if !covered {
+                let batched = kernel && crate::kernels::refine(seg, p, positions);
+                debug_assert_eq!(batched, kernel, "covers_refine decides the kernel");
+                if !batched {
+                    seg.refine(p, positions);
+                }
             }
+            part.kernel_batches += u64::from(kernel);
             part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
         }
 
-        part.rows_matched += positions.len() as u64;
+        let matched = selected(positions);
+        part.rows_matched += matched as u64;
         if let Some(agg) = aggregate {
-            let agg_cost = self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?;
+            let agg_cost = if covered {
+                self.aggregate_covered(chunk, agg, matched, &mut part)?
+            } else {
+                self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?
+            };
             part.cost += agg_cost;
         }
         Ok(part)
@@ -487,14 +540,7 @@ impl StorageEngine {
     ) -> Result<Cost> {
         match group_by {
             None => {
-                let use_kernel = self.kernels
-                    && match part.agg.op {
-                        // COUNT touches no segment; the scalar path is
-                        // already one counter addition.
-                        None | Some(AggregateOp::Count) => false,
-                        Some(_) => crate::kernels::covers_accumulate(chunk.segment(agg.column)?),
-                    };
-                if use_kernel {
+                if self.accumulates_on_kernel(chunk, agg)? {
                     crate::kernels::accumulate(
                         chunk.segment(agg.column)?,
                         positions,
@@ -542,6 +588,62 @@ impl StorageEngine {
             }
         }
     }
+
+    /// An ungrouped aggregate over a covered chunk: the constant its
+    /// statistics keep for the aggregated column (COUNT reads none),
+    /// charged as [`Self::aggregate_positions`] charges `rows` matches.
+    fn aggregate_covered(
+        &self,
+        chunk: &Chunk,
+        agg: &Aggregate,
+        rows: usize,
+        part: &mut ChunkPartial,
+    ) -> Result<Cost> {
+        let all = match part.agg.op {
+            None | Some(AggregateOp::Count) => None,
+            Some(_) => Some(&chunk.stats(agg.column)?.all_rows),
+        };
+        part.agg.cover(rows as u64, all);
+        part.kernel_batches += u64::from(self.accumulates_on_kernel(chunk, agg)?);
+        Ok(Cost(rows as f64 * self.params.agg_ms_per_row))
+    }
+
+    /// Whether an ungrouped aggregate folds on the batch kernel.
+    fn accumulates_on_kernel(&self, chunk: &Chunk, agg: &Aggregate) -> Result<bool> {
+        Ok(self.kernels
+            && match agg.op {
+                // COUNT touches no segment; the scalar path is already
+                // one counter addition.
+                AggregateOp::Count => false,
+                _ => crate::kernels::covers_accumulate(chunk.segment(agg.column)?),
+            })
+    }
+}
+
+/// Whether every row of `chunk` provably satisfies every predicate and
+/// `path` would select them in position order — the order a chunk's
+/// statistics fold their constant in. An ungrouped aggregate over such
+/// a *covered* chunk is that constant: GROUP BY never is. A scan, a
+/// kernel, the full chunk and a hash or composite probe select in
+/// position order; a B-tree probe walks its keys, which is position
+/// order only on a column whose values never decrease.
+fn covered(job: &ScanJob<'_>, chunk: &Chunk, path: AccessPath) -> Result<bool> {
+    if job.group_by.is_some() {
+        return Ok(false);
+    }
+    for p in job.predicates {
+        if !chunk.stats(p.column)?.admits_all(p) {
+            return Ok(false);
+        }
+    }
+    Ok(match path {
+        AccessPath::Probe { driving, .. } => {
+            let column = job.predicates[driving].column;
+            chunk.index(column).map(|index| index.kind()) != Some(IndexKind::BTree)
+                || chunk.stats(column)?.sorted
+        }
+        _ => true,
+    })
 }
 
 /// One chunk's contribution to a scan. Partials are produced by
@@ -777,7 +879,7 @@ pub(crate) fn fold_keyed<K: Ord>(
 /// matched rows; beyond that each folds only the field it finishes
 /// from — SUM and AVG `sum`, MIN `min`, MAX `max` — and COUNT reads no
 /// value at all.
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct AggState {
     op: Option<AggregateOp>,
     pub(crate) sum: f64,
@@ -876,6 +978,28 @@ impl AggState {
         self.count += 1;
         if let Some(x) = x {
             S::step(self, x);
+        }
+    }
+
+    /// Folds one row into every field — `sum`, `min` and `max` — the
+    /// fold a segment's statistics keep for a covered chunk.
+    pub(crate) fn add_to_every_field(&mut self, x: Option<f64>) {
+        self.count += 1;
+        if let Some(x) = x {
+            SumStep::step(self, x);
+            MinStep::step(self, x);
+            MaxStep::step(self, x);
+        }
+    }
+
+    /// This fresh state as a fold over every row of a covered chunk:
+    /// `all`, the aggregated segment's constant, or for COUNT (`None`)
+    /// the row count alone.
+    fn cover(&mut self, rows: u64, all: Option<&AggState>) {
+        self.count = rows;
+        if let Some(all) = all {
+            debug_assert_eq!(all.count, rows, "the constant folds every row");
+            (self.sum, self.min, self.max) = (all.sum, all.min, all.max);
         }
     }
 
@@ -1303,6 +1427,620 @@ mod run_props {
                     }
                     let out = e.scan_grouped_parallel(t, predicates, agg, group_by, &pool, morsel_chunks).unwrap();
                     prop_assert_eq!(bits(&out), bits(&lane_model), "morsels of {} {:?}", morsel_chunks, predicates);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod covered_props {
+    //! Covered chunks: a chunk whose every row provably satisfies every
+    //! predicate is answered from the constant its statistics keep, and
+    //! every scan mode must equal, bit for bit, the all-rows reference — the
+    //! same query with every chunk filtered, probed and folded row by row
+    //! (`visit_chunk` with `covered` off): `agg_value`, `rows_matched`,
+    //! `sim_cost` and every [`ScanOutput`] counter.
+    //!
+    //! The data makes many chunks covered: each chunk of each column is
+    //! either one value, a sorted run or a shuffle, literals are mostly
+    //! values the column holds (so bounds land on chunk mins and maxes), and
+    //! the palettes hold NaN of both signs, `-0.0`, ±inf and the `i64`
+    //! extremes, which `Float` literals round onto. Every encoding, single,
+    //! B-tree and composite indexes, placement tiers, kernels on and off,
+    //! single-row chunks, GROUP BY (never covered) and no aggregate are
+    //! drawn; each query runs inline, as gathered partials, on a 2-thread
+    //! pool and as a 4-shard scatter, and `predict_access_paths` must equal
+    //! the executed partition.
+
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use smdb_common::ChunkColumnRef;
+
+    use super::*;
+    use crate::config::ConfigAction;
+    use crate::placement::Tier;
+    use crate::scan::PredicateOp;
+    use crate::schema::{ColumnDef, Schema};
+    use crate::stats::SegmentStats;
+    use crate::value::ColumnValues;
+
+    // The columns, in order: `s` non-decreasing Int; `u` Int; `f` Float off
+    // a palette of signed zeros, NaNs and infinities; `t` Text; `x` Int at
+    // and next to the `i64` extremes; `v` Float whose sums depend on the
+    // order they are added in.
+    const U: ColumnId = ColumnId(1);
+    const F: ColumnId = ColumnId(2);
+    const V: ColumnId = ColumnId(5);
+    const ARITY: u16 = 6;
+
+    const FLOATS: [f64; 10] = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        -2.5,
+        1e16,
+        -1e16,
+    ];
+    const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    const ORDERED: [f64; 9] = [1e16, 1.0, -1e16, 0.1, 3.3, -7.25, 2.5e-3, 1e-300, -0.0];
+    const TEXT: [&str; 4] = ["", "a", "b", "zz"];
+
+    /// How one chunk of one column is filled.
+    #[derive(Clone, Copy)]
+    enum Fill {
+        One,
+        Run,
+        Shuffle,
+    }
+
+    /// One chunk's configuration: an encoding and an optional index per
+    /// column, and a tier.
+    #[derive(Clone)]
+    struct ChunkSpec {
+        encodings: [EncodingKind; ARITY as usize],
+        indexes: [Option<IndexKind>; ARITY as usize],
+        tier: Tier,
+    }
+
+    /// The raw columns, in chunks of `chunk_rows` rows (the last possibly
+    /// short).
+    fn columns(rng: &mut StdRng, rows: usize, chunk_rows: usize) -> Vec<ColumnValues> {
+        let fills: Vec<[Fill; ARITY as usize]> = (0..rows.div_ceil(chunk_rows))
+            .map(|_| {
+                std::array::from_fn(|_| {
+                    [Fill::One, Fill::Run, Fill::Shuffle][rng.random_range(0usize..3)]
+                })
+            })
+            .collect();
+        let mut s = rng.random_range(-5i64..5);
+        let sorted = (0..rows)
+            .map(|_| {
+                s += rng.random_range(0i64..2);
+                s
+            })
+            .collect();
+        // Shuffled regardless of the fill: the B-tree order must matter.
+        let v = (0..rows)
+            .map(|_| ORDERED[rng.random_range(0..ORDERED.len())])
+            .collect();
+        // Per chunk: pick one palette entry, or a sorted run of entries, or
+        // shuffled entries.
+        let mut fill = |col: usize, len: usize| -> Vec<usize> {
+            let mut out = Vec::with_capacity(rows);
+            for (chunk, f) in fills.iter().enumerate() {
+                let n = chunk_rows.min(rows - chunk * chunk_rows);
+                let first = rng.random_range(0..len);
+                let mut picks: Vec<usize> = match f[col] {
+                    Fill::One => vec![first; n],
+                    Fill::Run | Fill::Shuffle => {
+                        (0..n).map(|_| rng.random_range(first..len)).collect()
+                    }
+                };
+                if matches!(f[col], Fill::Run) {
+                    picks.sort_unstable();
+                }
+                out.extend(picks);
+            }
+            out
+        };
+        let u = fill(1, 6).into_iter().map(|i| i as i64 * 2).collect();
+        let f = fill(2, FLOATS.len())
+            .into_iter()
+            .map(|i| FLOATS[i])
+            .collect();
+        let t = fill(3, TEXT.len())
+            .into_iter()
+            .map(|i| TEXT[i].to_owned())
+            .collect();
+        let x = fill(4, EXTREMES.len())
+            .into_iter()
+            .map(|i| EXTREMES[i])
+            .collect();
+        vec![
+            ColumnValues::Int(sorted),
+            ColumnValues::Int(u),
+            ColumnValues::Float(f),
+            ColumnValues::Text(t),
+            ColumnValues::Int(x),
+            ColumnValues::Float(v),
+        ]
+    }
+
+    fn specs(rng: &mut StdRng, chunks: usize) -> Vec<ChunkSpec> {
+        let encodings = [
+            EncodingKind::Unencoded,
+            EncodingKind::Dictionary,
+            EncodingKind::RunLength,
+            EncodingKind::FrameOfReference,
+        ];
+        (0..chunks)
+            .map(|_| ChunkSpec {
+                encodings: std::array::from_fn(|_| encodings[rng.random_range(0usize..4)]),
+                indexes: std::array::from_fn(|col| match rng.random_range(0..5) {
+                    0 => Some(IndexKind::Hash),
+                    1 | 2 => Some(IndexKind::BTree),
+                    3 => Some(IndexKind::CompositeHash {
+                        second: ColumnId((col as u16 + rng.random_range(1..ARITY)) % ARITY),
+                    }),
+                    _ => None,
+                }),
+                tier: [Tier::Hot, Tier::Hot, Tier::Warm, Tier::Cold][rng.random_range(0usize..4)],
+            })
+            .collect()
+    }
+
+    /// An engine over rows `rows` of `raw`, its chunks configured by
+    /// `specs[first..]` — one shard when `rows` is a run of whole chunks.
+    fn engine(
+        raw: &[ColumnValues],
+        rows: Range<usize>,
+        chunk_rows: usize,
+        specs: &[ChunkSpec],
+        first: usize,
+        kernels: bool,
+    ) -> StorageEngine {
+        let data: Vec<ColumnValues> = raw
+            .iter()
+            .map(|c| match c {
+                ColumnValues::Int(v) => ColumnValues::Int(v[rows.clone()].to_vec()),
+                ColumnValues::Float(v) => ColumnValues::Float(v[rows.clone()].to_vec()),
+                ColumnValues::Text(v) => ColumnValues::Text(v[rows.clone()].to_vec()),
+            })
+            .collect();
+        let names = ["s", "u", "f", "t", "x", "v"];
+        let defs = names
+            .iter()
+            .zip(&data)
+            .map(|(n, c)| ColumnDef::new(*n, c.data_type()));
+        let schema = Schema::new(defs.collect()).unwrap();
+        let mut e = StorageEngine::default();
+        let t = e
+            .create_table(Table::from_columns("t", schema, data, chunk_rows).unwrap())
+            .unwrap();
+        for chunk in 0..e.table(t).unwrap().chunk_count() {
+            let spec = &specs[first + chunk];
+            for col in 0..ARITY {
+                let target = ChunkColumnRef::new(t.0, col, chunk as u32);
+                let kind = spec.encodings[col as usize];
+                e.apply_action(&ConfigAction::SetEncoding { target, kind })
+                    .unwrap();
+                if let Some(kind) = spec.indexes[col as usize] {
+                    e.apply_action(&ConfigAction::CreateIndex { target, kind })
+                        .unwrap();
+                }
+            }
+            let (table, chunk, tier) = (t, ChunkId(chunk as u32), spec.tier);
+            if tier != Tier::Hot {
+                e.apply_action(&ConfigAction::SetPlacement { table, chunk, tier })
+                    .unwrap();
+            }
+        }
+        e.set_kernels_enabled(kernels);
+        e
+    }
+
+    /// A literal for `column`: mostly a value some row holds — the chunk
+    /// mins and maxes coverage turns on — as a `Float` as often as not on
+    /// Int columns, otherwise one off the column's palette.
+    fn literal(rng: &mut StdRng, raw: &[ColumnValues], column: ColumnId) -> Value {
+        let values = &raw[column.0 as usize];
+        if rng.random_bool(0.7) {
+            let v = values.value_at(rng.random_range(0..values.len()));
+            return match v {
+                Value::Int(i) if rng.random_bool(0.4) => Value::Float(i as f64),
+                v => v,
+            };
+        }
+        match values {
+            ColumnValues::Text(_) => Value::Text(TEXT[rng.random_range(0..TEXT.len())].to_owned()),
+            _ if rng.random_bool(0.5) => Value::Float(FLOATS[rng.random_range(0..FLOATS.len())]),
+            _ => Value::Int(EXTREMES[rng.random_range(0..EXTREMES.len())]),
+        }
+    }
+
+    fn predicate(rng: &mut StdRng, raw: &[ColumnValues]) -> ScanPredicate {
+        let column = ColumnId(rng.random_range(0..ARITY));
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+            PredicateOp::Between,
+        ];
+        let op = ops[rng.random_range(0usize..6)];
+        let value = literal(rng, raw, column);
+        let upper = (op == PredicateOp::Between && rng.random_bool(0.85))
+            .then(|| literal(rng, raw, column));
+        ScanPredicate {
+            column,
+            op,
+            value,
+            upper,
+        }
+    }
+
+    fn aggregate(rng: &mut StdRng) -> (Option<Aggregate>, Option<ColumnId>) {
+        let ops = [
+            AggregateOp::Count,
+            AggregateOp::Sum,
+            AggregateOp::Avg,
+            AggregateOp::Min,
+            AggregateOp::Max,
+        ];
+        if rng.random_bool(0.08) {
+            return (None, None);
+        }
+        let column = if rng.random_bool(0.5) {
+            V
+        } else {
+            ColumnId(rng.random_range(0..ARITY))
+        };
+        let agg = Aggregate::new(ops[rng.random_range(0usize..5)], column);
+        (Some(agg), rng.random_bool(0.1).then_some(U))
+    }
+
+    /// The all-rows reference: every chunk's path asked of `access_path`
+    /// and run with `covered` off, folded in chunk order.
+    fn reference(
+        e: &StorageEngine,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+    ) -> ScanOutput {
+        let job = e
+            .scan_job(TableId(0), predicates, aggregate, group_by)
+            .unwrap();
+        let mut fold = ScanFold::new(aggregate);
+        let mut positions = Vec::new();
+        for (_, chunk) in job.table.chunks() {
+            match live_path(chunk, predicates).unwrap() {
+                AccessPath::Pruned => fold.pruned(Cost(e.params.prune_check_ms)),
+                path => fold.add(
+                    e.visit_chunk(&job, chunk, path, false, &mut positions)
+                        .unwrap(),
+                ),
+            }
+        }
+        fold.finish(group_by)
+    }
+
+    type Bits = (
+        (u64, Option<u64>, Option<Vec<(Value, u64)>>),
+        u64,
+        (u64, u64, u64, u64, u64, u64, u64),
+    );
+
+    /// Every field of a [`ScanOutput`] but the lane model's, floats as bit
+    /// patterns.
+    fn bits(o: &ScanOutput) -> Bits {
+        let groups = o
+            .groups
+            .as_ref()
+            .map(|g| g.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect());
+        (
+            (o.rows_matched, o.agg_value.map(f64::to_bits), groups),
+            o.sim_cost.ms().to_bits(),
+            (
+                o.rows_scanned,
+                o.chunks_pruned,
+                o.chunks_visited,
+                o.index_probes,
+                o.chunks_kernel,
+                o.chunks_scalar,
+                o.kernel_batches,
+            ),
+        )
+    }
+
+    /// How often each kind of chunk came up: the suite must reach every
+    /// covered path, and the B-tree refusal.
+    #[derive(Default, Debug)]
+    struct Tally {
+        covered_scan: usize,
+        covered_full: usize,
+        covered_hash: usize,
+        covered_btree: usize,
+        refused_btree: usize,
+        covered_nan: usize,
+        covered_single_row: usize,
+        covered_multi_predicate: usize,
+    }
+
+    fn tally(
+        e: &StorageEngine,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<ColumnId>,
+        t: &mut Tally,
+    ) {
+        let job = e
+            .scan_job(TableId(0), predicates, aggregate, group_by)
+            .unwrap();
+        for (_, chunk) in job.table.chunks() {
+            let path = live_path(chunk, predicates).unwrap();
+            if path == AccessPath::Pruned {
+                continue;
+            }
+            let admits = group_by.is_none()
+                && predicates
+                    .iter()
+                    .all(|p| chunk.stats(p.column).unwrap().admits_all(p));
+            let btree = |driving: usize| {
+                chunk.index(predicates[driving].column).map(|i| i.kind()) == Some(IndexKind::BTree)
+            };
+            if !covered(&job, chunk, path).unwrap() {
+                if admits {
+                    t.refused_btree += 1;
+                    assert!(matches!(path, AccessPath::Probe { driving, .. } if btree(driving)));
+                }
+                continue;
+            }
+            match path {
+                AccessPath::Scan { .. } => t.covered_scan += 1,
+                AccessPath::FullChunk => t.covered_full += 1,
+                AccessPath::Probe { driving, .. } if btree(driving) => t.covered_btree += 1,
+                _ => t.covered_hash += 1,
+            }
+            let nan = |col: ColumnId| {
+                let s = chunk.stats(col).unwrap();
+                [&s.min, &s.max]
+                    .iter()
+                    .any(|v| matches!(v, Some(Value::Float(x)) if x.is_nan()))
+            };
+            t.covered_nan += usize::from(predicates.iter().any(|p| nan(p.column)));
+            t.covered_single_row += usize::from(chunk.rows() == 1);
+            t.covered_multi_predicate += usize::from(predicates.len() > 1);
+        }
+    }
+
+    #[test]
+    fn covered_chunks_answer_like_the_all_rows_scan() {
+        let mut t = Tally::default();
+        let pool = crate::parallel::ScanPool::new(2);
+        for seed in 0..160u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let chunk_rows = [1, 2, 5, 9][rng.random_range(0usize..4)];
+            let rows = rng.random_range(1..=chunk_rows * 12);
+            let raw = columns(&mut rng, rows, chunk_rows);
+            let chunks = rows.div_ceil(chunk_rows);
+            let specs = specs(&mut rng, chunks);
+            for kernels in [true, false] {
+                let e = engine(&raw, 0..rows, chunk_rows, &specs, 0, kernels);
+                let shards: Vec<StorageEngine> = (0..4.min(chunks))
+                    .map(|s| {
+                        let (lo, hi) =
+                            (chunks * s / 4.min(chunks), chunks * (s + 1) / 4.min(chunks));
+                        let rows = lo * chunk_rows..(hi * chunk_rows).min(rows);
+                        engine(&raw, rows, chunk_rows, &specs, lo, kernels)
+                    })
+                    .collect();
+                for _ in 0..12 {
+                    let predicates: Vec<ScanPredicate> = (0..rng.random_range(0..4))
+                        .map(|_| predicate(&mut rng, &raw))
+                        .collect();
+                    let (agg, group_by) = aggregate(&mut rng);
+                    let agg = agg.as_ref();
+                    tally(&e, &predicates, agg, group_by, &mut t);
+                    let expected = reference(&e, &predicates, agg, group_by);
+                    let context = format!(
+                        "seed {seed}, kernels {kernels}: {predicates:?} {agg:?} {group_by:?}"
+                    );
+
+                    let matched = (0..rows)
+                        .filter(|&row| {
+                            predicates
+                                .iter()
+                                .all(|p| p.matches(&raw[p.column.0 as usize].value_at(row)))
+                        })
+                        .count();
+                    assert_eq!(
+                        expected.rows_matched, matched as u64,
+                        "brute force, {context}"
+                    );
+                    let predicted = e.predict_access_paths(TableId(0), &predicates).unwrap();
+                    assert_eq!(
+                        (
+                            predicted.pruned,
+                            predicted.index,
+                            predicted.kernel,
+                            predicted.scalar
+                        ),
+                        (
+                            expected.chunks_pruned,
+                            expected.index_probes,
+                            expected.chunks_kernel,
+                            expected.chunks_scalar
+                        ),
+                        "predicted paths, {context}"
+                    );
+
+                    let inline = e
+                        .scan_grouped(TableId(0), &predicates, agg, group_by)
+                        .unwrap();
+                    assert_eq!(bits(&inline), bits(&expected), "inline, {context}");
+                    assert_eq!(
+                        inline.sim_latency, inline.sim_cost,
+                        "inline latency, {context}"
+                    );
+                    let parts = e
+                        .scan_partials(TableId(0), &predicates, agg, group_by, None)
+                        .unwrap();
+                    let gathered = e.merge_scan_partials(parts, agg, group_by);
+                    assert_eq!(bits(&gathered), bits(&expected), "partials, {context}");
+                    for morsel_chunks in [1, 3] {
+                        let out = e
+                            .scan_grouped_parallel(
+                                TableId(0),
+                                &predicates,
+                                agg,
+                                group_by,
+                                &pool,
+                                morsel_chunks,
+                            )
+                            .unwrap();
+                        assert_eq!(bits(&out), bits(&expected), "2 threads, {context}");
+                    }
+                    let mut scattered = Vec::new();
+                    for shard in &shards {
+                        let parallel = Some((&*pool, 2));
+                        scattered.extend(
+                            shard
+                                .scan_partials(TableId(0), &predicates, agg, group_by, parallel)
+                                .unwrap(),
+                        );
+                    }
+                    let scattered = shards[0].merge_scan_partials(scattered, agg, group_by);
+                    assert_eq!(bits(&scattered), bits(&expected), "4 shards, {context}");
+                }
+            }
+        }
+        let reached = [
+            t.covered_scan,
+            t.covered_full,
+            t.covered_hash,
+            t.covered_btree,
+            t.refused_btree,
+            t.covered_nan,
+            t.covered_single_row,
+            t.covered_multi_predicate,
+        ];
+        assert!(reached.iter().all(|&n| n >= 20), "{t:?}");
+    }
+
+    /// The covered test at each bound, against the row filter: a bound a
+    /// chunk's min or max sits on admits it exactly when the filter matches
+    /// that value, so `<` and `<=` (and `>`, `>=`) part there; NaN is
+    /// admitted where `Value::cmp` orders it inside the interval; an
+    /// equality needs a one-value segment.
+    #[test]
+    fn admits_all_parts_at_the_bounds_like_the_filter() {
+        let ints = SegmentStats::compute(&ColumnValues::Int(vec![3, 5, 4]));
+        let cmp = |op, v: i64| ScanPredicate::cmp(U, op, v);
+        assert!(ints.admits_all(&cmp(PredicateOp::Le, 5)));
+        assert!(!ints.admits_all(&cmp(PredicateOp::Lt, 5)));
+        assert!(ints.admits_all(&cmp(PredicateOp::Ge, 3)));
+        assert!(!ints.admits_all(&cmp(PredicateOp::Gt, 3)));
+        assert!(ints.admits_all(&ScanPredicate::between(U, 3i64, 5i64)));
+        assert!(!ints.admits_all(&ScanPredicate::between(U, 3i64, 4.5f64)));
+        assert!(!ints.admits_all(&ScanPredicate::eq(U, 3i64)));
+        let one = SegmentStats::compute(&ColumnValues::Int(vec![7, 7]));
+        assert!(one.admits_all(&ScanPredicate::eq(U, 7.0f64)));
+        // Two Ints one Float literal equals: never covered by an equality.
+        let extremes = SegmentStats::compute(&ColumnValues::Int(vec![i64::MAX - 1, i64::MAX]));
+        let rounded = ScanPredicate::eq(U, i64::MAX as f64);
+        assert!(
+            rounded.matches(&Value::Int(i64::MAX - 1)) && rounded.matches(&Value::Int(i64::MAX))
+        );
+        assert!(!extremes.admits_all(&rounded));
+        assert!(extremes.admits_all(&ScanPredicate::cmp(U, PredicateOp::Ge, i64::MAX as f64)));
+        // NaN sorts above +inf: `>=` matches it, `<=` does not.
+        let nan = SegmentStats::compute(&ColumnValues::Float(vec![1.0, f64::NAN, -0.0]));
+        assert!(nan.admits_all(&ScanPredicate::cmp(F, PredicateOp::Ge, -0.0)));
+        assert!(!nan.admits_all(&ScanPredicate::cmp(F, PredicateOp::Ge, 0.0)));
+        assert!(!nan.admits_all(&ScanPredicate::cmp(F, PredicateOp::Le, f64::INFINITY)));
+        assert!(
+            !SegmentStats::compute(&ColumnValues::Int(vec![])).admits_all(&cmp(PredicateOp::Le, 0))
+        );
+    }
+
+    /// The constant is the fold a scan selecting every row leaves, in
+    /// position order, and `sorted` reads `Value::cmp` — `-0.0` below
+    /// `0.0`, NaN above +inf.
+    #[test]
+    fn the_constant_folds_in_position_order() {
+        let values = vec![1e16, 1.0, -1e16, 0.1, f64::NAN, -0.0];
+        let stats = SegmentStats::compute(&ColumnValues::Float(values.clone()));
+        let mut sum = 0.0;
+        for x in &values {
+            sum += x;
+        }
+        assert_eq!(stats.all_rows.sum.to_bits(), sum.to_bits());
+        assert_eq!(stats.all_rows.count, 6);
+        assert!(!stats.sorted);
+        let zeros = SegmentStats::compute(&ColumnValues::Float(vec![0.0, -0.0]));
+        assert_eq!(zeros.all_rows.sum.to_bits(), 0.0f64.to_bits());
+        assert!(!zeros.sorted);
+        let up = SegmentStats::compute(&ColumnValues::Float(vec![
+            -0.0,
+            0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+        ]));
+        assert!(up.sorted);
+        let text = SegmentStats::compute(&ColumnValues::Text(vec!["a".into(), "b".into()]));
+        assert!(text.sorted && text.all_rows.min.is_none() && text.all_rows.sum == 0.0);
+    }
+
+    /// A `Float` literal two `Int` keys equal (`i64::MIN` and `i64::MIN + 1`
+    /// both round onto -2^63): every index probe returns the rows the filter
+    /// matches, under every bound that literal can take.
+    #[test]
+    fn probes_match_the_filter_where_ints_round_onto_one_float() {
+        let raw = vec![ColumnValues::Int(vec![
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN,
+            0,
+            i64::MAX,
+        ])];
+        let schema = Schema::new(vec![ColumnDef::new("x", crate::value::DataType::Int)]).unwrap();
+        let (low, high) = (i64::MIN as f64, i64::MAX as f64);
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+        ];
+        for kind in [None, Some(IndexKind::Hash), Some(IndexKind::BTree)] {
+            let mut e = StorageEngine::default();
+            let table = Table::from_columns("t", schema.clone(), raw.clone(), 8).unwrap();
+            let t = e.create_table(table).unwrap();
+            if let Some(kind) = kind {
+                let target = ChunkColumnRef::new(t.0, 0, 0);
+                e.apply_action(&ConfigAction::CreateIndex { target, kind })
+                    .unwrap();
+            }
+            for literal in [low, high] {
+                for op in ops {
+                    let p = ScanPredicate {
+                        column: ColumnId(0),
+                        op,
+                        value: Value::Float(literal),
+                        upper: None,
+                    };
+                    let matched = (0..5)
+                        .filter(|&row| p.matches(&raw[0].value_at(row)))
+                        .count();
+                    let out = e.scan(t, std::slice::from_ref(&p), None).unwrap();
+                    assert_eq!(out.rows_matched, matched as u64, "{kind:?} {p:?}");
                 }
             }
         }

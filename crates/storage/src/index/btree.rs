@@ -57,6 +57,15 @@ impl BTreeIndex {
                 return;
             }
         }
+        // A bound several Int keys equal (`super::equals_many_ints`)
+        // stops the range at the first of them; walk every key instead.
+        let many = |bound: Bound<&Value>| matches!(bound, Bound::Included(v) | Bound::Excluded(v) if super::equals_many_ints(v));
+        if many(bounds.0) || many(bounds.1) {
+            for (_, postings) in self.map.iter().filter(|(key, _)| pred.matches(key)) {
+                out.extend_from_slice(postings);
+            }
+            return;
+        }
         for (_, postings) in self.map.range::<Value, _>(bounds) {
             out.extend_from_slice(postings);
         }

@@ -42,8 +42,21 @@ impl CompositeHashIndex {
         self.entry_bytes
     }
 
-    /// Appends all positions matching `(first, second)` to `out`.
+    /// Appends all positions matching `(first, second)` to `out`, in
+    /// ascending order.
     pub fn probe_eq(&self, first: &Value, second: &Value, out: &mut Vec<u32>) {
+        if super::equals_many_ints(first) || super::equals_many_ints(second) {
+            let start = out.len();
+            let matching = self
+                .map
+                .iter()
+                .filter(|((a, b), _)| a == first && b == second);
+            for (_, postings) in matching {
+                out.extend_from_slice(postings);
+            }
+            out[start..].sort_unstable();
+            return;
+        }
         // Avoid cloning both values on the miss path by probing with a
         // borrowed tuple is not possible with std HashMap keys; accept
         // the pair construction (cheap for ints, one alloc for text).

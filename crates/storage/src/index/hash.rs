@@ -39,9 +39,16 @@ impl HashIndex {
         self.entry_bytes
     }
 
-    /// Appends all positions holding `value` to `out`.
+    /// Appends all positions holding `value` to `out`, in ascending
+    /// order.
     pub fn probe_eq(&self, value: &Value, out: &mut Vec<u32>) {
-        if let Some(postings) = self.map.get(value) {
+        if super::equals_many_ints(value) {
+            let start = out.len();
+            for (_, postings) in self.map.iter().filter(|(key, _)| *key == value) {
+                out.extend_from_slice(postings);
+            }
+            out[start..].sort_unstable();
+        } else if let Some(postings) = self.map.get(value) {
             out.extend_from_slice(postings);
         }
     }

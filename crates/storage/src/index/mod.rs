@@ -19,6 +19,14 @@ use smdb_durable::{ByteReader, ByteWriter, Decode, Encode};
 use crate::encoding::Segment;
 use crate::scan::{PredicateOp, ScanPredicate};
 
+/// Whether `value` is a `Float` literal several `Int` keys equal under
+/// `Value::cmp`: an integral value of magnitude 2^53 or more, onto which
+/// neighbouring `i64`s round. A hash lookup finds one such key, so a
+/// probe for this value walks every key, as the row filter would match.
+fn equals_many_ints(value: &crate::value::Value) -> bool {
+    matches!(value, crate::value::Value::Float(f) if f.abs() >= 9_007_199_254_740_992.0 && f.fract() == 0.0)
+}
+
 use btree::BTreeIndex;
 use composite::CompositeHashIndex;
 use hash::HashIndex;

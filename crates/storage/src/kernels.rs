@@ -321,6 +321,11 @@ pub fn filter(seg: &Segment, pred: &ScanPredicate, out: &mut Vec<u32>) -> bool {
 // Refine kernels
 // ---------------------------------------------------------------------------
 
+/// Whether [`refine`] covers this segment.
+pub fn covers_refine(seg: &Segment) -> bool {
+    !matches!(seg, Segment::RunLength(_))
+}
+
 /// Batch refinement: retains in `positions` exactly the positions
 /// [`Segment::refine`] would, without the per-position `Value`
 /// materialization (notably the per-row `String` clone on text

@@ -4,11 +4,20 @@
 //! the *cost estimators* (crate `smdb-cost`) derive selectivity estimates
 //! from them — they are the only information about the data that
 //! estimators are allowed to see.
+//!
+//! The same pass keeps a third reading for the executor: what an
+//! ungrouped aggregate folds over *every* row of the segment, in
+//! position order (`SegmentStats::all_rows`), and whether the values
+//! never decrease (`SegmentStats::sorted`). A chunk whose every row
+//! provably satisfies every predicate ([`SegmentStats::admits_all`]) is
+//! *covered*: its aggregate is that constant, and the scan skips the
+//! filters and the fold (see `crate::exec`).
 
 use std::collections::HashSet;
 use std::ops::Bound;
 
-use crate::scan::ScanPredicate;
+use crate::exec::AggState;
+use crate::scan::{PredicateOp, ScanPredicate};
 use crate::value::{ColumnValues, Value};
 
 /// Statistics for one segment (one column of one chunk).
@@ -25,6 +34,14 @@ pub struct SegmentStats {
     /// "clustering factor"): `rows` for fully shuffled data, `distinct`
     /// for perfectly clustered data. Drives run-length estimates.
     pub runs: u64,
+    /// Whether the values never decrease in position order under
+    /// `Value::cmp`, the order a B-tree index walks its keys in.
+    pub sorted: bool,
+    /// What an ungrouped aggregate folds over every row, in position
+    /// order, starting from `AggState::new`: the row count, `sum` from
+    /// `0.0` by `+=`, and `min`/`max` by the MIN and MAX steps — the
+    /// bits a scan that selects every row leaves, for any operator.
+    pub(crate) all_rows: AggState,
 }
 
 impl SegmentStats {
@@ -39,18 +56,24 @@ impl SegmentStats {
                 distinct: 0,
                 top_frequency: 0.0,
                 runs: 0,
+                sorted: true,
+                all_rows: AggState::default(),
             };
         }
         let mut min = values.value_at(0);
         let mut max = values.value_at(0);
         let mut counts: std::collections::HashMap<Value, u64> = std::collections::HashMap::new();
         let mut runs = 1u64;
+        let mut sorted = true;
+        let mut all_rows = AggState::default();
         let mut prev = values.value_at(0);
         for row in 0..values.len() {
             let v = values.value_at(row);
             if row > 0 && v != prev {
                 runs += 1;
+                sorted &= v > prev;
             }
+            all_rows.add_to_every_field(v.as_f64());
             prev = v.clone();
             if v < min {
                 min = v.clone();
@@ -69,6 +92,8 @@ impl SegmentStats {
             distinct,
             top_frequency: top as f64 / rows as f64,
             runs,
+            sorted,
+            all_rows,
         }
     }
 
@@ -119,6 +144,24 @@ impl SegmentStats {
     pub fn can_match(&self, pred: &ScanPredicate) -> bool {
         match (&self.min, &self.max) {
             (Some(min), Some(max)) => pred.overlaps_range(min, max),
+            _ => false,
+        }
+    }
+
+    /// Whether *every* row of the segment satisfies a predicate, decided
+    /// with the comparison the row filter applies
+    /// ([`ScanPredicate::matches`]): the predicate admits one interval
+    /// of `Value::cmp`'s order, so admitting `min` and `max` admits
+    /// every value between them, NaN included wherever the filter
+    /// matches it. An equality also needs `min == max`: an `Int` column
+    /// can hold two values one `Float` literal equals (both round to
+    /// it), and a hash or composite probe answers one key's rows, so
+    /// only a one-value segment is covered by a probe and a scan alike.
+    pub fn admits_all(&self, pred: &ScanPredicate) -> bool {
+        match (&self.min, &self.max) {
+            (Some(min), Some(max)) => {
+                pred.matches(min) && pred.matches(max) && (pred.op != PredicateOp::Eq || min == max)
+            }
             _ => false,
         }
     }
