@@ -148,6 +148,7 @@ release_predicate_suites() { # overflow checks off: a wrapped bound is a wrong a
         cargo test --release -q --test grouped_queries &&
         cargo test --release -q --test grouped_partial_props &&
         cargo test --release -q --test whatif_cache_props &&
+        cargo test --release -q -p smdb-core --lib certified_pass_props &&
         cargo test --release -q -p smdb-core --lib tuner:: &&
         cargo test --release -q -p smdb-core --lib enumerator::
 }

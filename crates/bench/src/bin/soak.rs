@@ -290,8 +290,10 @@ fn engine_soak(args: &Args) -> Json {
         .count();
     let cache_hits = smdb_obs::metrics::counter("driver.whatif_cache_hits").get();
     let cache_misses = smdb_obs::metrics::counter("driver.whatif_cache_misses").get();
-    // Tuning passes priced wholly from kept prices that changed nothing.
+    // Tuning passes priced wholly from kept prices that changed nothing,
+    // and passes certified unchanged without being priced.
     let passes_from_kept = smdb_obs::metrics::counter("tuner.reselected_from_kept").get();
+    let passes_certified = smdb_obs::metrics::counter("tuner.certified").get();
     let hit_rate = if cache_hits + cache_misses == 0 {
         0.0
     } else {
@@ -312,6 +314,7 @@ fn engine_soak(args: &Args) -> Json {
             ("whatif_cache_misses", cache_misses.into()),
             ("whatif_cache_hit_rate", hit_rate.into()),
             ("tuner_passes_from_kept", passes_from_kept.into()),
+            ("tuner_passes_certified", passes_certified.into()),
             ("trail_events", events.len().into()),
             ("trail_dropped", recorder.dropped().into()),
             ("trail_rollback_events", rollback_events.into()),

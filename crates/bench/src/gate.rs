@@ -104,6 +104,11 @@ impl GateReport {
 /// digest and the error counters must match exactly. The soak reports
 /// no wall-clock key: its runs are far too short to time, and
 /// `BENCHMARK.json` owns wall clock.
+///
+/// The what-if cache is gated on its misses, with no tolerance: each is
+/// an estimator call. Its hits and hit rate are reported, not gated — a
+/// certified pass looks nothing up, so a run that prices less often
+/// holds fewer hits and a lower rate without missing once more.
 pub fn runtime_specs() -> (Vec<MetricSpec>, Vec<ExactSpec>) {
     let metrics = vec![
         MetricSpec {
@@ -126,9 +131,9 @@ pub fn runtime_specs() -> (Vec<MetricSpec>, Vec<ExactSpec>) {
         },
         MetricSpec {
             section: "obs",
-            key: "whatif_cache_hit_rate",
-            direction: Direction::HigherIsBetter,
-            rel_tolerance: 0.05,
+            key: "whatif_cache_misses",
+            direction: Direction::LowerIsBetter,
+            rel_tolerance: 0.0,
         },
     ];
     let exact = vec![
@@ -454,14 +459,38 @@ mod tests {
     use smdb_common::json::parse;
 
     fn runtime_doc(p95: f64, digest: u64) -> Json {
+        runtime_doc_with_cache(p95, digest, 20_662, 314)
+    }
+
+    fn runtime_doc_with_cache(p95: f64, digest: u64, hits: u64, misses: u64) -> Json {
+        let rate = hits as f64 / (hits + misses) as f64;
         parse(&format!(
             r#"{{"experiments": [
                  {{"id": "soak", "cold_p95_ms": 2.4, "tuned_p95_ms": {p95},
                   "tuned_mean_ms": 0.3,
                   "result_digest": {digest}, "errors": 0, "wrong_results": 0}},
-                 {{"id": "obs", "whatif_cache_hit_rate": 0.97}}]}}"#
+                 {{"id": "obs", "whatif_cache_hits": {hits},
+                  "whatif_cache_misses": {misses}, "whatif_cache_hit_rate": {rate}}}]}}"#
         ))
         .expect("fixture parses")
+    }
+
+    /// One extra estimator call fails the gate; passes that look fewer
+    /// entries up — fewer hits, a lower rate, the same misses — do not.
+    #[test]
+    fn one_extra_cache_miss_fails_but_fewer_hits_pass() {
+        let (m, e) = runtime_specs();
+        let baseline = runtime_doc(0.36, 7);
+        let extra_miss = runtime_doc_with_cache(0.36, 7, 20_662, 315);
+        let report = compare(&baseline, &extra_miss, &m, &e);
+        let failed: Vec<_> = report.checks.iter().filter(|c| !c.passed).collect();
+        assert_eq!(failed.len(), 1, "{}", report.render_human());
+        assert_eq!(failed[0].metric, "obs.whatif_cache_misses");
+        for (hits, misses) in [(3_334, 314), (3_334, 300)] {
+            let fewer = runtime_doc_with_cache(0.36, 7, hits, misses);
+            let report = compare(&baseline, &fewer, &m, &e);
+            assert!(!report.failed(), "{}", report.render_human());
+        }
     }
 
     #[test]

@@ -109,6 +109,17 @@ impl WhatIfAssessor {
         }
     }
 
+    /// The what-if façade it prices through.
+    pub(crate) fn what_if(&self) -> &WhatIf {
+        &self.what_if
+    }
+
+    /// Runs `read` over the prices the last full pass kept, if any.
+    pub(crate) fn kept_prices<R>(&self, read: impl FnOnce(KeptPrices<'_>) -> R) -> Option<R> {
+        let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
+        memo.as_ref().map(|memo| read(KeptPrices(memo)))
+    }
+
     /// Estimated workload cost of each scenario under `config` (ms,
     /// aligned with the scenario order). The tuner uses this to price
     /// whole configurations (combined benefit), not just per-candidate
@@ -620,6 +631,27 @@ fn kept_or_fresh<'p>(
     match (kept, at) {
         (Some(memo), Some(at)) => Some(memo.price(at)),
         _ => fresh.next().and_then(Option::as_ref).map(Price::view),
+    }
+}
+
+/// The last full pass's prices, read in place.
+pub(crate) struct KeptPrices<'m>(&'m PriceMemo);
+
+impl<'m> KeptPrices<'m> {
+    /// The `(distinct query, saving)` pairs kept for `action`.
+    pub(crate) fn savings(&self, action: &ConfigAction) -> Option<&'m [(usize, f64)]> {
+        let at = *self.0.at.get(&ActionKey::of(action))?;
+        Some(self.0.price(at).deltas)
+    }
+
+    /// Instance fingerprints of the distinct queries, by index.
+    pub(crate) fn queries(&self) -> &'m [u64] {
+        &self.0.key.queries
+    }
+
+    /// Whether they were priced under this cache generation and base.
+    pub(crate) fn priced_under(&self, generation: u64, base: u64) -> bool {
+        self.0.key.generation == generation && self.0.key.base == base
     }
 }
 

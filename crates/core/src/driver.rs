@@ -1354,15 +1354,15 @@ mod deferred_tests {
 
     /// Shards re-split one index budget every bucket, as the sharded
     /// budget arbiter does. Once a shard's pass changes nothing, every
-    /// later pass of it is priced wholly from kept prices in both tuners
-    /// — and the same run with the what-if cache cleared before every
-    /// pass, so that nothing is kept, reports the same decisions. (Its
-    /// trails differ: they record the cache counters, which the clears
-    /// move.)
+    /// later pass of it settles in both tuners — priced wholly from kept
+    /// prices, or certified without being priced — and a certified pass
+    /// still fires and counts as a tuning run. The same run with the
+    /// what-if cache cleared before every pass, so that nothing is kept
+    /// and no certificate holds, reports the same decisions. (Its trails
+    /// differ: they record the cache counters, which the clears move.)
     #[test]
     fn converged_shards_settle_every_pass_under_a_moving_budget() {
-        use crate::tuner::FROM_KEPT;
-        let from_kept = || FROM_KEPT.with(|n| n.get());
+        use crate::tuner::Decided;
         let shard = |rows: i64| {
             let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
             let values = ColumnValues::Int((0..rows).map(|i| i % 50).collect());
@@ -1372,7 +1372,6 @@ mod deferred_tests {
             Database::new(engine)
         };
         let run = |clear_cache: bool| {
-            let from_kept_before = from_kept();
             let shards: Vec<Driver> = [2000, 1500, 3000]
                 .into_iter()
                 .map(|rows| {
@@ -1386,6 +1385,7 @@ mod deferred_tests {
                 .collect();
             let mut reports = Vec::new();
             let mut quiet = [false; 3];
+            let mut decided = std::collections::BTreeMap::new();
             for bucket in 0..24usize {
                 for (s, driver) in shards.iter().enumerate() {
                     // A fresh, generous split every bucket.
@@ -1395,12 +1395,17 @@ mod deferred_tests {
                     if clear_cache {
                         driver.multi().what_if().clear_cache();
                     }
-                    let before = from_kept();
-                    let report = driver.maybe_tune().unwrap();
-                    let kept = from_kept() - before;
-                    if let Some(report) = &report {
-                        if quiet[s] && !clear_cache {
-                            assert_eq!(kept, 2, "bucket {bucket} shard {s}: {report:?}");
+                    let tunings = driver.tuning_state().tunings_run;
+                    let mut report = driver.maybe_tune().unwrap();
+                    if let Some(report) = &mut report {
+                        assert_eq!(driver.tuning_state().tunings_run, tunings + 1);
+                        for p in &mut report.proposals {
+                            *decided.entry(p.decided).or_insert(0) += 1;
+                            if quiet[s] && !clear_cache {
+                                assert_ne!(p.decided, Decided::Priced, "bucket {bucket} shard {s}");
+                            }
+                            // Reported alike by both runs below.
+                            p.decided = Decided::Priced;
                         }
                         quiet[s] |= report.applied_actions == 0
                             && report.proposals.iter().all(|p| p.actions.is_empty());
@@ -1409,12 +1414,17 @@ mod deferred_tests {
                 }
             }
             assert_eq!(quiet, [true; 3], "every shard converged");
-            (reports, from_kept() - from_kept_before)
+            (reports, decided)
         };
-        let (reports, kept) = run(false);
-        let (cleared_reports, cleared_kept) = run(true);
-        assert!(kept > 0);
-        assert_eq!(cleared_kept, 0, "a cleared cache keeps no prices");
+        let (reports, decided) = run(false);
+        let (cleared_reports, cleared_decided) = run(true);
+        assert!(decided.get(&Decided::Certified) > Some(&0), "{decided:?}");
+        assert!(decided.get(&Decided::FromKept) > Some(&0), "{decided:?}");
+        assert_eq!(
+            cleared_decided.keys().collect::<Vec<_>>(),
+            [&Decided::Priced],
+            "a cleared cache keeps no prices and holds no certificate"
+        );
         assert_eq!(reports, cleared_reports);
     }
 

@@ -57,6 +57,16 @@ pub trait Enumerator: Send + Sync {
     ) -> Result<Arc<[Candidate]>> {
         Ok(self.enumerate(engine, base, scenarios)?.into())
     }
+
+    /// Whether the candidate *set* this enumerator gives — not its order
+    /// — is a function of the catalog, the base and the forecast's
+    /// distinct queries alone, never of their weights, and any two of
+    /// its candidates that touch one target share an exclusive group. A
+    /// certified pass relies on both to skip enumeration. The default
+    /// claims neither.
+    fn weight_free(&self) -> bool {
+        false
+    }
 }
 
 /// A tuner's last enumeration and the inputs it was built from.
@@ -256,6 +266,11 @@ impl Enumerator for IndexEnumerator {
         Ok(self.assemble(runs.iter().map(Vec::as_slice)))
     }
 
+    /// Uncapped: the weights only rank the columns.
+    fn weight_free(&self) -> bool {
+        self.max_candidates.is_none()
+    }
+
     fn enumerate_kept(
         &self,
         engine: &StorageEngine,
@@ -392,6 +407,10 @@ impl Enumerator for EncodingEnumerator {
             list: Arc::clone(&list),
         });
         Ok(list)
+    }
+
+    fn weight_free(&self) -> bool {
+        true
     }
 }
 

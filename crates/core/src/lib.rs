@@ -63,3 +63,7 @@ pub use multi::{DependencyReport, MultiFeatureTuner};
 pub use organizer::{Organizer, OrganizerConfig, TuningTrigger};
 pub use selectors::Selector;
 pub use tuner::{Tuner, TuningProposal};
+
+#[cfg(test)]
+#[path = "tests/certified_pass_props.rs"]
+mod certified_pass_props;

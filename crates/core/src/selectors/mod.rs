@@ -26,7 +26,7 @@ pub mod optimal;
 pub mod robust;
 
 use std::cmp::Reverse;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
 use smdb_common::Result;
@@ -122,6 +122,130 @@ pub(crate) fn greedy_over(
         chosen.push(i);
     }
     chosen
+}
+
+/// Relative slack by which a group's chosen candidate must out-save each
+/// other member per byte, on every query, in [`weight_free`]. A score is
+/// a sum of non-negative products over the pass's rows, so its float
+/// error is below `(rows + scenarios + 3) · ε` relative; this slack
+/// covers that for up to ~2 million rows, and the certificate checks the
+/// row count.
+pub(crate) const DOMINANCE_SLACK: f64 = 1e-9;
+
+/// What a [`weight_free`] choice holds under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Gains {
+    /// The smallest positive saving of a candidate greedy can choose:
+    /// a distinct query gains when some row of it weighs this above 0.
+    pub least: f64,
+    /// The largest saving, bounding every score.
+    pub most: f64,
+    /// The chosen candidates' budget weights, summed exactly.
+    pub chosen_bytes: i64,
+}
+
+/// Whether `chosen` — [`greedy_over`]'s choice from `open`, in candidate
+/// order — is its choice under *every* re-weighting of the pass's
+/// distinct queries that leaves each of them gaining (see [`Gains`]) and
+/// a budget of at least the chosen bytes, proven from each candidate's
+/// `savings` (`(distinct query, saving)` pairs):
+///
+/// * every candidate of `open` that saves on some query saves ≥ 0 on
+///   every one, so it scores above 0 under such weights, and any other
+///   scores at most 0;
+/// * every such candidate left out shares its exclusive group with a
+///   chosen one — greedy skipped nothing for bytes;
+/// * which out-saves it per byte on every query by [`DOMINANCE_SLACK`],
+///   so it ranks first in its group under every such weighting.
+///
+/// Greedy then takes exactly `chosen`, in some order, and no partial sum
+/// of its integer byte weights exceeds the budget.
+pub(crate) fn weight_free<'s>(
+    candidates: &[Candidate],
+    open: &[(usize, f64, f64)],
+    savings: impl Fn(usize) -> Option<&'s [(usize, f64)]>,
+    chosen: &[usize],
+) -> Option<Gains> {
+    let weight = |i: usize| {
+        let at = open.binary_search_by_key(&i, |s| s.0).ok()?;
+        Some(open[at].2)
+    };
+    let mut taken: HashMap<u64, (usize, f64), BuildHasherDefault<KeyHasher>> = HashMap::default();
+    let mut chosen_bytes = 0i64;
+    for &i in chosen {
+        let w = weight(i)?;
+        chosen_bytes = chosen_bytes.checked_add(w as i64)?;
+        taken.extend(candidates[i].exclusive_group.map(|g| (g, (i, w))));
+    }
+    let mut sorted = chosen.to_vec();
+    sorted.sort_unstable();
+    let (mut least, mut most) = (f64::INFINITY, 0.0f64);
+    for &(i, _, w) in open {
+        let saved = savings(i)?;
+        let gains = saved.iter().any(|&(_, s)| s > 0.0);
+        let is_chosen = sorted.binary_search(&i).is_ok();
+        if !gains {
+            // Scores at most 0 (or NaN) under non-negative weights.
+            if is_chosen {
+                return None;
+            }
+            continue;
+        }
+        for &(_, s) in saved {
+            if s.is_nan() || s < 0.0 {
+                return None;
+            }
+            if s > 0.0 {
+                least = least.min(s);
+                most = most.max(s);
+            }
+        }
+        if is_chosen {
+            continue;
+        }
+        let group = candidates[i].exclusive_group?;
+        let &(winner, winner_bytes) = taken.get(&group)?;
+        if !dominates(savings(winner)?, winner_bytes, saved, w) {
+            return None;
+        }
+    }
+    Some(Gains {
+        // Nothing gains: any positive weight then keeps it so.
+        least: if least.is_finite() { least } else { 1.0 },
+        most,
+        chosen_bytes,
+    })
+}
+
+/// Whether a candidate saving `win` at budget weight `win_bytes` ranks
+/// ahead of one saving `other` at `other_bytes` in [`greedy_over`]'s
+/// order under every non-negative weighting where both score above 0:
+/// a free candidate's ratio is infinite, so it leads any paid one;
+/// otherwise its saving per byte (plain saving, when both are free)
+/// must exceed the other's on every query the other saves on.
+fn dominates(
+    win: &[(usize, f64)],
+    win_bytes: f64,
+    other: &[(usize, f64)],
+    other_bytes: f64,
+) -> bool {
+    let (win_scale, other_scale) = match (win_bytes > 0.0, other_bytes > 0.0) {
+        (false, true) => return true,
+        (true, false) => return false,
+        (true, true) => (other_bytes, win_bytes),
+        (false, false) => (1.0, 1.0),
+    };
+    let mut at = 0;
+    other.iter().filter(|&&(_, s)| s > 0.0).all(|&(q, s)| {
+        while win.get(at).is_some_and(|&(wq, _)| wq < q) {
+            at += 1;
+        }
+        let w = win
+            .get(at)
+            .filter(|&&(wq, _)| wq == q)
+            .map_or(0.0, |&(_, w)| w);
+        w * win_scale >= (1.0 + DOMINANCE_SLACK) * s * other_scale
+    })
 }
 
 /// The integer whose order is `f64::total_cmp`'s: the sign-magnitude

@@ -13,11 +13,22 @@
 //! reconfiguration-cost test. The assessor keeps its prices across
 //! passes, so a converged pass re-weighs the prices it already holds,
 //! and only those of candidates greedy could still choose.
+//!
+//! A gated pass that ends unchanged keeps a [`Certificate`] when its
+//! prices prove greedy's choice weight-free ([`weight_free`]): the next
+//! pass whose keys still hold — the base, the catalog, the cache
+//! generation, the estimator version, the distinct-query set, weights
+//! that keep every distinct query gaining, and a budget of at least the
+//! chosen bytes — returns the same unchanged proposal in one walk of the
+//! forecast's rows, without enumerating, pricing or selecting.
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use smdb_common::{Cost, Result};
+use smdb_cost::cache::KeyHasher;
 use smdb_cost::WhatIf;
 use smdb_forecast::ForecastSet;
 use smdb_storage::{ConfigAction, ConfigInstance, StorageEngine};
@@ -27,7 +38,7 @@ use crate::candidate::{is_feasible, Candidate};
 use crate::constraints::ConstraintSet;
 use crate::enumerator::{Enumerator, Kept};
 use crate::feature::FeatureKind;
-use crate::selectors::greedy_over;
+use crate::selectors::{greedy_over, weight_free, Gains, DOMINANCE_SLACK};
 
 /// A per-feature tuning pipeline.
 pub struct Tuner {
@@ -47,6 +58,8 @@ pub struct Tuner {
     stripped: Mutex<Option<(Arc<ConfigInstance>, u64)>>,
     /// The last pass's candidate list and the inputs it was built from.
     kept: Mutex<Kept>,
+    /// What the last gated pass proved, if it ended unchanged.
+    certificate: Mutex<Option<Certificate>>,
 }
 
 /// The tuner's output: a hypothetical configuration plus its predicted
@@ -67,6 +80,22 @@ pub struct TuningProposal {
     pub candidates_enumerated: usize,
     /// Chosen candidate count.
     pub chosen: usize,
+    /// How the pass reached this proposal.
+    pub decided: Decided,
+}
+
+/// How a tuning pass reached its proposal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Decided {
+    /// Enumerated, priced and selected; some price, or the target, was
+    /// priced afresh.
+    Priced,
+    /// Enumerated and selected from prices all kept from the last full
+    /// pass, and ended unchanged.
+    FromKept,
+    /// Returned the last gated pass's unchanged proposal under its
+    /// [`Certificate`], without enumerating, pricing or selecting.
+    Certified,
 }
 
 impl TuningProposal {
@@ -75,13 +104,6 @@ impl TuningProposal {
     pub fn accepted(&self) -> bool {
         self.target.is_some()
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Passes this thread priced wholly from kept prices and found
-    /// unchanged.
-    pub(crate) static FROM_KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Tuner {
@@ -96,6 +118,7 @@ impl Tuner {
             benefit_horizon: 10.0,
             stripped: Mutex::new(None),
             kept: Mutex::new(Kept::default()),
+            certificate: Mutex::new(None),
         }
     }
 
@@ -222,7 +245,8 @@ impl Tuner {
     }
 
     /// Pipeline core; `gated = false` bypasses the reconfiguration test
-    /// (used by the dependence analysis, which wants raw optima).
+    /// (used by the dependence analysis, which wants raw optima). Only a
+    /// gated pass reads or keeps a certificate.
     pub(crate) fn propose_internal(
         &self,
         engine: &StorageEngine,
@@ -231,6 +255,11 @@ impl Tuner {
         constraints: &ConstraintSet,
         gated: bool,
     ) -> Result<TuningProposal> {
+        if gated {
+            if let Some(proposal) = self.certified(engine, base, scenarios, constraints)? {
+                return Ok(proposal);
+            }
+        }
         // In reselect mode the pipeline runs against the base with this
         // feature stripped, so existing entries must re-earn their place.
         let stripped = self.reselects().then(|| self.stripped_base(base));
@@ -256,7 +285,7 @@ impl Tuner {
         }
         drop(kept);
         if candidates.is_empty() {
-            return Ok(self.rejected(0));
+            return Ok(self.rejected(0, Decided::Priced));
         }
         let memory_budget_bytes = self.memory_budget(engine, enum_base, constraints)?;
         // The scores come with `enum_base`'s scenario costs, reused below
@@ -282,22 +311,30 @@ impl Tuner {
         );
 
         // Already at (or re-confirmed as) the selected configuration.
-        let unchanged = || {
-            if scores.all_kept {
-                smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
-                #[cfg(test)]
-                FROM_KEPT.with(|n| n.set(n.get() + 1));
+        let target = (!self.selects_base(base, &candidates, &chosen))
+            .then(|| self.target(enum_base, &candidates, &chosen));
+        let actions = target.as_ref().map_or_else(Vec::new, |t| base.diff(t));
+        let Some(target) = target.filter(|_| !actions.is_empty()) else {
+            if gated {
+                let stripped = stripped.map(|(stripped, _)| stripped);
+                *self.certificate.lock() = self.certify(
+                    engine,
+                    base,
+                    stripped,
+                    fingerprint,
+                    &candidates,
+                    open,
+                    &chosen,
+                );
             }
-            Ok(self.rejected(candidates.len()))
+            let decided = if scores.all_kept {
+                smdb_obs::metrics::counter("tuner.reselected_from_kept").inc();
+                Decided::FromKept
+            } else {
+                Decided::Priced
+            };
+            return Ok(self.rejected(candidates.len(), decided));
         };
-        if self.selects_base(base, &candidates, &chosen) {
-            return unchanged();
-        }
-        let target = self.target(enum_base, &candidates, &chosen);
-        let actions = base.diff(&target);
-        if actions.is_empty() {
-            return unchanged();
-        }
 
         // Combined economics: whole-configuration what-if instead of the
         // interaction-blind sum of per-candidate desirabilities.
@@ -330,7 +367,119 @@ impl Tuner {
             reconfiguration_cost,
             candidates_enumerated: candidates.len(),
             chosen: chosen.len(),
+            decided: Decided::Priced,
         })
+    }
+
+    /// The last gated pass's unchanged proposal, when its certificate
+    /// still holds for this pass; the certificate is spent otherwise.
+    fn certified(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        constraints: &ConstraintSet,
+    ) -> Result<Option<TuningProposal>> {
+        let mut kept = self.certificate.lock();
+        let Some(mut certificate) = kept.take() else {
+            return Ok(None);
+        };
+        if !certificate.holds(engine, base, self.assessor.what_if(), scenarios) {
+            return Ok(None);
+        }
+        let enum_base = certificate.stripped.as_deref().unwrap_or(&certificate.base);
+        let budget = self.memory_budget(engine, enum_base, constraints)?;
+        if budget.is_some_and(|budget| budget < certificate.gains.chosen_bytes) {
+            return Ok(None);
+        }
+        let proposal = self.rejected(certificate.candidates, Decided::Certified);
+        #[cfg(debug_assertions)]
+        {
+            let full = self.unkept_pass(engine, base, enum_base, scenarios, budget)?;
+            debug_assert_eq!(
+                full,
+                (true, certificate.candidates),
+                "a certified pass differs from the full pass it skips"
+            );
+        }
+        // Equal by content to the configuration in effect: later passes
+        // compare the engine's own `Arc` by identity instead.
+        if std::ptr::eq(base, engine.config()) && !std::ptr::eq(base, &*certificate.base) {
+            certificate.base = engine.shared_config();
+        }
+        *kept = Some(certificate);
+        smdb_obs::metrics::counter("tuner.certified").inc();
+        Ok(Some(proposal))
+    }
+
+    /// The certificate of an unchanged gated pass, when the enumerator's
+    /// set is weight-free and the pass's kept prices prove greedy's
+    /// choice weight-free too. `stripped` is the enumeration base in
+    /// reselect mode, and `fingerprint` the enumeration base's.
+    #[allow(clippy::too_many_arguments)]
+    fn certify(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        stripped: Option<Arc<ConfigInstance>>,
+        fingerprint: u64,
+        candidates: &[Candidate],
+        open: &[(usize, f64, f64)],
+        chosen: &[usize],
+    ) -> Option<Certificate> {
+        if !self.enumerator.weight_free() {
+            return None;
+        }
+        let what_if = self.assessor.what_if();
+        let generation = what_if.cache_generation()?;
+        let (gains, queries) = self
+            .assessor
+            .kept_prices(|prices| {
+                if !prices.priced_under(generation, fingerprint) {
+                    return None;
+                }
+                let savings = |i: usize| prices.savings(&candidates[i].action);
+                let gains = weight_free(candidates, open, savings, chosen)?;
+                let queries = prices.queries().iter().enumerate();
+                Some((gains, queries.map(|(at, &q)| (q, at)).collect()))
+            })
+            .flatten()?;
+        Some(Certificate {
+            base: shared(engine, base),
+            stripped,
+            catalog_token: engine.catalog_token(),
+            generation,
+            version: what_if.estimator().version(),
+            queries,
+            gains,
+            candidates: candidates.len(),
+        })
+    }
+
+    /// The full pipeline behind a certified pass, on a fresh enumeration
+    /// and an uncached assessor over the same estimator, so it moves no
+    /// kept list, no kept price and no cache counter: whether it ends
+    /// unchanged, and over how many candidates.
+    #[cfg(debug_assertions)]
+    fn unkept_pass(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        enum_base: &ConfigInstance,
+        scenarios: &ForecastSet,
+        budget: Option<i64>,
+    ) -> Result<(bool, usize)> {
+        let candidates = self.enumerator.enumerate(engine, enum_base, scenarios)?;
+        let estimator = Arc::clone(self.assessor.what_if().estimator());
+        let mut assessor = WhatIfAssessor::new(WhatIf::uncached(estimator), 0.8);
+        assessor.threads = 1;
+        let scores = assessor.scores(engine, enum_base, scenarios, &candidates)?;
+        let chosen = greedy_over(&candidates, scores.open.into_iter(), budget);
+        let unchanged = self.selects_base(base, &candidates, &chosen)
+            || base
+                .diff(&self.target(enum_base, &candidates, &chosen))
+                .is_empty();
+        Ok((unchanged, candidates.len()))
     }
 
     /// `enum_base` with the chosen candidates applied.
@@ -347,7 +496,7 @@ impl Tuner {
         target
     }
 
-    fn rejected(&self, enumerated: usize) -> TuningProposal {
+    fn rejected(&self, enumerated: usize, decided: Decided) -> TuningProposal {
         TuningProposal {
             feature: self.feature,
             target: None,
@@ -356,6 +505,7 @@ impl Tuner {
             reconfiguration_cost: Cost::ZERO,
             candidates_enumerated: enumerated,
             chosen: 0,
+            decided,
         }
     }
 }
@@ -374,6 +524,91 @@ pub fn standard_tuner(feature: FeatureKind, what_if: WhatIf) -> Tuner {
         FeatureKind::BufferPool => Box::new(BufferPoolEnumerator::default()),
     };
     Tuner::new(feature, enumerator, what_if)
+}
+
+/// `config` shared: the engine's own `Arc` when it is the configuration
+/// in effect — the engine copies it before changing it, so the `Arc`
+/// also names its content — otherwise a copy.
+fn shared(engine: &StorageEngine, config: &ConfigInstance) -> Arc<ConfigInstance> {
+    if std::ptr::eq(config, engine.config()) {
+        engine.shared_config()
+    } else {
+        Arc::new(config.clone())
+    }
+}
+
+/// What a gated pass that ended unchanged proved — by [`weight_free`],
+/// greedy makes the same choice under every re-weighting of its distinct
+/// queries that keeps each gaining and a budget of at least the chosen
+/// bytes — and the keys its prices and candidate set hold under. It is
+/// kept in memory only: a restored or recovered driver's tuners start
+/// without one and run one full pass first.
+struct Certificate {
+    /// The base the pass tuned; the enumeration base is a function of it.
+    base: Arc<ConfigInstance>,
+    /// The enumeration base in reselect mode (otherwise `base` itself).
+    stripped: Option<Arc<ConfigInstance>>,
+    catalog_token: u64,
+    generation: u64,
+    version: u64,
+    queries: QueryIndex,
+    gains: Gains,
+    /// The candidate count the pass enumerated.
+    candidates: usize,
+}
+
+impl Certificate {
+    /// Whether every key but the budget holds for a pass over `base` and
+    /// `scenarios`.
+    fn holds(
+        &self,
+        engine: &StorageEngine,
+        base: &ConfigInstance,
+        what_if: &WhatIf,
+        scenarios: &ForecastSet,
+    ) -> bool {
+        (std::ptr::eq(base, &*self.base) || *base == *self.base)
+            && engine.catalog_token() == self.catalog_token
+            && what_if.cache_generation() == Some(self.generation)
+            && what_if.estimator().version() == self.version
+            && weights_gain(&self.queries, &self.gains, scenarios)
+    }
+}
+
+/// Distinct queries by instance fingerprint, to their index.
+pub(crate) type QueryIndex = HashMap<u64, usize, BuildHasherDefault<KeyHasher>>;
+
+/// Whether `scenarios` re-weights exactly the distinct queries of
+/// `queries` within what [`weight_free`] proved for `gains`, in one walk
+/// of their rows: every probability and weight finite and ≥ 0, each
+/// distinct query gaining — some row weighs the least gain above 0 —
+/// every score finite, and few enough rows that their float error stays
+/// within [`DOMINANCE_SLACK`].
+pub(crate) fn weights_gain(queries: &QueryIndex, gains: &Gains, scenarios: &ForecastSet) -> bool {
+    let mut gaining = vec![false; queries.len()];
+    let (mut rows, mut bound) = (0usize, 0.0f64);
+    for scenario in scenarios.iter() {
+        let p = scenario.probability;
+        if !(0.0..f64::INFINITY).contains(&p) {
+            return false;
+        }
+        for row in scenario.workload.queries() {
+            let w = row.weight;
+            let Some(&q) = queries.get(&row.query.instance_fingerprint()) else {
+                return false;
+            };
+            if !(0.0..f64::INFINITY).contains(&w) {
+                return false;
+            }
+            // Rounding is monotone: a row that weighs the least gain
+            // above 0 weighs every larger one above 0.
+            gaining[q] |= p * (w * gains.least) > 0.0;
+            bound += p * (w * gains.most);
+            rows += 1;
+        }
+    }
+    let error = (rows + scenarios.len() + 3) as f64 * f64::EPSILON;
+    gaining.iter().all(|&g| g) && bound.is_finite() && 2.0 * error < DOMINANCE_SLACK
 }
 
 #[cfg(test)]
@@ -567,9 +802,7 @@ mod tests {
         let (engine, t) = setup();
         let enumerator = Alternating(std::sync::Mutex::new(0));
         let tuner = Tuner::new(FeatureKind::Compression, Box::new(enumerator), what_if());
-        let from_kept = || FROM_KEPT.with(|n| n.get());
         for pass in 0..3 {
-            let before = from_kept();
             let proposal = tuner
                 .propose(
                     &engine,
@@ -580,7 +813,8 @@ mod tests {
                 .unwrap();
             assert!(proposal.candidates_enumerated > 1);
             assert!(proposal.actions.is_empty());
-            assert_eq!(from_kept() - before, usize::from(pass > 0), "pass {pass}");
+            let decided = [Decided::Priced, Decided::FromKept][usize::from(pass > 0)];
+            assert_eq!(proposal.decided, decided, "pass {pass}");
         }
     }
 
@@ -767,7 +1001,10 @@ mod tests {
                 let again = tuner
                     .propose(&engine, &tuned, &scenarios, &constraints)
                     .unwrap();
-                assert_eq!(again, tuner.rejected(first.candidates_enumerated));
+                // A shuffling enumerator's set is not certified weight-free.
+                assert_ne!(again.decided, Decided::Certified);
+                let rejected = tuner.rejected(first.candidates_enumerated, again.decided);
+                assert_eq!(again, rejected);
             }
         }
     }

@@ -94,7 +94,8 @@ pub fn relative_path(root: &Path, path: &Path) -> String {
 }
 
 /// Scans every `.rs` file under `root` into token streams + sanitized
-/// lines, in sorted path order.
+/// lines, in sorted path order; a file declared as a `#[cfg(test)]`
+/// module is test code throughout.
 pub fn scan_repo(root: &Path, cfg: &LintConfig) -> Result<Vec<ScannedFile>, String> {
     let files = collect_rs_files(root, cfg)?;
     let mut scanned = Vec::with_capacity(files.len());
@@ -103,6 +104,7 @@ pub fn scan_repo(root: &Path, cfg: &LintConfig) -> Result<Vec<ScannedFile>, Stri
             fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
         scanned.push(scan::scan_source(&relative_path(root, path), &source));
     }
+    scan::mark_test_modules(&mut scanned);
     Ok(scanned)
 }
 

@@ -68,6 +68,61 @@ impl Token {
 #[derive(Debug, Clone)]
 pub struct TokenStream {
     pub tokens: Vec<Token>,
+    /// The `#[cfg(test)] mod name;` declarations: modules whose whole
+    /// file is test code.
+    pub test_modules: Vec<TestModule>,
+}
+
+/// A body-less module declaration a `#[cfg(test)]` attribute gates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TestModule {
+    pub name: String,
+    /// The file a `#[path = "…"]` attribute between the gate and the
+    /// `mod` names, relative to the declaring file's directory.
+    pub path: Option<String>,
+}
+
+impl TestModule {
+    /// The repo-relative files the module may live in when declared in
+    /// `declaring`, as rustc resolves them: a `#[path]` relative to the
+    /// declaring file's directory; otherwise `name.rs` or `name/mod.rs`
+    /// beside a `lib.rs`, `main.rs` or `mod.rs`, or in the directory
+    /// named after any other file's stem.
+    pub fn files(&self, declaring: &str) -> Vec<String> {
+        let (dir, file) = declaring.rsplit_once('/').unwrap_or(("", declaring));
+        if let Some(path) = &self.path {
+            return vec![normalize(&format!("{dir}/{path}"))];
+        }
+        let stem = file.strip_suffix(".rs").unwrap_or(file);
+        let parent = match stem {
+            "lib" | "main" | "mod" => dir.to_string(),
+            _ => format!("{dir}/{stem}"),
+        };
+        let name = &self.name;
+        [
+            format!("{parent}/{name}.rs"),
+            format!("{parent}/{name}/mod.rs"),
+        ]
+        .iter()
+        .map(|f| normalize(f))
+        .collect()
+    }
+}
+
+/// `path` with empty and `.` segments dropped and each `..` taking the
+/// segment before it.
+fn normalize(path: &str) -> String {
+    let mut parts: Vec<&str> = Vec::new();
+    for part in path.split('/') {
+        match part {
+            "" | "." => {}
+            ".." => {
+                parts.pop();
+            }
+            _ => parts.push(part),
+        }
+    }
+    parts.join("/")
 }
 
 impl TokenStream {
@@ -99,8 +154,11 @@ pub fn lex(source: &str) -> TokenStream {
         });
     }
 
-    let mut stream = TokenStream { tokens };
-    mark_test_regions(source, &mut stream);
+    let mut stream = TokenStream {
+        tokens,
+        test_modules: Vec::new(),
+    };
+    stream.test_modules = mark_test_regions(source, &mut stream);
     stream
 }
 
@@ -316,9 +374,10 @@ fn is_ident_continue(source: &str, pos: usize) -> bool {
 
 /// Tracks one active `#[cfg(test)]` region (brace-delimited item body).
 enum TestRegion {
-    /// Saw the attribute; waiting for the item's opening `{` (or a `;`
-    /// ending a body-less item like `mod external_tests;`).
-    Pending { attr_end: usize },
+    /// Saw the attribute (starting at token `start`); waiting for the
+    /// item's opening `{` (or a `;` ending a body-less item like
+    /// `mod external_tests;`).
+    Pending { start: usize, attr_end: usize },
     /// Inside the braces; ends when depth returns to the recorded value.
     Active { close_depth: i64 },
 }
@@ -326,14 +385,17 @@ enum TestRegion {
 /// Marks tokens inside `#[cfg(test)]`-gated item bodies, mirroring the
 /// legacy scanner's semantics: the attribute tokens themselves are *not*
 /// in-test; everything from the item's opening `{` through its matching
-/// `}` (inclusive) is.
-fn mark_test_regions(source: &str, stream: &mut TokenStream) {
+/// `}` (inclusive) is. A gated body-less `mod name;` has its body in
+/// another file: it is returned, for [`TestModule::files`] to resolve.
+fn mark_test_regions(source: &str, stream: &mut TokenStream) -> Vec<TestModule> {
     let mut depth: i64 = 0;
     let mut region: Option<TestRegion> = None;
+    let mut modules = Vec::new();
     let n = stream.tokens.len();
     for i in 0..n {
         if region.is_none() && starts_cfg_test(source, &stream.tokens, i) {
             region = Some(TestRegion::Pending {
+                start: i,
                 attr_end: cfg_attr_end(source, &stream.tokens, i),
             });
         }
@@ -343,7 +405,7 @@ fn mark_test_regions(source: &str, stream: &mut TokenStream) {
         if tok.kind == TokenKind::Punct {
             match text {
                 "{" => {
-                    if let Some(TestRegion::Pending { attr_end }) = region {
+                    if let Some(TestRegion::Pending { attr_end, .. }) = region {
                         if tok.start >= attr_end {
                             region = Some(TestRegion::Active { close_depth: depth });
                             in_test = true;
@@ -361,9 +423,11 @@ fn mark_test_regions(source: &str, stream: &mut TokenStream) {
                     }
                 }
                 ";" => {
-                    if let Some(TestRegion::Pending { attr_end }) = region {
+                    if let Some(TestRegion::Pending { start, attr_end }) = region {
                         if tok.start >= attr_end {
                             region = None; // body-less item
+                            let item = &stream.tokens[start..i];
+                            modules.extend(declared_module(source, item));
                         }
                     }
                 }
@@ -372,6 +436,29 @@ fn mark_test_regions(source: &str, stream: &mut TokenStream) {
         }
         stream.tokens[i].in_test = in_test;
     }
+    modules
+}
+
+/// The module a gated body-less item declares when it is `mod name`
+/// (`item` runs from the gate up to the `;`), with the file a
+/// `#[path = "…"]` attribute among its attributes names.
+fn declared_module(source: &str, item: &[Token]) -> Option<TestModule> {
+    let code: Vec<&str> = item
+        .iter()
+        .filter(|t| t.is_code())
+        .map(|t| t.text(source))
+        .collect();
+    let [.., "mod", name] = code[..] else {
+        return None;
+    };
+    let path = code.windows(5).find_map(|w| match w {
+        ["#", "[", "path", "=", literal] => literal.strip_prefix('"')?.strip_suffix('"'),
+        _ => None,
+    });
+    Some(TestModule {
+        name: name.to_string(),
+        path: path.map(str::to_string),
+    })
 }
 
 /// Does a `#[cfg(test)]` / `#[cfg(all(test, …))]` / `#[cfg(any(test, …))]`
@@ -521,6 +608,31 @@ mod tests {
         let src = "#[cfg(test)]\nmod external;\nfn lib() { x(); }\n";
         let stream = lex(src);
         assert!(stream.code().all(|t| !t.in_test));
+        let external = TestModule {
+            name: "external".into(),
+            path: None,
+        };
+        assert_eq!(stream.test_modules, [external]);
+    }
+
+    #[test]
+    fn test_modules_resolve_as_rustc_does() {
+        let src = "#[cfg(test)]\n#[path = \"../tests/p.rs\"]\npub(crate) mod p;\n\
+                   mod plain;\n#[cfg(test)]\nfn f();\n#[cfg(test)]\nmod q;\n";
+        let modules = lex(src).test_modules;
+        assert_eq!(modules.len(), 2, "{modules:?}");
+        assert_eq!(
+            modules[0].files("crates/c/src/a/b.rs"),
+            ["crates/c/src/tests/p.rs"]
+        );
+        assert_eq!(
+            modules[1].files("crates/c/src/lib.rs"),
+            ["crates/c/src/q.rs", "crates/c/src/q/mod.rs"]
+        );
+        assert_eq!(
+            modules[1].files("crates/c/src/tuner.rs"),
+            ["crates/c/src/tuner/q.rs", "crates/c/src/tuner/q/mod.rs"]
+        );
     }
 
     #[test]

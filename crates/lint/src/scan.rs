@@ -10,7 +10,9 @@
 //! token stream along for the token-level passes (map-iteration,
 //! atomic-ordering, lock-order, crate layering).
 
-use crate::parse::{self, Token, TokenKind};
+use std::collections::BTreeSet;
+
+use crate::parse::{self, TestModule, Token, TokenKind};
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
@@ -36,6 +38,8 @@ pub struct ScannedFile {
     pub source: String,
     /// The full lexed token stream the line view is projected from.
     pub tokens: Vec<Token>,
+    /// The modules it declares behind `#[cfg(test)]` in other files.
+    pub test_modules: Vec<TestModule>,
 }
 
 impl ScannedFile {
@@ -110,6 +114,20 @@ pub fn scan_source(path: &str, source: &str) -> ScannedFile {
         lines,
         source: source.to_owned(),
         tokens: stream.tokens,
+        test_modules: stream.test_modules,
+    }
+}
+
+/// Marks every line and token of each file that one of `files` declares
+/// as a `#[cfg(test)] mod name;` test code, like an inline test module.
+pub fn mark_test_modules(files: &mut [ScannedFile]) {
+    let test_files: BTreeSet<String> = files
+        .iter()
+        .flat_map(|f| f.test_modules.iter().flat_map(|m| m.files(&f.path)))
+        .collect();
+    for file in files.iter_mut().filter(|f| test_files.contains(&f.path)) {
+        file.lines.iter_mut().for_each(|line| line.in_test = true);
+        file.tokens.iter_mut().for_each(|t| t.in_test = true);
     }
 }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use smdb_lint::locks::{analyze_locks, lock_findings};
 use smdb_lint::parse::lex;
 use smdb_lint::rules::{registry, Finding};
-use smdb_lint::scan::{scan_source, ScannedFile};
+use smdb_lint::scan::{mark_test_modules, scan_source, ScannedFile};
 
 /// Fragments that would each trip some rule if they appeared in code
 /// position (in the right path scope).
@@ -288,4 +288,72 @@ fn lock_graph_consistent_global_order_is_clean() {
     assert!(r.acyclic(), "cycles: {:?}", r.cycles);
     assert!(!r.edges.is_empty(), "fixture should still produce edges");
     assert!(lock_findings(&r).is_empty());
+}
+
+/// A `#[cfg(test)] mod name;` declaration makes the file it names test
+/// code throughout, as an inline `#[cfg(test)] mod name { … }` is —
+/// beside a `lib.rs`, under a file's stem directory, or where a
+/// `#[path]` points — while the same declaration without the gate, or a
+/// gated one naming another file, leaves the file library code.
+#[test]
+fn files_of_gated_module_declarations_are_test_code() {
+    let body = "fn t() { let v = \"7\".parse::<u32>().unwrap(); }\n";
+    let cases = [
+        (
+            "crates/core/src/lib.rs",
+            "#[cfg(test)]\nmod props;\n",
+            "crates/core/src/props.rs",
+            false,
+        ),
+        (
+            "crates/core/src/lib.rs",
+            "mod props;\n",
+            "crates/core/src/props.rs",
+            true,
+        ),
+        (
+            "crates/core/src/lib.rs",
+            "#[cfg(test)]\nmod other;\n",
+            "crates/core/src/props.rs",
+            true,
+        ),
+        (
+            "crates/core/src/tuner.rs",
+            "#[cfg(test)]\nmod props;\n",
+            "crates/core/src/tuner/props.rs",
+            false,
+        ),
+        (
+            "crates/core/src/tuner.rs",
+            "mod props;\n",
+            "crates/core/src/tuner/props.rs",
+            true,
+        ),
+        (
+            "crates/core/src/tuner.rs",
+            "#[cfg(test)]\n#[path = \"tests/props.rs\"]\nmod props;\n",
+            "crates/core/src/tests/props.rs",
+            false,
+        ),
+        (
+            "crates/core/src/tuner.rs",
+            "#[path = \"tests/props.rs\"]\nmod props;\n",
+            "crates/core/src/tests/props.rs",
+            true,
+        ),
+    ];
+    for (declaring, declaration, file, fires) in cases {
+        let source = format!("{declaration}pub fn lib() {{}}\n");
+        let mut files = vec![scan_source(declaring, &source), scan_source(file, body)];
+        mark_test_modules(&mut files);
+        let mut findings = Vec::new();
+        for rule in registry() {
+            for scanned in &files {
+                rule.check_file(scanned, &mut findings);
+            }
+        }
+        let fired: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+        let want: &[&str] = if fires { &["no-panic"] } else { &[] };
+        assert_eq!(fired, want, "{declaring}: {declaration:?} -> {file}");
+    }
 }

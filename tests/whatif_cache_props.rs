@@ -6,9 +6,11 @@
 //! exactly when they agree on the footprint's slice, and an assessor
 //! that keeps its prices across passes answers and counts exactly like
 //! one that prices every pass afresh — and so does a tuner that
-//! selects from those prices, whatever order its candidates come in —
-//! and the scores it hands greedy leave out exactly the candidates the
-//! sign certificate proves greedy would drop.
+//! selects from those prices, whatever order its candidates come in,
+//! but for a certified pass, which looks nothing up where the pass it
+//! skips would only hit — and the scores it hands greedy leave out
+//! exactly the candidates the sign certificate proves greedy would
+//! drop.
 
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use smdb::core::candidate::{Assessment, Candidate, SelectionInput};
 use smdb::core::constraints::ConstraintSet;
 use smdb::core::feature::FeatureKind;
 use smdb::core::selectors::{GreedySelector, Selector};
-use smdb::core::tuner::{standard_tuner, Tuner};
+use smdb::core::tuner::{standard_tuner, Decided, Tuner, TuningProposal};
 use smdb::cost::features::ConfigContext;
 use smdb::cost::sizes::estimate_index_bytes;
 use smdb::cost::{
@@ -767,14 +769,26 @@ fn tuners(what_if: &WhatIf) -> Vec<Tuner> {
         .collect()
 }
 
+/// `proposal` with how its pass decided left out: a tuner that keeps
+/// prices or a certificate reports the same proposal as one built
+/// afresh, reached another way.
+fn decision(proposal: &TuningProposal) -> TuningProposal {
+    TuningProposal {
+        decided: Decided::Priced,
+        ..proposal.clone()
+    }
+}
+
 /// Runs `moves` through tuners that keep their prices across passes and
 /// through tuners built afresh every pass (no kept prices) on a what-if
 /// with the same history, applying each proposal to the shared base as
-/// a driver would. Both propose the same, bit for bit, and move their
-/// caches' counters and entry counts alike. Returns how many passes were
-/// priced wholly from kept prices and changed nothing (a lower bound:
-/// the counter is process-wide).
-fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
+/// a driver would. Both propose the same, bit for bit, and leave their
+/// caches with the same entries. They move their caches' counters alike
+/// except on a certified pass, which looks nothing up where the full
+/// pass it skips hits every lookup. Returns how many passes settled —
+/// changed nothing, priced wholly from kept prices or certified — and
+/// how many of those were certified.
+fn kept_tuners_match_fresh_ones(moves: &[Move]) -> (u64, u64) {
     let (mut engine, t, u) = engine();
     let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
     let kept_what_if = WhatIf::new(estimator.clone());
@@ -795,8 +809,7 @@ fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
     // Column `a` of `t` holds the same values in every chunk: its
     // candidates tie chunk for chunk.
     let hash = estimate_index_bytes(200, 40, IndexKind::Hash) as i64;
-    let settled = smdb::obs::metrics::counter("tuner.reselected_from_kept");
-    let before = settled.get();
+    let (mut settled, mut certified) = (0, 0);
     let mut tables = 0;
     for (pass, step) in (0u32..).zip(moves) {
         match step {
@@ -836,8 +849,24 @@ fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
             let (want, want_stats, want_len) =
                 counted(&fresh_what_if, || propose(&tuners(&fresh_what_if)[i]));
             let at = format!("pass {pass} after {step:?}, tuner {i}");
-            assert_eq!(got, want, "{at}");
-            assert_eq!((got_stats, got_len), (want_stats, want_len), "{at}");
+            assert_eq!(
+                got.as_ref().map(decision).map_err(String::clone),
+                want,
+                "{at}"
+            );
+            assert_eq!(got_len, want_len, "{at}");
+            let decided = got.as_ref().map(|p| p.decided);
+            if decided == Ok(Decided::Certified) {
+                assert_eq!(got_stats, CacheStats::default(), "{at}");
+                assert_eq!(want_stats.misses, 0, "{at}");
+                certified += 1;
+            } else {
+                assert_eq!(got_stats, want_stats, "{at}");
+            }
+            settled += u64::from(matches!(
+                decided,
+                Ok(Decided::FromKept | Decided::Certified)
+            ));
             if let Ok(proposal) = got {
                 for action in &proposal.actions {
                     base.apply(action);
@@ -845,7 +874,7 @@ fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
             }
         }
     }
-    settled.get() - before
+    (settled, certified)
 }
 
 /// A scripted run through each side of re-selection from kept prices:
@@ -853,7 +882,8 @@ fn kept_tuners_match_fresh_ones(moves: &[Move]) -> u64 {
 /// permuted candidate list; a budget that binds below the configured
 /// indexes prices the drop it then rejects, and one raised again adds
 /// an index; new queries, a new table and a flushed cache each have a
-/// pass priced afresh before passes settle again.
+/// pass priced afresh before passes settle again. Some settled passes
+/// are certified.
 #[test]
 fn reselection_from_kept_prices_settles_where_nothing_changes() {
     use Move::*;
@@ -877,8 +907,9 @@ fn reselection_from_kept_prices_settles_where_nothing_changes() {
         Reweigh,
     ]);
     moves.extend([ClearCache, Reweigh, Reweigh, DropQuery, Reweigh, Reweigh]);
-    let settled = kept_tuners_match_fresh_ones(&moves);
+    let (settled, certified) = kept_tuners_match_fresh_ones(&moves);
     assert!(settled >= 20, "only {settled} passes settled");
+    assert!(certified > 0, "no pass was certified");
 }
 
 proptest! {
@@ -938,10 +969,10 @@ impl smdb::core::Enumerator for Switched {
 /// Runs one pass per `(column, reversed)` switch setting through a tuner
 /// on `Switched` that keeps its prices and through one built afresh
 /// every pass, on a what-if with the same history: both propose the
-/// same and count the same lookups. Returns, per pass, the proposal and
-/// whether `tuner.reselected_from_kept` moved (a lower bound: the
-/// counter is process-wide).
-fn switched_passes(passes: &[(u16, bool)]) -> Vec<(smdb::core::TuningProposal, bool)> {
+/// same and count the same lookups (`Switched` claims no weight-free
+/// set, so no pass is certified). Returns, per pass, the proposal and
+/// whether it was priced wholly from kept prices.
+fn switched_passes(passes: &[(u16, bool)]) -> Vec<(TuningProposal, bool)> {
     let (engine, t, _) = engine();
     let estimator: Arc<dyn smdb::cost::CostEstimator> = Arc::new(LogicalCostModel::default());
     let switch = Switched::default();
@@ -962,7 +993,6 @@ fn switched_passes(passes: &[(u16, bool)]) -> Vec<(smdb::core::TuningProposal, b
         "q",
     )];
     let base = ConfigInstance::default();
-    let from_kept = smdb::obs::metrics::counter("tuner.reselected_from_kept");
     let mut out = Vec::new();
     for (pass, &(column, reversed)) in (0u32..).zip(passes) {
         switch.column.store(column, Ordering::Relaxed);
@@ -973,14 +1003,18 @@ fn switched_passes(passes: &[(u16, bool)]) -> Vec<(smdb::core::TuningProposal, b
                 .propose(&engine, &base, &f, &ConstraintSet::none())
                 .map_err(|e| e.to_string())
         };
-        let before = from_kept.get();
         let (got, got_stats, _) = counted(&kept_what_if, || propose(&kept));
-        let moved = from_kept.get() > before;
         let (want, want_stats, _) = counted(&fresh_what_if, || propose(&tuner(&fresh_what_if)));
         let at = format!("pass {pass} on column {column}, reversed: {reversed}");
-        assert_eq!(got, want, "{at}");
+        assert_eq!(
+            got.as_ref().map(decision).map_err(String::clone),
+            want,
+            "{at}"
+        );
         assert_eq!(got_stats, want_stats, "{at}");
-        out.push((got.expect("proposes"), moved));
+        let got = got.expect("proposes");
+        let moved = got.decided == Decided::FromKept;
+        out.push((got, moved));
     }
     out
 }
